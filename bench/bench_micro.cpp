@@ -1,12 +1,15 @@
 // E7 — google-benchmark micro suite for the §4.3 asymptotics: digraph
 // construction, topological sort + cycle breaking, full conversion, the
-// differencers, the appliers, and the codec.
+// differencers, the appliers, the codec, and the byte kernels (checksums
+// and the overlapping copy) under the apply path.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 
 #include "adversary/constructions.hpp"
 #include "apply/stream_applier.hpp"
+#include "core/checksum.hpp"
+#include "core/checksum_kernels.hpp"
 #include "core/lzss.hpp"
 #include "corpus/generator.hpp"
 #include "corpus/mutation.hpp"
@@ -130,6 +133,53 @@ void BM_ApplyInplace(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * p.ver.size()));
 }
 BENCHMARK(BM_ApplyInplace)->Range(1 << 12, 1 << 20);
+
+// Byte-kernel sizes: a page, a small delta, 1 MiB, and the 12 MiB image.
+void kernel_sizes(benchmark::internal::Benchmark* b) {
+  b->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20)->Arg(12 << 20);
+}
+
+template <typename Checksum>
+void run_checksum(benchmark::State& state, Checksum checksum) {
+  Bytes data(static_cast<std::size_t>(state.range(0)));
+  Rng(11).fill(data);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(checksum(ByteView(data)));
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations() * data.size()));
+}
+
+void BM_Crc32c(benchmark::State& state) {
+  run_checksum(state, [](ByteView d) { return crc32c(d); });
+}
+BENCHMARK(BM_Crc32c)->Apply(kernel_sizes);
+
+void BM_Crc32cPortable(benchmark::State& state) {
+  run_checksum(state, [](ByteView d) { return detail::crc32c_portable(d); });
+}
+BENCHMARK(BM_Crc32cPortable)->Apply(kernel_sizes);
+
+void BM_Adler32(benchmark::State& state) {
+  run_checksum(state, [](ByteView d) { return adler32(d); });
+}
+BENCHMARK(BM_Adler32)->Apply(kernel_sizes);
+
+// One self-overlapping copy that shifts the whole buffer down by 64
+// bytes, the §4.1 case a converted in-place script leaves behind.
+void BM_OverlappingCopy(benchmark::State& state) {
+  const auto length = static_cast<std::size_t>(state.range(0));
+  Bytes buffer(length + 64);
+  Rng(12).fill(buffer);
+  for (auto _ : state) {
+    overlapping_copy(buffer, 64, 0, length);
+    benchmark::DoNotOptimize(buffer.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations() * length));
+}
+BENCHMARK(BM_OverlappingCopy)->Apply(kernel_sizes);
 
 void BM_SerializeDelta(benchmark::State& state) {
   const Pair p = make_pair_bytes(1 << 16);

@@ -12,8 +12,8 @@ void apply_script_into(const Script& script, ByteView reference,
                        MutByteView version) {
   for (const Command& cmd : script.commands()) {
     if (const auto* copy = std::get_if<CopyCommand>(&cmd)) {
-      if (copy->from + copy->length > reference.size() ||
-          copy->to + copy->length > version.size()) {
+      if (!range_fits(copy->from, copy->length, reference.size()) ||
+          !range_fits(copy->to, copy->length, version.size())) {
         throw ValidationError("apply: copy command out of bounds");
       }
       std::copy_n(reference.begin() + static_cast<std::ptrdiff_t>(copy->from),
@@ -21,7 +21,7 @@ void apply_script_into(const Script& script, ByteView reference,
                   version.begin() + static_cast<std::ptrdiff_t>(copy->to));
     } else {
       const AddCommand& add = std::get<AddCommand>(cmd);
-      if (add.to + add.length() > version.size()) {
+      if (!range_fits(add.to, add.length(), version.size())) {
         throw ValidationError("apply: add command out of bounds");
       }
       std::copy(add.data.begin(), add.data.end(),

@@ -1,6 +1,7 @@
 #include "apply/inplace_apply.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 
 #include "core/checksum.hpp"
@@ -17,12 +18,11 @@ void check_bounds(const Script& script, std::size_t buffer_size,
   }
   for (const Command& cmd : script.commands()) {
     if (const auto* copy = std::get_if<CopyCommand>(&cmd)) {
-      if (copy->from + copy->length > reference_length) {
+      if (!range_fits(copy->from, copy->length, reference_length)) {
         throw ValidationError("in-place apply: copy reads past reference");
       }
     }
-    const Interval w = command_write_interval(cmd);
-    if (w.last >= version_length) {
+    if (!range_fits(command_to(cmd), command_length(cmd), version_length)) {
       throw ValidationError("in-place apply: command writes past version");
     }
   }
@@ -35,19 +35,10 @@ void overlapping_copy(MutByteView buffer, offset_t from, offset_t to,
   if (length == 0 || from == to) {
     return;
   }
-  std::uint8_t* data = buffer.data();
-  if (from >= to) {
-    // Left-to-right: the read cursor stays ahead of the write cursor, so
-    // no byte is overwritten before it is read (§4.1).
-    for (length_t i = 0; i < length; ++i) {
-      data[to + i] = data[from + i];
-    }
-  } else {
-    // Right-to-left: symmetric argument when writing forwards.
-    for (length_t i = length; i > 0; --i) {
-      data[to + i - 1] = data[from + i - 1];
-    }
-  }
+  // §4.1 copies left-to-right when f >= t and right-to-left when f < t,
+  // so no byte is overwritten before it is read: memmove's contract.
+  std::memmove(buffer.data() + to, buffer.data() + from,
+               static_cast<std::size_t>(length));
 }
 
 void apply_inplace(const Script& script, MutByteView buffer,

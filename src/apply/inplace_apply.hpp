@@ -5,8 +5,8 @@
 // Copies whose read and write intervals overlap are legal for a single
 // command (§4.1): they are performed left-to-right when f >= t and
 // right-to-left when f < t, so no byte is read after being overwritten.
-// std::memmove has exactly these semantics; we expose an explicit
-// byte-loop variant too so tests can check the direction argument.
+// std::memmove has exactly these semantics, so overlapping_copy is one
+// memmove; tests keep the §4.1 byte loop as its oracle.
 #pragma once
 
 #include "delta/codec.hpp"
@@ -41,8 +41,9 @@ void apply_inplace_checked(const Script& script, MutByteView buffer,
 length_t apply_delta_inplace(ByteView delta, MutByteView buffer);
 
 /// Overlap-safe single-copy primitive used by both appliers; exposed for
-/// tests. Copies length bytes from `from` to `to` within `buffer`,
-/// left-to-right when from >= to, right-to-left otherwise.
+/// tests. Copies length bytes from `from` to `to` within `buffer` with
+/// the result of copying left-to-right when from >= to, right-to-left
+/// otherwise. Precondition: both ranges lie inside `buffer`.
 void overlapping_copy(MutByteView buffer, offset_t from, offset_t to,
                       length_t length) noexcept;
 

@@ -100,12 +100,12 @@ void StreamingInplaceApplier::apply_command(const Command& cmd) {
   const length_t len = command_length(cmd);
   if (len == 0) return;
   const Interval w = command_write_interval(cmd);
-  if (w.last >= header_->version_length) {
+  if (!range_fits(w.first, len, header_->version_length)) {
     throw ValidationError("streaming applier: command writes past version");
   }
 
   if (const auto* copy = std::get_if<CopyCommand>(&cmd)) {
-    if (copy->from + copy->length > header_->reference_length) {
+    if (!range_fits(copy->from, copy->length, header_->reference_length)) {
       throw ValidationError("streaming applier: copy reads past reference");
     }
     if (options_.check_conflicts) {

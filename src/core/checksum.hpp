@@ -15,9 +15,10 @@ namespace ipd {
 /// Adler-32 (RFC 1950). Fast, order-sensitive, fine for transport checks.
 std::uint32_t adler32(ByteView data, std::uint32_t seed = 1) noexcept;
 
-/// CRC-32C (Castagnoli polynomial 0x1EDC6F41), table-driven software
-/// implementation. `seed` is the running CRC from a previous call
-/// (0 to start a fresh computation).
+/// CRC-32C (Castagnoli polynomial 0x1EDC6F41). Runs on the SSE4.2 `crc32`
+/// instruction when CPUID reports it (checked once per process), else on
+/// a portable slice-by-8 table; both give identical results. `seed` is
+/// the running CRC from a previous call (0 to start a fresh computation).
 std::uint32_t crc32c(ByteView data, std::uint32_t seed = 0) noexcept;
 
 /// Incremental CRC-32C helper for streamed reconstruction.

@@ -39,6 +39,14 @@ struct Interval {
   constexpr bool operator==(const Interval&) const noexcept = default;
 };
 
+/// True when [start, start + length) lies inside [0, limit). Written so
+/// it cannot wrap: `start + length > limit` accepts a hostile 64-bit
+/// offset near 2^64 whose sum wraps below the limit.
+constexpr bool range_fits(offset_t start, length_t length,
+                          length_t limit) noexcept {
+  return length <= limit && start <= limit - length;
+}
+
 inline std::ostream& operator<<(std::ostream& os, const Interval& iv) {
   return os << '[' << iv.first << ", " << iv.last << ']';
 }

@@ -102,7 +102,7 @@ Script compose_scripts(const Script& first, const Script& second,
     }
     const CopyCommand& copy = std::get<CopyCommand>(cmd);
     if (copy.length == 0) continue;
-    if (copy.from + copy.length > map.total) {
+    if (!range_fits(copy.from, copy.length, map.total)) {
       throw ValidationError("compose: second script reads past B's end");
     }
     // Resolve B[from, from+length) through δ₁, piece by piece.

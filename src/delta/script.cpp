@@ -64,7 +64,7 @@ void Script::validate(length_t reference_length,
                             " has zero length");
     }
     if (const auto* copy = std::get_if<CopyCommand>(&c)) {
-      if (copy->from + copy->length > reference_length) {
+      if (!range_fits(copy->from, copy->length, reference_length)) {
         std::ostringstream msg;
         msg << "command " << i << " (" << *copy
             << ") reads past reference end " << reference_length;
@@ -72,7 +72,7 @@ void Script::validate(length_t reference_length,
       }
     }
     const Interval w = command_write_interval(c);
-    if (w.last >= version_length) {
+    if (!range_fits(w.first, len, version_length)) {
       std::ostringstream msg;
       msg << "command " << i << " writes " << w << " past version end "
           << version_length;

@@ -349,11 +349,11 @@ void StreamingDeviceUpdater::process_command(const Command& cmd,
     return;
   }
   const Interval w = command_write_interval(cmd);
-  if (w.last >= header_->version_length) {
+  if (!range_fits(w.first, len, header_->version_length)) {
     throw ValidationError("stream updater: command writes past version");
   }
   if (const auto* copy = std::get_if<CopyCommand>(&cmd)) {
-    if (copy->from + copy->length > header_->reference_length) {
+    if (!range_fits(copy->from, copy->length, header_->reference_length)) {
       throw ValidationError("stream updater: copy reads past reference");
     }
     if (options_.check_conflicts) {

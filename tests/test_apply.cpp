@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "apply/stream_applier.hpp"
 #include "core/checksum.hpp"
 #include "ipdelta.hpp"
 #include "test_util.hpp"
@@ -145,6 +146,57 @@ TEST(ApplyDelta, RejectsCrcMismatch) {
   file.version_crc = 0xDEADBEEF;  // wrong on purpose
   file.script = script_of({C(0, 0, 10)});
   EXPECT_THROW(apply_delta(serialize_delta(file), ref), FormatError);
+}
+
+// Regression: fuzz/corpus/codec/crash-02-copy-offset-wrap.bin. A copy
+// whose read offset sits just below 2^64 made `from + length` wrap to 8,
+// so validation and every apply entry point took it as in bounds and
+// read 16 bytes in front of the reference buffer.
+DeltaFile wrapped_offset_file(CopyCommand copy) {
+  DeltaFile file;
+  file.format = kVarintExplicit;
+  file.in_place = true;
+  file.reference_length = 64;
+  file.version_length = 16;
+  file.script.push(copy);
+  return file;
+}
+
+constexpr offset_t kWrapOffset = ~offset_t{0} - 7;  // 2^64 - 8
+
+TEST(ApplyDelta, RejectsCopyWhoseReadOffsetWraps) {
+  const Bytes delta =
+      serialize_delta(wrapped_offset_file(CopyCommand{kWrapOffset, 0, 16}));
+  const Bytes ref = test::random_bytes(30, 64);
+  EXPECT_THROW(apply_delta(delta, ref), ValidationError);
+
+  Bytes buffer = ref;
+  EXPECT_THROW(apply_delta_inplace(delta, buffer), ValidationError);
+
+  Bytes streamed = ref;
+  StreamingInplaceApplier applier(streamed);
+  EXPECT_THROW(applier.feed(delta), ValidationError);
+}
+
+TEST(ApplyDelta, StreamingRejectsWriteOffsetThatWraps) {
+  // The streaming applier sees commands before any tiling check, so a
+  // wrapped write offset must be caught by its own bound.
+  const Bytes delta =
+      serialize_delta(wrapped_offset_file(CopyCommand{0, kWrapOffset, 16}));
+  Bytes buffer = test::random_bytes(31, 64);
+  StreamingInplaceApplier applier(buffer);
+  EXPECT_THROW(applier.feed(delta), ValidationError);
+}
+
+TEST(ApplyScript, RejectsWrappedRangesOnUnvalidatedScripts) {
+  const Bytes ref = test::random_bytes(32, 64);
+  Bytes version(16);
+  Script read_wraps;
+  read_wraps.push(CopyCommand{kWrapOffset, 0, 16});
+  EXPECT_THROW(apply_script_into(read_wraps, ref, version), ValidationError);
+  Script write_wraps;
+  write_wraps.push(AddCommand{kWrapOffset, Bytes(16, 0xAB)});
+  EXPECT_THROW(apply_script_into(write_wraps, ref, version), ValidationError);
 }
 
 }  // namespace

@@ -2,12 +2,45 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
+#include "core/checksum_kernels.hpp"
 #include "test_util.hpp"
 
 namespace ipd {
 namespace {
 
 using test::random_bytes;
+
+// Byte-at-a-time CRC-32C, the oracle both production kernels must match.
+std::uint32_t crc32c_bytewise(ByteView data, std::uint32_t seed = 0) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t crc = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B78u : 0u);
+      }
+      t[i] = crc;
+    }
+    return t;
+  }();
+  std::uint32_t crc = ~seed;
+  for (const std::uint8_t byte : data) {
+    crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8);
+  }
+  return ~crc;
+}
+
+// Adler-32 with the modulo taken after every byte (RFC 1950's definition).
+std::uint32_t adler32_naive(ByteView data, std::uint32_t seed = 1) {
+  std::uint32_t a = seed & 0xFFFF, b = (seed >> 16) & 0xFFFF;
+  for (const std::uint8_t byte : data) {
+    a = (a + byte) % 65521;
+    b = (b + a) % 65521;
+  }
+  return (b << 16) | a;
+}
 
 TEST(Adler32, KnownVectors) {
   // RFC 1950 initial value: empty input hashes to 1.
@@ -27,14 +60,7 @@ TEST(Adler32, DetectsSingleByteChange) {
 TEST(Adler32, LargeInputExercisesDeferredModulo) {
   // > 5552 bytes forces the chunked modulo path.
   const Bytes data(100000, 0xFF);
-  const std::uint32_t fast = adler32(data);
-  // Naive reference computation.
-  std::uint32_t a = 1, b = 0;
-  for (const std::uint8_t byte : data) {
-    a = (a + byte) % 65521;
-    b = (b + a) % 65521;
-  }
-  EXPECT_EQ(fast, (b << 16) | a);
+  EXPECT_EQ(adler32(data), adler32_naive(data));
 }
 
 TEST(Adler32, SeedChainsAcrossChunks) {
@@ -43,6 +69,41 @@ TEST(Adler32, SeedChainsAcrossChunks) {
   const std::uint32_t part1 = adler32(ByteView(data).first(400));
   const std::uint32_t chained = adler32(ByteView(data).subspan(400), part1);
   EXPECT_EQ(chained, whole);
+}
+
+TEST(Adler32, AllOnesAcrossEveryDeferredModuloBoundary) {
+  // 0xFF bytes drive both sums to their largest values, so any block
+  // arithmetic that overflows before the 5552-byte modulo shows here.
+  const Bytes ones(5 * 5552 + 64, 0xFF);
+  for (std::size_t k = 1; k <= 5; ++k) {
+    for (const std::size_t len : {k * 5552 - 17, k * 5552 - 16, k * 5552 - 1,
+                                  k * 5552, k * 5552 + 1, k * 5552 + 15,
+                                  k * 5552 + 16, k * 5552 + 17}) {
+      for (std::size_t start = 0; start < 16; start += 5) {
+        const ByteView view = ByteView(ones).subspan(start, len);
+        ASSERT_EQ(adler32(view), adler32_naive(view))
+            << "len " << len << " start " << start;
+      }
+    }
+  }
+}
+
+TEST(Adler32, MatchesNaiveDefinitionOnRandomInputsAndSeeds) {
+  const Bytes data = random_bytes(5, 20000);
+  Rng rng(6);
+  for (std::size_t len = 0; len <= 300; ++len) {
+    const ByteView view = ByteView(data).subspan(len % 16, len);
+    ASSERT_EQ(adler32(view), adler32_naive(view)) << "len " << len;
+  }
+  for (int trial = 0; trial < 200; ++trial) {
+    // Seeds are prior Adler values, so each half is below the modulus.
+    const auto seed = static_cast<std::uint32_t>(rng.below(65521) << 16 |
+                                                 rng.below(65521));
+    const ByteView view = ByteView(data).subspan(rng.below(16),
+                                                 rng.below(data.size() - 16));
+    ASSERT_EQ(adler32(view, seed), adler32_naive(view, seed))
+        << "trial " << trial;
+  }
 }
 
 TEST(Crc32c, KnownVectors) {
@@ -55,6 +116,52 @@ TEST(Crc32c, KnownVectors) {
   EXPECT_EQ(crc32c(ones), 0x62A8AB43u);
   // "123456789" — the classic check value for CRC-32C is 0xE3069283.
   EXPECT_EQ(crc32c(to_bytes("123456789")), 0xE3069283u);
+}
+
+TEST(Crc32c, PortableKernelPassesKnownVectors) {
+  EXPECT_EQ(detail::crc32c_portable(ByteView{}), 0u);
+  EXPECT_EQ(detail::crc32c_portable(Bytes(32, 0)), 0x8A9136AAu);
+  EXPECT_EQ(detail::crc32c_portable(Bytes(32, 0xFF)), 0x62A8AB43u);
+  EXPECT_EQ(detail::crc32c_portable(to_bytes("123456789")), 0xE3069283u);
+}
+
+TEST(Crc32c, KernelsMatchBytewiseAtEveryLengthAndAlignment) {
+  // Every length up to 1100 and a few past page and MiB sizes, each at
+  // every start offset 0-15, so both the word loop and the byte tail of
+  // each kernel see every residue and misalignment.
+  const Bytes data = random_bytes(7, (1u << 20) + 3 + 16);
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= 1100; ++len) lengths.push_back(len);
+  for (const std::size_t len : {4095u, 4096u, 4097u, (1u << 20) + 3}) {
+    lengths.push_back(len);
+  }
+  for (const std::size_t len : lengths) {
+    for (std::size_t start = 0; start < 16; ++start) {
+      const ByteView view = ByteView(data).subspan(start, len);
+      const std::uint32_t expect = crc32c_bytewise(view);
+      ASSERT_EQ(crc32c(view), expect) << "len " << len << " start " << start;
+      ASSERT_EQ(detail::crc32c_portable(view), expect)
+          << "len " << len << " start " << start;
+    }
+  }
+}
+
+TEST(Crc32c, KernelsChainSeedsLikeBytewise) {
+  const Bytes data = random_bytes(8, 5000);
+  Rng rng(9);
+  for (int trial = 0; trial < 500; ++trial) {
+    const std::size_t split = rng.below(data.size() + 1);
+    const ByteView head = ByteView(data).first(split);
+    const ByteView tail = ByteView(data).subspan(split);
+    ASSERT_EQ(crc32c(tail, crc32c(head)), crc32c_bytewise(data));
+    ASSERT_EQ(detail::crc32c_portable(tail, detail::crc32c_portable(head)),
+              crc32c_bytewise(data));
+    // Arbitrary seeds, not just prior CRCs.
+    const auto seed = static_cast<std::uint32_t>(rng.next());
+    ASSERT_EQ(crc32c(tail, seed), crc32c_bytewise(tail, seed));
+    ASSERT_EQ(detail::crc32c_portable(tail, seed),
+              crc32c_bytewise(tail, seed));
+  }
 }
 
 TEST(Crc32c, IncrementalMatchesOneShot) {

@@ -53,6 +53,33 @@ TEST(OverlappingCopy, MatchesMemmoveSemanticsOnRandomCases) {
   }
 }
 
+// The §4.1 byte loop overlapping_copy replaced, kept as its oracle:
+// left-to-right when f >= t, right-to-left when f < t.
+void section41_copy(Bytes& buf, offset_t from, offset_t to, length_t length) {
+  if (from >= to) {
+    for (length_t i = 0; i < length; ++i) buf[to + i] = buf[from + i];
+  } else {
+    for (length_t i = length; i > 0; --i) buf[to + i - 1] = buf[from + i - 1];
+  }
+}
+
+TEST(OverlappingCopy, MatchesSection41LoopExhaustively) {
+  constexpr std::size_t kSize = 48;
+  const Bytes original = test::random_bytes(89, kSize);
+  for (offset_t from = 0; from < kSize; ++from) {
+    for (offset_t to = 0; to < kSize; ++to) {
+      for (length_t len = 0; len <= kSize - std::max(from, to); ++len) {
+        Bytes expect = original;
+        section41_copy(expect, from, to, len);
+        Bytes got = original;
+        overlapping_copy(got, from, to, len);
+        ASSERT_TRUE(test::bytes_equal(expect, got))
+            << "from " << from << " to " << to << " length " << len;
+      }
+    }
+  }
+}
+
 TEST(ApplyInplace, GrowingVersionUsesBufferSlack) {
   const Bytes ref = to_bytes("0123456789");
   // Version: the reference with "XX" appended (12 bytes > 10).
