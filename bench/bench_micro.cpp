@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <map>
 
 #include "adversary/constructions.hpp"
 #include "apply/stream_applier.hpp"
@@ -134,6 +135,50 @@ void BM_ApplyInplace(benchmark::State& state) {
 }
 BENCHMARK(BM_ApplyInplace)->Range(1 << 12, 1 << 20);
 
+// One in-place artifact per pair size, built once and shared by the
+// decode and apply rows below.
+struct BuiltPair {
+  Pair pair;
+  Bytes delta;
+};
+
+const BuiltPair& built_pair(std::size_t size) {
+  static std::map<std::size_t, BuiltPair> cache;
+  auto it = cache.find(size);
+  if (it == cache.end()) {
+    Pair p = make_pair_bytes(size);
+    Bytes delta = Pipeline().build_inplace(p.ref, p.ver).delta;
+    it = cache.emplace(size, BuiltPair{std::move(p), std::move(delta)}).first;
+  }
+  return it->second;
+}
+
+// The container decode alone: header, Adler-32, the borrowed command
+// table and the bounds and tiling checks, with no add byte copied.
+void BM_ParseDelta(benchmark::State& state) {
+  const BuiltPair& b = built_pair(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(parse_delta(b.delta));
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations() * b.delta.size()));
+}
+BENCHMARK(BM_ParseDelta)->Arg(1 << 20)->Arg(12 << 20);
+
+// End-to-end apply_delta_inplace (decode, command loop, version CRC),
+// plus restoring the reference into the buffer every iteration.
+void BM_ApplyDeltaInplace(benchmark::State& state) {
+  const BuiltPair& b = built_pair(static_cast<std::size_t>(state.range(0)));
+  Bytes buffer(std::max(b.pair.ref.size(), b.pair.ver.size()));
+  for (auto _ : state) {
+    std::copy(b.pair.ref.begin(), b.pair.ref.end(), buffer.begin());
+    benchmark::DoNotOptimize(apply_delta_inplace(b.delta, buffer));
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations() * b.pair.ver.size()));
+}
+BENCHMARK(BM_ApplyDeltaInplace)->Arg(1 << 20)->Arg(12 << 20);
+
 // Byte-kernel sizes: a page, a small delta, 1 MiB, and the 12 MiB image.
 void kernel_sizes(benchmark::internal::Benchmark* b) {
   b->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20)->Arg(12 << 20);
@@ -164,6 +209,11 @@ void BM_Adler32(benchmark::State& state) {
   run_checksum(state, [](ByteView d) { return adler32(d); });
 }
 BENCHMARK(BM_Adler32)->Apply(kernel_sizes);
+
+void BM_Adler32Portable(benchmark::State& state) {
+  run_checksum(state, [](ByteView d) { return detail::adler32_portable(d); });
+}
+BENCHMARK(BM_Adler32Portable)->Apply(kernel_sizes);
 
 // One self-overlapping copy that shifts the whole buffer down by 64
 // bytes, the §4.1 case a converted in-place script leaves behind.

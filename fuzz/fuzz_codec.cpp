@@ -7,11 +7,14 @@
 //    decodes to the same script (round-trip stability);
 //  * probe_command never throws and always makes progress on kOk;
 //  * apply_delta_inplace on a bounded buffer either throws or produces
-//    exactly version_length bytes matching the header's version CRC.
+//    exactly version_length bytes matching the header's version CRC;
+//  * the borrowed batch appliers (parse_delta's command table) and the
+//    owning ones (deserialize_delta + apply_script / apply_inplace) give
+//    the same verdict, exception type and bytes, in place and scratch.
 #include <cstdint>
 #include <cstdlib>
 
-#include "apply/apply.hpp"
+#include "apply_paths.hpp"
 #include "core/checksum.hpp"
 #include "delta/codec.hpp"
 #include "ipdelta.hpp"
@@ -68,18 +71,29 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       }
     }
 
-    if (header->first.reference_length <= kMaxApplyBytes &&
-        header->first.version_length <= kMaxApplyBytes) {
-      Bytes buffer(std::max<std::size_t>(header->first.reference_length,
-                                         header->first.version_length),
-                   std::uint8_t{0xA5});
-      try {
-        const length_t new_len = apply_delta_inplace(input, buffer);
-        if (new_len != header->first.version_length) abort();
-        buffer.resize(static_cast<std::size_t>(new_len));
-        if (crc32c(buffer) != header->first.version_crc) abort();
-      } catch (const Error&) {
-        // rejected: fine
+    const DeltaHeader& h = header->first;
+    if (h.reference_length <= kMaxApplyBytes &&
+        h.version_length <= kMaxApplyBytes) {
+      // A patterned reference, so a copy from the wrong offset shows.
+      Bytes buffer(
+          std::max<std::size_t>(h.reference_length, h.version_length));
+      for (std::size_t i = 0; i < buffer.size(); ++i) {
+        buffer[i] = static_cast<std::uint8_t>((i * 167) ^ (i >> 8));
+      }
+      const fuzzcorpus::ApplyOutcome inplace =
+          fuzzcorpus::borrowed_inplace(input, buffer);
+      if (inplace.error.empty() &&
+          (inplace.bytes.size() != h.version_length ||
+           crc32c(inplace.bytes) != h.version_crc)) {
+        abort();
+      }
+      if (inplace != fuzzcorpus::owning_inplace(input, buffer)) abort();
+
+      const ByteView reference =
+          ByteView(buffer).first(static_cast<std::size_t>(h.reference_length));
+      if (fuzzcorpus::borrowed_scratch(input, reference) !=
+          fuzzcorpus::owning_scratch(input, reference)) {
+        abort();
       }
     }
   }

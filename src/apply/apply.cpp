@@ -1,6 +1,7 @@
 #include "apply/apply.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "apply/oracle.hpp"
 #include "core/checksum.hpp"
@@ -38,14 +39,23 @@ Bytes apply_script(const Script& script, ByteView reference) {
 
 Bytes apply_delta(ByteView delta, ByteView reference) {
   obs::Span span(obs::Stage::kApplyScratch, delta.size());
-  const DeltaFile file = deserialize_delta(delta);
-  if (file.reference_length != reference.size()) {
+  const ParsedDelta parsed = parse_delta(delta);
+  const DeltaHeader& header = parsed.header;
+  if (header.reference_length != reference.size()) {
     throw FormatError("apply: reference length mismatch (delta expects " +
-                      std::to_string(file.reference_length) + ", got " +
+                      std::to_string(header.reference_length) + ", got " +
                       std::to_string(reference.size()) + ")");
   }
-  Bytes version = apply_script(file.script, reference);
-  if (crc32c(version) != file.version_crc) {
+  // parse_delta has bounded every read and write; adds come straight
+  // from the artifact bytes.
+  Bytes version(static_cast<std::size_t>(header.version_length));
+  for (const CommandRef& cmd : parsed.commands) {
+    const std::uint8_t* source =
+        cmd.is_add() ? cmd.literal : reference.data() + cmd.from;
+    std::memcpy(version.data() + cmd.to, source,
+                static_cast<std::size_t>(cmd.length));
+  }
+  if (crc32c(version) != header.version_crc) {
     throw FormatError("apply: version CRC mismatch after reconstruction");
   }
   return version;

@@ -92,25 +92,36 @@ void apply_inplace_checked(const Script& script, MutByteView buffer,
 
 length_t apply_delta_inplace(ByteView delta, MutByteView buffer) {
   obs::Span span(obs::Stage::kApplyInplace, delta.size());
-  const DeltaFile file = deserialize_delta(delta);
-  if (!file.in_place) {
+  const ParsedDelta parsed = parse_delta(delta);
+  const DeltaHeader& header = parsed.header;
+  if (!header.in_place) {
     throw ValidationError(
         "delta file is not marked in-place reconstructible; apply it with "
         "scratch space or convert it first");
   }
-  if (file.reference_length > buffer.size() ||
-      file.version_length > buffer.size()) {
+  if (header.reference_length > buffer.size() ||
+      header.version_length > buffer.size()) {
     throw ValidationError("in-place apply: buffer too small");
   }
-  apply_inplace(file.script, buffer, file.reference_length,
-                file.version_length);
+  // parse_delta has bounded every read by the reference and every write
+  // by the version, both inside `buffer`.
+  std::uint8_t* const base = buffer.data();
+  for (const CommandRef& cmd : parsed.commands) {
+    if (cmd.is_add()) {
+      std::memcpy(base + cmd.to, cmd.literal,
+                  static_cast<std::size_t>(cmd.length));
+    } else {
+      std::memmove(base + cmd.to, base + cmd.from,
+                   static_cast<std::size_t>(cmd.length));
+    }
+  }
   const ByteView version =
-      ByteView(buffer).first(static_cast<std::size_t>(file.version_length));
-  if (crc32c(version) != file.version_crc) {
+      ByteView(buffer).first(static_cast<std::size_t>(header.version_length));
+  if (crc32c(version) != header.version_crc) {
     throw FormatError(
         "in-place apply: version CRC mismatch after reconstruction");
   }
-  return file.version_length;
+  return header.version_length;
 }
 
 }  // namespace ipd

@@ -38,6 +38,9 @@ void apply_inplace_checked(const Script& script, MutByteView buffer,
 /// Decode a serialized delta file (must carry the in_place flag) and apply
 /// it inside `buffer` (sized per apply_inplace). Returns the version
 /// length. Verifies the reconstruction against the file's version CRC.
+/// Adds are copied straight from `delta`, which must not overlap
+/// `buffer`; every container and bounds check runs before the first
+/// byte of `buffer` is written.
 length_t apply_delta_inplace(ByteView delta, MutByteView buffer);
 
 /// Overlap-safe single-copy primitive used by both appliers; exposed for

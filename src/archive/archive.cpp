@@ -179,7 +179,11 @@ void apply_archive(const Archive& archive, FileSet& release) {
                                 entry.name);
         }
         // Rebuild the file in its own buffer, exactly as a device would.
-        const DeltaFile header = deserialize_delta(entry.body);
+        const auto parsed = try_parse_header(entry.body);
+        if (!parsed) {
+          throw FormatError("truncated delta header");
+        }
+        const DeltaHeader& header = parsed->first;
         Bytes& buffer = it->second;
         if (buffer.size() != header.reference_length) {
           throw ValidationError("file size mismatch for " + entry.name);

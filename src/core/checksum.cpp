@@ -8,7 +8,8 @@
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <nmmintrin.h>
-#define IPD_CRC32C_SSE42 1
+#include <tmmintrin.h>
+#define IPD_X86_KERNELS 1
 #endif
 
 namespace ipd {
@@ -70,7 +71,7 @@ std::uint32_t crc32c_slice8(std::uint32_t crc, const std::uint8_t* p,
   return crc;
 }
 
-#ifdef IPD_CRC32C_SSE42
+#ifdef IPD_X86_KERNELS
 // SSE4.2's crc32 instruction implements this exact polynomial and
 // consumes 8 bytes per instruction. The target attribute compiles this
 // one function for SSE4.2; crc32c() only calls it after CPUID says so.
@@ -91,7 +92,7 @@ __attribute__((target("sse4.2"))) std::uint32_t crc32c_sse42(
 #endif
 
 CrcKernel pick_crc32c_kernel() noexcept {
-#ifdef IPD_CRC32C_SSE42
+#ifdef IPD_X86_KERNELS
   __builtin_cpu_init();  // may run before libgcc's own constructor
   if (__builtin_cpu_supports("sse4.2")) {
     return crc32c_sse42;
@@ -100,13 +101,14 @@ CrcKernel pick_crc32c_kernel() noexcept {
   return crc32c_slice8;
 }
 
-}  // namespace
+// Adler-32 kernels take and return the packed (b << 16) | a state.
+using AdlerKernel = std::uint32_t (*)(std::uint32_t, const std::uint8_t*,
+                                      std::size_t) noexcept;
 
-std::uint32_t adler32(ByteView data, std::uint32_t seed) noexcept {
-  std::uint32_t a = seed & 0xFFFF;
-  std::uint32_t b = (seed >> 16) & 0xFFFF;
-  const std::uint8_t* p = data.data();
-  std::size_t n = data.size();
+std::uint32_t adler32_do16(std::uint32_t adler, const std::uint8_t* p,
+                           std::size_t n) noexcept {
+  std::uint32_t a = adler & 0xFFFF;
+  std::uint32_t b = (adler >> 16) & 0xFFFF;
   while (n > 0) {
     std::size_t chunk = std::min(kAdlerNmax, n);
     n -= chunk;
@@ -133,6 +135,74 @@ std::uint32_t adler32(ByteView data, std::uint32_t seed) noexcept {
   return (b << 16) | a;
 }
 
+#ifdef IPD_X86_KERNELS
+// SSSE3 Adler-32, 32 bytes per step. Over a block d[0..31], a grows by
+// Σd[k] (psadbw against zero) and b by 32a + Σ(32-k)·d[k] (pmaddubsw
+// with the weights 32..1, then pmaddwd to widen). The 32a terms are
+// summed as the running a of every block, shifted left by 5 once per
+// chunk; the modulo waits until kAdlerNmax bytes, as in the DO16 path.
+__attribute__((target("ssse3"))) std::uint32_t adler32_ssse3(
+    std::uint32_t adler, const std::uint8_t* p, std::size_t n) noexcept {
+  constexpr std::size_t kBlock = 32;
+  std::uint32_t a = adler & 0xFFFF;
+  std::uint32_t b = (adler >> 16) & 0xFFFF;
+  const __m128i weights_lo = _mm_setr_epi8(32, 31, 30, 29, 28, 27, 26, 25,
+                                           24, 23, 22, 21, 20, 19, 18, 17);
+  const __m128i weights_hi = _mm_setr_epi8(16, 15, 14, 13, 12, 11, 10, 9, 8,
+                                           7, 6, 5, 4, 3, 2, 1);
+  const __m128i zero = _mm_setzero_si128();
+  const __m128i ones = _mm_set1_epi16(1);
+  std::size_t blocks = n / kBlock;
+  n -= blocks * kBlock;
+  while (blocks > 0) {
+    std::size_t chunk = std::min(kAdlerNmax / kBlock, blocks);
+    blocks -= chunk;
+    // The a of every block start, beginning with a * chunk for the a
+    // carried in; v_a holds the bytes summed so far in this chunk.
+    __m128i v_prefix = _mm_cvtsi32_si128(static_cast<int>(a * chunk));
+    __m128i v_a = zero;
+    __m128i v_b = _mm_cvtsi32_si128(static_cast<int>(b));
+    for (; chunk > 0; --chunk, p += kBlock) {
+      const __m128i lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+      const __m128i hi =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16));
+      v_prefix = _mm_add_epi32(v_prefix, v_a);
+      v_a = _mm_add_epi32(v_a, _mm_sad_epu8(lo, zero));
+      v_a = _mm_add_epi32(v_a, _mm_sad_epu8(hi, zero));
+      v_b = _mm_add_epi32(
+          v_b, _mm_madd_epi16(_mm_maddubs_epi16(lo, weights_lo), ones));
+      v_b = _mm_add_epi32(
+          v_b, _mm_madd_epi16(_mm_maddubs_epi16(hi, weights_hi), ones));
+    }
+    v_b = _mm_add_epi32(v_b, _mm_slli_epi32(v_prefix, 5));
+    // Horizontal sums of the four 32-bit lanes.
+    v_a = _mm_add_epi32(v_a, _mm_shuffle_epi32(v_a, _MM_SHUFFLE(1, 0, 3, 2)));
+    v_b = _mm_add_epi32(v_b, _mm_shuffle_epi32(v_b, _MM_SHUFFLE(2, 3, 0, 1)));
+    v_b = _mm_add_epi32(v_b, _mm_shuffle_epi32(v_b, _MM_SHUFFLE(1, 0, 3, 2)));
+    a = (a + static_cast<std::uint32_t>(_mm_cvtsi128_si32(v_a))) % kAdlerMod;
+    b = static_cast<std::uint32_t>(_mm_cvtsi128_si32(v_b)) % kAdlerMod;
+  }
+  return adler32_do16((b << 16) | a, p, n);
+}
+#endif
+
+AdlerKernel pick_adler32_kernel() noexcept {
+#ifdef IPD_X86_KERNELS
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("ssse3")) {
+    return adler32_ssse3;
+  }
+#endif
+  return adler32_do16;
+}
+
+}  // namespace
+
+std::uint32_t adler32(ByteView data, std::uint32_t seed) noexcept {
+  static const AdlerKernel kernel = pick_adler32_kernel();
+  return kernel(seed, data.data(), data.size());
+}
+
 std::uint32_t crc32c(ByteView data, std::uint32_t seed) noexcept {
   static const CrcKernel kernel = pick_crc32c_kernel();
   return ~kernel(~seed, data.data(), data.size());
@@ -142,6 +212,10 @@ namespace detail {
 
 std::uint32_t crc32c_portable(ByteView data, std::uint32_t seed) noexcept {
   return ~crc32c_slice8(~seed, data.data(), data.size());
+}
+
+std::uint32_t adler32_portable(ByteView data, std::uint32_t seed) noexcept {
+  return adler32_do16(seed, data.data(), data.size());
 }
 
 }  // namespace detail

@@ -46,15 +46,6 @@ void write_fixed(ByteWriter& w, std::uint64_t v, unsigned width) {
   }
 }
 
-std::uint64_t read_fixed(ByteReader& r, unsigned width) {
-  switch (width) {
-    case 1: return r.read_u8();
-    case 2: return r.read_u16le();
-    case 4: return r.read_u32le();
-    default: return r.read_u64le();
-  }
-}
-
 unsigned paper_offset_width(length_t version_length) noexcept {
   return version_length <= 0xFFFFFFFFull ? 4u : 8u;
 }
@@ -136,93 +127,6 @@ class PayloadEncoder {
   unsigned offset_width_;
 };
 
-class PayloadDecoder {
- public:
-  PayloadDecoder(DeltaFormat fmt, unsigned offset_width)
-      : fmt_(fmt), offset_width_(offset_width) {}
-
-  Script decode(ByteView payload) {
-    ByteReader r(payload);
-    Script script;
-    offset_t running_to = 0;
-    while (!r.exhausted()) {
-      const std::uint8_t op = r.read_u8();
-      if (fmt_.codeword == Codeword::kPaperByte) {
-        decode_paper(r, op, running_to, script);
-      } else {
-        decode_varint_cw(r, op, running_to, script);
-      }
-    }
-    return script;
-  }
-
- private:
-  bool explicit_offsets() const noexcept {
-    return fmt_.offsets == WriteOffsets::kExplicit;
-  }
-
-  offset_t read_to(ByteReader& r, offset_t& running_to, bool paper) {
-    if (explicit_offsets()) {
-      return paper ? read_fixed(r, offset_width_) : r.read_varint();
-    }
-    return running_to;
-  }
-
-  void decode_paper(ByteReader& r, std::uint8_t op, offset_t& running_to,
-                    Script& script) {
-    if (op == kOpAdd) {
-      const offset_t to = read_to(r, running_to, /*paper=*/true);
-      const length_t len = r.read_u8();
-      if (len == 0) throw FormatError("add command with zero length");
-      const ByteView data = r.read_bytes(len);
-      script.push(AddCommand{to, Bytes(data.begin(), data.end())});
-      running_to = to + len;
-      return;
-    }
-    if (op >= kOpCopyBase && op < kOpCopyBase + 9) {
-      const unsigned fc = (op - kOpCopyBase) / 3;
-      const unsigned lc = (op - kOpCopyBase) % 3;
-      const offset_t to = read_to(r, running_to, /*paper=*/true);
-      const offset_t from = read_fixed(r, f_width(fc));
-      const length_t len = read_fixed(r, l_width(lc));
-      if (len == 0) throw FormatError("copy command with zero length");
-      script.push(CopyCommand{from, to, len});
-      running_to = to + len;
-      return;
-    }
-    throw FormatError("unknown PaperByte opcode " + std::to_string(op));
-  }
-
-  void decode_varint_cw(ByteReader& r, std::uint8_t op, offset_t& running_to,
-                        Script& script) {
-    if (op == kOpVarAdd) {
-      const offset_t to = read_to(r, running_to, /*paper=*/false);
-      const length_t len = r.read_varint();
-      if (len == 0) throw FormatError("add command with zero length");
-      if (len > r.remaining()) {
-        throw FormatError("add command data truncated");
-      }
-      const ByteView data = r.read_bytes(static_cast<std::size_t>(len));
-      script.push(AddCommand{to, Bytes(data.begin(), data.end())});
-      running_to = to + len;
-      return;
-    }
-    if (op == kOpVarCopy) {
-      const offset_t to = read_to(r, running_to, /*paper=*/false);
-      const offset_t from = r.read_varint();
-      const length_t len = r.read_varint();
-      if (len == 0) throw FormatError("copy command with zero length");
-      script.push(CopyCommand{from, to, len});
-      running_to = to + len;
-      return;
-    }
-    throw FormatError("unknown Varint opcode " + std::to_string(op));
-  }
-
-  DeltaFormat fmt_;
-  unsigned offset_width_;
-};
-
 // Non-throwing cursor for incremental parsing: every read reports
 // "not enough bytes yet" instead of failing, so streaming callers can
 // distinguish incomplete from malformed.
@@ -231,15 +135,16 @@ class TryReader {
   explicit TryReader(ByteView data) noexcept : data_(data) {}
 
   std::size_t position() const noexcept { return pos_; }
+  std::size_t remaining() const noexcept { return data_.size() - pos_; }
 
   bool u8(std::uint8_t& out) noexcept {
-    if (pos_ + 1 > data_.size()) return false;
+    if (remaining() < 1) return false;
     out = data_[pos_++];
     return true;
   }
 
   bool fixed(unsigned width, std::uint64_t& out) noexcept {
-    if (pos_ + width > data_.size()) return false;
+    if (remaining() < width) return false;
     out = 0;
     for (unsigned i = width; i > 0; --i) {
       out = (out << 8) | data_[pos_ + i - 1];
@@ -253,7 +158,7 @@ class TryReader {
   bool varint(std::uint64_t& out) {
     const auto r = try_decode_varint(data_.subspan(pos_));
     if (!r) {
-      if (data_.size() - pos_ >= kMaxVarintBytes) {
+      if (remaining() >= kMaxVarintBytes) {
         throw FormatError("malformed varint in delta stream");
       }
       return false;
@@ -263,10 +168,10 @@ class TryReader {
     return true;
   }
 
-  bool bytes(std::size_t n, ByteView& out) noexcept {
-    if (pos_ + n > data_.size()) return false;
-    out = data_.subspan(pos_, n);
-    pos_ += n;
+  bool bytes(std::uint64_t n, ByteView& out) noexcept {
+    if (remaining() < n) return false;
+    out = data_.subspan(pos_, static_cast<std::size_t>(n));
+    pos_ += out.size();
     return true;
   }
 
@@ -275,152 +180,123 @@ class TryReader {
   std::size_t pos_ = 0;
 };
 
-/// Core single-command decode with field-precise failure reporting; the
-/// throwing/streaming entry points below are thin wrappers. `running_to`
-/// is committed only on kOk, so a truncated probe can be retried after
-/// more bytes arrive.
-CommandProbe probe_impl(ByteView data, DeltaFormat fmt, unsigned offset_width,
-                        offset_t& running_to) {
-  CommandProbe probe;
-  const auto truncated = [&](const char* field) {
-    probe.status = CommandProbe::Status::kTruncated;
-    probe.detail = std::string(field) + " truncated: stream ends mid-codeword";
-    return probe;
+/// One codeword decoded without allocating: the borrowed command and its
+/// encoded size on kOk, else what failed.
+struct Decoded {
+  CommandProbe::Status status = CommandProbe::Status::kMalformed;
+  CommandRef command;
+  std::size_t consumed = 0;
+  std::string detail;  ///< empty on kOk
+};
+
+/// The codeword decoder: every entry point below wraps it. It never
+/// throws, names the field that failed, and commits `running_to` (the
+/// implicit write offset) only on kOk, so a truncated probe can be
+/// retried after more bytes arrive.
+Decoded probe_impl(ByteView data, DeltaFormat fmt, unsigned offset_width,
+                   offset_t& running_to) {
+  Decoded out;
+  const auto fail = [&out](CommandProbe::Status status, std::string detail) {
+    out.status = status;
+    out.detail = std::move(detail);
+    return std::move(out);
   };
-  const auto malformed = [&](std::string why) {
-    probe.status = CommandProbe::Status::kMalformed;
-    probe.detail = std::move(why);
-    return probe;
-  };
-  const auto ok = [&](Command command, std::size_t consumed, offset_t next_to) {
-    probe.status = CommandProbe::Status::kOk;
-    probe.command = std::move(command);
-    probe.consumed = consumed;
-    running_to = next_to;
-    return probe;
+  const auto truncated = [&fail](const char* field) {
+    return fail(CommandProbe::Status::kTruncated,
+                std::string(field) + " truncated: stream ends mid-codeword");
   };
 
   TryReader r(data);
   std::uint8_t op = 0;
   if (!r.u8(op)) return truncated("opcode");
-  const bool exp = fmt.offsets == WriteOffsets::kExplicit;
   const bool paper = fmt.codeword == Codeword::kPaperByte;
+  const bool add = op == (paper ? kOpAdd : kOpVarAdd);
+  const bool copy = paper ? op >= kOpCopyBase && op < kOpCopyBase + 9
+                          : op == kOpVarCopy;
+  if (!add && !copy) {
+    return fail(CommandProbe::Status::kMalformed,
+                std::string(paper ? "unknown PaperByte" : "unknown Varint") +
+                    " opcode " + std::to_string(op));
+  }
 
-  // TryReader::varint throws on an overlong encoding no suffix can fix;
-  // fold that into the malformed status so probing never raises.
-  enum class Field { kOk, kTruncated, kMalformed };
-  const auto read_varint = [&](std::uint64_t& out) {
+  // Fields read in codeword order; the first that fails is reported and
+  // every read after it is a no-op. PaperByte fields are fixed-width,
+  // Varint ones LEB128.
+  const char* failed = nullptr;
+  bool overlong = false;  // a varint no further byte can fix
+  const auto field = [&](std::uint64_t& v, unsigned width, const char* name) {
+    if (failed != nullptr) return;
+    if (paper) {
+      if (!r.fixed(width, v)) failed = name;
+      return;
+    }
     try {
-      return r.varint(out) ? Field::kOk : Field::kTruncated;
+      if (!r.varint(v)) failed = name;
     } catch (const FormatError&) {
-      return Field::kMalformed;
+      failed = name;
+      overlong = true;
     }
-  };
-  const auto read_to = [&](std::uint64_t& to) {
-    if (!exp) {
-      to = running_to;
-      return Field::kOk;
-    }
-    if (paper) return r.fixed(offset_width, to) ? Field::kOk : Field::kTruncated;
-    return read_varint(to);
-  };
-  const auto field = [&](Field got, const char* name,
-                         CommandProbe& out) -> bool {
-    if (got == Field::kOk) return true;
-    out = got == Field::kTruncated
-              ? truncated(name)
-              : malformed("malformed varint in delta stream");
-    return false;
   };
 
-  if (paper) {
-    if (op == kOpAdd) {
-      std::uint64_t to = 0, len = 0;
-      std::uint8_t len8 = 0;
-      CommandProbe fail;
-      if (!field(read_to(to), "add write offset", fail)) return fail;
-      if (!r.u8(len8)) return truncated("add length");
-      len = len8;
-      if (len == 0) return malformed("add command with zero length");
-      ByteView body;
-      if (!r.bytes(static_cast<std::size_t>(len), body)) {
-        probe.status = CommandProbe::Status::kTruncated;
-        probe.detail = "add payload shorter than declared: need " +
-                       std::to_string(len) + " bytes, have " +
-                       std::to_string(data.size() - r.position());
-        return probe;
-      }
-      return ok(Command(AddCommand{to, Bytes(body.begin(), body.end())}),
-                r.position(), to + len);
-    }
-    if (op >= kOpCopyBase && op < kOpCopyBase + 9) {
-      const unsigned fc = (op - kOpCopyBase) / 3;
-      const unsigned lc = (op - kOpCopyBase) % 3;
-      std::uint64_t to = 0, from = 0, len = 0;
-      CommandProbe fail;
-      if (!field(read_to(to), "copy write offset", fail)) return fail;
-      if (!r.fixed(f_width(fc), from)) return truncated("copy source offset");
-      if (!r.fixed(l_width(lc), len)) return truncated("copy length");
-      if (len == 0) return malformed("copy command with zero length");
-      return ok(Command(CopyCommand{from, to, len}), r.position(), to + len);
-    }
-    return malformed("unknown PaperByte opcode " + std::to_string(op));
+  CommandRef& c = out.command;
+  c.to = running_to;
+  if (fmt.offsets == WriteOffsets::kExplicit) {
+    field(c.to, offset_width, add ? "add write offset" : "copy write offset");
   }
-
-  if (op == kOpVarAdd) {
-    std::uint64_t to = 0, len = 0;
-    CommandProbe fail;
-    if (!field(read_to(to), "add write offset", fail)) return fail;
-    if (!field(read_varint(len), "add length", fail)) return fail;
-    if (len == 0) return malformed("add command with zero length");
+  if (add) {
+    field(c.length, 1, "add length");
+  } else {
+    const unsigned cls = paper ? op - kOpCopyBase : 0;
+    field(c.from, f_width(cls / 3), "copy source offset");
+    field(c.length, l_width(cls % 3), "copy length");
+  }
+  if (overlong) {
+    return fail(CommandProbe::Status::kMalformed,
+                "malformed varint in delta stream");
+  }
+  if (failed != nullptr) return truncated(failed);
+  if (c.length == 0) {
+    return fail(CommandProbe::Status::kMalformed,
+                std::string(add ? "add" : "copy") +
+                    " command with zero length");
+  }
+  if (add) {
     ByteView body;
-    if (!r.bytes(static_cast<std::size_t>(len), body)) {
-      probe.status = CommandProbe::Status::kTruncated;
-      probe.detail = "add payload shorter than declared: need " +
-                     std::to_string(len) + " bytes, have " +
-                     std::to_string(data.size() - r.position());
-      return probe;
+    if (!r.bytes(c.length, body)) {
+      return fail(CommandProbe::Status::kTruncated,
+                  "add payload shorter than declared: need " +
+                      std::to_string(c.length) + " bytes, have " +
+                      std::to_string(r.remaining()));
     }
-    return ok(Command(AddCommand{to, Bytes(body.begin(), body.end())}),
-              r.position(), to + len);
+    c.literal = body.data();
   }
-  if (op == kOpVarCopy) {
-    std::uint64_t to = 0, from = 0, len = 0;
-    CommandProbe fail;
-    if (!field(read_to(to), "copy write offset", fail)) return fail;
-    if (!field(read_varint(from), "copy source offset", fail)) return fail;
-    if (!field(read_varint(len), "copy length", fail)) return fail;
-    if (len == 0) return malformed("copy command with zero length");
-    return ok(Command(CopyCommand{from, to, len}), r.position(), to + len);
-  }
-  return malformed("unknown Varint opcode " + std::to_string(op));
-}
-
-/// Try to decode one command at the front of `data`. Returns the command
-/// and bytes consumed, or nullopt when more bytes are needed. Throws
-/// FormatError for malformed content. `running_to` supplies and receives
-/// the implicit write offset.
-std::optional<std::pair<Command, std::size_t>> try_decode_command(
-    ByteView data, DeltaFormat fmt, unsigned offset_width,
-    offset_t& running_to) {
-  CommandProbe probe = probe_impl(data, fmt, offset_width, running_to);
-  switch (probe.status) {
-    case CommandProbe::Status::kOk:
-      return std::make_pair(std::move(*probe.command), probe.consumed);
-    case CommandProbe::Status::kTruncated:
-      return std::nullopt;
-    case CommandProbe::Status::kMalformed:
-      break;
-  }
-  throw FormatError(probe.detail);
+  out.status = CommandProbe::Status::kOk;
+  out.consumed = r.position();
+  running_to = c.to + c.length;
+  return out;
 }
 
 }  // namespace
 
+Command CommandRef::to_command() const {
+  if (is_add()) {
+    return AddCommand{to, Bytes(literal, literal + length)};
+  }
+  return CopyCommand{from, to, length};
+}
+
 CommandProbe probe_command(ByteView data, DeltaFormat format,
                            length_t version_length, offset_t& running_to) {
-  return probe_impl(data, format, paper_offset_width(version_length),
-                    running_to);
+  Decoded decoded = probe_impl(data, format, paper_offset_width(version_length),
+                               running_to);
+  CommandProbe probe;
+  probe.status = decoded.status;
+  probe.consumed = decoded.consumed;
+  probe.detail = std::move(decoded.detail);
+  if (decoded.status == CommandProbe::Status::kOk) {
+    probe.command = decoded.command.to_command();
+  }
+  return probe;
 }
 
 std::optional<std::pair<DeltaHeader, std::size_t>> try_parse_header(
@@ -480,12 +356,19 @@ void StreamingCommandDecoder::feed(ByteView chunk) {
 std::optional<Command> StreamingCommandDecoder::next() {
   const ByteView avail = ByteView(pending_).subspan(pending_pos_);
   if (avail.empty()) return std::nullopt;
-  auto decoded =
-      try_decode_command(avail, format_, offset_width_, running_to_);
-  if (!decoded) return std::nullopt;
-  pending_pos_ += decoded->second;
-  consumed_ += decoded->second;
-  return std::move(decoded->first);
+  const Decoded decoded =
+      probe_impl(avail, format_, offset_width_, running_to_);
+  switch (decoded.status) {
+    case CommandProbe::Status::kOk:
+      break;
+    case CommandProbe::Status::kTruncated:
+      return std::nullopt;
+    case CommandProbe::Status::kMalformed:
+      throw FormatError(decoded.detail);
+  }
+  pending_pos_ += decoded.consumed;
+  consumed_ += decoded.consumed;
+  return decoded.command.to_command();
 }
 
 std::size_t StreamingCommandDecoder::buffered() const noexcept {
@@ -547,12 +430,14 @@ Bytes serialize_delta(const DeltaFile& file) {
   return w.take();
 }
 
-DeltaFile deserialize_delta(ByteView data) {
+ParsedDelta parse_delta(ByteView data) {
   const auto parsed = try_parse_header(data);
   if (!parsed) {
     throw FormatError("truncated delta header");
   }
-  const DeltaHeader& header = parsed->first;
+  ParsedDelta out;
+  out.header = parsed->first;
+  const DeltaHeader& header = out.header;
   const std::size_t header_bytes = parsed->second;
 
   if (header.payload_length > data.size() - header_bytes) {
@@ -567,6 +452,46 @@ DeltaFile deserialize_delta(ByteView data) {
     throw FormatError("payload checksum mismatch");
   }
 
+  ByteView stream = payload;
+  if (header.compress_payload) {
+    out.decompressed = lzss_decode(
+        payload, static_cast<std::size_t>(header.payload_uncompressed));
+    stream = out.decompressed;
+  }
+
+  // Every codeword takes at least 3 stream bytes and writes at least one
+  // version byte, so one reservation holds any table that can tile.
+  out.commands.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(stream.size() / 3, header.version_length)));
+  const unsigned offset_width = paper_offset_width(header.version_length);
+  offset_t running_to = 0;
+  for (std::size_t pos = 0; pos < stream.size();) {
+    const Decoded decoded = probe_impl(stream.subspan(pos), header.format,
+                                       offset_width, running_to);
+    if (decoded.status != CommandProbe::Status::kOk) {
+      throw FormatError(decoded.detail);
+    }
+    out.commands.push_back(decoded.command);
+    pos += decoded.consumed;
+  }
+
+  std::vector<WriteRange> writes;
+  writes.reserve(out.commands.size());
+  for (std::size_t i = 0; i < out.commands.size(); ++i) {
+    const CommandRef& c = out.commands[i];
+    const CopyCommand copy{c.from, c.to, c.length};
+    const WriteRange write{c.to, c.length};
+    check_command_bounds(i, c.is_add() ? nullptr : &copy, write,
+                         header.reference_length, header.version_length);
+    writes.push_back(write);
+  }
+  check_write_tiling(writes, header.version_length);
+  return out;
+}
+
+DeltaFile deserialize_delta(ByteView data) {
+  const ParsedDelta parsed = parse_delta(data);
+  const DeltaHeader& header = parsed.header;
   DeltaFile file;
   file.format = header.format;
   file.in_place = header.in_place;
@@ -574,18 +499,12 @@ DeltaFile deserialize_delta(ByteView data) {
   file.reference_length = header.reference_length;
   file.version_length = header.version_length;
   file.version_crc = header.version_crc;
-
-  Bytes decompressed;
-  ByteView commands = payload;
-  if (header.compress_payload) {
-    decompressed = lzss_decode(
-        payload, static_cast<std::size_t>(header.payload_uncompressed));
-    commands = decompressed;
+  std::vector<Command> commands;
+  commands.reserve(parsed.commands.size());
+  for (const CommandRef& c : parsed.commands) {
+    commands.push_back(c.to_command());
   }
-
-  PayloadDecoder dec(file.format, paper_offset_width(file.version_length));
-  file.script = dec.decode(commands);
-  file.script.validate(file.reference_length, file.version_length);
+  file.script = Script(std::move(commands));
   return file;
 }
 

@@ -18,6 +18,13 @@
 //  * Varint    — a modern LEB128 encoding of the same commands, provided as
 //    the "redesign of the delta compression codewords" the paper suggests
 //    would reduce the loss; benches quantify that claim.
+//
+// One decoder, probe-style, reads every codeword. parse_delta() runs it
+// over a whole container into a table of CommandRefs that borrow the
+// add bytes from the artifact instead of copying them, which is what
+// the batch appliers execute. That table must not outlive the artifact
+// bytes it was parsed from. deserialize_delta(), probe_command() and the
+// streaming decoder wrap the same decoder and hand out owning Commands.
 #pragma once
 
 #include <cstdint>
@@ -118,6 +125,41 @@ struct DeltaHeader {
 /// malformed input (bad magic / unknown format byte).
 std::optional<std::pair<DeltaHeader, std::size_t>> try_parse_header(
     ByteView data);
+
+/// One decoded command, borrowed from the stream it was decoded from: a
+/// copy reads `length` reference bytes at `from`; an add's `length`
+/// literal bytes start at `literal`, inside the stream. Valid only while
+/// that stream is alive.
+struct CommandRef {
+  offset_t to = 0;
+  length_t length = 0;
+  offset_t from = 0;                      ///< copy source offset
+  const std::uint8_t* literal = nullptr;  ///< add bytes; null for a copy
+
+  bool is_add() const noexcept { return literal != nullptr; }
+  /// The owning Command (copies the add's bytes).
+  Command to_command() const;
+};
+
+/// A container decoded into a flat table of borrowed commands, in stream
+/// order. Adds point into the artifact's payload bytes, or into
+/// `decompressed` when the payload is LZSS-compressed; so the table must
+/// not outlive the artifact bytes passed to parse_delta(). Move-only:
+/// moving keeps `decompressed`'s storage, copying would not.
+struct ParsedDelta {
+  DeltaHeader header;
+  std::vector<CommandRef> commands;
+  Bytes decompressed;
+
+  ParsedDelta() = default;
+  ParsedDelta(ParsedDelta&&) = default;
+  ParsedDelta& operator=(ParsedDelta&&) = default;
+};
+
+/// Parse and verify a container without copying any add byte: the same
+/// checks, in the same order and with the same exceptions, as
+/// deserialize_delta(), which is this plus owning Commands.
+ParsedDelta parse_delta(ByteView data);
 
 /// Incremental command decoder for streaming consumers: feed payload
 /// bytes as they arrive, pop commands as they complete. Malformed input

@@ -1,7 +1,10 @@
 #include "delta/script.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <sstream>
+#include <utility>
 
 namespace ipd {
 
@@ -49,66 +52,114 @@ std::vector<AddCommand> Script::adds() const {
 
 void Script::validate(length_t reference_length,
                       length_t version_length) const {
-  struct Write {
-    Interval interval;
-    std::size_t index;
-  };
-  std::vector<Write> writes;
+  std::vector<WriteRange> writes;
   writes.reserve(commands_.size());
-
   for (std::size_t i = 0; i < commands_.size(); ++i) {
     const Command& c = commands_[i];
-    const length_t len = command_length(c);
-    if (len == 0) {
-      throw ValidationError("command " + std::to_string(i) +
-                            " has zero length");
-    }
-    if (const auto* copy = std::get_if<CopyCommand>(&c)) {
-      if (!range_fits(copy->from, copy->length, reference_length)) {
-        std::ostringstream msg;
-        msg << "command " << i << " (" << *copy
-            << ") reads past reference end " << reference_length;
-        throw ValidationError(msg.str());
-      }
-    }
-    const Interval w = command_write_interval(c);
-    if (!range_fits(w.first, len, version_length)) {
-      std::ostringstream msg;
-      msg << "command " << i << " writes " << w << " past version end "
-          << version_length;
-      throw ValidationError(msg.str());
-    }
-    writes.push_back({w, i});
+    const WriteRange w{command_to(c), command_length(c)};
+    check_command_bounds(i, std::get_if<CopyCommand>(&c), w,
+                         reference_length, version_length);
+    writes.push_back(w);
+  }
+  check_write_tiling(writes, version_length);
+}
+
+void check_command_bounds(std::size_t index, const CopyCommand* copy,
+                          WriteRange write, length_t reference_length,
+                          length_t version_length) {
+  if (write.length == 0) {
+    throw ValidationError("command " + std::to_string(index) +
+                          " has zero length");
+  }
+  if (copy != nullptr &&
+      !range_fits(copy->from, copy->length, reference_length)) {
+    std::ostringstream msg;
+    msg << "command " << index << " (" << *copy
+        << ") reads past reference end " << reference_length;
+    throw ValidationError(msg.str());
+  }
+  if (!range_fits(write.to, write.length, version_length)) {
+    std::ostringstream msg;
+    msg << "command " << index << " writes "
+        << Interval::of(write.to, write.length) << " past version end "
+        << version_length;
+    throw ValidationError(msg.str());
+  }
+}
+
+namespace {
+
+constexpr unsigned kRadixBits = 11;
+constexpr std::size_t kRadixBuckets = std::size_t{1} << kRadixBits;
+constexpr offset_t kRadixMask = kRadixBuckets - 1;
+
+struct KeyedWrite {
+  offset_t to;
+  std::size_t index;
+};
+
+// Stable LSD radix sort of the writes by offset: one counting pass per
+// 11-bit digit of the largest offset, skipping digits all keys share.
+std::vector<KeyedWrite> radix_sort_writes(std::span<const WriteRange> writes) {
+  std::vector<KeyedWrite> keyed(writes.size());
+  offset_t max_to = 0;
+  for (std::size_t i = 0; i < writes.size(); ++i) {
+    keyed[i] = {writes[i].to, i};
+    max_to = std::max(max_to, writes[i].to);
+  }
+  std::vector<KeyedWrite> spare(keyed.size());
+  std::array<std::size_t, kRadixBuckets> count;
+  const auto digit = [](offset_t to, unsigned shift) {
+    return static_cast<std::size_t>((to >> shift) & kRadixMask);
+  };
+  const auto bits = static_cast<unsigned>(std::bit_width(max_to));
+  for (unsigned shift = 0; shift < bits; shift += kRadixBits) {
+    count.fill(0);
+    for (const KeyedWrite& w : keyed) ++count[digit(w.to, shift)];
+    if (count[digit(keyed.front().to, shift)] == keyed.size()) continue;
+    std::size_t sum = 0;
+    for (std::size_t& c : count) sum += std::exchange(c, sum);
+    for (const KeyedWrite& w : keyed) spare[count[digit(w.to, shift)]++] = w;
+    keyed.swap(spare);
+  }
+  return keyed;
+}
+
+}  // namespace
+
+void check_write_tiling(std::span<const WriteRange> writes,
+                        length_t version_length) {
+  // Fast path: already in offset order and tiling (write-order scripts).
+  offset_t expected = 0;
+  std::size_t in_order = 0;
+  while (in_order < writes.size() && writes[in_order].to == expected) {
+    expected += writes[in_order++].length;
+  }
+  if (in_order == writes.size() && expected == version_length) {
+    return;
   }
 
-  std::sort(writes.begin(), writes.end(),
-            [](const Write& a, const Write& b) {
-              return a.interval.first < b.interval.first;
-            });
-
-  offset_t expected = 0;
-  for (const Write& w : writes) {
-    if (w.interval.first < expected) {
+  expected = 0;
+  for (const KeyedWrite& k : radix_sort_writes(writes)) {
+    const Interval w = Interval::of(k.to, writes[k.index].length);
+    if (w.first < expected) {
       std::ostringstream msg;
-      msg << "command " << w.index << " write " << w.interval
+      msg << "command " << k.index << " write " << w
           << " overlaps a previous write ending at " << expected - 1;
       throw ValidationError(msg.str());
     }
-    if (w.interval.first > expected) {
+    if (w.first > expected) {
       std::ostringstream msg;
       msg << "coverage gap: version bytes [" << expected << ", "
-          << w.interval.first - 1 << "] are written by no command";
+          << w.first - 1 << "] are written by no command";
       throw ValidationError(msg.str());
     }
-    expected = w.interval.last + 1;
+    expected = w.last + 1;
   }
   if (expected != version_length) {
     std::ostringstream msg;
     msg << "coverage gap: version bytes [" << expected << ", "
         << version_length - 1 << "] are written by no command";
-    if (version_length == 0 && !commands_.empty()) {
-      msg.str("script is non-empty but version length is 0");
-    }
     throw ValidationError(msg.str());
   }
 }

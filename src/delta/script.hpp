@@ -4,6 +4,7 @@
 // [0, L_V). Commands are applied in sequence order.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -73,6 +74,30 @@ class Script {
  private:
   std::vector<Command> commands_;
 };
+
+/// One command's write range [to, to+length-1], as the tiling check sees
+/// it.
+struct WriteRange {
+  offset_t to = 0;
+  length_t length = 0;
+};
+
+/// The per-command §3 bounds Script::validate checks, in its order: a
+/// nonzero length, a copy's reads inside the reference (`copy` is null
+/// for an add), then the write inside the version. Throws
+/// ValidationError naming command `index`.
+void check_command_bounds(std::size_t index, const CopyCommand* copy,
+                          WriteRange write, length_t reference_length,
+                          length_t version_length);
+
+/// Throws ValidationError unless `writes` tile [0, version_length)
+/// exactly: pairwise disjoint and with no gap. `writes[i]` is command i
+/// in the messages. Precondition: every range passed
+/// check_command_bounds. Linear time: one scan when the writes are
+/// already in offset order, else an LSD radix sort on the offset with
+/// 11-bit digits, one pass per digit of the largest offset.
+void check_write_tiling(std::span<const WriteRange> writes,
+                        length_t version_length);
 
 /// Apply-order-independence helper: scripts that contain the same command
 /// multiset encode the same version. Compares write-offset-sorted copies.

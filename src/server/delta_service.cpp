@@ -298,9 +298,13 @@ Bytes apply_served(const ServeResult& result, ByteView from_body) {
       image.assign(step.bytes->begin(), step.bytes->end());
       continue;
     }
-    const DeltaFile parsed = deserialize_delta(*step.bytes);
-    image.resize(std::max<std::size_t>(parsed.reference_length,
-                                       parsed.version_length));
+    const auto parsed = try_parse_header(*step.bytes);
+    if (!parsed) {
+      throw FormatError("truncated delta header");
+    }
+    const DeltaHeader& header = parsed->first;
+    image.resize(std::max<std::size_t>(header.reference_length,
+                                       header.version_length));
     const length_t new_len = apply_delta_inplace(*step.bytes, image);
     image.resize(static_cast<std::size_t>(new_len));
   }

@@ -392,14 +392,20 @@ std::shared_ptr<const Bytes> ArtifactStore::reconstruct_locked(
     const Bytes artifact = artifact_locked(*it);
     // Trust boundary: bytes from disk prove themselves before they run.
     gate_delta_locked(*it, artifact);
-    const DeltaFile parsed = deserialize_delta(artifact);
-    if (parsed.reference_length != image.size()) {
+    // The apply below validates the whole delta before it writes; the
+    // header alone sizes the image.
+    const auto parsed = try_parse_header(artifact);
+    if (!parsed) {
+      throw FormatError("truncated delta header");
+    }
+    const DeltaHeader& header = parsed->first;
+    if (header.reference_length != image.size()) {
       throw StoreError("store: chain delta for release " +
                        std::to_string(*it) +
                        " does not chain from its parent body");
     }
-    image.resize(std::max<std::size_t>(parsed.reference_length,
-                                       parsed.version_length));
+    image.resize(std::max<std::size_t>(header.reference_length,
+                                       header.version_length));
     const length_t new_len = apply_delta_inplace(artifact, image);
     image.resize(static_cast<std::size_t>(new_len));
     metrics_.chain_hops_applied.fetch_add(1, std::memory_order_relaxed);

@@ -106,6 +106,44 @@ TEST(Adler32, MatchesNaiveDefinitionOnRandomInputsAndSeeds) {
   }
 }
 
+TEST(Adler32, DispatchedKernelMatchesPortableAndDefinition) {
+  // Every length through two full 32-byte SIMD blocks and past the
+  // 5552-byte modulo, at every 32-byte alignment, random and all-0xFF.
+  const std::size_t big = (1u << 20) + 3;
+  for (const Bytes& data : {random_bytes(21, big + 32), Bytes(big + 32, 0xFF)}) {
+    std::vector<std::size_t> lengths;
+    for (std::size_t len = 0; len <= 1100; ++len) lengths.push_back(len);
+    for (const std::size_t len : {5551u, 5552u, 5553u}) lengths.push_back(len);
+    lengths.push_back(big);
+    for (const std::size_t len : lengths) {
+      for (std::size_t start = 0; start < 32; ++start) {
+        const ByteView view = ByteView(data).subspan(start, len);
+        const std::uint32_t expect = adler32_naive(view);
+        ASSERT_EQ(adler32(view), expect) << "len " << len << " start " << start;
+        ASSERT_EQ(detail::adler32_portable(view), expect)
+            << "len " << len << " start " << start;
+      }
+    }
+  }
+}
+
+TEST(Adler32, KernelsChainSeedsLikeDefinition) {
+  const Bytes data = random_bytes(22, 20000);
+  Rng rng(23);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t split = rng.below(data.size() + 1);
+    const ByteView head = ByteView(data).first(split);
+    const ByteView tail = ByteView(data).subspan(split);
+    ASSERT_EQ(adler32(tail, adler32(head)), adler32_naive(data));
+    ASSERT_EQ(detail::adler32_portable(tail, detail::adler32_portable(head)),
+              adler32_naive(data));
+    const auto seed = static_cast<std::uint32_t>(rng.below(65521) << 16 |
+                                                 rng.below(65521));
+    ASSERT_EQ(adler32(tail, seed), adler32_naive(tail, seed));
+    ASSERT_EQ(detail::adler32_portable(tail, seed), adler32_naive(tail, seed));
+  }
+}
+
 TEST(Crc32c, KnownVectors) {
   EXPECT_EQ(crc32c(ByteView{}), 0u);
   // RFC 3720 test vector: 32 bytes of zeros.

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "apply/apply.hpp"
+#include "apply_paths.hpp"
+#include "core/io.hpp"
+#include "corpus/generator.hpp"
+#include "corpus/mutation.hpp"
+#include "ipdelta.hpp"
 #include "test_util.hpp"
 
 namespace ipd {
@@ -266,6 +273,153 @@ TEST(Codec, HeaderReportsCompressedAndUncompressedSizes) {
   ASSERT_TRUE(plain_header.has_value());
   EXPECT_EQ(header->first.payload_uncompressed,
             plain_header->first.payload_length);
+}
+
+// ---- parse_delta: the borrowed command table --------------------------
+
+TEST_P(CodecFormatTest, ParseDeltaBorrowsTheSameCommands) {
+  const Bytes ref = test::random_bytes(3, 2000);
+  const Script script = script_of(
+      {C(5, 0, 10), A(10, Bytes(600, 0x7E)), C(0, 610, 5), A(615, "!")});
+  for (const bool compress : {false, true}) {
+    DeltaFile f = make_file(script, ref.size(), GetParam());
+    f.compress_payload = compress;
+    const Bytes wire = serialize_delta(f);
+    const DeltaFile owned = deserialize_delta(wire);
+    ParsedDelta parsed = parse_delta(wire);
+    // Moving the table keeps the decompressed stream its adds point into.
+    const ParsedDelta moved = std::move(parsed);
+    EXPECT_EQ(moved.header.compress_payload, owned.compress_payload);
+    std::vector<Command> rebuilt;
+    for (const CommandRef& c : moved.commands) {
+      rebuilt.push_back(c.to_command());
+      if (c.is_add() && !moved.header.compress_payload) {
+        // Uncompressed adds point into the artifact itself.
+        EXPECT_GE(c.literal, wire.data());
+        EXPECT_LE(c.literal + c.length, wire.data() + wire.size());
+      }
+    }
+    EXPECT_EQ(rebuilt, owned.script.commands()) << "compress=" << compress;
+  }
+}
+
+// Accept or reject alike, with the same exception type, and produce the
+// same bytes: scratch always, and in place when the delta says it can.
+void expect_paths_agree(ByteView delta, ByteView reference,
+                        const std::string& what) {
+  using namespace fuzzcorpus;
+  EXPECT_EQ(borrowed_scratch(delta, reference),
+            owning_scratch(delta, reference))
+      << what;
+  const auto header = try_parse_header(delta);
+  if (!header || header->first.version_length > (1u << 22)) return;
+  Bytes buffer(reference.begin(), reference.end());
+  buffer.resize(std::max<std::size_t>(
+      buffer.size(), static_cast<std::size_t>(header->first.version_length)));
+  EXPECT_EQ(borrowed_inplace(delta, buffer), owning_inplace(delta, buffer))
+      << what;
+}
+
+TEST(ParseDelta, PipelineMatrixAgreesWithDeserialize) {
+  Rng rng(0xD1FF);
+  const Bytes ref = generate_file(rng, 12000, FileProfile::kBinary);
+  const Bytes ver = mutate(ref, rng, 24);
+  for (const DifferKind differ :
+       {DifferKind::kGreedy, DifferKind::kOnePass, DifferKind::kSuffixGreedy,
+        DifferKind::kBlockAligned}) {
+    for (const DeltaFormat format : {kPaperSequential, kPaperExplicit,
+                                     kVarintSequential, kVarintExplicit}) {
+      for (const bool compress : {false, true}) {
+        PipelineOptions options;
+        options.differ = differ;
+        options.format = format;
+        options.compress_payload = compress;
+        const Pipeline pipeline(options);
+        const std::string what = std::string(differ_name(differ)) + " " +
+                                 format_name(format) +
+                                 (compress ? " lzss" : "");
+        for (const bool in_place : {false, true}) {
+          const Bytes delta = in_place ? pipeline.build_inplace(ref, ver).delta
+                                       : pipeline.build_delta(ref, ver).delta;
+          EXPECT_EQ(fuzzcorpus::borrowed_scratch(delta, ref).bytes, ver)
+              << what;
+          expect_paths_agree(delta, ref, what);
+          // A wrong reference fails the version CRC on both paths, after
+          // the same bytes were written.
+          Bytes wrong = ref;
+          wrong[wrong.size() / 2] ^= 0x55;
+          expect_paths_agree(delta, wrong, what + " wrong reference");
+          // Truncated and corrupted containers are rejected alike.
+          expect_paths_agree(ByteView(delta).first(delta.size() - 1), ref,
+                             what + " truncated");
+          Bytes flipped = delta;
+          flipped[flipped.size() - 3] ^= 0x20;
+          expect_paths_agree(flipped, ref, what + " flipped");
+        }
+      }
+    }
+  }
+}
+
+TEST(ParseDelta, FuzzCorpusAgreesWithDeserialize) {
+  std::size_t files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(IPD_FUZZ_CODEC_CORPUS)) {
+    const Bytes delta = read_file(entry.path());
+    // Any reference of the declared length: both paths must still agree
+    // byte for byte, CRC verdict included.
+    length_t ref_len = 0;
+    try {
+      if (const auto header = try_parse_header(delta)) {
+        ref_len = header->first.reference_length;
+      }
+    } catch (const FormatError&) {
+    }
+    const Bytes ref =
+        test::random_bytes(7, static_cast<std::size_t>(
+                                  std::min<length_t>(ref_len, 1u << 20)));
+    expect_paths_agree(delta, ref, entry.path().filename().string());
+    ++files;
+  }
+  EXPECT_GE(files, 10u);
+}
+
+TEST(ParseDelta, RejectsLikeDeserialize) {
+  // Range violations are ValidationErrors on both paths; bad containers
+  // FormatErrors.
+  const Bytes ref = test::random_bytes(5, 100);
+  const auto wire_of = [](const Script& script, length_t ref_len,
+                          length_t ver_len) {
+    DeltaFile f = make_file(script, ref_len, kPaperExplicit);
+    f.version_length = ver_len;
+    return serialize_delta(f);
+  };
+  EXPECT_THROW(parse_delta(wire_of(script_of({C(80, 0, 30)}), 100, 30)),
+               ValidationError);  // reads past the reference
+  EXPECT_THROW(parse_delta(wire_of(script_of({A(0, "abc")}), 100, 2)),
+               ValidationError);  // writes past the version
+  EXPECT_THROW(
+      parse_delta(wire_of(script_of({A(0, "ab"), A(1, "cd")}), 100, 3)),
+      ValidationError);  // overlap
+  EXPECT_THROW(parse_delta(wire_of(script_of({A(2, "ab")}), 100, 4)),
+               ValidationError);  // gap at the start
+  EXPECT_THROW(parse_delta(Bytes{'I', 'P', 'D', '1'}), FormatError);
+  const Bytes good = wire_of(script_of({C(0, 0, 50)}), 100, 50);
+  EXPECT_NO_THROW(parse_delta(good));
+  expect_paths_agree(good, ref, "good");
+}
+
+TEST(Codec, ProbeReportsAddLengthNearTwoToThe64AsTruncated) {
+  // Varint add, explicit offset 0, length 2^64-1, then two payload bytes:
+  // the reader must not wrap `position + length` and accept it.
+  const Bytes stream = {0x01, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                        0xFF, 0xFF, 0xFF, 0x01, 'a',  'b'};
+  offset_t running_to = 0;
+  const CommandProbe probe =
+      probe_command(stream, kVarintExplicit, 1000, running_to);
+  EXPECT_EQ(probe.status, CommandProbe::Status::kTruncated);
+  EXPECT_NE(probe.detail.find("add payload shorter than declared"),
+            std::string::npos);
 }
 
 TEST(Codec, FormatNames) {

@@ -171,6 +171,56 @@ TEST(ApplyDeltaInplace, CrcCatchesWrongReferenceImage) {
   EXPECT_THROW(apply_delta_inplace(delta, buffer), FormatError);
 }
 
+TEST(ApplyDeltaInplace, RejectedDeltaLeavesBufferUntouched) {
+  // Every check runs before the first write: container damage, and
+  // script violations found only after the whole stream decoded.
+  const Bytes reference = test::random_bytes(40, 4000);
+  Script script;
+  for (offset_t to = 0; to < 4000; to += 400) {
+    script.push(CopyCommand{3600 - to, to, 300});
+    script.push(AddCommand{to + 300, Bytes(100, 0x3C)});
+  }
+  DeltaFile file;
+  file.format = kPaperExplicit;
+  file.in_place = true;
+  file.reference_length = 4000;
+  file.version_length = 4000;
+  file.script = script;
+  Bytes version = reference;
+  apply_inplace(script, version, 4000, 4000);
+  file.version_crc = crc32c(version);
+  const Bytes good = serialize_delta(file);
+
+  std::vector<Bytes> rejected;
+  for (const std::size_t keep : {good.size() - 1, good.size() / 2}) {
+    rejected.emplace_back(good.begin(),
+                          good.begin() + static_cast<std::ptrdiff_t>(keep));
+  }
+  Bytes flipped = good;
+  flipped[flipped.size() - 50] ^= 0x08;
+  rejected.push_back(flipped);
+  DeltaFile gap = file;  // the last command's bytes go unwritten
+  gap.version_length = 4001;
+  rejected.push_back(serialize_delta(gap));
+  DeltaFile overlap = file;
+  overlap.script.push(CopyCommand{0, 3999, 1});
+  rejected.push_back(serialize_delta(overlap));
+  DeltaFile short_ref = file;
+  short_ref.reference_length = 3899;
+  rejected.push_back(serialize_delta(short_ref));
+
+  for (std::size_t i = 0; i < rejected.size(); ++i) {
+    Bytes buffer = reference;
+    buffer.resize(4001);
+    const Bytes before = buffer;
+    EXPECT_THROW(apply_delta_inplace(rejected[i], buffer), Error) << i;
+    EXPECT_EQ(buffer, before) << "rejected delta " << i << " wrote";
+  }
+  Bytes buffer = reference;
+  EXPECT_EQ(apply_delta_inplace(good, buffer), 4000u);
+  EXPECT_EQ(buffer, version);
+}
+
 TEST(ApplyInplace, AgreesWithScratchApplyOnConvertedScripts) {
   Rng rng(55);
   for (int trial = 0; trial < 10; ++trial) {

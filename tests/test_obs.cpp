@@ -567,13 +567,16 @@ TEST(FlightRecorder, DumpRegistryKeysOnTraceIdAndReason) {
 TEST(StallWatchdog, FlagsOncePerEpisodeAndRearmsOnProgress) {
   StallWatchdog dog;
   const TraceContext ctx = mint_trace();
+  // "Quiet" checks run at a time taken before the task's last progress,
+  // so check_now sees zero silence however long the thread is preempted.
+  const std::uint64_t t0 = now_ns();
   const std::uint64_t id =
       dog.register_task("test transfer", ctx, 1'000'000 /* 1ms */);
   ASSERT_NE(id, 0u);
   EXPECT_EQ(dog.watched(), 1u);
 
   // Not yet past the deadline: quiet.
-  EXPECT_EQ(dog.check_now(now_ns()), 0u);
+  EXPECT_EQ(dog.check_now(t0), 0u);
   EXPECT_EQ(dog.stalls_flagged(), 0u);
 
   // Way past the deadline: flagged exactly once, stays stalled.
@@ -588,8 +591,9 @@ TEST(StallWatchdog, FlagsOncePerEpisodeAndRearmsOnProgress) {
   EXPECT_EQ(stalled[0].trace, ctx);
 
   // Progress re-arms: no longer stalled, and a NEW silence flags again.
+  const std::uint64_t t1 = now_ns();
   dog.progress(id, 4096);
-  EXPECT_EQ(dog.check_now(now_ns()), 0u);
+  EXPECT_EQ(dog.check_now(t1), 0u);
   EXPECT_TRUE(dog.stalled().empty());
   EXPECT_EQ(dog.check_now(now_ns() + 1'000'000'000), 1u);
   EXPECT_EQ(dog.stalls_flagged(), 2u);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/rng.hpp"
 #include "test_util.hpp"
 
 namespace ipd {
@@ -89,6 +90,85 @@ TEST(Script, InWriteOrder) {
   // A gap breaks write order even if offsets increase.
   EXPECT_FALSE(script_of({C(0, 0, 4), C(0, 5, 2)}).in_write_order());
   EXPECT_TRUE(Script{}.in_write_order());
+}
+
+// ---- check_write_tiling ------------------------------------------------
+
+std::string tiling_error(std::vector<WriteRange> writes,
+                         length_t version_length) {
+  try {
+    check_write_tiling(writes, version_length);
+  } catch (const ValidationError& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(WriteTiling, SortedAndUnsortedTilingsPass) {
+  EXPECT_EQ(tiling_error({{0, 4}, {4, 1}, {5, 3}}, 8), "");
+  EXPECT_EQ(tiling_error({{5, 3}, {0, 4}, {4, 1}}, 8), "");
+  EXPECT_EQ(tiling_error({}, 0), "");
+}
+
+TEST(WriteTiling, RadixSortSpansManyDigits) {
+  // Offsets spread over 24 bits take three 11-bit passes; reversed and
+  // shuffled orders must both sort back into a tiling.
+  std::vector<WriteRange> writes;
+  for (offset_t to = 0; to < (offset_t{1} << 24); to += 4099) {
+    writes.push_back({to, std::min<length_t>(4099, (1u << 24) - to)});
+  }
+  const length_t total = offset_t{1} << 24;
+  std::vector<WriteRange> reversed(writes.rbegin(), writes.rend());
+  EXPECT_EQ(tiling_error(reversed, total), "");
+  Rng rng(31);
+  for (std::size_t i = writes.size(); i > 1; --i) {
+    std::swap(writes[i - 1], writes[rng.below(i)]);
+  }
+  EXPECT_EQ(tiling_error(writes, total), "");
+  for (WriteRange& w : writes) {
+    if (w.to == 0) w.length += 1;  // now overlaps its successor
+  }
+  EXPECT_NE(tiling_error(writes, total).find("overlaps"), std::string::npos);
+}
+
+TEST(WriteTiling, OverlapNamesCommandAndRange) {
+  EXPECT_EQ(tiling_error({{4, 4}, {0, 6}}, 8),
+            "command 0 write [4, 7] overlaps a previous write ending at 5");
+}
+
+TEST(WriteTiling, DuplicateOffsetIsAnOverlap) {
+  EXPECT_EQ(tiling_error({{0, 2}, {2, 2}, {2, 2}}, 4),
+            "command 2 write [2, 3] overlaps a previous write ending at 3");
+  EXPECT_EQ(tiling_error({{2, 2}, {0, 2}, {2, 2}}, 4),
+            "command 2 write [2, 3] overlaps a previous write ending at 3");
+}
+
+TEST(WriteTiling, GapsAtStartMiddleAndEnd) {
+  const std::string start =
+      "coverage gap: version bytes [0, 1] are written by no command";
+  EXPECT_EQ(tiling_error({{2, 6}}, 8), start);
+  EXPECT_EQ(tiling_error({{5, 3}, {2, 3}}, 8), start);
+  const std::string middle =
+      "coverage gap: version bytes [3, 4] are written by no command";
+  EXPECT_EQ(tiling_error({{0, 3}, {5, 3}}, 8), middle);
+  EXPECT_EQ(tiling_error({{5, 3}, {0, 3}}, 8), middle);
+  const std::string end =
+      "coverage gap: version bytes [6, 7] are written by no command";
+  EXPECT_EQ(tiling_error({{0, 3}, {3, 3}}, 8), end);
+  EXPECT_EQ(tiling_error({{3, 3}, {0, 3}}, 8), end);
+  EXPECT_EQ(tiling_error({}, 3),
+            "coverage gap: version bytes [0, 2] are written by no command");
+}
+
+TEST(WriteTiling, OffsetsNearTwoToThe64) {
+  // The largest offsets take all six 11-bit digits.
+  const length_t top = ~length_t{0};
+  EXPECT_EQ(tiling_error({{top - 10, 10}, {0, top - 10}}, top), "");
+  EXPECT_EQ(tiling_error({{top - 10, 10}, {1, top - 11}}, top),
+            "coverage gap: version bytes [0, 0] are written by no command");
+  EXPECT_NE(tiling_error({{top - 10, 10}, {0, top - 9}}, top).find(
+                "command 0 write"),
+            std::string::npos);
 }
 
 TEST(Script, SortByWriteOffset) {
