@@ -1,7 +1,8 @@
 // E7 — google-benchmark micro suite for the §4.3 asymptotics: digraph
 // construction, topological sort + cycle breaking, full conversion, the
-// differencers, the appliers, the codec, and the byte kernels (checksums
-// and the overlapping copy) under the apply path.
+// differencers, the appliers, the journaled device updaters, the codec,
+// and the byte kernels (checksums and the overlapping copy) under the
+// apply path.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -12,6 +13,8 @@
 #include "core/checksum.hpp"
 #include "core/checksum_kernels.hpp"
 #include "core/lzss.hpp"
+#include "device/resumable_updater.hpp"
+#include "device/stream_updater.hpp"
 #include "corpus/generator.hpp"
 #include "corpus/mutation.hpp"
 #include "inplace/converter.hpp"
@@ -178,6 +181,85 @@ void BM_ApplyDeltaInplace(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * b.pair.ver.size()));
 }
 BENCHMARK(BM_ApplyDeltaInplace)->Arg(1 << 20)->Arg(12 << 20);
+
+// One journal record serialized and written to in-memory storage: a
+// checkpoint (Arg 0) or a sub-step record with a 4 KiB undo (Arg 1),
+// both with a 64-byte container header.
+void BM_JournalAppend(benchmark::State& state) {
+  const ApplyJournalOptions opts{/*page_size=*/4096, /*undo_capacity=*/4096,
+                                 /*header_capacity=*/256};
+  const std::size_t slot = ApplyJournal::slot_bytes(opts);
+  MemoryJournalStorage storage(2 * slot);
+  Bytes scratch(slot);
+  ApplyJournal journal(storage, MutByteView(scratch), opts);
+  Bytes undo(state.range(0) == 0 ? 0 : 4096);
+  Bytes header(64);
+  Rng(5).fill(undo);
+  Rng(6).fill(header);
+  ApplyRecordFields fields;
+  fields.kind = state.range(0) == 0 ? ApplyRecordKind::kCheckpoint
+                                    : ApplyRecordKind::kSubstep;
+  for (auto _ : state) {
+    ++fields.command_index;
+    journal.append(fields, undo, header);
+    benchmark::DoNotOptimize(storage.bytes().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_JournalAppend)->Arg(0)->Arg(1);
+
+// Journaled device updates of one 128 KiB pair, plus reloading the
+// reference image every iteration: the staged path (whole artifact in
+// RAM, parse_delta) and the streaming path (1400-byte chunks).
+constexpr std::size_t kDevicePair = 128 << 10;
+constexpr std::size_t kDevicePage = 4096;
+constexpr std::size_t kDeviceJournal = 16 << 10;
+
+FlashDevice device_for(const BuiltPair& b, JournalRegion& journal) {
+  const std::size_t area =
+      (std::max(b.pair.ref.size(), b.pair.ver.size()) + kDevicePage - 1) /
+      kDevicePage * kDevicePage;
+  journal = JournalRegion{area, kDeviceJournal};
+  return FlashDevice(area + kDeviceJournal, kDevicePage, area + (64 << 10));
+}
+
+void BM_ApplyUpdateResumable(benchmark::State& state) {
+  const BuiltPair& b = built_pair(kDevicePair);
+  JournalRegion journal;
+  FlashDevice device = device_for(b, journal);
+  for (auto _ : state) {
+    device.load_image(b.pair.ref);
+    clear_journal(device, journal);
+    benchmark::DoNotOptimize(
+        apply_update_resumable(device, b.delta, channel_28k(), journal));
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations() * b.pair.ver.size()));
+}
+BENCHMARK(BM_ApplyUpdateResumable);
+
+void BM_StreamingDeviceUpdate(benchmark::State& state) {
+  const BuiltPair& b = built_pair(kDevicePair);
+  JournalRegion journal;
+  FlashDevice device = device_for(b, journal);
+  StreamArtifactInfo info;
+  info.artifact_crc = crc32c(b.delta);
+  info.artifact_size = b.delta.size();
+  for (auto _ : state) {
+    device.load_image(b.pair.ref);
+    clear_journal(device, journal);
+    StreamingDeviceUpdater updater(device, journal, info);
+    for (std::size_t pos = 0; pos < b.delta.size(); pos += 1400) {
+      updater.feed(ByteView(b.delta).subspan(
+          pos, std::min<std::size_t>(1400, b.delta.size() - pos)));
+    }
+    benchmark::DoNotOptimize(updater.finished());
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations() * b.pair.ver.size()));
+}
+BENCHMARK(BM_StreamingDeviceUpdate);
 
 // Byte-kernel sizes: a page, a small delta, 1 MiB, and the 12 MiB image.
 void kernel_sizes(benchmark::internal::Benchmark* b) {

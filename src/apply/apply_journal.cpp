@@ -19,6 +19,16 @@ constexpr std::size_t kTrailerBytes = 4;
 
 constexpr std::uint8_t kFlagFullImage = 0x01;
 
+/// Little-endian store of `value` at `p`; returns the byte after it.
+template <typename T>
+std::uint8_t* put_le(std::uint8_t* p, T value) noexcept {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    p[i] = static_cast<std::uint8_t>(static_cast<std::uint64_t>(value) >>
+                                     (8 * i));
+  }
+  return p + sizeof(T);
+}
+
 std::size_t round_up(std::size_t value, std::size_t unit) noexcept {
   if (unit <= 1) return value;
   return (value + unit - 1) / unit * unit;
@@ -76,6 +86,7 @@ ApplyJournal::ApplyJournal(JournalStorage& storage, MutByteView scratch,
 
 std::optional<ApplyRecord> ApplyJournal::load_slot(int slot) {
   const MutByteView view = scratch_.first(slot_bytes_);
+  dirty_ = slot_bytes_;
   storage_.read(static_cast<offset_t>(slot) * slot_bytes_, view);
   ByteReader r(view);
   const ByteView magic = r.read_bytes(4);
@@ -127,46 +138,56 @@ std::optional<ApplyRecord> ApplyJournal::newest_for(
   return std::nullopt;
 }
 
-void ApplyJournal::append(ApplyRecord record) {
-  if (record.undo.size() > options_.undo_capacity) {
+void ApplyJournal::append(const ApplyRecordFields& fields, ByteView undo,
+                          ByteView header) {
+  if (undo.size() > options_.undo_capacity) {
     throw ValidationError("apply journal: undo exceeds configured capacity");
   }
-  if (record.header.size() > options_.header_capacity) {
+  if (header.size() > options_.header_capacity) {
     throw ValidationError("apply journal: header exceeds configured capacity");
   }
-  record.seq = next_seq_++;
+  const std::uint64_t seq = next_seq_++;
 
-  ByteWriter w;
-  w.write_string(std::string_view(kMagic, 4));
-  w.write_u64le(record.seq);
-  w.write_u8(static_cast<std::uint8_t>(record.kind));
-  w.write_u8(record.full_image ? kFlagFullImage : 0);
-  w.write_u32le(record.artifact_crc);
-  w.write_u64le(record.artifact_size);
-  w.write_u32le(record.meta_from);
-  w.write_u32le(record.meta_hop);
-  w.write_u32le(record.meta_target);
-  w.write_u64le(record.command_index);
-  w.write_u64le(record.substep);
-  w.write_u64le(record.artifact_offset);
-  w.write_u32le(record.adler_state);
-  w.write_u64le(record.undo_to);
-  w.write_u32le(static_cast<std::uint32_t>(record.undo.size()));
-  w.write_u32le(static_cast<std::uint32_t>(record.header.size()));
-  w.write_bytes(record.undo);
-  w.write_bytes(record.header);
-  w.write_u32le(crc32c(w.bytes()));
+  std::uint8_t* const base = scratch_.data();
+  std::uint8_t* p = std::copy_n(kMagic, 4, base);
+  p = put_le(p, seq);
+  p = put_le(p, static_cast<std::uint8_t>(fields.kind));
+  p = put_le(p, fields.full_image ? kFlagFullImage : std::uint8_t{0});
+  p = put_le(p, fields.artifact_crc);
+  p = put_le(p, fields.artifact_size);
+  p = put_le(p, fields.meta_from);
+  p = put_le(p, fields.meta_hop);
+  p = put_le(p, fields.meta_target);
+  p = put_le(p, fields.command_index);
+  p = put_le(p, fields.substep);
+  p = put_le(p, fields.artifact_offset);
+  p = put_le(p, fields.adler_state);
+  p = put_le(p, fields.undo_to);
+  p = put_le(p, static_cast<std::uint32_t>(undo.size()));
+  p = put_le(p, static_cast<std::uint32_t>(header.size()));
+  p = std::copy(undo.begin(), undo.end(), p);
+  p = std::copy(header.begin(), header.end(), p);
+  const std::size_t body = static_cast<std::size_t>(p - base);
+  p = put_le(p, crc32c(ByteView(base, body)));
+  const std::size_t used = body + kTrailerBytes;
 
-  // Stage into the caller's scratch, zero-padded to whole pages, so one
-  // storage write covers the record and nothing stale survives in the
-  // pages it touches.
-  const std::size_t padded = round_up(w.size(), options_.page_size);
-  const MutByteView out = scratch_.first(padded);
-  std::copy(w.bytes().begin(), w.bytes().end(), out.begin());
-  std::fill(out.begin() + static_cast<std::ptrdiff_t>(w.size()), out.end(),
-            std::uint8_t{0});
-  storage_.write((record.seq % 2) * slot_bytes_, out);
+  // Zero-pad to whole pages, so one storage write covers the record and
+  // nothing stale survives in the pages it touches. Bytes past dirty_
+  // are zero already, so only what an earlier record left is cleared.
+  if (dirty_ > used) {
+    std::fill(base + used, base + dirty_, std::uint8_t{0});
+  }
+  dirty_ = used;
+  storage_.write((seq % 2) * slot_bytes_,
+                 ByteView(base, round_up(used, options_.page_size)));
   ++writes_;
+  static_cast<ApplyRecordFields&>(newest_.emplace()) = fields;
+  newest_->seq = seq;
+}
+
+void ApplyJournal::append(ApplyRecord record) {
+  append(record, record.undo, record.header);
+  record.seq = newest_->seq;
   newest_ = std::move(record);
 }
 

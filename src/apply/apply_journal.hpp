@@ -21,10 +21,10 @@
 //    fails validation and is ignored.
 //
 // The journal is storage-agnostic: it talks to a JournalStorage (a spare
-// flash region, a file, a test vector) and never allocates — callers
-// provide a scratch buffer of slot_bytes() so device RAM accounting stays
-// honest. Consumers: device/resumable_updater (staged apply) and
-// device/stream_updater (streaming apply + campaign devices).
+// flash region, a file, a test vector) and never allocates to write a
+// record — callers provide a scratch buffer of slot_bytes() so device RAM
+// accounting stays honest. Its one writer is the journaled executor
+// (device/stream_updater.hpp) behind both device updaters.
 #pragma once
 
 #include <cstdint>
@@ -80,8 +80,9 @@ enum class ApplyRecordKind : std::uint8_t {
   kDone = 3,        ///< the whole artifact applied and verified
 };
 
-/// One journal record. See the header comment for field semantics.
-struct ApplyRecord {
+/// The fixed fields of one journal record: everything but its undo and
+/// header payloads. See the header comment for field semantics.
+struct ApplyRecordFields {
   std::uint64_t seq = 0;  ///< assigned by append()
   ApplyRecordKind kind = ApplyRecordKind::kCheckpoint;
   bool full_image = false;     ///< artifact is a raw image, not a delta
@@ -99,6 +100,10 @@ struct ApplyRecord {
   /// images: running CRC-32C of the image prefix instead).
   std::uint32_t adler_state = 1;
   std::uint64_t undo_to = 0;  ///< storage offset the undo restores
+};
+
+/// One journal record with owned payloads, as recovered from storage.
+struct ApplyRecord : ApplyRecordFields {
   Bytes undo;
   Bytes header;  ///< raw container header bytes (delta artifacts)
 };
@@ -130,8 +135,14 @@ class ApplyJournal {
   std::optional<ApplyRecord> newest_for(std::uint32_t artifact_crc,
                                         std::uint64_t artifact_size) const;
 
-  /// Durably append `record` (seq is assigned internally). Throws
-  /// ValidationError when undo/header exceed the configured capacities.
+  /// Durably append a record (seq is assigned internally), serialized
+  /// from the borrowed payloads straight into the scratch buffer; newest()
+  /// then reports `fields` with empty payloads. Throws ValidationError
+  /// when undo or header exceed the configured capacities.
+  void append(const ApplyRecordFields& fields, ByteView undo,
+              ByteView header);
+
+  /// append() for an owning record; newest() then holds it in full.
   void append(ApplyRecord record);
 
   /// Invalidate both slots (start of a fresh artifact, or provisioning).
@@ -148,6 +159,7 @@ class ApplyJournal {
   ApplyJournalOptions options_;
   std::size_t slot_bytes_ = 0;
   std::optional<ApplyRecord> newest_;
+  std::size_t dirty_ = 0;  ///< scratch[dirty_, slot) is known to be zero
   std::uint64_t next_seq_ = 0;
   std::uint64_t writes_ = 0;
 };

@@ -1,8 +1,32 @@
 #include "apply/oracle.hpp"
 
+#include <algorithm>
 #include <map>
 
 namespace ipd {
+
+bool WrittenIntervals::intersects(const Interval& range) const {
+  // Spans are disjoint and sorted, so only the last one starting at or
+  // before range.last can reach back into range.
+  const auto it = spans_.upper_bound(range.last);
+  return it != spans_.begin() && std::prev(it)->second >= range.first;
+}
+
+void WrittenIntervals::insert(const Interval& range) {
+  auto next = spans_.upper_bound(range.first);
+  auto at = next;
+  if (next != spans_.begin() && std::prev(next)->second + 1 >= range.first) {
+    at = std::prev(next);  // grow the span that reaches range.first
+  } else {
+    at = spans_.emplace_hint(next, range.first, range.last);
+  }
+  at->second = std::max(at->second, range.last);
+  // Absorb every later span the grown one now overlaps or touches.
+  while (next != spans_.end() && next->first <= at->second + 1) {
+    at->second = std::max(at->second, next->second);
+    next = spans_.erase(next);
+  }
+}
 
 ConflictAnalysis analyze_conflicts(const Script& script,
                                    std::size_t max_conflicts) {

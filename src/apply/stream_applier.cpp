@@ -108,14 +108,11 @@ void StreamingInplaceApplier::apply_command(const Command& cmd) {
     if (!range_fits(copy->from, copy->length, header_->reference_length)) {
       throw ValidationError("streaming applier: copy reads past reference");
     }
-    if (options_.check_conflicts) {
-      const Interval read = copy->read_interval();
-      auto it = written_.upper_bound(read.last);
-      if (it != written_.begin() && std::prev(it)->second >= read.first) {
-        throw ConflictError(
-            "streaming applier: write-before-read conflict at command " +
-            std::to_string(command_index_));
-      }
+    if (options_.check_conflicts &&
+        written_.intersects(copy->read_interval())) {
+      throw ConflictError(
+          "streaming applier: write-before-read conflict at command " +
+          std::to_string(command_index_));
     }
     overlapping_copy(buffer_, copy->from, copy->to, copy->length);
   } else {
@@ -124,7 +121,7 @@ void StreamingInplaceApplier::apply_command(const Command& cmd) {
               buffer_.begin() + static_cast<std::ptrdiff_t>(add.to));
   }
   if (options_.check_conflicts) {
-    written_[w.first] = w.last;
+    written_.insert(w);
   }
   ++command_index_;
 }

@@ -14,9 +14,9 @@
 // in_place flag, and per-command conflict checking is available.
 #pragma once
 
-#include <map>
 #include <optional>
 
+#include "apply/oracle.hpp"
 #include "delta/codec.hpp"
 
 namespace ipd {
@@ -78,8 +78,7 @@ class StreamingInplaceApplier {
   std::uint32_t payload_adler_ = 1;  // running adler over payload bytes
   std::uint64_t payload_seen_ = 0;
 
-  // Conflict oracle state: union of written intervals (first -> last).
-  std::map<offset_t, offset_t> written_;
+  WrittenIntervals written_;  ///< conflict oracle state
   std::size_t command_index_ = 0;
 
   std::size_t commands_ = 0;

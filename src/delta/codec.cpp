@@ -353,7 +353,7 @@ void StreamingCommandDecoder::feed(ByteView chunk) {
   pending_.insert(pending_.end(), chunk.begin(), chunk.end());
 }
 
-std::optional<Command> StreamingCommandDecoder::next() {
+std::optional<CommandRef> StreamingCommandDecoder::next_ref() {
   const ByteView avail = ByteView(pending_).subspan(pending_pos_);
   if (avail.empty()) return std::nullopt;
   const Decoded decoded =
@@ -368,7 +368,7 @@ std::optional<Command> StreamingCommandDecoder::next() {
   }
   pending_pos_ += decoded.consumed;
   consumed_ += decoded.consumed;
-  return decoded.command.to_command();
+  return decoded.command;
 }
 
 std::size_t StreamingCommandDecoder::buffered() const noexcept {

@@ -23,8 +23,8 @@
 // over a whole container into a table of CommandRefs that borrow the
 // add bytes from the artifact instead of copying them, which is what
 // the batch appliers execute. That table must not outlive the artifact
-// bytes it was parsed from. deserialize_delta(), probe_command() and the
-// streaming decoder wrap the same decoder and hand out owning Commands.
+// bytes it was parsed from. The streaming decoder borrows the same way;
+// deserialize_delta() and probe_command() build owning Commands.
 #pragma once
 
 #include <cstdint>
@@ -171,14 +171,28 @@ class StreamingCommandDecoder {
   /// Append payload bytes to the internal buffer.
   void feed(ByteView chunk);
 
-  /// Decode the next complete command, or std::nullopt if the buffered
-  /// bytes do not yet contain one.
-  std::optional<Command> next();
+  /// Decode the next complete command without copying it, or
+  /// std::nullopt if the buffered bytes do not yet contain one. An add's
+  /// literal points into the decoder's buffer: the CommandRef stays
+  /// valid until the next feed().
+  std::optional<CommandRef> next_ref();
+
+  /// next_ref() as an owning Command (copies an add's bytes).
+  std::optional<Command> next() {
+    const std::optional<CommandRef> ref = next_ref();
+    return ref ? std::optional<Command>(ref->to_command()) : std::nullopt;
+  }
 
   /// Bytes buffered but not yet consumed by a completed command.
   std::size_t buffered() const noexcept;
   /// Total payload bytes consumed by completed commands.
   std::uint64_t consumed() const noexcept { return consumed_; }
+  /// The consumed bytes still buffered; they end at payload offset
+  /// consumed() and include every byte consumed since the last feed().
+  /// Valid until the next feed().
+  ByteView consumed_bytes() const noexcept {
+    return ByteView(pending_).first(pending_pos_);
+  }
 
  private:
   DeltaFormat format_;

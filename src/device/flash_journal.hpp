@@ -6,6 +6,8 @@
 // the failure mode the two-slot alternation exists for).
 #pragma once
 
+#include <string>
+
 #include "apply/apply_journal.hpp"
 #include "device/flash_device.hpp"
 
@@ -48,6 +50,53 @@ class FlashJournalStorage final : public JournalStorage {
 
   FlashDevice& device_;
   JournalRegion region_;
+};
+
+/// An updater's journal and the device RAM it works in: the copy window
+/// (undo capacity bytes) and one scratch slot, both charged to the
+/// device's arena, over the two slots at the front of `region`. Throws
+/// DeviceError, naming `who`, when the region cannot hold two slots or
+/// exceeds storage.
+struct DeviceJournal {
+  DeviceJournal(FlashDevice& device, const JournalRegion& region,
+                const ApplyJournalOptions& options, const std::string& who)
+      : window(device.ram().allocate(options.undo_capacity)),
+        scratch(device.ram().allocate(ApplyJournal::slot_bytes(options))),
+        region(slots(device, region, scratch.size(), who)),
+        storage(device, this->region),
+        journal(storage, scratch.view(), options) {}
+
+  /// Throws DeviceError, naming `who`, unless an image of `extent` bytes
+  /// fits the device and stays clear of the journal.
+  void check_image_area(const FlashDevice& device, std::uint64_t extent,
+                        const std::string& who) const {
+    if (extent > device.storage_size()) {
+      throw DeviceError(who + ": image does not fit storage");
+    }
+    if (region.offset < extent) {
+      throw DeviceError(who + ": journal region overlaps the image area");
+    }
+  }
+
+  RamArena::Allocation window;
+  RamArena::Allocation scratch;
+  JournalRegion region;  ///< the two slots
+  FlashJournalStorage storage;
+  ApplyJournal journal;
+
+ private:
+  static JournalRegion slots(const FlashDevice& device,
+                             const JournalRegion& region, std::size_t slot,
+                             const std::string& who) {
+    if (region.size < 2 * slot) {
+      throw DeviceError(who + ": journal region smaller than two slots (" +
+                        std::to_string(2 * slot) + " bytes)");
+    }
+    if (region.offset + region.size > device.storage_size()) {
+      throw DeviceError(who + ": journal region exceeds storage");
+    }
+    return JournalRegion{region.offset, 2 * slot};
+  }
 };
 
 }  // namespace ipd

@@ -1,59 +1,12 @@
 #include "device/resumable_updater.hpp"
 
 #include <algorithm>
-#include <optional>
-#include <vector>
 
-#include "apply/apply_journal.hpp"
 #include "core/checksum.hpp"
 #include "delta/codec.hpp"
+#include "device/stream_updater.hpp"
 
 namespace ipd {
-namespace {
-
-/// One unit of journaled work (see header comment).
-struct Step {
-  offset_t from = 0;       // copy source (unused for adds)
-  offset_t to = 0;
-  length_t length = 0;
-  const AddCommand* add = nullptr;  // non-null for add steps
-  bool needs_backup = false;        // self-overlapping copy sub-step
-};
-
-std::vector<Step> plan_steps(const Script& script,
-                             std::size_t window_bytes) {
-  std::vector<Step> steps;
-  for (const Command& cmd : script.commands()) {
-    if (const auto* copy = std::get_if<CopyCommand>(&cmd)) {
-      if (!copy->self_overlaps()) {
-        steps.push_back(Step{copy->from, copy->to, copy->length, nullptr,
-                             false});
-        continue;
-      }
-      // Split into window sub-steps in the §4.1 direction; each sub-step
-      // journals a backup of its destination window.
-      for (const CopySubstep& sub :
-           split_self_overlapping_copy(*copy, window_bytes)) {
-        steps.push_back(Step{sub.from, sub.to, sub.length, nullptr, true});
-      }
-    } else {
-      const AddCommand& add = std::get<AddCommand>(cmd);
-      steps.push_back(Step{0, add.to, add.length(), &add, false});
-    }
-  }
-  return steps;
-}
-
-ApplyJournalOptions journal_options(const FlashDevice& device,
-                                    const UpdaterOptions& options) {
-  ApplyJournalOptions jopts;
-  jopts.page_size = device.page_size();
-  jopts.undo_capacity = options.window_bytes;
-  jopts.header_capacity = 0;  // the staged path re-stages the whole delta
-  return jopts;
-}
-
-}  // namespace
 
 void clear_journal(FlashDevice& device, const JournalRegion& journal) {
   // Invalidate both slots of the largest journal that could live here:
@@ -77,132 +30,63 @@ ResumableUpdateResult apply_update_resumable(FlashDevice& device,
   result.update.delta_bytes = delta.size();
   result.update.download_seconds = channel.transfer_seconds(delta.size());
 
-  // Stage the delta and parse it.
+  // Stage the delta and parse it: adds stay borrowed from the staged
+  // bytes (or the decompressed payload).
   RamArena::Allocation staged = device.ram().allocate(delta.size());
   std::copy(delta.begin(), delta.end(), staged.data());
-  const DeltaFile file = deserialize_delta(staged.view());
-  if (!file.in_place) {
+  const ParsedDelta parsed = parse_delta(staged.view());
+  const DeltaHeader& header = parsed.header;
+  if (!header.in_place) {
     throw ValidationError(
         "resumable updater: delta is not marked in-place reconstructible");
   }
-  const std::uint64_t image_extent =
-      std::max(file.reference_length, file.version_length);
-  if (image_extent > device.storage_size()) {
-    throw DeviceError("resumable updater: image does not fit storage");
-  }
-
-  // Journal region checks.
-  const ApplyJournalOptions jopts = journal_options(device, options);
-  const std::size_t slot = ApplyJournal::slot_bytes(jopts);
-  if (journal.size < 2 * slot) {
-    throw DeviceError("resumable updater: journal region smaller than two "
-                      "slots (" + std::to_string(2 * slot) + " bytes)");
-  }
-  if (journal.offset < image_extent ||
-      journal.offset + journal.size > device.storage_size()) {
-    throw DeviceError(
-        "resumable updater: journal region overlaps the image area or "
-        "exceeds storage");
-  }
-
-  const std::uint32_t artifact_crc = crc32c(delta);
-  const std::uint64_t artifact_size = delta.size();
-  const std::vector<Step> steps = plan_steps(file.script,
-                                             options.window_bytes);
-
-  RamArena::Allocation window = device.ram().allocate(options.window_bytes);
-  RamArena::Allocation scratch = device.ram().allocate(slot);
-
-  FlashJournalStorage storage(device,
-                              JournalRegion{journal.offset, 2 * slot});
-  ApplyJournal aj(storage, scratch.view(), jopts);
+  // No header capacity: the staged path re-stages the whole delta.
+  DeviceJournal dj(device, journal,
+                   ApplyJournalOptions{device.page_size(),
+                                       options.window_bytes, 0},
+                   "resumable updater");
+  const ApplyRecordFields identity{.artifact_crc = crc32c(delta),
+                                   .artifact_size = delta.size()};
+  JournaledExecutor executor(
+      device, dj, header, identity, {},
+      StreamUpdaterOptions{.verify_crc = options.verify_crc},
+      [](std::uint64_t) { return ResumePoint{}; });
 
   // Recovery: resume from the newest valid record for this delta. A
   // record for a different artifact is someone else's history — leave it
   // alone (seq continuation keeps our appends off its slot until ours
-  // outnumber it) and start from step 0.
-  std::size_t start_step = 0;
-  if (const auto rec = aj.newest_for(artifact_crc, artifact_size)) {
-    result.resumed = true;
-    if (rec->kind == ApplyRecordKind::kDone) {
-      start_step = steps.size();  // nothing left but verification
-    } else {
-      if (rec->command_index >= steps.size()) {
-        throw DeviceError("resumable updater: journal step out of range");
-      }
-      // Undo the possibly-torn step by restoring its backup.
-      if (!rec->undo.empty()) {
-        device.write(rec->undo_to, rec->undo);
-      }
-      start_step = static_cast<std::size_t>(rec->command_index);
+  // outnumber it) and start from command 0.
+  const std::size_t count = parsed.commands.size();
+  const std::optional<ApplyRecord> rec =
+      dj.journal.newest_for(identity.artifact_crc, identity.artifact_size);
+  const bool done = rec && rec->kind == ApplyRecordKind::kDone;
+  if (rec && !done) {
+    if (rec->command_index > count) {
+      throw DeviceError("resumable updater: journal step out of range");
     }
+    executor.resume(*rec);
   }
-  result.steps_replayed = start_step;
+  result.resumed = rec.has_value();
+  result.steps_replayed =
+      done ? count : static_cast<std::size_t>(executor.next_command());
 
   const std::uint64_t pages_before = device.pages_touched_write();
   const std::uint64_t bytes_before = device.bytes_written();
-
-  const auto write_record = [&](ApplyRecordKind kind, std::uint64_t step,
-                                offset_t backup_to, ByteView backup) {
-    ApplyRecord rec;
-    rec.kind = kind;
-    rec.artifact_crc = artifact_crc;
-    rec.artifact_size = artifact_size;
-    rec.command_index = step;
-    rec.undo_to = backup_to;
-    rec.undo.assign(backup.begin(), backup.end());
-    aj.append(std::move(rec));
-  };
-
-  for (std::size_t k = start_step; k < steps.size(); ++k) {
-    const Step& step = steps[k];
-    if (step.needs_backup) {
-      // Save the destination window so a torn execution can be undone.
-      const MutByteView dst =
-          window.view().first(static_cast<std::size_t>(step.length));
-      device.read(step.to, dst);
-      write_record(ApplyRecordKind::kSubstep, k, step.to, dst);
-      // Apply: sub-step fits entirely in the window, so one read+write.
-      device.read(step.from, dst);
-      device.write(step.to, dst);
-    } else {
-      write_record(ApplyRecordKind::kCheckpoint, k, 0, {});
-      if (step.add != nullptr) {
-        device.write(step.to, step.add->data);
-      } else {
-        device_windowed_copy(device, window.view(), step.from, step.to,
-                             step.length);
-      }
+  if (done) {
+    if (options.verify_crc) executor.verify_version();
+  } else {
+    if (!rec) executor.begin(ResumePoint{});
+    for (std::size_t k = result.steps_replayed; k < count; ++k) {
+      executor.execute(parsed.commands[k], 0);
     }
+    executor.finish(ResumePoint{});
   }
-
-  if (start_step < steps.size() || !result.resumed) {
-    write_record(ApplyRecordKind::kDone, steps.size(), 0, {});
-  }
-  result.journal_records = static_cast<std::size_t>(aj.records_written());
-
-  result.update.new_image_length = file.version_length;
+  result.journal_records = static_cast<std::size_t>(dj.journal.records_written());
+  result.update.new_image_length = header.version_length;
   result.update.storage_bytes_written = device.bytes_written() - bytes_before;
   result.update.storage_pages_written =
       device.pages_touched_write() - pages_before;
-
-  if (options.verify_crc) {
-    Crc32c crc;
-    length_t done = 0;
-    while (done < file.version_length) {
-      const std::size_t n = static_cast<std::size_t>(std::min<length_t>(
-          window.size(), file.version_length - done));
-      const MutByteView chunk = window.view().first(n);
-      device.read(done, chunk);
-      crc.update(chunk);
-      done += n;
-    }
-    if (crc.value() != file.version_crc) {
-      throw FormatError(
-          "resumable updater: version CRC mismatch after reconstruction");
-    }
-    result.update.crc_verified = true;
-  }
+  result.update.crc_verified = options.verify_crc;
   result.update.ram_high_water = device.ram().high_water();
   return result;
 }

@@ -1,34 +1,18 @@
-// Power-failure-tolerant in-place update.
+// Power-failure-tolerant staged in-place update.
 //
 // In-place reconstruction destroys the only copy of the old version as it
 // runs (§1); if power fails mid-update the device holds neither version.
-// Real OTA updaters solve this with a small journal, and so do we:
-//
-//  * The journal lives in a reserved storage region (a spare flash
-//    sector), holding two alternating fixed-size slots.
-//  * Before step k runs, a record {seq, command, sub-step, backup} is
-//    written to slot seq%2. Its presence (validated by a CRC) means
-//    "every step before k completed; step k may be partially applied".
-//  * Idempotent steps (adds, non-self-overlapping copies) carry no
-//    backup — re-running them is safe because Equation 2 guarantees
-//    nothing they read has been modified.
-//  * A self-overlapping copy is NOT idempotent: interrupting it corrupts
-//    its own source. It is split into window-sized sub-steps (applied in
-//    the §4.1 direction), and each sub-step's record carries a backup of
-//    the destination window — restoring it makes the sub-step re-runnable.
-//  * Torn journal writes are covered by the alternation: if record k is
-//    torn, record k-1 in the other slot is intact, and step k never
-//    started (records are written before their step), so resuming at
-//    step k-1 is sound.
-//
-// Recovery is automatic: run() inspects the journal, and if a valid
-// record matches this delta (by checksum), restores the backup and
-// resumes from the recorded step.
-//
-// The record format, slot alternation, and recovery scan live in
-// apply/apply_journal.hpp and are shared with the streaming updater
-// (device/stream_updater.hpp); see docs/DEVICE.md for the on-flash
-// layout.
+// The staged updater downloads the whole delta into device RAM, decodes
+// it with parse_delta() (so every container check — LZSS, implicit
+// offsets, exact tiling — runs before the first flash write), and feeds
+// the command table to the journaled executor the streaming updater also
+// runs (device/stream_updater.hpp): replay-idempotent checkpoint batches
+// and journaled sub-steps in a two-slot journal. Recovery is automatic:
+// if the journal holds a valid record for this delta (matched by
+// checksum), the updater restores its undo and resumes at the recorded
+// command and sub-step. The staged journal carries no container header
+// (header_capacity = 0), so its slot layout depends only on the page size
+// and the window; see docs/DEVICE.md for the on-flash layout.
 #pragma once
 
 #include "device/channel.hpp"
@@ -40,8 +24,10 @@ namespace ipd {
 
 struct ResumableUpdateResult {
   UpdateResult update;
-  bool resumed = false;           ///< recovery path was taken
-  std::size_t steps_replayed = 0; ///< first step index executed this run
+  bool resumed = false;  ///< recovery path was taken
+  /// Command index this run resumed at: 0 on a fresh start, the command
+  /// count when the journal already held the done record.
+  std::size_t steps_replayed = 0;
   std::size_t journal_records = 0;
 };
 

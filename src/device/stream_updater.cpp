@@ -5,55 +5,235 @@
 #include <utility>
 
 #include "core/checksum.hpp"
+#include "device/updater.hpp"
 
 namespace ipd {
 namespace {
 
-JournalRegion stream_region(const FlashDevice& device,
-                            const JournalRegion& journal,
-                            const ApplyJournalOptions& jopts) {
-  const std::size_t slot = ApplyJournal::slot_bytes(jopts);
-  if (journal.size < 2 * slot) {
-    throw DeviceError("stream updater: journal region smaller than two "
-                      "slots (" + std::to_string(2 * slot) + " bytes)");
+/// Sub-step `s` of a self-overlapping copy, in the §4.1 direction
+/// (left-to-right when from >= to, else right-to-left), so executing
+/// them in order never reads a byte an earlier sub-step wrote.
+CopyCommand substep_of(const CommandRef& copy, length_t window,
+                       std::uint64_t s) {
+  length_t off = s * window;
+  const length_t n = std::min(window, copy.length - off);
+  if (copy.from < copy.to) {
+    off = copy.length - off - n;
   }
-  if (journal.offset + journal.size > device.storage_size()) {
-    throw DeviceError("stream updater: journal region exceeds storage");
-  }
-  return JournalRegion{journal.offset, 2 * slot};
+  return CopyCommand{copy.from + off, copy.to + off, n};
 }
 
 }  // namespace
+
+JournaledExecutor::JournaledExecutor(FlashDevice& device,
+                                     DeviceJournal& journal,
+                                     const DeltaHeader& header,
+                                     const ApplyRecordFields& identity,
+                                     ByteView header_blob,
+                                     const StreamUpdaterOptions& options,
+                                     ResumeFn resume)
+    : device_(device),
+      journal_(journal.journal),
+      window_(journal.window.view()),
+      header_(header),
+      identity_(identity),
+      header_blob_(header_blob),
+      options_(options),
+      resume_(std::move(resume)) {
+  if (window_.empty()) {
+    throw DeviceError("journaled apply: window must hold at least 1 byte");
+  }
+  journal.check_image_area(
+      device, std::max(header.reference_length, header.version_length),
+      "journaled apply");
+  options_.checkpoint_commands =
+      std::max<std::size_t>(options_.checkpoint_commands, 1);
+  batch_reads_.reserve(options_.checkpoint_commands);
+}
+
+void JournaledExecutor::begin(const ResumePoint& start) {
+  append(ApplyRecordKind::kCheckpoint, 0, 0, start, 0, {});
+}
+
+void JournaledExecutor::resume(const ApplyRecord& record) {
+  if (!record.undo.empty()) {
+    device_.write(record.undo_to, record.undo);
+  }
+  next_command_ = record.command_index;
+  if (record.kind == ApplyRecordKind::kSubstep) {
+    resume_substep_ = record.substep;
+  } else {
+    durable_checkpoint_ = record.command_index;
+  }
+}
+
+void JournaledExecutor::execute(const CommandRef& command,
+                                std::uint64_t payload_pre) {
+  const std::uint64_t index = next_command_++;
+  if (!range_fits(command.to, command.length, header_.version_length)) {
+    throw ValidationError("journaled apply: command writes past version");
+  }
+  const Interval write = Interval::of(command.to, command.length);
+  const Interval read = Interval::of(command.from, command.length);
+  if (!command.is_add()) {
+    if (!range_fits(command.from, command.length,
+                    header_.reference_length)) {
+      throw ValidationError("journaled apply: copy reads past reference");
+    }
+    if (options_.check_conflicts && written_.intersects(read)) {
+      throw ConflictError(
+          "journaled apply: write-before-read conflict at command " +
+          std::to_string(index));
+    }
+  }
+  if (!command.is_add() && read.intersects(write)) {
+    run_substeps(command, index, payload_pre);
+  } else {
+    if (resume_substep_) {
+      throw FormatError(
+          "journaled apply: journal sub-step does not match artifact");
+    }
+    if (!try_join(write)) {
+      seal(index, payload_pre);
+    }
+    if (command.is_add()) {
+      device_.write(command.to, ByteView(command.literal,
+                                         static_cast<std::size_t>(
+                                             command.length)));
+    } else {
+      device_windowed_copy(device_, window_, command.from, command.to,
+                           command.length);
+      batch_reads_.push_back(read);
+    }
+    ++batch_count_;
+  }
+  if (options_.check_conflicts) written_.insert(write);
+}
+
+void JournaledExecutor::run_substeps(const CommandRef& copy,
+                                     std::uint64_t index,
+                                     std::uint64_t payload_pre) {
+  // No checkpoint first: the first sub-step's record already says every
+  // command before this one landed. When resuming, the journal's kSubstep
+  // record for this command is durable and its undo restored; a
+  // checkpoint here would license replay from sub-step 0 over a state
+  // where later sub-steps already ran.
+  std::uint64_t start = 0;
+  if (resume_substep_) {
+    start = *resume_substep_;
+    resume_substep_.reset();
+  }
+  const length_t window = window_.size();
+  const std::uint64_t count = (copy.length + window - 1) / window;
+  if (start >= count) {
+    throw DeviceError("journaled apply: journal sub-step out of range");
+  }
+  const ResumePoint point = resume_(payload_pre);
+  CopyCommand sub;
+  for (std::uint64_t s = start; s < count; ++s) {
+    sub = substep_of(copy, window, s);
+    const MutByteView dst =
+        window_.first(static_cast<std::size_t>(sub.length));
+    device_.read(sub.to, dst);  // destination pre-image = undo
+    append(ApplyRecordKind::kSubstep, index, s, point, sub.to, dst);
+    device_.read(sub.from, dst);
+    device_.write(sub.to, dst);
+  }
+  // The last sub-step's record opens the next batch: replaying from it
+  // restores that sub-step's undo and re-runs it, so later commands may
+  // join as long as none writes what the sub-step reads.
+  batch_reads_.clear();
+  batch_reads_.push_back(Interval::of(sub.from, sub.length));
+  batch_count_ = 1;
+}
+
+bool JournaledExecutor::try_join(const Interval& write) const {
+  if (batch_count_ >= options_.checkpoint_commands) {
+    return false;
+  }
+  // Replay-idempotence: the joining command's write must not touch any
+  // batch member's read set, or re-running the batch from its checkpoint
+  // would read post-write bytes.
+  return std::none_of(
+      batch_reads_.begin(), batch_reads_.end(),
+      [&write](const Interval& read) { return write.intersects(read); });
+}
+
+void JournaledExecutor::seal(std::uint64_t command_index,
+                             std::uint64_t payload_offset) {
+  batch_reads_.clear();
+  batch_count_ = 0;
+  if (durable_checkpoint_ == command_index) {
+    return;  // this boundary is already the newest durable record
+  }
+  append(ApplyRecordKind::kCheckpoint, command_index, 0,
+         resume_(payload_offset), 0, {});
+}
+
+void JournaledExecutor::finish(const ResumePoint& done) {
+  if (options_.verify_crc) {
+    verify_version();
+  }
+  append(ApplyRecordKind::kDone, next_command_, 0, done, 0, {});
+}
+
+void JournaledExecutor::verify_version() {
+  if (storage_crc(device_, window_, header_.version_length) !=
+      header_.version_crc) {
+    throw FormatError(
+        "journaled apply: version CRC mismatch after reconstruction");
+  }
+}
+
+void JournaledExecutor::append(ApplyRecordKind kind,
+                               std::uint64_t command_index,
+                               std::uint64_t substep,
+                               const ResumePoint& point, offset_t undo_to,
+                               ByteView undo) {
+  ApplyRecordFields fields = identity_;
+  fields.kind = kind;
+  fields.command_index = command_index;
+  fields.substep = substep;
+  fields.artifact_offset = point.artifact_offset;
+  fields.adler_state = point.adler_state;
+  fields.undo_to = undo_to;
+  journal_.append(fields, undo,
+                  kind == ApplyRecordKind::kDone ? ByteView{} : header_blob_);
+  if (kind == ApplyRecordKind::kCheckpoint) {
+    durable_checkpoint_ = command_index;
+  } else {
+    durable_checkpoint_.reset();
+  }
+}
 
 ApplyJournalOptions StreamingDeviceUpdater::journal_options(
     const FlashDevice& device, const StreamUpdaterOptions& options) {
   if (options.window_bytes == 0) {
     throw DeviceError("stream updater: window_bytes must be >= 1");
   }
-  ApplyJournalOptions jopts;
-  jopts.page_size = device.page_size();
-  jopts.undo_capacity = options.window_bytes;
-  jopts.header_capacity = options.header_capacity;
-  return jopts;
+  return ApplyJournalOptions{device.page_size(), options.window_bytes,
+                             options.header_capacity};
 }
 
 StreamingDeviceUpdater::StreamingDeviceUpdater(
     FlashDevice& device, const JournalRegion& journal,
     const StreamArtifactInfo& info, const StreamUpdaterOptions& options)
     : device_(device),
-      info_(info),
+      identity_{.full_image = info.full_image,
+                .artifact_crc = info.artifact_crc,
+                .artifact_size = info.artifact_size,
+                .meta_from = info.meta_from,
+                .meta_hop = info.meta_hop,
+                .meta_target = info.meta_target},
       options_(options),
-      jopts_(journal_options(device, options)),
-      journal_offset_(journal.offset),
-      window_(device.ram().allocate(options.window_bytes)),
-      scratch_(device.ram().allocate(ApplyJournal::slot_bytes(jopts_))),
-      storage_(device, stream_region(device, journal, jopts_)),
-      journal_(storage_, scratch_.view(), jopts_) {
-  if (info_.artifact_size == 0) {
+      journal_(device, journal, journal_options(device, options),
+               "stream updater") {
+  if (identity_.artifact_size == 0) {
     throw ValidationError("stream updater: artifact size must be >= 1");
   }
   if (const auto rec =
-          journal_.newest_for(info_.artifact_crc, info_.artifact_size)) {
+          journal_.journal.newest_for(identity_.artifact_crc,
+                                      identity_.artifact_size)) {
     recover(*rec);
     return;
   }
@@ -61,17 +241,11 @@ StreamingDeviceUpdater::StreamingDeviceUpdater(
   // durable memory of its previous update — leave it; slot alternation
   // retires it once two of our records land, and until our first record
   // is durable it correctly describes the device's state.
-  if (info_.full_image) {
-    if (info_.artifact_size > device_.storage_size()) {
-      throw DeviceError("stream updater: image does not fit storage");
-    }
-    if (journal_offset_ < info_.artifact_size) {
-      throw DeviceError(
-          "stream updater: journal region overlaps the image area");
-    }
+  if (identity_.full_image) {
+    journal_.check_image_area(device_, identity_.artifact_size,
+                              "stream updater");
     // Write-ahead: the initial checkpoint lands before any image write.
-    append_record(ApplyRecordKind::kCheckpoint, 0, 0, /*artifact_offset=*/0,
-                  /*adler_state=*/0, 0, {}, {});
+    append_image_record(ApplyRecordKind::kCheckpoint);
   }
   // Delta mode journals its first checkpoint once the header parses.
 }
@@ -80,19 +254,17 @@ void StreamingDeviceUpdater::recover(const ApplyRecord& rec) {
   resumed_ = true;
   if (rec.kind == ApplyRecordKind::kDone) {
     finished_ = true;
-    stream_pos_ = info_.artifact_size;
-    durable_offset_ = info_.artifact_size;
+    stream_pos_ = identity_.artifact_size;
     return;
   }
-  if (rec.full_image != info_.full_image) {
+  if (rec.full_image != identity_.full_image) {
     throw DeviceError("stream updater: journal record mode mismatch");
   }
-  if (rec.artifact_offset > info_.artifact_size) {
+  if (rec.artifact_offset > identity_.artifact_size) {
     throw DeviceError("stream updater: journal offset out of range");
   }
-  if (info_.full_image) {
-    stream_pos_ = rec.artifact_offset;
-    durable_offset_ = rec.artifact_offset;
+  stream_pos_ = rec.artifact_offset;
+  if (identity_.full_image) {
     image_crc_state_ = rec.adler_state;
     last_image_checkpoint_ = rec.artifact_offset;
     return;
@@ -107,29 +279,26 @@ void StreamingDeviceUpdater::recover(const ApplyRecord& rec) {
   header_len_ = parsed->second;
   header_blob_.assign(rec.header.begin(), rec.header.end());
   validate_header();
-  decoder_.emplace(header_->format, header_->version_length);
   if (rec.artifact_offset < header_len_) {
     throw DeviceError("stream updater: journal offset inside the header");
   }
-  // Restoring the undo pre-image is idempotent: it reverts the possibly
-  // partially-applied in-flight sub-step, after which every journaled
-  // command from command_index on replays byte-exactly.
-  if (!rec.undo.empty()) {
-    device_.write(rec.undo_to, rec.undo);
-  }
-  stream_pos_ = rec.artifact_offset;
-  durable_offset_ = rec.artifact_offset;
   base_payload_ = rec.artifact_offset - header_len_;
   boundary_adler_ = rec.adler_state;
   adler_pos_ = base_payload_;
-  pending_start_ = base_payload_;
-  next_command_index_ = rec.command_index;
-  commands_ = static_cast<std::size_t>(rec.command_index);
-  if (rec.kind == ApplyRecordKind::kSubstep) {
-    pending_resume_substep_ = rec.substep;
-  } else {
-    durable_checkpoint_index_ = rec.command_index;
-  }
+  start_executor();
+  // Restoring the undo pre-image is idempotent: it reverts the possibly
+  // partially-applied in-flight sub-step, after which every journaled
+  // command from command_index on replays byte-exactly.
+  executor_->resume(rec);
+}
+
+void StreamingDeviceUpdater::start_executor() {
+  decoder_.emplace(header_->format, header_->version_length);
+  executor_.emplace(device_, journal_, *header_, identity_, header_blob_,
+                    options_, [this](std::uint64_t payload) {
+                      return ResumePoint{header_len_ + payload,
+                                         adler_at(payload)};
+                    });
 }
 
 void StreamingDeviceUpdater::validate_header() {
@@ -150,16 +319,7 @@ void StreamingDeviceUpdater::validate_header() {
         "stream updater: journaled streaming apply requires explicit "
         "write offsets");
   }
-  const std::uint64_t extent =
-      std::max(header_->reference_length, header_->version_length);
-  if (extent > device_.storage_size()) {
-    throw DeviceError("stream updater: image does not fit storage");
-  }
-  if (journal_offset_ < extent) {
-    throw DeviceError(
-        "stream updater: journal region overlaps the image area");
-  }
-  if (header_len_ + header_->payload_length != info_.artifact_size) {
+  if (header_len_ + header_->payload_length != identity_.artifact_size) {
     throw FormatError(
         "stream updater: container length does not match artifact size");
   }
@@ -168,12 +328,9 @@ void StreamingDeviceUpdater::validate_header() {
 std::optional<StreamApplyProbe> StreamingDeviceUpdater::probe(
     FlashDevice& device, const JournalRegion& journal,
     const StreamUpdaterOptions& options) {
-  const ApplyJournalOptions jopts = journal_options(device, options);
-  RamArena::Allocation scratch =
-      device.ram().allocate(ApplyJournal::slot_bytes(jopts));
-  FlashJournalStorage storage(device, stream_region(device, journal, jopts));
-  ApplyJournal aj(storage, scratch.view(), jopts);
-  const auto& rec = aj.newest();
+  DeviceJournal dj(device, journal, journal_options(device, options),
+                   "stream updater");
+  const auto& rec = dj.journal.newest();
   if (!rec) {
     return std::nullopt;
   }
@@ -193,16 +350,13 @@ std::optional<StreamApplyProbe> StreamingDeviceUpdater::probe(
 void StreamingDeviceUpdater::clear(FlashDevice& device,
                                    const JournalRegion& journal,
                                    const StreamUpdaterOptions& options) {
-  const ApplyJournalOptions jopts = journal_options(device, options);
-  RamArena::Allocation scratch =
-      device.ram().allocate(ApplyJournal::slot_bytes(jopts));
-  FlashJournalStorage storage(device, stream_region(device, journal, jopts));
-  ApplyJournal aj(storage, scratch.view(), jopts);
-  aj.clear();
+  DeviceJournal(device, journal, journal_options(device, options),
+                "stream updater")
+      .journal.clear();
 }
 
 std::uint64_t StreamingDeviceUpdater::journal_records() const noexcept {
-  return journal_.records_written();
+  return journal_.journal.records_written();
 }
 
 void StreamingDeviceUpdater::feed(ByteView chunk) {
@@ -216,10 +370,10 @@ void StreamingDeviceUpdater::feed(ByteView chunk) {
       }
       return;
     }
-    if (stream_pos_ + chunk.size() > info_.artifact_size) {
+    if (stream_pos_ + chunk.size() > identity_.artifact_size) {
       throw FormatError("stream updater: bytes past declared artifact size");
     }
-    if (info_.full_image) {
+    if (identity_.full_image) {
       feed_full_image(chunk);
     } else {
       feed_delta(chunk);
@@ -240,14 +394,13 @@ void StreamingDeviceUpdater::feed_full_image(ByteView chunk) {
   device_.write(stream_pos_, chunk);
   image_crc_state_ = crc32c(chunk, image_crc_state_);
   stream_pos_ += chunk.size();
-  if (stream_pos_ == info_.artifact_size) {
+  if (stream_pos_ == identity_.artifact_size) {
     finish_full_image();
     return;
   }
   if (stream_pos_ - last_image_checkpoint_ >=
       options_.full_image_checkpoint_bytes) {
-    append_record(ApplyRecordKind::kCheckpoint, 0, 0, stream_pos_,
-                  image_crc_state_, 0, {}, {});
+    append_image_record(ApplyRecordKind::kCheckpoint);
     last_image_checkpoint_ = stream_pos_;
   }
 }
@@ -258,7 +411,7 @@ void StreamingDeviceUpdater::feed_delta(ByteView chunk) {
     stream_pos_ += chunk.size();
     const auto parsed = try_parse_header(head_pending_);
     if (!parsed) {
-      if (head_pending_.size() > jopts_.header_capacity) {
+      if (head_pending_.size() > options_.header_capacity) {
         throw DeviceError(
             "stream updater: container header exceeds header_capacity");
       }
@@ -266,7 +419,7 @@ void StreamingDeviceUpdater::feed_delta(ByteView chunk) {
     }
     header_ = parsed->first;
     header_len_ = parsed->second;
-    if (header_len_ > jopts_.header_capacity) {
+    if (header_len_ > options_.header_capacity) {
       throw DeviceError(
           "stream updater: container header exceeds header_capacity");
     }
@@ -274,12 +427,11 @@ void StreamingDeviceUpdater::feed_delta(ByteView chunk) {
                         head_pending_.begin() +
                             static_cast<std::ptrdiff_t>(header_len_));
     validate_header();
-    decoder_.emplace(header_->format, header_->version_length);
+    start_executor();
     // Write-ahead: checkpoint {command 0} with the raw header lands
     // before any flash write, making the journal the device's memory of
     // this hop from the very first byte applied.
-    append_record(ApplyRecordKind::kCheckpoint, 0, 0, header_len_,
-                  /*adler_state=*/1, 0, {}, header_blob_);
+    executor_->begin(ResumePoint{header_len_, 1});
     const Bytes rest(head_pending_.begin() +
                          static_cast<std::ptrdiff_t>(header_len_),
                      head_pending_.end());
@@ -297,7 +449,9 @@ void StreamingDeviceUpdater::feed_delta(ByteView chunk) {
 }
 
 void StreamingDeviceUpdater::ingest_payload(ByteView chunk) {
-  pending_payload_.insert(pending_payload_.end(), chunk.begin(), chunk.end());
+  // feed() may compact the decoder's consumed bytes away: fold them in
+  // first. Every byte consumed since the last feed() is still buffered.
+  adler_at(base_payload_ + decoder_->consumed());
   decoder_->feed(chunk);
   drain_commands();
 }
@@ -305,11 +459,11 @@ void StreamingDeviceUpdater::ingest_payload(ByteView chunk) {
 void StreamingDeviceUpdater::drain_commands() {
   for (;;) {
     const std::uint64_t pre = base_payload_ + decoder_->consumed();
-    auto cmd = decoder_->next();
+    const std::optional<CommandRef> cmd = decoder_->next_ref();
     if (!cmd) {
       break;
     }
-    process_command(*cmd, pre);
+    executor_->execute(*cmd, pre);
   }
   const std::uint64_t payload_seen = stream_pos_ - header_len_;
   const std::uint64_t consumed = base_payload_ + decoder_->consumed();
@@ -325,187 +479,32 @@ void StreamingDeviceUpdater::drain_commands() {
   if (payload_seen == header_->payload_length && decoder_->buffered() != 0) {
     throw FormatError("stream updater: payload ends inside a command");
   }
-  // Drop payload bytes already folded into the boundary checksum.
-  const std::size_t folded =
-      static_cast<std::size_t>(adler_pos_ - pending_start_);
-  if (folded > 0) {
-    pending_payload_.erase(pending_payload_.begin(),
-                           pending_payload_.begin() +
-                               static_cast<std::ptrdiff_t>(folded));
-    pending_start_ = adler_pos_;
-  }
-}
-
-void StreamingDeviceUpdater::process_command(const Command& cmd,
-                                             std::uint64_t payload_pre) {
-  const std::uint64_t idx = next_command_index_++;
-  ++commands_;
-  const length_t len = command_length(cmd);
-  if (len == 0) {
-    if (pending_resume_substep_) {
-      throw FormatError(
-          "stream updater: journal sub-step does not match artifact");
-    }
-    return;
-  }
-  const Interval w = command_write_interval(cmd);
-  if (!range_fits(w.first, len, header_->version_length)) {
-    throw ValidationError("stream updater: command writes past version");
-  }
-  if (const auto* copy = std::get_if<CopyCommand>(&cmd)) {
-    if (!range_fits(copy->from, copy->length, header_->reference_length)) {
-      throw ValidationError("stream updater: copy reads past reference");
-    }
-    if (options_.check_conflicts) {
-      const Interval read = copy->read_interval();
-      auto it = written_.upper_bound(read.last);
-      if (it != written_.begin() && std::prev(it)->second >= read.first) {
-        throw ConflictError(
-            "stream updater: write-before-read conflict at command " +
-            std::to_string(idx));
-      }
-    }
-    if (copy->self_overlaps()) {
-      run_substeps(*copy, idx, payload_pre);
-    } else {
-      if (pending_resume_substep_) {
-        throw FormatError(
-            "stream updater: journal sub-step does not match artifact");
-      }
-      if (!try_join(w)) {
-        force_seal(idx, payload_pre);
-      }
-      device_windowed_copy(device_, window_.view(), copy->from, copy->to,
-                           copy->length);
-      batch_reads_.push_back(copy->read_interval());
-      ++batch_count_;
-    }
-  } else {
-    if (pending_resume_substep_) {
-      throw FormatError(
-          "stream updater: journal sub-step does not match artifact");
-    }
-    const AddCommand& add = std::get<AddCommand>(cmd);
-    if (!try_join(w)) {
-      force_seal(idx, payload_pre);
-    }
-    device_.write(add.to, add.data);
-    ++batch_count_;
-  }
-  if (options_.check_conflicts) {
-    written_[w.first] = w.last;
-  }
-}
-
-void StreamingDeviceUpdater::run_substeps(const CopyCommand& copy,
-                                          std::uint64_t command_index,
-                                          std::uint64_t payload_pre) {
-  std::uint64_t start_sub = 0;
-  if (pending_resume_substep_) {
-    // The journal's kSubstep record for this command is already durable
-    // and its undo restored; writing a checkpoint here would license
-    // replay from sub-step 0 over a state where later sub-steps already
-    // ran. Resume directly at the recorded sub-step.
-    start_sub = *pending_resume_substep_;
-    pending_resume_substep_.reset();
-  } else {
-    // A self-overlapping copy is never idempotent — it gets a sealed
-    // batch of its own.
-    force_seal(command_index, payload_pre);
-  }
-  const std::vector<CopySubstep> subs =
-      split_self_overlapping_copy(copy, options_.window_bytes);
-  if (start_sub >= subs.size()) {
-    throw DeviceError("stream updater: journal sub-step out of range");
-  }
-  for (std::uint64_t s = start_sub; s < subs.size(); ++s) {
-    const CopySubstep& sub = subs[s];
-    const MutByteView dst =
-        window_.view().first(static_cast<std::size_t>(sub.length));
-    device_.read(sub.to, dst);  // destination pre-image = undo
-    append_record(ApplyRecordKind::kSubstep, command_index, s,
-                  header_len_ + payload_pre, adler_at(payload_pre), sub.to,
-                  dst, header_blob_);
-    device_.read(sub.from, dst);
-    device_.write(sub.to, dst);
-  }
-  // Close the command: later commands may overwrite its sources, so
-  // replay must never re-enter its sub-steps.
-  const std::uint64_t post = base_payload_ + decoder_->consumed();
-  force_seal(command_index + 1, post);
-}
-
-bool StreamingDeviceUpdater::try_join(const Interval& write) const {
-  if (batch_count_ >=
-      std::max<std::size_t>(options_.checkpoint_commands, 1)) {
-    return false;
-  }
-  // Replay-idempotence: the joining command's write must not touch any
-  // batch member's read set, or re-running the batch from its checkpoint
-  // would read post-write bytes. (Equation 2 covers only the forward
-  // direction — earlier writes vs later reads.)
-  for (const Interval& read : batch_reads_) {
-    if (write.intersects(read)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void StreamingDeviceUpdater::force_seal(std::uint64_t command_index,
-                                        std::uint64_t payload_offset) {
-  batch_reads_.clear();
-  batch_count_ = 0;
-  if (durable_checkpoint_index_ == command_index) {
-    return;  // this boundary is already the newest durable record
-  }
-  append_record(ApplyRecordKind::kCheckpoint, command_index, 0,
-                header_len_ + payload_offset, adler_at(payload_offset), 0,
-                {}, header_blob_);
 }
 
 std::uint32_t StreamingDeviceUpdater::adler_at(std::uint64_t payload_offset) {
   if (payload_offset > adler_pos_) {
-    const std::size_t a = static_cast<std::size_t>(adler_pos_ - pending_start_);
-    const std::size_t b =
-        static_cast<std::size_t>(payload_offset - pending_start_);
-    if (b > pending_payload_.size()) {
+    const ByteView held = decoder_->consumed_bytes();
+    const std::uint64_t held_end = base_payload_ + decoder_->consumed();
+    if (adler_pos_ + held.size() < held_end || payload_offset > held_end) {
       throw DeviceError("stream updater: checksum fold out of range");
     }
-    boundary_adler_ =
-        adler32(ByteView(pending_payload_).subspan(a, b - a), boundary_adler_);
+    const std::size_t from =
+        held.size() - static_cast<std::size_t>(held_end - adler_pos_);
+    boundary_adler_ = adler32(
+        held.subspan(from, static_cast<std::size_t>(payload_offset -
+                                                    adler_pos_)),
+        boundary_adler_);
     adler_pos_ = payload_offset;
   }
   return boundary_adler_;
 }
 
-void StreamingDeviceUpdater::append_record(
-    ApplyRecordKind kind, std::uint64_t command_index, std::uint64_t substep,
-    std::uint64_t artifact_offset, std::uint32_t adler_state,
-    offset_t undo_to, ByteView undo, ByteView header_blob) {
-  ApplyRecord rec;
-  rec.kind = kind;
-  rec.full_image = info_.full_image;
-  rec.artifact_crc = info_.artifact_crc;
-  rec.artifact_size = info_.artifact_size;
-  rec.meta_from = info_.meta_from;
-  rec.meta_hop = info_.meta_hop;
-  rec.meta_target = info_.meta_target;
-  rec.command_index = command_index;
-  rec.substep = substep;
-  rec.artifact_offset = artifact_offset;
-  rec.adler_state = adler_state;
-  rec.undo_to = undo_to;
-  rec.undo.assign(undo.begin(), undo.end());
-  rec.header.assign(header_blob.begin(), header_blob.end());
-  journal_.append(std::move(rec));
-  durable_offset_ =
-      kind == ApplyRecordKind::kDone ? info_.artifact_size : artifact_offset;
-  if (kind == ApplyRecordKind::kCheckpoint && !info_.full_image) {
-    durable_checkpoint_index_ = command_index;
-  } else {
-    durable_checkpoint_index_.reset();
-  }
+void StreamingDeviceUpdater::append_image_record(ApplyRecordKind kind) {
+  ApplyRecordFields fields = identity_;
+  fields.kind = kind;
+  fields.artifact_offset = stream_pos_;
+  fields.adler_state = image_crc_state_;
+  journal_.journal.append(fields, {}, {});
 }
 
 void StreamingDeviceUpdater::finish_delta() {
@@ -513,44 +512,22 @@ void StreamingDeviceUpdater::finish_delta() {
   if (header_->payload_length > 0 && final_adler != header_->payload_adler) {
     throw FormatError("stream updater: payload checksum mismatch");
   }
-  if (options_.verify_crc) {
-    verify_image_crc(header_->version_length, header_->version_crc,
-                     "version");
-  }
-  append_record(ApplyRecordKind::kDone, next_command_index_, 0,
-                info_.artifact_size, final_adler, 0, {}, {});
+  executor_->finish(ResumePoint{identity_.artifact_size, final_adler});
   finished_ = true;
 }
 
 void StreamingDeviceUpdater::finish_full_image() {
-  if (image_crc_state_ != info_.artifact_crc) {
+  if (image_crc_state_ != identity_.artifact_crc) {
     throw FormatError("stream updater: image checksum mismatch");
   }
-  if (options_.verify_crc) {
-    verify_image_crc(info_.artifact_size, info_.artifact_crc, "image");
+  if (options_.verify_crc &&
+      storage_crc(device_, journal_.window.view(), identity_.artifact_size) !=
+          identity_.artifact_crc) {
+    throw FormatError(
+        "stream updater: image CRC mismatch after reconstruction");
   }
-  append_record(ApplyRecordKind::kDone, 0, 0, info_.artifact_size,
-                image_crc_state_, 0, {}, {});
+  append_image_record(ApplyRecordKind::kDone);
   finished_ = true;
-}
-
-void StreamingDeviceUpdater::verify_image_crc(std::uint64_t length,
-                                              std::uint32_t expected,
-                                              const char* what) {
-  Crc32c crc;
-  std::uint64_t done = 0;
-  while (done < length) {
-    const std::size_t n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(window_.size(), length - done));
-    const MutByteView chunk = window_.view().first(n);
-    device_.read(done, chunk);
-    crc.update(chunk);
-    done += n;
-  }
-  if (crc.value() != expected) {
-    throw FormatError(std::string("stream updater: ") + what +
-                      " CRC mismatch after reconstruction");
-  }
 }
 
 }  // namespace ipd

@@ -1,54 +1,51 @@
-// Power-loss-safe *streaming* in-place apply: the journaled sibling of
-// apply/stream_applier.hpp, writing straight to FlashDevice storage while
-// the artifact is still arriving over the network.
+// Power-loss-safe in-place apply straight to FlashDevice storage: the
+// journaled executor both device updaters run, and the streaming updater
+// that feeds it while the artifact is still arriving over the network.
 //
-// The staged path (device/resumable_updater.hpp) downloads the whole
-// delta before the first flash write — RAM = artifact size. A constrained
-// device streams instead: each command is applied the moment its bytes
-// arrive, and the apply journal (apply/apply_journal.hpp) makes that
-// survivable:
+// In-place reconstruction destroys the only copy of the reference as it
+// runs (§1). JournaledExecutor applies borrowed commands (CommandRef)
+// under the apply journal (apply/apply_journal.hpp) so a rebooted device
+// resumes byte-exactly, whether the staged updater
+// (device/resumable_updater.hpp) feeds it parse_delta()'s table or
+// StreamingDeviceUpdater feeds it commands as their bytes arrive:
 //
+//  * Bounds and an exact write-before-read oracle (no copy reads a byte
+//    an earlier command of this run wrote) gate each flash write.
 //  * Replay-idempotent batching. Equation 2 guarantees no command writes
-//    over a LATER command's reads, but says nothing about the reverse —
-//    command j may overwrite what command i < j already read. A batch of
-//    commands k..m-1 shares one checkpoint record iff no member's write
-//    intersects any member's read set and no member self-overlaps; then
-//    replaying the whole batch from k after a crash anywhere inside it is
-//    byte-exact. Checkpoints are written BETWEEN batches, so the newest
-//    valid record always names a batch whose predecessors fully landed.
-//  * Self-overlapping copies are never idempotent: they are split into
-//    window-sized sub-steps (§4.1 direction, device/updater.hpp), each
-//    preceded by a kSubstep record carrying the destination window's
-//    pre-image. Restoring that undo makes the sub-step re-runnable.
-//  * Every record stores the artifact byte offset of the first command
-//    that must be re-fetched plus the running payload Adler-32 at that
-//    boundary, so recovery composes with the wire protocol's byte-exact
-//    RESUME: the rebooted device asks the server for exactly the suffix
-//    it needs and verifies the payload checksum as if never interrupted.
-//  * Full images stream through the same journal (kind flag full_image):
-//    raw chunks land at their offset, checkpoints every
-//    full_image_checkpoint_bytes carry the running CRC-32C, and rewrites
-//    after a torn write are idempotent.
+//    over a LATER command's reads, but command j may overwrite what
+//    command i < j already read. Commands k..m-1 share one checkpoint
+//    record iff no member's write intersects any member's read set; then
+//    replaying the batch from k after a crash inside it is byte-exact.
+//    Checkpoints are written BETWEEN batches.
+//  * Self-overlapping copies are never idempotent: they run as window-
+//    sized sub-steps (§4.1 direction), each preceded by a kSubstep record
+//    carrying the destination window's pre-image; restoring that undo
+//    makes the sub-step re-runnable. The first sub-step's record closes
+//    the batch before the copy and the last one opens the batch after it.
+//  * The version CRC-32C is read back before the done record.
 //
-// Trust note: the staged path can run the static Verifier over the whole
-// artifact before the first flash write; a streaming device cannot. It
-// gets incremental gating instead — header validation, per-command
-// bounds, and the write-before-read conflict oracle run BEFORE each
-// flash write — while the server-side Verifier (DeltaService
-// verify_artifacts) remains the authoritative pre-serve gate. See
-// docs/DEVICE.md.
+// Nothing on this path allocates per command or per record. Streaming
+// records also carry the artifact offset of the in-flight command and the
+// running payload Adler-32 there (so recovery composes with the wire
+// protocol's byte-exact RESUME), plus the raw container header. Full
+// images stream through the same journal (flag full_image), with
+// checkpoints carrying the running CRC-32C.
+//
+// Trust note: only the staged path can run the static Verifier before the
+// first flash write; a streaming device gets the incremental gating above,
+// and the server-side Verifier stays the authoritative pre-serve gate.
+// See docs/DEVICE.md.
 #pragma once
 
-#include <map>
-#include <memory>
+#include <functional>
 #include <optional>
 #include <vector>
 
 #include "apply/apply_journal.hpp"
+#include "apply/oracle.hpp"
 #include "delta/codec.hpp"
 #include "device/flash_device.hpp"
 #include "device/flash_journal.hpp"
-#include "device/updater.hpp"
 
 namespace ipd {
 
@@ -69,6 +66,91 @@ struct StreamUpdaterOptions {
   /// read violation instead of corrupting (defense in depth behind the
   /// server-side Verifier).
   bool check_conflicts = true;
+};
+
+/// What a record tells a rebooted device about the download: the
+/// artifact byte to re-fetch from and the running payload Adler-32
+/// there. Staged applies keep the whole artifact and leave it default.
+struct ResumePoint {
+  std::uint64_t artifact_offset = 0;
+  std::uint32_t adler_state = 1;
+};
+
+class JournaledExecutor {
+ public:
+  /// Maps a payload offset at a command boundary to its ResumePoint;
+  /// called only when a record is written.
+  using ResumeFn = std::function<ResumePoint(std::uint64_t payload_offset)>;
+
+  /// `identity` holds the fields every record repeats (artifact identity
+  /// and hop metadata); `header_blob` is the raw container header each
+  /// in-flight record carries. Of `options`, checkpoint_commands,
+  /// check_conflicts and verify_crc apply. `journal` and `header_blob`
+  /// must outlive the executor. Throws DeviceError when the image does
+  /// not fit storage or reaches into the journal region.
+  JournaledExecutor(FlashDevice& device, DeviceJournal& journal,
+                    const DeltaHeader& header,
+                    const ApplyRecordFields& identity, ByteView header_blob,
+                    const StreamUpdaterOptions& options, ResumeFn resume);
+
+  JournaledExecutor(const JournaledExecutor&) = delete;
+  JournaledExecutor& operator=(const JournaledExecutor&) = delete;
+
+  /// Fresh start: journal the write-ahead checkpoint at command 0.
+  void begin(const ResumePoint& start);
+
+  /// Continue from the journal's in-flight record for this artifact:
+  /// restore its undo pre-image, after which every command from
+  /// record.command_index (at record.substep, for a kSubstep record)
+  /// replays byte-exactly.
+  void resume(const ApplyRecord& record);
+
+  /// Execute the next command, whose codeword starts at payload offset
+  /// `payload_pre`. Throws ValidationError on a bounds violation and
+  /// ConflictError on a write-before-read conflict, both before the
+  /// command's first flash write; FormatError when a resumed sub-step
+  /// does not match the command.
+  void execute(const CommandRef& command, std::uint64_t payload_pre);
+
+  /// Check the version CRC (when verify_crc), then journal the done
+  /// record at `done`.
+  void finish(const ResumePoint& done);
+
+  /// Read the version back through the window and compare its CRC-32C
+  /// with the header's; throws FormatError on a mismatch.
+  void verify_version();
+
+  /// Index of the next command to execute.
+  std::uint64_t next_command() const noexcept { return next_command_; }
+
+ private:
+  void run_substeps(const CommandRef& copy, std::uint64_t index,
+                    std::uint64_t payload_pre);
+  bool try_join(const Interval& write) const;
+  void seal(std::uint64_t command_index, std::uint64_t payload_offset);
+  void append(ApplyRecordKind kind, std::uint64_t command_index,
+              std::uint64_t substep, const ResumePoint& point,
+              offset_t undo_to, ByteView undo);
+
+  FlashDevice& device_;
+  ApplyJournal& journal_;
+  MutByteView window_;
+  DeltaHeader header_;
+  ApplyRecordFields identity_;
+  ByteView header_blob_;
+  StreamUpdaterOptions options_;
+  ResumeFn resume_;
+
+  std::uint64_t next_command_ = 0;
+  // Whether the newest journal record is a checkpoint at this command:
+  // sealing the same boundary twice is skipped, and (critically) a
+  // resume at a kSubstep record must NOT be preceded by a fresh
+  // checkpoint, which would license replay from sub-step 0.
+  std::optional<std::uint64_t> durable_checkpoint_;
+  std::optional<std::uint64_t> resume_substep_;
+  std::vector<Interval> batch_reads_;
+  std::size_t batch_count_ = 0;
+  WrittenIntervals written_;
 };
 
 /// Identity and hop metadata of the artifact being applied — journaled in
@@ -137,16 +219,11 @@ class StreamingDeviceUpdater {
   /// resets to the last durable checkpoint after a reboot).
   std::uint64_t next_offset() const noexcept { return stream_pos_; }
 
-  /// Artifact byte the last durable checkpoint re-fetches from — what a
-  /// reboot would come back to.
-  std::uint64_t resume_offset() const noexcept { return durable_offset_; }
-
   bool resumed() const noexcept { return resumed_; }
-  std::size_t commands_applied() const noexcept { return commands_; }
-  std::uint64_t journal_records() const noexcept;
-  const std::optional<DeltaHeader>& header() const noexcept {
-    return header_;
+  std::size_t commands_applied() const noexcept {
+    return executor_ ? executor_->next_command() : 0;
   }
+  std::uint64_t journal_records() const noexcept;
 
  private:
   static ApplyJournalOptions journal_options(
@@ -156,37 +233,20 @@ class StreamingDeviceUpdater {
   void feed_delta(ByteView chunk);
   void ingest_payload(ByteView chunk);
   void drain_commands();
-  void process_command(const Command& cmd, std::uint64_t payload_pre);
-  void run_substeps(const CopyCommand& copy, std::uint64_t command_index,
-                    std::uint64_t payload_pre);
-  bool try_join(const Interval& write) const;
-  void force_seal(std::uint64_t command_index, std::uint64_t payload_offset);
   std::uint32_t adler_at(std::uint64_t payload_offset);
-  void append_record(ApplyRecordKind kind, std::uint64_t command_index,
-                     std::uint64_t substep, std::uint64_t artifact_offset,
-                     std::uint32_t adler_state, offset_t undo_to,
-                     ByteView undo, ByteView header_blob);
+  void append_image_record(ApplyRecordKind kind);
+  void start_executor();
   void finish_delta();
   void finish_full_image();
-  void verify_image_crc(std::uint64_t length, std::uint32_t expected,
-                        const char* what);
 
   void recover(const ApplyRecord& rec);
   void validate_header();
 
   FlashDevice& device_;
-  StreamArtifactInfo info_;
+  ApplyRecordFields identity_;  ///< the artifact every record names
   StreamUpdaterOptions options_;
-  ApplyJournalOptions jopts_;
-  offset_t journal_offset_ = 0;  ///< for image-overlap checks
-  RamArena::Allocation window_;
-  RamArena::Allocation scratch_;
-  FlashJournalStorage storage_;
-  ApplyJournal journal_;
-
-  // Stream cursors (absolute artifact offsets).
-  std::uint64_t stream_pos_ = 0;     ///< next byte feed() expects
-  std::uint64_t durable_offset_ = 0; ///< newest record's artifact_offset
+  DeviceJournal journal_;
+  std::uint64_t stream_pos_ = 0;  ///< artifact offset feed() expects next
 
   // Delta-mode state.
   Bytes head_pending_;  ///< bytes accumulated before the header parsed
@@ -194,35 +254,21 @@ class StreamingDeviceUpdater {
   Bytes header_blob_;   ///< raw container header (journaled per record)
   std::size_t header_len_ = 0;
   std::optional<StreamingCommandDecoder> decoder_;
+  std::optional<JournaledExecutor> executor_;
   std::uint64_t base_payload_ = 0;  ///< payload offset feeding started at
 
-  // Boundary Adler-32: folded exactly to command boundaries via a local
-  // copy of not-yet-folded payload bytes (chunks cross boundaries, so
-  // the running checksum cannot be taken over raw chunks).
-  Bytes pending_payload_;
-  std::uint64_t pending_start_ = 0;  ///< payload offset of pending[0]
+  // Boundary Adler-32, folded exactly to command boundaries from the
+  // decoder's consumed bytes (chunks cross boundaries, so the running
+  // checksum cannot be taken over raw chunks). It is folded to the
+  // decoder's position before every feed(), so the bytes it still needs
+  // are always in the decoder's buffer.
   std::uint64_t adler_pos_ = 0;      ///< payload offset adler is folded to
   std::uint32_t boundary_adler_ = 1;
-
-  // Batch state (see header comment). durable_checkpoint_index_ tracks
-  // whether the newest journal record is a checkpoint at that command —
-  // sealing the same boundary twice is skipped, and (critically) a
-  // resume at a kSubstep record must NOT be preceded by a fresh
-  // checkpoint, which would license replay from sub-step 0.
-  std::uint64_t next_command_index_ = 0;
-  std::optional<std::uint64_t> durable_checkpoint_index_;
-  std::vector<Interval> batch_reads_;
-  std::size_t batch_count_ = 0;
-  std::optional<std::uint64_t> pending_resume_substep_;
-
-  // Conflict oracle: union of written intervals (first -> last).
-  std::map<offset_t, offset_t> written_;
 
   // Full-image mode state.
   std::uint32_t image_crc_state_ = 0;
   std::uint64_t last_image_checkpoint_ = 0;
 
-  std::size_t commands_ = 0;
   bool resumed_ = false;
   bool finished_ = false;
   bool poisoned_ = false;

@@ -35,25 +35,19 @@ void device_windowed_copy(FlashDevice& device, MutByteView window,
   }
 }
 
-std::vector<CopySubstep> split_self_overlapping_copy(
-    const CopyCommand& copy, std::size_t window_bytes) {
-  std::vector<CopySubstep> steps;
-  const length_t l = copy.length;
-  const length_t w = window_bytes;
-  if (copy.from >= copy.to) {
-    for (length_t off = 0; off < l; off += w) {
-      const length_t n = std::min<length_t>(w, l - off);
-      steps.push_back(CopySubstep{copy.from + off, copy.to + off, n});
-    }
-  } else {
-    for (length_t end = l; end > 0;) {
-      const length_t n = std::min<length_t>(w, end);
-      const length_t off = end - n;
-      steps.push_back(CopySubstep{copy.from + off, copy.to + off, n});
-      end = off;
-    }
+std::uint32_t storage_crc(FlashDevice& device, MutByteView window,
+                          length_t length) {
+  Crc32c crc;
+  length_t done = 0;
+  while (done < length) {
+    const std::size_t n = static_cast<std::size_t>(
+        std::min<length_t>(window.size(), length - done));
+    const MutByteView chunk = window.first(n);
+    device.read(done, chunk);
+    crc.update(chunk);
+    done += n;
   }
-  return steps;
+  return crc.value();
 }
 
 UpdateResult apply_update(FlashDevice& device, ByteView delta,
@@ -97,17 +91,8 @@ UpdateResult apply_update(FlashDevice& device, ByteView delta,
   result.storage_pages_written = device.pages_touched_write() - pages_before;
 
   if (options.verify_crc) {
-    Crc32c crc;
-    length_t done = 0;
-    while (done < file.version_length) {
-      const std::size_t n = static_cast<std::size_t>(
-          std::min<length_t>(window.size(), file.version_length - done));
-      const MutByteView chunk = window.view().first(n);
-      device.read(done, chunk);
-      crc.update(chunk);
-      done += n;
-    }
-    if (crc.value() != file.version_crc) {
+    if (storage_crc(device, window.view(), file.version_length) !=
+        file.version_crc) {
       throw FormatError("updater: version CRC mismatch after in-place "
                         "reconstruction");
     }

@@ -9,8 +9,6 @@
 // "read/write buffer of any size" generalisation of §4.1.
 #pragma once
 
-#include <vector>
-
 #include "delta/command.hpp"
 #include "device/channel.hpp"
 #include "device/flash_device.hpp"
@@ -46,27 +44,14 @@ UpdateResult apply_update(FlashDevice& device, ByteView delta,
 
 /// Storage-to-storage copy through a bounded RAM window, ordered so
 /// overlapping source/destination never reads an overwritten byte
-/// (§4.1's buffer-granular copy). Shared by the plain and resumable
-/// updaters; exposed for tests.
+/// (§4.1's buffer-granular copy). Shared by the plain updater and the
+/// journaled executor; exposed for tests.
 void device_windowed_copy(FlashDevice& device, MutByteView window,
                           offset_t from, offset_t to, length_t length);
 
-/// One window-sized piece of a self-overlapping copy. Sub-steps are NOT
-/// individually idempotent — interrupting one can corrupt its own source
-/// — so journaled updaters save the destination window (the pre-image)
-/// before executing each sub-step; restoring it makes the sub-step
-/// re-runnable.
-struct CopySubstep {
-  offset_t from = 0;
-  offset_t to = 0;
-  length_t length = 0;
-};
-
-/// Split a self-overlapping copy into window-sized sub-steps in the §4.1
-/// direction (left-to-right when f >= t, right-to-left otherwise), so
-/// executing them in order never reads a byte an earlier sub-step wrote.
-/// Shared by the resumable (staged) and streaming journaled updaters.
-std::vector<CopySubstep> split_self_overlapping_copy(
-    const CopyCommand& copy, std::size_t window_bytes);
+/// CRC-32C of storage bytes [0, length), read back through `window`:
+/// how the updaters check a reconstruction before committing it.
+std::uint32_t storage_crc(FlashDevice& device, MutByteView window,
+                          length_t length);
 
 }  // namespace ipd

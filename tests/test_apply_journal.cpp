@@ -118,6 +118,109 @@ TEST(ApplyJournal, TornNewestSlotFallsBackToPrevious) {
   EXPECT_EQ(after.newest()->seq % 2, 1u) << "append must reuse the torn slot";
 }
 
+std::string hex(ByteView bytes) {
+  static const char* const kDigits = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 15];
+  }
+  return out;
+}
+
+// On-flash byte compatibility: each record's padded slot image, as the
+// ByteWriter serializer wrote it before records were serialized straight
+// into the scratch buffer. Storage starts as non-record garbage, so the
+// scratch holds garbage after the recovery scan, and the records shrink
+// and grow: every padding byte must still come out zero.
+TEST(ApplyJournal, SerializesGoldenBytes) {
+  constexpr ApplyJournalOptions opts{/*page_size=*/16, /*undo_capacity=*/32,
+                                     /*header_capacity=*/32};
+  const std::size_t slot = ApplyJournal::slot_bytes(opts);
+  MemoryJournalStorage storage(2 * slot);
+  std::fill(storage.bytes().begin(), storage.bytes().end(), 0x5A);
+  Bytes scratch(slot, 0xC3);
+  ApplyJournal aj(storage, MutByteView(scratch), opts);
+  ASSERT_FALSE(aj.newest().has_value());
+  const auto slot_image = [&](std::uint64_t seq, std::size_t n) {
+    return hex(ByteView(storage.bytes()).subspan((seq % 2) * slot, n));
+  };
+
+  ApplyRecordFields substep;
+  substep.kind = ApplyRecordKind::kSubstep;
+  substep.artifact_crc = 0xDEADBEEF;
+  substep.artifact_size = 123456;
+  substep.meta_from = 3;
+  substep.meta_hop = 4;
+  substep.meta_target = 9;
+  substep.command_index = 42;
+  substep.substep = 7;
+  substep.artifact_offset = 1000;
+  substep.adler_state = 0x12345678;
+  substep.undo_to = 2048;
+  Bytes undo;
+  for (int i = 0; i < 20; ++i) undo.push_back(static_cast<std::uint8_t>(0xA0 + i));
+  aj.append(substep, undo, {});
+  EXPECT_EQ(slot_image(0, 112),
+            "4950414a00000000000000000200efbeadde40e2010000000000030000000400"
+            "0000090000002a000000000000000700000000000000e8030000000000007856"
+            "341200080000000000001400000000000000a0a1a2a3a4a5a6a7a8a9aaabacad"
+            "aeafb0b1b2b3de6e5b50000000000000");
+
+  ApplyRecordFields checkpoint;
+  checkpoint.kind = ApplyRecordKind::kCheckpoint;
+  checkpoint.full_image = true;
+  checkpoint.artifact_crc = 0x01020304;
+  checkpoint.artifact_size = 77;
+  checkpoint.command_index = 5;
+  checkpoint.artifact_offset = 64;
+  checkpoint.adler_state = 0x0BADF00D;
+  aj.append(checkpoint, {}, {});
+  EXPECT_EQ(slot_image(1, 96),
+            "4950414a01000000000000000101040302014d00000000000000000000000000"
+            "0000000000000500000000000000000000000000000040000000000000000df0"
+            "ad0b0000000000000000000000000000000015d13aea00000000000000000000");
+
+  ApplyRecordFields done;
+  done.kind = ApplyRecordKind::kDone;
+  done.artifact_crc = 0xCAFEBABE;
+  done.artifact_size = 4096;
+  done.meta_from = 1;
+  done.meta_hop = 2;
+  done.meta_target = 2;
+  done.command_index = 300;
+  done.artifact_offset = 4096;
+  done.adler_state = 0x55667788;
+  Bytes header;
+  for (int i = 0; i < 16; ++i) header.push_back(static_cast<std::uint8_t>(0x30 + i));
+  aj.append(done, {}, header);
+  EXPECT_EQ(slot_image(2, 112),
+            "4950414a02000000000000000300bebafeca0010000000000000010000000200"
+            "0000020000002c01000000000000000000000000000000100000000000008877"
+            "665500000000000000000000000010000000303132333435363738393a3b3c3d"
+            "3e3feacc943d00000000000000000000");
+
+  // The owning overload writes the same bytes.
+  ApplyRecord owned;
+  static_cast<ApplyRecordFields&>(owned) = checkpoint;
+  aj.append(owned);
+  EXPECT_EQ(slot_image(3, 96),
+            "4950414a03000000000000000101040302014d00000000000000000000000000"
+            "0000000000000500000000000000000000000000000040000000000000000df0"
+            "ad0b000000000000000000000000000000005f45b86900000000000000000000");
+
+  // A borrowed append leaves newest() with the fields and no payloads.
+  aj.append(substep, undo, {});
+  ASSERT_TRUE(aj.newest().has_value());
+  EXPECT_EQ(aj.newest()->seq, 4u);
+  EXPECT_EQ(aj.newest()->command_index, 42u);
+  EXPECT_TRUE(aj.newest()->undo.empty());
+  ApplyJournal reopened(storage, MutByteView(scratch), opts);
+  ASSERT_TRUE(reopened.newest().has_value());
+  EXPECT_EQ(reopened.newest()->seq, 4u);
+  EXPECT_TRUE(test::bytes_equal(reopened.newest()->undo, undo));
+}
+
 TEST(ApplyJournal, SingleBitFlipInvalidatesARecord) {
   MemoryJournalStorage storage(2 * ApplyJournal::slot_bytes(kOpts));
   Bytes scratch = scratch_for(kOpts);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "adversary/constructions.hpp"
+#include "core/rng.hpp"
 #include "inplace/converter.hpp"
 #include "test_util.hpp"
 
@@ -104,6 +105,36 @@ TEST(Oracle, AgreesWithEquation2CheckerOnRandomScripts) {
     }
     EXPECT_EQ(analyze_conflicts(s).in_place_safe(), satisfies_equation2(s))
         << "trial " << trial;
+  }
+}
+
+// The streaming appliers' written set against a byte bitmap: every
+// query agrees, and spans stay coalesced (one per maximal written run,
+// touching runs merged).
+TEST(WrittenIntervals, MatchesABitmapAndStaysCoalesced) {
+  Rng rng(23);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<bool> bitmap(512, false);
+    WrittenIntervals written;
+    for (int op = 0; op < 60; ++op) {
+      const offset_t first = rng.below(500);
+      const Interval range{first, first + rng.below(512 - first)};
+      bool expect = false;
+      for (offset_t b = range.first; b <= range.last; ++b) {
+        expect |= bitmap[b];
+      }
+      ASSERT_EQ(written.intersects(range), expect)
+          << "trial " << trial << " op " << op << " " << range;
+      if (rng.chance(0.5)) {
+        written.insert(range);
+        for (offset_t b = range.first; b <= range.last; ++b) bitmap[b] = true;
+      }
+      std::size_t runs = 0;
+      for (std::size_t b = 0; b < bitmap.size(); ++b) {
+        runs += bitmap[b] && (b == 0 || !bitmap[b - 1]);
+      }
+      ASSERT_EQ(written.spans(), runs) << "trial " << trial << " op " << op;
+    }
   }
 }
 

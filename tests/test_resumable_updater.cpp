@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/checksum.hpp"
 #include "corpus/generator.hpp"
 #include "corpus/mutation.hpp"
 #include "device/channel.hpp"
+#include "device/stream_updater.hpp"
 #include "ipdelta.hpp"
 #include "test_util.hpp"
 
@@ -22,10 +24,11 @@ struct Fixture {
   Bytes delta;
 };
 
-Fixture make_fixture(std::uint64_t seed = 31) {
+Fixture make_fixture(std::uint64_t seed = 31,
+                     FileProfile profile = FileProfile::kBinary) {
   Fixture f;
   Rng rng(seed);
-  f.v1 = generate_file(rng, 48 << 10, FileProfile::kBinary);
+  f.v1 = generate_file(rng, 48 << 10, profile);
   f.v2 = f.v1;
   // Guarantee self-overlapping copies: shift a large region forward.
   std::copy(f.v2.begin() + 1000, f.v2.begin() + 30000, f.v2.begin() + 1500);
@@ -44,6 +47,71 @@ FlashDevice make_device(const Fixture& f) {
 void expect_updated(const FlashDevice& dev, const Fixture& f) {
   EXPECT_TRUE(test::bytes_equal(
       f.v2, ByteView(dev.inspect()).first(f.v2.size())));
+}
+
+/// Cut power at 24 evenly spaced write counts of a clean run, reboot,
+/// resume, and require the version byte for byte after every cut.
+void sweep_power_cuts(const Fixture& f) {
+  std::uint64_t total_writes = 0;
+  {
+    FlashDevice dev = make_device(f);
+    apply_update_resumable(dev, f.delta, channel_28k(), kJournal);
+    total_writes = dev.bytes_written();
+    expect_updated(dev, f);
+  }
+  ASSERT_GT(total_writes, 0u);
+  std::size_t resumed = 0;
+  for (int i = 1; i <= 24; ++i) {
+    const std::uint64_t crash_at = total_writes * i / 25;
+    SCOPED_TRACE("crash point " + std::to_string(crash_at));
+    FlashDevice dev = make_device(f);
+    dev.inject_power_failure_after(crash_at);
+    try {
+      apply_update_resumable(dev, f.delta, channel_28k(), kJournal);
+    } catch (const FlashDevice::PowerFailure&) {
+      dev.clear_power_failure();
+      const ResumableUpdateResult r =
+          apply_update_resumable(dev, f.delta, channel_28k(), kJournal);
+      EXPECT_TRUE(r.resumed);
+      EXPECT_TRUE(r.update.crc_verified);
+      ++resumed;
+    }
+    expect_updated(dev, f);
+  }
+  EXPECT_GT(resumed, 20u);
+}
+
+/// A delta with implicit write offsets that is still in-place safe: its
+/// commands run in write order and every copy reads at or after the
+/// byte it writes, so no copy reads what an earlier command wrote. Most
+/// copies shift data left over themselves, so they run as sub-steps.
+Fixture make_implicit_fixture() {
+  Fixture f;
+  Rng rng(41);
+  f.v1 = generate_file(rng, 48 << 10, FileProfile::kBinary);
+  std::vector<Command> commands;
+  offset_t to = 0;
+  while (to + 2800 < f.v1.size()) {
+    const length_t shift = rng.below(700);
+    const length_t len = 600 + rng.below(1400);
+    commands.push_back(CopyCommand{to + shift, to, len});
+    to += len;
+    Bytes literal(1 + rng.below(60));
+    for (std::uint8_t& b : literal) b = static_cast<std::uint8_t>(rng.next());
+    const offset_t at = to;
+    to += literal.size();
+    commands.push_back(AddCommand{at, std::move(literal)});
+  }
+  DeltaFile file;
+  file.format = kPaperSequential;
+  file.in_place = true;
+  file.reference_length = f.v1.size();
+  file.version_length = to;
+  file.script = Script(std::move(commands));
+  f.v2 = apply_script(file.script, f.v1);
+  file.version_crc = crc32c(f.v2);
+  f.delta = serialize_delta(file);
+  return f;
 }
 
 TEST(ResumableUpdater, CleanRunMatchesPlainUpdater) {
@@ -129,6 +197,39 @@ TEST(ResumableUpdater, SurvivesRepeatedCrashesInOneUpdate) {
   expect_updated(dev, f);
 }
 
+TEST(ResumableUpdater, SurvivesACutDuringRecovery) {
+  // A second cut while the resumed run restores an undo and rewrites the
+  // in-flight sub-step's record must leave a journal that still resumes
+  // byte-exactly: the resumed run may journal nothing that licenses a
+  // replay of sub-steps that already ran.
+  const Fixture f = make_fixture();
+  std::uint64_t total_writes = 0;
+  {
+    FlashDevice dev = make_device(f);
+    apply_update_resumable(dev, f.delta, channel_28k(), kJournal);
+    total_writes = dev.bytes_written();
+  }
+  for (int i = 1; i <= 24; ++i) {
+    for (std::uint64_t second = 1; second < 10000; second += 199) {
+      const std::uint64_t first = total_writes * i / 25;
+      SCOPED_TRACE("cuts at " + std::to_string(first) + " then " +
+                   std::to_string(second));
+      FlashDevice dev = make_device(f);
+      for (const std::uint64_t cut : {first, second}) {
+        dev.inject_power_failure_after(cut);
+        try {
+          apply_update_resumable(dev, f.delta, channel_28k(), kJournal);
+        } catch (const FlashDevice::PowerFailure&) {
+        }
+        dev.clear_power_failure();
+      }
+      EXPECT_TRUE(apply_update_resumable(dev, f.delta, channel_28k(), kJournal)
+                      .update.crc_verified);
+      expect_updated(dev, f);
+    }
+  }
+}
+
 TEST(ResumableUpdater, JournalRegionValidation) {
   const Fixture f = make_fixture();
   FlashDevice dev = make_device(f);
@@ -200,6 +301,81 @@ TEST(ResumableUpdater, PowerFailureDuringJournalWriteIsRecoverable) {
       apply_update_resumable(dev, f.delta, channel_28k(), kJournal);
   EXPECT_TRUE(r.update.crc_verified);
   expect_updated(dev, f);
+}
+
+TEST(ResumableUpdater, SurvivesPowerCutsOnCompressedDelta) {
+  // LZSS payloads go through parse_delta: the adds the executor writes
+  // point into the decompressed stream. New text makes the payload
+  // add-heavy enough for LZSS to pay.
+  Fixture f = make_fixture(31, FileProfile::kText);
+  Rng rng(5);
+  const Bytes fresh = generate_file(rng, 8 << 10, FileProfile::kText);
+  ASSERT_GT(f.v2.size(), 36000 + fresh.size());
+  std::copy(fresh.begin(), fresh.end(), f.v2.begin() + 36000);
+  f.delta = Pipeline({.compress_payload = true}).build_inplace(f.v1, f.v2)
+                .delta;
+  ASSERT_TRUE(deserialize_delta(f.delta).compress_payload);
+  sweep_power_cuts(f);
+}
+
+TEST(ResumableUpdater, SurvivesPowerCutsOnImplicitOffsetDelta) {
+  const Fixture f = make_implicit_fixture();
+  const DeltaFile file = deserialize_delta(f.delta);
+  ASSERT_EQ(file.format.offsets, WriteOffsets::kImplicit);
+  bool self_overlap = false;
+  for (const CopyCommand& c : file.script.copies()) {
+    self_overlap |= c.self_overlaps();
+  }
+  ASSERT_TRUE(self_overlap);
+  sweep_power_cuts(f);
+}
+
+TEST(ResumableUpdater, BatchesCheckpointsAcrossCommands) {
+  const Fixture f = make_fixture();
+  FlashDevice dev = make_device(f);
+  const ResumableUpdateResult r =
+      apply_update_resumable(dev, f.delta, channel_28k(), kJournal);
+  EXPECT_LT(r.journal_records, parse_delta(f.delta).commands.size());
+  EXPECT_EQ(r.steps_replayed, 0u);
+}
+
+TEST(ResumableUpdater, MatchesTheStreamingUpdater) {
+  // One executor behind both paths: the same artifact leaves the same
+  // image area and the same journal record count.
+  const Fixture f = make_fixture();
+  FlashDevice staged = make_device(f);
+  const ResumableUpdateResult r =
+      apply_update_resumable(staged, f.delta, channel_28k(), kJournal);
+
+  FlashDevice streamed = make_device(f);
+  StreamArtifactInfo info;
+  info.artifact_crc = crc32c(f.delta);
+  info.artifact_size = f.delta.size();
+  StreamingDeviceUpdater u(streamed, kJournal, info);
+  u.feed(f.delta);
+  ASSERT_TRUE(u.finished());
+
+  EXPECT_TRUE(test::bytes_equal(ByteView(staged.inspect()).first(kImageArea),
+                                ByteView(streamed.inspect()).first(kImageArea)));
+  EXPECT_EQ(r.journal_records, u.journal_records());
+}
+
+TEST(ResumableUpdater, ResumeReportsTheCommandItResumedAt) {
+  const Fixture f = make_fixture();
+  FlashDevice dev = make_device(f);
+  dev.inject_power_failure_after(24 << 10);
+  EXPECT_THROW(apply_update_resumable(dev, f.delta, channel_28k(), kJournal),
+               FlashDevice::PowerFailure);
+  dev.clear_power_failure();
+  const ResumableUpdateResult r =
+      apply_update_resumable(dev, f.delta, channel_28k(), kJournal);
+  EXPECT_TRUE(r.resumed);
+  EXPECT_GT(r.steps_replayed, 0u);
+  EXPECT_LT(r.steps_replayed, parse_delta(f.delta).commands.size());
+  expect_updated(dev, f);
+  const ResumableUpdateResult again =
+      apply_update_resumable(dev, f.delta, channel_28k(), kJournal);
+  EXPECT_EQ(again.steps_replayed, parse_delta(f.delta).commands.size());
 }
 
 TEST(ResumableUpdater, FixtureActuallyExercisesSelfOverlap) {

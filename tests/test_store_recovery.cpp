@@ -9,6 +9,7 @@
 // failing run stays reproducible from its printed seed.
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <csignal>
 #include <filesystem>
 #include <sys/wait.h>
@@ -57,11 +58,21 @@ class StoreRecoveryTest : public ::testing::Test {
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
   /// Fork a publisher that appends the remaining history to the store,
-  /// kill it after `delay_us`, and reap it. Returns false if the child
-  /// finished the whole history before the kill landed.
-  bool run_and_kill(std::uint64_t delay_us) {
+  /// wait until it reports `publishes` finished releases through a pipe
+  /// (or exits), then kill it after `delay_us` more and reap it. Anchoring
+  /// the kill to publish progress keeps the kill point independent of
+  /// how fast the publisher runs (sanitizers slow it several-fold).
+  /// Returns false if the child finished the whole history before the
+  /// kill landed.
+  bool run_and_kill(std::size_t publishes, std::uint64_t delay_us) {
+    int progress[2];
+    if (::pipe(progress) != 0) {
+      ADD_FAILURE() << "pipe failed";
+      return false;
+    }
     const pid_t pid = ::fork();
     if (pid == 0) {
+      ::close(progress[0]);
       // Child: publish everything the store does not yet have. Chains
       // are kept short so folds (the most write-heavy publish path) are
       // exercised by the kill matrix too.
@@ -72,16 +83,29 @@ class StoreRecoveryTest : public ::testing::Test {
         for (std::size_t i = store.release_count(); i < history_.size();
              ++i) {
           store.publish(history_[i]);
+          const char done = 'p';
+          (void)!::write(progress[1], &done, 1);
         }
       } catch (...) {
         ::_exit(9);  // a recovered store must always accept publishes
       }
       ::_exit(0);
     }
+    ::close(progress[1]);
+    for (std::size_t seen = 0; seen < publishes;) {
+      char done = 0;
+      const ssize_t n = ::read(progress[0], &done, 1);
+      if (n == 1) {
+        ++seen;
+      } else if (n == 0 || errno != EINTR) {
+        break;  // the child exited (or the pipe failed): stop waiting
+      }
+    }
     ::usleep(static_cast<useconds_t>(delay_us));
     ::kill(pid, SIGKILL);
     int status = 0;
     ::waitpid(pid, &status, 0);
+    ::close(progress[0]);
     return WIFSIGNALED(status);  // false: exited before the kill
   }
 
@@ -110,12 +134,14 @@ TEST_F(StoreRecoveryTest, KillNineMatrix) {
   std::size_t kills = 0;
   for (std::uint64_t rep = 0; rep < 12 && recovered < history_.size();
        ++rep) {
-    // 0.5ms .. ~8.7ms: from "still differencing" to "several publishes
-    // deep". Seeded, not hardcoded, so the matrix drifts across the
-    // pipeline as the store grows between reps.
+    // 0-2 finished publishes, then 0.5ms .. ~8.7ms: from "still
+    // differencing" to "several publishes deep". Seeded, not hardcoded,
+    // so the matrix drifts across the pipeline as the store grows
+    // between reps.
     const std::uint64_t seed = bench::repetition_seed(kBaseSeed, rep);
     const std::uint64_t delay_us = 500 + seed % 8192;
-    if (run_and_kill(delay_us)) ++kills;
+    const std::size_t publishes = static_cast<std::size_t>(seed / 8192 % 3);
+    if (run_and_kill(publishes, delay_us)) ++kills;
 
     const std::size_t now =
         audit("rep " + std::to_string(rep) + " delay " +

@@ -131,6 +131,25 @@ TEST(StreamApplier, ConflictCheckingCatchesUnsafeOrder) {
   EXPECT_THROW(applier.feed(wire), ConflictError);
 }
 
+TEST(StreamApplier, ConflictCheckingSeesShadowedAndNestedWrites) {
+  // A later, shorter write starting at (or nested inside) an earlier one
+  // must not hide the earlier one's bytes from the oracle.
+  for (const offset_t second : {offset_t{0}, offset_t{50}}) {
+    DeltaFile file;
+    file.format = kVarintExplicit;
+    file.in_place = true;  // lie: the copy reads what the first add wrote
+    file.reference_length = 120;
+    file.version_length = 120;
+    file.script = test::script_of({test::A(0, test::random_bytes(1, 100)),
+                                   test::A(second, test::random_bytes(2, 10)),
+                                   test::C(70, 100, 10)});
+    Bytes buffer = test::random_bytes(3, 120);
+    StreamingInplaceApplier applier(buffer);
+    EXPECT_THROW(applier.feed(serialize_delta(file)), ConflictError)
+        << "second add at " << second;
+  }
+}
+
 TEST(StreamApplier, BufferTooSmallRejectedAtHeader) {
   const Fixture f = make_fixture();
   Bytes buffer(100);  // far too small

@@ -376,6 +376,43 @@ TEST(StreamUpdater, RejectsBadArtifactsBeforeFlashWrites) {
   }
 }
 
+/// Stream a hand-built in-place-flagged delta whose last command is a
+/// copy reading bytes an earlier add wrote; the oracle must reject it
+/// before the copy's flash write, leaving [100, 110) untouched.
+void expect_conflict_before_copy(std::initializer_list<Command> commands) {
+  const Fixture f = make_fixture();
+  DeltaFile file;
+  file.format = kVarintExplicit;
+  file.in_place = true;  // the producer's (false) claim
+  file.reference_length = 120;
+  file.version_length = 120;
+  file.script = test::script_of(commands);
+  const Bytes delta = serialize_delta(file);
+  FlashDevice dev = make_device(f.v1);
+  StreamArtifactInfo info;
+  info.artifact_crc = crc32c(delta);
+  info.artifact_size = delta.size();
+  StreamingDeviceUpdater u(dev, kJournal, info, tight_options());
+  EXPECT_THROW(u.feed(delta), ConflictError);
+  EXPECT_TRUE(test::bytes_equal(ByteView(f.v1).subspan(100, 10),
+                                ByteView(dev.inspect()).subspan(100, 10)));
+}
+
+TEST(StreamUpdater, OracleSeesWritesShadowedByAShorterOne) {
+  // The second add starts where the first did: the written set must keep
+  // [0, 100), not just the later, shorter [0, 10).
+  expect_conflict_before_copy({test::A(0, test::random_bytes(1, 100)),
+                               test::A(0, test::random_bytes(2, 10)),
+                               test::C(50, 100, 10)});
+}
+
+TEST(StreamUpdater, OracleSeesWritesAroundANestedOne) {
+  // [50, 60) nests inside [0, 100); a read of [70, 80) still conflicts.
+  expect_conflict_before_copy({test::A(0, test::random_bytes(1, 100)),
+                               test::A(50, test::random_bytes(2, 10)),
+                               test::C(70, 100, 10)});
+}
+
 TEST(StreamUpdater, JournalRegionValidation) {
   const Fixture f = make_fixture();
   FlashDevice dev = make_device(f.v1);
