@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 
 #include "core/checksum.hpp"
 #include "obs/trace.hpp"
@@ -52,41 +51,6 @@ void apply_inplace(const Script& script, MutByteView buffer,
       std::copy(add.data.begin(), add.data.end(),
                 buffer.begin() + static_cast<std::ptrdiff_t>(add.to));
     }
-  }
-}
-
-void apply_inplace_checked(const Script& script, MutByteView buffer,
-                           length_t reference_length,
-                           length_t version_length) {
-  check_bounds(script, buffer.size(), reference_length, version_length);
-  // Union of intervals already written, as disjoint [first -> last].
-  std::map<offset_t, offset_t> written;
-
-  const auto intersects_written = [&](const Interval& read) {
-    auto it = written.upper_bound(read.last);
-    if (it == written.begin()) return false;
-    --it;
-    return it->second >= read.first;
-  };
-
-  std::size_t index = 0;
-  for (const Command& cmd : script.commands()) {
-    if (const auto* copy = std::get_if<CopyCommand>(&cmd)) {
-      if (intersects_written(copy->read_interval())) {
-        throw ConflictError(
-            "write-before-read conflict at command " + std::to_string(index) +
-            ": copy reads an interval already overwritten (Equation 2 "
-            "violated; this delta is not in-place reconstructible)");
-      }
-      overlapping_copy(buffer, copy->from, copy->to, copy->length);
-    } else {
-      const AddCommand& add = std::get<AddCommand>(cmd);
-      std::copy(add.data.begin(), add.data.end(),
-                buffer.begin() + static_cast<std::ptrdiff_t>(add.to));
-    }
-    const Interval w = command_write_interval(cmd);
-    written[w.first] = w.last;
-    ++index;
   }
 }
 

@@ -24,16 +24,9 @@ namespace ipd {
 ///
 /// The script is trusted to be in-place safe (Equation 2); applying a
 /// conflicting script silently corrupts, exactly as the paper describes —
-/// use apply_inplace_checked / the oracle when the input is untrusted.
+/// check untrusted input with the oracle (apply/oracle.hpp) first.
 void apply_inplace(const Script& script, MutByteView buffer,
                    length_t reference_length, length_t version_length);
-
-/// As apply_inplace, but verifies Equation 2 while applying (tracks
-/// written intervals); throws ConflictError on the first write-before-
-/// read violation, leaving the buffer partially modified.
-void apply_inplace_checked(const Script& script, MutByteView buffer,
-                           length_t reference_length,
-                           length_t version_length);
 
 /// Decode a serialized delta file (must carry the in_place flag) and apply
 /// it inside `buffer` (sized per apply_inplace). Returns the version

@@ -28,11 +28,44 @@ void WrittenIntervals::insert(const Interval& range) {
   }
 }
 
+namespace {
+
+/// Disjoint written intervals: first -> (last, index of the command that
+/// wrote those bytes last).
+using WriterMap = std::map<offset_t, std::pair<offset_t, std::size_t>>;
+
+/// Record that command `writer` wrote `w`: it paints over whatever parts
+/// of earlier spans it covers, so a later write nested in or shadowing
+/// an earlier one never hides the earlier bytes it did not overwrite.
+void paint(WriterMap& written, const Interval& w, std::size_t writer) {
+  auto it = written.lower_bound(w.first);
+  if (it != written.begin()) {
+    const auto prev = std::prev(it);
+    const auto [last, owner] = prev->second;
+    if (last >= w.first) {
+      // Keep the span's part left of w, and its part right of w.
+      prev->second.first = w.first - 1;
+      if (last > w.last) {
+        written.emplace_hint(it, w.last + 1, std::pair{last, owner});
+      }
+    }
+  }
+  // Drop the spans starting inside w, keeping the tail of the last one.
+  while (it != written.end() && it->first <= w.last) {
+    if (it->second.first > w.last) {
+      written.emplace(w.last + 1, it->second);
+    }
+    it = written.erase(it);
+  }
+  written.emplace_hint(it, w.first, std::pair{w.last, writer});
+}
+
+}  // namespace
+
 ConflictAnalysis analyze_conflicts(const Script& script,
                                    std::size_t max_conflicts) {
   ConflictAnalysis analysis;
-  // Disjoint written intervals -> (last, writer index).
-  std::map<offset_t, std::pair<offset_t, std::size_t>> written;
+  WriterMap written;
 
   const auto& commands = script.commands();
   for (std::size_t j = 0; j < commands.size(); ++j) {
@@ -59,10 +92,8 @@ ConflictAnalysis analyze_conflicts(const Script& script,
         }
       }
     }
-    const length_t len = command_length(commands[j]);
-    if (len > 0) {
-      const Interval w = command_write_interval(commands[j]);
-      written[w.first] = {w.last, j};
+    if (command_length(commands[j]) > 0) {
+      paint(written, command_write_interval(commands[j]), j);
     }
   }
   return analysis;

@@ -8,10 +8,12 @@
 // add) plus parser state. The trade: the payload checksum can only be
 // verified after the image has already been modified, so a delta torn in
 // transit leaves a half-updated image — pair with the journaled updater
-// (device/resumable_updater.hpp) when that matters.
+// (device/stream_updater.hpp) when that matters.
 //
-// In-place safety of the *order* is unchanged: the delta must carry the
-// in_place flag, and per-command conflict checking is available.
+// The container checks live in StreamingDeltaReader (delta/codec.hpp),
+// which the flash updater runs too; this applier adds the RAM buffer: a
+// memmove or memcpy per command, gated by bounds and a WrittenIntervals
+// write-before-read check, and the version CRC at the end.
 #pragma once
 
 #include <optional>
@@ -21,22 +23,12 @@
 
 namespace ipd {
 
-struct StreamApplyOptions {
-  /// Track written intervals and throw ConflictError on a write-before-
-  /// read violation instead of silently corrupting (small extra memory).
-  bool check_conflicts = true;
-  /// Require the delta's in_place flag (disable only in tests).
-  bool require_inplace_flag = true;
-};
-
 class StreamingInplaceApplier {
  public:
   /// `buffer` holds the reference now and the version when finished; it
   /// must be at least max(reference, version) bytes — checked as soon as
   /// the header arrives.
-  StreamingInplaceApplier(MutByteView buffer,
-                          const StreamApplyOptions& options = {});
-  ~StreamingInplaceApplier();
+  explicit StreamingInplaceApplier(MutByteView buffer);
 
   StreamingInplaceApplier(const StreamingInplaceApplier&) = delete;
   StreamingInplaceApplier& operator=(const StreamingInplaceApplier&) = delete;
@@ -49,7 +41,7 @@ class StreamingInplaceApplier {
 
   /// Header, once enough bytes have arrived to parse it.
   const std::optional<DeltaHeader>& header() const noexcept {
-    return header_;
+    return reader_.header();
   }
 
   /// True when the whole payload has been consumed, the payload adler and
@@ -61,36 +53,24 @@ class StreamingInplaceApplier {
 
   /// Peak bytes buffered inside the applier (parser backlog), for the
   /// RAM-accounting benches.
-  std::size_t peak_buffered() const noexcept { return peak_buffered_; }
+  std::size_t peak_buffered() const noexcept {
+    return reader_.peak_buffered();
+  }
 
  private:
-  void try_parse_header_bytes();
-  void drain_commands();
-  void apply_command(const Command& cmd);
-  void finish();
+  void apply(const CommandRef& command);
 
   MutByteView buffer_;
-  StreamApplyOptions options_;
-
-  Bytes head_pending_;  // bytes accumulated before the header parsed
-  std::optional<DeltaHeader> header_;
-  std::optional<StreamingCommandDecoder> decoder_;
-  std::uint32_t payload_adler_ = 1;  // running adler over payload bytes
-  std::uint64_t payload_seen_ = 0;
-
+  StreamingDeltaReader reader_;
   WrittenIntervals written_;  ///< conflict oracle state
-  std::size_t command_index_ = 0;
-
   std::size_t commands_ = 0;
-  std::size_t peak_buffered_ = 0;
   bool finished_ = false;
   bool poisoned_ = false;
 };
 
 /// Convenience: apply `delta` by feeding it in `chunk_size` pieces.
-/// Returns the version length. Used by tests and the device updater.
+/// Returns the version length. Used by tests and benches.
 length_t apply_delta_inplace_streaming(ByteView delta, MutByteView buffer,
-                                       std::size_t chunk_size,
-                                       const StreamApplyOptions& options = {});
+                                       std::size_t chunk_size);
 
 }  // namespace ipd

@@ -375,6 +375,104 @@ std::size_t StreamingCommandDecoder::buffered() const noexcept {
   return pending_.size() - pending_pos_;
 }
 
+StreamingDeltaReader::StreamingDeltaReader(ByteView header_blob,
+                                           std::uint64_t payload_offset,
+                                           std::uint32_t adler)
+    : base_(payload_offset),
+      seen_(payload_offset),
+      adler_pos_(payload_offset),
+      adler_(adler) {
+  const auto parsed = try_parse_header(header_blob);
+  if (!parsed) {
+    throw FormatError("delta stream: header is truncated");
+  }
+  head_.assign(header_blob.begin(),
+               header_blob.begin() +
+                   static_cast<std::ptrdiff_t>(parsed->second));
+  open(parsed->first);
+}
+
+void StreamingDeltaReader::open(const DeltaHeader& header) {
+  header_ = header;
+  if (header.compress_payload) {
+    throw ValidationError(
+        "delta stream: compressed payloads cannot be applied "
+        "incrementally; ship uncompressed or use a batch path");
+  }
+  if (!header.in_place) {
+    throw ValidationError(
+        "delta stream: delta is not marked in-place reconstructible");
+  }
+  decoder_.emplace(header.format, header.version_length);
+}
+
+void StreamingDeltaReader::feed(ByteView chunk) {
+  if (header_) {
+    feed_payload(chunk);
+    return;
+  }
+  head_.insert(head_.end(), chunk.begin(), chunk.end());
+  peak_buffered_ = std::max(peak_buffered_, head_.size());
+  const auto parsed = try_parse_header(head_);
+  if (!parsed) {
+    return;  // need more bytes
+  }
+  open(parsed->first);
+  // Bytes past the header start the payload; keep only the header.
+  feed_payload(ByteView(head_).subspan(parsed->second));
+  head_.resize(parsed->second);
+  head_.shrink_to_fit();
+}
+
+void StreamingDeltaReader::feed_payload(ByteView chunk) {
+  if (seen_ + chunk.size() > header_->payload_length) {
+    throw FormatError("delta stream: trailing garbage after payload");
+  }
+  // The decoder may compact its consumed bytes away: fold them in first.
+  adler_at(position());
+  decoder_->feed(chunk);
+  seen_ += chunk.size();
+}
+
+std::optional<CommandRef> StreamingDeltaReader::next() {
+  if (!decoder_ || done_) {
+    return std::nullopt;
+  }
+  if (std::optional<CommandRef> command = decoder_->next_ref()) {
+    return command;
+  }
+  peak_buffered_ = std::max(peak_buffered_, decoder_->buffered());
+  if (seen_ == header_->payload_length) {
+    if (decoder_->buffered() != 0) {
+      throw FormatError("delta stream: payload ends inside a command");
+    }
+    if (header_->payload_length > 0 &&
+        adler_at(seen_) != header_->payload_adler) {
+      throw FormatError("delta stream: payload checksum mismatch");
+    }
+    done_ = true;
+  }
+  return std::nullopt;
+}
+
+std::uint32_t StreamingDeltaReader::adler_at(std::uint64_t payload_offset) {
+  if (payload_offset > adler_pos_) {
+    // Every byte consumed since the last feed() is still buffered.
+    const ByteView held = decoder_->consumed_bytes();
+    const std::uint64_t held_end = position();
+    if (adler_pos_ + held.size() < held_end || payload_offset > held_end) {
+      throw ValidationError("delta stream: checksum fold out of range");
+    }
+    const std::size_t from =
+        held.size() - static_cast<std::size_t>(held_end - adler_pos_);
+    adler_ = adler32(held.subspan(from, static_cast<std::size_t>(
+                                            payload_offset - adler_pos_)),
+                     adler_);
+    adler_pos_ = payload_offset;
+  }
+  return adler_;
+}
+
 const char* format_name(DeltaFormat f) noexcept {
   if (f == kPaperSequential) return "paper/no-write-offsets";
   if (f == kPaperExplicit) return "paper/write-offsets";

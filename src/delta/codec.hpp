@@ -23,7 +23,8 @@
 // over a whole container into a table of CommandRefs that borrow the
 // add bytes from the artifact instead of copying them, which is what
 // the batch appliers execute. That table must not outlive the artifact
-// bytes it was parsed from. The streaming decoder borrows the same way;
+// bytes it was parsed from. The streaming decoder, and the container
+// reader both streaming appliers run on it, borrow the same way;
 // deserialize_delta() and probe_command() build owning Commands.
 #pragma once
 
@@ -177,12 +178,6 @@ class StreamingCommandDecoder {
   /// valid until the next feed().
   std::optional<CommandRef> next_ref();
 
-  /// next_ref() as an owning Command (copies an add's bytes).
-  std::optional<Command> next() {
-    const std::optional<CommandRef> ref = next_ref();
-    return ref ? std::optional<Command>(ref->to_command()) : std::nullopt;
-  }
-
   /// Bytes buffered but not yet consumed by a completed command.
   std::size_t buffered() const noexcept;
   /// Total payload bytes consumed by completed commands.
@@ -201,6 +196,77 @@ class StreamingCommandDecoder {
   std::uint64_t consumed_ = 0;
   Bytes pending_;
   std::size_t pending_pos_ = 0;
+};
+
+/// Incremental reader of a whole container: the front end both streaming
+/// appliers share (StreamingInplaceApplier in RAM, StreamingDeviceUpdater
+/// on flash). Feed container bytes in any chunking and pull commands as
+/// they complete. The reader owns every check that does not depend on
+/// where the version is built:
+///
+///  * the header is buffered until it parses, then gated: a compressed
+///    payload or a delta not flagged in-place throws ValidationError;
+///  * a byte past the payload throws FormatError;
+///  * the payload Adler-32 is folded lazily at command boundaries (each
+///    byte is summed once, never over raw chunks), so adler_at() can give
+///    a journal record the running value at any boundary;
+///  * at the payload end, a partial command or an Adler-32 mismatch
+///    throws FormatError; otherwise done() turns true.
+class StreamingDeltaReader {
+ public:
+  /// Read a container from its first byte.
+  StreamingDeltaReader() = default;
+
+  /// Read a container from a command boundary `payload_offset` bytes into
+  /// the payload whose raw header is `header_blob`, the running payload
+  /// Adler-32 there being `adler`. Throws FormatError when the blob does
+  /// not hold a whole header, and gates the header as feed() does.
+  StreamingDeltaReader(ByteView header_blob, std::uint64_t payload_offset,
+                       std::uint32_t adler);
+
+  /// Append container bytes.
+  void feed(ByteView chunk);
+
+  /// The header, once enough bytes have arrived to parse it.
+  const std::optional<DeltaHeader>& header() const noexcept {
+    return header_;
+  }
+  /// The raw header bytes once it has parsed; before, every byte fed.
+  ByteView header_blob() const noexcept { return head_; }
+
+  /// Decode the next complete command, or std::nullopt when more bytes
+  /// are needed or the payload is done. An add's literal borrows the
+  /// reader's buffer: the CommandRef stays valid until the next feed().
+  std::optional<CommandRef> next();
+
+  /// Payload offset where the next command starts.
+  std::uint64_t position() const noexcept {
+    return base_ + (decoder_ ? decoder_->consumed() : 0);
+  }
+  /// Running payload Adler-32 at command boundary `payload_offset`, which
+  /// must lie between the position at the last feed() and position().
+  std::uint32_t adler_at(std::uint64_t payload_offset);
+
+  /// True once every payload byte has been consumed by a complete
+  /// command and the payload Adler-32 has verified.
+  bool done() const noexcept { return done_; }
+
+  /// Peak bytes held but not yet consumed (RAM accounting).
+  std::size_t peak_buffered() const noexcept { return peak_buffered_; }
+
+ private:
+  void open(const DeltaHeader& header);
+  void feed_payload(ByteView chunk);
+
+  Bytes head_;  ///< raw header (every byte fed until it parses)
+  std::optional<DeltaHeader> header_;
+  std::optional<StreamingCommandDecoder> decoder_;
+  std::uint64_t base_ = 0;  ///< payload offset the decoder started at
+  std::uint64_t seen_ = 0;  ///< payload offset of the next byte fed
+  std::uint64_t adler_pos_ = 0;  ///< payload offset adler_ is folded to
+  std::uint32_t adler_ = 1;
+  std::size_t peak_buffered_ = 0;
+  bool done_ = false;
 };
 
 /// Outcome of probing one command at the front of a payload view — the

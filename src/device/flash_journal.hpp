@@ -67,9 +67,10 @@ struct DeviceJournal {
         journal(storage, scratch.view(), options) {}
 
   /// Throws DeviceError, naming `who`, unless an image of `extent` bytes
-  /// fits the device and stays clear of the journal.
-  void check_image_area(const FlashDevice& device, std::uint64_t extent,
-                        const std::string& who) const {
+  /// fits the device and stays clear of the journal at `region`.
+  static void check_image_area(const FlashDevice& device,
+                               const JournalRegion& region,
+                               std::uint64_t extent, const std::string& who) {
     if (extent > device.storage_size()) {
       throw DeviceError(who + ": image does not fit storage");
     }

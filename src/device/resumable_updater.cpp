@@ -47,10 +47,9 @@ ResumableUpdateResult apply_update_resumable(FlashDevice& device,
                    "resumable updater");
   const ApplyRecordFields identity{.artifact_crc = crc32c(delta),
                                    .artifact_size = delta.size()};
-  JournaledExecutor executor(
-      device, dj, header, identity, {},
-      StreamUpdaterOptions{.verify_crc = options.verify_crc},
-      [](std::uint64_t) { return ResumePoint{}; });
+  JournaledExecutor executor(device, dj, header, identity, {},
+                             StreamUpdaterOptions{}.checkpoint_commands,
+                             [](std::uint64_t) { return ResumePoint{}; });
 
   // Recovery: resume from the newest valid record for this delta. A
   // record for a different artifact is someone else's history — leave it
@@ -73,7 +72,7 @@ ResumableUpdateResult apply_update_resumable(FlashDevice& device,
   const std::uint64_t pages_before = device.pages_touched_write();
   const std::uint64_t bytes_before = device.bytes_written();
   if (done) {
-    if (options.verify_crc) executor.verify_version();
+    executor.verify_version();
   } else {
     if (!rec) executor.begin(ResumePoint{});
     for (std::size_t k = result.steps_replayed; k < count; ++k) {
@@ -86,7 +85,7 @@ ResumableUpdateResult apply_update_resumable(FlashDevice& device,
   result.update.storage_bytes_written = device.bytes_written() - bytes_before;
   result.update.storage_pages_written =
       device.pages_touched_write() - pages_before;
-  result.update.crc_verified = options.verify_crc;
+  result.update.crc_verified = true;
   result.update.ram_high_water = device.ram().high_water();
   return result;
 }

@@ -30,7 +30,7 @@ JournaledExecutor::JournaledExecutor(FlashDevice& device,
                                      const DeltaHeader& header,
                                      const ApplyRecordFields& identity,
                                      ByteView header_blob,
-                                     const StreamUpdaterOptions& options,
+                                     std::size_t checkpoint_commands,
                                      ResumeFn resume)
     : device_(device),
       journal_(journal.journal),
@@ -38,17 +38,16 @@ JournaledExecutor::JournaledExecutor(FlashDevice& device,
       header_(header),
       identity_(identity),
       header_blob_(header_blob),
-      options_(options),
+      checkpoint_commands_(std::max<std::size_t>(checkpoint_commands, 1)),
       resume_(std::move(resume)) {
   if (window_.empty()) {
     throw DeviceError("journaled apply: window must hold at least 1 byte");
   }
-  journal.check_image_area(
-      device, std::max(header.reference_length, header.version_length),
+  DeviceJournal::check_image_area(
+      device, journal.region,
+      std::max(header.reference_length, header.version_length),
       "journaled apply");
-  options_.checkpoint_commands =
-      std::max<std::size_t>(options_.checkpoint_commands, 1);
-  batch_reads_.reserve(options_.checkpoint_commands);
+  batch_reads_.reserve(checkpoint_commands_);
 }
 
 void JournaledExecutor::begin(const ResumePoint& start) {
@@ -80,7 +79,7 @@ void JournaledExecutor::execute(const CommandRef& command,
                     header_.reference_length)) {
       throw ValidationError("journaled apply: copy reads past reference");
     }
-    if (options_.check_conflicts && written_.intersects(read)) {
+    if (written_.intersects(read)) {
       throw ConflictError(
           "journaled apply: write-before-read conflict at command " +
           std::to_string(index));
@@ -107,7 +106,7 @@ void JournaledExecutor::execute(const CommandRef& command,
     }
     ++batch_count_;
   }
-  if (options_.check_conflicts) written_.insert(write);
+  written_.insert(write);
 }
 
 void JournaledExecutor::run_substeps(const CommandRef& copy,
@@ -148,7 +147,7 @@ void JournaledExecutor::run_substeps(const CommandRef& copy,
 }
 
 bool JournaledExecutor::try_join(const Interval& write) const {
-  if (batch_count_ >= options_.checkpoint_commands) {
+  if (batch_count_ >= checkpoint_commands_) {
     return false;
   }
   // Replay-idempotence: the joining command's write must not touch any
@@ -171,9 +170,7 @@ void JournaledExecutor::seal(std::uint64_t command_index,
 }
 
 void JournaledExecutor::finish(const ResumePoint& done) {
-  if (options_.verify_crc) {
-    verify_version();
-  }
+  verify_version();
   append(ApplyRecordKind::kDone, next_command_, 0, done, 0, {});
 }
 
@@ -242,8 +239,9 @@ StreamingDeviceUpdater::StreamingDeviceUpdater(
   // retires it once two of our records land, and until our first record
   // is durable it correctly describes the device's state.
   if (identity_.full_image) {
-    journal_.check_image_area(device_, identity_.artifact_size,
-                              "stream updater");
+    DeviceJournal::check_image_area(device_, journal_.region,
+                                    identity_.artifact_size,
+                                    "stream updater");
     // Write-ahead: the initial checkpoint lands before any image write.
     append_image_record(ApplyRecordKind::kCheckpoint);
   }
@@ -275,16 +273,11 @@ void StreamingDeviceUpdater::recover(const ApplyRecord& rec) {
   if (!parsed) {
     throw DeviceError("stream updater: journaled header is truncated");
   }
-  header_ = parsed->first;
-  header_len_ = parsed->second;
-  header_blob_.assign(rec.header.begin(), rec.header.end());
-  validate_header();
-  if (rec.artifact_offset < header_len_) {
+  if (rec.artifact_offset < parsed->second) {
     throw DeviceError("stream updater: journal offset inside the header");
   }
-  base_payload_ = rec.artifact_offset - header_len_;
-  boundary_adler_ = rec.adler_state;
-  adler_pos_ = base_payload_;
+  reader_ = StreamingDeltaReader(
+      rec.header, rec.artifact_offset - parsed->second, rec.adler_state);
   start_executor();
   // Restoring the undo pre-image is idempotent: it reverts the possibly
   // partially-applied in-flight sub-step, after which every journaled
@@ -293,25 +286,8 @@ void StreamingDeviceUpdater::recover(const ApplyRecord& rec) {
 }
 
 void StreamingDeviceUpdater::start_executor() {
-  decoder_.emplace(header_->format, header_->version_length);
-  executor_.emplace(device_, journal_, *header_, identity_, header_blob_,
-                    options_, [this](std::uint64_t payload) {
-                      return ResumePoint{header_len_ + payload,
-                                         adler_at(payload)};
-                    });
-}
-
-void StreamingDeviceUpdater::validate_header() {
-  if (header_->compress_payload) {
-    throw ValidationError(
-        "stream updater: compressed payloads cannot be applied "
-        "incrementally; ship uncompressed or use the staged path");
-  }
-  if (!header_->in_place) {
-    throw ValidationError(
-        "stream updater: delta is not marked in-place reconstructible");
-  }
-  if (header_->format.offsets != WriteOffsets::kExplicit) {
+  const DeltaHeader& header = *reader_.header();
+  if (header.format.offsets != WriteOffsets::kExplicit) {
     // Implicit-offset decoding carries a running write cursor that a
     // mid-payload resume cannot reconstruct; in-place deltas pay for
     // explicit offsets anyway (§6).
@@ -319,10 +295,17 @@ void StreamingDeviceUpdater::validate_header() {
         "stream updater: journaled streaming apply requires explicit "
         "write offsets");
   }
-  if (header_len_ + header_->payload_length != identity_.artifact_size) {
+  const std::uint64_t header_size = reader_.header_blob().size();
+  if (header_size + header.payload_length != identity_.artifact_size) {
     throw FormatError(
         "stream updater: container length does not match artifact size");
   }
+  executor_.emplace(device_, journal_, header, identity_,
+                    reader_.header_blob(), options_.checkpoint_commands,
+                    [this, header_size](std::uint64_t payload) {
+                      return ResumePoint{header_size + payload,
+                                         reader_.adler_at(payload)};
+                    });
 }
 
 std::optional<StreamApplyProbe> StreamingDeviceUpdater::probe(
@@ -406,97 +389,36 @@ void StreamingDeviceUpdater::feed_full_image(ByteView chunk) {
 }
 
 void StreamingDeviceUpdater::feed_delta(ByteView chunk) {
-  if (!header_) {
-    head_pending_.insert(head_pending_.end(), chunk.begin(), chunk.end());
-    stream_pos_ += chunk.size();
-    const auto parsed = try_parse_header(head_pending_);
-    if (!parsed) {
-      if (head_pending_.size() > options_.header_capacity) {
-        throw DeviceError(
-            "stream updater: container header exceeds header_capacity");
-      }
-      return;
-    }
-    header_ = parsed->first;
-    header_len_ = parsed->second;
-    if (header_len_ > options_.header_capacity) {
+  reader_.feed(chunk);
+  stream_pos_ += chunk.size();
+  if (!executor_) {
+    // Until the header parses, header_blob() is every byte fed so far.
+    if (reader_.header_blob().size() > options_.header_capacity) {
       throw DeviceError(
           "stream updater: container header exceeds header_capacity");
     }
-    header_blob_.assign(head_pending_.begin(),
-                        head_pending_.begin() +
-                            static_cast<std::ptrdiff_t>(header_len_));
-    validate_header();
+    if (!reader_.header()) {
+      return;
+    }
     start_executor();
     // Write-ahead: checkpoint {command 0} with the raw header lands
     // before any flash write, making the journal the device's memory of
     // this hop from the very first byte applied.
-    executor_->begin(ResumePoint{header_len_, 1});
-    const Bytes rest(head_pending_.begin() +
-                         static_cast<std::ptrdiff_t>(header_len_),
-                     head_pending_.end());
-    head_pending_.clear();
-    head_pending_.shrink_to_fit();
-    if (!rest.empty()) {
-      ingest_payload(rest);
-    } else if (header_->payload_length == 0) {
-      finish_delta();
-    }
-    return;
+    executor_->begin(ResumePoint{reader_.header_blob().size(), 1});
   }
-  stream_pos_ += chunk.size();
-  ingest_payload(chunk);
-}
-
-void StreamingDeviceUpdater::ingest_payload(ByteView chunk) {
-  // feed() may compact the decoder's consumed bytes away: fold them in
-  // first. Every byte consumed since the last feed() is still buffered.
-  adler_at(base_payload_ + decoder_->consumed());
-  decoder_->feed(chunk);
-  drain_commands();
-}
-
-void StreamingDeviceUpdater::drain_commands() {
   for (;;) {
-    const std::uint64_t pre = base_payload_ + decoder_->consumed();
-    const std::optional<CommandRef> cmd = decoder_->next_ref();
-    if (!cmd) {
+    const std::uint64_t pre = reader_.position();
+    const std::optional<CommandRef> command = reader_.next();
+    if (!command) {
       break;
     }
-    executor_->execute(*cmd, pre);
+    executor_->execute(*command, pre);
   }
-  const std::uint64_t payload_seen = stream_pos_ - header_len_;
-  const std::uint64_t consumed = base_payload_ + decoder_->consumed();
-  if (consumed == header_->payload_length &&
-      payload_seen == header_->payload_length) {
-    if (decoder_->buffered() != 0) {
-      throw FormatError(
-          "stream updater: garbage between last command and payload end");
-    }
-    finish_delta();
-    return;
+  if (reader_.done()) {
+    executor_->finish(ResumePoint{identity_.artifact_size,
+                                  reader_.adler_at(reader_.position())});
+    finished_ = true;
   }
-  if (payload_seen == header_->payload_length && decoder_->buffered() != 0) {
-    throw FormatError("stream updater: payload ends inside a command");
-  }
-}
-
-std::uint32_t StreamingDeviceUpdater::adler_at(std::uint64_t payload_offset) {
-  if (payload_offset > adler_pos_) {
-    const ByteView held = decoder_->consumed_bytes();
-    const std::uint64_t held_end = base_payload_ + decoder_->consumed();
-    if (adler_pos_ + held.size() < held_end || payload_offset > held_end) {
-      throw DeviceError("stream updater: checksum fold out of range");
-    }
-    const std::size_t from =
-        held.size() - static_cast<std::size_t>(held_end - adler_pos_);
-    boundary_adler_ = adler32(
-        held.subspan(from, static_cast<std::size_t>(payload_offset -
-                                                    adler_pos_)),
-        boundary_adler_);
-    adler_pos_ = payload_offset;
-  }
-  return boundary_adler_;
 }
 
 void StreamingDeviceUpdater::append_image_record(ApplyRecordKind kind) {
@@ -507,22 +429,12 @@ void StreamingDeviceUpdater::append_image_record(ApplyRecordKind kind) {
   journal_.journal.append(fields, {}, {});
 }
 
-void StreamingDeviceUpdater::finish_delta() {
-  const std::uint32_t final_adler = adler_at(header_->payload_length);
-  if (header_->payload_length > 0 && final_adler != header_->payload_adler) {
-    throw FormatError("stream updater: payload checksum mismatch");
-  }
-  executor_->finish(ResumePoint{identity_.artifact_size, final_adler});
-  finished_ = true;
-}
-
 void StreamingDeviceUpdater::finish_full_image() {
   if (image_crc_state_ != identity_.artifact_crc) {
     throw FormatError("stream updater: image checksum mismatch");
   }
-  if (options_.verify_crc &&
-      storage_crc(device_, journal_.window.view(), identity_.artifact_size) !=
-          identity_.artifact_crc) {
+  if (storage_crc(device_, journal_.window.view(), identity_.artifact_size) !=
+      identity_.artifact_crc) {
     throw FormatError(
         "stream updater: image CRC mismatch after reconstruction");
   }

@@ -59,13 +59,6 @@ struct StreamUpdaterOptions {
   std::size_t header_capacity = 256;
   /// Full-image mode: checkpoint cadence in artifact bytes.
   std::uint64_t full_image_checkpoint_bytes = 64u << 10;
-  /// Verify the reconstruction against the artifact checksum by
-  /// streaming storage back through the window before the done record.
-  bool verify_crc = true;
-  /// Track written intervals and throw ConflictError on a write-before-
-  /// read violation instead of corrupting (defense in depth behind the
-  /// server-side Verifier).
-  bool check_conflicts = true;
 };
 
 /// What a record tells a rebooted device about the download: the
@@ -84,14 +77,14 @@ class JournaledExecutor {
 
   /// `identity` holds the fields every record repeats (artifact identity
   /// and hop metadata); `header_blob` is the raw container header each
-  /// in-flight record carries. Of `options`, checkpoint_commands,
-  /// check_conflicts and verify_crc apply. `journal` and `header_blob`
-  /// must outlive the executor. Throws DeviceError when the image does
-  /// not fit storage or reaches into the journal region.
+  /// in-flight record carries; a replay batch holds at most
+  /// `checkpoint_commands` commands. `journal` and `header_blob` must
+  /// outlive the executor. Throws DeviceError when the image does not
+  /// fit storage or reaches into the journal region.
   JournaledExecutor(FlashDevice& device, DeviceJournal& journal,
                     const DeltaHeader& header,
                     const ApplyRecordFields& identity, ByteView header_blob,
-                    const StreamUpdaterOptions& options, ResumeFn resume);
+                    std::size_t checkpoint_commands, ResumeFn resume);
 
   JournaledExecutor(const JournaledExecutor&) = delete;
   JournaledExecutor& operator=(const JournaledExecutor&) = delete;
@@ -112,8 +105,7 @@ class JournaledExecutor {
   /// does not match the command.
   void execute(const CommandRef& command, std::uint64_t payload_pre);
 
-  /// Check the version CRC (when verify_crc), then journal the done
-  /// record at `done`.
+  /// Check the version CRC, then journal the done record at `done`.
   void finish(const ResumePoint& done);
 
   /// Read the version back through the window and compare its CRC-32C
@@ -138,7 +130,7 @@ class JournaledExecutor {
   DeltaHeader header_;
   ApplyRecordFields identity_;
   ByteView header_blob_;
-  StreamUpdaterOptions options_;
+  std::size_t checkpoint_commands_;
   ResumeFn resume_;
 
   std::uint64_t next_command_ = 0;
@@ -231,16 +223,11 @@ class StreamingDeviceUpdater {
 
   void feed_full_image(ByteView chunk);
   void feed_delta(ByteView chunk);
-  void ingest_payload(ByteView chunk);
-  void drain_commands();
-  std::uint32_t adler_at(std::uint64_t payload_offset);
   void append_image_record(ApplyRecordKind kind);
   void start_executor();
-  void finish_delta();
   void finish_full_image();
 
   void recover(const ApplyRecord& rec);
-  void validate_header();
 
   FlashDevice& device_;
   ApplyRecordFields identity_;  ///< the artifact every record names
@@ -248,22 +235,10 @@ class StreamingDeviceUpdater {
   DeviceJournal journal_;
   std::uint64_t stream_pos_ = 0;  ///< artifact offset feed() expects next
 
-  // Delta-mode state.
-  Bytes head_pending_;  ///< bytes accumulated before the header parsed
-  std::optional<DeltaHeader> header_;
-  Bytes header_blob_;   ///< raw container header (journaled per record)
-  std::size_t header_len_ = 0;
-  std::optional<StreamingCommandDecoder> decoder_;
+  // Delta-mode state: the reader holds the raw header every record
+  // carries and folds the payload Adler-32 to command boundaries.
+  StreamingDeltaReader reader_;
   std::optional<JournaledExecutor> executor_;
-  std::uint64_t base_payload_ = 0;  ///< payload offset feeding started at
-
-  // Boundary Adler-32, folded exactly to command boundaries from the
-  // decoder's consumed bytes (chunks cross boundaries, so the running
-  // checksum cannot be taken over raw chunks). It is folded to the
-  // decoder's position before every feed(), so the bytes it still needs
-  // are always in the decoder's buffer.
-  std::uint64_t adler_pos_ = 0;      ///< payload offset adler is folded to
-  std::uint32_t boundary_adler_ = 1;
 
   // Full-image mode state.
   std::uint32_t image_crc_state_ = 0;

@@ -90,14 +90,12 @@ UpdateResult apply_update(FlashDevice& device, ByteView delta,
   result.storage_bytes_written = device.bytes_written() - bytes_before;
   result.storage_pages_written = device.pages_touched_write() - pages_before;
 
-  if (options.verify_crc) {
-    if (storage_crc(device, window.view(), file.version_length) !=
-        file.version_crc) {
-      throw FormatError("updater: version CRC mismatch after in-place "
-                        "reconstruction");
-    }
-    result.crc_verified = true;
+  if (storage_crc(device, window.view(), file.version_length) !=
+      file.version_crc) {
+    throw FormatError("updater: version CRC mismatch after in-place "
+                      "reconstruction");
   }
+  result.crc_verified = true;
 
   result.ram_high_water = device.ram().high_water();
   return result;

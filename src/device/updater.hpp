@@ -18,9 +18,6 @@ namespace ipd {
 struct UpdaterOptions {
   /// Size of the bounded copy window (device working buffer).
   std::size_t window_bytes = 4096;
-  /// Verify the reconstruction against the delta's version CRC by
-  /// streaming storage back through the window.
-  bool verify_crc = true;
 };
 
 struct UpdateResult {
@@ -30,6 +27,8 @@ struct UpdateResult {
   std::size_t ram_high_water = 0;    ///< peak device RAM during update
   std::uint64_t storage_bytes_written = 0;
   std::uint64_t storage_pages_written = 0;
+  /// The version CRC read back from storage matched; always true on
+  /// return, since a mismatch throws.
   bool crc_verified = false;
 };
 

@@ -20,10 +20,9 @@ namespace {
 
 /// The server refused a RESUME: the artifact changed since the transfer
 /// started and it advises restarting from GET_DELTA. Recoverable only
-/// where nothing has been applied yet — download_hop discards its
-/// journal and re-requests; stream_hop lets it escape as a fatal Error
-/// because the in-place buffer already absorbed part of the old
-/// artifact.
+/// where nothing has been applied yet (HopSink::restart): the download
+/// discards its journal and re-requests; the in-place sinks let it
+/// escape as a fatal Error.
 class BadResumeError : public Error {
  public:
   using Error::Error;
@@ -153,41 +152,290 @@ void OtaClient::backoff(std::size_t attempt, OtaReport& report) {
   if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
-OtaReport OtaClient::update_streaming(Bytes& image, ReleaseId current,
-                                      ReleaseId target) {
-  const obs::TraceContext trace = mint_update_trace();
-  const obs::TraceScope scope(trace);
-  obs::FlightRecorder flight("ota:stream " + std::to_string(current) + "->" +
-                                 std::to_string(target),
-                             trace);
-  const obs::FlightScope flight_scope(flight);
-  OtaReport report;
-  while (current < target) {
-    current = stream_hop(image, current, target, report);
-    ++report.hops;
+/// Where one hop's artifact goes. The hop loop owns the conversation;
+/// a sink stores what arrives and decides whether a refused RESUME may
+/// restart the hop.
+class HopSink {
+ public:
+  /// What a RESUME continues: the hop, the target the first GET_DELTA
+  /// named (the server re-derives the same route from it, so
+  /// DELTA_BEGIN.last_hop stays truthful), and the artifact's identity.
+  struct Transfer {
+    ReleaseId from = 0;
+    ReleaseId to = 0;
+    ReleaseId target = 0;
+    std::uint32_t artifact_crc = 0;
+    std::uint64_t total_size = 0;
+  };
+
+  virtual ~HopSink() = default;
+  /// The transfer under way, if any: the next attempt RESUMEs it at
+  /// offset() rather than sending GET_DELTA.
+  virtual std::optional<Transfer> transfer() const = 0;
+  /// Start the transfer a GET_DELTA for `target` was answered with.
+  virtual void begin(const DeltaBeginMsg& begin, ReleaseId target) = 0;
+  /// Artifact bytes held so far.
+  virtual std::uint64_t offset() const = 0;
+  /// Take the next artifact bytes; throws Error on a bad artifact.
+  virtual void feed(ByteView data) = 0;
+  /// The whole artifact arrived: check it and put the version in place.
+  virtual void finish() = 0;
+  /// A RESUME was refused: return true after dropping the transfer so
+  /// the hop restarts from GET_DELTA, or false when bytes already
+  /// applied make that impossible.
+  virtual bool restart() = 0;
+};
+
+namespace {
+
+/// update_streaming: the in-place image in RAM.
+class ImageSink final : public HopSink {
+ public:
+  explicit ImageSink(Bytes& image) : image_(image) {}
+
+  std::optional<Transfer> transfer() const override { return transfer_; }
+
+  void begin(const DeltaBeginMsg& begin, ReleaseId target) override {
+    transfer_ = Transfer{begin.from, begin.to, target, begin.artifact_crc,
+                         begin.total_size};
+    version_length_ = begin.version_length;
+    if (begin.full_image) {
+      image_.resize(static_cast<std::size_t>(
+          std::max<std::uint64_t>(image_.size(), begin.version_length)));
+    } else {
+      image_.resize(static_cast<std::size_t>(
+          std::max(begin.reference_length, begin.version_length)));
+      applier_.emplace(MutByteView(image_));
+    }
   }
-  report.final_release = current;
-  return report;
-}
 
-ReleaseId OtaClient::stream_hop(Bytes& image, ReleaseId current,
-                                ReleaseId target, OtaReport& report) {
-  // Hop state lives across attempts: the applier's consumed-byte count
-  // *is* the resume offset, so a reconnect continues mid-command without
-  // re-applying anything.
-  DeltaBeginMsg meta;
-  std::unique_ptr<StreamingInplaceApplier> applier;
-  std::uint64_t received = 0;
-  bool begun = false;
+  std::uint64_t offset() const override { return received_; }
 
-  std::size_t attempt = 0;
-  for (;;) {
+  void feed(ByteView data) override {
+    if (applier_) {
+      applier_->feed(data);
+    } else {
+      // The applier bounds-checks internally; this raw copy must not
+      // trust server-controlled sizes. total_size and version_length are
+      // announced independently, so check the actual destination buffer.
+      if (data.size() > image_.size() - received_) {
+        throw Error("protocol violation: DELTA_DATA overruns the image "
+                    "buffer");
+      }
+      std::copy(data.begin(), data.end(),
+                image_.begin() + static_cast<std::ptrdiff_t>(received_));
+    }
+    received_ += data.size();
+  }
+
+  void finish() override {
+    if (applier_) {
+      if (!applier_->finished()) {
+        throw Error("artifact complete on the wire but the delta stream "
+                    "did not finish: truncated or corrupt container");
+      }
+    } else if (crc32c(ByteView(image_).first(static_cast<std::size_t>(
+                   version_length_))) != transfer_->artifact_crc) {
+      throw Error("full image failed its checksum after reassembly");
+    }
+    image_.resize(static_cast<std::size_t>(version_length_));
+  }
+
+  /// The image already absorbed part of the old artifact.
+  bool restart() override { return false; }
+
+ private:
+  Bytes& image_;
+  std::optional<Transfer> transfer_;
+  std::uint64_t version_length_ = 0;
+  std::optional<StreamingInplaceApplier> applier_;
+  std::uint64_t received_ = 0;
+};
+
+/// update_device: the TransferJournal, applied to flash once complete.
+class DownloadSink final : public HopSink {
+ public:
+  DownloadSink(TransferJournal& journal, ReleaseId target, FlashDevice& device,
+               const JournalRegion& region, const ChannelModel& channel,
+               ServiceMetrics* metrics)
+      : journal_(journal),
+        target_(target),
+        device_(device),
+        region_(region),
+        channel_(channel),
+        metrics_(metrics) {}
+
+  std::optional<Transfer> transfer() const override {
+    if (!journal_.active) return std::nullopt;
+    return Transfer{journal_.from, journal_.hop_to, target_,
+                    journal_.artifact_crc, journal_.total_size};
+  }
+
+  void begin(const DeltaBeginMsg& begin, ReleaseId) override {
+    journal_.active = true;
+    journal_.from = begin.from;
+    journal_.hop_to = begin.to;
+    journal_.full_image = begin.full_image != 0;
+    journal_.total_size = begin.total_size;
+    journal_.reference_length = begin.reference_length;
+    journal_.version_length = begin.version_length;
+    journal_.artifact_crc = begin.artifact_crc;
+    // No reserve(total_size): it is a server-supplied u64, and one
+    // hostile DELTA_BEGIN must not commit gigabytes up front. The buffer
+    // grows only as CRC-verified chunks actually arrive.
+    journal_.received.clear();
+  }
+
+  std::uint64_t offset() const override { return journal_.received.size(); }
+
+  void feed(ByteView data) override {
+    journal_.received.insert(journal_.received.end(), data.begin(),
+                             data.end());
+  }
+
+  void finish() override {
+    // Defense in depth: per-frame CRCs already vetted every chunk, but
+    // the whole-artifact checksum is what the device trusts before it
+    // starts destroying its only reference copy.
+    if (crc32c(journal_.received) != journal_.artifact_crc) {
+      throw Error("artifact failed its end-to-end checksum");
+    }
+    if (journal_.full_image) {
+      // An image reaching into the apply journal would destroy it.
+      // Idempotent: a torn write is simply redone on the next call.
+      DeviceJournal::check_image_area(device_, region_,
+                                      journal_.received.size(),
+                                      "staged full image");
+      device_.write(0, journal_.received);
+    } else {
+      verify_before_flash();
+      // PowerFailure propagates with the journal intact; the next call
+      // skips the download and the flash journal resumes the apply.
+      apply_update_resumable(device_, journal_.received, channel_, region_);
+    }
+    journal_ = TransferJournal{};
+  }
+
+  /// Nothing has been applied yet, so the journaled prefix is disposable.
+  bool restart() override {
+    journal_ = TransferJournal{};
+    return true;
+  }
+
+ private:
+  /// Last line of defense before the first flash write: the frame
+  /// checksums only prove the bytes arrived intact, not that the delta
+  /// is safe to apply without scratch space. A server bug (or a hostile
+  /// server) must not be able to brick this device.
+  void verify_before_flash() {
+    const Verifier verifier(VerifyOptions{.require_in_place = true});
+    const Report verdict = verifier.check(ByteView(journal_.received));
+    if (metrics_ != nullptr && verdict.warning_count() > 0) {
+      metrics_->verify_warns.fetch_add(verdict.warning_count(),
+                                       std::memory_order_relaxed);
+    }
+    if (verdict.ok()) return;
+    if (metrics_ != nullptr) {
+      metrics_->verify_rejects.fetch_add(1, std::memory_order_relaxed);
+    }
+    std::string why = "unsafe delta refused before flash write";
+    for (const Finding& f : verdict.findings) {
+      if (f.severity == Severity::kError) {
+        why += ": " + f.message;
+        break;
+      }
+    }
+    obs::global_events().push(obs::EventType::kJournalPoison, journal_.from,
+                              journal_.hop_to, why);
+    // The push above already mirrored the event into the flight
+    // recorder; dump the whole buffer before the error escapes.
+    dump_active_flight("verify reject before flash write");
+    journal_ = TransferJournal{};  // the artifact is poison; never resume it
+    throw Error(why);
+  }
+
+  TransferJournal& journal_;
+  ReleaseId target_;
+  FlashDevice& device_;
+  const JournalRegion& region_;
+  const ChannelModel& channel_;
+  ServiceMetrics* metrics_;
+};
+
+/// update_device_streaming: the journaled flash updater.
+class FlashSink final : public HopSink {
+ public:
+  /// `probe` carries reboot-recovery state when the apply journal holds
+  /// an in-flight record for this hop.
+  FlashSink(FlashDevice& device, const JournalRegion& region,
+            const StreamUpdaterOptions& options,
+            const std::optional<StreamApplyProbe>& probe)
+      : device_(device), region_(region), options_(options) {
+    if (probe) {
+      // Reboot recovery: reconstruct the mid-hop state from the journal
+      // alone — header, command position, checksum state, undo window.
+      info_ = probe->info;
+      updater_.emplace(device_, region_, info_, options_);
+    }
+  }
+
+  std::optional<Transfer> transfer() const override {
+    if (!updater_) return std::nullopt;
+    return Transfer{info_.meta_from, info_.meta_hop, info_.meta_target,
+                    info_.artifact_crc, info_.artifact_size};
+  }
+
+  void begin(const DeltaBeginMsg& begin, ReleaseId target) override {
+    info_.artifact_crc = begin.artifact_crc;
+    info_.artifact_size = begin.total_size;
+    info_.full_image = begin.full_image != 0;
+    info_.meta_from = begin.from;
+    info_.meta_hop = begin.to;
+    info_.meta_target = target;
+    // The updater journals a write-ahead checkpoint before its first
+    // flash write; from here on the hop survives power cuts.
+    updater_.emplace(device_, region_, info_, options_);
+  }
+
+  std::uint64_t offset() const override { return updater_->next_offset(); }
+
+  void feed(ByteView data) override { updater_->feed(data); }
+
+  void finish() override {
+    if (!updater_->finished()) {
+      throw Error("artifact complete on the wire but the apply did not "
+                  "finish: truncated or corrupt container");
+    }
+  }
+
+  /// Flash already holds part of the old artifact; only the journal can
+  /// finish this hop.
+  bool restart() override { return false; }
+
+ private:
+  FlashDevice& device_;
+  const JournalRegion& region_;
+  const StreamUpdaterOptions& options_;
+  StreamArtifactInfo info_;
+  std::optional<StreamingDeviceUpdater> updater_;
+};
+
+}  // namespace
+
+ReleaseId OtaClient::run_hop(ReleaseId current, ReleaseId target,
+                             HopSink& sink, OtaReport& report) {
+  // A sink restored from durable state may already hold the whole
+  // artifact: a download completed before a power cut, or a flash apply
+  // whose done record landed.
+  std::optional<HopSink::Transfer> held = sink.transfer();
+  bool complete = held && sink.offset() == held->total_size;
+  for (std::size_t attempt = 0; !complete;) {
     // Each attempt is its own span (a child of the update trace) so the
     // merged timeline shows every reconnect, and the server's serve
     // spans parent onto the attempt that actually reached it.
     const obs::TraceContext attempt_ctx = obs::child_of(obs::current_trace());
     const obs::TraceScope attempt_scope(attempt_ctx);
-    obs::WatchdogGuard watchdog("client stream_hop", attempt_ctx,
+    obs::WatchdogGuard watchdog("client hop", attempt_ctx,
                                 options_.stall_deadline_ms * 1'000'000);
     Session session;
     try {
@@ -197,122 +445,96 @@ ReleaseId OtaClient::stream_hop(Bytes& image, ReleaseId current,
       if (session.traced && attempt_ctx.valid()) {
         conn.set_outbound_trace(attempt_ctx);
       }
-      if (!begun) {
+      // The sink's offset *is* the resume point, so a reconnect
+      // continues mid-command without re-applying anything.
+      const std::optional<HopSink::Transfer> resumed = sink.transfer();
+      if (!resumed) {
         conn.send(GetDeltaMsg{current, target});
       } else {
         ++report.resumes;
-        // `to` is the original GET_DELTA target, not the hop target: the
-        // server re-derives the same route (deterministic pipeline), so
-        // DELTA_BEGIN.last_hop stays truthful on resumed transfers.
-        conn.send(ResumeMsg{meta.from, target, received, meta.artifact_crc});
+        conn.send(ResumeMsg{resumed->from, resumed->target, sink.offset(),
+                            resumed->artifact_crc});
       }
       const auto begin = expect<DeltaBeginMsg>(conn, "DELTA_BEGIN");
-      if (!begun) {
+      if (!resumed) {
         if (begin.from != current || begin.start_offset != 0 ||
             begin.to <= current) {
           throw Error("protocol violation: DELTA_BEGIN does not match the "
                       "request");
         }
-        meta = begin;
-        if (begin.full_image) {
-          image.resize(static_cast<std::size_t>(
-              std::max<std::uint64_t>(image.size(), begin.version_length)));
-        } else {
-          image.resize(static_cast<std::size_t>(std::max(
-              begin.reference_length, begin.version_length)));
-          applier = std::make_unique<StreamingInplaceApplier>(
-              MutByteView(image));
-        }
-        begun = true;
-      } else if (begin.artifact_crc != meta.artifact_crc ||
-                 begin.start_offset != received) {
-        // The server refused or mangled the resume; the partially
-        // applied image cannot absorb a different artifact.
+        sink.begin(begin, target);
+      } else if (begin.artifact_crc != resumed->artifact_crc ||
+                 begin.start_offset != sink.offset()) {
+        // The server refused or mangled the resume.
         throw Error("resume mismatch: server offered a different artifact "
                     "or offset");
       }
+      held = sink.transfer();
 
-      for (;;) {
+      while (!complete) {
         Message message = expect_message(conn);
         if (auto* data = std::get_if<DeltaDataMsg>(&message)) {
-          if (data->offset != received) {
+          const std::uint64_t offset = sink.offset();
+          if (data->offset != offset) {
             throw Error("protocol violation: DELTA_DATA at offset " +
                         std::to_string(data->offset) + ", expected " +
-                        std::to_string(received));
+                        std::to_string(offset));
           }
-          if (data->data.size() > meta.total_size - received) {
+          if (data->data.size() > held->total_size - offset) {
             throw Error("protocol violation: DELTA_DATA overruns the "
                         "announced artifact size");
           }
-          if (applier != nullptr) {
-            try {
-              applier->feed(data->data);
-            } catch (const Error& e) {
-              // Frame CRCs passed, so these bytes are what the server
-              // sent: the artifact itself is bad. Retrying cannot help
-              // and the buffer is poisoned — fail the update loudly.
-              throw Error(std::string("artifact rejected mid-stream: ") +
-                          e.what());
-            }
-          } else {
-            // The applier path bounds-checks internally; this raw copy
-            // must not trust server-controlled sizes. total_size and
-            // version_length are announced independently, so check the
-            // actual destination buffer, not just the artifact size.
-            if (data->data.size() > image.size() - received) {
-              throw Error("protocol violation: DELTA_DATA overruns the "
-                          "image buffer");
-            }
-            std::copy(data->data.begin(), data->data.end(),
-                      image.begin() + static_cast<std::ptrdiff_t>(
-                                          data->offset));
+          try {
+            sink.feed(data->data);
+          } catch (const FlashDevice::PowerFailure&) {
+            throw;  // the simulated crash — the journal resumes the hop
+          } catch (const Error& e) {
+            // Frame CRCs passed, so these bytes are what the server
+            // sent: the artifact itself is bad (or violates the device's
+            // safety gates). Retrying cannot help.
+            throw Error(std::string("artifact rejected mid-stream: ") +
+                        e.what());
           }
-          received += data->data.size();
           report.artifact_bytes += data->data.size();
           span.add_bytes(data->data.size());
-          watchdog.progress(received);
+          watchdog.progress(sink.offset());
         } else if (auto* end = std::get_if<DeltaEndMsg>(&message)) {
-          if (end->total_size != received ||
-              end->artifact_crc != meta.artifact_crc) {
+          if (end->total_size != sink.offset() ||
+              end->artifact_crc != held->artifact_crc) {
             throw TransportError(NetErrc::kTruncated,
                                  "artifact ended early (" +
-                                     std::to_string(received) + " of " +
+                                     std::to_string(sink.offset()) + " of " +
                                      std::to_string(end->total_size) +
                                      " bytes)");
           }
-          if (applier != nullptr) {
-            if (!applier->finished()) {
-              throw Error("artifact complete on the wire but the delta "
-                          "stream did not finish: truncated or corrupt "
-                          "container");
-            }
-          } else if (crc32c(ByteView(image.data(),
-                                     static_cast<std::size_t>(
-                                         meta.version_length))) !=
-                     meta.artifact_crc) {
-            throw Error("full image failed its checksum after reassembly");
-          }
-          image.resize(static_cast<std::size_t>(meta.version_length));
-          report.bytes_received += conn.bytes_received();
-          return meta.to;
+          complete = true;
         } else {
           throw Error("protocol violation: unexpected frame inside a "
                       "transfer");
         }
       }
     } catch (const TransportError&) {
-      // fall through to retry
+      // fall through to retry; the sink's offset is the resume point
     } catch (const FormatError&) {
-      // corrupt frame (e.g. injected bit flip) — stream unusable, resume
+      // corrupt frame (e.g. injected bit flip): the frame CRC rejected
+      // it before any byte reached the sink; reconnect and resume
     } catch (const BadResumeError&) {
-      // Fatal here: the in-place buffer already absorbed part of the old
-      // artifact, so a restarted transfer cannot be applied. Leave the
-      // evidence before escaping.
-      dump_active_flight("fatal bad resume mid-stream");
-      throw;
+      // The artifact changed between attempts and the server advises
+      // restarting from GET_DELTA — possible only before anything of it
+      // was applied. Leave evidence before escaping.
+      if (!sink.restart()) {
+        dump_active_flight("fatal bad resume: hop partly applied");
+        throw;
+      }
+      if (obs::FlightRecorder* fr = obs::active_flight_recorder()) {
+        fr->note("bad resume: transfer discarded, re-requesting");
+      }
     }
     if (session.conn != nullptr) {
       report.bytes_received += session.conn->bytes_received();
+    }
+    if (complete) {
+      break;
     }
     ++attempt;
     if (attempt >= options_.max_attempts) {
@@ -323,122 +545,27 @@ ReleaseId OtaClient::stream_hop(Bytes& image, ReleaseId current,
     }
     backoff(attempt, report);
   }
+  const ReleaseId hop = held->to;
+  sink.finish();
+  return hop;
 }
 
-void OtaClient::download_hop(TransferJournal& journal, ReleaseId current,
-                             ReleaseId target, OtaReport& report) {
-  if (journal.active && journal.total_size > 0 &&
-      journal.received.size() == journal.total_size) {
-    return;  // download already complete; only the apply is pending
+OtaReport OtaClient::update_streaming(Bytes& image, ReleaseId current,
+                                      ReleaseId target) {
+  const obs::TraceContext trace = mint_update_trace();
+  const obs::TraceScope scope(trace);
+  obs::FlightRecorder flight("ota:stream " + std::to_string(current) + "->" +
+                                 std::to_string(target),
+                             trace);
+  const obs::FlightScope flight_scope(flight);
+  OtaReport report;
+  while (current < target) {
+    ImageSink sink(image);
+    current = run_hop(current, target, sink, report);
+    ++report.hops;
   }
-  std::size_t attempt = 0;
-  for (;;) {
-    const obs::TraceContext attempt_ctx = obs::child_of(obs::current_trace());
-    const obs::TraceScope attempt_scope(attempt_ctx);
-    obs::WatchdogGuard watchdog("client download_hop", attempt_ctx,
-                                options_.stall_deadline_ms * 1'000'000);
-    Session session;
-    try {
-      obs::Span span(obs::Stage::kNetRequest);
-      session = connect_session();
-      FramedConnection& conn = *session.conn;
-      if (session.traced && attempt_ctx.valid()) {
-        conn.set_outbound_trace(attempt_ctx);
-      }
-      if (!journal.active) {
-        conn.send(GetDeltaMsg{current, target});
-      } else {
-        ++report.resumes;
-        // As in stream_hop: echo the original target so the server
-        // re-derives the same route and last_hop stays truthful.
-        conn.send(ResumeMsg{journal.from, target, journal.received.size(),
-                            journal.artifact_crc});
-      }
-      const auto begin = expect<DeltaBeginMsg>(conn, "DELTA_BEGIN");
-      if (!journal.active) {
-        if (begin.from != current || begin.start_offset != 0 ||
-            begin.to <= current) {
-          throw Error("protocol violation: DELTA_BEGIN does not match the "
-                      "request");
-        }
-        journal.active = true;
-        journal.from = begin.from;
-        journal.hop_to = begin.to;
-        journal.full_image = begin.full_image != 0;
-        journal.total_size = begin.total_size;
-        journal.reference_length = begin.reference_length;
-        journal.version_length = begin.version_length;
-        journal.artifact_crc = begin.artifact_crc;
-        // No reserve(total_size): it is a server-supplied u64, and one
-        // hostile DELTA_BEGIN must not commit gigabytes up front. The
-        // buffer grows only as CRC-verified chunks actually arrive.
-        journal.received.clear();
-      } else if (begin.artifact_crc != journal.artifact_crc ||
-                 begin.start_offset != journal.received.size()) {
-        throw Error("resume mismatch: server offered a different artifact "
-                    "or offset");
-      }
-
-      for (;;) {
-        Message message = expect_message(conn);
-        if (auto* data = std::get_if<DeltaDataMsg>(&message)) {
-          if (data->offset != journal.received.size()) {
-            throw Error("protocol violation: DELTA_DATA out of order");
-          }
-          if (data->data.size() >
-              journal.total_size - journal.received.size()) {
-            throw Error("protocol violation: DELTA_DATA overruns the "
-                        "announced artifact size");
-          }
-          journal.received.insert(journal.received.end(), data->data.begin(),
-                                  data->data.end());
-          span.add_bytes(data->data.size());
-          watchdog.progress(journal.received.size());
-        } else if (auto* end = std::get_if<DeltaEndMsg>(&message)) {
-          if (end->total_size != journal.received.size() ||
-              end->artifact_crc != journal.artifact_crc) {
-            throw TransportError(NetErrc::kTruncated, "artifact ended early");
-          }
-          // Defense in depth: per-frame CRCs already vetted every chunk,
-          // but the whole-artifact checksum is what the device trusts
-          // before it starts destroying its only reference copy.
-          if (crc32c(journal.received) != journal.artifact_crc) {
-            throw Error("artifact failed its end-to-end checksum");
-          }
-          report.bytes_received += conn.bytes_received();
-          report.artifact_bytes += journal.received.size();
-          return;
-        } else {
-          throw Error("protocol violation: unexpected frame inside a "
-                      "transfer");
-        }
-      }
-    } catch (const BadResumeError&) {
-      // The artifact changed between attempts and the server advises
-      // restarting from GET_DELTA. Nothing has been applied yet, so the
-      // journaled prefix is disposable: discard it and re-request the
-      // hop from scratch. (stream_hop cannot do this — its in-place
-      // buffer already absorbed part of the old artifact — so there the
-      // same error stays fatal.)
-      if (obs::FlightRecorder* fr = obs::active_flight_recorder()) {
-        fr->note("bad resume: discarding transfer journal, re-requesting");
-      }
-      journal = TransferJournal{};
-    } catch (const TransportError&) {
-    } catch (const FormatError&) {
-    }
-    if (session.conn != nullptr) {
-      report.bytes_received += session.conn->bytes_received();
-    }
-    ++attempt;
-    if (attempt >= options_.max_attempts) {
-      dump_active_flight("transfer abort: attempts exhausted");
-      throw Error("download failed after " + std::to_string(attempt) +
-                  " attempts (hop " + std::to_string(current) + " -> " +
-                  std::to_string(target) + ")");
-    }
-    backoff(attempt, report);
-  }
+  report.final_release = current;
+  return report;
 }
 
 OtaReport OtaClient::update_device(FlashDevice& device,
@@ -470,47 +597,9 @@ OtaReport OtaClient::update_device(FlashDevice& device,
     }
   }
   while (current < target) {
-    download_hop(tj, current, target, report);
-    if (tj.full_image) {
-      // Idempotent: a torn write is simply redone on the next call.
-      device.write(0, tj.received);
-    } else {
-      // Last line of defense before the first flash write: the frame
-      // checksums only prove the bytes arrived intact, not that the
-      // delta is safe to apply without scratch space. A server bug (or
-      // a hostile server) must not be able to brick this device.
-      const Verifier verifier(VerifyOptions{.require_in_place = true});
-      const Report verdict = verifier.check(ByteView(tj.received));
-      if (metrics_ != nullptr && verdict.warning_count() > 0) {
-        metrics_->verify_warns.fetch_add(verdict.warning_count(),
-                                         std::memory_order_relaxed);
-      }
-      if (!verdict.ok()) {
-        if (metrics_ != nullptr) {
-          metrics_->verify_rejects.fetch_add(1, std::memory_order_relaxed);
-        }
-        std::string why = "unsafe delta refused before flash write";
-        for (const Finding& f : verdict.findings) {
-          if (f.severity == Severity::kError) {
-            why += ": " + f.message;
-            break;
-          }
-        }
-        obs::global_events().push(obs::EventType::kJournalPoison, current,
-                                  tj.hop_to, why);
-        // The push above already mirrored the event into the flight
-        // recorder; dump the whole buffer before the error escapes.
-        obs::dump_flight(flight, "verify reject before flash write");
-        tj = TransferJournal{};  // the artifact is poison; never resume it
-        throw Error(why);
-      }
-      // PowerFailure propagates with `tj` intact; the next call skips
-      // the download and the flash journal resumes the apply.
-      apply_update_resumable(device, tj.received, channel, journal);
-    }
+    DownloadSink sink(tj, target, device, journal, channel, metrics_);
+    current = run_hop(current, target, sink, report);
     ++report.hops;
-    current = tj.hop_to;
-    tj = TransferJournal{};
   }
   report.final_release = current;
   return report;
@@ -541,141 +630,12 @@ OtaReport OtaClient::update_device_streaming(
     if (!probe && current >= target) {
       break;
     }
-    current = stream_device_hop(device, journal, current, target,
-                                std::move(probe), apply_options, report);
+    FlashSink sink(device, journal, apply_options, probe);
+    current = run_hop(current, target, sink, report);
     ++report.hops;
   }
   report.final_release = current;
   return report;
-}
-
-ReleaseId OtaClient::stream_device_hop(
-    FlashDevice& device, const JournalRegion& journal, ReleaseId current,
-    ReleaseId target, std::optional<StreamApplyProbe> probe,
-    const StreamUpdaterOptions& apply_options, OtaReport& report) {
-  StreamArtifactInfo info;
-  std::unique_ptr<StreamingDeviceUpdater> updater;
-  if (probe) {
-    // Reboot recovery: reconstruct the mid-hop state from the journal
-    // alone — header, command position, checksum state, undo window.
-    info = probe->info;
-    updater = std::make_unique<StreamingDeviceUpdater>(device, journal, info,
-                                                       apply_options);
-    if (updater->finished()) {
-      return info.meta_hop;
-    }
-  }
-  std::size_t attempt = 0;
-  for (;;) {
-    const obs::TraceContext attempt_ctx = obs::child_of(obs::current_trace());
-    const obs::TraceScope attempt_scope(attempt_ctx);
-    obs::WatchdogGuard watchdog("client stream_device_hop", attempt_ctx,
-                                options_.stall_deadline_ms * 1'000'000);
-    Session session;
-    try {
-      obs::Span span(obs::Stage::kNetRequest);
-      session = connect_session();
-      FramedConnection& conn = *session.conn;
-      if (session.traced && attempt_ctx.valid()) {
-        conn.set_outbound_trace(attempt_ctx);
-      }
-      if (updater == nullptr) {
-        conn.send(GetDeltaMsg{current, target});
-      } else {
-        ++report.resumes;
-        // As in stream_hop: echo the original target so the server
-        // re-derives the same route and the artifact identity matches.
-        conn.send(ResumeMsg{info.meta_from, info.meta_target,
-                            updater->next_offset(), info.artifact_crc});
-      }
-      const auto begin = expect<DeltaBeginMsg>(conn, "DELTA_BEGIN");
-      if (updater == nullptr) {
-        if (begin.from != current || begin.start_offset != 0 ||
-            begin.to <= current) {
-          throw Error("protocol violation: DELTA_BEGIN does not match the "
-                      "request");
-        }
-        info.artifact_crc = begin.artifact_crc;
-        info.artifact_size = begin.total_size;
-        info.full_image = begin.full_image != 0;
-        info.meta_from = begin.from;
-        info.meta_hop = begin.to;
-        info.meta_target = target;
-        // The updater journals a write-ahead checkpoint before its first
-        // flash write; from here on the hop survives power cuts.
-        updater = std::make_unique<StreamingDeviceUpdater>(
-            device, journal, info, apply_options);
-      } else if (begin.artifact_crc != info.artifact_crc ||
-                 begin.start_offset != updater->next_offset()) {
-        throw Error("resume mismatch: server offered a different artifact "
-                    "or offset");
-      }
-
-      for (;;) {
-        Message message = expect_message(conn);
-        if (auto* data = std::get_if<DeltaDataMsg>(&message)) {
-          if (data->offset != updater->next_offset()) {
-            throw Error("protocol violation: DELTA_DATA at offset " +
-                        std::to_string(data->offset) + ", expected " +
-                        std::to_string(updater->next_offset()));
-          }
-          try {
-            updater->feed(data->data);
-          } catch (const FlashDevice::PowerFailure&) {
-            throw;  // the simulated crash — the journal resumes the hop
-          } catch (const Error& e) {
-            // Frame CRCs passed, so these bytes are what the server
-            // sent: the artifact itself is bad (or violates the device's
-            // safety gates). Retrying cannot help.
-            throw Error(std::string("artifact rejected mid-stream: ") +
-                        e.what());
-          }
-          report.artifact_bytes += data->data.size();
-          span.add_bytes(data->data.size());
-          watchdog.progress(updater->next_offset());
-        } else if (auto* end = std::get_if<DeltaEndMsg>(&message)) {
-          if (end->total_size != updater->next_offset() ||
-              end->artifact_crc != info.artifact_crc) {
-            throw TransportError(
-                NetErrc::kTruncated,
-                "artifact ended early (" +
-                    std::to_string(updater->next_offset()) + " of " +
-                    std::to_string(end->total_size) + " bytes)");
-          }
-          if (!updater->finished()) {
-            throw Error("artifact complete on the wire but the apply did "
-                        "not finish: truncated or corrupt container");
-          }
-          report.bytes_received += conn.bytes_received();
-          return info.meta_hop;
-        } else {
-          throw Error("protocol violation: unexpected frame inside a "
-                      "transfer");
-        }
-      }
-    } catch (const TransportError&) {
-      // fall through to retry; the updater's position is the resume point
-    } catch (const FormatError&) {
-      // corrupt frame (e.g. injected bit flip) — the frame CRC rejected
-      // it before any byte reached the updater; reconnect and resume
-    } catch (const BadResumeError&) {
-      // Fatal here: flash already holds part of the old artifact; only
-      // the journal can finish this hop. Leave evidence before escaping.
-      dump_active_flight("fatal bad resume mid-apply");
-      throw;
-    }
-    if (session.conn != nullptr) {
-      report.bytes_received += session.conn->bytes_received();
-    }
-    ++attempt;
-    if (attempt >= options_.max_attempts) {
-      dump_active_flight("transfer abort: attempts exhausted");
-      throw Error("update failed after " + std::to_string(attempt) +
-                  " attempts (hop " + std::to_string(current) + " -> " +
-                  std::to_string(target) + ")");
-    }
-    backoff(attempt, report);
-  }
 }
 
 std::string OtaClient::fetch_metrics() {

@@ -1,28 +1,35 @@
 // OtaClient: the device side of the wire protocol — stream an upgrade
 // over an unreliable link and survive everything the link does to you.
 //
-// Two consumption modes, matching the two device stories in the repo:
+// Three entry points, one per place the new version is built:
 //
-//  * update_streaming() — DELTA_DATA chunks are fed straight into a
-//    StreamingInplaceApplier as they arrive, so peak RAM is one command
-//    plus parser state (the paper's §1 constrained-device budget). The
-//    applier's position doubles as the transfer journal: after a drop,
-//    truncation, or detected bit flip the client reconnects with capped
-//    exponential backoff and sends RESUME at exactly the byte it has
-//    already applied — nothing is re-transferred, nothing is re-applied.
-//
+//  * update_streaming() — DELTA_DATA chunks feed a StreamingInplaceApplier
+//    over a RAM image as they arrive, so peak RAM is one command plus
+//    parser state (the paper's §1 constrained-device budget).
 //  * update_device() — each hop's artifact is first downloaded into a
-//    TransferJournal (resumable at byte granularity across connection
-//    faults AND client restarts: hand the same journal to a fresh
-//    client and it picks up at the journaled offset), then applied to
-//    the FlashDevice through device/resumable_updater, whose on-flash
-//    journal makes the apply itself power-failure tolerant. A simulated
-//    PowerFailure propagates; call update_device() again with the same
-//    arguments to resume both halves.
+//    TransferJournal (resumable across connection faults AND client
+//    restarts: hand the same journal to a fresh client and it picks up
+//    at the journaled offset), then verified and applied to the
+//    FlashDevice through device/resumable_updater, whose on-flash
+//    journal makes the apply itself power-failure tolerant.
+//  * update_device_streaming() — chunks feed a StreamingDeviceUpdater
+//    straight to flash; its apply journal is the device's only durable
+//    state and survives power cuts mid-hop.
 //
-// Both modes upgrade hop by hop: the server streams one artifact per
-// request (the first step of its chosen route), the client applies it
-// and asks again from its new release until it runs the target.
+// All three run one hop loop. It connects with capped exponential
+// backoff, sends GET_DELTA (or RESUME at exactly the byte the sink holds,
+// so nothing is re-transferred or re-applied), checks every
+// DELTA_BEGIN/DATA/END against the transfer, and retries transport and
+// frame faults. The bytes go to a sink: the RAM image, the download
+// journal, or the flash updater. A sink decides one policy: whether a
+// refused RESUME may restart the hop from GET_DELTA. Only the download
+// can, since nothing has been applied yet; the two in-place sinks fail.
+// A simulated PowerFailure always propagates; call the same entry point
+// again with the same arguments to resume.
+//
+// Upgrades go hop by hop: the server streams one artifact per request
+// (the first step of its chosen route), the client applies it and asks
+// again from its new release until it runs the target.
 #pragma once
 
 #include <functional>
@@ -57,7 +64,7 @@ struct OtaReport {
   std::size_t retries = 0;       ///< reconnects forced by faults
   std::size_t resumes = 0;       ///< RESUME requests issued
   std::uint64_t bytes_received = 0;   ///< wire bytes read (all attempts)
-  std::uint64_t artifact_bytes = 0;   ///< payload bytes applied
+  std::uint64_t artifact_bytes = 0;   ///< artifact bytes fed to sinks
   std::uint64_t backoff_ns = 0;  ///< total time spent sleeping in backoff
 };
 
@@ -77,6 +84,10 @@ struct TransferJournal {
   std::uint32_t artifact_crc = 0;
   Bytes received;  ///< artifact prefix; received.size() is the offset
 };
+
+/// Where one hop's artifact goes (ota_client.cpp): the RAM image, the
+/// download journal, or the flash updater.
+class HopSink;
 
 class OtaClient {
  public:
@@ -141,23 +152,11 @@ class OtaClient {
   /// reconnects — so tracing degrades gracefully against old peers.
   Session connect_session();
   void backoff(std::size_t attempt, OtaReport& report);
-  /// Stream one hop into `image`, resuming across faults; returns the
-  /// release the image holds afterwards.
-  ReleaseId stream_hop(Bytes& image, ReleaseId current, ReleaseId target,
-                       OtaReport& report);
-  /// Download one hop's artifact into `journal`, resuming at its
-  /// current offset; returns when the artifact is complete + verified.
-  void download_hop(TransferJournal& journal, ReleaseId current,
-                    ReleaseId target, OtaReport& report);
-  /// Stream one hop straight to flash; `probe` carries reboot-recovery
-  /// state when the apply journal holds an in-flight record. Returns the
-  /// release the device holds afterwards.
-  ReleaseId stream_device_hop(FlashDevice& device,
-                              const JournalRegion& journal,
-                              ReleaseId current, ReleaseId target,
-                              std::optional<StreamApplyProbe> probe,
-                              const StreamUpdaterOptions& apply_options,
-                              OtaReport& report);
+  /// Transfer one hop from `current` toward `target` into `sink`,
+  /// resuming across faults, then finish it; returns the release the
+  /// sink holds afterwards.
+  ReleaseId run_hop(ReleaseId current, ReleaseId target, HopSink& sink,
+                    OtaReport& report);
 
   TransportFactory factory_;
   OtaClientOptions options_;

@@ -34,7 +34,9 @@ void copy_detail(char (&dst)[FlightRecorder::kDetailBytes],
                  std::string_view src) noexcept {
   const std::size_t n =
       src.size() < sizeof dst - 1 ? src.size() : sizeof dst - 1;
-  std::memcpy(dst, src.data(), n);
+  // An empty string_view may carry a null data(), which memcpy must not
+  // see even for a zero-byte copy.
+  if (n != 0) std::memcpy(dst, src.data(), n);
   dst[n] = '\0';
 }
 

@@ -30,12 +30,12 @@
 #include <string>
 #include <vector>
 
+#include "core/thread_pool.hpp"
 #include "ipdelta.hpp"
 #include "obs/trace_context.hpp"
 #include "server/delta_cache.hpp"
 #include "server/metrics.hpp"
 #include "server/singleflight.hpp"
-#include "server/thread_pool.hpp"
 #include "server/version_store.hpp"
 #include "verify/verifier.hpp"
 

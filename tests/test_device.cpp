@@ -219,15 +219,6 @@ TEST_F(UpdaterTest, ImageTooLargeForStorage) {
   EXPECT_THROW(apply_update(dev, delta_, channel_28k()), DeviceError);
 }
 
-TEST_F(UpdaterTest, SkippingCrcSkipsVerification) {
-  FlashDevice dev(64 << 10, 4096, 64 << 10);
-  dev.load_image(old_image_);
-  UpdaterOptions options;
-  options.verify_crc = false;
-  const UpdateResult r = apply_update(dev, delta_, channel_28k(), options);
-  EXPECT_FALSE(r.crc_verified);
-}
-
 TEST(Updater, GrowingImageUpdatesInPlace) {
   // New version larger than the old one — the buffer slack case.
   Rng rng(21);

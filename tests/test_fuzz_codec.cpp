@@ -155,8 +155,8 @@ TEST(FuzzCodec, StreamingDecoderChunkInvariance) {
           std::min<std::size_t>(1 + rng.below(97), payload.size() - pos);
       decoder.feed(payload.subspan(pos, n));
       pos += n;
-      while (auto cmd = decoder.next()) {
-        commands.push_back(std::move(*cmd));
+      while (const auto cmd = decoder.next_ref()) {
+        commands.push_back(cmd->to_command());
       }
     }
     EXPECT_EQ(commands, file.script.commands()) << "trial " << trial;

@@ -6,6 +6,7 @@
 
 #include "adversary/constructions.hpp"
 #include "apply/apply.hpp"
+#include "apply/oracle.hpp"
 #include "core/checksum.hpp"
 #include "inplace/converter.hpp"
 #include "test_util.hpp"
@@ -115,18 +116,17 @@ TEST(ApplyInplace, ConflictingScriptSilentlyCorrupts) {
   EXPECT_FALSE(test::bytes_equal(inst.version, buffer));
 }
 
-TEST(ApplyInplaceChecked, ThrowsOnTheConflictInstead) {
+TEST(ApplyInplace, OracleFlagsTheConflictingScript) {
   const AdversaryInstance inst = make_rotation(100, 30);
-  Bytes buffer = inst.reference;
-  EXPECT_THROW(apply_inplace_checked(inst.script, buffer, 100, 100),
-               ConflictError);
+  EXPECT_FALSE(analyze_conflicts(inst.script).in_place_safe());
 }
 
-TEST(ApplyInplaceChecked, AcceptsConvertedScript) {
+TEST(ApplyInplace, ConvertedScriptIsCleanAndReconstructs) {
   const AdversaryInstance inst = make_rotation(100, 30);
   const ConvertResult r = convert_to_inplace(inst.script, inst.reference, {});
+  ASSERT_TRUE(analyze_conflicts(r.script).in_place_safe());
   Bytes buffer = inst.reference;
-  ASSERT_NO_THROW(apply_inplace_checked(r.script, buffer, 100, 100));
+  apply_inplace(r.script, buffer, 100, 100);
   EXPECT_TRUE(test::bytes_equal(inst.version, buffer));
 }
 

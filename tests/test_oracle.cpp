@@ -32,6 +32,34 @@ TEST(Oracle, DetectsBasicWriteBeforeRead) {
   EXPECT_EQ(a.corrupt_bytes, 5u);
 }
 
+TEST(Oracle, SeesAWriteShadowedByAShorterOne) {
+  // Command 1 rewrites only [0,0] of command 0's [0,9]; the copy still
+  // reads [5,5], which command 0 wrote.
+  const Script s = script_of({A(0, "0123456789"), A(0, "x"), C(5, 20, 1)});
+  const ConflictAnalysis a = analyze_conflicts(s);
+  ASSERT_EQ(a.conflicts.size(), 1u);
+  EXPECT_EQ(a.conflicts[0].reader_index, 2u);
+  EXPECT_EQ(a.conflicts[0].writer_index, 0u);
+  EXPECT_EQ(a.conflicts[0].overlap, (Interval{5, 5}));
+  EXPECT_EQ(a.corrupt_bytes, 1u);
+}
+
+TEST(Oracle, AttributesEachByteToItsLastWriter) {
+  // Command 1 overwrites [4,5] in the middle of command 0's [0,9]; a read
+  // of [0,9] meets command 0 on both sides and command 1 between, and
+  // every corrupt byte is counted once.
+  const Script s = script_of({A(0, "0123456789"), A(4, "ab"), C(0, 20, 10)});
+  const ConflictAnalysis a = analyze_conflicts(s);
+  ASSERT_EQ(a.conflicts.size(), 3u);
+  EXPECT_EQ(a.conflicts[0].writer_index, 0u);
+  EXPECT_EQ(a.conflicts[0].overlap, (Interval{6, 9}));
+  EXPECT_EQ(a.conflicts[1].writer_index, 1u);
+  EXPECT_EQ(a.conflicts[1].overlap, (Interval{4, 5}));
+  EXPECT_EQ(a.conflicts[2].writer_index, 0u);
+  EXPECT_EQ(a.conflicts[2].overlap, (Interval{0, 3}));
+  EXPECT_EQ(a.corrupt_bytes, 10u);
+}
+
 TEST(Oracle, OrderMatters) {
   // The same two commands in the safe order: no conflict.
   const Script s = script_of({C(5, 10, 10), C(20, 0, 10)});

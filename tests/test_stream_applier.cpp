@@ -103,18 +103,6 @@ TEST(StreamApplier, RejectsNonInplaceDelta) {
   EXPECT_THROW(applier.feed(plain), ValidationError);
 }
 
-TEST(StreamApplier, OptionAllowsUnflaggedConflictFreeDelta) {
-  // An all-add delta is trivially safe; with the flag requirement off
-  // and conflict checking on, it streams fine.
-  const Bytes ver = test::random_bytes(3, 600);
-  const Bytes delta = Pipeline({.format = kVarintExplicit}).build_delta({}, ver).delta;
-  Bytes buffer(ver.size());
-  StreamApplyOptions options;
-  options.require_inplace_flag = false;
-  const length_t n = apply_delta_inplace_streaming(delta, buffer, 32, options);
-  EXPECT_TRUE(test::bytes_equal(ver, ByteView(buffer).first(n)));
-}
-
 TEST(StreamApplier, ConflictCheckingCatchesUnsafeOrder) {
   const AdversaryInstance inst = make_rotation(500, 100);
   DeltaFile file;
