@@ -17,6 +17,7 @@
 #include "device/stream_updater.hpp"
 #include "corpus/generator.hpp"
 #include "corpus/mutation.hpp"
+#include "delta/onepass_differ.hpp"
 #include "inplace/converter.hpp"
 #include "inplace/scc.hpp"
 #include "ipdelta.hpp"
@@ -48,16 +49,40 @@ Pair make_pair_bytes(std::size_t size) {
   return p;
 }
 
-void BM_DiffOnePass(benchmark::State& state) {
-  const Pair p = make_pair_bytes(static_cast<std::size_t>(state.range(0)));
+// One pair per size, generated once and shared by the rows below.
+const Pair& cached_pair(std::size_t size) {
+  static std::map<std::size_t, Pair> cache;
+  auto it = cache.find(size);
+  if (it == cache.end()) it = cache.emplace(size, make_pair_bytes(size)).first;
+  return it->second;
+}
+
+// The one-pass differ's two layers, split: the rolling hash and index
+// build over the reference, then the segment scan of the version
+// against a prebuilt index. 256 KiB is a release_corpus-sized file,
+// 12 MiB a large_image one.
+void BM_OnePassIndex(benchmark::State& state) {
+  const Pair& p = cached_pair(static_cast<std::size_t>(state.range(0)));
+  const OnePassDiffer differ;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        diff_bytes(DifferKind::kOnePass, p.ref, p.ver));
+    benchmark::DoNotOptimize(differ.build_index(p.ref));
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations() * p.ref.size()));
+}
+BENCHMARK(BM_OnePassIndex)->Arg(256 << 10)->Arg(12 << 20);
+
+void BM_OnePassScan(benchmark::State& state) {
+  const Pair& p = cached_pair(static_cast<std::size_t>(state.range(0)));
+  const OnePassDiffer differ;
+  const auto index = differ.build_index(p.ref);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(differ.scan(*index, p.ref, p.ver));
   }
   state.SetBytesProcessed(
       static_cast<std::int64_t>(state.iterations() * p.ver.size()));
 }
-BENCHMARK(BM_DiffOnePass)->Range(1 << 12, 1 << 20);
+BENCHMARK(BM_OnePassScan)->Arg(256 << 10)->Arg(12 << 20);
 
 void BM_DiffGreedy(benchmark::State& state) {
   const Pair p = make_pair_bytes(static_cast<std::size_t>(state.range(0)));
@@ -141,7 +166,7 @@ BENCHMARK(BM_ApplyInplace)->Range(1 << 12, 1 << 20);
 // One in-place artifact per pair size, built once and shared by the
 // decode and apply rows below.
 struct BuiltPair {
-  Pair pair;
+  const Pair& pair;  // cached_pair's, which lives as long as the process
   Bytes delta;
 };
 
@@ -149,9 +174,9 @@ const BuiltPair& built_pair(std::size_t size) {
   static std::map<std::size_t, BuiltPair> cache;
   auto it = cache.find(size);
   if (it == cache.end()) {
-    Pair p = make_pair_bytes(size);
+    const Pair& p = cached_pair(size);
     Bytes delta = Pipeline().build_inplace(p.ref, p.ver).delta;
-    it = cache.emplace(size, BuiltPair{std::move(p), std::move(delta)}).first;
+    it = cache.emplace(size, BuiltPair{p, std::move(delta)}).first;
   }
   return it->second;
 }

@@ -4,9 +4,12 @@
 // bench_server and bench_net no longer carry their own percentile math.
 #pragma once
 
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -22,6 +25,39 @@ double time_seconds(Fn&& fn) {
   fn();
   const auto end = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(end - start).count();
+}
+
+/// Host capacity probe, the same busy loop as ipbench's
+/// `host.thread_scaling`: iterations `threads` threads of a pure-ALU
+/// loop complete in `seconds`, divided by what one thread completes. A
+/// 4-vCPU host shared with other tenants reads anywhere from about 1x to
+/// 4x, so it is printed beside every parallel speedup: a short speedup
+/// on a host that reads 4x here is the code's, not the host's.
+inline double thread_scaling(std::size_t threads, double seconds = 0.1) {
+  const auto busy_rate = [seconds](std::size_t n) {
+    std::atomic<bool> stop{false};
+    std::vector<std::uint64_t> counts(n, 0);
+    std::vector<std::thread> workers;
+    for (std::size_t i = 0; i < n; ++i) {
+      workers.emplace_back([&, i] {
+        std::uint64_t x = i + 1;
+        std::uint64_t loops = 0;
+        while (!stop.load(std::memory_order_relaxed)) {
+          for (int k = 0; k < 4096; ++k) x = x * 6364136223846793005ull + 1;
+          ++loops;
+        }
+        counts[i] = loops + (x == 0 ? 1 : 0);
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+    stop.store(true);
+    for (std::thread& t : workers) t.join();
+    double total = 0;
+    for (const std::uint64_t c : counts) total += static_cast<double>(c);
+    return total;
+  };
+  const double one = busy_rate(1);
+  return one > 0 ? busy_rate(threads) / one : 0.0;
 }
 
 /// The evaluation corpus shared by bench_table1 / bench_runtime /

@@ -4,10 +4,10 @@
 
 namespace ipd {
 
-RollingHash::RollingHash(std::size_t window) : window_(window), top_power_(1) {
+RollingHash::RollingHash(std::size_t window) : window_(window), out_power_(1) {
   assert(window >= 1);
-  for (std::size_t i = 0; i + 1 < window; ++i) {
-    top_power_ *= kMultiplier;
+  for (std::size_t i = 0; i < window; ++i) {
+    out_power_ *= kMultiplier;
   }
 }
 
@@ -17,20 +17,6 @@ std::uint64_t RollingHash::init(ByteView data) noexcept {
   for (std::size_t i = 0; i < window_; ++i) {
     h = h * kMultiplier + data[i];
   }
-  return h;
-}
-
-std::uint64_t RollingHash::roll(std::uint64_t hash, std::uint8_t outgoing,
-                                std::uint8_t incoming) const noexcept {
-  return (hash - outgoing * top_power_) * kMultiplier + incoming;
-}
-
-std::uint64_t RollingHash::mix(std::uint64_t h) noexcept {
-  h ^= h >> 30;
-  h *= 0xBF58476D1CE4E5B9ull;
-  h ^= h >> 27;
-  h *= 0x94D049BB133111EBull;
-  h ^= h >> 31;
   return h;
 }
 

@@ -21,14 +21,17 @@ namespace ipd {
 struct DifferOptions {
   /// Fingerprinted substring ("seed") length; also the minimum match the
   /// matcher can detect. 16 bytes works well on binary and text alike.
+  /// At least 4 for the greedy and one-pass differs.
   std::size_t seed_length = 16;
   /// Minimum copy length worth emitting; shorter matches become literals.
+  /// At least seed_length for the greedy and one-pass differs.
   std::size_t min_match = 16;
   /// Greedy only: maximum hash-chain positions probed per version offset.
   /// Bounds the quadratic blow-up on repetitive inputs.
   std::size_t max_chain = 64;
-  /// One-pass only: log2 of the fingerprint table size. The table is this
-  /// size regardless of input length — the algorithm's "constant space".
+  /// One-pass only: log2 of the fingerprint table size, 8 to 28. The
+  /// table is this size regardless of input length — the algorithm's
+  /// "constant space" — at 4 bytes per slot.
   std::size_t table_bits = 18;
   /// Block-aligned only: the alignment granularity.
   std::size_t block_size = 512;

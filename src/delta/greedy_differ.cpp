@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <limits>
 
 #include "core/rolling_hash.hpp"
+#include "delta/match_extend.hpp"
 
 namespace ipd {
 namespace {
@@ -64,26 +64,10 @@ struct GreedyIndex final : public DifferIndex {
   ChainIndex chains;
 };
 
-std::size_t match_forward(ByteView a, std::size_t ai, ByteView b,
-                          std::size_t bi) noexcept {
-  const std::size_t limit = std::min(a.size() - ai, b.size() - bi);
-  std::size_t n = 0;
-  while (n < limit && a[ai + n] == b[bi + n]) ++n;
-  return n;
-}
-
-std::size_t match_backward(ByteView a, std::size_t ai, ByteView b,
-                           std::size_t bi, std::size_t limit) noexcept {
-  std::size_t n = 0;
-  while (n < limit && n < ai && n < bi && a[ai - n - 1] == b[bi - n - 1]) ++n;
-  return n;
-}
-
 }  // namespace
 
 GreedyDiffer::GreedyDiffer(const DifferOptions& options) : options_(options) {
-  assert(options_.seed_length >= 4);
-  assert(options_.min_match >= options_.seed_length);
+  check_seed_options(options_, "greedy");
 }
 
 std::unique_ptr<DifferIndex> GreedyDiffer::build_index(

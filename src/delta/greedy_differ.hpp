@@ -16,6 +16,8 @@ namespace ipd {
 
 class GreedyDiffer final : public SegmentedDiffer {
  public:
+  /// Throws ValidationError unless seed_length >= 4 and
+  /// min_match >= seed_length.
   explicit GreedyDiffer(const DifferOptions& options = {});
 
   /// Chain construction stays serial: each link records the previous

@@ -1,47 +1,46 @@
 #include "delta/onepass_differ.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <array>
 
 #include "core/rolling_hash.hpp"
+#include "delta/match_extend.hpp"
 
 namespace ipd {
 namespace {
 
-// Below this many reference positions a parallel table build costs more
-// in fork/join than the fill saves.
-constexpr std::size_t kParallelIndexMinPositions = std::size_t{1} << 20;
+/// Positions per block of the back-to-front table fill. A block's slot
+/// numbers (4 KiB) stay in L1 between the hashing and the stores, and
+/// re-seeding the hash once per block costs a seed's worth of multiplies
+/// per 1024 positions.
+constexpr std::size_t kFillBlock = 1024;
 
-std::size_t match_forward(ByteView a, std::size_t ai, ByteView b,
-                          std::size_t bi) noexcept {
-  const std::size_t limit = std::min(a.size() - ai, b.size() - bi);
-  std::size_t n = 0;
-  while (n < limit && a[ai + n] == b[bi + n]) ++n;
-  return n;
-}
-
-std::size_t match_backward(ByteView a, std::size_t ai, ByteView b,
-                           std::size_t bi, std::size_t limit) noexcept {
-  std::size_t n = 0;
-  while (n < limit && n < ai && n < bi && a[ai - n - 1] == b[bi - n - 1]) ++n;
-  return n;
-}
+/// Positions the scan looks its candidates up ahead of the cursor. A
+/// power of two, so the ring index is a mask.
+constexpr std::size_t kLookahead = 8;
 
 /// Fill `table` with the first occurrence of each fingerprint over
-/// reference positions [begin, end).
+/// reference positions [begin, end). Blocks go from last to first; each
+/// block's slots are hashed forwards, then stored back to front without
+/// a check, so every slot ends up holding the lowest position that
+/// hashed to it — the first occurrence, which wins in [5].
 void fill_first_occurrences(ByteView reference, std::size_t seed,
                             std::size_t mask, std::size_t begin,
-                            std::size_t end, std::vector<std::uint64_t>& table) {
-  if (begin >= end) return;
+                            std::size_t end, std::vector<std::uint32_t>& table) {
   RollingHash rh(seed);
-  std::uint64_t h = rh.init(reference.subspan(begin));
-  for (std::size_t pos = begin;; ++pos) {
-    std::uint64_t& slot = table[RollingHash::mix(h) & mask];
-    if (slot == OnePassIndex::kEmpty) {
-      slot = pos;  // first occurrence wins, as in [5]
+  std::array<std::uint32_t, kFillBlock> slots{};
+  for (std::size_t hi = end; hi > begin;) {
+    const std::size_t lo = hi - std::min(hi - begin, kFillBlock);
+    std::uint64_t h = rh.init(reference.subspan(lo));
+    for (std::size_t pos = lo;; ++pos) {
+      slots[pos - lo] = static_cast<std::uint32_t>(RollingHash::mix(h) & mask);
+      if (pos + 1 == hi) break;
+      h = rh.roll(h, reference[pos], reference[pos + seed]);
     }
-    if (pos + 1 >= end) break;
-    h = rh.roll(h, reference[pos], reference[pos + seed]);
+    for (std::size_t pos = hi; pos-- > lo;) {
+      table[slots[pos - lo]] = static_cast<std::uint32_t>(pos);
+    }
+    hi = lo;
   }
 }
 
@@ -49,13 +48,18 @@ void fill_first_occurrences(ByteView reference, std::size_t seed,
 
 OnePassDiffer::OnePassDiffer(const DifferOptions& options)
     : options_(options) {
-  assert(options_.seed_length >= 4);
-  assert(options_.min_match >= options_.seed_length);
-  assert(options_.table_bits >= 8 && options_.table_bits <= 28);
+  check_seed_options(options_, "one-pass");
+  if (options_.table_bits < 8 || options_.table_bits > 28) {
+    throw ValidationError("one-pass differ: table_bits must be in [8, 28]");
+  }
 }
 
 std::unique_ptr<DifferIndex> OnePassDiffer::build_index(
     ByteView reference, const ParallelContext& ctx) const {
+  if (reference.size() >= OnePassIndex::kEmpty) {
+    throw ValidationError(
+        "one-pass differ: reference of 4 GiB - 1 bytes or more");
+  }
   auto index = std::make_unique<OnePassIndex>();
   const std::size_t seed = options_.seed_length;
   index->seed = seed;
@@ -67,9 +71,9 @@ std::unique_ptr<DifferIndex> OnePassDiffer::build_index(
   const std::size_t positions = reference.size() - seed + 1;
 
   std::size_t chunks = 1;
-  if (ctx.enabled() && positions >= kParallelIndexMinPositions) {
+  if (ctx.enabled() && positions >= OnePassIndex::kParallelMinPositions) {
     chunks = std::min({ctx.parallelism, std::size_t{16},
-                       positions / (kParallelIndexMinPositions / 4)});
+                       positions / (OnePassIndex::kParallelMinPositions / 4)});
     chunks = std::max<std::size_t>(chunks, 1);
   }
 
@@ -83,7 +87,7 @@ std::unique_ptr<DifferIndex> OnePassDiffer::build_index(
   // Parallel build: private per-chunk tables over ascending position
   // ranges, then keep the first non-empty slot in range order — i.e.
   // the lowest position, exactly what the serial pass would have kept.
-  std::vector<std::vector<std::uint64_t>> local(chunks);
+  std::vector<std::vector<std::uint32_t>> local(chunks);
   parallel_for(ctx, chunks, [&](std::size_t k) {
     local[k].assign(table_size, OnePassIndex::kEmpty);
     fill_first_occurrences(reference, seed, index->mask,
@@ -118,61 +122,59 @@ Script OnePassDiffer::scan(const DifferIndex& index, ByteView reference,
     return builder.finish();
   }
   const std::size_t mask = fp->mask;
-  const std::vector<std::uint64_t>& table = fp->table;
+  const std::uint32_t* table = fp->table.data();
+  const std::size_t last = version.size() - seed;  // last whole seed
 
-  // Scan the version, probing the table.
+  // The pending literal run is version[lit, pos). Candidates for
+  // positions [pos, ahead) wait in `ring`, looked up early with their
+  // reference bytes prefetched; `h` is the hash of the seed at `ahead`.
   RollingHash rh(seed);
+  std::array<std::uint32_t, kLookahead> ring{};
   std::size_t pos = 0;
+  std::size_t lit = 0;
+  std::size_t ahead = 0;
   std::uint64_t h = rh.init(version);
-  bool hash_valid = true;
-
-  const auto advance_to = [&](std::size_t target) {
-    if (target + seed > version.size()) {
-      pos = target;
-      hash_valid = false;
-      return;
-    }
-    if (hash_valid && target - pos <= seed) {
-      while (pos < target) {
-        h = rh.roll(h, version[pos], version[pos + seed]);
-        ++pos;
+  const auto look_ahead = [&] {
+    for (; ahead <= last && ahead - pos < kLookahead; ++ahead) {
+      const std::uint32_t cand = table[RollingHash::mix(h) & mask];
+      if (cand != OnePassIndex::kEmpty) {
+        __builtin_prefetch(reference.data() + cand);
       }
-    } else {
-      pos = target;
-      h = rh.init(version.subspan(pos));
-      hash_valid = true;
+      ring[ahead % kLookahead] = cand;
+      if (ahead < last) {
+        h = rh.roll(h, version[ahead], version[ahead + seed]);
+      }
     }
   };
 
-  while (pos < version.size()) {
-    if (pos + seed > version.size()) {
-      builder.literals(version.subspan(pos));
-      break;
-    }
-
-    const std::uint64_t cand = table[RollingHash::mix(h) & mask];
+  look_ahead();
+  while (pos <= last) {
+    const std::uint32_t cand = ring[pos % kLookahead];
     if (cand != OnePassIndex::kEmpty) {
-      const std::size_t from = static_cast<std::size_t>(cand);
-      if (std::equal(
-              version.begin() + static_cast<std::ptrdiff_t>(pos),
-              version.begin() + static_cast<std::ptrdiff_t>(pos + seed),
-              reference.begin() + static_cast<std::ptrdiff_t>(from))) {
-        const std::size_t fwd =
-            seed + match_forward(reference, from + seed, version, pos + seed);
-        const std::size_t back = match_backward(reference, from, version, pos,
-                                                builder.pending_literals());
+      // A candidate is a match only if its whole seed agrees (slots
+      // collide); the forward compare checks that and extends it.
+      const std::size_t fwd = match_forward(reference, cand, version, pos);
+      if (fwd >= seed) {
+        const std::size_t back =
+            match_backward(reference, cand, version, pos, pos - lit);
         if (fwd + back >= options_.min_match) {
-          builder.retract(back);
-          builder.copy(from - back, fwd + back);
-          advance_to(pos + fwd);
+          builder.literals(version.subspan(lit, pos - back - lit));
+          builder.copy(cand - back, fwd + back);
+          pos += fwd;
+          lit = pos;
+          if (pos >= ahead && pos <= last) {
+            ahead = pos;
+            h = rh.init(version.subspan(pos));
+          }
+          look_ahead();
           continue;
         }
       }
     }
-    builder.literal(version[pos]);
-    advance_to(pos + 1);
+    ++pos;
+    look_ahead();
   }
-
+  builder.literals(version.subspan(lit));
   return builder.finish();
 }
 

@@ -1,9 +1,10 @@
 #include "delta/suffix_differ.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <numeric>
+
+#include "delta/match_extend.hpp"
 
 namespace ipd {
 
@@ -41,15 +42,6 @@ SuffixMatcher::SuffixMatcher(ByteView reference) : ref_(reference) {
   }
 }
 
-std::size_t SuffixMatcher::prefix_length(std::uint32_t suffix,
-                                         ByteView query) const {
-  const std::size_t limit = std::min<std::size_t>(ref_.size() - suffix,
-                                                  query.size());
-  std::size_t k = 0;
-  while (k < limit && ref_[suffix + k] == query[k]) ++k;
-  return k;
-}
-
 SuffixMatcher::Match SuffixMatcher::longest_match(ByteView query) const {
   if (sa_.empty() || query.empty()) {
     return {};
@@ -73,7 +65,7 @@ SuffixMatcher::Match SuffixMatcher::longest_match(ByteView query) const {
   Match best;
   const auto consider = [&](std::vector<std::uint32_t>::const_iterator pos) {
     if (pos < sa_.begin() || pos >= sa_.end()) return;
-    const std::size_t len = prefix_length(*pos, query);
+    const std::size_t len = match_forward(ref_, *pos, query, 0);
     if (len > best.length) {
       best.length = len;
       best.position = *pos;
@@ -94,7 +86,9 @@ struct SuffixIndex final : public DifferIndex {
 }  // namespace
 
 SuffixDiffer::SuffixDiffer(const DifferOptions& options) : options_(options) {
-  assert(options_.min_match >= 1);
+  if (options_.min_match < 1) {
+    throw ValidationError("suffix differ: min_match must be at least 1");
+  }
 }
 
 std::unique_ptr<DifferIndex> SuffixDiffer::build_index(

@@ -36,15 +36,13 @@ class SuffixMatcher {
   }
 
  private:
-  /// Length of the common prefix of reference[sa..] and query.
-  std::size_t prefix_length(std::uint32_t suffix, ByteView query) const;
-
   ByteView ref_;
   std::vector<std::uint32_t> sa_;
 };
 
 class SuffixDiffer final : public SegmentedDiffer {
  public:
+  /// Throws ValidationError when min_match is 0.
   explicit SuffixDiffer(const DifferOptions& options = {});
 
   /// The suffix array is built once per reference (the expensive part);

@@ -140,5 +140,10 @@ TEST(SuffixDiffer, EmptyAndDegenerate) {
   EXPECT_TRUE(test::bytes_equal(ver, apply_script(script, {})));
 }
 
+TEST(SuffixDiffer, ZeroMinMatchIsRejected) {
+  // A zero-length match would be emitted as a copy and never advance.
+  EXPECT_THROW(SuffixDiffer({.min_match = 0}), ValidationError);
+}
+
 }  // namespace
 }  // namespace ipd
