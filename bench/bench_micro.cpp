@@ -286,9 +286,11 @@ void BM_StreamingDeviceUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamingDeviceUpdate);
 
-// Byte-kernel sizes: a page, a small delta, 1 MiB, and the 12 MiB image.
+// Byte-kernel sizes: about one journal record, a page, a small delta,
+// one store_history release, 1 MiB, and the 12 MiB image.
 void kernel_sizes(benchmark::internal::Benchmark* b) {
-  b->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20)->Arg(12 << 20);
+  b->Arg(512)->Arg(4 << 10)->Arg(64 << 10)->Arg(128 << 10);
+  b->Arg(1 << 20)->Arg(12 << 20);
 }
 
 template <typename Checksum>

@@ -4,6 +4,7 @@
 
 #include "core/buffer.hpp"
 #include "core/checksum.hpp"
+#include "core/interval.hpp"
 
 namespace ipd {
 namespace {
@@ -37,7 +38,7 @@ std::size_t round_up(std::size_t value, std::size_t unit) noexcept {
 }  // namespace
 
 void MemoryJournalStorage::read(offset_t offset, MutByteView out) {
-  if (offset + out.size() > bytes_.size()) {
+  if (!range_fits(offset, out.size(), bytes_.size())) {
     throw DeviceError("memory journal: read out of range");
   }
   std::copy_n(bytes_.begin() + static_cast<std::ptrdiff_t>(offset),
@@ -45,7 +46,7 @@ void MemoryJournalStorage::read(offset_t offset, MutByteView out) {
 }
 
 void MemoryJournalStorage::write(offset_t offset, ByteView data) {
-  if (offset + data.size() > bytes_.size()) {
+  if (!range_fits(offset, data.size(), bytes_.size())) {
     throw DeviceError("memory journal: write out of range");
   }
   std::copy(data.begin(), data.end(),

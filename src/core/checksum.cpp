@@ -45,6 +45,90 @@ constexpr CrcTables make_crc32c_tables() {
 
 constexpr CrcTables kCrcTables = make_crc32c_tables();
 
+// Appending zero bytes to a CRC register is linear over GF(2): a 32x32
+// bit matrix, kept as the images of the 32 basis vectors.
+using Gf2Matrix = std::array<std::uint32_t, 32>;
+
+constexpr std::uint32_t gf2_times(const Gf2Matrix& m,
+                                  std::uint32_t v) noexcept {
+  std::uint32_t sum = 0;
+  for (std::size_t i = 0; v != 0; ++i, v >>= 1) {
+    if (v & 1) sum ^= m[i];
+  }
+  return sum;
+}
+
+// Zero-extension tables for the three-stream kernel, laid out as in Mark
+// Adler's crc32c.c: row k maps byte k of a register to its contribution
+// after kZeroBytes zero bytes, so one shift is four lookups.
+using CrcShiftTables = std::array<std::array<std::uint32_t, 256>, 4>;
+
+template <std::size_t kZeroBytes>
+constexpr CrcShiftTables make_crc32c_shift_tables() {
+  static_assert(kZeroBytes > 0 && (kZeroBytes & (kZeroBytes - 1)) == 0,
+                "squaring builds power-of-two shifts only");
+  Gf2Matrix op{};  // one zero byte
+  for (std::size_t i = 0; i < op.size(); ++i) {
+    const std::uint32_t bit = 1u << i;
+    op[i] = kCrcTables[0][bit & 0xFF] ^ (bit >> 8);
+  }
+  for (std::size_t n = 1; n < kZeroBytes; n *= 2) {
+    Gf2Matrix square{};
+    for (std::size_t i = 0; i < op.size(); ++i) {
+      square[i] = gf2_times(op, op[i]);
+    }
+    op = square;
+  }
+  CrcShiftTables t{};
+  for (std::uint32_t b = 0; b < 256; ++b) {
+    for (std::size_t k = 0; k < t.size(); ++k) {
+      t[k][b] = gf2_times(op, b << (8 * k));
+    }
+  }
+  return t;
+}
+
+constexpr std::uint32_t crc32c_shift(const CrcShiftTables& t,
+                                     std::uint32_t crc) noexcept {
+  return t[0][crc & 0xFF] ^ t[1][(crc >> 8) & 0xFF] ^
+         t[2][(crc >> 16) & 0xFF] ^ t[3][crc >> 24];
+}
+
+// Block sizes of the three-stream kernel: long blocks amortise the merge
+// over 8 KiB each, short ones keep inputs under 24 KiB off the word loop.
+constexpr std::size_t kCrcLongBlock = 8192;
+constexpr std::size_t kCrcShortBlock = 256;
+constexpr CrcShiftTables kCrcLongShift =
+    make_crc32c_shift_tables<kCrcLongBlock>();
+constexpr CrcShiftTables kCrcShortShift =
+    make_crc32c_shift_tables<kCrcShortBlock>();
+
+// The same register pushed through n zero bytes by the slice-by-8 rows:
+// the definition each shift table must agree with.
+constexpr std::uint32_t crc32c_append_zeros(std::uint32_t crc,
+                                            std::size_t n) noexcept {
+  const CrcTables& t = kCrcTables;
+  for (; n >= 8; n -= 8) {
+    crc = t[7][crc & 0xFF] ^ t[6][(crc >> 8) & 0xFF] ^
+          t[5][(crc >> 16) & 0xFF] ^ t[4][crc >> 24];
+  }
+  for (; n > 0; --n) {
+    crc = t[0][crc & 0xFF] ^ (crc >> 8);
+  }
+  return crc;
+}
+
+constexpr bool shift_matches_zeros(const CrcShiftTables& t, std::size_t n) {
+  for (const std::uint32_t crc : {0x00000001u, 0x80000000u, 0xDEADBEEFu,
+                                  0xFFFFFFFFu, 0x12345678u}) {
+    if (crc32c_shift(t, crc) != crc32c_append_zeros(crc, n)) return false;
+  }
+  return true;
+}
+
+static_assert(shift_matches_zeros(kCrcLongShift, kCrcLongBlock));
+static_assert(shift_matches_zeros(kCrcShortShift, kCrcShortBlock));
+
 std::uint32_t load_le32(const std::uint8_t* p) noexcept {
   return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
          std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
@@ -72,16 +156,46 @@ std::uint32_t crc32c_slice8(std::uint32_t crc, const std::uint8_t* p,
 }
 
 #ifdef IPD_X86_KERNELS
+std::uint64_t load_le64(const std::uint8_t* p) noexcept {
+  std::uint64_t word = 0;
+  std::memcpy(&word, p, sizeof word);  // any alignment is legal
+  return word;
+}
+
+// Consumes 3 * kBlock bytes at a time as three adjacent blocks on
+// independent crc32 chains, so the instruction runs at its throughput
+// rather than its 3-cycle latency, then merges each triple: CRC(A B) is
+// CRC(A) shifted past |B| zero bytes, xor CRC of B from a zero register.
+template <std::size_t kBlock>
+__attribute__((target("sse4.2"), always_inline)) inline std::uint64_t
+crc32c_three_streams(std::uint64_t crc0, const std::uint8_t*& p,
+                     std::size_t& n, const CrcShiftTables& shift) noexcept {
+  for (; n >= 3 * kBlock; n -= 3 * kBlock, p += 3 * kBlock) {
+    std::uint64_t crc1 = 0;
+    std::uint64_t crc2 = 0;
+    for (std::size_t i = 0; i < kBlock; i += 8) {
+      crc0 = _mm_crc32_u64(crc0, load_le64(p + i));
+      crc1 = _mm_crc32_u64(crc1, load_le64(p + kBlock + i));
+      crc2 = _mm_crc32_u64(crc2, load_le64(p + 2 * kBlock + i));
+    }
+    crc0 = crc32c_shift(shift, static_cast<std::uint32_t>(crc0)) ^ crc1;
+    crc0 = crc32c_shift(shift, static_cast<std::uint32_t>(crc0)) ^ crc2;
+  }
+  return crc0;
+}
+
 // SSE4.2's crc32 instruction implements this exact polynomial and
-// consumes 8 bytes per instruction. The target attribute compiles this
-// one function for SSE4.2; crc32c() only calls it after CPUID says so.
+// consumes 8 bytes per instruction: three streams over long blocks, then
+// short ones, then one chain of words and a byte tail. The target
+// attribute compiles this one function for SSE4.2; crc32c() only calls
+// it after CPUID says so.
 __attribute__((target("sse4.2"))) std::uint32_t crc32c_sse42(
     std::uint32_t crc, const std::uint8_t* p, std::size_t n) noexcept {
   std::uint64_t crc64 = crc;
+  crc64 = crc32c_three_streams<kCrcLongBlock>(crc64, p, n, kCrcLongShift);
+  crc64 = crc32c_three_streams<kCrcShortBlock>(crc64, p, n, kCrcShortShift);
   for (; n >= 8; n -= 8, p += 8) {
-    std::uint64_t word = 0;
-    std::memcpy(&word, p, sizeof word);  // any alignment is legal
-    crc64 = _mm_crc32_u64(crc64, word);
+    crc64 = _mm_crc32_u64(crc64, load_le64(p));
   }
   crc = static_cast<std::uint32_t>(crc64);
   for (; n > 0; --n, ++p) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/interval.hpp"
+
 namespace ipd {
 
 FlashDevice::FlashDevice(std::size_t storage_bytes, std::size_t page_size,
@@ -20,10 +22,9 @@ void FlashDevice::load_image(ByteView image) {
 }
 
 void FlashDevice::check_range(offset_t offset, std::size_t size) const {
-  if (offset + size > storage_.size()) {
-    throw DeviceError("storage access out of range: [" +
-                      std::to_string(offset) + ", " +
-                      std::to_string(offset + size) + ") > " +
+  if (!range_fits(offset, size, storage_.size())) {
+    throw DeviceError("storage access out of range: " + std::to_string(size) +
+                      " bytes at " + std::to_string(offset) + " > " +
                       std::to_string(storage_.size()));
   }
 }

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "apply/apply_journal.hpp"
+#include "core/interval.hpp"
 #include "device/flash_device.hpp"
 
 namespace ipd {
@@ -24,7 +25,7 @@ class FlashJournalStorage final : public JournalStorage {
  public:
   FlashJournalStorage(FlashDevice& device, const JournalRegion& region)
       : device_(device), region_(region) {
-    if (region.offset + region.size > device.storage_size()) {
+    if (!range_fits(region.offset, region.size, device.storage_size())) {
       throw DeviceError("flash journal: region exceeds device storage");
     }
   }
@@ -43,7 +44,7 @@ class FlashJournalStorage final : public JournalStorage {
 
  private:
   void check(offset_t offset, std::size_t n) const {
-    if (offset + n > region_.size) {
+    if (!range_fits(offset, n, region_.size)) {
       throw DeviceError("flash journal: access outside the journal region");
     }
   }
@@ -93,7 +94,7 @@ struct DeviceJournal {
       throw DeviceError(who + ": journal region smaller than two slots (" +
                         std::to_string(2 * slot) + " bytes)");
     }
-    if (region.offset + region.size > device.storage_size()) {
+    if (!range_fits(region.offset, region.size, device.storage_size())) {
       throw DeviceError(who + ": journal region exceeds storage");
     }
     return JournalRegion{region.offset, 2 * slot};

@@ -55,6 +55,12 @@ void JournaledExecutor::begin(const ResumePoint& start) {
 }
 
 void JournaledExecutor::resume(const ApplyRecord& record) {
+  // Every sub-step destination lies inside the version; an undo window
+  // outside it (over the journal, or wrapping past 2^64) is forged.
+  if (!range_fits(record.undo_to, record.undo.size(),
+                  header_.version_length)) {
+    throw DeviceError("journaled apply: journal undo window out of range");
+  }
   if (!record.undo.empty()) {
     device_.write(record.undo_to, record.undo);
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/checksum.hpp"
 #include "test_util.hpp"
 
@@ -49,6 +51,15 @@ void expect_same(const ApplyRecord& a, const ApplyRecord& b) {
   EXPECT_EQ(a.undo_to, b.undo_to);
   EXPECT_TRUE(test::bytes_equal(a.undo, b.undo));
   EXPECT_TRUE(test::bytes_equal(a.header, b.header));
+}
+
+TEST(MemoryJournalStorage, OffsetThatWrapsPastTwoToThe64Throws) {
+  MemoryJournalStorage storage(4096);
+  const offset_t wrap = std::numeric_limits<std::uint64_t>::max() - 5;
+  Bytes buf(10, 0xAB);
+  EXPECT_THROW(storage.write(wrap, buf), DeviceError);
+  EXPECT_THROW(storage.read(wrap, buf), DeviceError);
+  EXPECT_TRUE(test::bytes_equal(storage.bytes(), Bytes(4096, 0)));
 }
 
 TEST(ApplyJournal, SlotBytesIsPageAlignedAndCoversCapacities) {

@@ -163,13 +163,27 @@ TEST(Crc32c, PortableKernelPassesKnownVectors) {
   EXPECT_EQ(detail::crc32c_portable(to_bytes("123456789")), 0xE3069283u);
 }
 
+// The SSE4.2 kernel's stream blocks: three adjacent 8 KiB blocks while
+// they fit, then three 256-byte ones, then single words and bytes.
+constexpr std::size_t kLongTriple = 3 * 8192;
+constexpr std::size_t kShortTriple = 3 * 256;
+
 TEST(Crc32c, KernelsMatchBytewiseAtEveryLengthAndAlignment) {
-  // Every length up to 1100 and a few past page and MiB sizes, each at
-  // every start offset 0-15, so both the word loop and the byte tail of
-  // each kernel see every residue and misalignment.
+  // Every length up to 1100, each side of one and two short and long
+  // stream triples, and a few past page and MiB sizes, each at every
+  // start offset 0-15, so every loop of each kernel sees every residue
+  // and misalignment.
   const Bytes data = random_bytes(7, (1u << 20) + 3 + 16);
   std::vector<std::size_t> lengths;
   for (std::size_t len = 0; len <= 1100; ++len) lengths.push_back(len);
+  for (const std::size_t triple :
+       {kShortTriple, 2 * kShortTriple, kLongTriple, 2 * kLongTriple}) {
+    for (const std::size_t len : {triple - 1, triple, triple + 1}) {
+      lengths.push_back(len);
+    }
+  }
+  // One long triple, one short triple, one word and a 3-byte tail.
+  lengths.push_back(kLongTriple + kShortTriple + 8 + 3);
   for (const std::size_t len : {4095u, 4096u, 4097u, (1u << 20) + 3}) {
     lengths.push_back(len);
   }
@@ -185,15 +199,27 @@ TEST(Crc32c, KernelsMatchBytewiseAtEveryLengthAndAlignment) {
 }
 
 TEST(Crc32c, KernelsChainSeedsLikeBytewise) {
-  const Bytes data = random_bytes(8, 5000);
+  // The whole buffer runs two long triples, then three short ones, so a
+  // split can fall inside a block of either size; each half then runs
+  // its own mix of stream loops.
+  const Bytes data = random_bytes(8, 2 * kLongTriple + 3 * kShortTriple + 11);
+  const std::uint32_t whole = crc32c_bytewise(data);
+  std::vector<std::size_t> splits = {
+      8192 + 1000,                                // in the first long triple
+      kLongTriple + 2 * 8192 + 5,                 // in the second long triple
+      2 * kLongTriple + 256 + 17,                 // in the first short triple
+      2 * kLongTriple + 2 * kShortTriple + 600};  // in the last short triple
   Rng rng(9);
   for (int trial = 0; trial < 500; ++trial) {
-    const std::size_t split = rng.below(data.size() + 1);
+    splits.push_back(rng.below(data.size() + 1));
+  }
+  for (const std::size_t split : splits) {
     const ByteView head = ByteView(data).first(split);
     const ByteView tail = ByteView(data).subspan(split);
-    ASSERT_EQ(crc32c(tail, crc32c(head)), crc32c_bytewise(data));
+    ASSERT_EQ(crc32c(tail, crc32c(head)), whole) << "split " << split;
     ASSERT_EQ(detail::crc32c_portable(tail, detail::crc32c_portable(head)),
-              crc32c_bytewise(data));
+              whole)
+        << "split " << split;
     // Arbitrary seeds, not just prior CRCs.
     const auto seed = static_cast<std::uint32_t>(rng.next());
     ASSERT_EQ(crc32c(tail, seed), crc32c_bytewise(tail, seed));

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 
 #include "corpus/generator.hpp"
 #include "corpus/mutation.hpp"
 #include "device/channel.hpp"
 #include "device/flash_device.hpp"
+#include "device/flash_journal.hpp"
 #include "device/updater.hpp"
 #include "ipdelta.hpp"
 #include "test_util.hpp"
@@ -97,6 +99,28 @@ TEST(FlashDevice, OutOfRangeThrows) {
   EXPECT_THROW(dev.read(60, buf), DeviceError);
   EXPECT_THROW(dev.write(60, buf), DeviceError);
   EXPECT_THROW(dev.load_image(Bytes(101, 0)), DeviceError);
+}
+
+TEST(FlashDevice, OffsetThatWrapsPastTwoToThe64Throws) {
+  // UINT64_MAX - 5 + 10 wraps to 4, inside storage; the bounds check
+  // must see the access as out of range, not index before storage.
+  FlashDevice dev(4096, 256, 64 << 10);
+  const offset_t wrap = std::numeric_limits<std::uint64_t>::max() - 5;
+  Bytes buf(10, 0xAB);
+  EXPECT_THROW(dev.write(wrap, buf), DeviceError);
+  EXPECT_THROW(dev.read(wrap, buf), DeviceError);
+  EXPECT_EQ(dev.bytes_written(), 0u);
+}
+
+TEST(FlashJournalStorage, OffsetThatWrapsPastTwoToThe64Throws) {
+  FlashDevice dev(4096, 256, 64 << 10);
+  const offset_t wrap = std::numeric_limits<std::uint64_t>::max() - 5;
+  FlashJournalStorage storage(dev, JournalRegion{2048, 2048});
+  Bytes buf(10, 0xAB);
+  EXPECT_THROW(storage.write(wrap, buf), DeviceError);
+  EXPECT_THROW(storage.read(wrap, buf), DeviceError);
+  EXPECT_THROW(FlashJournalStorage(dev, JournalRegion{wrap, 10}), DeviceError);
+  EXPECT_EQ(dev.bytes_written(), 0u);
 }
 
 TEST(FlashDevice, PowerFailureTearsWrite) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/checksum.hpp"
 #include "corpus/generator.hpp"
 #include "corpus/mutation.hpp"
@@ -283,6 +285,36 @@ TEST(ResumableUpdater, StaleJournalFromOtherDeltaIsIgnored) {
     resumed = false;  // CRC failure is acceptable here
   }
   EXPECT_FALSE(resumed);
+}
+
+TEST(ResumableUpdater, RefusesAnUndoWindowOutsideTheVersion) {
+  // A CRC-valid record whose undo would land on the journal itself, past
+  // the version, or at an offset that wraps must be refused before the
+  // restore writes a byte.
+  const Fixture f = make_fixture();
+  const ApplyJournalOptions opts{512, UpdaterOptions{}.window_bytes, 0};
+  for (const std::uint64_t undo_to :
+       {std::uint64_t{kImageArea}, std::uint64_t{f.v2.size() - 63},
+        std::numeric_limits<std::uint64_t>::max() - 5}) {
+    SCOPED_TRACE("undo_to " + std::to_string(undo_to));
+    FlashDevice dev = make_device(f);
+    dev.inject_power_failure_after(10 << 10);
+    EXPECT_THROW(apply_update_resumable(dev, f.delta, channel_28k(), kJournal),
+                 FlashDevice::PowerFailure);
+    dev.clear_power_failure();
+    {
+      DeviceJournal dj(dev, kJournal, opts, "test");
+      ASSERT_TRUE(dj.journal.newest().has_value());
+      ApplyRecord forged = *dj.journal.newest();
+      forged.undo_to = undo_to;
+      forged.undo = Bytes(64, 0xEE);
+      dj.journal.append(std::move(forged));
+    }
+    const Bytes before(dev.inspect().begin(), dev.inspect().end());
+    EXPECT_THROW(apply_update_resumable(dev, f.delta, channel_28k(), kJournal),
+                 DeviceError);
+    EXPECT_TRUE(test::bytes_equal(before, dev.inspect()));
+  }
 }
 
 TEST(ResumableUpdater, PowerFailureDuringJournalWriteIsRecoverable) {

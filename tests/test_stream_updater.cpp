@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/checksum.hpp"
 #include "corpus/generator.hpp"
 #include "corpus/mutation.hpp"
@@ -432,6 +434,41 @@ TEST(StreamUpdater, JournalRegionValidation) {
   const std::uint64_t before = dev.bytes_written();
   EXPECT_THROW(u.feed(f.delta), DeviceError);
   EXPECT_EQ(dev.bytes_written(), before);
+}
+
+TEST(StreamUpdater, RefusesAnUndoWindowOutsideTheVersion) {
+  // A CRC-valid record whose undo would land on the journal itself, past
+  // the version, or at an offset that wraps must be refused before the
+  // restore writes a byte.
+  const Fixture f = make_fixture();
+  const StreamUpdaterOptions opts = tight_options();
+  const ApplyJournalOptions journal_opts{512, opts.window_bytes,
+                                         opts.header_capacity};
+  for (const std::uint64_t undo_to :
+       {std::uint64_t{kImageArea}, std::uint64_t{f.v2.size() - 63},
+        std::numeric_limits<std::uint64_t>::max() - 5}) {
+    SCOPED_TRACE("undo_to " + std::to_string(undo_to));
+    FlashDevice dev = make_device(f.v1);
+    dev.inject_power_failure_after(10 << 10);
+    {
+      StreamingDeviceUpdater u(dev, kJournal, f.info, opts);
+      EXPECT_THROW(feed_rest(u, f.delta), FlashDevice::PowerFailure);
+    }
+    dev.clear_power_failure();
+    {
+      DeviceJournal dj(dev, kJournal, journal_opts, "test");
+      ASSERT_TRUE(dj.journal.newest().has_value());
+      ApplyRecord forged = *dj.journal.newest();
+      ASSERT_FALSE(forged.header.empty());
+      forged.undo_to = undo_to;
+      forged.undo = Bytes(64, 0xEE);
+      dj.journal.append(std::move(forged));
+    }
+    const Bytes before(dev.inspect().begin(), dev.inspect().end());
+    EXPECT_THROW(StreamingDeviceUpdater(dev, kJournal, f.info, opts),
+                 DeviceError);
+    EXPECT_TRUE(test::bytes_equal(before, dev.inspect()));
+  }
 }
 
 TEST(StreamUpdater, HeaderCapacityIsEnforced) {
