@@ -3,7 +3,8 @@
 //      vs the byte-granularity differencers;
 //   B. cycle-breaking policy — constant / local-min / SCC-global-min;
 //   C. add coalescing in the converter — on vs off;
-//   D. pre-conversion script optimization — on vs off;
+//   (D, the script optimizer, was removed with delta/optimize: it was
+//   a no-op on every byte differencer; EXPERIMENTS.md keeps its result.)
 //   E. streaming vs batch application — parser RAM vs whole-delta RAM;
 //   F. journaled (crash-tolerant) updates — flash-write overhead.
 #include <cstdio>
@@ -11,7 +12,6 @@
 #include "apply/stream_applier.hpp"
 #include "bench_util.hpp"
 #include "delta/block_differ.hpp"
-#include "delta/optimize.hpp"
 #include "delta/suffix_differ.hpp"
 #include "delta/stats.hpp"
 #include "device/resumable_updater.hpp"
@@ -162,48 +162,6 @@ void ablation_coalescing(const std::vector<VersionPair>& corpus) {
   rule();
 }
 
-void ablation_optimizer(const std::vector<VersionPair>& corpus) {
-  // The byte-granularity differencers already emit canonical streams
-  // (ScriptBuilder merges as it goes), so the optimizer's work shows on
-  // producers with fragmented output — here the block-aligned differ,
-  // whose per-block copies/adds merge into long runs.
-  std::printf(
-      "D. script optimizer on fragmented (block-differ) output "
-      "(total explicit delta bytes)\n");
-  std::uint64_t plain = 0, optimized = 0;
-  std::uint64_t onepass_ref = 0;
-  std::size_t merges = 0, demotions = 0;
-  for (const VersionPair& pair : corpus) {
-    const Script script = BlockDiffer(DifferOptions{.block_size = 512})
-                              .diff(pair.reference, pair.version);
-    plain += encoded_size(script, pair.reference.size(),
-                          pair.version.size(), kPaperExplicit);
-    OptimizeReport report;
-    const Script opt = optimize_script(script, pair.reference, {}, &report);
-    optimized += encoded_size(opt, pair.reference.size(),
-                              pair.version.size(), kPaperExplicit);
-    merges += report.adds_merged + report.copies_merged;
-    demotions += report.copies_demoted;
-
-    const Script canonical =
-        diff_bytes(DifferKind::kOnePass, pair.reference, pair.version);
-    OptimizeReport canon_report;
-    optimize_script(canonical, pair.reference, {}, &canon_report);
-    onepass_ref +=
-        canon_report.adds_merged + canon_report.copies_merged +
-        canon_report.copies_demoted;
-  }
-  std::printf(
-      "  raw block-differ output %12llu B\n"
-      "  optimized               %12llu B  (%zu merges, %zu demotions)\n"
-      "  (one-pass differ output is already canonical: %llu rewrites "
-      "found)\n",
-      static_cast<unsigned long long>(plain),
-      static_cast<unsigned long long>(optimized), merges, demotions,
-      static_cast<unsigned long long>(onepass_ref));
-  rule();
-}
-
 void ablation_streaming(const std::vector<VersionPair>& corpus) {
   std::printf(
       "E. streaming vs batch application (device RAM for the delta)\n");
@@ -305,14 +263,13 @@ int main() {
   ablation_granularity(corpus);
   ablation_policies(corpus);
   ablation_coalescing(corpus);
-  ablation_optimizer(corpus);
   ablation_streaming(corpus);
   ablation_compression(corpus);
   ablation_journal();
   std::printf(
       "expected shape: byte granularity beats block alignment decisively\n"
       "(§2); local-min & scc-global-min beat constant on cost at similar\n"
-      "time; coalescing and the optimizer both shrink deltas; streaming\n"
+      "time; coalescing shrinks deltas; streaming\n"
       "cuts delta-staging RAM by orders of magnitude; journaling costs a\n"
       "modest write overhead.\n");
   return 0;

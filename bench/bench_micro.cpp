@@ -21,6 +21,7 @@
 #include "inplace/converter.hpp"
 #include "inplace/scc.hpp"
 #include "ipdelta.hpp"
+#include "verify/verifier.hpp"
 
 namespace {
 
@@ -192,6 +193,24 @@ void BM_ParseDelta(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * b.delta.size()));
 }
 BENCHMARK(BM_ParseDelta)->Arg(1 << 20)->Arg(12 << 20);
+
+// The static Verifier as the device-facing gates run it: parse_delta's
+// decode step and model check, then the one Equation-2 scan.
+void BM_VerifyDelta(benchmark::State& state) {
+  const BuiltPair& b = built_pair(static_cast<std::size_t>(state.range(0)));
+  const Verifier verifier(VerifyOptions{.require_in_place = true});
+  const Report report = verifier.check(b.delta);
+  if (!report.ok() || !report.in_place_safe) {
+    state.SkipWithError("verifier rejected pipeline output");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(verifier.check(b.delta));
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations() * b.delta.size()));
+}
+BENCHMARK(BM_VerifyDelta)->Arg(1 << 20)->Arg(12 << 20);
 
 // End-to-end apply_delta_inplace (decode, command loop, version CRC),
 // plus restoring the reference into the buffer every iteration.

@@ -88,6 +88,16 @@ std::vector<Bytes> codec_seeds() {
   seeds.push_back(truncated(seeds[0], seeds[0].size() / 3));
   seeds.push_back(flipped(seeds[1], seeds[1].size() / 2, 0x10));
   seeds.push_back(Bytes{'I', 'P', 'D', '1'});
+  // A scratch delta in write order: its copies read bytes that earlier
+  // commands, adds among them, wrote, so Equation 2 fails and the
+  // Verifier and the oracle must agree on a conflicting table too.
+  Rng rng(5);
+  const Bytes ref = generate_file(rng, 3000, FileProfile::kBinary);
+  MutationModel model;
+  model.length_scale = 48;
+  const Bytes ver = mutate(ref, rng, 40, model);
+  seeds.push_back(
+      Pipeline({.format = kVarintSequential}).build_delta(ref, ver).delta);
   return seeds;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "apply/oracle.hpp"
 #include "core/checksum.hpp"
 #include "obs/trace.hpp"
 
@@ -37,6 +36,23 @@ Bytes apply_script(const Script& script, ByteView reference) {
   return version;
 }
 
+namespace {
+
+/// The scratch loop over a table parse_delta has bounded: adds come
+/// straight from the artifact bytes.
+Bytes reconstruct(const ParsedDelta& parsed, ByteView reference) {
+  Bytes version(static_cast<std::size_t>(parsed.header.version_length));
+  for (const CommandRef& cmd : parsed.commands) {
+    const std::uint8_t* source =
+        cmd.is_add() ? cmd.literal : reference.data() + cmd.from;
+    std::memcpy(version.data() + cmd.to, source,
+                static_cast<std::size_t>(cmd.length));
+  }
+  return version;
+}
+
+}  // namespace
+
 Bytes apply_delta(ByteView delta, ByteView reference) {
   obs::Span span(obs::Stage::kApplyScratch, delta.size());
   const ParsedDelta parsed = parse_delta(delta);
@@ -46,15 +62,7 @@ Bytes apply_delta(ByteView delta, ByteView reference) {
                       std::to_string(header.reference_length) + ", got " +
                       std::to_string(reference.size()) + ")");
   }
-  // parse_delta has bounded every read and write; adds come straight
-  // from the artifact bytes.
-  Bytes version(static_cast<std::size_t>(header.version_length));
-  for (const CommandRef& cmd : parsed.commands) {
-    const std::uint8_t* source =
-        cmd.is_add() ? cmd.literal : reference.data() + cmd.from;
-    std::memcpy(version.data() + cmd.to, source,
-                static_cast<std::size_t>(cmd.length));
-  }
+  Bytes version = reconstruct(parsed, reference);
   if (crc32c(version) != header.version_crc) {
     throw FormatError("apply: version CRC mismatch after reconstruction");
   }
@@ -64,27 +72,29 @@ Bytes apply_delta(ByteView delta, ByteView reference) {
 VerifyResult verify_delta(ByteView delta, ByteView reference) {
   VerifyResult result;
   try {
-    const DeltaFile file = deserialize_delta(delta);
-    result.version_length = file.version_length;
-    if (file.reference_length != reference.size()) {
+    const ParsedDelta parsed = parse_delta(delta);
+    const DeltaHeader& header = parsed.header;
+    result.version_length = header.version_length;
+    if (header.reference_length != reference.size()) {
       result.failure = "reference length mismatch: delta expects " +
-                       std::to_string(file.reference_length) + ", got " +
+                       std::to_string(header.reference_length) + ", got " +
                        std::to_string(reference.size());
       return result;
     }
-    const Bytes version = apply_script(file.script, reference);
-    if (crc32c(version) != file.version_crc) {
+    if (crc32c(reconstruct(parsed, reference)) != header.version_crc) {
       result.failure = "version CRC mismatch after reconstruction";
       return result;
     }
-    const bool eq2 = analyze_conflicts(file.script).in_place_safe();
-    if (file.in_place && !eq2) {
+    const bool eq2 =
+        scan_equation2(parsed.commands, parsed.write_order,
+                       [](const WriteBeforeRead&) { return false; }) == 0;
+    if (header.in_place && !eq2) {
       result.failure =
           "delta claims in-place reconstructibility but violates "
           "Equation 2";
       return result;
     }
-    result.in_place_capable = file.in_place && eq2;
+    result.in_place_capable = header.in_place && eq2;
     result.ok = true;
   } catch (const Error& e) {
     result.failure = e.what();

@@ -31,9 +31,9 @@ struct VerifyResult {
   bool in_place_capable = false;  ///< container flag AND Equation 2 hold
 };
 
-/// Dry-run a delta against a reference without touching either: decodes,
-/// validates, reconstructs into scratch, checks the version CRC, and
-/// re-checks the in-place flag against Equation 2. Never throws for
+/// Dry-run a delta against a reference without touching either: parses
+/// (parse_delta), reconstructs into scratch, checks the version CRC, and
+/// re-checks the in-place flag with scan_equation2. Never throws for
 /// verification failures (only for allocation-level errors).
 VerifyResult verify_delta(ByteView delta, ByteView reference);
 

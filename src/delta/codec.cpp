@@ -181,9 +181,11 @@ class TryReader {
 };
 
 /// One codeword decoded without allocating: the borrowed command and its
-/// encoded size on kOk, else what failed.
+/// encoded size on kOk, else what failed: the stream ends mid-codeword
+/// (kTruncated), or no further bytes could make it valid (kMalformed).
 struct Decoded {
-  CommandProbe::Status status = CommandProbe::Status::kMalformed;
+  enum class Status : std::uint8_t { kOk, kTruncated, kMalformed };
+  Status status = Status::kMalformed;
   CommandRef command;
   std::size_t consumed = 0;
   std::string detail;  ///< empty on kOk
@@ -196,13 +198,13 @@ struct Decoded {
 Decoded probe_impl(ByteView data, DeltaFormat fmt, unsigned offset_width,
                    offset_t& running_to) {
   Decoded out;
-  const auto fail = [&out](CommandProbe::Status status, std::string detail) {
+  const auto fail = [&out](Decoded::Status status, std::string detail) {
     out.status = status;
     out.detail = std::move(detail);
     return std::move(out);
   };
   const auto truncated = [&fail](const char* field) {
-    return fail(CommandProbe::Status::kTruncated,
+    return fail(Decoded::Status::kTruncated,
                 std::string(field) + " truncated: stream ends mid-codeword");
   };
 
@@ -214,7 +216,7 @@ Decoded probe_impl(ByteView data, DeltaFormat fmt, unsigned offset_width,
   const bool copy = paper ? op >= kOpCopyBase && op < kOpCopyBase + 9
                           : op == kOpVarCopy;
   if (!add && !copy) {
-    return fail(CommandProbe::Status::kMalformed,
+    return fail(Decoded::Status::kMalformed,
                 std::string(paper ? "unknown PaperByte" : "unknown Varint") +
                     " opcode " + std::to_string(op));
   }
@@ -251,26 +253,26 @@ Decoded probe_impl(ByteView data, DeltaFormat fmt, unsigned offset_width,
     field(c.length, l_width(cls % 3), "copy length");
   }
   if (overlong) {
-    return fail(CommandProbe::Status::kMalformed,
+    return fail(Decoded::Status::kMalformed,
                 "malformed varint in delta stream");
   }
   if (failed != nullptr) return truncated(failed);
   if (c.length == 0) {
-    return fail(CommandProbe::Status::kMalformed,
+    return fail(Decoded::Status::kMalformed,
                 std::string(add ? "add" : "copy") +
                     " command with zero length");
   }
   if (add) {
     ByteView body;
     if (!r.bytes(c.length, body)) {
-      return fail(CommandProbe::Status::kTruncated,
+      return fail(Decoded::Status::kTruncated,
                   "add payload shorter than declared: need " +
                       std::to_string(c.length) + " bytes, have " +
                       std::to_string(r.remaining()));
     }
     c.literal = body.data();
   }
-  out.status = CommandProbe::Status::kOk;
+  out.status = Decoded::Status::kOk;
   out.consumed = r.position();
   running_to = c.to + c.length;
   return out;
@@ -283,20 +285,6 @@ Command CommandRef::to_command() const {
     return AddCommand{to, Bytes(literal, literal + length)};
   }
   return CopyCommand{from, to, length};
-}
-
-CommandProbe probe_command(ByteView data, DeltaFormat format,
-                           length_t version_length, offset_t& running_to) {
-  Decoded decoded = probe_impl(data, format, paper_offset_width(version_length),
-                               running_to);
-  CommandProbe probe;
-  probe.status = decoded.status;
-  probe.consumed = decoded.consumed;
-  probe.detail = std::move(decoded.detail);
-  if (decoded.status == CommandProbe::Status::kOk) {
-    probe.command = decoded.command.to_command();
-  }
-  return probe;
 }
 
 std::optional<std::pair<DeltaHeader, std::size_t>> try_parse_header(
@@ -359,11 +347,11 @@ std::optional<CommandRef> StreamingCommandDecoder::next_ref() {
   const Decoded decoded =
       probe_impl(avail, format_, offset_width_, running_to_);
   switch (decoded.status) {
-    case CommandProbe::Status::kOk:
+    case Decoded::Status::kOk:
       break;
-    case CommandProbe::Status::kTruncated:
+    case Decoded::Status::kTruncated:
       return std::nullopt;
-    case CommandProbe::Status::kMalformed:
+    case Decoded::Status::kMalformed:
       throw FormatError(decoded.detail);
   }
   pending_pos_ += decoded.consumed;
@@ -528,32 +516,54 @@ Bytes serialize_delta(const DeltaFile& file) {
   return w.take();
 }
 
-ParsedDelta parse_delta(ByteView data) {
-  const auto parsed = try_parse_header(data);
-  if (!parsed) {
-    throw FormatError("truncated delta header");
+std::optional<DeltaRejection> decode_delta(ByteView data, ParsedDelta& out,
+                                           std::uint64_t max_payload_bytes) {
+  using Kind = DeltaRejection::Kind;
+  std::optional<std::pair<DeltaHeader, std::size_t>> parsed;
+  try {
+    parsed = try_parse_header(data);
+  } catch (const FormatError& e) {
+    return DeltaRejection{Kind::kHeader, e.what()};
   }
-  ParsedDelta out;
+  if (!parsed) {
+    return DeltaRejection{Kind::kHeader, "truncated delta header"};
+  }
   out.header = parsed->first;
   const DeltaHeader& header = out.header;
   const std::size_t header_bytes = parsed->second;
 
   if (header.payload_length > data.size() - header_bytes) {
-    throw FormatError("payload truncated");
+    return DeltaRejection{
+        Kind::kContainer,
+        "payload truncated: header declares " +
+            std::to_string(header.payload_length) + " bytes, " +
+            std::to_string(data.size() - header_bytes) + " present"};
+  }
+  if (header_bytes + header.payload_length != data.size()) {
+    return DeltaRejection{Kind::kContainer, "trailing garbage after payload"};
   }
   const ByteView payload = data.subspan(
       header_bytes, static_cast<std::size_t>(header.payload_length));
-  if (header_bytes + header.payload_length != data.size()) {
-    throw FormatError("trailing garbage after payload");
-  }
   if (adler32(payload) != header.payload_adler) {
-    throw FormatError("payload checksum mismatch");
+    return DeltaRejection{Kind::kPayload, "payload checksum mismatch"};
   }
 
   ByteView stream = payload;
   if (header.compress_payload) {
-    out.decompressed = lzss_decode(
-        payload, static_cast<std::size_t>(header.payload_uncompressed));
+    if (header.payload_uncompressed > max_payload_bytes) {
+      return DeltaRejection{
+          Kind::kPayload,
+          "declared uncompressed payload of " +
+              std::to_string(header.payload_uncompressed) +
+              " bytes exceeds the " + std::to_string(max_payload_bytes) +
+              "-byte limit"};
+    }
+    try {
+      out.decompressed = lzss_decode(
+          payload, static_cast<std::size_t>(header.payload_uncompressed));
+    } catch (const Error& e) {
+      return DeltaRejection{Kind::kPayload, e.what()};
+    }
     stream = out.decompressed;
   }
 
@@ -566,25 +576,82 @@ ParsedDelta parse_delta(ByteView data) {
   for (std::size_t pos = 0; pos < stream.size();) {
     const Decoded decoded = probe_impl(stream.subspan(pos), header.format,
                                        offset_width, running_to);
-    if (decoded.status != CommandProbe::Status::kOk) {
-      throw FormatError(decoded.detail);
+    if (decoded.status != Decoded::Status::kOk) {
+      return DeltaRejection{Kind::kCodeword, decoded.detail,
+                            out.commands.size()};
     }
     out.commands.push_back(decoded.command);
     pos += decoded.consumed;
   }
+  return std::nullopt;
+}
 
+void check_delta_model(ParsedDelta& parsed) {
+  const DeltaHeader& header = parsed.header;
   std::vector<WriteRange> writes;
-  writes.reserve(out.commands.size());
-  for (std::size_t i = 0; i < out.commands.size(); ++i) {
-    const CommandRef& c = out.commands[i];
+  writes.reserve(parsed.commands.size());
+  for (std::size_t i = 0; i < parsed.commands.size(); ++i) {
+    const CommandRef& c = parsed.commands[i];
     const CopyCommand copy{c.from, c.to, c.length};
     const WriteRange write{c.to, c.length};
     check_command_bounds(i, c.is_add() ? nullptr : &copy, write,
                          header.reference_length, header.version_length);
     writes.push_back(write);
   }
-  check_write_tiling(writes, header.version_length);
+  parsed.write_order = check_write_tiling(writes, header.version_length);
+}
+
+ParsedDelta parse_delta(ByteView data) {
+  ParsedDelta out;
+  if (const auto rejection = decode_delta(data, out)) {
+    throw FormatError(rejection->message);
+  }
+  check_delta_model(out);
   return out;
+}
+
+std::size_t scan_equation2(
+    std::span<const CommandRef> commands,
+    std::span<const KeyedWrite> write_order,
+    const std::function<bool(const WriteBeforeRead&)>& visit) {
+  const std::size_t n = commands.size();
+  const bool in_order = write_order.empty();
+  std::vector<offset_t> starts(n);  // the k-th write's offset
+  std::vector<WriteRange> reads;
+  std::vector<std::size_t> readers;  // reads[j] is command readers[j]'s
+  reads.reserve(n);
+  readers.reserve(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    starts[k] = in_order ? commands[k].to : write_order[k].to;
+    if (!commands[k].is_add()) {
+      reads.push_back({commands[k].from, commands[k].length});
+      readers.push_back(k);
+    }
+  }
+  // Merge the reads, in offset order, against the writes: read offsets
+  // only grow, so the last write starting at or before read.first (the
+  // only one that can reach it from the left) never moves back.
+  std::size_t conflicts = 0;
+  std::size_t k = 0;
+  for (const KeyedWrite& r : sort_by_offset(reads)) {
+    const std::size_t reader = readers[r.index];
+    const Interval read = Interval::of(r.to, reads[r.index].length);
+    while (k + 1 < n && starts[k + 1] <= read.first) ++k;
+    for (std::size_t j = k; j < n && starts[j] <= read.last; ++j) {
+      const std::size_t writer = in_order ? j : write_order[j].index;
+      if (writer >= reader) continue;  // later or self: no conflict
+      const CommandRef& w = commands[writer];
+      const offset_t write_last = w.to + (w.length - 1);
+      if (write_last < read.first) continue;
+      ++conflicts;
+      if (!visit({reader, writer,
+                  Interval{std::max(read.first, w.to),
+                           std::min(read.last, write_last)}})) {
+        return conflicts;
+      }
+    }
+  }
+  return conflicts;
 }
 
 DeltaFile deserialize_delta(ByteView data) {

@@ -22,14 +22,17 @@
 // One decoder, probe-style, reads every codeword. parse_delta() runs it
 // over a whole container into a table of CommandRefs that borrow the
 // add bytes from the artifact instead of copying them, which is what
-// the batch appliers execute. That table must not outlive the artifact
-// bytes it was parsed from. The streaming decoder, and the container
-// reader both streaming appliers run on it, borrow the same way;
-// deserialize_delta() and probe_command() build owning Commands.
+// the batch appliers and the static Verifier run on. That table must
+// not outlive the artifact bytes it was parsed from. The streaming
+// decoder, and the container reader both streaming appliers run on it,
+// borrow the same way; deserialize_delta() builds owning Commands.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <span>
+#include <string>
 #include <utility>
 
 #include "core/types.hpp"
@@ -151,16 +154,72 @@ struct ParsedDelta {
   DeltaHeader header;
   std::vector<CommandRef> commands;
   Bytes decompressed;
+  /// The writes in offset order, as check_delta_model() found them;
+  /// empty when `commands` already are in offset order.
+  std::vector<KeyedWrite> write_order;
 
   ParsedDelta() = default;
   ParsedDelta(ParsedDelta&&) = default;
   ParsedDelta& operator=(ParsedDelta&&) = default;
 };
 
-/// Parse and verify a container without copying any add byte: the same
-/// checks, in the same order and with the same exceptions, as
-/// deserialize_delta(), which is this plus owning Commands.
+/// Why decode_delta() stopped reading a container.
+struct DeltaRejection {
+  enum class Kind : std::uint8_t {
+    kHeader = 0,     ///< bad magic, format or flags byte, or truncated
+    kContainer = 1,  ///< payload length vs. bytes present
+    kPayload = 2,    ///< checksum, declared size or decompression fault
+    kCodeword = 3,   ///< codeword `command` is malformed or truncated
+  };
+  Kind kind = Kind::kHeader;
+  std::string message;
+  /// Index of the codeword that failed (kCodeword); the ones before it
+  /// decoded.
+  std::size_t command = 0;
+};
+
+/// The decode step of parse_delta(): the container checks and every
+/// codeword, no §3 model check. Never throws on bad input. Fills `out`
+/// as far as it gets (the header unless the rejection is kHeader, the
+/// commands before a bad codeword) and returns the rejection, or
+/// std::nullopt once every codeword decoded. A compressed payload that
+/// declares more than `max_payload_bytes` decoded bytes is refused
+/// before anything is allocated for it.
+std::optional<DeltaRejection> decode_delta(
+    ByteView data, ParsedDelta& out,
+    std::uint64_t max_payload_bytes = UINT64_MAX);
+
+/// The model check of parse_delta(): check_command_bounds on every
+/// command, then check_write_tiling, whose order it keeps in
+/// `parsed.write_order`. Throws ValidationError on the first violation.
+void check_delta_model(ParsedDelta& parsed);
+
+/// Parse and verify a container without copying any add byte:
+/// decode_delta(), whose rejection it throws as FormatError, then
+/// check_delta_model(). deserialize_delta() is this plus owning Commands.
 ParsedDelta parse_delta(ByteView data);
+
+/// One violation of the paper's Equation 2: copy `reader` reads
+/// `overlap`, bytes the earlier command `writer` wrote.
+struct WriteBeforeRead {
+  std::size_t reader = 0;
+  std::size_t writer = 0;
+  Interval overlap;
+};
+
+/// Equation 2 over a command table with pairwise-disjoint writes, given
+/// their offset order as sort_by_offset() or check_write_tiling()
+/// returns it (empty: the table already is in offset order). Merges the
+/// copies' reads, radix-sorted by offset, against the writes, and calls
+/// `visit` for each (reader, earlier writer, overlap) in offset order
+/// until it returns false. Returns the number of conflicts visited: 0
+/// iff the table can be applied in place in its order. Linear after the
+/// sort, plus the writes each read overlaps; a copy overlapping its own
+/// write is legal (§4.1).
+std::size_t scan_equation2(
+    std::span<const CommandRef> commands,
+    std::span<const KeyedWrite> write_order,
+    const std::function<bool(const WriteBeforeRead&)>& visit);
 
 /// Incremental command decoder for streaming consumers: feed payload
 /// bytes as they arrive, pop commands as they complete. Malformed input
@@ -268,29 +327,6 @@ class StreamingDeltaReader {
   std::size_t peak_buffered_ = 0;
   bool done_ = false;
 };
-
-/// Outcome of probing one command at the front of a payload view — the
-/// delta verifier's well-formedness primitive. Unlike the throwing
-/// decoders above it never raises on bad input; instead it reports
-/// *which* field failed and why, so a static analyzer can turn the
-/// failure into a precise diagnostic ("add payload shorter than
-/// declared", "copy length field truncated", ...).
-struct CommandProbe {
-  enum class Status : std::uint8_t {
-    kOk = 0,         ///< one complete command decoded
-    kTruncated = 1,  ///< stream ends mid-codeword (field named in detail)
-    kMalformed = 2,  ///< invalid regardless of any further bytes
-  };
-  Status status = Status::kMalformed;
-  std::optional<Command> command;  ///< set when kOk
-  std::size_t consumed = 0;        ///< bytes this command occupies (kOk)
-  std::string detail;              ///< empty when kOk; else the failure
-};
-
-/// Probe one command at the front of `data`. `running_to` supplies and
-/// (only on kOk) receives the implicit write offset. Never throws.
-CommandProbe probe_command(ByteView data, DeltaFormat format,
-                           length_t version_length, offset_t& running_to);
 
 /// Exact encoded payload size of one command under a format, given the
 /// version length (which fixes the explicit-offset field width for

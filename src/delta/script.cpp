@@ -93,19 +93,16 @@ constexpr unsigned kRadixBits = 11;
 constexpr std::size_t kRadixBuckets = std::size_t{1} << kRadixBits;
 constexpr offset_t kRadixMask = kRadixBuckets - 1;
 
-struct KeyedWrite {
-  offset_t to;
-  std::size_t index;
-};
+}  // namespace
 
-// Stable LSD radix sort of the writes by offset: one counting pass per
-// 11-bit digit of the largest offset, skipping digits all keys share.
-std::vector<KeyedWrite> radix_sort_writes(std::span<const WriteRange> writes) {
-  std::vector<KeyedWrite> keyed(writes.size());
+// One counting pass per 11-bit digit of the largest offset, skipping
+// digits all keys share.
+std::vector<KeyedWrite> sort_by_offset(std::span<const WriteRange> ranges) {
+  std::vector<KeyedWrite> keyed(ranges.size());
   offset_t max_to = 0;
-  for (std::size_t i = 0; i < writes.size(); ++i) {
-    keyed[i] = {writes[i].to, i};
-    max_to = std::max(max_to, writes[i].to);
+  for (std::size_t i = 0; i < ranges.size(); ++i) {
+    keyed[i] = {ranges[i].to, i};
+    max_to = std::max(max_to, ranges[i].to);
   }
   std::vector<KeyedWrite> spare(keyed.size());
   std::array<std::size_t, kRadixBuckets> count;
@@ -125,10 +122,8 @@ std::vector<KeyedWrite> radix_sort_writes(std::span<const WriteRange> writes) {
   return keyed;
 }
 
-}  // namespace
-
-void check_write_tiling(std::span<const WriteRange> writes,
-                        length_t version_length) {
+std::vector<KeyedWrite> check_write_tiling(std::span<const WriteRange> writes,
+                                           length_t version_length) {
   // Fast path: already in offset order and tiling (write-order scripts).
   offset_t expected = 0;
   std::size_t in_order = 0;
@@ -136,11 +131,12 @@ void check_write_tiling(std::span<const WriteRange> writes,
     expected += writes[in_order++].length;
   }
   if (in_order == writes.size() && expected == version_length) {
-    return;
+    return {};
   }
 
   expected = 0;
-  for (const KeyedWrite& k : radix_sort_writes(writes)) {
+  std::vector<KeyedWrite> sorted = sort_by_offset(writes);
+  for (const KeyedWrite& k : sorted) {
     const Interval w = Interval::of(k.to, writes[k.index].length);
     if (w.first < expected) {
       std::ostringstream msg;
@@ -162,6 +158,7 @@ void check_write_tiling(std::span<const WriteRange> writes,
         << version_length - 1 << "] are written by no command";
     throw ValidationError(msg.str());
   }
+  return sorted;
 }
 
 bool Script::in_write_order() const noexcept {

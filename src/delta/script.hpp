@@ -90,14 +90,25 @@ void check_command_bounds(std::size_t index, const CopyCommand* copy,
                           WriteRange write, length_t reference_length,
                           length_t version_length);
 
+/// One entry of an offset order: `ranges[index]` starts at `to`.
+struct KeyedWrite {
+  offset_t to = 0;
+  std::size_t index = 0;
+};
+
+/// The ranges sorted by offset, stably: an LSD radix sort on the offset
+/// with 11-bit digits, one pass per digit of the largest offset. Serves
+/// the write tiling check and scan_equation2's reads alike.
+std::vector<KeyedWrite> sort_by_offset(std::span<const WriteRange> ranges);
+
 /// Throws ValidationError unless `writes` tile [0, version_length)
 /// exactly: pairwise disjoint and with no gap. `writes[i]` is command i
 /// in the messages. Precondition: every range passed
 /// check_command_bounds. Linear time: one scan when the writes are
-/// already in offset order, else an LSD radix sort on the offset with
-/// 11-bit digits, one pass per digit of the largest offset.
-void check_write_tiling(std::span<const WriteRange> writes,
-                        length_t version_length);
+/// already in offset order, else sort_by_offset(). Returns the sorted
+/// order, or an empty vector when `writes` already are in offset order.
+std::vector<KeyedWrite> check_write_tiling(std::span<const WriteRange> writes,
+                                           length_t version_length);
 
 /// Apply-order-independence helper: scripts that contain the same command
 /// multiset encode the same version. Compares write-offset-sorted copies.

@@ -1,7 +1,7 @@
 #include "inplace/converter.hpp"
 
 #include <algorithm>
-#include <map>
+#include <limits>
 
 #include "core/checksum.hpp"
 #include "inplace/scc.hpp"
@@ -126,33 +126,35 @@ ConvertResult convert_to_inplace(const Script& input, ByteView reference,
 }
 
 bool satisfies_equation2(const Script& script) {
-  // Maintain the union of prior write intervals as a map from interval
-  // start to interval end (disjoint, since valid scripts never overlap
-  // writes). Each command's read interval is checked against it before
-  // the command's write interval is inserted.
-  std::map<offset_t, offset_t> written;  // first -> last
-
-  const auto intersects_written = [&](const Interval& read) {
-    // Candidate: the last interval starting at or before read.last.
-    auto it = written.upper_bound(read.last);
-    if (it == written.begin()) return false;
-    --it;
-    return it->second >= read.first;
-  };
-
+  constexpr length_t kUnbounded = std::numeric_limits<length_t>::max();
+  std::vector<CommandRef> table;
+  std::vector<WriteRange> writes;
+  table.reserve(script.size());
+  writes.reserve(script.size());
   for (const Command& cmd : script.commands()) {
-    if (const auto* copy = std::get_if<CopyCommand>(&cmd)) {
-      if (copy->length == 0) continue;
-      if (intersects_written(copy->read_interval())) {
-        return false;
-      }
-    }
-    const length_t len = command_length(cmd);
-    if (len == 0) continue;
-    const Interval w = command_write_interval(cmd);
-    written[w.first] = w.last;
+    const auto* copy = std::get_if<CopyCommand>(&cmd);
+    const WriteRange write{command_to(cmd), command_length(cmd)};
+    check_command_bounds(table.size(), copy, write, kUnbounded, kUnbounded);
+    table.push_back(copy != nullptr
+                        ? CommandRef{copy->to, copy->length, copy->from}
+                        : CommandRef{write.to, write.length, 0,
+                                     std::get<AddCommand>(cmd).data.data()});
+    writes.push_back(write);
   }
-  return true;
+  // Gaps do not matter to Equation 2, overlaps do: with two writers of
+  // one byte, "the earlier writer" is ambiguous.
+  const std::vector<KeyedWrite> order = sort_by_offset(writes);
+  for (std::size_t k = 1; k < order.size(); ++k) {
+    const WriteRange& prev = writes[order[k - 1].index];
+    if (order[k].to - prev.to < prev.length) {
+      throw ValidationError("satisfies_equation2: commands " +
+                            std::to_string(order[k - 1].index) + " and " +
+                            std::to_string(order[k].index) +
+                            " write the same bytes");
+    }
+  }
+  return scan_equation2(table, order,
+                        [](const WriteBeforeRead&) { return false; }) == 0;
 }
 
 Bytes serialize_inplace(Script script, const DeltaFormat& format,

@@ -73,8 +73,11 @@ ConvertResult convert_to_inplace(const Script& input, ByteView reference,
 
 /// Directly verify the paper's Equation 2 on a script: no command's read
 /// interval intersects the union of the write intervals of the commands
-/// before it. O(n log n). This is the definition the converter's output
-/// must satisfy; tests check both this and actual byte-level equality.
+/// before it. This is the definition the converter's output must
+/// satisfy; tests check both this and actual byte-level equality. A
+/// wrapper over scan_equation2 in O(n log n); throws ValidationError
+/// when two commands write the same byte, a length is zero, or an
+/// offset + length wraps u64.
 bool satisfies_equation2(const Script& script);
 
 /// End-to-end convenience: diff-script → in-place script → serialized

@@ -3,13 +3,12 @@
 #include <bit>
 
 #include "obs/event_ring.hpp"
-#include "verify/verifier.hpp"
 
 namespace ipd {
 
 DeltaCache::DeltaCache(std::uint64_t byte_budget, std::size_t shards,
-                       ServiceMetrics* metrics, const Verifier* gate)
-    : budget_(byte_budget), metrics_(metrics), gate_(gate) {
+                       ServiceMetrics* metrics)
+    : budget_(byte_budget), metrics_(metrics) {
   if (byte_budget == 0) {
     throw ValidationError("delta cache: byte budget must be positive");
   }
@@ -48,25 +47,6 @@ bool DeltaCache::put(const DeltaKey& key,
                      std::shared_ptr<const Bytes> value) {
   const std::uint64_t size = value->size();
   Shard& shard = shard_for(key);
-  if (gate_ != nullptr) {
-    // Verify outside the shard lock — the check is O(n log n) in the
-    // command count and must not stall unrelated lookups.
-    const Report report = gate_->check(ByteView(*value));
-    if (!report.ok()) {
-      {
-        MutexLock lock(shard.mutex);
-        ++shard.rejected_unsafe;
-      }
-      if (metrics_ != nullptr) {
-        metrics_->verify_rejects.fetch_add(1, std::memory_order_relaxed);
-      }
-      return false;
-    }
-    if (metrics_ != nullptr && report.warning_count() > 0) {
-      metrics_->verify_warns.fetch_add(report.warning_count(),
-                                       std::memory_order_relaxed);
-    }
-  }
   std::uint64_t evicted = 0;
   bool rejected = false;
   {
@@ -118,7 +98,6 @@ DeltaCache::Stats DeltaCache::stats() const {
     total.entries += shard->lru.size();
     total.evictions += shard->evictions;
     total.rejected += shard->rejected;
-    total.rejected_unsafe += shard->rejected_unsafe;
   }
   return total;
 }

@@ -29,8 +29,6 @@
 
 namespace ipd {
 
-class Verifier;
-
 /// Cache key: the endpoints plus how the delta was produced
 /// (fingerprint_pipeline of the service's PipelineOptions).
 struct DeltaKey {
@@ -61,18 +59,14 @@ class DeltaCache {
     std::size_t entries = 0;
     std::uint64_t evictions = 0;
     std::uint64_t rejected = 0;
-    std::uint64_t rejected_unsafe = 0;  ///< refused by the verifier gate
   };
 
   /// `byte_budget` is split evenly across `shards` (rounded up to a power
   /// of two). `metrics`, when non-null, receives hit/miss/eviction
-  /// counts; it must outlive the cache. `gate`, when non-null, statically
-  /// verifies every artifact before it is admitted (unsafe bytes must
-  /// never become servable just because they were inserted once); it must
-  /// outlive the cache too.
+  /// counts; it must outlive the cache. The cache trusts what it is
+  /// given: DeltaService::admit verifies every artifact before put().
   explicit DeltaCache(std::uint64_t byte_budget, std::size_t shards = 16,
-                      ServiceMetrics* metrics = nullptr,
-                      const Verifier* gate = nullptr);
+                      ServiceMetrics* metrics = nullptr);
 
   /// Look up and touch (moves the entry to the shard's MRU position).
   std::shared_ptr<const Bytes> get(const DeltaKey& key);
@@ -80,8 +74,7 @@ class DeltaCache {
   /// Insert (or refresh) an entry, evicting LRU entries until the shard
   /// fits its budget slice. Returns false — and caches nothing — when the
   /// value alone exceeds the slice (a delta bigger than that is cheaper
-  /// to rebuild than to let it wipe out the whole shard), or when the
-  /// verifier gate finds error-severity defects in it.
+  /// to rebuild than to let it wipe out the whole shard).
   bool put(const DeltaKey& key, std::shared_ptr<const Bytes> value);
 
   std::uint64_t byte_budget() const noexcept { return budget_; }
@@ -103,7 +96,6 @@ class DeltaCache {
     std::uint64_t bytes GUARDED_BY(mutex) = 0;
     std::uint64_t evictions GUARDED_BY(mutex) = 0;
     std::uint64_t rejected GUARDED_BY(mutex) = 0;
-    std::uint64_t rejected_unsafe GUARDED_BY(mutex) = 0;
   };
 
   Shard& shard_for(const DeltaKey& key) noexcept;
@@ -112,7 +104,6 @@ class DeltaCache {
   std::uint64_t shard_budget_;
   std::vector<std::unique_ptr<Shard>> shards_;
   ServiceMetrics* metrics_;
-  const Verifier* gate_;
 };
 
 }  // namespace ipd

@@ -97,16 +97,14 @@ std::shared_ptr<const Bytes> DeltaService::fetch_delta(ReleaseId from,
         // inline instead; the thread is a build worker either way.
         auto built = pool_.on_worker_thread() ? build()
                                               : pool_.submit(build).get();
-        if (options_.verify_artifacts) {
-          std::string why;
-          if (!admit(ByteView(*built), &why)) {
-            // Our own pipeline produced an unservable artifact — that is
-            // a converter bug, and serving it would push the corruption
-            // to every device on this hop. Fail the request instead.
-            throw Error("delta service: built artifact for hop " +
-                        std::to_string(from) + " -> " + std::to_string(to) +
-                        " rejected: " + why);
-          }
+        std::string why;
+        if (!admit(ByteView(*built), &why)) {
+          // Our own pipeline produced an unservable artifact — that is a
+          // converter bug, and serving it would push the corruption to
+          // every device on this hop. Fail the request instead.
+          throw Error("delta service: built artifact for hop " +
+                      std::to_string(from) + " -> " + std::to_string(to) +
+                      " rejected: " + why);
         }
         cache_.put(key, built);
         return built;

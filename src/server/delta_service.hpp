@@ -9,7 +9,8 @@
 //     │        concurrent requesters for the same key wait for free
 //     ├─ leader: Pipeline::build_inplace(i, j) on the worker ThreadPool
 //     │          (which also absorbs the build's own parallel fan-out,
-//     │          so total build threads stay bounded), insert the cache
+//     │          so total build threads stay bounded), verify the
+//     │          artifact (admit, the service's one gate), insert the cache
 //     └─ response selection: the direct delta is served only while it is
 //        a real win; a drifted history where delta(i, j) approaches the
 //        full image falls back UpgradePlanner-style to the chain of
@@ -60,11 +61,6 @@ struct ServiceOptions {
   std::uint64_t per_hop_overhead = 512;
   /// Longest per-release chain the fallback will consider building.
   std::size_t max_chain_hops = 8;
-  /// Statically verify every delta artifact (src/verify/) before it is
-  /// cached or served: no byte stream leaves this service that could
-  /// brick an in-place applier. Builds that fail verification throw —
-  /// a pipeline bug must be loud, not served.
-  bool verify_artifacts = true;
 };
 
 /// One artifact of a response. `full_image` steps carry the raw release

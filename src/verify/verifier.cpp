@@ -5,10 +5,7 @@
 #include <limits>
 #include <utility>
 
-#include "core/checksum.hpp"
 #include "obs/trace.hpp"
-#include "core/lzss.hpp"
-#include "inplace/interval_index.hpp"
 
 namespace ipd {
 namespace {
@@ -21,9 +18,9 @@ std::string cmd_text(std::size_t index) {
   return "cmd#" + std::to_string(index);
 }
 
-/// Capped sink for findings. The boolean verdicts must stay exact even
-/// when an adversarial delta produces more violations than we are willing
-/// to materialize, so the structural flags live here, not in the vector.
+/// Capped sink for findings: the boolean verdicts stay exact even when
+/// an adversarial delta produces more violations than we are willing to
+/// materialize.
 class Sink {
  public:
   Sink(Report& report, const VerifyOptions& options)
@@ -33,21 +30,6 @@ class Sink {
            std::optional<std::size_t> command = std::nullopt,
            std::optional<std::size_t> other = std::nullopt,
            std::optional<Interval> bytes = std::nullopt) {
-    if (severity == Severity::kError) {
-      switch (check) {
-        case Check::kCodeword:
-        case Check::kOffsetOverflow:
-        case Check::kReadBounds:
-        case Check::kWriteBounds:
-        case Check::kWriteOverlap:
-        case Check::kCoverage:
-          structural_error_ = true;
-          break;
-        default:
-          break;
-      }
-      ++errors_;
-    }
     if (report_.findings.size() >= cap_) {
       report_.findings_truncated = true;
       return;
@@ -56,49 +38,37 @@ class Sink {
                                        command, other, bytes});
   }
 
-  bool structural_error() const noexcept { return structural_error_; }
-  std::size_t errors() const noexcept { return errors_; }
-
  private:
   Report& report_;
   std::size_t cap_;
-  bool structural_error_ = false;
-  std::size_t errors_ = 0;
 };
 
-/// Script-level analysis shared by the serialized and in-memory entry
-/// points: bounds, overflow, coverage, and — when the write intervals
-/// turn out disjoint — Equation 2 via the §4.3 interval index.
-void analyze_script(const std::vector<Command>& commands, length_t ref_len,
-                    length_t ver_len, bool in_place_claimed,
-                    const VerifyOptions& opts, Report& report) {
-  Sink sink(report, opts);
+/// Passes 1 and 2, run only on a table check_delta_model() rejected:
+/// enumerate every bounds fault and every overlap and gap (up to the
+/// cap), where the model check names only the first.
+void diagnose_model(const ParsedDelta& parsed, Sink& sink) {
+  const std::vector<CommandRef>& commands = parsed.commands;
+  const length_t ref_len = parsed.header.reference_length;
+  const length_t ver_len = parsed.header.version_length;
   constexpr offset_t kMaxOffset = std::numeric_limits<offset_t>::max();
-  const bool in_place_wanted = in_place_claimed || opts.require_in_place;
 
   // Pass 1: per-command checks. `usable[i]` marks commands whose write
-  // interval is representable (nonzero length, no u64 wraparound) and
-  // may therefore participate in the coverage and conflict passes.
+  // interval is representable (no u64 wraparound) and may therefore
+  // take part in the coverage pass. Decoding already refused zero
+  // lengths.
   std::vector<char> usable(commands.size(), 0);
-  std::vector<char> read_usable(commands.size(), 0);
   for (std::size_t i = 0; i < commands.size(); ++i) {
-    const Command& cmd = commands[i];
-    const length_t len = command_length(cmd);
-    const offset_t to = command_to(cmd);
-    if (len == 0) {
-      sink.add(Severity::kError, Check::kCodeword,
-               cmd_text(i) + ": command with zero length", i);
-      continue;
-    }
-    if (to > kMaxOffset - (len - 1)) {
+    const CommandRef& cmd = commands[i];
+    const length_t len = cmd.length;
+    if (cmd.to > kMaxOffset - (len - 1)) {
       sink.add(Severity::kError, Check::kOffsetOverflow,
-               cmd_text(i) + ": write offset " + std::to_string(to) +
+               cmd_text(i) + ": write offset " + std::to_string(cmd.to) +
                    " + length " + std::to_string(len) + " overflows u64",
                i);
       continue;
     }
     usable[i] = 1;
-    const Interval w = Interval::of(to, len);
+    const Interval w = Interval::of(cmd.to, len);
     if (ver_len == 0 || w.last >= ver_len) {
       sink.add(Severity::kError, Check::kWriteBounds,
                cmd_text(i) + ": writes " + interval_text(w) +
@@ -106,16 +76,15 @@ void analyze_script(const std::vector<Command>& commands, length_t ref_len,
                    " bytes",
                i, std::nullopt, w);
     }
-    if (const auto* copy = std::get_if<CopyCommand>(&cmd)) {
-      if (copy->from > kMaxOffset - (len - 1)) {
+    if (!cmd.is_add()) {
+      if (cmd.from > kMaxOffset - (len - 1)) {
         sink.add(Severity::kError, Check::kOffsetOverflow,
-                 cmd_text(i) + ": read offset " + std::to_string(copy->from) +
+                 cmd_text(i) + ": read offset " + std::to_string(cmd.from) +
                      " + length " + std::to_string(len) + " overflows u64",
                  i);
         continue;
       }
-      read_usable[i] = 1;
-      const Interval r = Interval::of(copy->from, len);
+      const Interval r = Interval::of(cmd.from, len);
       if (ref_len == 0 || r.last >= ref_len) {
         sink.add(Severity::kError, Check::kReadBounds,
                  cmd_text(i) + ": copy reads " + interval_text(r) +
@@ -127,9 +96,8 @@ void analyze_script(const std::vector<Command>& commands, length_t ref_len,
   }
 
   // Pass 2: coverage — write intervals sorted by offset must be pairwise
-  // disjoint and tile [0, V) exactly. Unlike Script::validate, which
-  // throws citing only the first offender, enumerate every gap and
-  // overlap pair (up to the cap) so the report is a complete diagnosis.
+  // disjoint and tile [0, V) exactly; enumerate every gap and overlap
+  // pair.
   struct Slot {
     Interval write;
     std::uint32_t serial;
@@ -138,7 +106,7 @@ void analyze_script(const std::vector<Command>& commands, length_t ref_len,
   slots.reserve(commands.size());
   for (std::size_t i = 0; i < commands.size(); ++i) {
     if (usable[i]) {
-      slots.push_back(Slot{command_write_interval(commands[i]),
+      slots.push_back(Slot{Interval::of(commands[i].to, commands[i].length),
                            static_cast<std::uint32_t>(i)});
     }
   }
@@ -146,14 +114,12 @@ void analyze_script(const std::vector<Command>& commands, length_t ref_len,
     return a.write.first != b.write.first ? a.write.first < b.write.first
                                           : a.write.last < b.write.last;
   });
-  bool disjoint = true;
   offset_t next = 0;           // first version byte not yet written
   bool next_saturated = false;  // a write reached offset u64-max
   std::size_t prev_slot = 0;    // slot index with the furthest write end
   for (std::size_t s = 0; s < slots.size(); ++s) {
     const Interval& w = slots[s].write;
     if (s > 0 && !next_saturated && w.first < next) {
-      disjoint = false;
       const Interval& pw = slots[prev_slot].write;
       const Interval overlap{w.first, std::min(w.last, pw.last)};
       sink.add(Severity::kError, Check::kWriteOverlap,
@@ -182,62 +148,57 @@ void analyze_script(const std::vector<Command>& commands, length_t ref_len,
                  " are never written",
              std::nullopt, std::nullopt, gap);
   }
+}
 
-  // Pass 3: Equation 2. Needs pairwise-disjoint writes (the interval
-  // index's precondition); every command — add or copy — is a writer,
-  // every copy a reader. A copy overlapping its OWN write interval is
-  // legal (§4.1); only a strictly earlier writer conflicts.
-  std::size_t conflict_count = 0;
-  if (disjoint && slots.size() == commands.size()) {
-    std::vector<CopyCommand> writers;
-    writers.reserve(slots.size());
-    for (const Slot& slot : slots) {
-      writers.push_back(
-          CopyCommand{0, slot.write.first, slot.write.length()});
-    }
-    const IntervalIndex index(writers);
-    for (std::size_t ri = 0; ri < commands.size(); ++ri) {
-      const auto* copy = std::get_if<CopyCommand>(&commands[ri]);
-      if (copy == nullptr || !read_usable[ri]) continue;
-      const Interval read = copy->read_interval();
-      index.for_each_overlapping(read, [&](std::uint32_t slot_idx) {
-        const std::size_t wi = slots[slot_idx].serial;
-        if (wi >= ri) return;  // later or self: no conflict
-        ++conflict_count;
-        if (in_place_wanted) {
-          const Interval& w = slots[slot_idx].write;
-          const Interval overlap{std::max(read.first, w.first),
-                                 std::min(read.last, w.last)};
-          sink.add(Severity::kError, Check::kWriteBeforeRead,
-                   "conflict: " + cmd_text(ri) + " reads " +
-                       interval_text(overlap) + " after " + cmd_text(wi) +
-                       " wrote it",
-                   ri, wi, overlap);
-        }
-      });
-    }
-    if (in_place_claimed && conflict_count > 0) {
-      sink.add(Severity::kError, Check::kInPlaceFlag,
-               "header claims in-place applicability but the script has " +
-                   std::to_string(conflict_count) +
-                   " write-before-read conflict(s)");
-    }
+/// Everything after decoding: the model check (diagnosed in full when it
+/// fails), Equation 2 on a table that passed it, then style warnings.
+void analyze(ParsedDelta& parsed, const VerifyOptions& opts, Report& report) {
+  Sink sink(report, opts);
+  try {
+    check_delta_model(parsed);
+  } catch (const ValidationError&) {
+    diagnose_model(parsed, sink);
+    return;
   }
+  const std::vector<CommandRef>& commands = parsed.commands;
+  const bool in_place_claimed = parsed.header.in_place;
+  const bool in_place_wanted = in_place_claimed || opts.require_in_place;
+
+  // Pass 3: Equation 2. Every command — add or copy — is a writer, every
+  // copy a reader.
+  const std::size_t conflict_count = scan_equation2(
+      commands, parsed.write_order, [&](const WriteBeforeRead& c) {
+        if (in_place_wanted) {
+          sink.add(Severity::kError, Check::kWriteBeforeRead,
+                   "conflict: " + cmd_text(c.reader) + " reads " +
+                       interval_text(c.overlap) + " after " +
+                       cmd_text(c.writer) + " wrote it",
+                   c.reader, c.writer, c.overlap);
+        }
+        return true;
+      });
+  if (in_place_claimed && conflict_count > 0) {
+    sink.add(Severity::kError, Check::kInPlaceFlag,
+             "header claims in-place applicability but the script has " +
+                 std::to_string(conflict_count) +
+                 " write-before-read conflict(s)");
+  }
+  report.in_place_safe = conflict_count == 0;
 
   // Style warnings, calibrated so pipeline output is silent: the paper
   // schedules adds after all copies in an in-place script (§4.2), and a
   // sequential (non-in-place) delta is expected to write contiguously.
-  if (in_place_wanted && !sink.structural_error()) {
+  if (in_place_wanted) {
     std::size_t last_copy = commands.size();
     for (std::size_t i = commands.size(); i-- > 0;) {
-      if (is_copy(commands[i])) {
+      if (!commands[i].is_add()) {
         last_copy = i;
         break;
       }
     }
     for (std::size_t i = 0; last_copy < commands.size() && i < last_copy;
          ++i) {
-      if (is_add(commands[i])) {
+      if (commands[i].is_add()) {
         sink.add(Severity::kWarning, Check::kAddPlacement,
                  cmd_text(i) + " is an add placed before copy " +
                      cmd_text(last_copy) +
@@ -247,10 +208,10 @@ void analyze_script(const std::vector<Command>& commands, length_t ref_len,
       }
     }
   }
-  if (!in_place_wanted && sink.errors() == 0) {
+  if (!in_place_wanted) {
     offset_t expected = 0;
     for (std::size_t i = 0; i < commands.size(); ++i) {
-      const offset_t to = command_to(commands[i]);
+      const offset_t to = commands[i].to;
       if (to != expected) {
         sink.add(Severity::kWarning, Check::kWriteDiscontinuity,
                  cmd_text(i) + " writes at " + std::to_string(to) +
@@ -259,14 +220,9 @@ void analyze_script(const std::vector<Command>& commands, length_t ref_len,
                  i);
         break;
       }
-      expected = to + command_length(commands[i]);
+      expected = to + commands[i].length;
     }
   }
-
-  report.command_count = commands.size();
-  report.in_place_safe =
-      report.well_formed && !sink.structural_error() && conflict_count == 0 &&
-      disjoint && slots.size() == commands.size();
 }
 
 }  // namespace
@@ -274,92 +230,29 @@ void analyze_script(const std::vector<Command>& commands, length_t ref_len,
 Report Verifier::check(ByteView delta) const {
   obs::Span span(obs::Stage::kVerify, delta.size());
   Report report;
-  const auto reject = [&report](Check check, std::string message) {
-    report.findings.push_back(
-        Finding{Severity::kError, check, std::move(message)});
-  };
-
-  std::optional<std::pair<DeltaHeader, std::size_t>> parsed;
-  try {
-    parsed = try_parse_header(delta);
-  } catch (const FormatError& e) {
-    reject(Check::kContainer, e.what());
-    return report;
+  ParsedDelta parsed;
+  const std::optional<DeltaRejection> rejection =
+      decode_delta(delta, parsed, options_.max_payload_bytes);
+  if (!rejection || rejection->kind != DeltaRejection::Kind::kHeader) {
+    report.header = parsed.header;
   }
-  if (!parsed) {
-    reject(Check::kContainer, "delta header truncated");
-    return report;
-  }
-  const DeltaHeader& header = parsed->first;
-  const std::size_t header_bytes = parsed->second;
-  report.header = header;
-
-  if (header.payload_length > delta.size() - header_bytes) {
-    reject(Check::kContainer,
-           "payload truncated: header declares " +
-               std::to_string(header.payload_length) + " bytes, " +
-               std::to_string(delta.size() - header_bytes) + " present");
-    return report;
-  }
-  if (header_bytes + header.payload_length != delta.size()) {
-    reject(Check::kContainer, "trailing garbage after payload");
-    return report;
-  }
-  const ByteView payload = delta.subspan(
-      header_bytes, static_cast<std::size_t>(header.payload_length));
-  if (adler32(payload) != header.payload_adler) {
-    reject(Check::kPayload, "payload checksum mismatch");
-    return report;
-  }
-
-  Bytes decompressed;
-  ByteView stream = payload;
-  if (header.compress_payload) {
-    if (header.payload_uncompressed > options_.max_payload_bytes) {
-      reject(Check::kPayload,
-             "declared uncompressed payload of " +
-                 std::to_string(header.payload_uncompressed) +
-                 " bytes exceeds the " +
-                 std::to_string(options_.max_payload_bytes) + "-byte limit");
-      return report;
+  report.command_count = parsed.commands.size();
+  if (rejection) {
+    using Kind = DeltaRejection::Kind;
+    Finding finding{Severity::kError,
+                    rejection->kind == Kind::kPayload ? Check::kPayload
+                                                      : Check::kContainer,
+                    rejection->message};
+    if (rejection->kind == Kind::kCodeword) {
+      finding.check = Check::kCodeword;
+      finding.message = cmd_text(rejection->command) + ": " + finding.message;
+      finding.command = rejection->command;
     }
-    try {
-      decompressed = lzss_decode(
-          payload, static_cast<std::size_t>(header.payload_uncompressed));
-    } catch (const Error& e) {
-      reject(Check::kPayload, e.what());
-      return report;
-    }
-    stream = decompressed;
+    report.findings.push_back(std::move(finding));
+    return report;
   }
-
-  std::vector<Command> commands;
-  offset_t running_to = 0;
-  std::size_t pos = 0;
-  while (pos < stream.size()) {
-    CommandProbe probe = probe_command(stream.subspan(pos), header.format,
-                                       header.version_length, running_to);
-    if (probe.status != CommandProbe::Status::kOk) {
-      reject(Check::kCodeword,
-             cmd_text(commands.size()) + ": " + probe.detail);
-      report.command_count = commands.size();
-      return report;
-    }
-    commands.push_back(std::move(*probe.command));
-    pos += probe.consumed;
-  }
-
   report.well_formed = true;
-  analyze_script(commands, header.reference_length, header.version_length,
-                 header.in_place, options_, report);
-  return report;
-}
-
-Report Verifier::check(const DeltaFile& file) const {
-  Report report;
-  report.well_formed = true;  // in-memory scripts have no container to fail
-  analyze_script(file.script.commands(), file.reference_length,
-                 file.version_length, file.in_place, options_, report);
+  analyze(parsed, options_, report);
   return report;
 }
 

@@ -17,10 +17,14 @@
 //                     [0, R), writes inside [0, V);
 //   coverage        — write intervals pairwise disjoint and exactly
 //                     tiling [0, V) (no gaps, no double-writes);
-//   in-place        — Equation 2 via the §4.3 interval index in
-//                     O(n log n), emitting a counterexample trace
-//                     ("conflict: cmd#i reads [a, b] after cmd#j wrote
-//                     it") per violation.
+//   in-place        — Equation 2 via scan_equation2 in O(n log n),
+//                     emitting a counterexample trace ("conflict: cmd#i
+//                     reads [a, b] after cmd#j wrote it") per violation.
+//
+// The first three are parse_delta's own decode step and model check, so
+// the Verifier accepts exactly what parse_delta accepts (bar the
+// max_payload_bytes limit); a table the model check rejects is then
+// diagnosed in full instead of at its first fault.
 //
 // Each deviation becomes a Finding with a severity: errors make a delta
 // unservable/unflashable, warnings flag style the paper cares about
@@ -125,10 +129,6 @@ class Verifier {
   /// Statically analyze a serialized delta container. Never throws on
   /// bad input — malformed bytes become findings.
   Report check(ByteView delta) const;
-
-  /// Analyze an already-decoded delta (converter output before
-  /// serialization; archive entries). Skips the container checks.
-  Report check(const DeltaFile& file) const;
 
   const VerifyOptions& options() const noexcept { return options_; }
 

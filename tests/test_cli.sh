@@ -41,6 +41,24 @@ if "$IPDELTA" verify d.ipd new.bin > /dev/null 2>&1; then
   fail "verify accepted the wrong reference"
 fi
 
+# lint: a clean in-place delta passes (text and JSON), one flipped
+# payload byte fails with exit 3, and the self-check over the generated
+# corpus finds no disagreement with the dynamic oracle.
+"$IPDELTA" lint d.ipd > /dev/null || fail "lint clean delta"
+"$IPDELTA" lint d.ipd --json | grep -q '"ok":true' || fail "lint --json"
+cp d.ipd flipped.ipd
+size=$(wc -c < flipped.ipd)
+last=$(od -An -tu1 -j $((size - 1)) -N1 flipped.ipd | tr -d ' ')
+printf "$(printf '\\%03o' $((last ^ 255)))" |
+  dd of=flipped.ipd bs=1 seek=$((size - 1)) conv=notrunc 2> /dev/null
+cmp -s d.ipd flipped.ipd && fail "payload byte not flipped"
+rc=0
+"$IPDELTA" lint flipped.ipd > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 3 ] || fail "lint exited $rc on a flipped payload byte, want 3"
+"$IPDELTA" lint --self-check --seed 7 > selfcheck.out \
+  || fail "lint --self-check"
+grep -q " 0 disagreement(s)" selfcheck.out || fail "lint self-check count"
+
 # info and info --deep run and mention key fields.
 "$IPDELTA" info d.ipd | grep -q "in-place safe:     yes" || fail "info"
 "$IPDELTA" info d.ipd --deep | grep -q "CRWI digraph" || fail "info --deep"

@@ -6,11 +6,14 @@
 
 #include "apply/apply.hpp"
 #include "apply_paths.hpp"
+#include "core/buffer.hpp"
+#include "core/checksum.hpp"
 #include "core/io.hpp"
 #include "corpus/generator.hpp"
 #include "corpus/mutation.hpp"
 #include "ipdelta.hpp"
 #include "test_util.hpp"
+#include "verify/verifier.hpp"
 
 namespace ipd {
 namespace {
@@ -409,17 +412,32 @@ TEST(ParseDelta, RejectsLikeDeserialize) {
   expect_paths_agree(good, ref, "good");
 }
 
-TEST(Codec, ProbeReportsAddLengthNearTwoToThe64AsTruncated) {
+TEST(Codec, AddLengthNearTwoToThe64IsTruncatedNotWrapped) {
   // Varint add, explicit offset 0, length 2^64-1, then two payload bytes:
   // the reader must not wrap `position + length` and accept it.
   const Bytes stream = {0x01, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
                         0xFF, 0xFF, 0xFF, 0x01, 'a',  'b'};
-  offset_t running_to = 0;
-  const CommandProbe probe =
-      probe_command(stream, kVarintExplicit, 1000, running_to);
-  EXPECT_EQ(probe.status, CommandProbe::Status::kTruncated);
-  EXPECT_NE(probe.detail.find("add payload shorter than declared"),
-            std::string::npos);
+  ByteWriter w;  // a correct container around the stream
+  w.write_string("IPD1");
+  w.write_u8(0x11);  // varint codewords, explicit write offsets
+  w.write_u8(0);     // flags: not in place, not compressed
+  w.write_varint(1000);  // reference length
+  w.write_varint(1000);  // version length
+  w.write_u32le(0);      // version CRC
+  w.write_varint(stream.size());
+  w.write_u32le(adler32(stream));
+  w.write_bytes(stream);
+  const Bytes delta = w.take();
+
+  const Report report = Verifier().check(delta);
+  EXPECT_FALSE(report.well_formed);
+  ASSERT_EQ(report.findings.size(), 1u);
+  EXPECT_EQ(report.findings[0].check, Check::kCodeword);
+  EXPECT_NE(report.findings[0].message.find(
+                "add payload shorter than declared"),
+            std::string::npos)
+      << report.findings[0].message;
+  EXPECT_THROW(parse_delta(delta), FormatError);
 }
 
 TEST(Codec, FormatNames) {

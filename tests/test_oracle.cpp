@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
 #include "adversary/constructions.hpp"
 #include "core/rng.hpp"
 #include "inplace/converter.hpp"
@@ -42,6 +45,21 @@ TEST(Oracle, SeesAWriteShadowedByAShorterOne) {
   EXPECT_EQ(a.conflicts[0].writer_index, 0u);
   EXPECT_EQ(a.conflicts[0].overlap, (Interval{5, 5}));
   EXPECT_EQ(a.corrupt_bytes, 1u);
+}
+
+// The same shadowed write on the batch checker: command 1 rewrites
+// [50, 60] of command 0's [0, 100], and command 2 reads [70, 80], which
+// command 0 wrote. The oracle sees the conflict; satisfies_equation2
+// must not call the script safe. Its writes overlap, so it refuses to
+// answer.
+TEST(Oracle, Equation2CheckerDoesNotMissAShadowedWrite) {
+  const Script s =
+      script_of({C(200, 0, 101), C(300, 50, 11), C(70, 400, 11)});
+  const ConflictAnalysis a = analyze_conflicts(s);
+  ASSERT_EQ(a.conflicts.size(), 1u);
+  EXPECT_EQ(a.conflicts[0].reader_index, 2u);
+  EXPECT_EQ(a.conflicts[0].writer_index, 0u);
+  EXPECT_THROW(satisfies_equation2(s), ValidationError);
 }
 
 TEST(Oracle, AttributesEachByteToItsLastWriter) {
@@ -131,8 +149,33 @@ TEST(Oracle, AgreesWithEquation2CheckerOnRandomScripts) {
     for (std::size_t i = cmds.size(); i > 1; --i) {
       std::swap(cmds[i - 1], cmds[rng.below(i)]);
     }
-    EXPECT_EQ(analyze_conflicts(s).in_place_safe(), satisfies_equation2(s))
+    const ConflictAnalysis oracle = analyze_conflicts(s);
+    EXPECT_EQ(oracle.in_place_safe(), satisfies_equation2(s))
         << "trial " << trial;
+
+    // Each version byte has one writer, so the scan over the parsed
+    // table reports exactly the oracle's conflicts, in its own order.
+    DeltaFile file;
+    file.format = kVarintExplicit;
+    file.reference_length = 330;
+    file.version_length = cursor;
+    file.script = s;
+    const ParsedDelta parsed = parse_delta(serialize_delta(file));
+    using Triple = std::tuple<std::size_t, std::size_t, offset_t, offset_t>;
+    std::vector<Triple> scanned, expected;
+    scan_equation2(parsed.commands, parsed.write_order,
+                   [&](const WriteBeforeRead& c) {
+                     scanned.emplace_back(c.reader, c.writer, c.overlap.first,
+                                          c.overlap.last);
+                     return true;
+                   });
+    for (const Conflict& c : oracle.conflicts) {
+      expected.emplace_back(c.reader_index, c.writer_index, c.overlap.first,
+                            c.overlap.last);
+    }
+    std::sort(scanned.begin(), scanned.end());
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(scanned, expected) << "trial " << trial;
   }
 }
 

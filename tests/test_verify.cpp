@@ -3,8 +3,7 @@
 // expected diagnostic — plus the other side of the coin: everything the
 // pipeline produces verifies clean, and the verifier's in-place verdict
 // agrees with the dynamic conflict oracle across the corpus. Also covers
-// the trust-boundary gates (DeltaCache verifier gate, DeltaService
-// preload).
+// the trust-boundary gate (DeltaService preload).
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -385,28 +384,6 @@ TEST(VerifyReport, JsonCarriesVerdictFindingsAndHeader) {
 }
 
 // ------------------------------------------------- trust-boundary gates
-
-TEST(VerifyGates, DeltaCacheRefusesUnsafeArtifacts) {
-  ServiceMetrics metrics;
-  const Verifier gate(VerifyOptions{.require_in_place = true});
-  DeltaCache cache(1 << 20, 4, &metrics, &gate);
-
-  const DeltaKey key{0, 1, 42};
-  auto evil = std::make_shared<const Bytes>(
-      make_delta(conflicting_script(40, 40), true, 40, 40));
-  EXPECT_FALSE(cache.put(key, evil));
-  EXPECT_EQ(cache.get(key), nullptr);
-  EXPECT_EQ(cache.stats().rejected_unsafe, 1u);
-  EXPECT_EQ(metrics.verify_rejects.load(), 1u);
-
-  Rng rng(0x77);
-  const Bytes ref = generate_file(rng, 8000, FileProfile::kBinary);
-  const Bytes ver = mutate(ref, rng, 10);
-  auto good =
-      std::make_shared<const Bytes>(Pipeline().build_inplace(ref, ver).delta);
-  EXPECT_TRUE(cache.put(key, good));
-  EXPECT_NE(cache.get(key), nullptr);
-}
 
 class VerifyPreload : public ::testing::Test {
  protected:
