@@ -3,8 +3,9 @@
 //
 // Two sections:
 //
-//   1. clean fleet: devices/s through the full wire stack (loopback
-//      transport, framing, streaming apply, journaling) with no faults —
+//   1. clean fleet: devices/s through the full wire stack (socket pairs
+//      into the server's epoll reactor, framing, streaming apply,
+//      journaling) with no faults —
 //      the simulator's own overhead, and the server-side cache hit rate
 //      a heterogeneous fleet produces;
 //   2. chaos fleet: the same fleet with link drops/truncations/bit flips

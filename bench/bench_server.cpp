@@ -131,7 +131,7 @@ int check_stats_exposition(const DeltaService& service) {
 /// fires `rounds` warm GET_DELTA requests in lockstep (request -> END
 /// timed into `latency`) while the other conns - 1 sessions stay live.
 /// Returns false when the run failed (a connection refused or timed
-/// out), which for the front-end comparison is itself the result.
+/// out), which for the front-end measurement is itself the result.
 bool drive_front_end(std::uint16_t port, std::size_t conns,
                      std::size_t rounds, std::size_t releases,
                      obs::Histogram& latency) {
@@ -263,84 +263,47 @@ int main() {
   }
   bench::rule();
 
-  // ---- front end: held-open connections, reactor vs thread-per-conn --
+  // ---- front end: held-open connections on the epoll reactor ---------
   // The scaling claim of the epoll front end: one reactor thread carries
-  // an order of magnitude more live connections than the retired
-  // thread-per-connection loop afforded threads, with per-request p99
-  // no worse. The baseline is serve_session() itself — the exact
-  // blocking session loop the old front end ran on every thread —
-  // behind a hand-rolled accept loop.
+  // hundreds of live connections — an order of magnitude more than the
+  // retired thread-per-connection loop afforded threads — while each
+  // request still completes in microseconds. The thread-per-connection
+  // baseline's last numbers are quoted in docs/SERVER.md.
   {
-    constexpr std::size_t kThreadedConns = 32;
     constexpr std::size_t kReactorConns = 320;
     constexpr std::size_t kRounds = 4;
     ServiceOptions options;
     options.cache_budget = 64ull << 20;
     options.workers = 4;
     DeltaService service(store, options);
-    // Warm every adjacent pair once so both front ends serve pure cache
-    // hits: the numbers compare wire paths, not build scheduling luck.
+    // Warm every adjacent pair once so the server serves pure cache
+    // hits: the number measures the wire path, not build scheduling luck.
     for (std::size_t from = 0; from + 1 < releases; ++from) {
       (void)service.serve(static_cast<ReleaseId>(from),
                           static_cast<ReleaseId>(from + 1));
     }
     bool net_ok = true;
-    obs::Histogram threaded_latency;
     obs::Histogram reactor_latency;
     try {
-      {
-        TcpListener listener(0);
-        DeltaServer sessions(service);  // session loop only, never started
-        std::vector<std::thread> per_conn;
-        std::thread acceptor([&] {
-          while (std::unique_ptr<TcpTransport> t = listener.accept()) {
-            per_conn.emplace_back(
-                [&sessions, conn = std::move(t)]() mutable {
-                  try {
-                    sessions.serve_session(*conn);
-                  } catch (const Error&) {
-                  }
-                });
-          }
-        });
-        net_ok = drive_front_end(listener.port(), kThreadedConns, kRounds,
-                                 releases, threaded_latency);
-        listener.close();
-        acceptor.join();
-        for (std::thread& t : per_conn) t.join();
-      }
-      {
-        ServerConfig net;
-        net.max_connections = kReactorConns + 16;
-        net.idle_timeout_ms = 60'000;
-        DeltaServer reactor(service, net);
-        reactor.start();
-        net_ok = net_ok && drive_front_end(reactor.port(), kReactorConns,
-                                           kRounds, releases,
-                                           reactor_latency);
-        reactor.stop();
-      }
+      ServerConfig net;
+      net.max_connections = kReactorConns + 16;
+      net.idle_timeout_ms = 60'000;
+      DeltaServer reactor(service, net);
+      reactor.start();
+      net_ok = drive_front_end(reactor.port(), kReactorConns, kRounds,
+                               releases, reactor_latency);
+      reactor.stop();
     } catch (const TransportError&) {
       net_ok = false;
     }
     if (net_ok) {
-      const double threaded_p99 =
-          threaded_latency.snapshot().quantile(0.99) / 1e3;
       const double reactor_p99 =
           reactor_latency.snapshot().quantile(0.99) / 1e3;
-      const double scaling = static_cast<double>(kReactorConns) /
-                             static_cast<double>(kThreadedConns);
       std::printf(
           "front end (%zu warm requests per connection):\n"
-          "  thread-per-conn %4zu live connections, request p99 %8.1f us\n"
-          "  epoll reactor   %4zu live connections, request p99 %8.1f us "
-          "(%.0fx connections)\n",
-          kRounds, kThreadedConns, threaded_p99, kReactorConns, reactor_p99,
-          scaling);
-      json += ",\"conns_threaded\":" + std::to_string(kThreadedConns) +
-              ",\"conns_reactor\":" + std::to_string(kReactorConns) +
-              ",\"conn_scaling_x\":" + std::to_string(scaling) +
-              ",\"threaded_p99_us\":" + std::to_string(threaded_p99) +
+          "  epoll reactor   %4zu live connections, request p99 %8.1f us\n",
+          kRounds, kReactorConns, reactor_p99);
+      json += ",\"conns_reactor\":" + std::to_string(kReactorConns) +
               ",\"reactor_p99_us\":" + std::to_string(reactor_p99);
     } else {
       std::printf("front end: localhost sockets unavailable, skipped\n");

@@ -17,7 +17,6 @@
 #include "device/updater.hpp"
 #include "net/delta_server.hpp"
 #include "net/faulty_transport.hpp"
-#include "net/loopback_transport.hpp"
 
 namespace ipd {
 namespace {
@@ -130,14 +129,9 @@ bool run_device(FleetState& fleet, std::size_t index) {
     if (cuts_left > 0) {
       device.inject_power_failure_after(1 + rng.below(write_bound));
     }
-    std::vector<std::thread> sessions;
     const auto factory = [&]() -> std::unique_ptr<Transport> {
-      auto [client_end, server_end] = make_loopback_pair();
-      sessions.emplace_back(
-          [&server = fleet.server, end = std::move(server_end)]() mutable {
-            server.serve_session(*end);
-          });
-      if (!faulty_links) return std::move(client_end);
+      std::unique_ptr<Transport> client_end = fleet.server.connect_local();
+      if (!faulty_links) return client_end;
       FaultOptions faults;
       faults.seed = derive_seed(derive_seed(o.seed, index), connection++);
       faults.drop_rate = o.drop_rate;
@@ -172,7 +166,6 @@ bool run_device(FleetState& fleet, std::size_t index) {
       gave_up = ++restarts >= std::max<std::size_t>(
                                   o.rollout.max_attempts_per_device, 1);
     }
-    for (std::thread& t : sessions) t.join();
 
     if (reboot) {
       // "Reboot": disarm the simulator, drop all client-side RAM state
@@ -308,6 +301,7 @@ std::string CampaignReport::json() const {
       << ",\"server_sessions\":" << server_sessions
       << ",\"server_bytes_sent\":" << server_bytes_sent
       << ",\"server_resumes\":" << server_resumes
+      << ",\"server_rejected\":" << server_rejected
       << ",\"server_builds\":" << server_builds
       << ",\"server_cache_hits\":" << server_cache_hits << "}";
   return out.str();
@@ -335,9 +329,20 @@ CampaignReport run_campaign(const CampaignOptions& options) {
   VersionStore store;
   for (const Bytes& body : history) store.publish(body);
   DeltaService service(store, ServiceOptions{});
-  // Never start()ed: devices connect through in-memory loopback pairs
-  // served by serve_session, so campaigns run where sockets don't.
-  DeltaServer server(service, ServerConfig{});
+  // Sized from the fleet's own concurrency, so no limit can shed a
+  // device and turn into a fake link fault. Each device worker holds one
+  // connection at a time; the 2x covers a connection the device has
+  // closed but the loop has not yet reaped when its reconnect arrives.
+  // A connection carries at most one request (the protocol is
+  // lockstep), so builds can never queue past the connection limit.
+  ServerConfig net;
+  net.max_connections = std::max(
+      net.max_connections,
+      2 * std::max<std::size_t>(options.rollout.max_concurrency, 1));
+  net.max_pending_builds = net.max_connections;
+  // Never start()ed: devices reach the reactor through connect_local()
+  // socket pairs, so campaigns need no TCP port.
+  DeltaServer server(service, net);
 
   std::size_t max_len = 0;
   for (const Bytes& body : history) max_len = std::max(max_len, body.size());
@@ -409,6 +414,7 @@ CampaignReport run_campaign(const CampaignOptions& options) {
   report.server_sessions = metrics.net_sessions.load();
   report.server_bytes_sent = metrics.net_bytes_sent.load();
   report.server_resumes = metrics.net_resumes.load();
+  report.server_rejected = metrics.net_rejected.load();
   report.server_builds = metrics.builds.load();
   report.server_cache_hits = metrics.cache_hits.load();
   return report;

@@ -6,9 +6,11 @@
 // versions, every link optionally fault-injected (drops, truncations,
 // bit flips via net/faulty_transport), and power cuts injected at
 // arbitrary apply offsets — through the wire protocol to the newest
-// release. Devices connect over deterministic in-memory loopback pairs
-// served by DeltaServer::serve_session, so a 10k-device campaign runs in
-// one process with no sockets and is bit-reproducible from its seed.
+// release. Devices connect through DeltaServer::connect_local(): AF_UNIX
+// socket pairs served by the same epoll reactor that serves TCP clients,
+// so a 10k-device campaign runs in one process with no TCP port, on the
+// production server path. Every device's faults, cuts and start release
+// derive from the seed.
 //
 // Each device follows one of the two client stories:
 //   * streaming (default): OtaClient::update_device_streaming — artifact
@@ -81,8 +83,8 @@ struct CampaignOptions {
   /// load-bearing under fault injection: a bit flip in a frame's length
   /// prefix (outside the payload CRC) stalls both peers mid-read, and
   /// the timeout is what turns that stall into a retryable
-  /// TransportError (tearing down the connection also frees the blocked
-  /// server session).
+  /// TransportError (tearing down the connection also lets the server
+  /// drop its half-read frame).
   OtaClientOptions client{/*max_attempts=*/8, /*backoff_initial_ms=*/1,
                           /*backoff_max_ms=*/8, /*max_chunk=*/4096,
                           /*read_timeout_ms=*/1000};
@@ -129,6 +131,7 @@ struct CampaignReport {
   std::uint64_t server_sessions = 0;
   std::uint64_t server_bytes_sent = 0;
   std::uint64_t server_resumes = 0;
+  std::uint64_t server_rejected = 0;  ///< connections shed at the limit
   std::uint64_t server_builds = 0;
   std::uint64_t server_cache_hits = 0;
 

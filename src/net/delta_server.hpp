@@ -1,12 +1,12 @@
 // DeltaServer: the wire front end of the delta distribution service.
 //
-// The TCP path is an epoll reactor (net/reactor.hpp): one event-loop
-// thread multiplexes every connection with non-blocking framed I/O,
-// bounded per-connection output queues, and zero-copy writev of cached
-// artifacts. CPU-bound delta builds run on the DeltaService's shared
-// build pool via serve_async(); a completed build re-arms its connection
-// for writing through an eventfd mailbox. The loop thread never blocks
-// on a socket or a build.
+// Every session runs on one epoll reactor (net/reactor.hpp): one
+// event-loop thread multiplexes every connection with non-blocking
+// framed I/O, bounded per-connection output queues, and zero-copy
+// writev of cached artifacts. CPU-bound delta builds run on the
+// DeltaService's shared build pool via serve_async(); a completed build
+// re-arms its connection for writing through an eventfd mailbox. The
+// loop thread never blocks on a socket or a build.
 //
 // Operational guard rails (all typed, never a silent stall):
 //   * connection limit — excess clients get ERROR{kShed} and a close
@@ -18,11 +18,11 @@
 //   * per-request errors (unknown release ids, bad resume offsets) are
 //     answered with typed ERROR frames and the connection stays up.
 //
-// serve_session() remains the blocking, transport-agnostic session loop:
-// the loopback tests and the campaign simulator drive the full protocol
-// through it without a socket, and it shares the request-planning logic
-// (net/transfer_plan.hpp) with the reactor so the two fronts cannot
-// drift.
+// Clients reach the reactor two ways. start() binds a TCP listener;
+// connect_local() hands the server end of an AF_UNIX socket pair to the
+// loop and returns the client end, so tests and the campaign simulator
+// run the production path in-process without a port. A server that only
+// ever sees connect_local() runs the same loop with no listener.
 //
 // One request streams ONE artifact: the first step of the route the
 // service picked. A chain upgrade is the client asking hop by hop, so
@@ -36,7 +36,6 @@
 #include "net/reactor.hpp"
 #include "net/server_config.hpp"
 #include "net/tcp_transport.hpp"
-#include "net/transport.hpp"
 #include "server/delta_service.hpp"
 
 namespace ipd {
@@ -53,20 +52,23 @@ class DeltaServer {
   DeltaServer& operator=(const DeltaServer&) = delete;
 
   /// Bind the TCP listener and start the reactor. Throws TransportError
-  /// if the bind fails.
+  /// if the bind fails, and Error if the reactor is already running
+  /// (a start() or connect_local() came first).
   void start();
 
-  /// Stop accepting, close every live connection, and join the reactor.
-  /// Idempotent; also run by the destructor.
+  /// Stop accepting, close every live connection (TCP and local), and
+  /// join the reactor. Idempotent; also run by the destructor.
   void stop();
 
   /// Actual listening port (after start()).
   std::uint16_t port() const;
 
-  /// Run one protocol session over `transport`, blocking until the peer
-  /// hangs up or the connection faults. Used directly by the loopback
-  /// tests and the campaign simulator; independent of start()/stop().
-  void serve_session(Transport& transport);
+  /// Open an in-process connection to the reactor over a socket pair and
+  /// return the client end. Admission (connection limit, shedding) is
+  /// the same as for TCP. Starts the reactor without a listener if it is
+  /// not running. Thread-safe. Throws TransportError if the pair cannot
+  /// be created.
+  std::unique_ptr<TcpTransport> connect_local();
 
   /// Connections currently registered with the reactor.
   std::size_t active_sessions() const;
@@ -74,22 +76,19 @@ class DeltaServer {
   const ServerConfig& config() const noexcept { return config_; }
 
  private:
-  void handle_transfer(FramedConnection& conn, ReleaseId from, ReleaseId to,
-                       std::uint64_t offset, std::uint32_t resume_crc,
-                       bool is_resume, std::size_t chunk);
-  std::size_t send_counted(FramedConnection& conn, const Message& message);
+  void start_reactor(std::unique_ptr<TcpListener> listener)
+      REQUIRES(state_mutex_);
 
   DeltaService& service_;
   ServerConfig config_;
 
-  std::unique_ptr<TcpListener> listener_;
-  std::unique_ptr<Reactor> reactor_;
-
+  /// start(), stop() and connect_local() may race from different threads
+  /// (the destructor runs stop() from whichever thread drops the server;
+  /// campaign workers connect concurrently), so exactly one concurrent
+  /// start() wins and the reactor is created once.
   mutable Mutex state_mutex_{"DeltaServer::state"};
-  /// start() and stop() may race from different threads (the destructor
-  /// runs stop() from whichever thread drops the server); the flag is
-  /// guarded so exactly one concurrent start() wins.
-  bool started_ GUARDED_BY(state_mutex_) = false;
+  std::unique_ptr<TcpListener> listener_ GUARDED_BY(state_mutex_);
+  std::unique_ptr<Reactor> reactor_ GUARDED_BY(state_mutex_);
 };
 
 }  // namespace ipd

@@ -10,6 +10,9 @@
 #include <cerrno>
 #include <cstring>
 #include <deque>
+#include <exception>
+#include <optional>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <variant>
@@ -22,6 +25,7 @@
 #include "net/protocol.hpp"
 #include "net/transfer_plan.hpp"
 #include "obs/event_ring.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_context.hpp"
 #include "obs/watchdog.hpp"
@@ -69,6 +73,22 @@ void append_trace_ext(Bytes& out, const obs::TraceContext& trace) {
   out.push_back(trace.sampled ? 1 : 0);
 }
 
+/// The typed reply for a failed build, made on the thread that caught
+/// the exception so only the message crosses to the loop thread. A
+/// shared exception object would be released on two threads through
+/// libstdc++'s uninstrumented refcount, which ThreadSanitizer reports.
+ErrorMsg build_error_reply(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const ValidationError& e) {
+    return ErrorMsg{ErrorCode::kBadRequest, e.what()};
+  } catch (const std::exception& e) {
+    return ErrorMsg{ErrorCode::kInternal, e.what()};
+  } catch (...) {
+    return ErrorMsg{ErrorCode::kInternal, "build failed"};
+  }
+}
+
 }  // namespace
 
 // The per-connection machinery lives at namespace scope (not in the
@@ -102,16 +122,18 @@ struct BuildDone {
   bool is_resume = false;
   obs::TraceContext ctx;
   ServeResult result;
-  std::exception_ptr error;
+  std::optional<ErrorMsg> error;  ///< set when the build failed
 };
 
-/// Cross-thread completion mailbox. Build callbacks hold a shared_ptr to
+/// Cross-thread mailbox: finished builds from pool workers and sockets
+/// handed over by Reactor::adopt(). Build callbacks hold a shared_ptr to
 /// this, so a completion firing after the reactor is gone just posts
 /// into a mailbox nobody will read — the eventfd lives (and dies) with
 /// the last reference, never with the reactor.
 struct ReactorMailbox {
   Mutex mutex{"Reactor::mailbox"};
   std::vector<BuildDone> done GUARDED_BY(mutex);
+  std::vector<std::unique_ptr<TcpTransport>> adopted GUARDED_BY(mutex);
   int event_fd = -1;
 
   ~ReactorMailbox() {
@@ -126,19 +148,33 @@ struct ReactorMailbox {
     kick();
   }
 
+  void post(std::unique_ptr<TcpTransport> transport) {
+    {
+      MutexLock lock(mutex);
+      adopted.push_back(std::move(transport));
+    }
+    kick();
+  }
+
   void kick() const noexcept {
     const std::uint64_t one = 1;
     [[maybe_unused]] const ssize_t n =
         ::write(event_fd, &one, sizeof one);  // loop also ticks; best effort
   }
 
-  std::vector<BuildDone> drain() {
+  struct Batch {
+    std::vector<BuildDone> done;
+    std::vector<std::unique_ptr<TcpTransport>> adopted;
+  };
+
+  Batch drain() {
     std::uint64_t counter = 0;
     while (::read(event_fd, &counter, sizeof counter) > 0) {
     }
-    std::vector<BuildDone> batch;
+    Batch batch;
     MutexLock lock(mutex);
-    batch.swap(done);
+    batch.done.swap(done);
+    batch.adopted.swap(adopted);
     return batch;
   }
 };
@@ -180,7 +216,7 @@ struct Conn {
 struct Reactor::Impl {
   DeltaService& service;
   const ServerConfig& config;
-  TcpListener& listener;
+  TcpListener* listener;  ///< null: in-process connections only
   std::atomic<std::size_t>& live;
   std::atomic<bool>& stopping;
 
@@ -192,7 +228,7 @@ struct Reactor::Impl {
   std::size_t max_pending_builds = 0;
 
   Impl(DeltaService& service_in, const ServerConfig& config_in,
-       TcpListener& listener_in, std::atomic<std::size_t>& live_in,
+       TcpListener* listener_in, std::atomic<std::size_t>& live_in,
        std::atomic<bool>& stopping_in)
       : service(service_in),
         config(config_in),
@@ -204,7 +240,7 @@ struct Reactor::Impl {
     if (epoll_fd >= 0) ::close(epoll_fd);
   }
 
-  // ---- metrics plumbing (mirrors DeltaServer::send_counted) -----------
+  // ---- metrics plumbing ------------------------------------------------
 
   /// Count an outgoing frame the moment it is queued: an observer that
   /// has consumed the frame must see the counters it implies, and queue
@@ -224,6 +260,17 @@ struct Reactor::Impl {
   void count_shed(std::uint64_t at, std::uint64_t limit) {
     service.metrics().net_shed.fetch_add(1, std::memory_order_relaxed);
     obs::global_events().push(obs::EventType::kConnRejected, at, limit);
+  }
+
+  /// Leave a flight record for a failure on `c`, keyed by the trace
+  /// context of the request it belongs to. Called before the reply or
+  /// the hang-up that reports the failure, so a client that has seen
+  /// either can already find the dump.
+  void dump_failure(const Conn& c, const obs::TraceContext& ctx,
+                    std::string_view what, const char* reason) {
+    obs::FlightRecorder flight("server:" + c.transport->peer(), ctx);
+    flight.note(what);
+    obs::dump_flight(flight, reason);
   }
 
   // ---- outbox ---------------------------------------------------------
@@ -421,17 +468,14 @@ struct Reactor::Impl {
   bool process_frames(Conn& c) {
     while (c.idle()) {
       std::optional<Frame> frame;
-      try {
-        frame = c.reader.next();
-      } catch (const FormatError&) {
-        drop(c);  // corrupt inbound frame: the stream cannot be trusted
-        return false;
-      }
-      if (!frame) break;
       Message message;
       try {
+        frame = c.reader.next();
+        if (!frame) break;
         message = decode_message(*frame);
-      } catch (const FormatError&) {
+      } catch (const FormatError& e) {
+        // Corrupt inbound frame: the stream cannot be trusted past it.
+        dump_failure(c, c.ctx, e.what(), "corrupt inbound frame");
         drop(c);
         return false;
       }
@@ -512,7 +556,7 @@ struct Reactor::Impl {
           d.is_resume = is_resume;
           d.ctx = ctx;
           if (error) {
-            d.error = error;
+            d.error = build_error_reply(error);
           } else {
             d.result = std::move(*result);
           }
@@ -548,19 +592,17 @@ struct Reactor::Impl {
   // ---- mailbox --------------------------------------------------------
 
   void drain_mailbox() {
-    for (BuildDone& d : mailbox->drain()) {
+    ReactorMailbox::Batch batch = mailbox->drain();
+    for (std::unique_ptr<TcpTransport>& transport : batch.adopted) {
+      admit(std::move(transport));
+    }
+    for (BuildDone& d : batch.done) {
       if (pending_builds > 0) --pending_builds;
       const auto it = conns.find(d.conn_id);
       if (it == conns.end()) continue;  // peer left while we built
       Conn& c = *it->second;
       if (d.error) {
-        try {
-          std::rethrow_exception(d.error);
-        } catch (const ValidationError& e) {
-          enqueue_message(c, ErrorMsg{ErrorCode::kBadRequest, e.what()});
-        } catch (const std::exception& e) {
-          enqueue_message(c, ErrorMsg{ErrorCode::kInternal, e.what()});
-        }
+        enqueue_message(c, *d.error);
         c.in_flight = false;
         flush_writes(c);
         continue;
@@ -568,6 +610,9 @@ struct Reactor::Impl {
       TransferPlan plan = plan_transfer(d.result, d.to, d.offset,
                                         d.resume_crc, d.is_resume);
       if (plan.error) {
+        if (plan.refusal_note != nullptr) {
+          dump_failure(c, d.ctx, plan.error->message, plan.refusal_note);
+        }
         enqueue_message(c, *plan.error);
         c.in_flight = false;
         flush_writes(c);
@@ -618,38 +663,45 @@ struct Reactor::Impl {
     transport->close();
   }
 
+  /// The one admission path for every new connection, accepted from
+  /// the listener or adopted from a socket pair: the connection limit
+  /// (shed over it), then non-blocking mode and the epoll watch.
+  void admit(std::unique_ptr<TcpTransport> transport) {
+    if (stopping.load(std::memory_order_relaxed) ||
+        live.load(std::memory_order_relaxed) >= config.max_connections) {
+      shed_connection(std::move(transport));
+      return;
+    }
+    transport->set_nonblocking(true);
+    auto conn = std::make_unique<Conn>();
+    conn->id = next_id++;
+    conn->fd = transport->native_handle();
+    conn->transport = std::move(transport);
+    conn->chunk = config.chunk_bytes;
+    conn->events = EPOLLIN | EPOLLRDHUP;
+    conn->last_activity_ns = obs::now_ns();
+    epoll_event ev{};
+    ev.events = conn->events;
+    ev.data.u64 = conn->id;
+    if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, conn->fd, &ev) != 0) {
+      conn->transport->close();
+      return;
+    }
+    service.metrics().net_sessions.fetch_add(1, std::memory_order_relaxed);
+    conns.emplace(conn->id, std::move(conn));
+    live.fetch_add(1, std::memory_order_relaxed);
+  }
+
   void accept_ready() {
     for (;;) {
       std::unique_ptr<TcpTransport> transport;
       try {
-        transport = listener.try_accept();
+        transport = listener->try_accept();
       } catch (const TransportError&) {
         return;  // listener closed under us (stop in progress)
       }
       if (!transport) return;
-      if (stopping.load(std::memory_order_relaxed) ||
-          live.load(std::memory_order_relaxed) >= config.max_connections) {
-        shed_connection(std::move(transport));
-        continue;
-      }
-      transport->set_nonblocking(true);
-      auto conn = std::make_unique<Conn>();
-      conn->id = next_id++;
-      conn->fd = transport->native_handle();
-      conn->transport = std::move(transport);
-      conn->chunk = config.chunk_bytes;
-      conn->events = EPOLLIN | EPOLLRDHUP;
-      conn->last_activity_ns = obs::now_ns();
-      epoll_event ev{};
-      ev.events = conn->events;
-      ev.data.u64 = conn->id;
-      if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, conn->fd, &ev) != 0) {
-        conn->transport->close();
-        continue;
-      }
-      service.metrics().net_sessions.fetch_add(1, std::memory_order_relaxed);
-      conns.emplace(conn->id, std::move(conn));
-      live.fetch_add(1, std::memory_order_relaxed);
+      admit(std::move(transport));
     }
   }
 
@@ -728,7 +780,7 @@ struct Reactor::Impl {
 };
 
 Reactor::Reactor(DeltaService& service, const ServerConfig& config,
-                 TcpListener& listener)
+                 TcpListener* listener)
     : service_(service), config_(config), listener_(listener) {}
 
 Reactor::~Reactor() { stop(); }
@@ -756,14 +808,16 @@ void Reactor::start() {
           ? config_.max_pending_builds
           : std::max<std::size_t>(2 * service_.build_workers(), 64);
 
-  listener_.set_nonblocking(true);
   epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.u64 = kListenerTag;
-  if (::epoll_ctl(impl->epoll_fd, EPOLL_CTL_ADD, listener_.native_handle(),
-                  &ev) != 0) {
-    throw TransportError(NetErrc::kPoll, "reactor: epoll_ctl listener",
-                         errno_message(errno));
+  if (listener_ != nullptr) {
+    listener_->set_nonblocking(true);
+    ev.events = EPOLLIN;
+    ev.data.u64 = kListenerTag;
+    if (::epoll_ctl(impl->epoll_fd, EPOLL_CTL_ADD,
+                    listener_->native_handle(), &ev) != 0) {
+      throw TransportError(NetErrc::kPoll, "reactor: epoll_ctl listener",
+                           errno_message(errno));
+    }
   }
   ev.events = EPOLLIN;
   ev.data.u64 = kMailboxTag;
@@ -785,9 +839,17 @@ void Reactor::stop() {
   if (impl_) {
     for (auto& [id, conn] : impl_->conns) conn->transport->close();
     impl_->conns.clear();
+    // Sockets adopted after the loop's last drain close with the batch:
+    // their clients see EOF now, not whenever the last build callback
+    // releases the mailbox.
+    impl_->mailbox->drain();
     live_.store(0, std::memory_order_relaxed);
     impl_.reset();
   }
+}
+
+void Reactor::adopt(std::unique_ptr<TcpTransport> transport) {
+  impl_->mailbox->post(std::move(transport));
 }
 
 void Reactor::run() { impl_->run(); }

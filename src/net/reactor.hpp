@@ -1,6 +1,10 @@
-// Epoll reactor: the non-blocking TCP front end behind DeltaServer.
+// Epoll reactor: the one server front end behind DeltaServer.
 //
-// One event-loop thread owns every connection. Sockets are non-blocking;
+// One event-loop thread owns every connection: TCP clients accepted
+// from the listener, and in-process clients whose socket-pair end was
+// handed over with adopt(). Both go through the same admission code.
+// A reactor without a listener serves in-process clients only and
+// needs no port. Sockets are non-blocking;
 // each connection is a pair of small state machines:
 //
 //   read side    idle -> (frame assembled) -> dispatch -> awaiting build
@@ -22,10 +26,12 @@
 // CPU-bound work never runs on the loop: GET_DELTA/RESUME go to the
 // DeltaService's build pool via serve_async(), and completion comes back
 // through an eventfd mailbox that re-arms the connection for writing.
+// Adopted sockets arrive through the same mailbox.
 //
 // Saturation load-sheds instead of stalling:
-//   * connection limit — the accept path answers ERROR{kShed} on the
-//     fresh socket and closes it; accepts never stop draining.
+//   * connection limit — admission answers ERROR{kShed} on the fresh
+//     socket (accepted or adopted) and closes it; accepts never stop
+//     draining.
 //   * build-queue limit — a request beyond max_pending_builds gets
 //     ERROR{kShed} immediately (the connection stays up) instead of
 //     queueing behind seconds of build latency.
@@ -44,10 +50,11 @@ namespace ipd {
 
 class Reactor {
  public:
-  /// `service` and `listener` must outlive the reactor. `config` must
-  /// already be validated() — DeltaServer does this once at start().
+  /// `service` and `listener` must outlive the reactor; a null
+  /// `listener` serves adopted connections only. `config` must already
+  /// be validated() — DeltaServer does this once at construction.
   Reactor(DeltaService& service, const ServerConfig& config,
-          TcpListener& listener);
+          TcpListener* listener);
   ~Reactor();
 
   Reactor(const Reactor&) = delete;
@@ -60,6 +67,11 @@ class Reactor {
   /// Signal the loop, join it, and close every connection. Idempotent.
   void stop();
 
+  /// Hand a connected socket to the loop (thread-safe; after start()).
+  /// It is admitted like an accepted TCP connection: over the connection
+  /// limit it gets ERROR{kShed} and a close.
+  void adopt(std::unique_ptr<TcpTransport> transport);
+
   /// Connections currently registered with the loop.
   std::size_t active_connections() const noexcept {
     return live_.load(std::memory_order_relaxed);
@@ -71,7 +83,7 @@ class Reactor {
 
   DeltaService& service_;
   const ServerConfig config_;
-  TcpListener& listener_;
+  TcpListener* listener_;
   std::unique_ptr<Impl> impl_;
   std::thread thread_;
   std::atomic<bool> stopping_{false};

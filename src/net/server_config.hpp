@@ -17,15 +17,17 @@
 namespace ipd {
 
 struct ServerConfig {
-  /// TCP port on 127.0.0.1; 0 picks an ephemeral port (see
-  /// DeltaServer::port()).
+  /// TCP port on 127.0.0.1 bound by DeltaServer::start(); 0 picks an
+  /// ephemeral port (see DeltaServer::port()). In-process connections
+  /// (DeltaServer::connect_local()) need none.
   std::uint16_t port = 0;
 
-  /// Concurrent connections the reactor will carry. Connections over the
-  /// limit are load-shed: they receive ERROR{kShed} and an immediate
-  /// close (retryable — the OTA client backs off and reconnects). The
-  /// reactor holds per-connection state, not a thread, so this defaults
-  /// an order of magnitude above the old thread-per-connection limit.
+  /// Concurrent connections the reactor will carry, TCP and in-process
+  /// alike. Connections over the limit are load-shed: they receive
+  /// ERROR{kShed} and an immediate close (retryable — the OTA client
+  /// backs off and reconnects). The reactor holds per-connection state,
+  /// not a thread, so this defaults an order of magnitude above what a
+  /// thread per connection affords.
   std::size_t max_connections = 256;
 
   /// Drop a connection that makes no progress — nothing read from it and

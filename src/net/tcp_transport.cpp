@@ -120,6 +120,16 @@ void TcpTransport::set_nonblocking(bool enabled) {
   }
 }
 
+std::pair<std::unique_ptr<TcpTransport>, std::unique_ptr<TcpTransport>>
+make_socket_pair() {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+    raise_errno(NetErrc::kSocket, "socketpair");
+  }
+  return {std::make_unique<TcpTransport>(fds[0], "local"),
+          std::make_unique<TcpTransport>(fds[1], "local")};
+}
+
 TcpListener::TcpListener(std::uint16_t port, int backlog) {
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd_ < 0) raise_errno(NetErrc::kSocket, "tcp: listener socket");

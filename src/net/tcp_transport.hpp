@@ -1,4 +1,6 @@
-// Real POSIX TCP implementation of the Transport interface.
+// POSIX stream-socket implementation of the Transport interface: TCP
+// connections, and AF_UNIX socket pairs for in-process sessions
+// (make_socket_pair, DeltaServer::connect_local).
 //
 // Blocking sockets, one per session. close() uses shutdown(2) rather
 // than close(2) so a read blocked on another thread wakes immediately
@@ -11,6 +13,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "net/transport.hpp"
 
@@ -23,7 +26,7 @@ class TcpTransport final : public Transport {
   static std::unique_ptr<TcpTransport> connect(const std::string& host,
                                                std::uint16_t port);
 
-  /// Adopt an already-connected descriptor (listener side).
+  /// Adopt an already-connected descriptor (listener side, socket pair).
   TcpTransport(int fd, std::string peer);
   ~TcpTransport() override;
 
@@ -32,14 +35,25 @@ class TcpTransport final : public Transport {
   void close() noexcept override;
   void set_read_timeout(int ms) override;
   std::string peer() const override { return peer_; }
-  int native_handle() const noexcept override { return fd_; }
-  void set_nonblocking(bool enabled) override;
+
+  /// Socket descriptor, for event-driven I/O (the epoll reactor).
+  int native_handle() const noexcept { return fd_; }
+
+  /// Switch the socket between blocking and non-blocking mode.
+  void set_nonblocking(bool enabled);
 
  private:
   int fd_;
   std::atomic<bool> closed_{false};
   std::string peer_;
 };
+
+/// A connected AF_UNIX stream socket pair: bytes written to one end are
+/// read from the other, and close() on either end is EOF for the peer.
+/// Same kernel semantics as a TCP connection without a port. Throws
+/// TransportError when the pair cannot be created.
+std::pair<std::unique_ptr<TcpTransport>, std::unique_ptr<TcpTransport>>
+make_socket_pair();
 
 class TcpListener {
  public:

@@ -1,14 +1,11 @@
-// Shared request-to-transfer planning for both server front ends.
+// Request-to-transfer planning for the server's GET_DELTA/RESUME.
 //
-// The blocking serve_session() path and the epoll reactor answer the
-// same GET_DELTA/RESUME requests with the same artifact selection, the
-// same resume rules and the same DELTA_BEGIN metadata. plan_transfer()
-// is that decision in one place: given the service's ServeResult and the
-// request parameters, it either refuses (a typed ErrorMsg, plus a note
-// for the flight recorder on resume refusals) or pins the artifact and
-// fills the DELTA_BEGIN header. How the artifact bytes then reach the
-// socket — blocking chunk copies or zero-copy writev — is the caller's
-// business.
+// plan_transfer() decides the artifact selection, the resume rules and
+// the DELTA_BEGIN metadata in one pure function: given the service's
+// ServeResult and the request parameters, it either refuses (a typed
+// ErrorMsg, plus a note for the flight recorder on resume refusals) or
+// pins the artifact and fills the DELTA_BEGIN header. Streaming the
+// artifact bytes (zero-copy writev) is the reactor's business.
 #pragma once
 
 #include <memory>

@@ -21,14 +21,9 @@ std::optional<Message> FramedConnection::receive() {
 }
 
 std::size_t FramedConnection::send(const Message& message) {
-  return send_encoded(encode_message(
-      message, outbound_trace_.valid() ? &outbound_trace_ : nullptr));
-}
-
-std::size_t FramedConnection::send_encoded(ByteView wire) {
+  const Bytes wire = encode_message(
+      message, outbound_trace_.valid() ? &outbound_trace_ : nullptr);
   transport_.write_all(wire);
-  bytes_sent_ += wire.size();
-  ++frames_sent_;
   return wire.size();
 }
 

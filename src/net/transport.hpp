@@ -1,12 +1,14 @@
-// Byte-stream transport abstraction the protocol runs over.
+// Byte-stream transport abstraction the client side of the protocol
+// runs over.
 //
-// Three implementations ship: real POSIX TCP (net/tcp_transport.hpp), a
-// deterministic in-memory loopback for tests (net/loopback_transport.hpp),
-// and a fault-injecting decorator (net/faulty_transport.hpp). The server
-// and OTA client are written against this interface only, so every
-// protocol path can be exercised without a socket — and every fault the
-// decorator can invent is, by construction, survivable by the same code
-// that runs in production.
+// Two implementations ship: POSIX stream sockets (net/tcp_transport.hpp:
+// TCP connections and the AF_UNIX socket pairs behind
+// DeltaServer::connect_local) and a fault-injecting client-side
+// decorator (net/faulty_transport.hpp). The OTA client is written
+// against this interface only, so every fault the decorator can invent
+// is, by construction, survivable by the same code that runs in
+// production. The server side is the epoll reactor, which works on the
+// socket descriptors directly.
 #pragma once
 
 #include <cstdint>
@@ -36,24 +38,15 @@ class Transport {
   virtual void close() noexcept = 0;
 
   /// Bound how long read_some blocks; 0 disables. Default: unsupported
-  /// no-op (the loopback pair is never idle in tests that use it).
+  /// no-op.
   virtual void set_read_timeout(int /*ms*/) {}
 
-  /// Peer description for diagnostics ("127.0.0.1:4242", "loopback", ...).
+  /// Peer description for diagnostics ("127.0.0.1:4242", "local", ...).
   virtual std::string peer() const = 0;
-
-  /// OS descriptor for event-driven I/O (the epoll reactor), or -1 when
-  /// the transport has none (loopback, decorators). A transport that
-  /// returns a real fd must also support set_nonblocking().
-  virtual int native_handle() const noexcept { return -1; }
-
-  /// Switch the descriptor between blocking and non-blocking mode.
-  /// Default: unsupported no-op (blocking-only transports).
-  virtual void set_nonblocking(bool /*enabled*/) {}
 };
 
 /// One protocol conversation over a transport: pumps frames in and out
-/// and keeps the byte/frame accounting the server metrics report.
+/// and counts the bytes received (the OTA client's report).
 class FramedConnection {
  public:
   explicit FramedConnection(Transport& transport) : transport_(transport) {}
@@ -68,19 +61,11 @@ class FramedConnection {
   /// (if set) to the frame; returns wire bytes written.
   std::size_t send(const Message& message);
 
-  /// Write an already-encoded frame (encode_message output); lets a
-  /// caller know the wire size before any byte hits the transport. The
-  /// outbound trace is NOT attached — encode with it explicitly.
-  std::size_t send_encoded(ByteView wire);
-
   /// Trace context attached to every subsequent send(). Only set this
   /// after negotiating kProtocolVersionTraced: v1 peers reject the
   /// extension's flag byte. An invalid context clears it.
   void set_outbound_trace(const obs::TraceContext& ctx) noexcept {
     outbound_trace_ = ctx;
-  }
-  const obs::TraceContext& outbound_trace() const noexcept {
-    return outbound_trace_;
   }
 
   /// Trace context of the last received frame (invalid when it had
@@ -89,20 +74,14 @@ class FramedConnection {
     return inbound_trace_;
   }
 
-  std::uint64_t bytes_sent() const noexcept { return bytes_sent_; }
   std::uint64_t bytes_received() const noexcept { return bytes_received_; }
-  std::uint64_t frames_sent() const noexcept { return frames_sent_; }
-
-  Transport& transport() noexcept { return transport_; }
 
  private:
   Transport& transport_;
   FrameReader reader_;
   obs::TraceContext outbound_trace_;
   obs::TraceContext inbound_trace_;
-  std::uint64_t bytes_sent_ = 0;
   std::uint64_t bytes_received_ = 0;
-  std::uint64_t frames_sent_ = 0;
 };
 
 }  // namespace ipd

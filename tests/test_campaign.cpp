@@ -92,9 +92,10 @@ TEST(Campaign, FiveHundredDevicesWithFaultsAndPowerCutsZeroBricks) {
   o.drop_rate = 0.02;
   o.truncate_rate = 0.02;
   o.flip_rate = 0.02;
-  // Loopback links batch aggressively: one read can drain a whole queued
-  // response, so a connection may be as few as four transport ops. Keep
-  // only the HELLO write fault-free or the faults barely get a turn.
+  // Socket-pair links batch aggressively: one read can drain a whole
+  // queued response, so a connection may be as few as four transport
+  // ops. Keep only the HELLO write fault-free or the faults barely get
+  // a turn.
   o.grace_ops = 1;
   o.power_cut_rate = 0.3;
   o.max_power_cuts = 2;
@@ -113,6 +114,24 @@ TEST(Campaign, FiveHundredDevicesWithFaultsAndPowerCutsZeroBricks) {
   EXPECT_GT(report.reboots, 0u);
   EXPECT_GT(report.staged_devices, 0u);
   EXPECT_EQ(report.waves.back(), 500u);
+}
+
+TEST(Campaign, ServerIsSizedFromTheFleetConcurrency) {
+  // More devices in flight than the server's default connection limit
+  // (256): the campaign sizes its server from its own concurrency, so
+  // no connection or build request is shed and a clean fleet sees no
+  // retry at all.
+  CampaignOptions o;
+  o.devices = 300;
+  o.releases = 2;
+  o.image_bytes = 4u << 10;
+  o.seed = 29;
+  o.rollout.waves = {1.0};
+  o.rollout.max_concurrency = 260;
+  const CampaignReport report = run_campaign(o);
+  EXPECT_EQ(report.updated, 300u) << report.render();
+  EXPECT_EQ(report.retries, 0u) << report.render();
+  EXPECT_EQ(report.server_rejected, 0u);
 }
 
 TEST(Campaign, AbortGateStopsTheRampAndStrandsNobody) {

@@ -1,6 +1,7 @@
-// Unit tests for src/net/: framing, message codec, loopback transport,
-// fault injection, and full protocol sessions driven over the loopback
-// pair (no sockets — the TCP path is covered by test_net_e2e.cpp).
+// Unit tests for src/net/: framing, message codec, the socket-pair
+// transport, fault injection, and full protocol sessions driven through
+// DeltaServer::connect_local() — the production reactor over AF_UNIX
+// socket pairs, no TCP port (the TCP path is covered by test_net_e2e.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,8 +15,8 @@
 #include "delta/codec.hpp"
 #include "net/delta_server.hpp"
 #include "net/faulty_transport.hpp"
-#include "net/loopback_transport.hpp"
 #include "net/ota_client.hpp"
+#include "net/tcp_transport.hpp"
 #include "test_util.hpp"
 
 namespace ipd {
@@ -165,10 +166,10 @@ TEST(Protocol, ShortPayloadRejected) {
   EXPECT_THROW(decode_message(frame), FormatError);
 }
 
-// -------------------------------------------------------------- loopback
+// ----------------------------------------------------------- socket pair
 
-TEST(Loopback, BytesFlowBothWaysAndCloseMeansEof) {
-  auto [a, b] = make_loopback_pair();
+TEST(SocketPair, BytesFlowBothWaysAndCloseMeansEof) {
+  auto [a, b] = make_socket_pair();
   a->write_all(test::ramp_bytes(10));
   Bytes buf(10);
   EXPECT_EQ(b->read_some(buf), 10u);
@@ -180,8 +181,8 @@ TEST(Loopback, BytesFlowBothWaysAndCloseMeansEof) {
   EXPECT_THROW(b->write_all(buf), TransportError);
 }
 
-TEST(Loopback, CloseWakesABlockedReader) {
-  auto [a, b] = make_loopback_pair();
+TEST(SocketPair, CloseWakesABlockedReader) {
+  auto [a, b] = make_socket_pair();
   std::thread reader([&] {
     Bytes buf(8);
     EXPECT_EQ(b->read_some(buf), 0u);
@@ -193,7 +194,7 @@ TEST(Loopback, CloseWakesABlockedReader) {
 // ---------------------------------------------------------------- faulty
 
 TEST(Faulty, FlippedWriteIsCaughtByFrameCrcOnTheOtherSide) {
-  auto [a, b] = make_loopback_pair();
+  auto [a, b] = make_socket_pair();
   FaultOptions faults;
   faults.seed = 99;
   faults.flip_rate = 1.0;
@@ -207,7 +208,7 @@ TEST(Faulty, FlippedWriteIsCaughtByFrameCrcOnTheOtherSide) {
 }
 
 TEST(Faulty, DropKillsTheConnectionAndPeerSeesTruncation) {
-  auto [a, b] = make_loopback_pair();
+  auto [a, b] = make_socket_pair();
   FaultOptions faults;
   faults.seed = 7;
   faults.drop_rate = 1.0;
@@ -223,7 +224,7 @@ TEST(Faulty, DropKillsTheConnectionAndPeerSeesTruncation) {
 }
 
 TEST(Faulty, TruncationDeliversAPrefixThenEof) {
-  auto [a, b] = make_loopback_pair();
+  auto [a, b] = make_socket_pair();
   FaultOptions faults;
   faults.seed = 12;
   faults.truncate_rate = 1.0;
@@ -240,7 +241,7 @@ TEST(Faulty, TruncationDeliversAPrefixThenEof) {
 }
 
 TEST(Faulty, GraceOpsLetTheHandshakeThrough) {
-  auto [a, b] = make_loopback_pair();
+  auto [a, b] = make_socket_pair();
   FaultOptions faults;
   faults.seed = 5;
   faults.drop_rate = 1.0;
@@ -251,48 +252,38 @@ TEST(Faulty, GraceOpsLetTheHandshakeThrough) {
   EXPECT_THROW(chaos.write_all(test::ramp_bytes(4)), TransportError);
 }
 
-// ------------------------------------------------- session over loopback
+// ------------------------------------ session over an in-process socket
 
-struct LoopbackRig {
+struct LocalRig {
   VersionStore store;
   std::unique_ptr<DeltaService> service;
   std::unique_ptr<DeltaServer> server;
   std::vector<Bytes> history;
 
-  explicit LoopbackRig(std::size_t releases, std::uint64_t seed = 33,
-                       const ServerConfig& net = {}) {
+  explicit LocalRig(std::size_t releases, std::uint64_t seed = 33,
+                    const ServerConfig& net = {}) {
     history = make_history(releases, seed);
     for (const Bytes& body : history) store.publish(body);
     service = std::make_unique<DeltaService>(store, ServiceOptions{});
     server = std::make_unique<DeltaServer>(*service, net);
   }
 
-  /// Run one server session over a fresh loopback pair; returns the
-  /// client end. Caller must close it before the rig dies.
-  std::unique_ptr<Transport> connect(std::thread& session_thread) {
-    auto [client_end, server_end] = make_loopback_pair();
-    session_thread = std::thread(
-        [this, server = std::move(server_end)]() mutable {
-          this->server->serve_session(*server);
-        });
-    return std::move(client_end);
+  /// A fresh in-process connection to the rig's reactor. Every read
+  /// is bounded, so a stalled reply fails the test instead of hanging.
+  std::unique_ptr<Transport> connect() {
+    std::unique_ptr<TcpTransport> transport = server->connect_local();
+    transport->set_read_timeout(20'000);
+    return transport;
   }
 };
 
 TEST(Session, StreamingClientUpgradesOverLoopback) {
-  LoopbackRig rig(4);
-  std::vector<std::thread> sessions;
+  LocalRig rig(4);
   OtaClientOptions options;
   options.max_chunk = 512;  // force many DELTA_DATA frames
-  OtaClient client(
-      [&] {
-        sessions.emplace_back();
-        return rig.connect(sessions.back());
-      },
-      options);
+  OtaClient client([&] { return rig.connect(); }, options);
   Bytes image = rig.history[0];
   const OtaReport report = client.update_streaming(image, 0, 3);
-  for (std::thread& t : sessions) t.join();
   EXPECT_TRUE(test::bytes_equal(rig.history[3], image));
   EXPECT_EQ(report.final_release, 3u);
   EXPECT_GE(report.hops, 1u);
@@ -302,9 +293,8 @@ TEST(Session, StreamingClientUpgradesOverLoopback) {
 }
 
 TEST(Session, BadReleaseIdsGetTypedErrorsAndSessionSurvives) {
-  LoopbackRig rig(3);
-  std::thread session;
-  auto transport = rig.connect(session);
+  LocalRig rig(3);
+  auto transport = rig.connect();
   FramedConnection conn(*transport);
   conn.send(HelloMsg{});
   ASSERT_TRUE(std::holds_alternative<HelloAckMsg>(*conn.receive()));
@@ -318,17 +308,41 @@ TEST(Session, BadReleaseIdsGetTypedErrorsAndSessionSurvives) {
   conn.send(GetDeltaMsg{0, 1});
   EXPECT_TRUE(std::holds_alternative<DeltaBeginMsg>(*conn.receive()));
   transport->close();
-  session.join();
   EXPECT_EQ(rig.service->metrics().net_errors.load(), 2u);
 }
 
+TEST(Session, LocalConnectionPastTheLimitIsShed) {
+  // connect_local() goes through the reactor's one admission path: past
+  // max_connections it gets the same typed ERROR{kShed} and hang-up as
+  // a TCP client, and the connection already admitted is untouched.
+  ServerConfig net;
+  net.max_connections = 1;
+  LocalRig rig(2, /*seed=*/33, net);
+  auto holder = rig.connect();
+  FramedConnection held(*holder);
+  held.send(HelloMsg{});
+  ASSERT_TRUE(std::holds_alternative<HelloAckMsg>(*held.receive()));
+
+  auto second = rig.connect();
+  FramedConnection conn(*second);
+  const std::optional<Message> reply = conn.receive();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(std::get<ErrorMsg>(*reply).code, ErrorCode::kShed);
+  EXPECT_FALSE(conn.receive().has_value());  // then the server hangs up
+  EXPECT_EQ(rig.service->metrics().net_rejected.load(), 1u);
+  EXPECT_EQ(rig.service->metrics().net_sessions.load(), 1u);
+
+  held.send(MetricsReqMsg{});
+  EXPECT_TRUE(std::holds_alternative<MetricsMsg>(*held.receive()));
+  holder->close();
+}
+
 TEST(Session, ResumeSkipsAlreadyTransferredBytes) {
-  LoopbackRig rig(2);
+  LocalRig rig(2);
   ServiceMetrics& metrics = rig.service->metrics();
 
   // First session: take DELTA_BEGIN plus one chunk, then vanish.
-  std::thread first_session;
-  auto first = rig.connect(first_session);
+  auto first = rig.connect();
   DeltaBeginMsg meta;
   std::uint64_t got = 0;
   {
@@ -342,11 +356,9 @@ TEST(Session, ResumeSkipsAlreadyTransferredBytes) {
     ASSERT_LT(got, meta.total_size);  // multi-chunk transfer
   }
   first->close();
-  first_session.join();
 
   // Second session: resume from where we died.
-  std::thread second_session;
-  auto second = rig.connect(second_session);
+  auto second = rig.connect();
   {
     FramedConnection conn(*second);
     conn.send(HelloMsg{kProtocolVersion, 256});
@@ -370,12 +382,10 @@ TEST(Session, ResumeSkipsAlreadyTransferredBytes) {
     EXPECT_EQ(received, meta.total_size);
   }
   second->close();
-  second_session.join();
   EXPECT_EQ(metrics.net_resumes.load(), 1u);
 
   // A resume whose CRC matches nothing is refused.
-  std::thread third_session;
-  auto third = rig.connect(third_session);
+  auto third = rig.connect();
   {
     FramedConnection conn(*third);
     conn.send(HelloMsg{});
@@ -385,14 +395,13 @@ TEST(Session, ResumeSkipsAlreadyTransferredBytes) {
     EXPECT_EQ(err.code, ErrorCode::kBadResume);
   }
   third->close();
-  third_session.join();
 }
 
 TEST(Session, FullImageOverrunIsRejectedBeforeTheCopy) {
   // A hostile (or broken) server that streams more bytes than its
   // DELTA_BEGIN announced must hit a typed protocol error, never the
   // raw memcpy past the image buffer it would have caused.
-  auto [client_end, server_end] = make_loopback_pair();
+  auto [client_end, server_end] = make_socket_pair();
   std::thread evil([server = std::move(server_end)]() mutable {
     try {
       FramedConnection conn(*server);
@@ -439,7 +448,7 @@ TEST(Session, StagedFullImageCannotOverwriteTheApplyJournal) {
   constexpr std::size_t kImageArea = 16 << 10;
   constexpr JournalRegion kJournal{kImageArea, 16 << 10};
   const Bytes image = test::random_bytes(77, kImageArea + 4096);
-  auto [client_end, server_end] = make_loopback_pair();
+  auto [client_end, server_end] = make_socket_pair();
   std::thread oversized([server = std::move(server_end), &image]() mutable {
     try {
       FramedConnection conn(*server);
@@ -482,17 +491,11 @@ TEST(Session, StagedFullImageCannotOverwriteTheApplyJournal) {
 }
 
 TEST(Session, RefusedResumeRestartsTheDownloadFromScratch) {
-  LoopbackRig rig(2);
-  std::vector<std::thread> sessions;
+  LocalRig rig(2);
   OtaClientOptions options;
   options.backoff_initial_ms = 0;
   options.backoff_max_ms = 0;
-  OtaClient client(
-      [&] {
-        sessions.emplace_back();
-        return rig.connect(sessions.back());
-      },
-      options);
+  OtaClient client([&] { return rig.connect(); }, options);
 
   constexpr std::size_t kImageArea = 64 << 10;
   constexpr JournalRegion kJournal{kImageArea, 16 << 10};
@@ -514,7 +517,6 @@ TEST(Session, RefusedResumeRestartsTheDownloadFromScratch) {
 
   const OtaReport report =
       client.update_device(device, kJournal, 0, 1, channel_28k(), &journal);
-  for (std::thread& t : sessions) t.join();
   EXPECT_EQ(report.final_release, 1u);
   EXPECT_EQ(report.resumes, 1u);  // the refused attempt
   EXPECT_GE(report.retries, 1u);  // ... counted as an attempt
@@ -524,33 +526,28 @@ TEST(Session, RefusedResumeRestartsTheDownloadFromScratch) {
 }
 
 TEST(Session, MetricsRequestReturnsTheSnapshot) {
-  LoopbackRig rig(2);
-  std::vector<std::thread> sessions;
-  OtaClient client([&] {
-    sessions.emplace_back();
-    return rig.connect(sessions.back());
-  });
+  LocalRig rig(2);
+  OtaClient client([&] { return rig.connect(); });
   const std::string text = client.fetch_metrics();
-  for (std::thread& t : sessions) t.join();
   EXPECT_NE(text.find("net_sessions:"), std::string::npos);
   EXPECT_NE(text.find("bytes cached:"), std::string::npos);
 }
 
 TEST(Session, StreamingClientSurvivesInjectedFaults) {
-  LoopbackRig rig(4);
+  LocalRig rig(4);
   FaultStats stats;
-  std::vector<std::thread> sessions;
+  std::size_t connections = 0;
   OtaClientOptions options;
   options.max_chunk = 1024;
   options.max_attempts = 64;
-  options.backoff_initial_ms = 0;  // loopback: no need to actually sleep
+  options.backoff_initial_ms = 0;  // in-process: no need to actually sleep
   options.backoff_max_ms = 0;
   OtaClient client(
       [&]() -> std::unique_ptr<Transport> {
-        sessions.emplace_back();
+        ++connections;
         FaultOptions faults;
-        faults.seed = 0xFA017 + sessions.size();  // new faults per attempt
-        if (sessions.size() <= 2) {
+        faults.seed = 0xFA017 + connections;  // new faults per attempt
+        if (connections <= 2) {
           // The first two connections die mid-transfer at a fixed byte
           // count — a deterministic guarantee that recovery is exercised.
           faults.kill_after_bytes = 700;
@@ -560,13 +557,12 @@ TEST(Session, StreamingClientSurvivesInjectedFaults) {
           faults.flip_rate = 0.05;
           faults.grace_ops = 4;
         }
-        return std::make_unique<FaultyTransport>(
-            rig.connect(sessions.back()), faults, &stats);
+        return std::make_unique<FaultyTransport>(rig.connect(), faults,
+                                                 &stats);
       },
       options, &rig.service->metrics());
   Bytes image = rig.history[0];
   const OtaReport report = client.update_streaming(image, 0, 3);
-  for (std::thread& t : sessions) t.join();
   EXPECT_TRUE(test::bytes_equal(rig.history[3], image));
   EXPECT_GT(stats.total(), 0u) << "fault injection never fired";
   EXPECT_GE(report.retries, 2u);  // the two deterministic kills
@@ -591,7 +587,7 @@ TEST(Session, HostileInPlaceDeltaIsRefusedBeforeAnyFlashWrite) {
   file.script.push(CopyCommand{0, half, half});  // ...this one reads
   const Bytes evil = serialize_delta(file);
 
-  auto [client_end, server_end] = make_loopback_pair();
+  auto [client_end, server_end] = make_socket_pair();
   std::thread hostile([server = std::move(server_end),
                        evil = evil]() mutable {
     try {
@@ -704,36 +700,34 @@ struct WireRun {
   }
 };
 
-/// Run `update` against a 4-release loopback rig whose first three
+/// Run `update` against a 4-release in-process rig whose first three
 /// connections die after a fixed byte budget each (kill_after_bytes
 /// counts bytes, not reads, so the cut points do not depend on how the
-/// loopback chunks the stream); later connections are clean.
+/// socket chunks the stream); later connections are clean.
 template <typename Update>
 WireRun run_pinned(Update update) {
-  LoopbackRig rig(4);
+  LocalRig rig(4);
   WireRun run;
-  std::vector<std::thread> sessions;
+  std::size_t connections = 0;
   OtaClientOptions options;
   options.max_chunk = 512;
   options.backoff_initial_ms = 0;
   options.backoff_max_ms = 0;
   OtaClient client(
       [&]() -> std::unique_ptr<Transport> {
-        sessions.emplace_back();
+        ++connections;
         FaultOptions faults;
-        faults.seed = 0x91E0 + sessions.size();
+        faults.seed = 0x91E0 + connections;
         static constexpr std::uint64_t kKills[] = {1500, 2600, 2600};
-        if (sessions.size() <= std::size(kKills)) {
-          faults.kill_after_bytes = kKills[sessions.size() - 1];
+        if (connections <= std::size(kKills)) {
+          faults.kill_after_bytes = kKills[connections - 1];
         }
         return std::make_unique<RecordingTransport>(
-            std::make_unique<FaultyTransport>(rig.connect(sessions.back()),
-                                              faults),
+            std::make_unique<FaultyTransport>(rig.connect(), faults),
             run.requests);
       },
       options);
   run.report = update(client, rig.history);
-  for (std::thread& t : sessions) t.join();
   return run;
 }
 
@@ -827,7 +821,7 @@ TEST(Session, PoisonedPreloadIsRefusedAndCleanUpgradeStillServes) {
   // operator preloads a conflicting artifact whose header matches the
   // hop endpoints exactly. The service must refuse to cache it, and the
   // next wire client must get a freshly built, safe delta.
-  LoopbackRig rig(2);
+  LocalRig rig(2);
   DeltaFile file;
   file.format = kVarintExplicit;
   file.in_place = true;
@@ -841,14 +835,9 @@ TEST(Session, PoisonedPreloadIsRefusedAndCleanUpgradeStillServes) {
   EXPECT_FALSE(rig.service->preload(0, 1, serialize_delta(file)));
   EXPECT_EQ(rig.service->metrics().verify_rejects.load(), 1u);
 
-  std::vector<std::thread> sessions;
-  OtaClient client([&] {
-    sessions.emplace_back();
-    return rig.connect(sessions.back());
-  });
+  OtaClient client([&] { return rig.connect(); });
   Bytes image = rig.history[0];
   const OtaReport report = client.update_streaming(image, 0, 1);
-  for (std::thread& t : sessions) t.join();
   EXPECT_TRUE(test::bytes_equal(rig.history[1], image));
   EXPECT_EQ(report.final_release, 1u);
   // Still exactly one rejection: the refused preload, not the build.

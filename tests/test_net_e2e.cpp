@@ -588,8 +588,8 @@ TEST(NetE2E, V1SessionInteroperatesWithNoTraceExtension) {
 
 TEST(NetE2E, NewClientDowngradesStickilyAgainstAnOldServer) {
   // A pre-trace server: rejects any HELLO version it does not know with
-  // ERROR{kProtocol} (exactly what the old serve_session did), acks v1,
-  // and answers METRICS_REQ. The new client must downgrade, reconnect
+  // ERROR{kProtocol} (exactly what the reactor does), acks v1, and
+  // answers METRICS_REQ. The new client must downgrade, reconnect
   // speaking v1 — and remember the downgrade on later connections.
   std::unique_ptr<TcpListener> listener;
   try {

@@ -22,6 +22,7 @@
 #include "net/delta_server.hpp"
 #include "net/ota_client.hpp"
 #include "net/tcp_transport.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/histogram.hpp"
 #include "test_util.hpp"
 
@@ -314,6 +315,77 @@ TEST(Reactor, ClientDisconnectMidTransferIsDroppedAndServingContinues) {
   OtaClient client(rig.factory());
   EXPECT_EQ(client.update_streaming(image, 0, 1).final_release, 1u);
   EXPECT_TRUE(test::bytes_equal(rig.history[1], image));
+}
+
+// ---- flight dumps on failure paths ----------------------------------
+
+/// Handshake a traced (v2) session and make `ctx` the connection's
+/// request context with one cheap round trip.
+void traced_session(FramedConnection& conn, const obs::TraceContext& ctx) {
+  conn.send(HelloMsg{kProtocolVersionTraced, 4096});
+  ASSERT_TRUE(std::holds_alternative<HelloAckMsg>(*conn.receive()));
+  conn.set_outbound_trace(ctx);
+  conn.send(MetricsReqMsg{});
+  ASSERT_TRUE(std::holds_alternative<MetricsMsg>(*conn.receive()));
+}
+
+/// The server-side dump recorded for `reason`, if any.
+std::optional<obs::FlightDump> server_dump(const std::string& reason) {
+  for (const obs::FlightDump& dump : obs::flight_dumps()) {
+    if (dump.reason == reason && dump.label.rfind("server:", 0) == 0) {
+      return dump;
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(Reactor, RefusedResumeLeavesAFlightDumpKeyedByTheRequestTrace) {
+  ReactorRig rig(heavy_history(2), ServerConfig{});
+  SKIP_IF_NO_SOCKETS(rig);
+  obs::clear_flight_dumps();
+  auto transport = rig.connect();
+  FramedConnection conn(*transport);
+  const obs::TraceContext ctx = obs::mint_trace();
+  traced_session(conn, ctx);
+
+  // A RESUME naming an artifact the server never built is refused; the
+  // refusal is dumped before the ERROR frame leaves, so it is already
+  // there when the client reads the reply.
+  conn.send(ResumeMsg{0, 1, 1, 0xBAD0BAD0});
+  const std::optional<Message> reply = conn.receive();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(std::get<ErrorMsg>(*reply).code, ErrorCode::kBadResume);
+  const std::optional<obs::FlightDump> dump =
+      server_dump("resume refused: artifact changed");
+  ASSERT_TRUE(dump.has_value()) << "refused resume left no flight dump";
+  EXPECT_EQ(dump->trace_id, ctx.trace_id_hex());
+  transport->close();
+  obs::clear_flight_dumps();
+}
+
+TEST(Reactor, CorruptInboundFrameLeavesAFlightDumpAndDropsTheConnection) {
+  ReactorRig rig(heavy_history(2), ServerConfig{});
+  SKIP_IF_NO_SOCKETS(rig);
+  obs::clear_flight_dumps();
+  auto transport = rig.connect();
+  FramedConnection conn(*transport);
+  const obs::TraceContext ctx = obs::mint_trace();
+  traced_session(conn, ctx);
+
+  // One flipped payload bit: the frame CRC no longer matches.
+  Bytes wire = encode_message(GetDeltaMsg{0, 1});
+  wire[wire.size() - 5] ^= 0x01;
+  transport->write_all(wire);
+  // The server hangs up on the untrustworthy stream (EOF, or a reset).
+  try {
+    EXPECT_FALSE(conn.receive().has_value());
+  } catch (const TransportError&) {
+  }
+  const std::optional<obs::FlightDump> dump =
+      server_dump("corrupt inbound frame");
+  ASSERT_TRUE(dump.has_value()) << "corrupt frame left no flight dump";
+  EXPECT_EQ(dump->trace_id, ctx.trace_id_hex());
+  obs::clear_flight_dumps();
 }
 
 // ---- config validation ----------------------------------------------
