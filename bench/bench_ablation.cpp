@@ -239,16 +239,26 @@ void ablation_journal() {
   const ResumableUpdateResult journaled =
       apply_update_resumable(jdev, delta, channel_28k(), journal);
 
+  const BatchCloses& closes = journaled.closes;
   std::printf(
-      "  plain updater:     %10llu B written, %6llu page touches\n"
-      "  journaled updater: %10llu B written, %6llu page touches "
-      "(%zu records)\n"
+      "  plain updater:     %10llu B written, %6llu page touches, "
+      "%7zu B RAM\n"
+      "  journaled updater: %10llu B written, %6llu page touches, "
+      "%7zu B RAM (%zu records)\n"
+      "    image %llu B + journal %llu B; batch closes: cap %llu, "
+      "read/write intersection %llu, sub-step %llu\n"
       "  write overhead: %.2fx\n",
       static_cast<unsigned long long>(plain.storage_bytes_written),
       static_cast<unsigned long long>(plain.storage_pages_written),
+      plain.ram_high_water,
       static_cast<unsigned long long>(journaled.update.storage_bytes_written),
       static_cast<unsigned long long>(journaled.update.storage_pages_written),
-      journaled.journal_records,
+      journaled.update.ram_high_water, journaled.journal_records,
+      static_cast<unsigned long long>(journaled.image_bytes_written),
+      static_cast<unsigned long long>(journaled.journal_bytes_written),
+      static_cast<unsigned long long>(closes.checkpoint_cap),
+      static_cast<unsigned long long>(closes.intersection),
+      static_cast<unsigned long long>(closes.substep),
       static_cast<double>(journaled.update.storage_bytes_written) /
           static_cast<double>(plain.storage_bytes_written));
   rule();

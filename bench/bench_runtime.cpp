@@ -174,12 +174,15 @@ int main() {
     const double speedup = serial_seconds / p4_seconds;
     const double probe = bench::thread_scaling(4);
     // The >= 2x gate only means something where 4 threads can actually
-    // run: on hosts with fewer than 4 cores the byte-identity assertion
-    // above still holds (that is the contract), but wall clock cannot.
-    if (effective_parallelism(0) < 4) {
+    // run: on hosts with fewer than 4 cores, or whose raw 4-thread probe
+    // reads below 3x because other tenants hold the cores, the
+    // byte-identity assertion above still holds (that is the contract),
+    // but wall clock cannot.
+    if (effective_parallelism(0) < 4 || probe < 3.0) {
       std::printf(
           "  parallelism=4 speedup %.2fx — gate skipped, host has %zu "
-          "core(s); raw 4-thread probe %.2fx\n",
+          "core(s); raw 4-thread probe %.2fx (gate needs 4 cores and "
+          ">= 3.00x)\n",
           speedup, effective_parallelism(0), probe);
     } else if (speedup < 2.0) {
       std::printf(

@@ -1,31 +1,71 @@
 #include "apply/oracle.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 
 namespace ipd {
 
-bool WrittenIntervals::intersects(const Interval& range) const {
-  // Spans are disjoint and sorted, so only the last one starting at or
-  // before range.last can reach back into range.
-  const auto it = spans_.upper_bound(range.last);
-  return it != spans_.begin() && std::prev(it)->second >= range.first;
+namespace {
+
+constexpr std::uint64_t kAll = ~std::uint64_t{0};
+
+/// The bits of byte `b`'s word from its bit up, and up to its bit.
+constexpr std::uint64_t from_bit(offset_t b) noexcept {
+  return kAll << (b % 64);
+}
+constexpr std::uint64_t through_bit(offset_t b) noexcept {
+  return kAll >> (63 - b % 64);
 }
 
-void WrittenIntervals::insert(const Interval& range) {
-  auto next = spans_.upper_bound(range.first);
-  auto at = next;
-  if (next != spans_.begin() && std::prev(next)->second + 1 >= range.first) {
-    at = std::prev(next);  // grow the span that reaches range.first
-  } else {
-    at = spans_.emplace_hint(next, range.first, range.last);
+}  // namespace
+
+WrittenBytes::WrittenBytes(MutByteView storage, length_t limit)
+    : words_(storage.first(storage_bytes(limit))), limit_(limit) {
+  std::fill(words_.begin(), words_.end(), std::uint8_t{0});
+}
+
+std::uint64_t WrittenBytes::word(std::size_t w) const noexcept {
+  std::uint64_t v;
+  std::memcpy(&v, words_.data() + w * 8, 8);
+  return v;
+}
+
+bool WrittenBytes::intersects(const Interval& range) const noexcept {
+  if (range.first >= limit_) {
+    return false;
   }
-  at->second = std::max(at->second, range.last);
-  // Absorb every later span the grown one now overlaps or touches.
-  while (next != spans_.end() && next->first <= at->second + 1) {
-    at->second = std::max(at->second, next->second);
-    next = spans_.erase(next);
+  const offset_t last = std::min<offset_t>(range.last, limit_ - 1);
+  auto w = static_cast<std::size_t>(range.first / 64);
+  const auto end = static_cast<std::size_t>(last / 64);
+  if (w == end) {
+    return (word(w) & from_bit(range.first) & through_bit(last)) != 0;
   }
+  if ((word(w) & from_bit(range.first)) != 0) {
+    return true;
+  }
+  for (++w; w < end; ++w) {
+    if (word(w) != 0) {
+      return true;
+    }
+  }
+  return (word(end) & through_bit(last)) != 0;
+}
+
+void WrittenBytes::insert(const Interval& range) noexcept {
+  const auto w = static_cast<std::size_t>(range.first / 64);
+  const auto end = static_cast<std::size_t>(range.last / 64);
+  const auto set = [this](std::size_t at, std::uint64_t bits) {
+    const std::uint64_t v = word(at) | bits;
+    std::memcpy(words_.data() + at * 8, &v, 8);
+  };
+  if (w == end) {
+    set(w, from_bit(range.first) & through_bit(range.last));
+    return;
+  }
+  set(w, from_bit(range.first));
+  std::memset(words_.data() + (w + 1) * 8, 0xFF, (end - w - 1) * 8);
+  set(end, through_bit(range.last));
 }
 
 namespace {

@@ -21,10 +21,15 @@ void StreamingInplaceApplier::feed(ByteView chunk) {
     if (!header) {
       return;
     }
-    if (header->reference_length > buffer_.size() ||
-        header->version_length > buffer_.size()) {
-      throw ValidationError(
-          "streaming applier: buffer must hold max(reference, version)");
+    if (!written_) {
+      if (header->reference_length > buffer_.size() ||
+          header->version_length > buffer_.size()) {
+        throw ValidationError(
+            "streaming applier: buffer must hold max(reference, version)");
+      }
+      written_storage_.resize(
+          WrittenBytes::storage_bytes(header->version_length));
+      written_.emplace(written_storage_, header->version_length);
     }
     while (const std::optional<CommandRef> command = reader_.next()) {
       apply(*command);
@@ -58,7 +63,7 @@ void StreamingInplaceApplier::apply(const CommandRef& command) {
     if (!range_fits(command.from, command.length, header.reference_length)) {
       throw ValidationError("streaming applier: copy reads past reference");
     }
-    if (written_.intersects(Interval::of(command.from, command.length))) {
+    if (written_->intersects(Interval::of(command.from, command.length))) {
       throw ConflictError(
           "streaming applier: write-before-read conflict at command " +
           std::to_string(commands_));
@@ -66,7 +71,7 @@ void StreamingInplaceApplier::apply(const CommandRef& command) {
     std::memmove(buffer_.data() + command.to, buffer_.data() + command.from,
                  n);
   }
-  written_.insert(Interval::of(command.to, command.length));
+  written_->insert(Interval::of(command.to, command.length));
 }
 
 length_t apply_delta_inplace_streaming(ByteView delta, MutByteView buffer,

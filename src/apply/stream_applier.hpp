@@ -12,8 +12,9 @@
 //
 // The container checks live in StreamingDeltaReader (delta/codec.hpp),
 // which the flash updater runs too; this applier adds the RAM buffer: a
-// memmove or memcpy per command, gated by bounds and a WrittenIntervals
-// write-before-read check, and the version CRC at the end.
+// memmove or memcpy per command, gated by bounds and a write-before-read
+// check against a WrittenBytes set (V/8 bytes, sized from the header),
+// and the version CRC at the end.
 #pragma once
 
 #include <optional>
@@ -62,7 +63,8 @@ class StreamingInplaceApplier {
 
   MutByteView buffer_;
   StreamingDeltaReader reader_;
-  WrittenIntervals written_;  ///< conflict oracle state
+  Bytes written_storage_;
+  std::optional<WrittenBytes> written_;  ///< set once the header parses
   std::size_t commands_ = 0;
   bool finished_ = false;
   bool poisoned_ = false;

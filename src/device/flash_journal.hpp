@@ -40,7 +40,11 @@ class FlashJournalStorage final : public JournalStorage {
   void write(offset_t offset, ByteView data) override {
     check(offset, data.size());
     device_.write(region_.offset + offset, data);
+    bytes_written_ += data.size();
   }
+
+  /// Journal bytes written to flash through this adapter.
+  std::uint64_t bytes_written() const noexcept { return bytes_written_; }
 
  private:
   void check(offset_t offset, std::size_t n) const {
@@ -51,6 +55,7 @@ class FlashJournalStorage final : public JournalStorage {
 
   FlashDevice& device_;
   JournalRegion region_;
+  std::uint64_t bytes_written_ = 0;
 };
 
 /// An updater's journal and the device RAM it works in: the copy window

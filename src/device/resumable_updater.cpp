@@ -4,7 +4,6 @@
 
 #include "core/checksum.hpp"
 #include "delta/codec.hpp"
-#include "device/stream_updater.hpp"
 
 namespace ipd {
 
@@ -71,6 +70,7 @@ ResumableUpdateResult apply_update_resumable(FlashDevice& device,
 
   const std::uint64_t pages_before = device.pages_touched_write();
   const std::uint64_t bytes_before = device.bytes_written();
+  const std::uint64_t journal_before = dj.storage.bytes_written();
   if (done) {
     executor.verify_version();
   } else {
@@ -83,6 +83,10 @@ ResumableUpdateResult apply_update_resumable(FlashDevice& device,
   result.journal_records = static_cast<std::size_t>(dj.journal.records_written());
   result.update.new_image_length = header.version_length;
   result.update.storage_bytes_written = device.bytes_written() - bytes_before;
+  result.journal_bytes_written = dj.storage.bytes_written() - journal_before;
+  result.image_bytes_written =
+      result.update.storage_bytes_written - result.journal_bytes_written;
+  result.closes = executor.closes();
   result.update.storage_pages_written =
       device.pages_touched_write() - pages_before;
   result.update.crc_verified = true;

@@ -18,6 +18,7 @@
 #include "device/channel.hpp"
 #include "device/flash_device.hpp"
 #include "device/flash_journal.hpp"
+#include "device/stream_updater.hpp"
 #include "device/updater.hpp"
 
 namespace ipd {
@@ -29,6 +30,14 @@ struct ResumableUpdateResult {
   /// count when the journal already held the done record.
   std::size_t steps_replayed = 0;
   std::size_t journal_records = 0;
+  /// update.storage_bytes_written split into version-image bytes and
+  /// apply-journal bytes.
+  std::uint64_t image_bytes_written = 0;
+  std::uint64_t journal_bytes_written = 0;
+  /// Why this run closed each replay batch: with the write-ahead
+  /// checkpoint of a fresh start and the done record, they account for
+  /// every journal record written.
+  BatchCloses closes;
 };
 
 /// Apply `delta` (a serialized in-place delta) to `device` with journaled

@@ -23,6 +23,18 @@ CopyCommand substep_of(const CommandRef& copy, length_t window,
   return CopyCommand{copy.from + off, copy.to + off, n};
 }
 
+/// The version length, once the image is known to fit storage clear of
+/// the journal; the conflict set is sized from it.
+length_t checked_version_length(const FlashDevice& device,
+                                const DeviceJournal& journal,
+                                const DeltaHeader& header) {
+  DeviceJournal::check_image_area(
+      device, journal.region,
+      std::max(header.reference_length, header.version_length),
+      "journaled apply");
+  return header.version_length;
+}
+
 }  // namespace
 
 JournaledExecutor::JournaledExecutor(FlashDevice& device,
@@ -39,14 +51,13 @@ JournaledExecutor::JournaledExecutor(FlashDevice& device,
       identity_(identity),
       header_blob_(header_blob),
       checkpoint_commands_(std::max<std::size_t>(checkpoint_commands, 1)),
-      resume_(std::move(resume)) {
+      resume_(std::move(resume)),
+      written_storage_(device.ram().allocate(WrittenBytes::storage_bytes(
+          checked_version_length(device, journal, header)))),
+      written_(written_storage_.view(), header.version_length) {
   if (window_.empty()) {
     throw DeviceError("journaled apply: window must hold at least 1 byte");
   }
-  DeviceJournal::check_image_area(
-      device, journal.region,
-      std::max(header.reference_length, header.version_length),
-      "journaled apply");
   batch_reads_.reserve(checkpoint_commands_);
 }
 
@@ -98,8 +109,10 @@ void JournaledExecutor::execute(const CommandRef& command,
       throw FormatError(
           "journaled apply: journal sub-step does not match artifact");
     }
-    if (!try_join(write)) {
-      seal(index, payload_pre);
+    if (batch_count_ >= checkpoint_commands_) {
+      seal(index, payload_pre, closes_.checkpoint_cap);
+    } else if (hits_batch_reads(write)) {
+      seal(index, payload_pre, closes_.intersection);
     }
     if (command.is_add()) {
       device_.write(command.to, ByteView(command.literal,
@@ -141,6 +154,7 @@ void JournaledExecutor::run_substeps(const CommandRef& copy,
         window_.first(static_cast<std::size_t>(sub.length));
     device_.read(sub.to, dst);  // destination pre-image = undo
     append(ApplyRecordKind::kSubstep, index, s, point, sub.to, dst);
+    ++closes_.substep;
     device_.read(sub.from, dst);
     device_.write(sub.to, dst);
   }
@@ -152,20 +166,18 @@ void JournaledExecutor::run_substeps(const CommandRef& copy,
   batch_count_ = 1;
 }
 
-bool JournaledExecutor::try_join(const Interval& write) const {
-  if (batch_count_ >= checkpoint_commands_) {
-    return false;
-  }
-  // Replay-idempotence: the joining command's write must not touch any
+bool JournaledExecutor::hits_batch_reads(const Interval& write) const {
+  // Replay-idempotence: a joining command's write must not touch any
   // batch member's read set, or re-running the batch from its checkpoint
   // would read post-write bytes.
-  return std::none_of(
+  return std::any_of(
       batch_reads_.begin(), batch_reads_.end(),
       [&write](const Interval& read) { return write.intersects(read); });
 }
 
 void JournaledExecutor::seal(std::uint64_t command_index,
-                             std::uint64_t payload_offset) {
+                             std::uint64_t payload_offset,
+                             std::uint64_t& cause) {
   batch_reads_.clear();
   batch_count_ = 0;
   if (durable_checkpoint_ == command_index) {
@@ -173,6 +185,7 @@ void JournaledExecutor::seal(std::uint64_t command_index,
   }
   append(ApplyRecordKind::kCheckpoint, command_index, 0,
          resume_(payload_offset), 0, {});
+  ++cause;
 }
 
 void JournaledExecutor::finish(const ResumePoint& done) {

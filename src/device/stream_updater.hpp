@@ -10,7 +10,9 @@
 // StreamingDeviceUpdater feeds it commands as their bytes arrive:
 //
 //  * Bounds and an exact write-before-read oracle (no copy reads a byte
-//    an earlier command of this run wrote) gate each flash write.
+//    an earlier command of this run wrote) gate each flash write. The
+//    oracle is a bit per version byte (WrittenBytes), charged to device
+//    RAM before the first flash write.
 //  * Replay-idempotent batching. Equation 2 guarantees no command writes
 //    over a LATER command's reads, but command j may overwrite what
 //    command i < j already read. Commands k..m-1 share one checkpoint
@@ -69,6 +71,15 @@ struct ResumePoint {
   std::uint32_t adler_state = 1;
 };
 
+/// Why the executor closed each replay batch. Every record between the
+/// write-ahead checkpoint and the done record is one close, so on a
+/// fresh run the three sum to the records written minus those two.
+struct BatchCloses {
+  std::uint64_t checkpoint_cap = 0;  ///< batch held checkpoint_commands
+  std::uint64_t intersection = 0;    ///< a write hit a member's read
+  std::uint64_t substep = 0;         ///< kSubstep records
+};
+
 class JournaledExecutor {
  public:
   /// Maps a payload offset at a command boundary to its ResumePoint;
@@ -79,8 +90,10 @@ class JournaledExecutor {
   /// and hop metadata); `header_blob` is the raw container header each
   /// in-flight record carries; a replay batch holds at most
   /// `checkpoint_commands` commands. `journal` and `header_blob` must
-  /// outlive the executor. Throws DeviceError when the image does not
-  /// fit storage or reaches into the journal region.
+  /// outlive the executor. The conflict set, V/8 bytes for a V-byte
+  /// version, is charged to the device RAM here. Throws DeviceError when
+  /// the image does not fit storage, reaches into the journal region, or
+  /// the set does not fit the RAM budget.
   JournaledExecutor(FlashDevice& device, DeviceJournal& journal,
                     const DeltaHeader& header,
                     const ApplyRecordFields& identity, ByteView header_blob,
@@ -115,11 +128,15 @@ class JournaledExecutor {
   /// Index of the next command to execute.
   std::uint64_t next_command() const noexcept { return next_command_; }
 
+  /// Batch closes of this run, by cause.
+  const BatchCloses& closes() const noexcept { return closes_; }
+
  private:
   void run_substeps(const CommandRef& copy, std::uint64_t index,
                     std::uint64_t payload_pre);
-  bool try_join(const Interval& write) const;
-  void seal(std::uint64_t command_index, std::uint64_t payload_offset);
+  bool hits_batch_reads(const Interval& write) const;
+  void seal(std::uint64_t command_index, std::uint64_t payload_offset,
+            std::uint64_t& cause);
   void append(ApplyRecordKind kind, std::uint64_t command_index,
               std::uint64_t substep, const ResumePoint& point,
               offset_t undo_to, ByteView undo);
@@ -142,7 +159,9 @@ class JournaledExecutor {
   std::optional<std::uint64_t> resume_substep_;
   std::vector<Interval> batch_reads_;
   std::size_t batch_count_ = 0;
-  WrittenIntervals written_;
+  BatchCloses closes_;
+  RamArena::Allocation written_storage_;
+  WrittenBytes written_;
 };
 
 /// Identity and hop metadata of the artifact being applied — journaled in

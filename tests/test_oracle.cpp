@@ -179,14 +179,16 @@ TEST(Oracle, AgreesWithEquation2CheckerOnRandomScripts) {
   }
 }
 
-// The streaming appliers' written set against a byte bitmap: every
-// query agrees, and spans stay coalesced (one per maximal written run,
-// touching runs merged).
-TEST(WrittenIntervals, MatchesABitmapAndStaysCoalesced) {
+// The streaming appliers' written set against a vector of bools over
+// [0, 400): every query agrees, including ranges that run past the
+// limit, whose bytes are never written.
+TEST(WrittenBytes, MatchesAByteVector) {
+  constexpr length_t kLimit = 400;
   Rng rng(23);
   for (int trial = 0; trial < 50; ++trial) {
     std::vector<bool> bitmap(512, false);
-    WrittenIntervals written;
+    Bytes storage(WrittenBytes::storage_bytes(kLimit), 0xA5);
+    WrittenBytes written(storage, kLimit);
     for (int op = 0; op < 60; ++op) {
       const offset_t first = rng.below(500);
       const Interval range{first, first + rng.below(512 - first)};
@@ -196,15 +198,48 @@ TEST(WrittenIntervals, MatchesABitmapAndStaysCoalesced) {
       }
       ASSERT_EQ(written.intersects(range), expect)
           << "trial " << trial << " op " << op << " " << range;
-      if (rng.chance(0.5)) {
+      if (range.last < kLimit && rng.chance(0.5)) {
         written.insert(range);
         for (offset_t b = range.first; b <= range.last; ++b) bitmap[b] = true;
       }
-      std::size_t runs = 0;
-      for (std::size_t b = 0; b < bitmap.size(); ++b) {
-        runs += bitmap[b] && (b == 0 || !bitmap[b - 1]);
+    }
+  }
+}
+
+// The set as the appliers run it: query each copy's read before its
+// write lands. On random scripts whose writes overlap (later writes
+// shadow, nest in and straddle earlier ones) and whose reads may run
+// past the version, a copy is flagged exactly when the oracle reports
+// it as a reader.
+TEST(WrittenBytes, AgreesWithTheOracleOnRandomScripts) {
+  constexpr length_t kVersion = 300;
+  Rng rng(4242);
+  for (int trial = 0; trial < 500; ++trial) {
+    Script s;
+    const int commands = static_cast<int>(rng.range(1, 16));
+    for (int i = 0; i < commands; ++i) {
+      const offset_t to = rng.below(kVersion - 1);
+      const length_t len = rng.range(1, std::min<length_t>(80, kVersion - to));
+      if (rng.chance(0.3)) {
+        s.push(AddCommand{to, Bytes(len, static_cast<std::uint8_t>(i))});
+      } else {
+        s.push(CopyCommand{rng.below(kVersion + 60), to, len});
       }
-      ASSERT_EQ(written.spans(), runs) << "trial " << trial << " op " << op;
+    }
+    const ConflictAnalysis oracle = analyze_conflicts(s);
+    std::vector<bool> expected(s.size(), false);
+    for (const Conflict& c : oracle.conflicts) {
+      expected[c.reader_index] = true;
+    }
+    Bytes storage(WrittenBytes::storage_bytes(kVersion));
+    WrittenBytes written(storage, kVersion);
+    for (std::size_t j = 0; j < s.size(); ++j) {
+      const Command& command = s.commands()[j];
+      if (const auto* copy = std::get_if<CopyCommand>(&command)) {
+        EXPECT_EQ(written.intersects(copy->read_interval()), expected[j])
+            << "trial " << trial << " command " << j;
+      }
+      written.insert(command_write_interval(command));
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <tuple>
 
 #include "core/checksum.hpp"
 #include "corpus/generator.hpp"
@@ -408,6 +409,206 @@ TEST(ResumableUpdater, ResumeReportsTheCommandItResumedAt) {
   const ResumableUpdateResult again =
       apply_update_resumable(dev, f.delta, channel_28k(), kJournal);
   EXPECT_EQ(again.steps_replayed, parse_delta(f.delta).commands.size());
+}
+
+TEST(ResumableUpdater, BatchClosesAccountForEveryRecord) {
+  const Fixture f = make_fixture();
+  FlashDevice dev = make_device(f);
+  const ResumableUpdateResult r =
+      apply_update_resumable(dev, f.delta, channel_28k(), kJournal);
+  const BatchCloses& c = r.closes;
+  // Every record but the write-ahead checkpoint and the done record
+  // closes a batch.
+  EXPECT_EQ(c.checkpoint_cap + c.intersection + c.substep + 2,
+            r.journal_records);
+  EXPECT_GT(c.intersection, 0u);
+  EXPECT_GT(c.substep, 0u);
+  // Each version byte is written once; each record takes whole pages.
+  EXPECT_EQ(r.image_bytes_written, f.v2.size());
+  EXPECT_EQ(r.image_bytes_written + r.journal_bytes_written,
+            r.update.storage_bytes_written);
+  EXPECT_EQ(r.journal_bytes_written % dev.page_size(), 0u);
+  EXPECT_GE(r.journal_bytes_written, r.journal_records * dev.page_size());
+
+  // A resumed run writes no write-ahead checkpoint.
+  FlashDevice cut = make_device(f);
+  cut.inject_power_failure_after(24 << 10);
+  EXPECT_THROW(apply_update_resumable(cut, f.delta, channel_28k(), kJournal),
+               FlashDevice::PowerFailure);
+  cut.clear_power_failure();
+  const ResumableUpdateResult resumed =
+      apply_update_resumable(cut, f.delta, channel_28k(), kJournal);
+  ASSERT_TRUE(resumed.resumed);
+  const BatchCloses& rc = resumed.closes;
+  EXPECT_EQ(rc.checkpoint_cap + rc.intersection + rc.substep + 1,
+            resumed.journal_records);
+  EXPECT_LT(resumed.image_bytes_written, f.v2.size());
+  expect_updated(cut, f);
+}
+
+TEST(ResumableUpdater, CountsEachCloseByItsCause) {
+  const Bytes reference = test::random_bytes(6, 8 << 10);
+  const auto closes_of = [&reference](Script script) {
+    Fixture f;
+    f.v1 = reference;
+    f.v2 = apply_script(script, reference);
+    DeltaFile file;
+    file.format = kVarintExplicit;
+    file.in_place = true;
+    file.reference_length = reference.size();
+    file.version_length = f.v2.size();
+    file.version_crc = crc32c(f.v2);
+    file.script = std::move(script);
+    f.delta = serialize_delta(file);
+    FlashDevice dev = make_device(f);
+    const ResumableUpdateResult r =
+        apply_update_resumable(dev, f.delta, channel_28k(), kJournal);
+    expect_updated(dev, f);
+    return std::tuple{r.closes.checkpoint_cap, r.closes.intersection,
+                      r.closes.substep, r.journal_records};
+  };
+  using Counts = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t,
+                            std::size_t>;
+  // 40 adds read nothing: one batch fills its 32 commands.
+  Script adds;
+  for (offset_t at = 0; at < 400; at += 10) {
+    adds.push(AddCommand{at, test::random_bytes(at, 10)});
+  }
+  EXPECT_EQ(closes_of(adds), (Counts{1, 0, 0, 3}));
+  // The last add writes [100, 150), which the copy read.
+  const Script rewrite = test::script_of(
+      {test::C(100, 0, 50), test::A(50, test::random_bytes(7, 50)),
+       test::A(100, test::random_bytes(8, 50))});
+  EXPECT_EQ(closes_of(rewrite), (Counts{0, 1, 0, 3}));
+  // A 5,000-byte copy shifted left over itself runs as two 4 KiB-window
+  // sub-steps; the add then writes what the second one read.
+  const Script shift = test::script_of(
+      {test::C(100, 0, 5000), test::A(5000, test::random_bytes(9, 100))});
+  EXPECT_EQ(closes_of(shift), (Counts{0, 1, 2, 5}));
+}
+
+/// A hand-built in-place-flagged delta over a 120-byte version whose
+/// last command is a copy of 10 bytes to [100, 110) that reads bytes an
+/// earlier add wrote.
+Fixture conflicting_fixture(std::initializer_list<Command> commands) {
+  Fixture f;
+  f.v1 = test::random_bytes(5, 48 << 10);
+  DeltaFile file;
+  file.format = kVarintExplicit;
+  file.in_place = true;  // the producer's (false) claim
+  file.reference_length = 120;
+  file.version_length = 120;
+  file.script = test::script_of(commands);
+  f.delta = serialize_delta(file);
+  return f;
+}
+
+void expect_copy_destination_untouched(const FlashDevice& dev,
+                                       const Fixture& f) {
+  EXPECT_TRUE(test::bytes_equal(ByteView(f.v1).subspan(100, 10),
+                                ByteView(dev.inspect()).subspan(100, 10)));
+}
+
+TEST(ResumableUpdater, OracleSeesAConflictBeforeTheCopy) {
+  const Fixture f = conflicting_fixture({test::A(0, test::random_bytes(1, 100)),
+                                         test::C(50, 100, 10),
+                                         test::A(110, "0123456789")});
+  FlashDevice dev = make_device(f);
+  EXPECT_THROW(apply_update_resumable(dev, f.delta, channel_28k(), kJournal),
+               ConflictError);
+  expect_copy_destination_untouched(dev, f);
+}
+
+/// Writes that overlap never reach the staged executor: parse_delta's
+/// tiling check refuses them before any flash write. Feed the decoded
+/// table to the executor as apply_update_resumable configures it; the
+/// oracle must throw before the copy's first flash write.
+void expect_staged_conflict_before_copy(
+    std::initializer_list<Command> commands) {
+  const Fixture f = conflicting_fixture(commands);
+  FlashDevice dev = make_device(f);
+  const std::uint64_t before = dev.bytes_written();
+  EXPECT_THROW(apply_update_resumable(dev, f.delta, channel_28k(), kJournal),
+               ValidationError);
+  EXPECT_EQ(dev.bytes_written(), before);
+
+  ParsedDelta parsed;
+  ASSERT_FALSE(decode_delta(f.delta, parsed).has_value());
+  DeviceJournal dj(dev, kJournal,
+                   ApplyJournalOptions{dev.page_size(),
+                                       UpdaterOptions{}.window_bytes, 0},
+                   "test");
+  JournaledExecutor executor(
+      dev, dj, parsed.header,
+      ApplyRecordFields{.artifact_crc = crc32c(f.delta),
+                        .artifact_size = f.delta.size()},
+      {}, StreamUpdaterOptions{}.checkpoint_commands,
+      [](std::uint64_t) { return ResumePoint{}; });
+  executor.begin(ResumePoint{});
+  executor.execute(parsed.commands[0], 0);
+  executor.execute(parsed.commands[1], 0);
+  EXPECT_THROW(executor.execute(parsed.commands[2], 0), ConflictError);
+  expect_copy_destination_untouched(dev, f);
+}
+
+TEST(ResumableUpdater, OracleSeesWritesShadowedByAShorterOne) {
+  // The second add starts where the first did: the written set must keep
+  // [0, 100), not just the later, shorter [0, 10).
+  expect_staged_conflict_before_copy({test::A(0, test::random_bytes(1, 100)),
+                                      test::A(0, test::random_bytes(2, 10)),
+                                      test::C(50, 100, 10)});
+}
+
+TEST(ResumableUpdater, OracleSeesWritesAroundANestedOne) {
+  // [50, 60) nests inside [0, 100); a read of [70, 80) still conflicts.
+  expect_staged_conflict_before_copy({test::A(0, test::random_bytes(1, 100)),
+                                      test::A(50, test::random_bytes(2, 10)),
+                                      test::C(70, 100, 10)});
+}
+
+TEST(ResumableUpdater, CopyMayReadPastTheVersion) {
+  const test::PastVersionCase c = test::reads_past_version();
+  Fixture f;
+  f.v1 = c.reference;
+  f.v2 = c.version;
+  DeltaFile file;
+  file.format = kVarintExplicit;
+  file.in_place = true;
+  file.reference_length = c.reference.size();
+  file.version_length = c.version.size();
+  file.version_crc = crc32c(c.version);
+  file.script = c.script;
+  f.delta = serialize_delta(file);
+  FlashDevice dev = make_device(f);
+  apply_update_resumable(dev, f.delta, channel_28k(), kJournal);
+  expect_updated(dev, f);
+}
+
+TEST(ResumableUpdater, ChargesTheConflictSetToDeviceRam) {
+  // The written set is V/8 bytes of device RAM on top of the staged
+  // delta, the copy window and the journal slot; a budget one byte short
+  // of all four is refused before the first flash write.
+  const Fixture f = make_fixture();
+  std::size_t high_water = 0;
+  {
+    FlashDevice dev = make_device(f);
+    high_water =
+        apply_update_resumable(dev, f.delta, channel_28k(), kJournal)
+            .update.ram_high_water;
+  }
+  const std::size_t set = WrittenBytes::storage_bytes(f.v2.size());
+  const std::size_t slot = ApplyJournal::slot_bytes(
+      ApplyJournalOptions{512, UpdaterOptions{}.window_bytes, 0});
+  EXPECT_EQ(high_water,
+            f.delta.size() + UpdaterOptions{}.window_bytes + slot + set);
+
+  FlashDevice poor(kStorage, 512, high_water - 1);
+  poor.load_image(f.v1);
+  clear_journal(poor, kJournal);
+  const std::uint64_t before = poor.bytes_written();
+  EXPECT_THROW(apply_update_resumable(poor, f.delta, channel_28k(), kJournal),
+               DeviceError);
+  EXPECT_EQ(poor.bytes_written(), before);
 }
 
 TEST(ResumableUpdater, FixtureActuallyExercisesSelfOverlap) {

@@ -138,6 +138,24 @@ TEST(StreamApplier, ConflictCheckingSeesShadowedAndNestedWrites) {
   }
 }
 
+TEST(StreamApplier, CopyMayReadPastTheVersion) {
+  // Bytes past the version were never written this run: reads there,
+  // and the part of a read past its end, are not conflicts.
+  const test::PastVersionCase c = test::reads_past_version();
+  DeltaFile file;
+  file.format = kVarintExplicit;
+  file.in_place = true;
+  file.reference_length = c.reference.size();
+  file.version_length = c.version.size();
+  file.version_crc = crc32c(c.version);
+  file.script = c.script;
+  Bytes buffer = c.reference;
+  EXPECT_EQ(apply_delta_inplace_streaming(serialize_delta(file), buffer, 97),
+            c.version.size());
+  EXPECT_TRUE(test::bytes_equal(c.version,
+                                ByteView(buffer).first(c.version.size())));
+}
+
 TEST(StreamApplier, BufferTooSmallRejectedAtHeader) {
   const Fixture f = make_fixture();
   Bytes buffer(100);  // far too small

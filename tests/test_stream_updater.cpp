@@ -415,6 +415,46 @@ TEST(StreamUpdater, OracleSeesWritesAroundANestedOne) {
                                test::C(70, 100, 10)});
 }
 
+TEST(StreamUpdater, CopyMayReadPastTheVersion) {
+  const test::PastVersionCase c = test::reads_past_version();
+  DeltaFile file;
+  file.format = kVarintExplicit;
+  file.in_place = true;
+  file.reference_length = c.reference.size();
+  file.version_length = c.version.size();
+  file.version_crc = crc32c(c.version);
+  file.script = c.script;
+  const Bytes delta = serialize_delta(file);
+  FlashDevice dev = make_device(c.reference);
+  StreamArtifactInfo info;
+  info.artifact_crc = crc32c(delta);
+  info.artifact_size = delta.size();
+  StreamingDeviceUpdater u(dev, kJournal, info, tight_options());
+  feed_rest(u, delta);
+  ASSERT_TRUE(u.finished());
+  expect_image(dev, c.version);
+}
+
+TEST(StreamUpdater, RefusesAConflictSetPastTheRamBudget) {
+  // The written set, V/8 bytes, is charged once the header parses: a
+  // budget one byte short of the measured peak is refused before the
+  // write-ahead checkpoint or any image write.
+  const Fixture f = make_fixture();
+  std::size_t high_water = 0;
+  {
+    FlashDevice dev = make_device(f.v1);
+    StreamingDeviceUpdater u(dev, kJournal, f.info, tight_options());
+    feed_rest(u, f.delta);
+    ASSERT_TRUE(u.finished());
+    high_water = dev.ram().high_water();
+  }
+  FlashDevice poor(kStorage, 512, high_water - 1);
+  poor.load_image(f.v1);
+  StreamingDeviceUpdater u(poor, kJournal, f.info, tight_options());
+  EXPECT_THROW(feed_rest(u, f.delta), DeviceError);
+  EXPECT_EQ(poor.bytes_written(), 0u);
+}
+
 TEST(StreamUpdater, JournalRegionValidation) {
   const Fixture f = make_fixture();
   FlashDevice dev = make_device(f.v1);

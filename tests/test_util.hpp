@@ -49,6 +49,31 @@ inline Script script_of(std::initializer_list<Command> commands) {
   return s;
 }
 
+/// An in-place-safe script whose copies read past its version: a
+/// 48 KiB reference becomes a 16,000-byte version. Command 0 reads
+/// [40000, 44000), wholly past the version; command 1 reads
+/// [14000, 18000), across its end, before command 2 writes [8000, 16000).
+struct PastVersionCase {
+  Bytes reference;
+  Bytes version;
+  Script script;
+};
+
+inline PastVersionCase reads_past_version() {
+  PastVersionCase c;
+  c.reference = random_bytes(77, 48 << 10);
+  const Bytes literal = random_bytes(78, 8000);
+  c.script = script_of({C(40000, 0, 4000), C(14000, 4000, 4000),
+                        A(8000, literal)});
+  const auto at = [&c](std::size_t from) {
+    return c.reference.begin() + static_cast<std::ptrdiff_t>(from);
+  };
+  c.version.assign(at(40000), at(44000));
+  c.version.insert(c.version.end(), at(14000), at(18000));
+  c.version.insert(c.version.end(), literal.begin(), literal.end());
+  return c;
+}
+
 /// Gtest helper: assert two byte buffers equal with a useful message.
 inline ::testing::AssertionResult bytes_equal(ByteView expected,
                                               ByteView actual) {
