@@ -91,9 +91,7 @@ ConvertResult convert_to_inplace(const Script& input, ByteView reference,
     obs::Span span(obs::Stage::kTopoSort);
     topo = topo_sort_breaking_cycles(graph, options.policy, costs);
     report.cycles_found = topo.cycles_found;
-    report.cycles_already_broken = topo.cycles_already_broken;
   }
-  report.passes = topo.passes;
   report.cycle_length_sum = topo.cycle_length_sum;
 
   obs::Span emit_span(obs::Stage::kConvertEmit);

@@ -42,8 +42,6 @@ struct ConvertReport {
   std::size_t adds_in = 0;
   std::size_t edges = 0;              ///< |E| of the CRWI digraph
   std::size_t cycles_found = 0;
-  std::size_t cycles_already_broken = 0;
-  std::size_t passes = 0;
   std::size_t cycle_length_sum = 0;   ///< locally-minimum extra work
   std::size_t copies_converted = 0;   ///< vertices deleted
   length_t bytes_converted = 0;       ///< version bytes moved into adds

@@ -1,8 +1,5 @@
 #include "inplace/topo_sort.hpp"
 
-#include <algorithm>
-#include <cassert>
-
 namespace ipd {
 namespace {
 
@@ -13,14 +10,13 @@ struct Frame {
   std::size_t next_edge;
 };
 
-/// One DFS pass over the surviving vertices. Appends reverse postorder to
-/// nothing — instead returns postorder; deletes vertices per policy.
-/// Returns the number of deletions performed this pass.
-class Pass {
+/// The single DFS over the surviving vertices: appends each finished
+/// vertex to `postorder` and deletes cycle victims per policy.
+class Dfs {
  public:
-  Pass(const CrwiGraph& g, BreakPolicy policy,
-       std::span<const std::uint64_t> costs, std::vector<bool>& deleted,
-       TopoSortResult& result)
+  Dfs(const CrwiGraph& g, BreakPolicy policy,
+      std::span<const std::uint64_t> costs, std::vector<bool>& deleted,
+      TopoSortResult& result)
       : g_(g),
         policy_(policy),
         costs_(costs),
@@ -29,16 +25,14 @@ class Pass {
         color_(g.vertex_count(), kWhite),
         stack_pos_(g.vertex_count(), 0) {}
 
-  std::size_t run(std::vector<std::uint32_t>& postorder) {
+  void run(std::vector<std::uint32_t>& postorder) {
     const std::size_t n = g_.vertex_count();
-    postorder.clear();
     postorder.reserve(n);
     for (std::uint32_t root = 0; root < n; ++root) {
       if (color_[root] == kWhite && !deleted_[root]) {
         dfs(root, postorder);
       }
     }
-    return deletions_;
   }
 
  private:
@@ -53,15 +47,6 @@ class Pass {
     while (!stack_.empty()) {
       Frame& frame = stack_.back();
       const std::uint32_t u = frame.vertex;
-
-      if (deleted_[u]) {
-        // u was chosen as a cycle victim (either just now at the top, or
-        // earlier as an interior vertex and we have unwound back to it).
-        color_[u] = kBlack;
-        stack_.pop_back();
-        continue;
-      }
-
       const auto succ = g_.successors(u);
       if (frame.next_edge >= succ.size()) {
         color_[u] = kBlack;
@@ -80,52 +65,34 @@ class Pass {
       }
       // Back edge u→v: the gray stack segment stack_[pos(v)..top] is a
       // directed cycle v → … → u → v.
-      handle_cycle(stack_pos_[v]);
+      break_cycle(stack_pos_[v]);
     }
   }
 
-  void handle_cycle(std::size_t cycle_begin) {
-    const std::size_t cycle_len = stack_.size() - cycle_begin;
-
-    if (policy_ == BreakPolicy::kConstantTime) {
-      // Delete the source of the back edge — the current vertex — without
-      // examining the cycle (O(1)).
-      ++result_.cycles_found;
-      remove(stack_.back().vertex);
-      return;
-    }
-
-    // Locally minimum: walk the cycle. If an earlier interior deletion
-    // already broke it, this back edge needs no action.
-    result_.cycle_length_sum += cycle_len;
-    std::uint32_t victim = stack_[cycle_begin].vertex;
-    bool already_broken = false;
-    std::uint64_t best_cost = 0;
-    bool first = true;
-    for (std::size_t i = cycle_begin; i < stack_.size(); ++i) {
-      const std::uint32_t w = stack_[i].vertex;
-      if (deleted_[w]) {
-        already_broken = true;
-        break;
-      }
-      if (first || costs_[w] < best_cost) {
-        best_cost = costs_[w];
-        victim = w;
-        first = false;
-      }
-    }
-    if (already_broken) {
-      ++result_.cycles_already_broken;
-      return;
-    }
+  void break_cycle(std::size_t cycle_begin) {
     ++result_.cycles_found;
-    remove(victim);
-  }
-
-  void remove(std::uint32_t v) {
+    // Constant time: the source of the back edge, the top of the stack,
+    // without examining the cycle (O(1)).
+    std::size_t victim = stack_.size() - 1;
+    if (policy_ == BreakPolicy::kLocalMin) {
+      // Locally minimum: the leftmost cheapest vertex of the cycle.
+      result_.cycle_length_sum += stack_.size() - cycle_begin;
+      victim = cycle_begin;
+      for (std::size_t i = cycle_begin + 1; i < stack_.size(); ++i) {
+        if (costs_[stack_[i].vertex] < costs_[stack_[victim].vertex]) {
+          victim = i;
+        }
+      }
+    }
+    const std::uint32_t v = stack_[victim].vertex;
     deleted_[v] = true;
-    ++deletions_;
     result_.deleted.push_back(v);
+    // Unwind to the victim (see header): the gray vertices above it turn
+    // white and are rediscovered later.
+    for (std::size_t i = victim; i < stack_.size(); ++i) {
+      color_[stack_[i].vertex] = kWhite;
+    }
+    stack_.resize(victim);
   }
 
   const CrwiGraph& g_;
@@ -137,7 +104,6 @@ class Pass {
   std::vector<std::uint8_t> color_;
   std::vector<std::size_t> stack_pos_;
   std::vector<Frame> stack_;
-  std::size_t deletions_ = 0;
 };
 
 }  // namespace
@@ -168,18 +134,7 @@ TopoSortResult topo_sort_breaking_cycles(const CrwiGraph& g,
   }
 
   std::vector<std::uint32_t> postorder;
-  for (;;) {
-    ++result.passes;
-    Pass pass(g, policy, costs, deleted, result);
-    const std::size_t deletions = pass.run(postorder);
-    if (deletions == 0) {
-      break;
-    }
-    // Passes strictly shrink the surviving set, so this terminates after
-    // at most n iterations; two passes are typical (see header).
-    assert(result.passes <= n + 1);
-  }
-
+  Dfs(g, policy, costs, deleted, result).run(postorder);
   result.order.assign(postorder.rbegin(), postorder.rend());
   return result;
 }

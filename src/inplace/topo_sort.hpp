@@ -1,18 +1,17 @@
 // Topological sort with on-line cycle breaking (§4.2 step 4, §5).
 //
-// A standard iterative three-colour DFS, modified: when a back edge u→v
-// closes a cycle (the gray stack path v…u), the policy chooses a victim
-// vertex to delete; its copy command will be re-encoded as an add.
+// One iterative three-colour DFS, modified: when a back edge u→v closes
+// a cycle (the gray stack path v…u), the policy chooses a victim vertex
+// to delete; its copy command will be re-encoded as an add.
 //
-// Correctness strategy: deleting an *interior* cycle vertex (locally-
-// minimum policy) breaks the cycle but can leave the surviving back edge
-// ordered wrongly by this DFS's reverse postorder. We therefore run DFS
-// passes over the surviving vertices until a pass completes with no
-// deletions; that pass's reverse postorder is a true topological order of
-// the survivors (it witnessed no back edges). The constant-time policy
-// always deletes the back edge's source, so it converges in at most two
-// passes; locally-minimum typically does too, and the pass count is
-// reported for the benches.
+// Unwind invariant: when the victim sits at stack position p, the stack
+// is unwound to p and every gray vertex above it turns white again, to be
+// rediscovered from below p or visited later as a root. The back edge's
+// source is on top of the stack, so it is always unwound or deleted and
+// never finishes with an edge to a gray vertex. Hence every finished
+// vertex's surviving successors finished before it, and the single
+// pass's reverse postorder is a topological order of the survivors.
+// Re-exploration after an unwind is bounded by deletions × (V + E).
 #pragma once
 
 #include <span>
@@ -30,11 +29,6 @@ struct TopoSortResult {
   std::vector<std::uint32_t> deleted;
   /// Cycles on which the policy acted.
   std::size_t cycles_found = 0;
-  /// Back edges whose gray path already contained a deleted vertex (cycle
-  /// broken for free by an earlier deletion in the same pass).
-  std::size_t cycles_already_broken = 0;
-  /// DFS passes run (1 when the digraph was already acyclic).
-  std::size_t passes = 0;
   /// Total vertices walked while scanning cycles (the locally-minimum
   /// policy's extra work, §5).
   std::size_t cycle_length_sum = 0;

@@ -47,7 +47,6 @@ TEST_P(TopoPolicyTest, AcyclicGraphKeepsEverything) {
       topo_sort_breaking_cycles(g, GetParam(), unit_costs(3));
   EXPECT_TRUE(r.deleted.empty());
   EXPECT_EQ(r.cycles_found, 0u);
-  EXPECT_EQ(r.passes, 1u);
   ASSERT_EQ(r.order.size(), 3u);
   EXPECT_TRUE(is_topological_order(g, r.order, r.deleted));
   // The chain forces the unique order 0, 1, 2.
@@ -118,6 +117,25 @@ TEST(TopoSort, LocalMinPicksCheapestOnCycle) {
   EXPECT_GE(r.cycle_length_sum, 3u);
 }
 
+TEST(TopoSort, InteriorVictimUnwindsInOneCall) {
+  // 4-cycle 0 -> 1 -> 2 -> 3 -> 0 (vertex i writes [10i, 10i + 10) and
+  // reads vertex i + 1's write). The DFS from 0 finds the back edge
+  // 3 -> 0 with the gray path 0, 1, 2, 3; local-min deletes the interior
+  // vertex 1 and the back edge's source 3 survives. 2 and 3 are unwound
+  // and sorted later from root 2, so the one DFS yields 2, 3, 0.
+  const std::vector<CopyCommand> copies = {
+      {10, 0, 10}, {20, 10, 10}, {30, 20, 10}, {0, 30, 10}};
+  const CrwiGraph g = graph_from(copies, 40);
+  const std::vector<std::uint64_t> costs = {10, 1, 10, 10};
+  const TopoSortResult r =
+      topo_sort_breaking_cycles(g, BreakPolicy::kLocalMin, costs);
+  EXPECT_EQ(r.deleted, (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(r.cycles_found, 1u);
+  EXPECT_EQ(r.cycle_length_sum, 4u);
+  EXPECT_TRUE(is_topological_order(g, r.order, r.deleted));
+  EXPECT_EQ(r.order, (std::vector<std::uint32_t>{2, 3, 0}));
+}
+
 TEST(TopoSort, ConstantTimeDoesNoCycleScanning) {
   const auto perm = single_cycle_permutation(64);
   const AdversaryInstance inst = make_block_permutation(4, perm);
@@ -185,7 +203,6 @@ TEST(TopoSort, EmptyGraph) {
       topo_sort_breaking_cycles(g, BreakPolicy::kLocalMin, {});
   EXPECT_TRUE(r.order.empty());
   EXPECT_TRUE(r.deleted.empty());
-  EXPECT_EQ(r.passes, 1u);
 }
 
 TEST(TopoSort, IsTopologicalOrderHelperRejectsBadInputs) {
@@ -227,6 +244,78 @@ TEST(TopoSort, StressRandomDenseGraphsAllPoliciesStayConsistent) {
       ASSERT_TRUE(is_topological_order(g, r.order, r.deleted))
           << "trial " << trial << " policy " << policy_name(policy);
       EXPECT_EQ(r.order.size() + r.deleted.size(), g.vertex_count());
+    }
+  }
+}
+
+// Kahn's algorithm over the vertices not in `removed`: true iff they
+// induce an acyclic subgraph.
+bool survivors_acyclic(const CrwiGraph& g, const std::vector<bool>& removed) {
+  const std::size_t n = g.vertex_count();
+  std::vector<std::size_t> indegree(n, 0);
+  std::size_t survivors = 0;
+  for (std::uint32_t u = 0; u < n; ++u) {
+    if (removed[u]) continue;
+    ++survivors;
+    for (const std::uint32_t v : g.successors(u)) {
+      if (!removed[v]) ++indegree[v];
+    }
+  }
+  std::vector<std::uint32_t> ready;
+  for (std::uint32_t u = 0; u < n; ++u) {
+    if (!removed[u] && indegree[u] == 0) ready.push_back(u);
+  }
+  std::size_t emitted = 0;
+  while (!ready.empty()) {
+    const std::uint32_t u = ready.back();
+    ready.pop_back();
+    ++emitted;
+    for (const std::uint32_t v : g.successors(u)) {
+      if (!removed[v] && --indegree[v] == 0) ready.push_back(v);
+    }
+  }
+  return emitted == survivors;
+}
+
+TEST(TopoSort, OneCallSortsRandomOverlappingCopies) {
+  // Random copies tiling the version, each reading a random range that
+  // overlaps several writes: cycle-rich CRWI graphs on which interior
+  // victims are common. Half the trials also pre-delete a random mask.
+  Rng rng(4242);
+  for (int trial = 0; trial < 40; ++trial) {
+    const length_t total = rng.range(200, 4000);
+    std::vector<CopyCommand> copies;
+    for (offset_t to = 0; to < total;) {
+      const length_t len = std::min<length_t>(rng.range(1, 40), total - to);
+      copies.push_back(CopyCommand{rng.below(total - len + 1), to, len});
+      to += len;
+    }
+    const CrwiGraph g = graph_from(copies, total);
+    const std::size_t n = g.vertex_count();
+    std::vector<std::uint64_t> costs;
+    for (std::size_t v = 0; v < n; ++v) costs.push_back(rng.range(1, 50));
+    std::vector<bool> pre;
+    if (trial % 2 == 1) {
+      pre.assign(n, false);
+      for (std::size_t v = 0; v < n; ++v) pre[v] = rng.below(8) == 0;
+    }
+
+    for (const BreakPolicy policy :
+         {BreakPolicy::kConstantTime, BreakPolicy::kLocalMin}) {
+      const TopoSortResult r = topo_sort_breaking_cycles(g, policy, costs, pre);
+      std::vector<bool> removed = pre.empty() ? std::vector<bool>(n) : pre;
+      std::vector<std::uint32_t> all_deleted = r.deleted;
+      for (const std::uint32_t v : r.deleted) {
+        ASSERT_FALSE(removed[v]) << "deleted twice or pre-deleted";
+        removed[v] = true;
+      }
+      for (std::uint32_t v = 0; v < n; ++v) {
+        if (!pre.empty() && pre[v]) all_deleted.push_back(v);
+      }
+      ASSERT_TRUE(is_topological_order(g, r.order, all_deleted))
+          << "trial " << trial << " policy " << policy_name(policy);
+      ASSERT_TRUE(survivors_acyclic(g, removed))
+          << "trial " << trial << " policy " << policy_name(policy);
     }
   }
 }
