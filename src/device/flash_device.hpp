@@ -28,9 +28,16 @@ class RamArena {
   /// RAII allocation of `size` bytes of device RAM.
   class Allocation {
    public:
-    Allocation(RamArena& arena, std::size_t size)
-        : arena_(&arena), buffer_(size) {
+    /// Charges the budget before touching host memory, so an over-budget
+    /// request throws DeviceError without allocating.
+    Allocation(RamArena& arena, std::size_t size) : arena_(&arena) {
       arena.charge(size);
+      try {
+        buffer_.resize(size);
+      } catch (...) {
+        arena.release(size);
+        throw;
+      }
     }
     ~Allocation() {
       if (arena_ != nullptr) arena_->release(buffer_.size());
@@ -59,9 +66,10 @@ class RamArena {
   friend class Allocation;
 
   void charge(std::size_t size) {
-    if (in_use_ + size > budget_) {
+    if (size > budget_ - in_use_) {
       throw DeviceError("device RAM budget exceeded: " +
-                        std::to_string(in_use_ + size) + " > " +
+                        std::to_string(in_use_) + " + " +
+                        std::to_string(size) + " > " +
                         std::to_string(budget_) + " bytes");
     }
     in_use_ += size;

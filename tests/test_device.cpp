@@ -59,6 +59,14 @@ TEST(RamArena, ThrowsOverBudget) {
   EXPECT_NO_THROW(arena.allocate(20));
 }
 
+TEST(RamArena, RefusesBeforeAllocatingHostMemory) {
+  // 256 TiB would fail as bad_alloc if host memory came first.
+  RamArena arena(1 << 20);
+  EXPECT_THROW(arena.allocate(std::size_t{1} << 48), DeviceError);
+  EXPECT_EQ(arena.in_use(), 0u);
+  EXPECT_EQ(arena.high_water(), 0u);
+}
+
 TEST(RamArena, MoveTransfersOwnership) {
   RamArena arena(100);
   {
