@@ -13,7 +13,6 @@
 #include "delta/greedy_differ.hpp"
 #include "delta/onepass_differ.hpp"
 #include "delta/parallel_differ.hpp"
-#include "inplace/inplace_differ.hpp"
 #include "test_util.hpp"
 
 namespace ipd {
@@ -199,10 +198,23 @@ TEST_P(DiffParallelDeterminism, ByteIdenticalAcrossParallelism) {
   }
 }
 
+// A Differ that is not a SegmentedDiffer: diff_parallel must run it
+// whole.
+class WholeDiffer final : public Differ {
+ public:
+  Script diff(ByteView reference, ByteView version) const override {
+    return inner_.diff(reference, version);
+  }
+  const char* name() const noexcept override { return "whole"; }
+
+ private:
+  OnePassDiffer inner_;
+};
+
 TEST(DiffParallel, NonSegmentedDifferFallsBackToSerial) {
   Bytes ref;
   const Bytes ver = versioned_pair(9, 96 << 10, &ref);
-  const InplaceDiffer differ(DifferKind::kOnePass);
+  const WholeDiffer differ;
   ThreadPool pool(4);
   const ParallelDiffResult result = diff_parallel(
       differ, ref, ver, small_plan(), ParallelContext{&pool, 4});
