@@ -57,17 +57,20 @@ UpdateResult apply_update(FlashDevice& device, ByteView delta,
   result.delta_bytes = delta.size();
   result.download_seconds = channel.transfer_seconds(delta.size());
 
-  // Stage the downloaded delta in device RAM (it must fit the budget).
+  // Stage the downloaded delta in device RAM (it must fit the budget) and
+  // parse it: adds stay borrowed from the staged bytes (or the
+  // decompressed payload).
   RamArena::Allocation staged = device.ram().allocate(delta.size());
   std::copy(delta.begin(), delta.end(), staged.data());
 
-  const DeltaFile file = deserialize_delta(staged.view());
-  if (!file.in_place) {
+  const ParsedDelta parsed = parse_delta(staged.view());
+  const DeltaHeader& header = parsed.header;
+  if (!header.in_place) {
     throw ValidationError(
         "updater: delta is not marked in-place reconstructible");
   }
-  if (file.reference_length > device.storage_size() ||
-      file.version_length > device.storage_size()) {
+  if (header.reference_length > device.storage_size() ||
+      header.version_length > device.storage_size()) {
     throw DeviceError("updater: image does not fit device storage");
   }
 
@@ -76,22 +79,22 @@ UpdateResult apply_update(FlashDevice& device, ByteView delta,
   const std::uint64_t pages_before = device.pages_touched_write();
   const std::uint64_t bytes_before = device.bytes_written();
 
-  for (const Command& cmd : file.script.commands()) {
-    if (const auto* copy = std::get_if<CopyCommand>(&cmd)) {
-      device_windowed_copy(device, window.view(), copy->from, copy->to,
-                           copy->length);
+  for (const CommandRef& cmd : parsed.commands) {
+    if (cmd.is_add()) {
+      device.write(cmd.to,
+                   ByteView(cmd.literal, static_cast<std::size_t>(cmd.length)));
     } else {
-      const AddCommand& add = std::get<AddCommand>(cmd);
-      device.write(add.to, add.data);
+      device_windowed_copy(device, window.view(), cmd.from, cmd.to,
+                           cmd.length);
     }
   }
 
-  result.new_image_length = file.version_length;
+  result.new_image_length = header.version_length;
   result.storage_bytes_written = device.bytes_written() - bytes_before;
   result.storage_pages_written = device.pages_touched_write() - pages_before;
 
-  if (storage_crc(device, window.view(), file.version_length) !=
-      file.version_crc) {
+  if (storage_crc(device, window.view(), header.version_length) !=
+      header.version_crc) {
     throw FormatError("updater: version CRC mismatch after in-place "
                       "reconstruction");
   }
