@@ -6,6 +6,10 @@
 // deleting the root alone costs ~C. The gap k grows without bound. The
 // cycle-walk column also verifies the O(|V| log |V|) work bound for
 // local-min on this family.
+//
+// The run is also a gate on that shape: it exits 1 at any depth where a
+// heuristic does not pay exactly leaves × 14 B, the optimum is not 22 B
+// (the root alone), or local-min's cycle walk is not leaves × depth.
 #include <cstdio>
 
 #include "adversary/constructions.hpp"
@@ -15,6 +19,11 @@
 namespace {
 
 using namespace ipd;
+
+// Conversion costs under kPaperExplicit of one leaf copy and of the root
+// copy (the optimal deletion).
+constexpr std::uint64_t kLeafCost = 14;
+constexpr std::uint64_t kOptimalCost = 22;
 
 }  // namespace
 
@@ -26,6 +35,7 @@ int main() {
               "leaves", "local-min", "constant", "optimal", "gap", "cyclewalk");
   bench::rule();
 
+  bool shape_holds = true;
   for (std::size_t depth = 2; depth <= 14; ++depth) {
     const Fig2Instance inst = make_fig2_tree(depth);
     const std::size_t nodes = (std::size_t{1} << depth) - 1;
@@ -63,6 +73,19 @@ int main() {
                 static_cast<double>(r_local.report.conversion_cost) /
                     static_cast<double>(optimal_cost),
                 r_local.report.cycle_length_sum);
+
+    const std::uint64_t heuristic_cost = inst.leaf_count * kLeafCost;
+    if (r_local.report.conversion_cost != heuristic_cost ||
+        r_const.report.conversion_cost != heuristic_cost ||
+        optimal_cost != kOptimalCost ||
+        r_local.report.cycle_length_sum != inst.leaf_count * depth) {
+      std::printf("FAIL depth %zu: want %llu B per heuristic, %llu B optimal, "
+                  "cyclewalk %zu\n",
+                  depth, static_cast<unsigned long long>(heuristic_cost),
+                  static_cast<unsigned long long>(kOptimalCost),
+                  inst.leaf_count * depth);
+      shape_holds = false;
+    }
   }
 
   bench::rule();
@@ -70,5 +93,5 @@ int main() {
       "expected shape: both heuristics pay ~leaves x leaf-cost; the gap\n"
       "to optimal grows linearly in the leaf count (unbounded, as the\n"
       "paper argues); cyclewalk ~ leaves x tree depth = O(|V| log |V|).\n");
-  return 0;
+  return shape_holds ? 0 : 1;
 }

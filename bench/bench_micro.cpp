@@ -17,6 +17,7 @@
 #include "device/stream_updater.hpp"
 #include "corpus/generator.hpp"
 #include "corpus/mutation.hpp"
+#include "corpus/workload.hpp"
 #include "delta/onepass_differ.hpp"
 #include "inplace/converter.hpp"
 #include "inplace/scc.hpp"
@@ -109,23 +110,79 @@ void BM_CrwiGraphBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_CrwiGraphBuild)->Range(1 << 6, 1 << 14);
 
+// A CRWI digraph with the conversion costs the converter would use.
+struct TopoGraph {
+  CrwiGraph graph;
+  std::vector<std::uint64_t> costs;
+};
+
+TopoGraph topo_graph(std::vector<CopyCommand> copies, length_t version_length) {
+  std::sort(copies.begin(), copies.end(),
+            [](const CopyCommand& a, const CopyCommand& b) {
+              return a.to < b.to;
+            });
+  const CodewordCostModel model(kPaperExplicit, version_length);
+  return TopoGraph{CrwiGraph::build(copies, version_length),
+                   conversion_costs(copies, model)};
+}
+
+// Sorts `t` under the on-line policy in Arg 0 (0 constant, 1 local-min);
+// counters: copies converted, and cycle vertices local-min walked.
+void run_topo_sort(benchmark::State& state, const TopoGraph& t) {
+  const BreakPolicy policy = static_cast<BreakPolicy>(state.range(0));
+  std::size_t deleted = 0;
+  std::size_t cyclewalk = 0;
+  for (auto _ : state) {
+    const TopoSortResult r = topo_sort_breaking_cycles(t.graph, policy, t.costs);
+    deleted = r.deleted.size();
+    cyclewalk = r.cycle_length_sum;
+    benchmark::DoNotOptimize(r.order.data());
+  }
+  state.counters["deleted"] = static_cast<double>(deleted);
+  state.counters["cyclewalk"] = static_cast<double>(cyclewalk);
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      state.iterations() * t.graph.vertex_count()));
+}
+
 void BM_TopoSort(benchmark::State& state) {
   Rng rng(8);
   const std::size_t n = static_cast<std::size_t>(state.range(1));
   const AdversaryInstance inst =
       make_block_permutation(64, random_permutation(rng, n));
-  const auto copies = sorted_copies(inst.script);
-  const CrwiGraph g = CrwiGraph::build(copies, n * 64);
-  const CodewordCostModel model(kPaperExplicit, n * 64);
-  const auto costs = conversion_costs(copies, model);
-  const BreakPolicy policy = static_cast<BreakPolicy>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(topo_sort_breaking_cycles(g, policy, costs));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
+  run_topo_sort(state, topo_graph(inst.script.copies(), n * 64));
 }
 BENCHMARK(BM_TopoSort)
     ->ArgsProduct({{0 /*constant*/, 1 /*local-min*/}, {1 << 8, 1 << 12}});
+
+// About 20k copies of random length (1..400 bytes) tiling 4 MiB, each
+// reading a random range: a cycle-rich graph where victims often sit
+// inside the gray path, the shape on which a sort that re-runs whole
+// DFS passes blows up.
+void BM_TopoSortRandomCopies(benchmark::State& state) {
+  static const TopoGraph t = [] {
+    constexpr length_t kTotal = 4 << 20;
+    Rng rng(20);
+    std::vector<CopyCommand> copies;
+    for (offset_t to = 0; to < kTotal;) {
+      const length_t len = std::min<length_t>(rng.range(1, 400), kTotal - to);
+      copies.push_back(CopyCommand{rng.below(kTotal - len + 1), to, len});
+      to += len;
+    }
+    return topo_graph(std::move(copies), kTotal);
+  }();
+  run_topo_sort(state, t);
+}
+BENCHMARK(BM_TopoSortRandomCopies)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// Figure 3 at L = 1 MiB: 2,047 copies, about 1M edges, acyclic.
+void BM_TopoSortFig3(benchmark::State& state) {
+  static const TopoGraph t = [] {
+    const Fig3Instance inst = make_fig3_quadratic(1024);
+    return topo_graph(inst.script.copies(), inst.version.size());
+  }();
+  run_topo_sort(state, t);
+}
+BENCHMARK(BM_TopoSortFig3)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_ConvertCorpusPair(benchmark::State& state) {
   const Pair p = make_pair_bytes(static_cast<std::size_t>(state.range(0)));
@@ -253,12 +310,42 @@ void BM_JournalAppend(benchmark::State& state) {
 }
 BENCHMARK(BM_JournalAppend)->Arg(0)->Arg(1);
 
-// Journaled device updates of one 128 KiB pair, plus reloading the
-// reference image every iteration: the staged path (whole artifact in
-// RAM, parse_delta) and the streaming path (1400-byte chunks).
+// Journaled device updates, reloading the reference image every
+// iteration: the staged path (whole artifact in RAM, parse_delta) and the
+// streaming path (1400-byte chunks). Arg 0 is one 128 KiB mutate-style
+// pair of a few hundred commands; Arg 1 a release_corpus-style pair with
+// its block moves and duplicates, thousands of commands and many CRWI
+// cycles, which exercises the Equation-2 guard.
 constexpr std::size_t kDevicePair = 128 << 10;
 constexpr std::size_t kDevicePage = 4096;
 constexpr std::size_t kDeviceJournal = 16 << 10;
+
+const BuiltPair& release_style_pair() {
+  static const Pair pair = [] {
+    CorpusOptions options;
+    options.packages = 2;
+    options.releases_per_package = 2;
+    options.min_file_size = options.max_file_size = 192 << 10;
+    options.edits_per_64k = 80;
+    options.mutation_model.move_weight = 1.2;
+    options.mutation_model.duplicate_weight = 1.0;
+    options.mutation_model.max_edit_fraction = 0.03;
+    options.mutation_model.length_scale = 96;
+    VersionPair vp = std::move(standard_corpus(options).back());
+    return Pair{std::move(vp.reference), std::move(vp.version)};
+  }();
+  static const BuiltPair built{pair,
+                               Pipeline().build_inplace(pair.ref, pair.ver).delta};
+  return built;
+}
+
+const BuiltPair& device_pair(benchmark::State& state) {
+  const BuiltPair& b =
+      state.range(0) == 0 ? built_pair(kDevicePair) : release_style_pair();
+  state.counters["commands"] =
+      static_cast<double>(parse_delta(b.delta).commands.size());
+  return b;
+}
 
 FlashDevice device_for(const BuiltPair& b, JournalRegion& journal) {
   const std::size_t area =
@@ -269,7 +356,7 @@ FlashDevice device_for(const BuiltPair& b, JournalRegion& journal) {
 }
 
 void BM_ApplyUpdateResumable(benchmark::State& state) {
-  const BuiltPair& b = built_pair(kDevicePair);
+  const BuiltPair& b = device_pair(state);
   JournalRegion journal;
   FlashDevice device = device_for(b, journal);
   for (auto _ : state) {
@@ -281,10 +368,10 @@ void BM_ApplyUpdateResumable(benchmark::State& state) {
   state.SetBytesProcessed(
       static_cast<std::int64_t>(state.iterations() * b.pair.ver.size()));
 }
-BENCHMARK(BM_ApplyUpdateResumable);
+BENCHMARK(BM_ApplyUpdateResumable)->Arg(0)->Arg(1);
 
 void BM_StreamingDeviceUpdate(benchmark::State& state) {
-  const BuiltPair& b = built_pair(kDevicePair);
+  const BuiltPair& b = device_pair(state);
   JournalRegion journal;
   FlashDevice device = device_for(b, journal);
   StreamArtifactInfo info;
@@ -303,7 +390,7 @@ void BM_StreamingDeviceUpdate(benchmark::State& state) {
   state.SetBytesProcessed(
       static_cast<std::int64_t>(state.iterations() * b.pair.ver.size()));
 }
-BENCHMARK(BM_StreamingDeviceUpdate);
+BENCHMARK(BM_StreamingDeviceUpdate)->Arg(0)->Arg(1);
 
 // Byte-kernel sizes: about one journal record, a page, a small delta,
 // one store_history release, 1 MiB, and the 12 MiB image.
