@@ -116,7 +116,8 @@ struct TopoGraph {
   std::vector<std::uint64_t> costs;
 };
 
-TopoGraph topo_graph(std::vector<CopyCommand> copies, length_t version_length) {
+TopoGraph topo_graph(std::vector<CopyCommand> copies,
+                     length_t version_length) {
   std::sort(copies.begin(), copies.end(),
             [](const CopyCommand& a, const CopyCommand& b) {
               return a.to < b.to;
@@ -133,7 +134,8 @@ void run_topo_sort(benchmark::State& state, const TopoGraph& t) {
   std::size_t deleted = 0;
   std::size_t cyclewalk = 0;
   for (auto _ : state) {
-    const TopoSortResult r = topo_sort_breaking_cycles(t.graph, policy, t.costs);
+    const TopoSortResult r =
+        topo_sort_breaking_cycles(t.graph, policy, t.costs);
     deleted = r.deleted.size();
     cyclewalk = r.cycle_length_sum;
     benchmark::DoNotOptimize(r.order.data());
@@ -172,7 +174,10 @@ void BM_TopoSortRandomCopies(benchmark::State& state) {
   }();
   run_topo_sort(state, t);
 }
-BENCHMARK(BM_TopoSortRandomCopies)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TopoSortRandomCopies)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 // Figure 3 at L = 1 MiB: 2,047 copies, about 1M edges, acyclic.
 void BM_TopoSortFig3(benchmark::State& state) {
@@ -313,9 +318,9 @@ BENCHMARK(BM_JournalAppend)->Arg(0)->Arg(1);
 // Journaled device updates, reloading the reference image every
 // iteration: the staged path (whole artifact in RAM, parse_delta) and the
 // streaming path (1400-byte chunks). Arg 0 is one 128 KiB mutate-style
-// pair of a few hundred commands; Arg 1 a release_corpus-style pair with
-// its block moves and duplicates, thousands of commands and many CRWI
-// cycles, which exercises the Equation-2 guard.
+// pair of about 100 commands; Arg 1 a 192 KiB release_corpus-style pair
+// with its block moves and duplicates, about 1,500 commands and many
+// CRWI cycles, which exercises the Equation-2 guard.
 constexpr std::size_t kDevicePair = 128 << 10;
 constexpr std::size_t kDevicePage = 4096;
 constexpr std::size_t kDeviceJournal = 16 << 10;
@@ -334,8 +339,8 @@ const BuiltPair& release_style_pair() {
     VersionPair vp = std::move(standard_corpus(options).back());
     return Pair{std::move(vp.reference), std::move(vp.version)};
   }();
-  static const BuiltPair built{pair,
-                               Pipeline().build_inplace(pair.ref, pair.ver).delta};
+  static const BuiltPair built{
+      pair, Pipeline().build_inplace(pair.ref, pair.ver).delta};
   return built;
 }
 

@@ -84,14 +84,13 @@ ConvertResult convert_to_inplace(const Script& input, ByteView reference,
     topo = topo_sort_breaking_cycles(graph, BreakPolicy::kConstantTime, costs,
                                      pre_deleted);
     topo.deleted.assign(feedback_set.begin(), feedback_set.end());
-    report.cycles_found = topo.cycles_found;  // 0 expected
   } else {
     // The constant-time and local-min policies break cycles inside the
     // sort itself, so their cost shows up under this span.
     obs::Span span(obs::Stage::kTopoSort);
     topo = topo_sort_breaking_cycles(graph, options.policy, costs);
-    report.cycles_found = topo.cycles_found;
   }
+  report.cycles_found = topo.cycles_found;  // 0 for a pre-deleted set
   report.cycle_length_sum = topo.cycle_length_sum;
 
   obs::Span emit_span(obs::Stage::kConvertEmit);

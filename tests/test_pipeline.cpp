@@ -74,7 +74,7 @@ TEST(Pipeline, BuildInplaceRoundTripsAndReports) {
 TEST(Pipeline, BuildInplaceOutputIsDirectlyInplaceSafe) {
   // The §4 integration: one call goes straight from (reference, version)
   // to an artifact whose script applies in the reference's buffer.
-  const Pipeline pipeline({.differ = DifferKind::kOnePass});
+  const Pipeline pipeline;  // the one-pass differ
   for (const VersionPair& pair : small_corpus(51)) {
     const Script script =
         deserialize_delta(pipeline.build_inplace(pair.reference, pair.version)
@@ -94,7 +94,7 @@ TEST(Pipeline, BuildInplaceOutputIsDirectlyInplaceSafe) {
 }
 
 TEST(Pipeline, BuildInplaceEmptyInputs) {
-  const Pipeline pipeline({.differ = DifferKind::kOnePass});
+  const Pipeline pipeline;  // the one-pass differ
   EXPECT_TRUE(
       deserialize_delta(pipeline.build_inplace({}, {}).delta).script.empty());
   const Bytes ver = test::random_bytes(11, 100);

@@ -304,13 +304,13 @@ TEST(TopoSort, OneCallSortsRandomOverlappingCopies) {
          {BreakPolicy::kConstantTime, BreakPolicy::kLocalMin}) {
       const TopoSortResult r = topo_sort_breaking_cycles(g, policy, costs, pre);
       std::vector<bool> removed = pre.empty() ? std::vector<bool>(n) : pre;
-      std::vector<std::uint32_t> all_deleted = r.deleted;
       for (const std::uint32_t v : r.deleted) {
         ASSERT_FALSE(removed[v]) << "deleted twice or pre-deleted";
         removed[v] = true;
       }
+      std::vector<std::uint32_t> all_deleted;
       for (std::uint32_t v = 0; v < n; ++v) {
-        if (!pre.empty() && pre[v]) all_deleted.push_back(v);
+        if (removed[v]) all_deleted.push_back(v);
       }
       ASSERT_TRUE(is_topological_order(g, r.order, all_deleted))
           << "trial " << trial << " policy " << policy_name(policy);
