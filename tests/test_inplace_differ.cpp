@@ -1,21 +1,28 @@
-#include "inplace/inplace_differ.hpp"
-
+// In-place differencing end to end (§4): Pipeline::build_inplace goes
+// from (reference, version) straight to an artifact whose script applies
+// in the reference's own buffer, byte-identical to diffing and then
+// calling make_inplace_delta by hand.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "adversary/constructions.hpp"
-#include "apply/apply.hpp"
-#include "apply/inplace_apply.hpp"
-#include "apply/oracle.hpp"
 #include "corpus/workload.hpp"
+#include "ipdelta.hpp"
 #include "test_util.hpp"
 
 namespace ipd {
 namespace {
 
+Script built_script(const Pipeline& pipeline, ByteView ref, ByteView ver) {
+  return deserialize_delta(pipeline.build_inplace(ref, ver).delta).script;
+}
+
 TEST(InplaceDiffer, OutputIsDirectlyInplaceSafe) {
+  const Pipeline pipeline({.differ = DifferKind::kOnePass});
   for (const VersionPair& pair : small_corpus(51)) {
-    const InplaceDiffer differ(DifferKind::kOnePass);
-    const Script script = differ.diff(pair.reference, pair.version);
+    const Script script =
+        built_script(pipeline, pair.reference, pair.version);
     ASSERT_TRUE(satisfies_equation2(script)) << pair.name;
     ASSERT_TRUE(analyze_conflicts(script).in_place_safe()) << pair.name;
 
@@ -30,51 +37,37 @@ TEST(InplaceDiffer, OutputIsDirectlyInplaceSafe) {
 }
 
 TEST(InplaceDiffer, MatchesTwoStepPipeline) {
-  Rng rng(3);
   const Bytes ref = test::random_bytes(1, 30000);
   Bytes ver = ref;
   for (int i = 0; i < 1500; ++i) std::swap(ver[i], ver[i + 15000]);
 
-  const InplaceDiffer integrated(DifferKind::kGreedy);
-  const Script one_step = integrated.diff(ref, ver);
+  const Pipeline pipeline({.differ = DifferKind::kGreedy, .parallelism = 1});
+  const Bytes one_step = pipeline.build_inplace(ref, ver).delta;
 
-  const Script two_step =
-      convert_to_inplace(diff_bytes(DifferKind::kGreedy, ref, ver), ref, {})
-          .script;
-  EXPECT_EQ(one_step, two_step);
+  ConvertOptions convert;
+  convert.format = pipeline.options().inplace_format();
+  const Bytes two_step = make_inplace_delta(
+      diff_bytes(DifferKind::kGreedy, ref, ver), ref, ver, convert);
+  EXPECT_TRUE(test::bytes_equal(one_step, two_step));
 }
 
 TEST(InplaceDiffer, ReportIsObservable) {
+  // A rotation's diff copies across the buffer, so conversion has work.
   const AdversaryInstance inst = make_rotation(2000, 700);
-  // The rotation instance is a script, not a byte pair the differ would
-  // find — instead build a pair whose diff needs conversion.
-  const InplaceDiffer differ(DifferKind::kOnePass);
-  const Script script = differ.diff(inst.reference, inst.version);
-  EXPECT_GT(differ.last_report().copies_in, 0u);
+  const Pipeline pipeline({.differ = DifferKind::kOnePass});
+  const BuildResult r = pipeline.build_inplace(inst.reference, inst.version);
+  EXPECT_GT(r.report.copies_in, 0u);
+  const Script script = deserialize_delta(r.delta).script;
   EXPECT_TRUE(satisfies_equation2(script));
-  // A full rotation forces at least one conversion or a reordering; the
-  // report reflects whatever happened.
   EXPECT_TRUE(test::bytes_equal(inst.version,
                                 apply_script(script, inst.reference)));
 }
 
-TEST(InplaceDiffer, WorksThroughDifferInterface) {
-  // Polymorphic use, as the archive builder would.
-  std::unique_ptr<Differ> differ = std::make_unique<InplaceDiffer>(
-      DifferKind::kOnePass);
-  EXPECT_STREQ(differ->name(), "in-place");
-  const Bytes ref = test::random_bytes(9, 5000);
-  const Bytes ver = test::random_bytes(10, 5000);
-  const Script script = differ->diff(ref, ver);
-  ASSERT_NO_THROW(script.validate(ref.size(), ver.size()));
-  EXPECT_TRUE(satisfies_equation2(script));
-}
-
 TEST(InplaceDiffer, EmptyInputs) {
-  const InplaceDiffer differ(DifferKind::kOnePass);
-  EXPECT_TRUE(differ.diff({}, {}).empty());
+  const Pipeline pipeline({.differ = DifferKind::kOnePass});
+  EXPECT_TRUE(built_script(pipeline, {}, {}).empty());
   const Bytes ver = test::random_bytes(11, 100);
-  const Script script = differ.diff({}, ver);
+  const Script script = built_script(pipeline, {}, ver);
   EXPECT_TRUE(test::bytes_equal(ver, apply_script(script, {})));
 }
 

@@ -13,7 +13,6 @@
 
 #include "corpus/generator.hpp"
 #include "corpus/mutation.hpp"
-#include "corpus/workload.hpp"
 #include "ipdelta.hpp"
 #include "test_util.hpp"
 
@@ -69,38 +68,6 @@ TEST(Pipeline, BuildInplaceRoundTripsAndReports) {
   EXPECT_GT(r.report.copies_in, 0u);
   EXPECT_EQ(r.timing.crwi_chunks, r.report.crwi_parallel_chunks);
   EXPECT_EQ(r.stats.compression.delta_size, r.delta.size());
-}
-
-TEST(Pipeline, BuildInplaceOutputIsDirectlyInplaceSafe) {
-  // The §4 integration: one call goes straight from (reference, version)
-  // to an artifact whose script applies in the reference's buffer.
-  const Pipeline pipeline;  // the one-pass differ
-  for (const VersionPair& pair : small_corpus(51)) {
-    const Script script =
-        deserialize_delta(pipeline.build_inplace(pair.reference, pair.version)
-                              .delta)
-            .script;
-    ASSERT_TRUE(satisfies_equation2(script)) << pair.name;
-    ASSERT_TRUE(analyze_conflicts(script).in_place_safe()) << pair.name;
-
-    Bytes buffer = pair.reference;
-    buffer.resize(std::max(pair.reference.size(), pair.version.size()));
-    apply_inplace(script, buffer, pair.reference.size(),
-                  pair.version.size());
-    EXPECT_TRUE(test::bytes_equal(
-        pair.version, ByteView(buffer).first(pair.version.size())))
-        << pair.name;
-  }
-}
-
-TEST(Pipeline, BuildInplaceEmptyInputs) {
-  const Pipeline pipeline;  // the one-pass differ
-  EXPECT_TRUE(
-      deserialize_delta(pipeline.build_inplace({}, {}).delta).script.empty());
-  const Bytes ver = test::random_bytes(11, 100);
-  const Script script =
-      deserialize_delta(pipeline.build_inplace({}, ver).delta).script;
-  EXPECT_TRUE(test::bytes_equal(ver, apply_script(script, {})));
 }
 
 TEST(Pipeline, ApplyDispatchesOnHeaderFlag) {
