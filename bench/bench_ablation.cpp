@@ -26,12 +26,11 @@ using bench::rule;
 
 std::uint64_t encoded_size(const Script& script, length_t ref_len,
                            length_t ver_len, DeltaFormat format) {
-  DeltaFile file;
-  file.format = format;
-  file.reference_length = ref_len;
-  file.version_length = ver_len;
-  file.script = script;
-  return serialize_delta(file).size();
+  DeltaHeader header;
+  header.format = format;
+  header.reference_length = ref_len;
+  header.version_length = ver_len;
+  return serialize_delta(header, command_table(script)).size();
 }
 
 void ablation_granularity(const std::vector<VersionPair>& corpus) {

@@ -43,15 +43,15 @@ Row measure(const std::vector<VersionPair>& corpus, DifferKind differ,
                                delta_size};
     };
 
-    DeltaFile file;
-    file.reference_length = pair.reference.size();
-    file.version_length = pair.version.size();
-    file.script = script;
+    DeltaHeader header;
+    header.reference_length = pair.reference.size();
+    header.version_length = pair.version.size();
+    const std::vector<CommandRef> table = command_table(script);
 
-    file.format = sequential;
-    row.no_offsets.add(sample(serialize_delta(file).size()));
-    file.format = explicit_fmt;
-    row.offsets.add(sample(serialize_delta(file).size()));
+    header.format = sequential;
+    row.no_offsets.add(sample(serialize_delta(header, table).size()));
+    header.format = explicit_fmt;
+    row.offsets.add(sample(serialize_delta(header, table).size()));
 
     for (const BreakPolicy policy :
          {BreakPolicy::kConstantTime, BreakPolicy::kLocalMin}) {
@@ -60,10 +60,10 @@ Row measure(const std::vector<VersionPair>& corpus, DifferKind differ,
       copts.format = explicit_fmt;
       const ConvertResult converted =
           convert_to_inplace(script, pair.reference, copts);
-      DeltaFile out = file;
+      DeltaHeader out = header;
       out.in_place = true;
-      out.script = converted.script;
-      const std::uint64_t size = serialize_delta(out).size();
+      const std::uint64_t size =
+          serialize_delta(out, command_table(converted.script)).size();
       (policy == BreakPolicy::kConstantTime ? row.inplace_constant
                                             : row.inplace_localmin)
           .add(sample(size));

@@ -58,6 +58,20 @@ using namespace ipd;
 int run_command(const std::string& command,
                 const std::vector<std::string>& args);
 
+/// An owning Script with the table's commands, for the analyses that
+/// take one (analyze_delta, analyze_conflicts).
+Script owning_script(std::span<const CommandRef> table) {
+  Script script;
+  for (const CommandRef& c : table) {
+    if (c.is_add()) {
+      script.push(AddCommand{c.to, Bytes(c.literal, c.literal + c.length)});
+    } else {
+      script.push(CopyCommand{c.from, c.to, c.length});
+    }
+  }
+  return script;
+}
+
 int usage() {
   std::fprintf(
       stderr,
@@ -228,13 +242,13 @@ int cmd_apply(const std::vector<std::string>& args) {
 int cmd_patch(const std::vector<std::string>& args) {
   if (args.size() != 2) return usage();
   const Bytes delta = read_file(args[0]);
-  const DeltaFile parsed = deserialize_delta(delta);
+  const DeltaHeader header = parse_delta(delta).header;
   Bytes buffer = read_file(args[1]);
-  if (buffer.size() != parsed.reference_length) {
+  if (buffer.size() != header.reference_length) {
     throw Error("file size does not match the delta's reference length");
   }
-  buffer.resize(std::max<std::size_t>(parsed.reference_length,
-                                      parsed.version_length));
+  buffer.resize(std::max<std::size_t>(header.reference_length,
+                                      header.version_length));
   const length_t new_len = apply_delta_inplace(delta, buffer);
   buffer.resize(static_cast<std::size_t>(new_len));
   write_file(args[1], buffer);
@@ -245,30 +259,33 @@ int cmd_patch(const std::vector<std::string>& args) {
 
 int cmd_compose(const std::vector<std::string>& args) {
   if (args.size() != 3) return usage();
-  const DeltaFile d1 = deserialize_delta(read_file(args[0]));
-  const DeltaFile d2 = deserialize_delta(read_file(args[1]));
-  if (d1.version_length != d2.reference_length) {
+  const Bytes first = read_file(args[0]);
+  const Bytes second = read_file(args[1]);
+  const ParsedDelta d1 = parse_delta(first);
+  const ParsedDelta d2 = parse_delta(second);
+  if (d1.header.version_length != d2.header.reference_length) {
     throw Error("deltas do not chain: first produces " +
-                std::to_string(d1.version_length) +
+                std::to_string(d1.header.version_length) +
                 " bytes, second expects " +
-                std::to_string(d2.reference_length));
+                std::to_string(d2.header.reference_length));
   }
   ComposeReport report;
-  DeltaFile out;
-  out.script = compose_scripts(d1.script, d2.script, &report);
+  const Script script = compose_scripts(d1.commands, d2.commands, &report);
+  DeltaHeader out;
   out.format = kVarintExplicit;
-  out.in_place = satisfies_equation2(out.script);
-  out.reference_length = d1.reference_length;
-  out.version_length = d2.version_length;
-  out.version_crc = d2.version_crc;
-  out.compress_payload = d1.compress_payload || d2.compress_payload;
-  const Bytes wire = serialize_delta(out);
+  out.in_place = satisfies_equation2(script);
+  out.reference_length = d1.header.reference_length;
+  out.version_length = d2.header.version_length;
+  out.version_crc = d2.header.version_crc;
+  out.compress_payload =
+      d1.header.compress_payload || d2.header.compress_payload;
+  const Bytes wire = serialize_delta(out, command_table(script));
   write_file(args[2], wire);
   std::printf(
       "composed %s o %s -> %s: %zu bytes, %zu commands (%llu literal "
       "bytes)%s\n",
       args[1].c_str(), args[0].c_str(), args[2].c_str(), wire.size(),
-      out.script.size(),
+      script.size(),
       static_cast<unsigned long long>(report.literal_bytes),
       out.in_place ? ", in-place safe" : "");
   return 0;
@@ -322,8 +339,8 @@ int lint_self_check(std::uint64_t seed) {
               : pipeline.build_delta(pair.reference, pair.version).delta;
 
       const Report report = verifier.check(delta);
-      const DeltaFile parsed = deserialize_delta(delta);
-      const ConflictAnalysis oracle = analyze_conflicts(parsed.script);
+      const ConflictAnalysis oracle =
+          analyze_conflicts(owning_script(parse_delta(delta).commands));
       const Bytes applied = apply_delta(delta, pair.reference);
 
       std::string complaint;
@@ -401,8 +418,10 @@ int cmd_info(const std::vector<std::string>& args) {
     deep = true;
   }
   const Bytes delta = read_file(args[0]);
-  const DeltaFile file = deserialize_delta(delta);
-  const ScriptSummary sum = file.script.summary();
+  const ParsedDelta parsed = parse_delta(delta);
+  const DeltaHeader& header = parsed.header;
+  const Script script = owning_script(parsed.commands);
+  const ScriptSummary sum = script.summary();
   std::printf(
       "%s\n"
       "  format:            %s\n"
@@ -413,24 +432,23 @@ int cmd_info(const std::vector<std::string>& args) {
       "  version crc32c:    %08x\n"
       "  commands:          %zu copies (%llu bytes), %zu adds (%llu bytes)\n"
       "  delta size:        %zu bytes (%s of version)\n",
-      args[0].c_str(), format_name(file.format),
-      file.in_place ? "yes" : "no",
-      file.compress_payload ? "yes" : "no",
-      static_cast<unsigned long long>(file.reference_length),
-      static_cast<unsigned long long>(file.version_length),
-      file.version_crc, sum.copy_count,
+      args[0].c_str(), format_name(header.format),
+      header.in_place ? "yes" : "no",
+      header.compress_payload ? "yes" : "no",
+      static_cast<unsigned long long>(header.reference_length),
+      static_cast<unsigned long long>(header.version_length),
+      header.version_crc, sum.copy_count,
       static_cast<unsigned long long>(sum.copied_bytes), sum.add_count,
       static_cast<unsigned long long>(sum.added_bytes), delta.size(),
-      format_percent(file.version_length == 0
+      format_percent(header.version_length == 0
                          ? 0.0
                          : 100.0 * static_cast<double>(delta.size()) /
-                               static_cast<double>(file.version_length))
+                               static_cast<double>(header.version_length))
           .c_str());
-  std::printf("  first commands:\n%s", file.script.to_text(10).c_str());
+  std::printf("  first commands:\n%s", script.to_text(10).c_str());
   if (deep) {
     std::printf("\nstructural analysis:\n%s",
-                render_analysis(
-                    analyze_delta(file.script, file.reference_length))
+                render_analysis(analyze_delta(script, header.reference_length))
                     .c_str());
   }
   return 0;

@@ -3,13 +3,17 @@
 //
 //  * borrowed — apply_delta / apply_delta_inplace, which execute
 //    parse_delta's command table with the adds still in the artifact;
-//  * owning   — deserialize_delta, then apply_script / apply_inplace on
-//    the materialised Script, with the same container checks around it.
+//  * owning   — the same table copied into an owning Script, then the
+//    reference appliers apply_script / apply_inplace, with the same
+//    container checks around them.
 //
 // Both must accept and reject alike, with the same exception type, and
-// leave the same bytes behind.
+// leave the same bytes behind. table_round_trips() is the encoder's
+// check on the same table: parse, serialize_delta, parse again.
 #pragma once
 
+#include <algorithm>
+#include <span>
 #include <string>
 #include <typeinfo>
 #include <utility>
@@ -31,6 +35,52 @@ struct ApplyOutcome {
   bool operator==(const ApplyOutcome&) const = default;
 };
 
+/// An owning Script with the table's commands (copies the add bytes).
+inline Script owning_script(std::span<const CommandRef> table) {
+  Script script;
+  for (const CommandRef& c : table) {
+    if (c.is_add()) {
+      script.push(AddCommand{c.to, Bytes(c.literal, c.literal + c.length)});
+    } else {
+      script.push(CopyCommand{c.from, c.to, c.length});
+    }
+  }
+  return script;
+}
+
+/// True when `a` and `b` hold the same commands: kinds, offsets, lengths
+/// and add bytes.
+inline bool same_commands(std::span<const CommandRef> a,
+                          std::span<const CommandRef> b) {
+  return std::equal(
+      a.begin(), a.end(), b.begin(), b.end(),
+      [](const CommandRef& x, const CommandRef& y) {
+        if (x.to != y.to || x.length != y.length || x.is_add() != y.is_add()) {
+          return false;
+        }
+        return x.is_add() ? std::equal(x.literal, x.literal + x.length,
+                                       y.literal)
+                          : x.from == y.from;
+      });
+}
+
+/// Encode a parsed table again under its header and parse that: true
+/// when the header and the commands survive. The payload fields and the
+/// LZSS flag describe one encoding, so only the header fields the
+/// encoder takes as input are compared. A re-encoding that does not
+/// parse throws.
+inline bool table_round_trips(const ParsedDelta& first) {
+  const Bytes again = serialize_delta(first.header, first.commands);
+  const ParsedDelta second = parse_delta(again);
+  const DeltaHeader& a = first.header;
+  const DeltaHeader& b = second.header;
+  return a.format == b.format && a.in_place == b.in_place &&
+         a.reference_length == b.reference_length &&
+         a.version_length == b.version_length &&
+         a.version_crc == b.version_crc &&
+         same_commands(first.commands, second.commands);
+}
+
 template <typename Fn>
 std::string error_type_of(Fn&& fn) {
   try {
@@ -50,12 +100,13 @@ inline ApplyOutcome borrowed_scratch(ByteView delta, ByteView reference) {
 inline ApplyOutcome owning_scratch(ByteView delta, ByteView reference) {
   ApplyOutcome out;
   out.error = error_type_of([&] {
-    const DeltaFile file = deserialize_delta(delta);
-    if (file.reference_length != reference.size()) {
+    const ParsedDelta parsed = parse_delta(delta);
+    const DeltaHeader& header = parsed.header;
+    if (header.reference_length != reference.size()) {
       throw FormatError("reference length mismatch");
     }
-    Bytes version = apply_script(file.script, reference);
-    if (crc32c(version) != file.version_crc) {
+    Bytes version = apply_script(owning_script(parsed.commands), reference);
+    if (crc32c(version) != header.version_crc) {
       throw FormatError("version CRC mismatch");
     }
     out.bytes = std::move(version);
@@ -75,18 +126,19 @@ inline ApplyOutcome borrowed_inplace(ByteView delta, Bytes buffer) {
 inline ApplyOutcome owning_inplace(ByteView delta, Bytes buffer) {
   ApplyOutcome out;
   out.error = error_type_of([&] {
-    const DeltaFile file = deserialize_delta(delta);
-    if (!file.in_place) {
+    const ParsedDelta parsed = parse_delta(delta);
+    const DeltaHeader& header = parsed.header;
+    if (!header.in_place) {
       throw ValidationError("not marked in-place reconstructible");
     }
-    if (file.reference_length > buffer.size() ||
-        file.version_length > buffer.size()) {
+    if (header.reference_length > buffer.size() ||
+        header.version_length > buffer.size()) {
       throw ValidationError("buffer too small");
     }
-    apply_inplace(file.script, buffer, file.reference_length,
-                  file.version_length);
-    const auto version_size = static_cast<std::size_t>(file.version_length);
-    if (crc32c(ByteView(buffer).first(version_size)) != file.version_crc) {
+    apply_inplace(owning_script(parsed.commands), buffer,
+                  header.reference_length, header.version_length);
+    const auto version_size = static_cast<std::size_t>(header.version_length);
+    if (crc32c(ByteView(buffer).first(version_size)) != header.version_crc) {
       throw FormatError("version CRC mismatch");
     }
     buffer.resize(version_size);

@@ -2,9 +2,10 @@
 // parse, full deserialization, the static Verifier built on its decode
 // step, and the bounded in-place apply. Contract under hostile input:
 //
-//  * try_parse_header / deserialize_delta throw ipd::Error or succeed;
-//  * a container that decodes must re-serialize into a container that
-//    decodes to the same script (round-trip stability);
+//  * try_parse_header / parse_delta throw ipd::Error or succeed;
+//  * a container that parses must re-serialize from its command table
+//    into a container that parses to the same header and commands
+//    (round-trip stability);
 //  * Verifier::check never throws, and parse_delta succeeds iff the
 //    report is well-formed with no structural error;
 //  * on success, scan_equation2 reports exactly the per-writer oracle's
@@ -13,7 +14,7 @@
 //  * apply_delta_inplace on a bounded buffer either throws or produces
 //    exactly version_length bytes matching the header's version CRC;
 //  * the borrowed batch appliers (parse_delta's command table) and the
-//    owning ones (deserialize_delta + apply_script / apply_inplace) give
+//    owning ones (that table as a Script + apply_script / apply_inplace) give
 //    the same verdict, exception type and bytes, in place and scratch.
 #include <algorithm>
 #include <cstdint>
@@ -48,9 +49,10 @@ bool has_structural_error(const Report& report) {
   return false;
 }
 
-/// The Verifier accepts exactly what parse_delta accepts, and on a table
-/// that parses, the one Equation-2 scan reports exactly the oracle's
-/// conflicts (each byte has one writer once the writes tile).
+/// The Verifier accepts exactly what parse_delta accepts, and a table
+/// that parses round-trips through the encoder and the one Equation-2
+/// scan reports exactly the oracle's conflicts (each byte has one
+/// writer once the writes tile).
 void check_verifier_matches_parse(ByteView input) {
   Report report;
   try {
@@ -68,6 +70,7 @@ void check_verifier_matches_parse(ByteView input) {
     abort();
   }
   if (!parsed) return;
+  if (!fuzzcorpus::table_round_trips(*parsed)) abort();
   using Triple = std::tuple<std::size_t, std::size_t, offset_t, offset_t>;
   std::vector<Triple> scanned, oracle;
   scan_equation2(parsed->commands, parsed->write_order,
@@ -77,7 +80,8 @@ void check_verifier_matches_parse(ByteView input) {
                    return true;
                  });
   for (const Conflict& c :
-       analyze_conflicts(deserialize_delta(input).script).conflicts) {
+       analyze_conflicts(fuzzcorpus::owning_script(parsed->commands))
+           .conflicts) {
     oracle.emplace_back(c.reader_index, c.writer_index, c.overlap.first,
                         c.overlap.last);
   }
@@ -98,17 +102,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     if (header && header->second > size) abort();  // consumed > available
   } catch (const Error&) {
     header.reset();
-  }
-
-  try {
-    const DeltaFile file = deserialize_delta(input);
-    const Bytes again = serialize_delta(file);
-    const DeltaFile file2 = deserialize_delta(again);
-    if (file2.script.commands() != file.script.commands()) abort();
-    if (file2.version_length != file.version_length) abort();
-    if (file2.version_crc != file.version_crc) abort();
-  } catch (const Error&) {
-    // rejected: fine
   }
 
   check_verifier_matches_parse(input);

@@ -247,13 +247,14 @@ Bytes UpgradePlanner::fold_plan(const UpgradePlan& plan) {
       return step_artifact(plan.steps.back());
     }
   }
-  Script folded =
-      deserialize_delta(step_artifact(plan.steps.front())).script;
-  for (std::size_t i = 1; i < plan.steps.size(); ++i) {
-    const Script next =
-        deserialize_delta(step_artifact(plan.steps[i])).script;
-    folded = compose_scripts(folded, next);
+  std::vector<Bytes> artifacts;
+  std::vector<ParsedDelta> hops;
+  artifacts.reserve(plan.steps.size());
+  hops.reserve(plan.steps.size());
+  for (const UpgradeStep& step : plan.steps) {
+    hops.push_back(parse_delta(artifacts.emplace_back(step_artifact(step))));
   }
+  const Script folded = fold_chain(hops);
   // Shared refs keep both endpoint bodies alive without the lock.
   const std::shared_ptr<const Bytes> reference =
       body_ref(plan.steps.front().from);

@@ -55,11 +55,12 @@ class PayloadEncoder {
   PayloadEncoder(DeltaFormat fmt, unsigned offset_width)
       : fmt_(fmt), offset_width_(offset_width) {}
 
-  void encode(ByteWriter& w, const Command& cmd) {
-    if (const auto* copy = std::get_if<CopyCommand>(&cmd)) {
-      encode_copy(w, *copy);
+  void encode(ByteWriter& w, const CommandRef& cmd) {
+    if (cmd.is_add()) {
+      encode_add(w, cmd.to,
+                 ByteView(cmd.literal, static_cast<std::size_t>(cmd.length)));
     } else {
-      encode_add(w, std::get<AddCommand>(cmd));
+      encode_copy(w, CopyCommand{cmd.from, cmd.to, cmd.length});
     }
   }
 
@@ -99,25 +100,24 @@ class PayloadEncoder {
     }
   }
 
-  void encode_add(ByteWriter& w, const AddCommand& a) {
+  void encode_add(ByteWriter& w, offset_t to, ByteView data) {
     if (fmt_.codeword == Codeword::kVarint) {
       w.write_u8(kOpVarAdd);
-      if (explicit_offsets()) w.write_varint(a.to);
-      w.write_varint(a.length());
-      w.write_bytes(a.data);
+      if (explicit_offsets()) w.write_varint(to);
+      w.write_varint(data.size());
+      w.write_bytes(data);
       return;
     }
     // PaperByte: single-byte length, so long adds split into <=255-byte
     // chunks — the encoding inefficiency §7 of the paper discusses.
-    offset_t to = a.to;
     std::size_t pos = 0;
-    while (pos < a.data.size()) {
+    while (pos < data.size()) {
       const std::size_t chunk =
-          std::min<std::size_t>(kPaperMaxAdd, a.data.size() - pos);
+          std::min<std::size_t>(kPaperMaxAdd, data.size() - pos);
       w.write_u8(kOpAdd);
       if (explicit_offsets()) write_fixed(w, to, offset_width_);
       w.write_u8(static_cast<std::uint8_t>(chunk));
-      w.write_bytes(ByteView(a.data).subspan(pos, chunk));
+      w.write_bytes(data.subspan(pos, chunk));
       pos += chunk;
       to += chunk;
     }
@@ -279,13 +279,6 @@ Decoded probe_impl(ByteView data, DeltaFormat fmt, unsigned offset_width,
 }
 
 }  // namespace
-
-Command CommandRef::to_command() const {
-  if (is_add()) {
-    return AddCommand{to, Bytes(literal, literal + length)};
-  }
-  return CopyCommand{from, to, length};
-}
 
 std::optional<std::pair<DeltaHeader, std::size_t>> try_parse_header(
     ByteView data) {
@@ -468,23 +461,30 @@ const char* format_name(DeltaFormat f) noexcept {
   return "varint/write-offsets";
 }
 
-Bytes serialize_delta(const DeltaFile& file) {
-  if (file.format.offsets == WriteOffsets::kImplicit &&
-      !file.script.in_write_order()) {
-    throw ValidationError(
-        "implicit-offset format requires commands in write order with no "
-        "gaps; permuted (in-place) scripts need explicit write offsets");
+Bytes serialize_delta(const DeltaHeader& header,
+                      std::span<const CommandRef> commands) {
+  if (header.format.offsets == WriteOffsets::kImplicit) {
+    offset_t expected = 0;
+    for (const CommandRef& c : commands) {
+      if (c.to != expected) {
+        throw ValidationError(
+            "implicit-offset format requires commands in write order with "
+            "no gaps; permuted (in-place) scripts need explicit write "
+            "offsets");
+      }
+      expected += c.length;
+    }
   }
 
-  const unsigned offw = paper_offset_width(file.version_length);
-  PayloadEncoder enc(file.format, offw);
+  const unsigned offw = paper_offset_width(header.version_length);
+  PayloadEncoder enc(header.format, offw);
   ByteWriter payload;
-  for (const Command& c : file.script.commands()) {
+  for (const CommandRef& c : commands) {
     enc.encode(payload, c);
   }
   Bytes body = payload.take();
   const std::size_t uncompressed = body.size();
-  bool compressed = file.compress_payload;
+  bool compressed = header.compress_payload;
   if (compressed) {
     Bytes packed = lzss_encode(body);
     // Auto-fallback: store uncompressed when compression does not pay
@@ -500,13 +500,13 @@ Bytes serialize_delta(const DeltaFile& file) {
   ByteWriter w;
   w.write_string(std::string_view(kMagic, 4));
   w.write_u8(static_cast<std::uint8_t>(
-      (static_cast<unsigned>(file.format.codeword) << 4) |
-      static_cast<unsigned>(file.format.offsets)));
-  w.write_u8(static_cast<std::uint8_t>((file.in_place ? 1 : 0) |
+      (static_cast<unsigned>(header.format.codeword) << 4) |
+      static_cast<unsigned>(header.format.offsets)));
+  w.write_u8(static_cast<std::uint8_t>((header.in_place ? 1 : 0) |
                                        (compressed ? 2 : 0)));
-  w.write_varint(file.reference_length);
-  w.write_varint(file.version_length);
-  w.write_u32le(file.version_crc);
+  w.write_varint(header.reference_length);
+  w.write_varint(header.version_length);
+  w.write_u32le(header.version_crc);
   w.write_varint(body.size());
   if (compressed) {
     w.write_varint(uncompressed);
@@ -587,18 +587,9 @@ std::optional<DeltaRejection> decode_delta(ByteView data, ParsedDelta& out,
 }
 
 void check_delta_model(ParsedDelta& parsed) {
-  const DeltaHeader& header = parsed.header;
-  std::vector<WriteRange> writes;
-  writes.reserve(parsed.commands.size());
-  for (std::size_t i = 0; i < parsed.commands.size(); ++i) {
-    const CommandRef& c = parsed.commands[i];
-    const CopyCommand copy{c.from, c.to, c.length};
-    const WriteRange write{c.to, c.length};
-    check_command_bounds(i, c.is_add() ? nullptr : &copy, write,
-                         header.reference_length, header.version_length);
-    writes.push_back(write);
-  }
-  parsed.write_order = check_write_tiling(writes, header.version_length);
+  parsed.write_order =
+      check_command_table(parsed.commands, parsed.header.reference_length,
+                          parsed.header.version_length);
 }
 
 ParsedDelta parse_delta(ByteView data) {
@@ -617,14 +608,14 @@ std::size_t scan_equation2(
   const std::size_t n = commands.size();
   const bool in_order = write_order.empty();
   std::vector<offset_t> starts(n);  // the k-th write's offset
-  std::vector<WriteRange> reads;
+  std::vector<offset_t> reads;
   std::vector<std::size_t> readers;  // reads[j] is command readers[j]'s
   reads.reserve(n);
   readers.reserve(n);
   for (std::size_t k = 0; k < n; ++k) {
     starts[k] = in_order ? commands[k].to : write_order[k].to;
     if (!commands[k].is_add()) {
-      reads.push_back({commands[k].from, commands[k].length});
+      reads.push_back(commands[k].from);
       readers.push_back(k);
     }
   }
@@ -635,7 +626,7 @@ std::size_t scan_equation2(
   std::size_t k = 0;
   for (const KeyedWrite& r : sort_by_offset(reads)) {
     const std::size_t reader = readers[r.index];
-    const Interval read = Interval::of(r.to, reads[r.index].length);
+    const Interval read = Interval::of(r.to, commands[reader].length);
     while (k + 1 < n && starts[k + 1] <= read.first) ++k;
     for (std::size_t j = k; j < n && starts[j] <= read.last; ++j) {
       const std::size_t writer = in_order ? j : write_order[j].index;
@@ -652,25 +643,6 @@ std::size_t scan_equation2(
     }
   }
   return conflicts;
-}
-
-DeltaFile deserialize_delta(ByteView data) {
-  const ParsedDelta parsed = parse_delta(data);
-  const DeltaHeader& header = parsed.header;
-  DeltaFile file;
-  file.format = header.format;
-  file.in_place = header.in_place;
-  file.compress_payload = header.compress_payload;
-  file.reference_length = header.reference_length;
-  file.version_length = header.version_length;
-  file.version_crc = header.version_crc;
-  std::vector<Command> commands;
-  commands.reserve(parsed.commands.size());
-  for (const CommandRef& c : parsed.commands) {
-    commands.push_back(c.to_command());
-  }
-  file.script = Script(std::move(commands));
-  return file;
 }
 
 CodewordCostModel::CodewordCostModel(DeltaFormat format,

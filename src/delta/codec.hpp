@@ -19,13 +19,15 @@
 //    the "redesign of the delta compression codewords" the paper suggests
 //    would reduce the loss; benches quantify that claim.
 //
-// One decoder, probe-style, reads every codeword. parse_delta() runs it
-// over a whole container into a table of CommandRefs that borrow the
-// add bytes from the artifact instead of copying them, which is what
-// the batch appliers and the static Verifier run on. That table must
-// not outlive the artifact bytes it was parsed from. The streaming
-// decoder, and the container reader both streaming appliers run on it,
-// borrow the same way; deserialize_delta() builds owning Commands.
+// A delta has one decoded form: a table of CommandRefs (delta/command.hpp)
+// that borrow the add bytes instead of copying them. One decoder,
+// probe-style, reads every codeword. parse_delta() runs it over a whole
+// container into that table, which is what the batch appliers, the
+// static Verifier and chain folding run on; the table must not outlive
+// the artifact bytes it was parsed from. The streaming decoder, and the
+// container reader both streaming appliers run on it, borrow the same
+// way. serialize_delta() encodes the same table; the producers' owning
+// Scripts reach it through command_table().
 #pragma once
 
 #include <cstdint>
@@ -69,52 +71,24 @@ inline constexpr DeltaFormat kVarintExplicit{Codeword::kVarint,
 
 const char* format_name(DeltaFormat f) noexcept;
 
-/// A decoded delta file: header metadata plus the command script.
-struct DeltaFile {
+/// Container header fields, available before any payload byte arrives —
+/// what a streaming consumer needs to provision its buffer.
+struct DeltaHeader {
   DeltaFormat format;
-  /// Producer's assertion that the script satisfies Equation 2 (no
+  /// Producer's assertion that the commands satisfy Equation 2 (no
   /// write-before-read conflicts) and may be applied in place.
   bool in_place = false;
   /// Secondary (LZSS) compression of the encoded payload — what real
   /// delta tools do by piping through a general compressor. Incompatible
   /// with the streaming applier, which cannot decompress incrementally;
-  /// batch paths handle it transparently. The serializer silently falls
-  /// back to uncompressed storage when compression would not shrink the
-  /// payload, so after a round trip this flag reports what is actually
-  /// on the wire.
+  /// batch paths handle it transparently. The encoder falls back to
+  /// uncompressed storage when compression would not shrink the payload,
+  /// so a parsed header reports what is actually on the wire.
   bool compress_payload = false;
   length_t reference_length = 0;
   length_t version_length = 0;
-  /// CRC-32C of the version file the script materialises; lets a device
+  /// CRC-32C of the version file the commands materialise; lets a device
   /// verify a reconstruction before committing it.
-  std::uint32_t version_crc = 0;
-  Script script;
-};
-
-/// Serialize to the on-wire container (header + checksummed payload).
-///
-/// Implicit-offset formats require `file.script.in_write_order()`; a
-/// permuted (in-place) script cannot drop its write offsets — throws
-/// ValidationError, mirroring the paper's observation that in-place
-/// reconstruction inherently pays for explicit offsets.
-///
-/// PaperByte adds longer than 255 bytes and copies of 4 GiB or more are
-/// split into multiple commands, preserving the encoded version exactly.
-Bytes serialize_delta(const DeltaFile& file);
-
-/// Parse and verify a container produced by serialize_delta().
-/// Throws FormatError on corruption (bad magic, checksum, truncation) and
-/// ValidationError if the decoded script violates the §3 model.
-DeltaFile deserialize_delta(ByteView data);
-
-/// Container header fields, available before any payload byte arrives —
-/// what a streaming consumer needs to provision its buffer.
-struct DeltaHeader {
-  DeltaFormat format;
-  bool in_place = false;
-  bool compress_payload = false;
-  length_t reference_length = 0;
-  length_t version_length = 0;
   std::uint32_t version_crc = 0;
   /// On-wire payload bytes (compressed size when compress_payload).
   std::uint64_t payload_length = 0;
@@ -123,27 +97,26 @@ struct DeltaHeader {
   std::uint32_t payload_adler = 0;
 };
 
+/// Encode `commands` into the on-wire container (header + checksummed
+/// payload). The `payload_*` fields of `header` are outputs: the encoder
+/// computes them and ignores what the caller put there.
+///
+/// Implicit-offset formats require the commands in write order with no
+/// gaps; a permuted (in-place) table cannot drop its write offsets —
+/// throws ValidationError, mirroring the paper's observation that
+/// in-place reconstruction inherently pays for explicit offsets.
+///
+/// PaperByte adds longer than 255 bytes and copies of 4 GiB or more are
+/// split into multiple commands, preserving the encoded version exactly.
+Bytes serialize_delta(const DeltaHeader& header,
+                      std::span<const CommandRef> commands);
+
 /// Try to parse the container header from the front of `data`.
 /// Returns {header, bytes consumed} once enough bytes are present,
 /// std::nullopt if more bytes are needed; throws FormatError on
 /// malformed input (bad magic / unknown format byte).
 std::optional<std::pair<DeltaHeader, std::size_t>> try_parse_header(
     ByteView data);
-
-/// One decoded command, borrowed from the stream it was decoded from: a
-/// copy reads `length` reference bytes at `from`; an add's `length`
-/// literal bytes start at `literal`, inside the stream. Valid only while
-/// that stream is alive.
-struct CommandRef {
-  offset_t to = 0;
-  length_t length = 0;
-  offset_t from = 0;                      ///< copy source offset
-  const std::uint8_t* literal = nullptr;  ///< add bytes; null for a copy
-
-  bool is_add() const noexcept { return literal != nullptr; }
-  /// The owning Command (copies the add's bytes).
-  Command to_command() const;
-};
 
 /// A container decoded into a flat table of borrowed commands, in stream
 /// order. Adds point into the artifact's payload bytes, or into
@@ -161,6 +134,12 @@ struct ParsedDelta {
   ParsedDelta() = default;
   ParsedDelta(ParsedDelta&&) = default;
   ParsedDelta& operator=(ParsedDelta&&) = default;
+
+  /// Bytes the table holds beyond the artifact: its commands and the
+  /// decompressed payload (sizes, not reserved capacity).
+  std::size_t table_bytes() const noexcept {
+    return commands.size() * sizeof(CommandRef) + decompressed.size();
+  }
 };
 
 /// Why decode_delta() stopped reading a container.
@@ -189,14 +168,14 @@ std::optional<DeltaRejection> decode_delta(
     ByteView data, ParsedDelta& out,
     std::uint64_t max_payload_bytes = UINT64_MAX);
 
-/// The model check of parse_delta(): check_command_bounds on every
-/// command, then check_write_tiling, whose order it keeps in
-/// `parsed.write_order`. Throws ValidationError on the first violation.
+/// The model check of parse_delta(): check_command_table against the
+/// header's lengths, whose order it keeps in `parsed.write_order`.
+/// Throws ValidationError on the first violation.
 void check_delta_model(ParsedDelta& parsed);
 
 /// Parse and verify a container without copying any add byte:
 /// decode_delta(), whose rejection it throws as FormatError, then
-/// check_delta_model(). deserialize_delta() is this plus owning Commands.
+/// check_delta_model().
 ParsedDelta parse_delta(ByteView data);
 
 /// One violation of the paper's Equation 2: copy `reader` reads

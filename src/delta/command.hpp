@@ -9,6 +9,7 @@
 // is exactly the paper's "write offsets" distinction in Table 1.
 #pragma once
 
+#include <cstdint>
 #include <ostream>
 #include <variant>
 
@@ -55,6 +56,19 @@ struct AddCommand {
 };
 
 using Command = std::variant<CopyCommand, AddCommand>;
+
+/// One row of a command table: the decoded form both kinds share. A copy
+/// reads `length` reference bytes at `from`; an add's `length` literal
+/// bytes start at `literal`, which borrows them from the stream or
+/// Script they came from. Valid only while that storage is alive.
+struct CommandRef {
+  offset_t to = 0;
+  length_t length = 0;
+  offset_t from = 0;                      ///< copy source offset
+  const std::uint8_t* literal = nullptr;  ///< add bytes; null for a copy
+
+  bool is_add() const noexcept { return literal != nullptr; }
+};
 
 /// Write offset of either command kind.
 offset_t command_to(const Command& c) noexcept;

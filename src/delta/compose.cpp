@@ -7,29 +7,29 @@ namespace {
 
 /// δ₁'s commands sorted by write offset — the "what wrote B[x]?" map.
 struct WriteMap {
-  std::vector<const Command*> commands;  // sorted by write offset
+  std::vector<CommandRef> commands;  // sorted by write offset
   std::vector<offset_t> starts;
 
-  explicit WriteMap(const Script& first) {
+  explicit WriteMap(std::span<const CommandRef> first) {
     commands.reserve(first.size());
-    for (const Command& c : first.commands()) {
-      if (command_length(c) > 0) {
-        commands.push_back(&c);
+    for (const CommandRef& c : first) {
+      if (c.length > 0) {
+        commands.push_back(c);
       }
     }
     std::sort(commands.begin(), commands.end(),
-              [](const Command* a, const Command* b) {
-                return command_to(*a) < command_to(*b);
+              [](const CommandRef& a, const CommandRef& b) {
+                return a.to < b.to;
               });
     starts.reserve(commands.size());
     offset_t expected = 0;
-    for (const Command* c : commands) {
-      if (command_to(*c) != expected) {
+    for (const CommandRef& c : commands) {
+      if (c.to != expected) {
         throw ValidationError(
             "compose: first script's writes must tile B contiguously");
       }
       starts.push_back(expected);
-      expected += command_length(*c);
+      expected += c.length;
     }
     total = expected;
   }
@@ -84,49 +84,43 @@ class Emitter {
 
 }  // namespace
 
-Script compose_scripts(const Script& first, const Script& second,
+Script compose_scripts(std::span<const CommandRef> first,
+                       std::span<const CommandRef> second,
                        ComposeReport* report_out) {
   const WriteMap map(first);
   ComposeReport report;
   report.second_commands = second.size();
 
   Emitter out;
-  for (const Command& cmd : second.commands()) {
-    if (const auto* add = std::get_if<AddCommand>(&cmd)) {
-      if (!add->data.empty()) {
-        out.add(add->to, add->data);
-        report.literal_bytes += add->data.size();
-        ++report.pieces;
-      }
+  for (const CommandRef& cmd : second) {
+    if (cmd.length == 0) continue;
+    if (cmd.is_add()) {
+      out.add(cmd.to,
+              ByteView(cmd.literal, static_cast<std::size_t>(cmd.length)));
+      report.literal_bytes += cmd.length;
+      ++report.pieces;
       continue;
     }
-    const CopyCommand& copy = std::get<CopyCommand>(cmd);
-    if (copy.length == 0) continue;
-    if (!range_fits(copy.from, copy.length, map.total)) {
+    if (!range_fits(cmd.from, cmd.length, map.total)) {
       throw ValidationError("compose: second script reads past B's end");
     }
     // Resolve B[from, from+length) through δ₁, piece by piece.
-    offset_t b_pos = copy.from;
-    offset_t c_pos = copy.to;
-    length_t remaining = copy.length;
+    offset_t b_pos = cmd.from;
+    offset_t c_pos = cmd.to;
+    length_t remaining = cmd.length;
     std::size_t idx = map.locate(b_pos);
     while (remaining > 0) {
-      const Command& writer = *map.commands[idx];
-      const offset_t writer_start = map.starts[idx];
-      const length_t writer_len = command_length(writer);
-      const offset_t offset_in_writer = b_pos - writer_start;
+      const CommandRef& writer = map.commands[idx];
+      const offset_t offset_in_writer = b_pos - map.starts[idx];
       const length_t n =
-          std::min<length_t>(remaining, writer_len - offset_in_writer);
+          std::min<length_t>(remaining, writer.length - offset_in_writer);
 
-      if (const auto* wcopy = std::get_if<CopyCommand>(&writer)) {
-        out.copy(wcopy->from + offset_in_writer, c_pos, n);
-      } else {
-        const AddCommand& wadd = std::get<AddCommand>(writer);
-        out.add(c_pos,
-                ByteView(wadd.data)
-                    .subspan(static_cast<std::size_t>(offset_in_writer),
-                             static_cast<std::size_t>(n)));
+      if (writer.is_add()) {
+        out.add(c_pos, ByteView(writer.literal + offset_in_writer,
+                                static_cast<std::size_t>(n)));
         report.literal_bytes += n;
+      } else {
+        out.copy(writer.from + offset_in_writer, c_pos, n);
       }
       ++report.pieces;
       b_pos += n;
@@ -140,6 +134,17 @@ Script compose_scripts(const Script& first, const Script& second,
     *report_out = report;
   }
   return out.finish();
+}
+
+Script fold_chain(std::span<const ParsedDelta> hops) {
+  if (hops.size() < 2) {
+    throw ValidationError("fold_chain: a chain needs at least two hops");
+  }
+  Script folded = compose_scripts(hops[0].commands, hops[1].commands);
+  for (std::size_t i = 2; i < hops.size(); ++i) {
+    folded = compose_scripts(command_table(folded), hops[i].commands);
+  }
+  return folded;
 }
 
 }  // namespace ipd

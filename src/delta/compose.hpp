@@ -10,11 +10,17 @@
 // copy from A with a shifted offset) or in a δ₁ add (becoming a literal
 // sliced out of δ₁'s data).
 //
-// The composed script is a plain (scratch-space) delta; pass it through
+// Both inputs are command tables (parse_delta's, or command_table() of an
+// owning Script); the output is an owning Script, since its adds may be
+// sliced from either input. The composed script is a plain
+// (scratch-space) delta; pass it through
 // convert_to_inplace — which needs the real A bytes — if the device needs
 // in-place application.
 #pragma once
 
+#include <span>
+
+#include "delta/codec.hpp"
 #include "delta/script.hpp"
 
 namespace ipd {
@@ -25,12 +31,20 @@ struct ComposeReport {
   length_t literal_bytes = 0;       ///< bytes carried as adds in the result
 };
 
-/// Compose `first` (A→B) with `second` (B→C). `first` must be a valid
-/// script whose writes tile [0, L_B) where L_B covers every read of
-/// `second`; throws ValidationError otherwise. The result reads only A
-/// and tiles [0, L_C) exactly. Commands in the result follow `second`'s
-/// order with fragments merged where adjacent.
-Script compose_scripts(const Script& first, const Script& second,
+/// Compose `first` (A→B) with `second` (B→C), both command tables. The
+/// writes of `first` must tile [0, L_B) where L_B covers every read of
+/// `second`; throws ValidationError otherwise. The result reads only A,
+/// owns its add bytes and tiles [0, L_C) exactly. Commands in the result
+/// follow `second`'s order with fragments merged where adjacent.
+Script compose_scripts(std::span<const CommandRef> first,
+                       std::span<const CommandRef> second,
                        ComposeReport* report_out = nullptr);
+
+/// Fold a chain of parsed deltas, oldest first, into one script that
+/// builds the last hop's version from the first hop's reference:
+/// compose_scripts left to right, ((h0 ∘ h1) ∘ h2) ∘ ... Throws
+/// ValidationError for fewer than two hops (one hop is already its own
+/// fold) or hops that do not chain.
+Script fold_chain(std::span<const ParsedDelta> hops);
 
 }  // namespace ipd

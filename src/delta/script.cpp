@@ -52,39 +52,25 @@ std::vector<AddCommand> Script::adds() const {
 
 void Script::validate(length_t reference_length,
                       length_t version_length) const {
-  std::vector<WriteRange> writes;
-  writes.reserve(commands_.size());
-  for (std::size_t i = 0; i < commands_.size(); ++i) {
-    const Command& c = commands_[i];
-    const WriteRange w{command_to(c), command_length(c)};
-    check_command_bounds(i, std::get_if<CopyCommand>(&c), w,
-                         reference_length, version_length);
-    writes.push_back(w);
-  }
-  check_write_tiling(writes, version_length);
+  check_command_table(command_table(*this), reference_length,
+                      version_length);
 }
 
-void check_command_bounds(std::size_t index, const CopyCommand* copy,
-                          WriteRange write, length_t reference_length,
-                          length_t version_length) {
-  if (write.length == 0) {
-    throw ValidationError("command " + std::to_string(index) +
-                          " has zero length");
+std::vector<CommandRef> command_table(const Script& script) {
+  // Any non-null literal marks an add, and an empty Bytes may hold none.
+  static constexpr std::uint8_t kEmptyLiteral = 0;
+  std::vector<CommandRef> table;
+  table.reserve(script.size());
+  for (const Command& cmd : script.commands()) {
+    if (const auto* copy = std::get_if<CopyCommand>(&cmd)) {
+      table.push_back({copy->to, copy->length, copy->from});
+    } else {
+      const AddCommand& add = std::get<AddCommand>(cmd);
+      table.push_back({add.to, add.length(), 0,
+                       add.data.empty() ? &kEmptyLiteral : add.data.data()});
+    }
   }
-  if (copy != nullptr &&
-      !range_fits(copy->from, copy->length, reference_length)) {
-    std::ostringstream msg;
-    msg << "command " << index << " (" << *copy
-        << ") reads past reference end " << reference_length;
-    throw ValidationError(msg.str());
-  }
-  if (!range_fits(write.to, write.length, version_length)) {
-    std::ostringstream msg;
-    msg << "command " << index << " writes "
-        << Interval::of(write.to, write.length) << " past version end "
-        << version_length;
-    throw ValidationError(msg.str());
-  }
+  return table;
 }
 
 namespace {
@@ -97,12 +83,12 @@ constexpr offset_t kRadixMask = kRadixBuckets - 1;
 
 // One counting pass per 11-bit digit of the largest offset, skipping
 // digits all keys share.
-std::vector<KeyedWrite> sort_by_offset(std::span<const WriteRange> ranges) {
-  std::vector<KeyedWrite> keyed(ranges.size());
+std::vector<KeyedWrite> sort_by_offset(std::span<const offset_t> offsets) {
+  std::vector<KeyedWrite> keyed(offsets.size());
   offset_t max_to = 0;
-  for (std::size_t i = 0; i < ranges.size(); ++i) {
-    keyed[i] = {ranges[i].to, i};
-    max_to = std::max(max_to, ranges[i].to);
+  for (std::size_t i = 0; i < offsets.size(); ++i) {
+    keyed[i] = {offsets[i], i};
+    max_to = std::max(max_to, offsets[i]);
   }
   std::vector<KeyedWrite> spare(keyed.size());
   std::array<std::size_t, kRadixBuckets> count;
@@ -122,29 +108,37 @@ std::vector<KeyedWrite> sort_by_offset(std::span<const WriteRange> ranges) {
   return keyed;
 }
 
-std::vector<KeyedWrite> check_write_tiling(std::span<const WriteRange> writes,
-                                           length_t version_length) {
-  // Fast path: already in offset order and tiling (write-order scripts).
+std::vector<KeyedWrite> check_write_tiling(
+    std::span<const CommandRef> commands, length_t version_length,
+    Coverage coverage) {
+  const bool tile = coverage == Coverage::kTile;
+  // Fast path: already in offset order (write-order scripts).
   offset_t expected = 0;
   std::size_t in_order = 0;
-  while (in_order < writes.size() && writes[in_order].to == expected) {
-    expected += writes[in_order++].length;
+  while (in_order < commands.size() && commands[in_order].to >= expected &&
+         (!tile || commands[in_order].to == expected)) {
+    expected = commands[in_order].to + commands[in_order].length;
+    ++in_order;
   }
-  if (in_order == writes.size() && expected == version_length) {
+  if (in_order == commands.size() && (!tile || expected == version_length)) {
     return {};
   }
 
+  std::vector<offset_t> starts(commands.size());
+  for (std::size_t i = 0; i < commands.size(); ++i) {
+    starts[i] = commands[i].to;
+  }
   expected = 0;
-  std::vector<KeyedWrite> sorted = sort_by_offset(writes);
+  std::vector<KeyedWrite> sorted = sort_by_offset(starts);
   for (const KeyedWrite& k : sorted) {
-    const Interval w = Interval::of(k.to, writes[k.index].length);
+    const Interval w = Interval::of(k.to, commands[k.index].length);
     if (w.first < expected) {
       std::ostringstream msg;
       msg << "command " << k.index << " write " << w
           << " overlaps a previous write ending at " << expected - 1;
       throw ValidationError(msg.str());
     }
-    if (w.first > expected) {
+    if (tile && w.first > expected) {
       std::ostringstream msg;
       msg << "coverage gap: version bytes [" << expected << ", "
           << w.first - 1 << "] are written by no command";
@@ -152,13 +146,38 @@ std::vector<KeyedWrite> check_write_tiling(std::span<const WriteRange> writes,
     }
     expected = w.last + 1;
   }
-  if (expected != version_length) {
+  if (tile && expected != version_length) {
     std::ostringstream msg;
     msg << "coverage gap: version bytes [" << expected << ", "
         << version_length - 1 << "] are written by no command";
     throw ValidationError(msg.str());
   }
   return sorted;
+}
+
+std::vector<KeyedWrite> check_command_table(
+    std::span<const CommandRef> commands, length_t reference_length,
+    length_t version_length, Coverage coverage) {
+  for (std::size_t i = 0; i < commands.size(); ++i) {
+    const CommandRef& c = commands[i];
+    if (c.length == 0) {
+      throw ValidationError("command " + std::to_string(i) +
+                            " has zero length");
+    }
+    if (!c.is_add() && !range_fits(c.from, c.length, reference_length)) {
+      std::ostringstream msg;
+      msg << "command " << i << " (" << CopyCommand{c.from, c.to, c.length}
+          << ") reads past reference end " << reference_length;
+      throw ValidationError(msg.str());
+    }
+    if (!range_fits(c.to, c.length, version_length)) {
+      std::ostringstream msg;
+      msg << "command " << i << " writes " << Interval::of(c.to, c.length)
+          << " past version end " << version_length;
+      throw ValidationError(msg.str());
+    }
+  }
+  return check_write_tiling(commands, version_length, coverage);
 }
 
 bool Script::in_write_order() const noexcept {

@@ -4,6 +4,7 @@
 // [0, L_V). Commands are applied in sequence order.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -75,40 +76,45 @@ class Script {
   std::vector<Command> commands_;
 };
 
-/// One command's write range [to, to+length-1], as the tiling check sees
-/// it.
-struct WriteRange {
-  offset_t to = 0;
-  length_t length = 0;
-};
+/// The Script as a command table, in its order: the one conversion from
+/// the owning form. Adds borrow the Script's bytes, so the table must not
+/// outlive the Script or see it change. A zero-length add stays an add.
+std::vector<CommandRef> command_table(const Script& script);
 
-/// The per-command §3 bounds Script::validate checks, in its order: a
-/// nonzero length, a copy's reads inside the reference (`copy` is null
-/// for an add), then the write inside the version. Throws
-/// ValidationError naming command `index`.
-void check_command_bounds(std::size_t index, const CopyCommand* copy,
-                          WriteRange write, length_t reference_length,
-                          length_t version_length);
-
-/// One entry of an offset order: `ranges[index]` starts at `to`.
+/// One entry of an offset order: the `index`-th range starts at `to`.
 struct KeyedWrite {
   offset_t to = 0;
   std::size_t index = 0;
 };
 
-/// The ranges sorted by offset, stably: an LSD radix sort on the offset
-/// with 11-bit digits, one pass per digit of the largest offset. Serves
-/// the write tiling check and scan_equation2's reads alike.
-std::vector<KeyedWrite> sort_by_offset(std::span<const WriteRange> ranges);
+/// The offsets sorted, stably: an LSD radix sort with 11-bit digits, one
+/// pass per digit of the largest offset. Serves the write tiling check
+/// and scan_equation2's reads alike.
+std::vector<KeyedWrite> sort_by_offset(std::span<const offset_t> offsets);
 
-/// Throws ValidationError unless `writes` tile [0, version_length)
-/// exactly: pairwise disjoint and with no gap. `writes[i]` is command i
-/// in the messages. Precondition: every range passed
-/// check_command_bounds. Linear time: one scan when the writes are
-/// already in offset order, else sort_by_offset(). Returns the sorted
-/// order, or an empty vector when `writes` already are in offset order.
-std::vector<KeyedWrite> check_write_tiling(std::span<const WriteRange> writes,
-                                           length_t version_length);
+/// What check_write_tiling asks of a table's writes as a whole.
+enum class Coverage : std::uint8_t {
+  kTile,      ///< pairwise disjoint and tiling [0, version_length)
+  kDisjoint,  ///< pairwise disjoint; bytes nobody writes are fine
+};
+
+/// Throws ValidationError unless the writes of `commands` meet
+/// `coverage`; `commands[i]` is command i in the messages. Precondition:
+/// no write wraps u64. Linear time: one scan when the writes are already
+/// in offset order, else sort_by_offset(). Returns the sorted order, or
+/// an empty vector when the writes already are in offset order.
+std::vector<KeyedWrite> check_write_tiling(
+    std::span<const CommandRef> commands, length_t version_length,
+    Coverage coverage = Coverage::kTile);
+
+/// The §3 model check over a command table, which Script::validate,
+/// check_delta_model and satisfies_equation2 all run. Per command, in
+/// order: a nonzero length, a copy's reads inside the reference, the
+/// write inside the version; then check_write_tiling, whose order it
+/// returns. Throws ValidationError naming the first violation.
+std::vector<KeyedWrite> check_command_table(
+    std::span<const CommandRef> commands, length_t reference_length,
+    length_t version_length, Coverage coverage = Coverage::kTile);
 
 /// Apply-order-independence helper: scripts that contain the same command
 /// multiset encode the same version. Compares write-offset-sorted copies.

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/types.hpp"
@@ -25,30 +26,33 @@ class RamArena {
   std::size_t in_use() const noexcept { return in_use_; }
   std::size_t high_water() const noexcept { return high_water_; }
 
-  /// RAII allocation of `size` bytes of device RAM.
+  /// RAII charge of `size` bytes against the budget, allocating nothing:
+  /// how device memory held elsewhere (a parsed command table) is
+  /// counted. Throws DeviceError when the budget cannot take it.
+  class Charge {
+   public:
+    Charge(RamArena& arena, std::size_t size) : arena_(&arena), size_(size) {
+      arena.charge(size);
+    }
+    ~Charge() {
+      if (arena_ != nullptr) arena_->release(size_);
+    }
+    Charge(Charge&& other) noexcept
+        : arena_(std::exchange(other.arena_, nullptr)), size_(other.size_) {}
+    Charge& operator=(Charge&&) = delete;
+
+   private:
+    RamArena* arena_;
+    std::size_t size_;
+  };
+
+  /// RAII allocation of `size` bytes of device RAM. The budget is charged
+  /// before host memory is touched, so an over-budget request throws
+  /// DeviceError without allocating.
   class Allocation {
    public:
-    /// Charges the budget before touching host memory, so an over-budget
-    /// request throws DeviceError without allocating.
-    Allocation(RamArena& arena, std::size_t size) : arena_(&arena) {
-      arena.charge(size);
-      try {
-        buffer_.resize(size);
-      } catch (...) {
-        arena.release(size);
-        throw;
-      }
-    }
-    ~Allocation() {
-      if (arena_ != nullptr) arena_->release(buffer_.size());
-    }
-    Allocation(const Allocation&) = delete;
-    Allocation& operator=(const Allocation&) = delete;
-    Allocation(Allocation&& other) noexcept
-        : arena_(other.arena_), buffer_(std::move(other.buffer_)) {
-      other.arena_ = nullptr;
-    }
-    Allocation& operator=(Allocation&&) = delete;
+    Allocation(RamArena& arena, std::size_t size)
+        : charge_(arena, size), buffer_(size) {}
 
     MutByteView view() noexcept { return buffer_; }
     ByteView view() const noexcept { return buffer_; }
@@ -56,15 +60,13 @@ class RamArena {
     std::uint8_t* data() noexcept { return buffer_.data(); }
 
    private:
-    RamArena* arena_;
+    Charge charge_;
     Bytes buffer_;
   };
 
   Allocation allocate(std::size_t size) { return Allocation(*this, size); }
 
  private:
-  friend class Allocation;
-
   void charge(std::size_t size) {
     if (size > budget_ - in_use_) {
       throw DeviceError("device RAM budget exceeded: " +

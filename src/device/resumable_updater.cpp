@@ -30,10 +30,12 @@ ResumableUpdateResult apply_update_resumable(FlashDevice& device,
   result.update.download_seconds = channel.transfer_seconds(delta.size());
 
   // Stage the delta and parse it: adds stay borrowed from the staged
-  // bytes (or the decompressed payload).
+  // bytes (or the decompressed payload), and the table is charged to the
+  // device RAM too.
   RamArena::Allocation staged = device.ram().allocate(delta.size());
   std::copy(delta.begin(), delta.end(), staged.data());
   const ParsedDelta parsed = parse_delta(staged.view());
+  const RamArena::Charge table(device.ram(), parsed.table_bytes());
   const DeltaHeader& header = parsed.header;
   if (!header.in_place) {
     throw ValidationError(

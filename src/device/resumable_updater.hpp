@@ -4,7 +4,8 @@
 // runs (§1); if power fails mid-update the device holds neither version.
 // The staged updater downloads the whole delta into device RAM, decodes
 // it with parse_delta() (so every container check — LZSS, implicit
-// offsets, exact tiling — runs before the first flash write), and feeds
+// offsets, exact tiling — runs, and the table is charged to device RAM,
+// before the first flash write), and feeds
 // the command table to the journaled executor the streaming updater also
 // runs (device/stream_updater.hpp): replay-idempotent checkpoint batches
 // and journaled sub-steps in a two-slot journal. Recovery is automatic:

@@ -59,11 +59,12 @@ UpdateResult apply_update(FlashDevice& device, ByteView delta,
 
   // Stage the downloaded delta in device RAM (it must fit the budget) and
   // parse it: adds stay borrowed from the staged bytes (or the
-  // decompressed payload).
+  // decompressed payload), and the table is charged to the budget too.
   RamArena::Allocation staged = device.ram().allocate(delta.size());
   std::copy(delta.begin(), delta.end(), staged.data());
 
   const ParsedDelta parsed = parse_delta(staged.view());
+  const RamArena::Charge table(device.ram(), parsed.table_bytes());
   const DeltaHeader& header = parsed.header;
   if (!header.in_place) {
     throw ValidationError(

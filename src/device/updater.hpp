@@ -3,7 +3,9 @@
 //
 // This is the paper's §1 scenario executed literally. RAM use is bounded
 // and enforced by the device's RamArena: the delta itself (devices stage
-// the downloaded delta in RAM — it is small) plus one fixed copy window.
+// the downloaded delta in RAM — it is small), its parsed command table
+// (ParsedDelta::table_bytes(): the commands plus any decompressed
+// payload) and one fixed copy window.
 // Copies whose read and write ranges overlap are performed window-by-
 // window, left-to-right when f >= t and right-to-left otherwise — the
 // "read/write buffer of any size" generalisation of §4.1.

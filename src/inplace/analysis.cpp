@@ -89,13 +89,13 @@ DeltaAnalysis analyze_delta(const Script& script,
   }
 
   // Encoded sizes.
-  DeltaFile file;
-  file.reference_length = reference_length;
-  file.version_length = version_length;
-  file.script = script;
+  const std::vector<CommandRef> table = command_table(script);
+  DeltaHeader header;
+  header.reference_length = reference_length;
+  header.version_length = version_length;
   const auto size_of = [&](DeltaFormat fmt) -> std::uint64_t {
-    file.format = fmt;
-    return serialize_delta(file).size();
+    header.format = fmt;
+    return serialize_delta(header, table).size();
   };
   if (script.in_write_order()) {
     a.size_paper_sequential = size_of(kPaperSequential);

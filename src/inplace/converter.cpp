@@ -124,32 +124,11 @@ ConvertResult convert_to_inplace(const Script& input, ByteView reference,
 
 bool satisfies_equation2(const Script& script) {
   constexpr length_t kUnbounded = std::numeric_limits<length_t>::max();
-  std::vector<CommandRef> table;
-  std::vector<WriteRange> writes;
-  table.reserve(script.size());
-  writes.reserve(script.size());
-  for (const Command& cmd : script.commands()) {
-    const auto* copy = std::get_if<CopyCommand>(&cmd);
-    const WriteRange write{command_to(cmd), command_length(cmd)};
-    check_command_bounds(table.size(), copy, write, kUnbounded, kUnbounded);
-    table.push_back(copy != nullptr
-                        ? CommandRef{copy->to, copy->length, copy->from}
-                        : CommandRef{write.to, write.length, 0,
-                                     std::get<AddCommand>(cmd).data.data()});
-    writes.push_back(write);
-  }
+  const std::vector<CommandRef> table = command_table(script);
   // Gaps do not matter to Equation 2, overlaps do: with two writers of
   // one byte, "the earlier writer" is ambiguous.
-  const std::vector<KeyedWrite> order = sort_by_offset(writes);
-  for (std::size_t k = 1; k < order.size(); ++k) {
-    const WriteRange& prev = writes[order[k - 1].index];
-    if (order[k].to - prev.to < prev.length) {
-      throw ValidationError("satisfies_equation2: commands " +
-                            std::to_string(order[k - 1].index) + " and " +
-                            std::to_string(order[k].index) +
-                            " write the same bytes");
-    }
-  }
+  const std::vector<KeyedWrite> order =
+      check_command_table(table, kUnbounded, kUnbounded, Coverage::kDisjoint);
   return scan_equation2(table, order,
                         [](const WriteBeforeRead&) { return false; }) == 0;
 }
@@ -157,20 +136,19 @@ bool satisfies_equation2(const Script& script) {
 Bytes serialize_inplace(Script script, const DeltaFormat& format,
                         ByteView reference, ByteView version,
                         bool compress_payload) {
-  DeltaFile file;
-  file.format = format;
-  if (file.format.offsets != WriteOffsets::kExplicit) {
+  if (format.offsets != WriteOffsets::kExplicit) {
     throw ValidationError(
         "in-place delta files require explicit write offsets");
   }
-  file.in_place = true;
-  file.compress_payload = compress_payload;
-  file.reference_length = reference.size();
-  file.version_length = version.size();
-  file.version_crc = crc32c(version);
-  file.script = std::move(script);
+  DeltaHeader header;
+  header.format = format;
+  header.in_place = true;
+  header.compress_payload = compress_payload;
+  header.reference_length = reference.size();
+  header.version_length = version.size();
+  header.version_crc = crc32c(version);
   obs::Span span(obs::Stage::kEncode);
-  Bytes out = serialize_delta(file);
+  Bytes out = serialize_delta(header, command_table(script));
   span.add_bytes(out.size());
   return out;
 }

@@ -45,7 +45,7 @@ BuildResult Pipeline::build_delta(ByteView reference, ByteView version) const {
   const std::uint64_t t0 = obs::now_ns();
   BuildResult result;
 
-  ParallelDiffResult diffed = [&] {
+  const ParallelDiffResult diffed = [&] {
     obs::Span span(obs::Stage::kDiff, reference.size() + version.size());
     return diff_parallel(*differ_, reference, version, segment_plan(),
                          context(version.size()));
@@ -54,20 +54,19 @@ BuildResult Pipeline::build_delta(ByteView reference, ByteView version) const {
   result.timing.diff_segments = diffed.segments;
   result.stats.script = diffed.script.summary();
 
-  DeltaFile file;
-  file.format = options_.plain_format();
+  DeltaHeader header;
+  header.format = options_.plain_format();
   // Some scripts are conflict-free as produced (e.g. all-add deltas, or
   // pure forward moves); mark them so devices can skip conversion.
-  file.in_place = satisfies_equation2(diffed.script);
-  file.compress_payload = options_.compress_payload;
-  file.reference_length = reference.size();
-  file.version_length = version.size();
-  file.version_crc = crc32c(version);
-  file.script = std::move(diffed.script);
+  header.in_place = satisfies_equation2(diffed.script);
+  header.compress_payload = options_.compress_payload;
+  header.reference_length = reference.size();
+  header.version_length = version.size();
+  header.version_crc = crc32c(version);
   const std::uint64_t t1 = obs::now_ns();
   {
     obs::Span span(obs::Stage::kEncode);
-    result.delta = serialize_delta(file);
+    result.delta = serialize_delta(header, command_table(diffed.script));
     span.add_bytes(result.delta.size());
   }
   result.timing.encode_ns = obs::now_ns() - t1;

@@ -473,7 +473,7 @@ ReleaseId ArtifactStore::append_release_locked(StoredKind kind,
   return rel.id;
 }
 
-std::pair<Script, ReleaseId> ArtifactStore::fold_chain_locked(
+ArtifactStore::ParsedChain ArtifactStore::parse_chain_locked(
     ReleaseId id) const {
   // Chain hops baseline -> ... -> id, oldest first.
   std::vector<ReleaseId> hops;
@@ -487,22 +487,18 @@ std::pair<Script, ReleaseId> ArtifactStore::fold_chain_locked(
     throw ValidationError("store: release " + std::to_string(id) +
                           " is a baseline; nothing to fold");
   }
-  Script folded;
-  bool first = true;
+  ParsedChain chain;
+  chain.baseline = at;
+  chain.artifacts.reserve(hops.size());
+  chain.tables.reserve(hops.size());
   for (const ReleaseId hop : hops) {
-    const Bytes artifact = artifact_locked(hop);
+    const Bytes& artifact = chain.artifacts.emplace_back(artifact_locked(hop));
     gate_delta_locked(hop, artifact);
-    Script script = deserialize_delta(artifact).script;
-    metrics_.fold_commands.fetch_add(script.size(),
+    const ParsedDelta& table = chain.tables.emplace_back(parse_delta(artifact));
+    metrics_.fold_commands.fetch_add(table.commands.size(),
                                      std::memory_order_relaxed);
-    if (first) {
-      folded = std::move(script);
-      first = false;
-    } else {
-      folded = compose_scripts(folded, script);
-    }
   }
-  return {std::move(folded), at};
+  return chain;
 }
 
 ReleaseId ArtifactStore::publish(Bytes body) {
@@ -532,9 +528,10 @@ ReleaseId ArtifactStore::publish(Bytes body) {
     // Re-anchor on the baseline by composing the chain's scripts with
     // the fresh tip delta — command-stream cost only, no differencing
     // over the full bodies.
-    auto [chain_script, baseline] = fold_chain_locked(tip);
-    const Script new_script = deserialize_delta(built.delta).script;
-    Script direct = compose_scripts(chain_script, new_script);
+    ParsedChain chain = parse_chain_locked(tip);
+    chain.tables.push_back(parse_delta(built.delta));
+    const Script direct = fold_chain(chain.tables);
+    const ReleaseId baseline = chain.baseline;
     const std::shared_ptr<const Bytes> base_body =
         reconstruct_locked(baseline);
     Bytes folded = make_inplace_delta(direct, *base_body, body,
@@ -578,12 +575,13 @@ bool ArtifactStore::compact(ReleaseId id) {
   if (chain_stats_locked(id).chain_length < 2) return false;
 
   const std::shared_ptr<const Bytes> target = reconstruct_locked(id);
-  auto [script, baseline] = fold_chain_locked(id);
+  const ParsedChain chain = parse_chain_locked(id);
+  const ReleaseId baseline = chain.baseline;
   const std::shared_ptr<const Bytes> base_body =
       reconstruct_locked(baseline);
   const Bytes folded = make_inplace_delta(
-      script, *base_body, *target, options_.pipeline.convert, nullptr,
-      options_.pipeline.compress_payload);
+      fold_chain(chain.tables), *base_body, *target,
+      options_.pipeline.convert, nullptr, options_.pipeline.compress_payload);
 
   StoredRelease& rel = releases_[id];
   rel.base = baseline;

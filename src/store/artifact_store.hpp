@@ -181,10 +181,14 @@ class ArtifactStore {
   void gate_delta_locked(ReleaseId id, ByteView artifact) const
       REQUIRES_SHARED(mutex_) EXCLUDES(verified_mutex_);
   ChainStats chain_stats_locked(ReleaseId id) const REQUIRES_SHARED(mutex_);
-  /// Compose the chain scripts baseline -> ... -> id (inclusive) into
-  /// one script, returning it with the chain's baseline id.
-  std::pair<Script, ReleaseId> fold_chain_locked(ReleaseId id) const
-      REQUIRES_SHARED(mutex_);
+  /// The delta chain baseline -> ... -> id (inclusive), oldest first,
+  /// each hop gated and parsed; `tables` borrow `artifacts`.
+  struct ParsedChain {
+    std::vector<Bytes> artifacts;
+    std::vector<ParsedDelta> tables;
+    ReleaseId baseline = 0;
+  };
+  ParsedChain parse_chain_locked(ReleaseId id) const REQUIRES_SHARED(mutex_);
   ReleaseId append_release_locked(StoredKind kind, ReleaseId base,
                                   const ContentKey& key, ByteView artifact)
       REQUIRES(mutex_);

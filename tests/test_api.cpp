@@ -40,7 +40,7 @@ TEST_F(ApiTest, BuildAndApplyInplaceDelta) {
 
 TEST_F(ApiTest, InplaceDeltaIsFlagged) {
   const Bytes delta = Pipeline().build_inplace(ref_, ver_).delta;
-  EXPECT_TRUE(deserialize_delta(delta).in_place);
+  EXPECT_TRUE(parse_delta(delta).header.in_place);
 }
 
 TEST_F(ApiTest, AllDifferAndPolicyCombinations) {

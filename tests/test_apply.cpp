@@ -56,26 +56,24 @@ TEST(ApplyDelta, EndToEndWithChecksums) {
   const Script s = script_of({C(500, 0, 400), A(400, "tail")});
   const Bytes expected = apply_script(s, ref);
 
-  DeltaFile file;
-  file.format = kVarintExplicit;
-  file.reference_length = ref.size();
-  file.version_length = expected.size();
-  file.version_crc = crc32c(expected);
-  file.script = s;
+  DeltaHeader header;
+  header.format = kVarintExplicit;
+  header.reference_length = ref.size();
+  header.version_length = expected.size();
+  header.version_crc = crc32c(expected);
 
-  const Bytes wire = serialize_delta(file);
+  const Bytes wire = test::encode(header, s);
   EXPECT_TRUE(test::bytes_equal(expected, apply_delta(wire, ref)));
 }
 
 TEST(ApplyDelta, RejectsWrongReferenceLength) {
   const Bytes ref = test::random_bytes(4, 100);
-  DeltaFile file;
-  file.format = kVarintExplicit;
-  file.reference_length = 100;
-  file.version_length = 10;
-  file.version_crc = 0;
-  file.script = script_of({C(0, 0, 10)});
-  const Bytes wire = serialize_delta(file);
+  DeltaHeader header;
+  header.format = kVarintExplicit;
+  header.reference_length = 100;
+  header.version_length = 10;
+  header.version_crc = 0;
+  const Bytes wire = test::encode(header, script_of({C(0, 0, 10)}));
   const Bytes short_ref(50, 0);
   EXPECT_THROW(apply_delta(wire, short_ref), FormatError);
 }
@@ -125,48 +123,46 @@ TEST(VerifyDelta, DetectsLyingInPlaceFlag) {
   // Hand-build a delta whose flag claims safety but whose script
   // conflicts.
   const Bytes ref = test::random_bytes(14, 200);
-  DeltaFile file;
-  file.format = kVarintExplicit;
-  file.in_place = true;  // lie
-  file.reference_length = 200;
-  file.version_length = 200;
-  file.script = script_of({C(100, 0, 100), C(0, 100, 100)});
-  file.version_crc = crc32c(apply_script(file.script, ref));
-  const VerifyResult r = verify_delta(serialize_delta(file), ref);
+  const Script script = script_of({C(100, 0, 100), C(0, 100, 100)});
+  DeltaHeader header;
+  header.format = kVarintExplicit;
+  header.in_place = true;  // lie
+  header.reference_length = 200;
+  header.version_length = 200;
+  header.version_crc = crc32c(apply_script(script, ref));
+  const VerifyResult r = verify_delta(test::encode(header, script), ref);
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.failure.find("Equation 2"), std::string::npos);
 }
 
 TEST(ApplyDelta, RejectsCrcMismatch) {
   const Bytes ref = test::random_bytes(5, 100);
-  DeltaFile file;
-  file.format = kVarintExplicit;
-  file.reference_length = 100;
-  file.version_length = 10;
-  file.version_crc = 0xDEADBEEF;  // wrong on purpose
-  file.script = script_of({C(0, 0, 10)});
-  EXPECT_THROW(apply_delta(serialize_delta(file), ref), FormatError);
+  DeltaHeader header;
+  header.format = kVarintExplicit;
+  header.reference_length = 100;
+  header.version_length = 10;
+  header.version_crc = 0xDEADBEEF;  // wrong on purpose
+  EXPECT_THROW(apply_delta(test::encode(header, script_of({C(0, 0, 10)})), ref),
+               FormatError);
 }
 
 // Regression: fuzz/corpus/codec/crash-02-copy-offset-wrap.bin. A copy
 // whose read offset sits just below 2^64 made `from + length` wrap to 8,
 // so validation and every apply entry point took it as in bounds and
 // read 16 bytes in front of the reference buffer.
-DeltaFile wrapped_offset_file(CopyCommand copy) {
-  DeltaFile file;
-  file.format = kVarintExplicit;
-  file.in_place = true;
-  file.reference_length = 64;
-  file.version_length = 16;
-  file.script.push(copy);
-  return file;
+Bytes wrapped_offset_delta(CopyCommand copy) {
+  DeltaHeader header;
+  header.format = kVarintExplicit;
+  header.in_place = true;
+  header.reference_length = 64;
+  header.version_length = 16;
+  return test::encode(header, Script({copy}));
 }
 
 constexpr offset_t kWrapOffset = ~offset_t{0} - 7;  // 2^64 - 8
 
 TEST(ApplyDelta, RejectsCopyWhoseReadOffsetWraps) {
-  const Bytes delta =
-      serialize_delta(wrapped_offset_file(CopyCommand{kWrapOffset, 0, 16}));
+  const Bytes delta = wrapped_offset_delta(CopyCommand{kWrapOffset, 0, 16});
   const Bytes ref = test::random_bytes(30, 64);
   EXPECT_THROW(apply_delta(delta, ref), ValidationError);
 
@@ -181,8 +177,7 @@ TEST(ApplyDelta, RejectsCopyWhoseReadOffsetWraps) {
 TEST(ApplyDelta, StreamingRejectsWriteOffsetThatWraps) {
   // The streaming applier sees commands before any tiling check, so a
   // wrapped write offset must be caught by its own bound.
-  const Bytes delta =
-      serialize_delta(wrapped_offset_file(CopyCommand{0, kWrapOffset, 16}));
+  const Bytes delta = wrapped_offset_delta(CopyCommand{0, kWrapOffset, 16});
   Bytes buffer = test::random_bytes(31, 64);
   StreamingInplaceApplier applier(buffer);
   EXPECT_THROW(applier.feed(delta), ValidationError);

@@ -22,14 +22,29 @@ using test::A;
 using test::C;
 using test::script_of;
 
-DeltaFile make_file(Script script, length_t ref_len, DeltaFormat format) {
-  DeltaFile f;
-  f.format = format;
-  f.reference_length = ref_len;
-  f.version_length = script.version_length();
-  f.version_crc = 0;  // not checked by the codec itself
-  f.script = std::move(script);
-  return f;
+DeltaHeader make_header(const Script& script, length_t ref_len,
+                        DeltaFormat format) {
+  DeltaHeader h;
+  h.format = format;
+  h.reference_length = ref_len;
+  h.version_length = script.version_length();
+  h.version_crc = 0;  // not checked by the codec itself
+  return h;
+}
+
+Bytes encode(const Script& script, length_t ref_len, DeltaFormat format) {
+  return test::encode(make_header(script, ref_len, format), script);
+}
+
+/// A parsed delta with its commands as an owning Script.
+struct Decoded {
+  DeltaHeader header;
+  Script script;
+};
+
+Decoded decode(ByteView wire) {
+  const ParsedDelta parsed = parse_delta(wire);
+  return {parsed.header, test::owning_script(parsed.commands)};
 }
 
 class CodecFormatTest : public ::testing::TestWithParam<DeltaFormat> {};
@@ -48,21 +63,18 @@ INSTANTIATE_TEST_SUITE_P(AllFormats, CodecFormatTest,
 TEST_P(CodecFormatTest, RoundTripWriteOrderScript) {
   const Script script =
       script_of({C(5, 0, 10), A(10, "hello"), C(0, 15, 5), A(20, "!")});
-  const DeltaFile file = make_file(script, 100, GetParam());
-  const Bytes wire = serialize_delta(file);
-  const DeltaFile back = deserialize_delta(wire);
+  const Decoded back = decode(encode(script, 100, GetParam()));
 
-  EXPECT_EQ(back.format, GetParam());
-  EXPECT_EQ(back.reference_length, 100u);
-  EXPECT_EQ(back.version_length, 21u);
+  EXPECT_EQ(back.header.format, GetParam());
+  EXPECT_EQ(back.header.reference_length, 100u);
+  EXPECT_EQ(back.header.version_length, 21u);
   EXPECT_EQ(back.script, script);
 }
 
 TEST_P(CodecFormatTest, RoundTripEmptyScript) {
-  const DeltaFile file = make_file(Script{}, 0, GetParam());
-  const DeltaFile back = deserialize_delta(serialize_delta(file));
+  const Decoded back = decode(encode(Script{}, 0, GetParam()));
   EXPECT_TRUE(back.script.empty());
-  EXPECT_EQ(back.version_length, 0u);
+  EXPECT_EQ(back.header.version_length, 0u);
 }
 
 TEST_P(CodecFormatTest, RoundTripLargeOffsets) {
@@ -71,29 +83,26 @@ TEST_P(CodecFormatTest, RoundTripLargeOffsets) {
   script.push(CopyCommand{0x1FFFF, 0, 100});
   script.push(AddCommand{100, test::random_bytes(1, 40)});
   script.push(CopyCommand{0x1'0000'0001ull, 140, 60});
-  const DeltaFile file = make_file(script, 0x2'0000'0000ull, GetParam());
-  const DeltaFile back = deserialize_delta(serialize_delta(file));
+  const Decoded back = decode(encode(script, 0x2'0000'0000ull, GetParam()));
   EXPECT_EQ(back.script, script);
 }
 
 TEST_P(CodecFormatTest, InPlaceFlagSurvives) {
-  DeltaFile file = make_file(script_of({A(0, "ab")}), 0, GetParam());
-  file.in_place = true;
-  EXPECT_TRUE(deserialize_delta(serialize_delta(file)).in_place);
-  file.in_place = false;
-  EXPECT_FALSE(deserialize_delta(serialize_delta(file)).in_place);
+  const Script script = script_of({A(0, "ab")});
+  DeltaHeader header = make_header(script, 0, GetParam());
+  header.in_place = true;
+  EXPECT_TRUE(parse_delta(test::encode(header, script)).header.in_place);
+  header.in_place = false;
+  EXPECT_FALSE(parse_delta(test::encode(header, script)).header.in_place);
 }
 
 TEST(Codec, ImplicitFormatRejectsPermutedScript) {
   // Copies out of write order — fine with explicit offsets, impossible
   // without them (the paper's core encoding observation).
   const Script permuted = script_of({C(0, 5, 5), C(5, 0, 5)});
-  EXPECT_NO_THROW(
-      serialize_delta(make_file(permuted, 10, kPaperExplicit)));
-  EXPECT_THROW(serialize_delta(make_file(permuted, 10, kPaperSequential)),
-               ValidationError);
-  EXPECT_THROW(serialize_delta(make_file(permuted, 10, kVarintSequential)),
-               ValidationError);
+  EXPECT_NO_THROW(encode(permuted, 10, kPaperExplicit));
+  EXPECT_THROW(encode(permuted, 10, kPaperSequential), ValidationError);
+  EXPECT_THROW(encode(permuted, 10, kVarintSequential), ValidationError);
 }
 
 TEST(Codec, PaperByteSplitsLongAdds) {
@@ -101,8 +110,7 @@ TEST(Codec, PaperByteSplitsLongAdds) {
   // ceil(1000/255) = 4 adds with identical total effect.
   const Bytes payload = test::random_bytes(2, 1000);
   const Script script = script_of({A(0, payload)});
-  const DeltaFile back = deserialize_delta(
-      serialize_delta(make_file(script, 0, kPaperExplicit)));
+  const Decoded back = decode(encode(script, 0, kPaperExplicit));
   EXPECT_EQ(back.script.summary().add_count, 4u);
   EXPECT_EQ(back.script.summary().added_bytes, 1000u);
   EXPECT_TRUE(test::bytes_equal(payload, apply_script(back.script, {})));
@@ -110,8 +118,7 @@ TEST(Codec, PaperByteSplitsLongAdds) {
 
 TEST(Codec, VarintKeepsLongAddsWhole) {
   const Script script = script_of({A(0, test::random_bytes(3, 1000))});
-  const DeltaFile back = deserialize_delta(
-      serialize_delta(make_file(script, 0, kVarintExplicit)));
+  const Decoded back = decode(encode(script, 0, kVarintExplicit));
   EXPECT_EQ(back.script.summary().add_count, 1u);
 }
 
@@ -124,10 +131,8 @@ TEST(Codec, VarintIsSmallerThanPaperByteOnShortAdds) {
     script.push(AddCommand{to, test::random_bytes(i, 10)});
     to += 10;
   }
-  const std::size_t paper =
-      serialize_delta(make_file(script, 0, kPaperExplicit)).size();
-  const std::size_t varint =
-      serialize_delta(make_file(script, 0, kVarintExplicit)).size();
+  const std::size_t paper = encode(script, 0, kPaperExplicit).size();
+  const std::size_t varint = encode(script, 0, kVarintExplicit).size();
   EXPECT_LT(varint, paper);
 }
 
@@ -142,66 +147,58 @@ TEST(Codec, ExplicitOffsetsCostMoreThanImplicit) {
     script.push(AddCommand{to, test::random_bytes(i, 5)});
     to += 5;
   }
-  const std::size_t implicit =
-      serialize_delta(make_file(script, 10000, kPaperSequential)).size();
+  const std::size_t implicit = encode(script, 10000, kPaperSequential).size();
   const std::size_t explicit_size =
-      serialize_delta(make_file(script, 10000, kPaperExplicit)).size();
+      encode(script, 10000, kPaperExplicit).size();
   EXPECT_LT(implicit, explicit_size);
 }
 
 TEST(Codec, RejectsBadMagic) {
-  Bytes wire = serialize_delta(make_file(script_of({A(0, "x")}), 0,
-                                         kPaperExplicit));
+  Bytes wire = encode(script_of({A(0, "x")}), 0, kPaperExplicit);
   wire[0] = 'X';
-  EXPECT_THROW(deserialize_delta(wire), FormatError);
+  EXPECT_THROW(parse_delta(wire), FormatError);
 }
 
 TEST(Codec, RejectsUnknownFormatByte) {
-  Bytes wire = serialize_delta(make_file(script_of({A(0, "x")}), 0,
-                                         kPaperExplicit));
+  Bytes wire = encode(script_of({A(0, "x")}), 0, kPaperExplicit);
   wire[4] = 0xFF;
-  EXPECT_THROW(deserialize_delta(wire), FormatError);
+  EXPECT_THROW(parse_delta(wire), FormatError);
 }
 
 TEST(Codec, RejectsUnknownFlags) {
-  Bytes wire = serialize_delta(make_file(script_of({A(0, "x")}), 0,
-                                         kPaperExplicit));
+  Bytes wire = encode(script_of({A(0, "x")}), 0, kPaperExplicit);
   wire[5] = 0x80;
-  EXPECT_THROW(deserialize_delta(wire), FormatError);
+  EXPECT_THROW(parse_delta(wire), FormatError);
 }
 
 TEST(Codec, RejectsCorruptPayload) {
-  Bytes wire = serialize_delta(make_file(script_of({A(0, "hello")}), 0,
-                                         kPaperExplicit));
+  Bytes wire = encode(script_of({A(0, "hello")}), 0, kPaperExplicit);
   wire.back() ^= 0x01;  // flip a payload byte -> adler mismatch
-  EXPECT_THROW(deserialize_delta(wire), FormatError);
+  EXPECT_THROW(parse_delta(wire), FormatError);
 }
 
 TEST(Codec, RejectsTruncation) {
-  const Bytes wire = serialize_delta(make_file(script_of({A(0, "hello")}), 0,
-                                               kPaperExplicit));
+  const Bytes wire = encode(script_of({A(0, "hello")}), 0, kPaperExplicit);
   for (std::size_t keep = 0; keep < wire.size(); ++keep) {
-    EXPECT_THROW(deserialize_delta(ByteView(wire).first(keep)), FormatError)
+    EXPECT_THROW(parse_delta(ByteView(wire).first(keep)), FormatError)
         << "kept " << keep << " of " << wire.size();
   }
 }
 
 TEST(Codec, RejectsTrailingGarbage) {
-  Bytes wire = serialize_delta(make_file(script_of({A(0, "x")}), 0,
-                                         kPaperExplicit));
+  Bytes wire = encode(script_of({A(0, "x")}), 0, kPaperExplicit);
   wire.push_back(0);
-  EXPECT_THROW(deserialize_delta(wire), FormatError);
+  EXPECT_THROW(parse_delta(wire), FormatError);
 }
 
 TEST(Codec, RejectsScriptViolations) {
   // Payload decodes but the script reads past the declared reference.
   const Script script = script_of({C(80, 0, 20)});
-  const Bytes wire =
-      serialize_delta(make_file(script, /*ref_len=*/100, kPaperExplicit));
+  const Bytes wire = encode(script, /*ref_len=*/100, kPaperExplicit);
   // Same commands, smaller declared reference.
-  DeltaFile f = make_file(script, /*ref_len=*/50, kPaperExplicit);
-  EXPECT_THROW(deserialize_delta(serialize_delta(f)), ValidationError);
-  EXPECT_NO_THROW(deserialize_delta(wire));
+  EXPECT_THROW(parse_delta(encode(script, /*ref_len=*/50, kPaperExplicit)),
+               ValidationError);
+  EXPECT_NO_THROW(parse_delta(wire));
 }
 
 TEST_P(CodecFormatTest, CompressedPayloadRoundTrips) {
@@ -214,65 +211,64 @@ TEST_P(CodecFormatTest, CompressedPayloadRoundTrips) {
     script.push(AddCommand{to, Bytes(100, static_cast<std::uint8_t>(i))});
     to += 100;
   }
-  DeltaFile file = make_file(script, 4096, GetParam());
-  file.compress_payload = true;
-  const Bytes compressed_wire = serialize_delta(file);
-  file.compress_payload = false;
-  const Bytes plain_wire = serialize_delta(file);
+  DeltaHeader header = make_header(script, 4096, GetParam());
+  header.compress_payload = true;
+  const Bytes compressed_wire = test::encode(header, script);
+  header.compress_payload = false;
+  const Bytes plain_wire = test::encode(header, script);
 
   EXPECT_LT(compressed_wire.size(), plain_wire.size());
-  const DeltaFile back = deserialize_delta(compressed_wire);
-  EXPECT_TRUE(back.compress_payload);
+  const Decoded back = decode(compressed_wire);
+  EXPECT_TRUE(back.header.compress_payload);
   EXPECT_EQ(back.script, script);
 }
 
 TEST_P(CodecFormatTest, CompressedEmptyScript) {
-  DeltaFile file = make_file(Script{}, 0, GetParam());
-  file.compress_payload = true;
-  const DeltaFile back = deserialize_delta(serialize_delta(file));
-  EXPECT_TRUE(back.script.empty());
+  DeltaHeader header = make_header(Script{}, 0, GetParam());
+  header.compress_payload = true;
+  EXPECT_TRUE(parse_delta(test::encode(header, Script{})).commands.empty());
 }
 
 TEST(Codec, CompressionAutoFallbackNeverGrowsFile) {
   // Incompressible payload: requesting compression must not add a byte.
   Script script;
   script.push(AddCommand{0, test::random_bytes(77, 3000)});
-  DeltaFile file = make_file(script, 0, kVarintExplicit);
-  const std::size_t plain_size = serialize_delta(file).size();
-  file.compress_payload = true;
-  const Bytes wire = serialize_delta(file);
+  DeltaHeader header = make_header(script, 0, kVarintExplicit);
+  const std::size_t plain_size = test::encode(header, script).size();
+  header.compress_payload = true;
+  const Bytes wire = test::encode(header, script);
   EXPECT_EQ(wire.size(), plain_size);
-  const DeltaFile back = deserialize_delta(wire);
-  EXPECT_FALSE(back.compress_payload);  // fallback reflected on the wire
+  const Decoded back = decode(wire);
+  EXPECT_FALSE(back.header.compress_payload);  // fallback reflected on the wire
   EXPECT_EQ(back.script, script);
 }
 
 TEST(Codec, CompressedCorruptionRejected) {
   Script script;
   script.push(AddCommand{0, Bytes(1000, 7)});
-  DeltaFile file = make_file(script, 0, kVarintExplicit);
-  file.compress_payload = true;
-  Bytes wire = serialize_delta(file);
+  DeltaHeader header = make_header(script, 0, kVarintExplicit);
+  header.compress_payload = true;
+  Bytes wire = test::encode(header, script);
   for (const std::size_t at : {5ul, wire.size() / 2, wire.size() - 1}) {
     Bytes bad = wire;
     bad[at] ^= 0x08;
-    EXPECT_THROW(deserialize_delta(bad), Error) << "at " << at;
+    EXPECT_THROW(parse_delta(bad), Error) << "at " << at;
   }
 }
 
 TEST(Codec, HeaderReportsCompressedAndUncompressedSizes) {
   Script script;
   script.push(AddCommand{0, Bytes(5000, 9)});
-  DeltaFile file = make_file(script, 0, kVarintExplicit);
-  file.compress_payload = true;
-  const Bytes wire = serialize_delta(file);
+  DeltaHeader input = make_header(script, 0, kVarintExplicit);
+  input.compress_payload = true;
+  const Bytes wire = test::encode(input, script);
   const auto header = try_parse_header(wire);
   ASSERT_TRUE(header.has_value());
   EXPECT_TRUE(header->first.compress_payload);
   EXPECT_LT(header->first.payload_length, header->first.payload_uncompressed);
   // Uncompressed size equals the plain payload's length.
-  file.compress_payload = false;
-  const auto plain_header = try_parse_header(serialize_delta(file));
+  input.compress_payload = false;
+  const auto plain_header = try_parse_header(test::encode(input, script));
   ASSERT_TRUE(plain_header.has_value());
   EXPECT_EQ(header->first.payload_uncompressed,
             plain_header->first.payload_length);
@@ -285,24 +281,26 @@ TEST_P(CodecFormatTest, ParseDeltaBorrowsTheSameCommands) {
   const Script script = script_of(
       {C(5, 0, 10), A(10, Bytes(600, 0x7E)), C(0, 610, 5), A(615, "!")});
   for (const bool compress : {false, true}) {
-    DeltaFile f = make_file(script, ref.size(), GetParam());
-    f.compress_payload = compress;
-    const Bytes wire = serialize_delta(f);
-    const DeltaFile owned = deserialize_delta(wire);
+    DeltaHeader header = make_header(script, ref.size(), GetParam());
+    header.compress_payload = compress;
+    const Bytes wire = test::encode(header, script);
     ParsedDelta parsed = parse_delta(wire);
     // Moving the table keeps the decompressed stream its adds point into.
     const ParsedDelta moved = std::move(parsed);
-    EXPECT_EQ(moved.header.compress_payload, owned.compress_payload);
-    std::vector<Command> rebuilt;
+    EXPECT_EQ(moved.header.compress_payload, compress);
     for (const CommandRef& c : moved.commands) {
-      rebuilt.push_back(c.to_command());
       if (c.is_add() && !moved.header.compress_payload) {
         // Uncompressed adds point into the artifact itself.
         EXPECT_GE(c.literal, wire.data());
         EXPECT_LE(c.literal + c.length, wire.data() + wire.size());
       }
     }
-    EXPECT_EQ(rebuilt, owned.script.commands()) << "compress=" << compress;
+    EXPECT_TRUE(fuzzcorpus::same_commands(moved.commands,
+                                          parse_delta(wire).commands))
+        << "compress=" << compress;
+    EXPECT_EQ(apply_script(test::owning_script(moved.commands), ref),
+              apply_script(script, ref))
+        << "compress=" << compress;
   }
 }
 
@@ -387,15 +385,35 @@ TEST(ParseDelta, FuzzCorpusAgreesWithDeserialize) {
   EXPECT_GE(files, 10u);
 }
 
+TEST(ParseDelta, FuzzCorpusRoundTripsOnTheTable) {
+  // Every corpus file that parses encodes again from its table into a
+  // container that parses to the same header and commands.
+  std::size_t accepted = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(IPD_FUZZ_CODEC_CORPUS)) {
+    const Bytes delta = read_file(entry.path());
+    std::optional<ParsedDelta> parsed;
+    try {
+      parsed = parse_delta(delta);
+    } catch (const Error&) {
+      continue;
+    }
+    EXPECT_TRUE(fuzzcorpus::table_round_trips(*parsed))
+        << entry.path().filename().string();
+    ++accepted;
+  }
+  EXPECT_GE(accepted, 5u);
+}
+
 TEST(ParseDelta, RejectsLikeDeserialize) {
   // Range violations are ValidationErrors on both paths; bad containers
   // FormatErrors.
   const Bytes ref = test::random_bytes(5, 100);
   const auto wire_of = [](const Script& script, length_t ref_len,
                           length_t ver_len) {
-    DeltaFile f = make_file(script, ref_len, kPaperExplicit);
-    f.version_length = ver_len;
-    return serialize_delta(f);
+    DeltaHeader h = make_header(script, ref_len, kPaperExplicit);
+    h.version_length = ver_len;
+    return test::encode(h, script);
   };
   EXPECT_THROW(parse_delta(wire_of(script_of({C(80, 0, 30)}), 100, 30)),
                ValidationError);  // reads past the reference

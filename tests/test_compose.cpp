@@ -17,9 +17,14 @@ using test::A;
 using test::C;
 using test::script_of;
 
+Script compose(const Script& first, const Script& second,
+               ComposeReport* report = nullptr) {
+  return compose_scripts(command_table(first), command_table(second), report);
+}
+
 void expect_composes(const Bytes& a, const Bytes& b, const Bytes& c,
                      const Script& d1, const Script& d2) {
-  const Script composed = compose_scripts(d1, d2);
+  const Script composed = compose(d1, d2);
   ASSERT_NO_THROW(composed.validate(a.size(), c.size()));
   EXPECT_TRUE(test::bytes_equal(c, apply_script(composed, a)));
   (void)b;
@@ -37,7 +42,7 @@ TEST(Compose, HandBuiltChain) {
   ASSERT_EQ(to_string(c), "xAAAACC");
 
   ComposeReport report;
-  const Script composed = compose_scripts(d1, d2, &report);
+  const Script composed = compose(d1, d2, &report);
   EXPECT_TRUE(test::bytes_equal(c, apply_script(composed, a)));
   // B[5] is δ₁-add data; B[6..10) is a δ₁ copy; B[0..2) is a δ₁ copy:
   // 3 pieces, 1 literal byte.
@@ -67,7 +72,7 @@ TEST(Compose, ComposedIsNoLargerThanChainLiterals) {
   const Bytes c = mutate(b, rng, 10);
   const Script d1 = diff_bytes(DifferKind::kOnePass, a, b);
   const Script d2 = diff_bytes(DifferKind::kOnePass, b, c);
-  const Script composed = compose_scripts(d1, d2);
+  const Script composed = compose(d1, d2);
   EXPECT_LE(composed.summary().added_bytes,
             d1.summary().added_bytes + d2.summary().added_bytes);
 }
@@ -82,8 +87,8 @@ TEST(Compose, AssociativeInEffect) {
   const Script d12 = diff_bytes(DifferKind::kOnePass, v1, v2);
   const Script d23 = diff_bytes(DifferKind::kOnePass, v2, v3);
 
-  const Script left = compose_scripts(compose_scripts(d01, d12), d23);
-  const Script right = compose_scripts(d01, compose_scripts(d12, d23));
+  const Script left = compose(compose(d01, d12), d23);
+  const Script right = compose(d01, compose(d12, d23));
   EXPECT_TRUE(test::bytes_equal(apply_script(left, v0),
                                 apply_script(right, v0)));
   EXPECT_TRUE(test::bytes_equal(v3, apply_script(left, v0)));
@@ -100,11 +105,39 @@ TEST(Compose, LongChainFold) {
   Script folded =
       diff_bytes(DifferKind::kOnePass, history[0], history[1]);
   for (std::size_t i = 1; i + 1 < history.size(); ++i) {
-    folded = compose_scripts(
+    folded = compose(
         folded, diff_bytes(DifferKind::kOnePass, history[i], history[i + 1]));
   }
   EXPECT_TRUE(
       test::bytes_equal(history.back(), apply_script(folded, history[0])));
+}
+
+TEST(Compose, FoldChainMatchesStepwiseCompose) {
+  // fold_chain over parsed artifacts composes left to right, exactly as
+  // composing the hops' scripts one by one does.
+  Rng rng(7);
+  std::vector<Bytes> history{generate_file(rng, 12000, FileProfile::kText)};
+  for (int i = 0; i < 3; ++i) {
+    history.push_back(mutate(history.back(), rng, 8));
+  }
+  const Pipeline pipeline({.format = kVarintExplicit});
+  std::vector<Bytes> artifacts;
+  std::vector<ParsedDelta> hops;
+  artifacts.reserve(history.size() - 1);
+  for (std::size_t i = 0; i + 1 < history.size(); ++i) {
+    artifacts.push_back(
+        pipeline.build_delta(history[i], history[i + 1]).delta);
+    hops.push_back(parse_delta(artifacts.back()));
+  }
+  Script stepwise = test::owning_script(hops[0].commands);
+  for (std::size_t i = 1; i < hops.size(); ++i) {
+    stepwise = compose(stepwise, test::owning_script(hops[i].commands));
+  }
+  const Script folded = fold_chain(hops);
+  EXPECT_EQ(folded, stepwise);
+  EXPECT_TRUE(
+      test::bytes_equal(history.back(), apply_script(folded, history[0])));
+  EXPECT_THROW(fold_chain(std::span(hops).first(1)), ValidationError);
 }
 
 TEST(Compose, SecondMayBeInplaceConverted) {
@@ -121,7 +154,7 @@ TEST(Compose, SecondMayBeInplaceConverted) {
   const Script d2_inplace =
       convert_to_inplace(diff_bytes(DifferKind::kOnePass, b, c), b, {})
           .script;
-  const Script composed = compose_scripts(d1, d2_inplace);
+  const Script composed = compose(d1, d2_inplace);
   EXPECT_TRUE(test::bytes_equal(c, apply_script(composed, a)));
 
   // And the composed result itself converts for in-place application.
@@ -135,29 +168,29 @@ TEST(Compose, SecondMayBeInplaceConverted) {
 TEST(Compose, AllAddSecondPassesThrough) {
   const Script d1 = script_of({C(0, 0, 4)});
   const Script d2 = script_of({A(0, "xyz")});
-  const Script composed = compose_scripts(d1, d2);
+  const Script composed = compose(d1, d2);
   EXPECT_EQ(composed.summary().copy_count, 0u);
   EXPECT_EQ(apply_script(composed, to_bytes("abcd")), to_bytes("xyz"));
 }
 
 TEST(Compose, EmptyScripts) {
-  EXPECT_TRUE(compose_scripts(Script{}, Script{}).empty());
+  EXPECT_TRUE(compose(Script{}, Script{}).empty());
   // Empty second: C is empty regardless of B.
   const Script d1 = script_of({C(0, 0, 4)});
-  EXPECT_TRUE(compose_scripts(d1, Script{}).empty());
+  EXPECT_TRUE(compose(d1, Script{}).empty());
 }
 
 TEST(Compose, RejectsNonTilingFirst) {
   // δ₁ with a gap cannot answer "what wrote B[4]?".
   const Script gappy = script_of({C(0, 0, 4), C(0, 6, 2)});
   const Script d2 = script_of({C(0, 0, 2)});
-  EXPECT_THROW(compose_scripts(gappy, d2), ValidationError);
+  EXPECT_THROW(compose(gappy, d2), ValidationError);
 }
 
 TEST(Compose, RejectsSecondReadingPastB) {
   const Script d1 = script_of({C(0, 0, 4)});  // B is 4 bytes
   const Script d2 = script_of({C(2, 0, 4)});  // reads B[2..6)
-  EXPECT_THROW(compose_scripts(d1, d2), ValidationError);
+  EXPECT_THROW(compose(d1, d2), ValidationError);
 }
 
 TEST(Compose, FragmentsMergeBackTogether) {
@@ -165,7 +198,7 @@ TEST(Compose, FragmentsMergeBackTogether) {
   // come out as ONE copy, not two.
   const Script d1 = script_of({C(0, 0, 4), C(4, 4, 4)});
   const Script d2 = script_of({C(0, 0, 8)});
-  const Script composed = compose_scripts(d1, d2);
+  const Script composed = compose(d1, d2);
   ASSERT_EQ(composed.size(), 1u);
   EXPECT_EQ(std::get<CopyCommand>(composed.commands()[0]).length, 8u);
 }

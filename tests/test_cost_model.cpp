@@ -13,12 +13,11 @@ namespace {
 // width changes cannot skew the measurement.
 std::size_t measured_payload(const Command& cmd, DeltaFormat fmt,
                              length_t ref_len, length_t ver_len) {
-  DeltaFile file;
-  file.format = fmt;
-  file.reference_length = ref_len;
-  file.version_length = ver_len;
-  file.script.push(cmd);
-  const Bytes wire = serialize_delta(file);
+  DeltaHeader header;
+  header.format = fmt;
+  header.reference_length = ref_len;
+  header.version_length = ver_len;
+  const Bytes wire = test::encode(header, Script({cmd}));
   // Header: magic(4) format(1) flags(1) ref(varint) ver(varint) crc(4)
   // payload_len(varint) adler(4) payload.
   ByteView rest = ByteView(wire).subspan(6);

@@ -203,8 +203,29 @@ TEST_F(UpdaterTest, EndToEndUpdateSucceeds) {
   EXPECT_GT(r.download_seconds, 0.0);
   EXPECT_TRUE(test::bytes_equal(
       new_image_, ByteView(dev.inspect()).first(new_image_.size())));
-  // RAM never exceeded delta + window (plus nothing hidden).
-  EXPECT_LE(r.ram_high_water, delta_.size() + 4096);
+  // RAM never exceeded delta + its parsed table + window (plus nothing
+  // hidden).
+  EXPECT_LE(r.ram_high_water,
+            delta_.size() + parse_delta(delta_).table_bytes() + 4096);
+}
+
+TEST_F(UpdaterTest, ParsedTableIsChargedToRam) {
+  // The staged delta, its parsed table and the window, exactly; a budget
+  // that fits all but the table is refused before the first flash write.
+  const std::size_t table = parse_delta(delta_).table_bytes();
+  const std::size_t all = delta_.size() + table + 4096;
+  {
+    FlashDevice dev(64 << 10, 4096, all);
+    dev.load_image(old_image_);
+    EXPECT_EQ(apply_update(dev, delta_, channel_28k()).ram_high_water, all);
+  }
+  FlashDevice dev(64 << 10, 4096, all - table);
+  dev.load_image(old_image_);
+  const std::uint64_t before = dev.bytes_written();
+  EXPECT_THROW(apply_update(dev, delta_, channel_28k()), DeviceError);
+  EXPECT_EQ(dev.bytes_written(), before);
+  EXPECT_TRUE(test::bytes_equal(
+      old_image_, ByteView(dev.inspect()).first(old_image_.size())));
 }
 
 TEST_F(UpdaterTest, RamBudgetIsEnforced) {
@@ -240,8 +261,7 @@ TEST_F(UpdaterTest, NonInplaceDeltaRejected) {
   dev.load_image(old_image_);
   // A delta that merely *happens* to be conflict-free would carry the
   // flag; this one was not converted and (with these edits) is unsafe.
-  const DeltaFile parsed = deserialize_delta(plain);
-  if (!parsed.in_place) {
+  if (!parse_delta(plain).header.in_place) {
     EXPECT_THROW(apply_update(dev, plain, channel_28k()), ValidationError);
   }
 }

@@ -256,12 +256,11 @@ constexpr Pin kPins[] = {
 };
 
 std::uint64_t script_checksum(const Script& script, const PinInput& in) {
-  DeltaFile file;
-  file.format = kVarintSequential;
-  file.reference_length = in.ref.size();
-  file.version_length = in.ver.size();
-  file.script = script;
-  return fnv1a(serialize_delta(file));
+  DeltaHeader header;
+  header.format = kVarintSequential;
+  header.reference_length = in.ref.size();
+  header.version_length = in.ver.size();
+  return fnv1a(test::encode(header, script));
 }
 
 std::uint64_t artifact_checksum(const PinInput& in, std::size_t table_bits,

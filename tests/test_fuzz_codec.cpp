@@ -35,7 +35,7 @@ TEST(FuzzCodec, RandomBytesNeverCrashDeserializer) {
     Bytes junk(rng.below(200));
     rng.fill(junk);
     try {
-      deserialize_delta(junk);
+      parse_delta(junk);
     } catch (const Error&) {
       // rejected: fine
     }
@@ -49,7 +49,7 @@ TEST(FuzzCodec, RandomBytesWithValidMagicNeverCrash) {
     rng.fill(junk);
     junk[0] = 'I'; junk[1] = 'P'; junk[2] = 'D'; junk[3] = '1';
     try {
-      deserialize_delta(junk);
+      parse_delta(junk);
     } catch (const Error&) {
     }
   }
@@ -137,7 +137,8 @@ TEST(FuzzCodec, HeaderParserNeverOverreads) {
 TEST(FuzzCodec, StreamingDecoderChunkInvariance) {
   // The command sequence must be identical regardless of chunk sizes.
   const Bytes delta = valid_delta(5);
-  const DeltaFile file = deserialize_delta(delta);
+  const ParsedDelta parsed = parse_delta(delta);
+  const Script expected = test::owning_script(parsed.commands);
 
   // Re-extract the payload.
   const auto header = try_parse_header(delta);
@@ -147,8 +148,9 @@ TEST(FuzzCodec, StreamingDecoderChunkInvariance) {
 
   Rng rng(0xF007);
   for (int trial = 0; trial < 20; ++trial) {
-    StreamingCommandDecoder decoder(file.format, file.version_length);
-    std::vector<Command> commands;
+    StreamingCommandDecoder decoder(parsed.header.format,
+                                    parsed.header.version_length);
+    Script streamed;
     std::size_t pos = 0;
     while (pos < payload.size()) {
       const std::size_t n =
@@ -156,10 +158,10 @@ TEST(FuzzCodec, StreamingDecoderChunkInvariance) {
       decoder.feed(payload.subspan(pos, n));
       pos += n;
       while (const auto cmd = decoder.next_ref()) {
-        commands.push_back(cmd->to_command());
+        streamed.push(test::owning_command(*cmd));
       }
     }
-    EXPECT_EQ(commands, file.script.commands()) << "trial " << trial;
+    EXPECT_EQ(streamed, expected) << "trial " << trial;
     EXPECT_EQ(decoder.consumed(), payload.size());
     EXPECT_EQ(decoder.buffered(), 0u);
   }

@@ -141,15 +141,14 @@ TEST(ApplyDeltaInplace, FullWireRoundTrip) {
 }
 
 TEST(ApplyDeltaInplace, RejectsNonInplaceDelta) {
-  DeltaFile file;
-  file.format = kVarintExplicit;
-  file.in_place = false;
-  file.reference_length = 4;
-  file.version_length = 4;
+  DeltaHeader header;
+  header.format = kVarintExplicit;
+  header.in_place = false;
+  header.reference_length = 4;
+  header.version_length = 4;
   const Bytes ver = to_bytes("abcd");
-  file.version_crc = crc32c(ver);
-  file.script = script_of({A(0, "abcd")});
-  const Bytes wire = serialize_delta(file);
+  header.version_crc = crc32c(ver);
+  const Bytes wire = test::encode(header, script_of({A(0, "abcd")}));
   Bytes buffer(4);
   EXPECT_THROW(apply_delta_inplace(wire, buffer), ValidationError);
 }
@@ -180,16 +179,15 @@ TEST(ApplyDeltaInplace, RejectedDeltaLeavesBufferUntouched) {
     script.push(CopyCommand{3600 - to, to, 300});
     script.push(AddCommand{to + 300, Bytes(100, 0x3C)});
   }
-  DeltaFile file;
-  file.format = kPaperExplicit;
-  file.in_place = true;
-  file.reference_length = 4000;
-  file.version_length = 4000;
-  file.script = script;
+  DeltaHeader header;
+  header.format = kPaperExplicit;
+  header.in_place = true;
+  header.reference_length = 4000;
+  header.version_length = 4000;
   Bytes version = reference;
   apply_inplace(script, version, 4000, 4000);
-  file.version_crc = crc32c(version);
-  const Bytes good = serialize_delta(file);
+  header.version_crc = crc32c(version);
+  const Bytes good = test::encode(header, script);
 
   std::vector<Bytes> rejected;
   for (const std::size_t keep : {good.size() - 1, good.size() / 2}) {
@@ -199,15 +197,15 @@ TEST(ApplyDeltaInplace, RejectedDeltaLeavesBufferUntouched) {
   Bytes flipped = good;
   flipped[flipped.size() - 50] ^= 0x08;
   rejected.push_back(flipped);
-  DeltaFile gap = file;  // the last command's bytes go unwritten
+  DeltaHeader gap = header;  // the last command's bytes go unwritten
   gap.version_length = 4001;
-  rejected.push_back(serialize_delta(gap));
-  DeltaFile overlap = file;
-  overlap.script.push(CopyCommand{0, 3999, 1});
-  rejected.push_back(serialize_delta(overlap));
-  DeltaFile short_ref = file;
+  rejected.push_back(test::encode(gap, script));
+  Script overlap = script;
+  overlap.push(CopyCommand{0, 3999, 1});
+  rejected.push_back(test::encode(header, overlap));
+  DeltaHeader short_ref = header;
   short_ref.reference_length = 3899;
-  rejected.push_back(serialize_delta(short_ref));
+  rejected.push_back(test::encode(short_ref, script));
 
   for (std::size_t i = 0; i < rejected.size(); ++i) {
     Bytes buffer = reference;

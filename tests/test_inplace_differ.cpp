@@ -15,7 +15,7 @@ namespace ipd {
 namespace {
 
 Script built_script(const Pipeline& pipeline, ByteView ref, ByteView ver) {
-  return deserialize_delta(pipeline.build_inplace(ref, ver).delta).script;
+  return test::decode_script(pipeline.build_inplace(ref, ver).delta);
 }
 
 TEST(InplaceDiffer, OutputIsDirectlyInplaceSafe) {
@@ -57,7 +57,7 @@ TEST(InplaceDiffer, ReportIsObservable) {
   const Pipeline pipeline({.differ = DifferKind::kOnePass});
   const BuildResult r = pipeline.build_inplace(inst.reference, inst.version);
   EXPECT_GT(r.report.copies_in, 0u);
-  const Script script = deserialize_delta(r.delta).script;
+  const Script script = test::decode_script(r.delta);
   EXPECT_TRUE(satisfies_equation2(script));
   EXPECT_TRUE(test::bytes_equal(inst.version,
                                 apply_script(script, inst.reference)));

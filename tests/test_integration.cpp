@@ -93,15 +93,12 @@ TEST_P(EndToEnd, CorpusSweepAllInvariants) {
     const ConvertResult raw =
         convert_to_inplace(script, pair.reference, nocoalesce);
 
-    DeltaFile before;
-    before.format = param.format;
-    before.reference_length = pair.reference.size();
-    before.version_length = pair.version.size();
-    before.script = script;
-    DeltaFile after = before;
-    after.script = raw.script;
-    const std::size_t before_size = serialize_delta(before).size();
-    const std::size_t after_size = serialize_delta(after).size();
+    DeltaHeader header;
+    header.format = param.format;
+    header.reference_length = pair.reference.size();
+    header.version_length = pair.version.size();
+    const std::size_t before_size = test::encode(header, script).size();
+    const std::size_t after_size = test::encode(header, raw.script).size();
     // Exact payload accounting; the container header's payload-length
     // varint may grow by a byte when the payload crosses a 7-bit boundary.
     ASSERT_GE(after_size, before_size + raw.report.conversion_cost)

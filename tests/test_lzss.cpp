@@ -122,13 +122,13 @@ TEST(Lzss, DecodeRejectsSizeBombBeforeAllocating) {
 
 TEST(Lzss, DeserializeRejectsSizeBombDelta) {
   // The same attack through the container: compress flag set, declared
-  // uncompressed size of 64 PiB, valid adler — deserialize_delta must
+  // uncompressed size of 64 PiB, valid adler — parse_delta must
   // reject with an ipd::Error, not die in the allocator.
   const Bytes bomb = {0x49, 0x50, 0x44, 0x31, 0x00, 0x02, 0x00, 0x01,
                       0x00, 0x00, 0x00, 0x00, 0x04, 0x80, 0x80, 0x80,
                       0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0xc7, 0x00,
                       0x8e, 0x01, 0x00, 0x41, 0x42, 0x43};
-  EXPECT_THROW(deserialize_delta(bomb), FormatError);
+  EXPECT_THROW(parse_delta(bomb), FormatError);
 }
 
 TEST(Lzss, DecodeNeverCrashesOnRandomInput) {
@@ -164,8 +164,7 @@ TEST(LzssCodec, CompressedDeltaRoundTrips) {
 
   // The flag reflects the wire (auto-fallback may store uncompressed
   // when the payload is copy-dominated); the script always round-trips.
-  const DeltaFile parsed = deserialize_delta(compressed);
-  EXPECT_EQ(parsed.script, deserialize_delta(plain).script);
+  EXPECT_EQ(test::decode_script(compressed), test::decode_script(plain));
   EXPECT_LE(compressed.size(), plain.size());
 }
 

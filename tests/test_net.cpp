@@ -578,14 +578,14 @@ TEST(Session, HostileInPlaceDeltaIsRefusedBeforeAnyFlashWrite) {
   Rng rng(0xEB11);
   const Bytes ref = generate_file(rng, 8 << 10, FileProfile::kBinary);
   const length_t half = ref.size() / 2;
-  DeltaFile file;
-  file.format = kVarintExplicit;
-  file.in_place = true;  // the lie
-  file.reference_length = ref.size();
-  file.version_length = ref.size();
-  file.script.push(CopyCommand{half, 0, half});  // writes what...
-  file.script.push(CopyCommand{0, half, half});  // ...this one reads
-  const Bytes evil = serialize_delta(file);
+  DeltaHeader header;
+  header.format = kVarintExplicit;
+  header.in_place = true;  // the lie
+  header.reference_length = ref.size();
+  header.version_length = ref.size();
+  const Bytes evil = test::encode(
+      header, Script({CopyCommand{half, 0, half},     // writes what...
+                      CopyCommand{0, half, half}}));  // ...this one reads
 
   auto [client_end, server_end] = make_socket_pair();
   std::thread hostile([server = std::move(server_end),
@@ -822,17 +822,18 @@ TEST(Session, PoisonedPreloadIsRefusedAndCleanUpgradeStillServes) {
   // hop endpoints exactly. The service must refuse to cache it, and the
   // next wire client must get a freshly built, safe delta.
   LocalRig rig(2);
-  DeltaFile file;
-  file.format = kVarintExplicit;
-  file.in_place = true;
-  file.reference_length = rig.history[0].size();
-  file.version_length = rig.history[1].size();
-  file.version_crc = rig.store.content_key(1).crc;
+  DeltaHeader header;
+  header.format = kVarintExplicit;
+  header.in_place = true;
+  header.reference_length = rig.history[0].size();
+  header.version_length = rig.history[1].size();
+  header.version_crc = rig.store.content_key(1).crc;
   const length_t half =
-      std::min(file.reference_length, file.version_length) / 2;
-  file.script.push(CopyCommand{half, 0, half});
-  file.script.push(CopyCommand{0, half, file.version_length - half});
-  EXPECT_FALSE(rig.service->preload(0, 1, serialize_delta(file)));
+      std::min(header.reference_length, header.version_length) / 2;
+  const Script conflicting({CopyCommand{half, 0, half},
+                            CopyCommand{0, half, header.version_length - half}});
+  EXPECT_FALSE(
+      rig.service->preload(0, 1, test::encode(header, conflicting)));
   EXPECT_EQ(rig.service->metrics().verify_rejects.load(), 1u);
 
   OtaClient client([&] { return rig.connect(); });

@@ -155,12 +155,12 @@ TEST(Oracle, AgreesWithEquation2CheckerOnRandomScripts) {
 
     // Each version byte has one writer, so the scan over the parsed
     // table reports exactly the oracle's conflicts, in its own order.
-    DeltaFile file;
-    file.format = kVarintExplicit;
-    file.reference_length = 330;
-    file.version_length = cursor;
-    file.script = s;
-    const ParsedDelta parsed = parse_delta(serialize_delta(file));
+    DeltaHeader header;
+    header.format = kVarintExplicit;
+    header.reference_length = 330;
+    header.version_length = cursor;
+    const Bytes wire = test::encode(header, s);
+    const ParsedDelta parsed = parse_delta(wire);
     using Triple = std::tuple<std::size_t, std::size_t, offset_t, offset_t>;
     std::vector<Triple> scanned, expected;
     scan_equation2(parsed.commands, parsed.write_order,

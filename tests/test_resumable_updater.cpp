@@ -105,15 +105,15 @@ Fixture make_implicit_fixture() {
     to += literal.size();
     commands.push_back(AddCommand{at, std::move(literal)});
   }
-  DeltaFile file;
-  file.format = kPaperSequential;
-  file.in_place = true;
-  file.reference_length = f.v1.size();
-  file.version_length = to;
-  file.script = Script(std::move(commands));
-  f.v2 = apply_script(file.script, f.v1);
-  file.version_crc = crc32c(f.v2);
-  f.delta = serialize_delta(file);
+  const Script script(std::move(commands));
+  f.v2 = apply_script(script, f.v1);
+  DeltaHeader header;
+  header.format = kPaperSequential;
+  header.in_place = true;
+  header.reference_length = f.v1.size();
+  header.version_length = to;
+  header.version_crc = crc32c(f.v2);
+  f.delta = test::encode(header, script);
   return f;
 }
 
@@ -254,7 +254,7 @@ TEST(ResumableUpdater, JournalRegionValidation) {
 TEST(ResumableUpdater, RejectsNonInplaceDelta) {
   const Fixture f = make_fixture();
   const Bytes plain = Pipeline({.format = kPaperExplicit}).build_delta(f.v1, f.v2).delta;
-  if (deserialize_delta(plain).in_place) {
+  if (parse_delta(plain).header.in_place) {
     GTEST_SKIP() << "delta happened to be conflict-free";
   }
   FlashDevice dev = make_device(f);
@@ -336,27 +336,33 @@ TEST(ResumableUpdater, PowerFailureDuringJournalWriteIsRecoverable) {
   expect_updated(dev, f);
 }
 
-TEST(ResumableUpdater, SurvivesPowerCutsOnCompressedDelta) {
-  // LZSS payloads go through parse_delta: the adds the executor writes
-  // point into the decompressed stream. New text makes the payload
-  // add-heavy enough for LZSS to pay.
-  Fixture f = make_fixture(31, FileProfile::kText);
+/// An LZSS-compressed fixture: new text makes the payload add-heavy
+/// enough for LZSS to pay.
+void make_compressed_fixture(Fixture& f) {
+  f = make_fixture(31, FileProfile::kText);
   Rng rng(5);
   const Bytes fresh = generate_file(rng, 8 << 10, FileProfile::kText);
   ASSERT_GT(f.v2.size(), 36000 + fresh.size());
   std::copy(fresh.begin(), fresh.end(), f.v2.begin() + 36000);
   f.delta = Pipeline({.compress_payload = true}).build_inplace(f.v1, f.v2)
                 .delta;
-  ASSERT_TRUE(deserialize_delta(f.delta).compress_payload);
+  ASSERT_TRUE(parse_delta(f.delta).header.compress_payload);
+}
+
+TEST(ResumableUpdater, SurvivesPowerCutsOnCompressedDelta) {
+  // LZSS payloads go through parse_delta: the adds the executor writes
+  // point into the decompressed stream.
+  Fixture f;
+  ASSERT_NO_FATAL_FAILURE(make_compressed_fixture(f));
   sweep_power_cuts(f);
 }
 
 TEST(ResumableUpdater, SurvivesPowerCutsOnImplicitOffsetDelta) {
   const Fixture f = make_implicit_fixture();
-  const DeltaFile file = deserialize_delta(f.delta);
-  ASSERT_EQ(file.format.offsets, WriteOffsets::kImplicit);
+  ASSERT_EQ(parse_delta(f.delta).header.format.offsets,
+            WriteOffsets::kImplicit);
   bool self_overlap = false;
-  for (const CopyCommand& c : file.script.copies()) {
+  for (const CopyCommand& c : test::decode_script(f.delta).copies()) {
     self_overlap |= c.self_overlaps();
   }
   ASSERT_TRUE(self_overlap);
@@ -452,14 +458,13 @@ TEST(ResumableUpdater, CountsEachCloseByItsCause) {
     Fixture f;
     f.v1 = reference;
     f.v2 = apply_script(script, reference);
-    DeltaFile file;
-    file.format = kVarintExplicit;
-    file.in_place = true;
-    file.reference_length = reference.size();
-    file.version_length = f.v2.size();
-    file.version_crc = crc32c(f.v2);
-    file.script = std::move(script);
-    f.delta = serialize_delta(file);
+    DeltaHeader header;
+    header.format = kVarintExplicit;
+    header.in_place = true;
+    header.reference_length = reference.size();
+    header.version_length = f.v2.size();
+    header.version_crc = crc32c(f.v2);
+    f.delta = test::encode(header, script);
     FlashDevice dev = make_device(f);
     const ResumableUpdateResult r =
         apply_update_resumable(dev, f.delta, channel_28k(), kJournal);
@@ -493,13 +498,12 @@ TEST(ResumableUpdater, CountsEachCloseByItsCause) {
 Fixture conflicting_fixture(std::initializer_list<Command> commands) {
   Fixture f;
   f.v1 = test::random_bytes(5, 48 << 10);
-  DeltaFile file;
-  file.format = kVarintExplicit;
-  file.in_place = true;  // the producer's (false) claim
-  file.reference_length = 120;
-  file.version_length = 120;
-  file.script = test::script_of(commands);
-  f.delta = serialize_delta(file);
+  DeltaHeader header;
+  header.format = kVarintExplicit;
+  header.in_place = true;  // the producer's (false) claim
+  header.reference_length = 120;
+  header.version_length = 120;
+  f.delta = test::encode(header, test::script_of(commands));
   return f;
 }
 
@@ -571,24 +575,24 @@ TEST(ResumableUpdater, CopyMayReadPastTheVersion) {
   Fixture f;
   f.v1 = c.reference;
   f.v2 = c.version;
-  DeltaFile file;
-  file.format = kVarintExplicit;
-  file.in_place = true;
-  file.reference_length = c.reference.size();
-  file.version_length = c.version.size();
-  file.version_crc = crc32c(c.version);
-  file.script = c.script;
-  f.delta = serialize_delta(file);
+  DeltaHeader header;
+  header.format = kVarintExplicit;
+  header.in_place = true;
+  header.reference_length = c.reference.size();
+  header.version_length = c.version.size();
+  header.version_crc = crc32c(c.version);
+  f.delta = test::encode(header, c.script);
   FlashDevice dev = make_device(f);
   apply_update_resumable(dev, f.delta, channel_28k(), kJournal);
   expect_updated(dev, f);
 }
 
-TEST(ResumableUpdater, ChargesTheConflictSetToDeviceRam) {
-  // The written set is V/8 bytes of device RAM on top of the staged
-  // delta, the copy window and the journal slot; a budget one byte short
-  // of all four is refused before the first flash write.
-  const Fixture f = make_fixture();
+/// The written set is V/8 bytes of device RAM on top of the staged
+/// delta, its parsed table (commands plus any decompressed payload), the
+/// copy window and the journal slot. A budget one byte short of all
+/// five, or short of just the table, is refused before the first flash
+/// write.
+void expect_ram_charged(const Fixture& f) {
   std::size_t high_water = 0;
   {
     FlashDevice dev = make_device(f);
@@ -599,25 +603,40 @@ TEST(ResumableUpdater, ChargesTheConflictSetToDeviceRam) {
   const std::size_t set = WrittenBytes::storage_bytes(f.v2.size());
   const std::size_t slot = ApplyJournal::slot_bytes(
       ApplyJournalOptions{512, UpdaterOptions{}.window_bytes, 0});
-  EXPECT_EQ(high_water,
-            f.delta.size() + UpdaterOptions{}.window_bytes + slot + set);
+  const std::size_t table = parse_delta(f.delta).table_bytes();
+  EXPECT_EQ(high_water, f.delta.size() + table +
+                            UpdaterOptions{}.window_bytes + slot + set);
 
-  FlashDevice poor(kStorage, 512, high_water - 1);
-  poor.load_image(f.v1);
-  clear_journal(poor, kJournal);
-  const std::uint64_t before = poor.bytes_written();
-  EXPECT_THROW(apply_update_resumable(poor, f.delta, channel_28k(), kJournal),
-               DeviceError);
-  EXPECT_EQ(poor.bytes_written(), before);
+  for (const std::size_t budget : {high_water - 1, high_water - table}) {
+    FlashDevice poor(kStorage, 512, budget);
+    poor.load_image(f.v1);
+    clear_journal(poor, kJournal);
+    const std::uint64_t before = poor.bytes_written();
+    EXPECT_THROW(
+        apply_update_resumable(poor, f.delta, channel_28k(), kJournal),
+        DeviceError)
+        << "budget " << budget;
+    EXPECT_EQ(poor.bytes_written(), before) << "budget " << budget;
+  }
+}
+
+TEST(ResumableUpdater, ChargesTheConflictSetToDeviceRam) {
+  expect_ram_charged(make_fixture());
+}
+
+TEST(ResumableUpdater, ChargesTheDecompressedPayloadToDeviceRam) {
+  Fixture f;
+  ASSERT_NO_FATAL_FAILURE(make_compressed_fixture(f));
+  ASSERT_FALSE(parse_delta(f.delta).decompressed.empty());
+  expect_ram_charged(f);
 }
 
 TEST(ResumableUpdater, FixtureActuallyExercisesSelfOverlap) {
   // Guard the fixture: the crash sweep above is only meaningful if the
   // delta contains self-overlapping copies (the non-idempotent case).
   const Fixture f = make_fixture();
-  const DeltaFile file = deserialize_delta(f.delta);
   bool self_overlap = false;
-  for (const CopyCommand& c : file.script.copies()) {
+  for (const CopyCommand& c : test::decode_script(f.delta).copies()) {
     self_overlap |= c.self_overlaps();
   }
   EXPECT_TRUE(self_overlap);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "core/rng.hpp"
+#include "delta/codec.hpp"
+#include "inplace/converter.hpp"
 #include "test_util.hpp"
 
 namespace ipd {
@@ -94,7 +96,7 @@ TEST(Script, InWriteOrder) {
 
 // ---- check_write_tiling ------------------------------------------------
 
-std::string tiling_error(std::vector<WriteRange> writes,
+std::string tiling_error(std::vector<CommandRef> writes,
                          length_t version_length) {
   try {
     check_write_tiling(writes, version_length);
@@ -113,19 +115,19 @@ TEST(WriteTiling, SortedAndUnsortedTilingsPass) {
 TEST(WriteTiling, RadixSortSpansManyDigits) {
   // Offsets spread over 24 bits take three 11-bit passes; reversed and
   // shuffled orders must both sort back into a tiling.
-  std::vector<WriteRange> writes;
+  std::vector<CommandRef> writes;
   for (offset_t to = 0; to < (offset_t{1} << 24); to += 4099) {
     writes.push_back({to, std::min<length_t>(4099, (1u << 24) - to)});
   }
   const length_t total = offset_t{1} << 24;
-  std::vector<WriteRange> reversed(writes.rbegin(), writes.rend());
+  std::vector<CommandRef> reversed(writes.rbegin(), writes.rend());
   EXPECT_EQ(tiling_error(reversed, total), "");
   Rng rng(31);
   for (std::size_t i = writes.size(); i > 1; --i) {
     std::swap(writes[i - 1], writes[rng.below(i)]);
   }
   EXPECT_EQ(tiling_error(writes, total), "");
-  for (WriteRange& w : writes) {
+  for (CommandRef& w : writes) {
     if (w.to == 0) w.length += 1;  // now overlaps its successor
   }
   EXPECT_NE(tiling_error(writes, total).find("overlaps"), std::string::npos);
@@ -169,6 +171,64 @@ TEST(WriteTiling, OffsetsNearTwoToThe64) {
   EXPECT_NE(tiling_error({{top - 10, 10}, {0, top - 9}}, top).find(
                 "command 0 write"),
             std::string::npos);
+}
+
+TEST(WriteTiling, DisjointCoverageAllowsGapsNotOverlaps) {
+  using Table = std::vector<CommandRef>;
+  EXPECT_TRUE(check_write_tiling(Table{{0, 2}, {5, 3}}, 8, Coverage::kDisjoint)
+                  .empty());
+  EXPECT_EQ(check_write_tiling(Table{{5, 3}, {0, 2}}, 8, Coverage::kDisjoint)
+                .front()
+                .index,
+            1u);
+  EXPECT_THROW(
+      check_write_tiling(Table{{0, 3}, {2, 2}}, 8, Coverage::kDisjoint),
+      ValidationError);
+}
+
+// ---- command_table -------------------------------------------------------
+
+TEST(CommandTable, BorrowsTheScriptsCommands) {
+  const Script s = script_of({C(7, 0, 4), A(4, "ab")});
+  const std::vector<CommandRef> table = command_table(s);
+  ASSERT_EQ(table.size(), 2u);
+  EXPECT_FALSE(table[0].is_add());
+  EXPECT_EQ(table[0].from, 7u);
+  EXPECT_EQ(table[0].length, 4u);
+  EXPECT_TRUE(table[1].is_add());
+  EXPECT_EQ(table[1].to, 4u);
+  EXPECT_EQ(table[1].literal,
+            std::get<AddCommand>(s.commands()[1]).data.data());
+}
+
+TEST(CommandTable, EmptyAddStaysAnAdd) {
+  // An empty Bytes may hold no storage, and a null literal marks a copy.
+  Script s;
+  s.push(AddCommand{0, Bytes{}});
+  const std::vector<CommandRef> table = command_table(s);
+  ASSERT_EQ(table.size(), 1u);
+  EXPECT_TRUE(table[0].is_add());
+  EXPECT_EQ(table[0].length, 0u);
+
+  const auto error_of = [](const auto& fn) -> std::string {
+    try {
+      fn();
+    } catch (const ValidationError& e) {
+      return e.what();
+    }
+    return {};
+  };
+  EXPECT_EQ(error_of([&] { s.validate(10, 0); }), "command 0 has zero length");
+  EXPECT_EQ(error_of([&] { satisfies_equation2(s); }),
+            "command 0 has zero length");
+
+  // The encoder writes it as an add, which the decoder refuses as one.
+  DeltaHeader header;
+  header.format = kVarintExplicit;
+  ParsedDelta parsed;
+  const auto rejection = decode_delta(serialize_delta(header, table), parsed);
+  ASSERT_TRUE(rejection.has_value());
+  EXPECT_EQ(rejection->message, "add command with zero length");
 }
 
 TEST(Script, SortByWriteOffset) {

@@ -94,8 +94,7 @@ TEST(StreamApplier, HeaderAvailableBeforePayload) {
 TEST(StreamApplier, RejectsNonInplaceDelta) {
   const Fixture f = make_fixture();
   const Bytes plain = Pipeline({.format = kPaperExplicit}).build_delta(f.ref, f.ver).delta;
-  const DeltaFile parsed = deserialize_delta(plain);
-  if (parsed.in_place) {
+  if (parse_delta(plain).header.in_place) {
     GTEST_SKIP() << "delta happened to be conflict-free";
   }
   Bytes buffer = f.ref;
@@ -105,14 +104,13 @@ TEST(StreamApplier, RejectsNonInplaceDelta) {
 
 TEST(StreamApplier, ConflictCheckingCatchesUnsafeOrder) {
   const AdversaryInstance inst = make_rotation(500, 100);
-  DeltaFile file;
-  file.format = kVarintExplicit;
-  file.in_place = true;  // lie: the script has a WR conflict
-  file.reference_length = 500;
-  file.version_length = 500;
-  file.version_crc = crc32c(inst.version);
-  file.script = inst.script;
-  const Bytes wire = serialize_delta(file);
+  DeltaHeader header;
+  header.format = kVarintExplicit;
+  header.in_place = true;  // lie: the script has a WR conflict
+  header.reference_length = 500;
+  header.version_length = 500;
+  header.version_crc = crc32c(inst.version);
+  const Bytes wire = test::encode(header, inst.script);
 
   Bytes buffer = inst.reference;
   StreamingInplaceApplier applier(buffer);
@@ -123,17 +121,18 @@ TEST(StreamApplier, ConflictCheckingSeesShadowedAndNestedWrites) {
   // A later, shorter write starting at (or nested inside) an earlier one
   // must not hide the earlier one's bytes from the oracle.
   for (const offset_t second : {offset_t{0}, offset_t{50}}) {
-    DeltaFile file;
-    file.format = kVarintExplicit;
-    file.in_place = true;  // lie: the copy reads what the first add wrote
-    file.reference_length = 120;
-    file.version_length = 120;
-    file.script = test::script_of({test::A(0, test::random_bytes(1, 100)),
-                                   test::A(second, test::random_bytes(2, 10)),
-                                   test::C(70, 100, 10)});
+    DeltaHeader header;
+    header.format = kVarintExplicit;
+    header.in_place = true;  // lie: the copy reads what the first add wrote
+    header.reference_length = 120;
+    header.version_length = 120;
+    const Script script =
+        test::script_of({test::A(0, test::random_bytes(1, 100)),
+                         test::A(second, test::random_bytes(2, 10)),
+                         test::C(70, 100, 10)});
     Bytes buffer = test::random_bytes(3, 120);
     StreamingInplaceApplier applier(buffer);
-    EXPECT_THROW(applier.feed(serialize_delta(file)), ConflictError)
+    EXPECT_THROW(applier.feed(test::encode(header, script)), ConflictError)
         << "second add at " << second;
   }
 }
@@ -142,15 +141,15 @@ TEST(StreamApplier, CopyMayReadPastTheVersion) {
   // Bytes past the version were never written this run: reads there,
   // and the part of a read past its end, are not conflicts.
   const test::PastVersionCase c = test::reads_past_version();
-  DeltaFile file;
-  file.format = kVarintExplicit;
-  file.in_place = true;
-  file.reference_length = c.reference.size();
-  file.version_length = c.version.size();
-  file.version_crc = crc32c(c.version);
-  file.script = c.script;
+  DeltaHeader header;
+  header.format = kVarintExplicit;
+  header.in_place = true;
+  header.reference_length = c.reference.size();
+  header.version_length = c.version.size();
+  header.version_crc = crc32c(c.version);
   Bytes buffer = c.reference;
-  EXPECT_EQ(apply_delta_inplace_streaming(serialize_delta(file), buffer, 97),
+  EXPECT_EQ(apply_delta_inplace_streaming(test::encode(header, c.script),
+                                          buffer, 97),
             c.version.size());
   EXPECT_TRUE(test::bytes_equal(c.version,
                                 ByteView(buffer).first(c.version.size())));

@@ -131,9 +131,8 @@ TEST(StreamUpdater, CleanRunReconstructsAndJournals) {
 
 TEST(StreamUpdater, FixtureActuallyExercisesSelfOverlap) {
   const Fixture f = make_fixture();
-  const DeltaFile file = deserialize_delta(f.delta);
   bool self_overlap = false;
-  for (const CopyCommand& c : file.script.copies()) {
+  for (const CopyCommand& c : test::decode_script(f.delta).copies()) {
     self_overlap |= c.self_overlaps();
   }
   EXPECT_TRUE(self_overlap);
@@ -338,7 +337,7 @@ TEST(StreamUpdater, RejectsBadArtifactsBeforeFlashWrites) {
   // Not in-place.
   {
     const Bytes plain = Pipeline({.format = kPaperExplicit}).build_delta(f.v1, f.v2).delta;
-    if (!deserialize_delta(plain).in_place) {
+    if (!parse_delta(plain).header.in_place) {
       FlashDevice dev = make_device(f.v1);
       StreamArtifactInfo info;
       info.artifact_crc = crc32c(plain);
@@ -353,14 +352,14 @@ TEST(StreamUpdater, RejectsBadArtifactsBeforeFlashWrites) {
   // Implicit write offsets cannot resume (running write cursor).
   {
     const Bytes payload = test::random_bytes(4, 16);
-    DeltaFile file;
-    file.format = kVarintSequential;
-    file.in_place = true;  // a single add really is conflict-free
-    file.reference_length = 16;
-    file.version_length = 16;
-    file.version_crc = crc32c(payload);
-    file.script = test::script_of({test::A(0, payload)});
-    const Bytes implicit = serialize_delta(file);
+    DeltaHeader header;
+    header.format = kVarintSequential;
+    header.in_place = true;  // a single add really is conflict-free
+    header.reference_length = 16;
+    header.version_length = 16;
+    header.version_crc = crc32c(payload);
+    const Bytes implicit =
+        test::encode(header, test::script_of({test::A(0, payload)}));
     FlashDevice dev = make_device(f.v1);
     StreamArtifactInfo info;
     info.artifact_crc = crc32c(implicit);
@@ -383,13 +382,12 @@ TEST(StreamUpdater, RejectsBadArtifactsBeforeFlashWrites) {
 /// before the copy's flash write, leaving [100, 110) untouched.
 void expect_conflict_before_copy(std::initializer_list<Command> commands) {
   const Fixture f = make_fixture();
-  DeltaFile file;
-  file.format = kVarintExplicit;
-  file.in_place = true;  // the producer's (false) claim
-  file.reference_length = 120;
-  file.version_length = 120;
-  file.script = test::script_of(commands);
-  const Bytes delta = serialize_delta(file);
+  DeltaHeader header;
+  header.format = kVarintExplicit;
+  header.in_place = true;  // the producer's (false) claim
+  header.reference_length = 120;
+  header.version_length = 120;
+  const Bytes delta = test::encode(header, test::script_of(commands));
   FlashDevice dev = make_device(f.v1);
   StreamArtifactInfo info;
   info.artifact_crc = crc32c(delta);
@@ -417,14 +415,13 @@ TEST(StreamUpdater, OracleSeesWritesAroundANestedOne) {
 
 TEST(StreamUpdater, CopyMayReadPastTheVersion) {
   const test::PastVersionCase c = test::reads_past_version();
-  DeltaFile file;
-  file.format = kVarintExplicit;
-  file.in_place = true;
-  file.reference_length = c.reference.size();
-  file.version_length = c.version.size();
-  file.version_crc = crc32c(c.version);
-  file.script = c.script;
-  const Bytes delta = serialize_delta(file);
+  DeltaHeader header;
+  header.format = kVarintExplicit;
+  header.in_place = true;
+  header.reference_length = c.reference.size();
+  header.version_length = c.version.size();
+  header.version_crc = crc32c(c.version);
+  const Bytes delta = test::encode(header, c.script);
   FlashDevice dev = make_device(c.reference);
   StreamArtifactInfo info;
   info.artifact_crc = crc32c(delta);

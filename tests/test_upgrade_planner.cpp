@@ -150,7 +150,7 @@ TEST(UpgradePlanner, FoldPlanMintsOneDirectDelta) {
   const Bytes folded = planner.fold_plan(plan);
   if (plan.steps.size() > 1 && !plan.steps.back().full_image) {
     // A real fold: one in-place delta straight from v0 to v5.
-    const DeltaFile parsed = deserialize_delta(folded);
+    const DeltaHeader parsed = parse_delta(folded).header;
     EXPECT_TRUE(parsed.in_place);
     EXPECT_EQ(parsed.reference_length, history[0].size());
     EXPECT_EQ(parsed.version_length, history[5].size());

@@ -3,10 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 
 #include "core/rng.hpp"
 #include "core/types.hpp"
+#include "delta/codec.hpp"
 #include "delta/script.hpp"
 
 namespace ipd::test {
@@ -47,6 +49,33 @@ inline Script script_of(std::initializer_list<Command> commands) {
     s.push(c);
   }
   return s;
+}
+
+/// Encode `script` under `header`; the encoder fills the payload fields.
+inline Bytes encode(const DeltaHeader& header, const Script& script) {
+  return serialize_delta(header, command_table(script));
+}
+
+/// The owning form of one table row (copies an add's bytes).
+inline Command owning_command(const CommandRef& c) {
+  if (c.is_add()) {
+    return AddCommand{c.to, Bytes(c.literal, c.literal + c.length)};
+  }
+  return CopyCommand{c.from, c.to, c.length};
+}
+
+/// An owning Script with a table's commands.
+inline Script owning_script(std::span<const CommandRef> table) {
+  Script script;
+  for (const CommandRef& c : table) {
+    script.push(owning_command(c));
+  }
+  return script;
+}
+
+/// The commands a delta encodes, as an owning Script.
+inline Script decode_script(ByteView delta) {
+  return owning_script(parse_delta(delta).commands);
 }
 
 /// An in-place-safe script whose copies read past its version: a

@@ -42,16 +42,15 @@ Bytes wrap_payload(DeltaFormat format, bool in_place, length_t ref_len,
 }
 
 /// Serialize an arbitrary (possibly hostile) script as a delta file.
-Bytes make_delta(Script script, bool in_place, length_t ref_len,
+Bytes make_delta(const Script& script, bool in_place, length_t ref_len,
                  length_t ver_len,
                  DeltaFormat format = kVarintExplicit) {
-  DeltaFile file;
-  file.format = format;
-  file.in_place = in_place;
-  file.reference_length = ref_len;
-  file.version_length = ver_len;
-  file.script = std::move(script);
-  return serialize_delta(file);
+  DeltaHeader header;
+  header.format = format;
+  header.in_place = in_place;
+  header.reference_length = ref_len;
+  header.version_length = ver_len;
+  return test::encode(header, script);
 }
 
 /// The canonical Equation 2 violation: cmd#1 reads bytes cmd#0 wrote.
@@ -261,14 +260,14 @@ TEST(VerifySeverity, ConflictsInScratchDeltasAreNotErrors) {
 }
 
 TEST(VerifySeverity, CompressedPayloadDeclaringAbsurdSizeIsRefused) {
-  DeltaFile file;
-  file.format = kVarintExplicit;
-  file.compress_payload = true;
-  file.reference_length = 64;
-  file.version_length = 20000;
-  file.script.push(AddCommand{0, Bytes(20000, 0x41)});  // compresses well
-  const Bytes delta = serialize_delta(file);
-  ASSERT_TRUE(deserialize_delta(delta).compress_payload);  // lzss paid
+  DeltaHeader header;
+  header.format = kVarintExplicit;
+  header.compress_payload = true;
+  header.reference_length = 64;
+  header.version_length = 20000;
+  const Bytes delta = test::encode(
+      header, Script({AddCommand{0, Bytes(20000, 0x41)}}));  // compresses well
+  ASSERT_TRUE(parse_delta(delta).header.compress_payload);  // lzss paid
 
   VerifyOptions limits;
   limits.max_payload_bytes = 16;  // pretend we are a tiny device
@@ -357,9 +356,8 @@ TEST(VerifyClean, VerdictAgreesWithTheDynamicOracleAcrossTheCorpus) {
       const Report r = verifier.check(delta);
       ASSERT_TRUE(r.well_formed) << pair.name;
       EXPECT_TRUE(r.ok()) << pair.name << "\n" << r.to_text();
-      const DeltaFile parsed = deserialize_delta(delta);
       EXPECT_EQ(r.in_place_safe,
-                analyze_conflicts(parsed.script).in_place_safe())
+                analyze_conflicts(test::decode_script(delta)).in_place_safe())
           << pair.name;
     }
   }
@@ -400,15 +398,14 @@ class VerifyPreload : public ::testing::Test {
   /// whose script violates Equation 2 — the injection the verifier gate
   /// exists to stop (endpoint checks alone would admit it).
   Bytes injected_conflicting_delta() const {
-    DeltaFile file;
-    file.format = kVarintExplicit;
-    file.in_place = true;
-    file.reference_length = store_.body(0)->size();
-    file.version_length = store_.body(1)->size();
-    file.version_crc = store_.content_key(1).crc;
-    file.script =
-        conflicting_script(file.reference_length, file.version_length);
-    return serialize_delta(file);
+    DeltaHeader header;
+    header.format = kVarintExplicit;
+    header.in_place = true;
+    header.reference_length = store_.body(0)->size();
+    header.version_length = store_.body(1)->size();
+    header.version_crc = store_.content_key(1).crc;
+    return test::encode(header, conflicting_script(header.reference_length,
+                                                   header.version_length));
   }
 
   VersionStore store_;
