@@ -4,6 +4,7 @@
 
 #include "apply/apply.hpp"
 #include "apply/inplace_apply.hpp"
+#include "core/checksum.hpp"
 #include "corpus/generator.hpp"
 #include "corpus/mutation.hpp"
 #include "inplace/converter.hpp"
@@ -201,6 +202,44 @@ TEST(Compose, FragmentsMergeBackTogether) {
   const Script composed = compose(d1, d2);
   ASSERT_EQ(composed.size(), 1u);
   EXPECT_EQ(std::get<CopyCommand>(composed.commands()[0]).length, 8u);
+}
+
+TEST(ComposePin, FoldedChainBytesArePinned) {
+  // serialize_delta of fold_chain over four hops of mixed formats: plain
+  // varint, in-place converted and compressed, implicit-offset paper,
+  // compressed varint. FNV-1a of the fold's encoding, pinned.
+  Rng rng(0x71);
+  std::vector<Bytes> history{generate_file(rng, 20000, FileProfile::kText)};
+  for (int i = 0; i < 4; ++i) {
+    history.push_back(mutate(history.back(), rng, 12));
+  }
+  const PipelineOptions hop_options[] = {
+      {.format = kVarintExplicit},
+      {.compress_payload = true, .format = kVarintExplicit},
+      {.format = kPaperSequential},
+      {.compress_payload = true, .format = kVarintExplicit},
+  };
+  std::vector<Bytes> artifacts;
+  std::vector<ParsedDelta> hops;
+  artifacts.reserve(4);
+  for (std::size_t i = 0; i < 4; ++i) {
+    const Pipeline pipeline(hop_options[i]);
+    artifacts.push_back(
+        i == 1 ? pipeline.build_inplace(history[i], history[i + 1]).delta
+               : pipeline.build_delta(history[i], history[i + 1]).delta);
+    hops.push_back(parse_delta(artifacts.back()));
+  }
+  const Script folded = fold_chain(hops);
+  DeltaHeader header;
+  header.format = kVarintExplicit;
+  header.reference_length = history.front().size();
+  header.version_length = history.back().size();
+  header.version_crc = crc32c(history.back());
+  const Bytes encoded = test::encode(header, folded);
+  const std::uint64_t got = test::fnv1a(encoded);
+  EXPECT_EQ(got, 0x7b5e0da395f0f352ull) << std::hex << "0x" << got << "ull";
+  EXPECT_TRUE(test::bytes_equal(history.back(),
+                                apply_delta(encoded, history.front())));
 }
 
 }  // namespace

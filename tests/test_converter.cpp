@@ -6,7 +6,10 @@
 #include "apply/apply.hpp"
 #include "apply/inplace_apply.hpp"
 #include "apply/oracle.hpp"
+#include "corpus/generator.hpp"
+#include "corpus/mutation.hpp"
 #include "delta/differ.hpp"
+#include "ipdelta.hpp"
 #include "test_util.hpp"
 
 namespace ipd {
@@ -310,6 +313,184 @@ TEST(Converter, MakeInplaceDeltaRejectsImplicitFormat) {
   EXPECT_THROW(make_inplace_delta(inst.script, inst.reference, inst.version,
                                   options),
                ValidationError);
+}
+
+
+// ---- ConvertPin: make_inplace_delta's artifact bytes, pinned ----------
+//
+// FNV-1a over the artifact for every cycle policy, with add coalescing
+// and payload compression on and off, on four seeded pairs small enough
+// for the exact policy (at most 64 copies). "permuted" is a block
+// permutation, so its CRWI digraph is cycle-rich; "permuted_inserts"
+// puts literal runs between permuted blocks, so converted copies abut
+// original adds and coalescing merges the two kinds. "text" ends in a
+// text literal that the payload compression shrinks.
+
+struct PinPair {
+  Bytes ref;
+  Bytes ver;
+};
+
+/// `ref` cut into `block`-byte pieces, shuffled, with `insert` random
+/// bytes after every `every`-th piece (none when `every` is 0).
+Bytes shuffled_blocks(ByteView ref, std::size_t block, std::uint64_t seed,
+                      std::size_t every, std::size_t insert) {
+  Rng rng(seed);
+  std::vector<std::size_t> order(ref.size() / block);
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.below(i)]);
+  }
+  Bytes out;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const ByteView piece = ref.subspan(order[i] * block, block);
+    out.insert(out.end(), piece.begin(), piece.end());
+    if (every != 0 && i % every == every - 1) {
+      const Bytes lit = test::random_bytes(seed + i, insert);
+      out.insert(out.end(), lit.begin(), lit.end());
+    }
+  }
+  return out;
+}
+
+PinPair pin_pair(const std::string& name) {
+  PinPair p;
+  if (name == "permuted") {
+    p.ref = test::random_bytes(0x61, 24 << 10);
+    p.ver = shuffled_blocks(p.ref, 512, 0x62, 0, 0);
+  } else if (name == "permuted_inserts") {
+    p.ref = test::random_bytes(0x63, 7680);
+    p.ver = shuffled_blocks(p.ref, 320, 0x64, 4, 24);
+  } else if (name == "text") {
+    Rng rng(0x65);
+    p.ref = generate_file(rng, 24 << 10, FileProfile::kText);
+    p.ver = shuffled_blocks(p.ref, 640, 0x66, 0, 0);
+    const Bytes tail = generate_file(rng, 6 << 10, FileProfile::kText);
+    p.ver.insert(p.ver.end(), tail.begin(), tail.end());
+  } else if (name == "moves") {
+    Rng rng(0x67);
+    MutationModel model;
+    model.move_weight = 6;
+    model.delete_weight = 4;
+    model.length_scale = 64;
+    p.ref = generate_file(rng, 32 << 10, FileProfile::kBinary);
+    p.ver = mutate(p.ref, rng, 12, model);
+  }
+  return p;
+}
+
+struct ConvertPin {
+  const char* pair;
+  BreakPolicy policy;
+  bool coalesce;
+  bool compress;
+  std::uint64_t artifact;
+};
+
+constexpr ConvertPin kConvertPins[] = {
+    {"permuted", BreakPolicy::kConstantTime, true, false, 0x530c531bb4ad9c99ull},
+    {"permuted", BreakPolicy::kConstantTime, true, true, 0x530c531bb4ad9c99ull},
+    {"permuted", BreakPolicy::kConstantTime, false, false, 0xb33654332f84f65cull},
+    {"permuted", BreakPolicy::kConstantTime, false, true, 0xb33654332f84f65cull},
+    {"permuted", BreakPolicy::kLocalMin, true, false, 0x4667f293e8fbe59aull},
+    {"permuted", BreakPolicy::kLocalMin, true, true, 0x4667f293e8fbe59aull},
+    {"permuted", BreakPolicy::kLocalMin, false, false, 0xd9a705e9760e811ull},
+    {"permuted", BreakPolicy::kLocalMin, false, true, 0xd9a705e9760e811ull},
+    {"permuted", BreakPolicy::kExactOptimal, true, false, 0x7bb72257d738daf7ull},
+    {"permuted", BreakPolicy::kExactOptimal, true, true, 0x7bb72257d738daf7ull},
+    {"permuted", BreakPolicy::kExactOptimal, false, false, 0x6c0c484e482a18b9ull},
+    {"permuted", BreakPolicy::kExactOptimal, false, true, 0x6c0c484e482a18b9ull},
+    {"permuted", BreakPolicy::kSccGlobalMin, true, false, 0x530c531bb4ad9c99ull},
+    {"permuted", BreakPolicy::kSccGlobalMin, true, true, 0x530c531bb4ad9c99ull},
+    {"permuted", BreakPolicy::kSccGlobalMin, false, false, 0x620a1093bc2c647full},
+    {"permuted", BreakPolicy::kSccGlobalMin, false, true, 0x620a1093bc2c647full},
+    {"permuted_inserts", BreakPolicy::kConstantTime, true, false, 0x284a2852c239b34aull},
+    {"permuted_inserts", BreakPolicy::kConstantTime, true, true, 0x284a2852c239b34aull},
+    {"permuted_inserts", BreakPolicy::kConstantTime, false, false, 0xaed6dab462b2b932ull},
+    {"permuted_inserts", BreakPolicy::kConstantTime, false, true, 0xaed6dab462b2b932ull},
+    {"permuted_inserts", BreakPolicy::kLocalMin, true, false, 0x917d12ec7b3b7243ull},
+    {"permuted_inserts", BreakPolicy::kLocalMin, true, true, 0x917d12ec7b3b7243ull},
+    {"permuted_inserts", BreakPolicy::kLocalMin, false, false, 0x4c2a0a545a93d2a0ull},
+    {"permuted_inserts", BreakPolicy::kLocalMin, false, true, 0x4c2a0a545a93d2a0ull},
+    {"permuted_inserts", BreakPolicy::kExactOptimal, true, false, 0x1dabdea884ea06dcull},
+    {"permuted_inserts", BreakPolicy::kExactOptimal, true, true, 0x1dabdea884ea06dcull},
+    {"permuted_inserts", BreakPolicy::kExactOptimal, false, false, 0xfe84d03f7832e2faull},
+    {"permuted_inserts", BreakPolicy::kExactOptimal, false, true, 0xfe84d03f7832e2faull},
+    {"permuted_inserts", BreakPolicy::kSccGlobalMin, true, false, 0x42f1c116f3ca7d0dull},
+    {"permuted_inserts", BreakPolicy::kSccGlobalMin, true, true, 0x42f1c116f3ca7d0dull},
+    {"permuted_inserts", BreakPolicy::kSccGlobalMin, false, false, 0xc2d7f40163127f5aull},
+    {"permuted_inserts", BreakPolicy::kSccGlobalMin, false, true, 0xc2d7f40163127f5aull},
+    {"text", BreakPolicy::kConstantTime, true, false, 0x725bf0753bd8aed2ull},
+    {"text", BreakPolicy::kConstantTime, true, true, 0xf7aecab7189e8bf1ull},
+    {"text", BreakPolicy::kConstantTime, false, false, 0xa61b9bc57447e1f4ull},
+    {"text", BreakPolicy::kConstantTime, false, true, 0x1e0b2bbbf72a0b3eull},
+    {"text", BreakPolicy::kLocalMin, true, false, 0xbca72da76cbc78f6ull},
+    {"text", BreakPolicy::kLocalMin, true, true, 0xc0c855ea7ef6507aull},
+    {"text", BreakPolicy::kLocalMin, false, false, 0x4f28cbb189e17be9ull},
+    {"text", BreakPolicy::kLocalMin, false, true, 0x70c80a98a6c6a9e9ull},
+    {"text", BreakPolicy::kExactOptimal, true, false, 0x6075d85b2ba1434eull},
+    {"text", BreakPolicy::kExactOptimal, true, true, 0x38b37db39aa156ceull},
+    {"text", BreakPolicy::kExactOptimal, false, false, 0xee145249e4d8dfb4ull},
+    {"text", BreakPolicy::kExactOptimal, false, true, 0x3f9df1aadbcb792bull},
+    {"text", BreakPolicy::kSccGlobalMin, true, false, 0xe47b8f5c519d2e5dull},
+    {"text", BreakPolicy::kSccGlobalMin, true, true, 0x2ff087fb7a1308a2ull},
+    {"text", BreakPolicy::kSccGlobalMin, false, false, 0x51f8eb793c4751e0ull},
+    {"text", BreakPolicy::kSccGlobalMin, false, true, 0xb45401f9fab320deull},
+    {"moves", BreakPolicy::kConstantTime, true, false, 0xa03ea033683c8f33ull},
+    {"moves", BreakPolicy::kConstantTime, true, true, 0xd1d808766421d694ull},
+    {"moves", BreakPolicy::kConstantTime, false, false, 0xda3ec5324d2616bfull},
+    {"moves", BreakPolicy::kConstantTime, false, true, 0xc581442fe3db482cull},
+    {"moves", BreakPolicy::kLocalMin, true, false, 0xeb4ec67f9ab9e331ull},
+    {"moves", BreakPolicy::kLocalMin, true, true, 0xa73ab82100a43882ull},
+    {"moves", BreakPolicy::kLocalMin, false, false, 0x1eb96709542825c7ull},
+    {"moves", BreakPolicy::kLocalMin, false, true, 0xf4fe78de4da90daeull},
+    {"moves", BreakPolicy::kExactOptimal, true, false, 0xeb4ec67f9ab9e331ull},
+    {"moves", BreakPolicy::kExactOptimal, true, true, 0xa73ab82100a43882ull},
+    {"moves", BreakPolicy::kExactOptimal, false, false, 0x1eb96709542825c7ull},
+    {"moves", BreakPolicy::kExactOptimal, false, true, 0xf4fe78de4da90daeull},
+    {"moves", BreakPolicy::kSccGlobalMin, true, false, 0xeb4ec67f9ab9e331ull},
+    {"moves", BreakPolicy::kSccGlobalMin, true, true, 0xa73ab82100a43882ull},
+    {"moves", BreakPolicy::kSccGlobalMin, false, false, 0x1eb96709542825c7ull},
+    {"moves", BreakPolicy::kSccGlobalMin, false, true, 0xf4fe78de4da90daeull},
+};
+
+TEST(ConvertPin, InplaceArtifactBytesArePinned) {
+  for (const ConvertPin& pin : kConvertPins) {
+    SCOPED_TRACE(std::string(pin.pair) + " " + policy_name(pin.policy) +
+                 " coalesce=" + std::to_string(pin.coalesce) +
+                 " compress=" + std::to_string(pin.compress));
+    const PinPair p = pin_pair(pin.pair);
+    const Script script = diff_bytes(DifferKind::kOnePass, p.ref, p.ver);
+    ConvertReport report;
+    const Bytes artifact = make_inplace_delta(
+        script, p.ref, p.ver,
+        {.policy = pin.policy, .coalesce_adds = pin.coalesce}, &report,
+        pin.compress);
+    const std::uint64_t got = test::fnv1a(artifact);
+    EXPECT_EQ(got, pin.artifact) << std::hex << "0x" << got << "ull";
+    EXPECT_TRUE(test::bytes_equal(p.ver, Pipeline().apply(artifact, p.ref)));
+  }
+}
+
+TEST(ConvertPin, PairsExerciseCyclesAndMixedAddRuns) {
+  for (const char* name : {"permuted", "permuted_inserts"}) {
+    SCOPED_TRACE(name);
+    const PinPair p = pin_pair(name);
+    const ConvertResult r = convert_to_inplace(
+        diff_bytes(DifferKind::kOnePass, p.ref, p.ver), p.ref);
+    EXPECT_GT(r.report.cycles_found, 0u);
+    EXPECT_GT(r.report.copies_converted, 0u);
+  }
+  // Converted copies land next to the inserted literals: coalescing
+  // merges runs that mix the two.
+  const PinPair p = pin_pair("permuted_inserts");
+  const Script script = diff_bytes(DifferKind::kOnePass, p.ref, p.ver);
+  EXPECT_GT(script.summary().add_count, 0u);
+  const ConvertResult merged = convert_to_inplace(script, p.ref);
+  const ConvertResult loose =
+      convert_to_inplace(script, p.ref, {.coalesce_adds = false});
+  EXPECT_LT(merged.script.summary().add_count,
+            loose.script.summary().add_count);
 }
 
 }  // namespace

@@ -150,14 +150,7 @@ TEST(OnePassDiffer, FirstOccurrenceWinsSlot) {
 // and large inputs take the segmented path; the 1.25 MiB case also takes
 // the chunked parallel index build).
 
-std::uint64_t fnv1a(ByteView bytes) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+using test::fnv1a;
 
 /// ipbench-style multi-profile image: fixed-size pieces, each from its
 /// own derived seed, cycling through the profiles.

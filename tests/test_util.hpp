@@ -31,6 +31,16 @@ inline Bytes ramp_bytes(std::size_t size) {
   return out;
 }
 
+/// FNV-1a over `bytes`: the checksum the byte pins compare against.
+inline std::uint64_t fnv1a(ByteView bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 /// Shorthand copy/add constructors.
 inline Command C(offset_t from, offset_t to, length_t len) {
   return CopyCommand{from, to, len};
