@@ -30,7 +30,7 @@ std::uint64_t encoded_size(const Script& script, length_t ref_len,
   header.format = format;
   header.reference_length = ref_len;
   header.version_length = ver_len;
-  return serialize_delta(header, command_table(script)).size();
+  return serialize_delta(header, script.commands()).size();
 }
 
 void ablation_granularity(const std::vector<VersionPair>& corpus) {

@@ -17,12 +17,7 @@ namespace {
 using namespace ipd;
 
 CrwiGraph build_graph(const Script& script, length_t version_length) {
-  auto copies = script.copies();
-  std::sort(copies.begin(), copies.end(),
-            [](const CopyCommand& a, const CopyCommand& b) {
-              return a.to < b.to;
-            });
-  return CrwiGraph::build(copies, version_length);
+  return CrwiGraph::build(bench::sorted_copies(script), version_length);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <map>
 
 #include "adversary/constructions.hpp"
+#include "bench_util.hpp"
 #include "apply/stream_applier.hpp"
 #include "core/checksum.hpp"
 #include "core/checksum_kernels.hpp"
@@ -28,14 +29,7 @@ namespace {
 
 using namespace ipd;
 
-std::vector<CopyCommand> sorted_copies(const Script& s) {
-  auto copies = s.copies();
-  std::sort(copies.begin(), copies.end(),
-            [](const CopyCommand& a, const CopyCommand& b) {
-              return a.to < b.to;
-            });
-  return copies;
-}
+using bench::sorted_copies;
 
 // A reusable versioned pair sized by the benchmark argument.
 struct Pair {
@@ -151,7 +145,7 @@ void BM_TopoSort(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(1));
   const AdversaryInstance inst =
       make_block_permutation(64, random_permutation(rng, n));
-  run_topo_sort(state, topo_graph(inst.script.copies(), n * 64));
+  run_topo_sort(state, topo_graph(sorted_copies(inst.script), n * 64));
 }
 BENCHMARK(BM_TopoSort)
     ->ArgsProduct({{0 /*constant*/, 1 /*local-min*/}, {1 << 8, 1 << 12}});
@@ -183,7 +177,7 @@ BENCHMARK(BM_TopoSortRandomCopies)
 void BM_TopoSortFig3(benchmark::State& state) {
   static const TopoGraph t = [] {
     const Fig3Instance inst = make_fig3_quadratic(1024);
-    return topo_graph(inst.script.copies(), inst.version.size());
+    return topo_graph(sorted_copies(inst.script), inst.version.size());
   }();
   run_topo_sort(state, t);
 }
@@ -454,7 +448,7 @@ BENCHMARK(BM_OverlappingCopy)->Apply(kernel_sizes);
 void BM_SerializeDelta(benchmark::State& state) {
   const Pair p = make_pair_bytes(1 << 16);
   const Script script = diff_bytes(DifferKind::kOnePass, p.ref, p.ver);
-  const std::vector<CommandRef> table = command_table(script);
+  const std::span<const CommandRef> table = script.commands();
   DeltaHeader header;
   header.format = state.range(0) == 0 ? kPaperExplicit : kVarintExplicit;
   header.reference_length = p.ref.size();

@@ -46,7 +46,7 @@ Row measure(const std::vector<VersionPair>& corpus, DifferKind differ,
     DeltaHeader header;
     header.reference_length = pair.reference.size();
     header.version_length = pair.version.size();
-    const std::vector<CommandRef> table = command_table(script);
+    const std::span<const CommandRef> table = script.commands();
 
     header.format = sequential;
     row.no_offsets.add(sample(serialize_delta(header, table).size()));
@@ -63,7 +63,7 @@ Row measure(const std::vector<VersionPair>& corpus, DifferKind differ,
       DeltaHeader out = header;
       out.in_place = true;
       const std::uint64_t size =
-          serialize_delta(out, command_table(converted.script)).size();
+          serialize_delta(out, converted.script.commands()).size();
       (policy == BreakPolicy::kConstantTime ? row.inplace_constant
                                             : row.inplace_localmin)
           .add(sample(size));

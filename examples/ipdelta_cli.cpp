@@ -58,20 +58,6 @@ using namespace ipd;
 int run_command(const std::string& command,
                 const std::vector<std::string>& args);
 
-/// An owning Script with the table's commands, for the analyses that
-/// take one (analyze_delta, analyze_conflicts).
-Script owning_script(std::span<const CommandRef> table) {
-  Script script;
-  for (const CommandRef& c : table) {
-    if (c.is_add()) {
-      script.push(AddCommand{c.to, Bytes(c.literal, c.literal + c.length)});
-    } else {
-      script.push(CopyCommand{c.from, c.to, c.length});
-    }
-  }
-  return script;
-}
-
 int usage() {
   std::fprintf(
       stderr,
@@ -279,7 +265,7 @@ int cmd_compose(const std::vector<std::string>& args) {
   out.version_crc = d2.header.version_crc;
   out.compress_payload =
       d1.header.compress_payload || d2.header.compress_payload;
-  const Bytes wire = serialize_delta(out, command_table(script));
+  const Bytes wire = serialize_delta(out, script.commands());
   write_file(args[2], wire);
   std::printf(
       "composed %s o %s -> %s: %zu bytes, %zu commands (%llu literal "
@@ -340,7 +326,7 @@ int lint_self_check(std::uint64_t seed) {
 
       const Report report = verifier.check(delta);
       const ConflictAnalysis oracle =
-          analyze_conflicts(owning_script(parse_delta(delta).commands));
+          analyze_conflicts(Script(parse_delta(delta).commands));
       const Bytes applied = apply_delta(delta, pair.reference);
 
       std::string complaint;
@@ -420,7 +406,7 @@ int cmd_info(const std::vector<std::string>& args) {
   const Bytes delta = read_file(args[0]);
   const ParsedDelta parsed = parse_delta(delta);
   const DeltaHeader& header = parsed.header;
-  const Script script = owning_script(parsed.commands);
+  const Script script(parsed.commands);
   const ScriptSummary sum = script.summary();
   std::printf(
       "%s\n"

@@ -1,18 +1,18 @@
-// The two ways a batch apply can decode a delta, side by side for the
+// The two ways a batch apply can run a delta, side by side for the
 // differential checks in fuzz_codec and test_codec:
 //
 //  * borrowed — apply_delta / apply_delta_inplace, which execute
-//    parse_delta's command table with the adds still in the artifact;
-//  * owning   — the same table copied into an owning Script, then the
-//    reference appliers apply_script / apply_inplace, with the same
-//    container checks around them.
+//    parse_delta's command table as parse_delta bounded it;
+//  * script   — the same table turned into a Script (no byte copied),
+//    then the reference appliers apply_script / apply_inplace, with
+//    their own per-command bounds checks and the same container checks
+//    around them.
 //
 // Both must accept and reject alike, with the same exception type, and
 // leave the same bytes behind. table_round_trips() is the encoder's
 // check on the same table: parse, serialize_delta, parse again.
 #pragma once
 
-#include <algorithm>
 #include <span>
 #include <string>
 #include <typeinfo>
@@ -35,33 +35,10 @@ struct ApplyOutcome {
   bool operator==(const ApplyOutcome&) const = default;
 };
 
-/// An owning Script with the table's commands (copies the add bytes).
-inline Script owning_script(std::span<const CommandRef> table) {
-  Script script;
-  for (const CommandRef& c : table) {
-    if (c.is_add()) {
-      script.push(AddCommand{c.to, Bytes(c.literal, c.literal + c.length)});
-    } else {
-      script.push(CopyCommand{c.from, c.to, c.length});
-    }
-  }
-  return script;
-}
-
-/// True when `a` and `b` hold the same commands: kinds, offsets, lengths
-/// and add bytes.
-inline bool same_commands(std::span<const CommandRef> a,
-                          std::span<const CommandRef> b) {
-  return std::equal(
-      a.begin(), a.end(), b.begin(), b.end(),
-      [](const CommandRef& x, const CommandRef& y) {
-        if (x.to != y.to || x.length != y.length || x.is_add() != y.is_add()) {
-          return false;
-        }
-        return x.is_add() ? std::equal(x.literal, x.literal + x.length,
-                                       y.literal)
-                          : x.from == y.from;
-      });
+/// The parsed table as a Script: adds keep borrowing the artifact, and
+/// the Script takes the decompressed payload over.
+inline Script script_of(ParsedDelta parsed) {
+  return Script(std::move(parsed.commands), std::move(parsed.decompressed));
 }
 
 /// Encode a parsed table again under its header and parse that: true
@@ -78,7 +55,7 @@ inline bool table_round_trips(const ParsedDelta& first) {
          a.reference_length == b.reference_length &&
          a.version_length == b.version_length &&
          a.version_crc == b.version_crc &&
-         same_commands(first.commands, second.commands);
+         Script(first.commands) == Script(second.commands);
 }
 
 template <typename Fn>
@@ -97,15 +74,15 @@ inline ApplyOutcome borrowed_scratch(ByteView delta, ByteView reference) {
   return out;
 }
 
-inline ApplyOutcome owning_scratch(ByteView delta, ByteView reference) {
+inline ApplyOutcome script_scratch(ByteView delta, ByteView reference) {
   ApplyOutcome out;
   out.error = error_type_of([&] {
-    const ParsedDelta parsed = parse_delta(delta);
-    const DeltaHeader& header = parsed.header;
+    ParsedDelta parsed = parse_delta(delta);
+    const DeltaHeader header = parsed.header;
     if (header.reference_length != reference.size()) {
       throw FormatError("reference length mismatch");
     }
-    Bytes version = apply_script(owning_script(parsed.commands), reference);
+    Bytes version = apply_script(script_of(std::move(parsed)), reference);
     if (crc32c(version) != header.version_crc) {
       throw FormatError("version CRC mismatch");
     }
@@ -123,11 +100,11 @@ inline ApplyOutcome borrowed_inplace(ByteView delta, Bytes buffer) {
   return out;
 }
 
-inline ApplyOutcome owning_inplace(ByteView delta, Bytes buffer) {
+inline ApplyOutcome script_inplace(ByteView delta, Bytes buffer) {
   ApplyOutcome out;
   out.error = error_type_of([&] {
-    const ParsedDelta parsed = parse_delta(delta);
-    const DeltaHeader& header = parsed.header;
+    ParsedDelta parsed = parse_delta(delta);
+    const DeltaHeader header = parsed.header;
     if (!header.in_place) {
       throw ValidationError("not marked in-place reconstructible");
     }
@@ -135,7 +112,7 @@ inline ApplyOutcome owning_inplace(ByteView delta, Bytes buffer) {
         header.version_length > buffer.size()) {
       throw ValidationError("buffer too small");
     }
-    apply_inplace(owning_script(parsed.commands), buffer,
+    apply_inplace(script_of(std::move(parsed)), buffer,
                   header.reference_length, header.version_length);
     const auto version_size = static_cast<std::size_t>(header.version_length);
     if (crc32c(ByteView(buffer).first(version_size)) != header.version_crc) {

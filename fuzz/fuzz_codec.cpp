@@ -14,8 +14,8 @@
 //  * apply_delta_inplace on a bounded buffer either throws or produces
 //    exactly version_length bytes matching the header's version CRC;
 //  * the borrowed batch appliers (parse_delta's command table) and the
-//    owning ones (that table as a Script + apply_script / apply_inplace) give
-//    the same verdict, exception type and bytes, in place and scratch.
+//    reference ones (that table as a Script + apply_script / apply_inplace)
+//    give the same verdict, exception type and bytes, in place and scratch.
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
@@ -80,7 +80,7 @@ void check_verifier_matches_parse(ByteView input) {
                    return true;
                  });
   for (const Conflict& c :
-       analyze_conflicts(fuzzcorpus::owning_script(parsed->commands))
+       analyze_conflicts(Script(parsed->commands))
            .conflicts) {
     oracle.emplace_back(c.reader_index, c.writer_index, c.overlap.first,
                         c.overlap.last);
@@ -123,12 +123,12 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
            crc32c(inplace.bytes) != h.version_crc)) {
         abort();
       }
-      if (inplace != fuzzcorpus::owning_inplace(input, buffer)) abort();
+      if (inplace != fuzzcorpus::script_inplace(input, buffer)) abort();
 
       const ByteView reference =
           ByteView(buffer).first(static_cast<std::size_t>(h.reference_length));
       if (fuzzcorpus::borrowed_scratch(input, reference) !=
-          fuzzcorpus::owning_scratch(input, reference)) {
+          fuzzcorpus::script_scratch(input, reference)) {
         abort();
       }
     }

@@ -10,23 +10,17 @@ namespace ipd {
 
 void apply_script_into(const Script& script, ByteView reference,
                        MutByteView version) {
-  for (const Command& cmd : script.commands()) {
-    if (const auto* copy = std::get_if<CopyCommand>(&cmd)) {
-      if (!range_fits(copy->from, copy->length, reference.size()) ||
-          !range_fits(copy->to, copy->length, version.size())) {
-        throw ValidationError("apply: copy command out of bounds");
-      }
-      std::copy_n(reference.begin() + static_cast<std::ptrdiff_t>(copy->from),
-                  copy->length,
-                  version.begin() + static_cast<std::ptrdiff_t>(copy->to));
-    } else {
-      const AddCommand& add = std::get<AddCommand>(cmd);
-      if (!range_fits(add.to, add.length(), version.size())) {
-        throw ValidationError("apply: add command out of bounds");
-      }
-      std::copy(add.data.begin(), add.data.end(),
-                version.begin() + static_cast<std::ptrdiff_t>(add.to));
+  for (const CommandRef& cmd : script.commands()) {
+    if (!range_fits(cmd.to, cmd.length, version.size()) ||
+        (!cmd.is_add() &&
+         !range_fits(cmd.from, cmd.length, reference.size()))) {
+      throw ValidationError(cmd.is_add() ? "apply: add command out of bounds"
+                                         : "apply: copy command out of bounds");
     }
+    const std::uint8_t* source =
+        cmd.is_add() ? cmd.literal : reference.data() + cmd.from;
+    std::copy_n(source, cmd.length,
+                version.begin() + static_cast<std::ptrdiff_t>(cmd.to));
   }
 }
 

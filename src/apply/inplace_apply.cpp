@@ -15,13 +15,12 @@ void check_bounds(const Script& script, std::size_t buffer_size,
     throw ValidationError(
         "in-place apply: buffer must hold max(reference, version)");
   }
-  for (const Command& cmd : script.commands()) {
-    if (const auto* copy = std::get_if<CopyCommand>(&cmd)) {
-      if (!range_fits(copy->from, copy->length, reference_length)) {
-        throw ValidationError("in-place apply: copy reads past reference");
-      }
+  for (const CommandRef& cmd : script.commands()) {
+    if (!cmd.is_add() &&
+        !range_fits(cmd.from, cmd.length, reference_length)) {
+      throw ValidationError("in-place apply: copy reads past reference");
     }
-    if (!range_fits(command_to(cmd), command_length(cmd), version_length)) {
+    if (!range_fits(cmd.to, cmd.length, version_length)) {
       throw ValidationError("in-place apply: command writes past version");
     }
   }
@@ -43,13 +42,12 @@ void overlapping_copy(MutByteView buffer, offset_t from, offset_t to,
 void apply_inplace(const Script& script, MutByteView buffer,
                    length_t reference_length, length_t version_length) {
   check_bounds(script, buffer.size(), reference_length, version_length);
-  for (const Command& cmd : script.commands()) {
-    if (const auto* copy = std::get_if<CopyCommand>(&cmd)) {
-      overlapping_copy(buffer, copy->from, copy->to, copy->length);
+  for (const CommandRef& cmd : script.commands()) {
+    if (cmd.is_add()) {
+      std::copy_n(cmd.literal, cmd.length,
+                  buffer.begin() + static_cast<std::ptrdiff_t>(cmd.to));
     } else {
-      const AddCommand& add = std::get<AddCommand>(cmd);
-      std::copy(add.data.begin(), add.data.end(),
-                buffer.begin() + static_cast<std::ptrdiff_t>(add.to));
+      overlapping_copy(buffer, cmd.from, cmd.to, cmd.length);
     }
   }
 }

@@ -107,11 +107,11 @@ ConflictAnalysis analyze_conflicts(const Script& script,
   ConflictAnalysis analysis;
   WriterMap written;
 
-  const auto& commands = script.commands();
+  const std::span<const CommandRef> commands = script.commands();
   for (std::size_t j = 0; j < commands.size(); ++j) {
-    if (const auto* copy = std::get_if<CopyCommand>(&commands[j])) {
-      if (copy->length > 0) {
-        const Interval read = copy->read_interval();
+    if (!commands[j].is_add()) {
+      if (commands[j].length > 0) {
+        const Interval read = commands[j].copy().read_interval();
         // First candidate: the last interval starting at or before
         // read.last; walk left while intervals still intersect.
         auto it = written.upper_bound(read.last);
@@ -132,8 +132,8 @@ ConflictAnalysis analyze_conflicts(const Script& script,
         }
       }
     }
-    if (command_length(commands[j]) > 0) {
-      paint(written, command_write_interval(commands[j]), j);
+    if (commands[j].length > 0) {
+      paint(written, commands[j].write_interval(), j);
     }
   }
   return analysis;

@@ -49,13 +49,13 @@ Script BlockDiffer::scan(const DifferIndex& index, ByteView reference,
     throw ValidationError("block differ: foreign index");
   }
   const std::size_t block = options_.block_size;
-  ScriptBuilder builder;
+  ScriptBuilder builder(version);
 
   std::size_t pos = 0;
   while (pos < version.size()) {
     const std::size_t remaining = version.size() - pos;
     if (remaining < block) {
-      builder.literals(version.subspan(pos));
+      builder.literals(version.size() - pos);
       break;
     }
     const ByteView candidate = version.subspan(pos, block);
@@ -77,7 +77,7 @@ Script BlockDiffer::scan(const DifferIndex& index, ByteView reference,
     } else {
       // Alignment restriction: no partial or shifted matches — the whole
       // version block goes into the delta literally.
-      builder.literals(candidate);
+      builder.literals(block);
       pos += block;
     }
   }

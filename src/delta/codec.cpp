@@ -568,7 +568,8 @@ std::optional<DeltaRejection> decode_delta(ByteView data, ParsedDelta& out,
   }
 
   // Every codeword takes at least 3 stream bytes and writes at least one
-  // version byte, so one reservation holds any table that can tile.
+  // version byte, so one reservation holds any table that can tile; the
+  // table is trimmed to its size once decoded.
   out.commands.reserve(static_cast<std::size_t>(
       std::min<std::uint64_t>(stream.size() / 3, header.version_length)));
   const unsigned offset_width = paper_offset_width(header.version_length);
@@ -583,6 +584,7 @@ std::optional<DeltaRejection> decode_delta(ByteView data, ParsedDelta& out,
     out.commands.push_back(decoded.command);
     pos += decoded.consumed;
   }
+  out.commands.shrink_to_fit();
   return std::nullopt;
 }
 

@@ -26,8 +26,9 @@
 // static Verifier and chain folding run on; the table must not outlive
 // the artifact bytes it was parsed from. The streaming decoder, and the
 // container reader both streaming appliers run on it, borrow the same
-// way. serialize_delta() encodes the same table; the producers' owning
-// Scripts reach it through command_table().
+// way. serialize_delta() encodes the same table, which is what a Script
+// is (delta/script.hpp); Script(parsed.commands, parsed.decompressed)
+// turns a parsed table into one without copying.
 #pragma once
 
 #include <cstdint>
@@ -135,10 +136,10 @@ struct ParsedDelta {
   ParsedDelta(ParsedDelta&&) = default;
   ParsedDelta& operator=(ParsedDelta&&) = default;
 
-  /// Bytes the table holds beyond the artifact: its commands and the
-  /// decompressed payload (sizes, not reserved capacity).
+  /// Heap bytes the table holds beyond the artifact: the storage of its
+  /// commands and of the decompressed payload.
   std::size_t table_bytes() const noexcept {
-    return commands.size() * sizeof(CommandRef) + decompressed.size();
+    return commands.capacity() * sizeof(CommandRef) + decompressed.capacity();
   }
 };
 

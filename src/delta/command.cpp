@@ -2,47 +2,16 @@
 
 namespace ipd {
 
-offset_t command_to(const Command& c) noexcept {
-  return std::visit([](const auto& cmd) { return cmd.to; }, c);
-}
-
-length_t command_length(const Command& c) noexcept {
-  return std::visit(
-      [](const auto& cmd) -> length_t {
-        if constexpr (std::is_same_v<std::decay_t<decltype(cmd)>,
-                                     CopyCommand>) {
-          return cmd.length;
-        } else {
-          return cmd.length();
-        }
-      },
-      c);
-}
-
-Interval command_write_interval(const Command& c) noexcept {
-  return std::visit([](const auto& cmd) { return cmd.write_interval(); }, c);
-}
-
-bool is_copy(const Command& c) noexcept {
-  return std::holds_alternative<CopyCommand>(c);
-}
-
-bool is_add(const Command& c) noexcept {
-  return std::holds_alternative<AddCommand>(c);
-}
-
 std::ostream& operator<<(std::ostream& os, const CopyCommand& c) {
   return os << "copy<f=" << c.from << ", t=" << c.to << ", l=" << c.length
             << '>';
 }
 
-std::ostream& operator<<(std::ostream& os, const AddCommand& a) {
-  return os << "add<t=" << a.to << ", l=" << a.length() << '>';
-}
-
-std::ostream& operator<<(std::ostream& os, const Command& c) {
-  std::visit([&os](const auto& cmd) { os << cmd; }, c);
-  return os;
+std::ostream& operator<<(std::ostream& os, const CommandRef& c) {
+  if (c.is_add()) {
+    return os << "add<t=" << c.to << ", l=" << c.length << '>';
+  }
+  return os << c.copy();
 }
 
 }  // namespace ipd

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <ostream>
-#include <variant>
 
 #include "core/interval.hpp"
 #include "core/types.hpp"
@@ -42,25 +41,11 @@ struct CopyCommand {
   bool operator==(const CopyCommand&) const noexcept = default;
 };
 
-/// add <t, l> + data: write literal bytes at t.
-struct AddCommand {
-  offset_t to = 0;
-  Bytes data;
-
-  length_t length() const noexcept { return data.size(); }
-  Interval write_interval() const noexcept {
-    return Interval::of(to, data.size());
-  }
-
-  bool operator==(const AddCommand&) const noexcept = default;
-};
-
-using Command = std::variant<CopyCommand, AddCommand>;
-
-/// One row of a command table: the decoded form both kinds share. A copy
-/// reads `length` reference bytes at `from`; an add's `length` literal
-/// bytes start at `literal`, which borrows them from the stream or
-/// Script they came from. Valid only while that storage is alive.
+/// One row of a command table: the form both kinds share. A copy reads
+/// `length` reference bytes at `from`; an add's `length` literal bytes
+/// start at `literal`, which borrows them from where they already are
+/// (the version a differ scanned, the reference, a delta's payload) or
+/// from a Script's arena. Valid only while that storage is alive.
 struct CommandRef {
   offset_t to = 0;
   length_t length = 0;
@@ -68,20 +53,17 @@ struct CommandRef {
   const std::uint8_t* literal = nullptr;  ///< add bytes; null for a copy
 
   bool is_add() const noexcept { return literal != nullptr; }
+  /// The add's bytes. Precondition: is_add().
+  ByteView bytes() const noexcept {
+    return {literal, static_cast<std::size_t>(length)};
+  }
+  /// [t, t+l-1], the bytes this command writes in the version.
+  Interval write_interval() const noexcept { return Interval::of(to, length); }
+  /// The copy <f, t, l> this row holds. Precondition: !is_add().
+  CopyCommand copy() const noexcept { return {from, to, length}; }
 };
 
-/// Write offset of either command kind.
-offset_t command_to(const Command& c) noexcept;
-/// Number of version bytes either command kind produces.
-length_t command_length(const Command& c) noexcept;
-/// Write interval of either command kind. Precondition: length >= 1.
-Interval command_write_interval(const Command& c) noexcept;
-
-bool is_copy(const Command& c) noexcept;
-bool is_add(const Command& c) noexcept;
-
 std::ostream& operator<<(std::ostream& os, const CopyCommand& c);
-std::ostream& operator<<(std::ostream& os, const AddCommand& a);
-std::ostream& operator<<(std::ostream& os, const Command& c);
+std::ostream& operator<<(std::ostream& os, const CommandRef& c);
 
 }  // namespace ipd

@@ -50,36 +50,23 @@ struct WriteMap {
 class Emitter {
  public:
   void copy(offset_t from, offset_t to, length_t length) {
-    if (auto* prev = last_copy();
-        prev != nullptr && prev->to + prev->length == to &&
-        prev->from + prev->length == from) {
-      prev->length += length;
-      return;
+    if (!out_.empty()) {
+      CommandRef& prev = out_.commands().back();
+      if (!prev.is_add() && prev.to + prev.length == to &&
+          prev.from + prev.length == from) {
+        prev.length += length;
+        return;
+      }
     }
-    commands_.emplace_back(CopyCommand{from, to, length});
+    out_.push(CopyCommand{from, to, length});
   }
 
-  void add(offset_t to, ByteView data) {
-    if (auto* prev = last_add();
-        prev != nullptr && prev->to + prev->length() == to) {
-      prev->data.insert(prev->data.end(), data.begin(), data.end());
-      return;
-    }
-    commands_.emplace_back(AddCommand{to, Bytes(data.begin(), data.end())});
-  }
+  void add(offset_t to, ByteView data) { out_.append_add(to, data); }
 
-  Script finish() { return Script(std::move(commands_)); }
+  Script finish() { return std::move(out_); }
 
  private:
-  CopyCommand* last_copy() {
-    return commands_.empty() ? nullptr
-                             : std::get_if<CopyCommand>(&commands_.back());
-  }
-  AddCommand* last_add() {
-    return commands_.empty() ? nullptr
-                             : std::get_if<AddCommand>(&commands_.back());
-  }
-  std::vector<Command> commands_;
+  Script out_;
 };
 
 }  // namespace
@@ -95,8 +82,7 @@ Script compose_scripts(std::span<const CommandRef> first,
   for (const CommandRef& cmd : second) {
     if (cmd.length == 0) continue;
     if (cmd.is_add()) {
-      out.add(cmd.to,
-              ByteView(cmd.literal, static_cast<std::size_t>(cmd.length)));
+      out.add(cmd.to, cmd.bytes());
       report.literal_bytes += cmd.length;
       ++report.pieces;
       continue;
@@ -142,7 +128,10 @@ Script fold_chain(std::span<const ParsedDelta> hops) {
   }
   Script folded = compose_scripts(hops[0].commands, hops[1].commands);
   for (std::size_t i = 2; i < hops.size(); ++i) {
-    folded = compose_scripts(command_table(folded), hops[i].commands);
+    // The next fold may borrow bytes this one gathered: keep them.
+    Script next = compose_scripts(folded.commands(), hops[i].commands);
+    next.adopt_arena(std::move(folded));
+    folded = std::move(next);
   }
   return folded;
 }

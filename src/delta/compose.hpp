@@ -10,9 +10,10 @@
 // copy from A with a shifted offset) or in a δ₁ add (becoming a literal
 // sliced out of δ₁'s data).
 //
-// Both inputs are command tables (parse_delta's, or command_table() of an
-// owning Script); the output is an owning Script, since its adds may be
-// sliced from either input. The composed script is a plain
+// Both inputs are command tables (parse_delta's, or a Script's
+// commands()). The output's adds borrow slices of the inputs' literals;
+// only adds fused from pieces that are not contiguous in memory are
+// copied, into the output's arena. The composed script is a plain
 // (scratch-space) delta; pass it through
 // convert_to_inplace — which needs the real A bytes — if the device needs
 // in-place application.
@@ -33,16 +34,20 @@ struct ComposeReport {
 
 /// Compose `first` (A→B) with `second` (B→C), both command tables. The
 /// writes of `first` must tile [0, L_B) where L_B covers every read of
-/// `second`; throws ValidationError otherwise. The result reads only A,
-/// owns its add bytes and tiles [0, L_C) exactly. Commands in the result
-/// follow `second`'s order with fragments merged where adjacent.
+/// `second`; throws ValidationError otherwise. The result reads only A
+/// and tiles [0, L_C) exactly; its adds borrow the literals of `first`
+/// and `second`, so keep what those tables borrow alive while the result
+/// is used. Commands in the result follow `second`'s order with
+/// fragments merged where adjacent.
 Script compose_scripts(std::span<const CommandRef> first,
                        std::span<const CommandRef> second,
                        ComposeReport* report_out = nullptr);
 
 /// Fold a chain of parsed deltas, oldest first, into one script that
 /// builds the last hop's version from the first hop's reference:
-/// compose_scripts left to right, ((h0 ∘ h1) ∘ h2) ∘ ... Throws
+/// compose_scripts left to right, ((h0 ∘ h1) ∘ h2) ∘ ... The result
+/// borrows the hops' literals (their artifacts, or `decompressed`), so
+/// `hops` and the artifacts they were parsed from must outlive it. Throws
 /// ValidationError for fewer than two hops (one hop is already its own
 /// fold) or hops that do not chain.
 Script fold_chain(std::span<const ParsedDelta> hops);

@@ -43,15 +43,9 @@ Script diff_bytes(DifferKind kind, ByteView reference, ByteView version,
   return make_differ(kind, options)->diff(reference, version);
 }
 
-void ScriptBuilder::literal(std::uint8_t byte) { pending_.push_back(byte); }
-
-void ScriptBuilder::literals(ByteView data) {
-  pending_.insert(pending_.end(), data.begin(), data.end());
-}
-
 void ScriptBuilder::retract(std::size_t n) {
-  assert(n <= pending_.size());
-  pending_.resize(pending_.size() - n);
+  assert(n <= pending_);
+  pending_ -= n;
 }
 
 void ScriptBuilder::copy(offset_t from, length_t length) {
@@ -62,11 +56,10 @@ void ScriptBuilder::copy(offset_t from, length_t length) {
 }
 
 void ScriptBuilder::flush() {
-  if (!pending_.empty()) {
-    const length_t len = pending_.size();
-    script_.push(AddCommand{cursor_, std::move(pending_)});
-    cursor_ += len;
-    pending_.clear();
+  if (pending_ != 0) {
+    script_.push_add(cursor_, version_.subspan(cursor_, pending_));
+    cursor_ += pending_;
+    pending_ = 0;
   }
 }
 

@@ -1,5 +1,7 @@
 // Differencing algorithms: given reference R and version V, produce a
-// Script of copy/add commands that rebuilds V from R (§2/§3).
+// Script of copy/add commands that rebuilds V from R (§2/§3). An add is
+// an interval of V, so the Script's adds point into V rather than copy
+// it: V must outlive the Script.
 //
 // The paper's delta files come from the linear-time constant-space
 // algorithm of Burns & Long [5] / Ajtai et al. [1]; our `kOnePass`
@@ -52,7 +54,9 @@ class Differ {
 
   /// Compute a delta script. The result is in write order, tiles
   /// [0, version.size()) exactly, and every copy reads inside the
-  /// reference — i.e. Script::validate() passes by construction.
+  /// reference — i.e. Script::validate() passes by construction. Its
+  /// adds borrow `version`'s bytes: keep the version alive and unchanged
+  /// while the Script is used.
   virtual Script diff(ByteView reference, ByteView version) const = 0;
 
   virtual const char* name() const noexcept = 0;
@@ -92,8 +96,9 @@ class SegmentedDiffer : public Differ {
 
   /// Scan `version` (typically a segment of a larger file) against an
   /// index previously built for `reference`. Write offsets in the
-  /// result are relative to the start of `version`. Throws
-  /// ValidationError when handed another differ's index.
+  /// result are relative to the start of `version`, and its adds borrow
+  /// `version`'s bytes, as diff()'s do. Throws ValidationError when
+  /// handed another differ's index.
   virtual Script scan(const DifferIndex& index, ByteView reference,
                       ByteView version) const = 0;
 };
@@ -101,20 +106,22 @@ class SegmentedDiffer : public Differ {
 std::unique_ptr<Differ> make_differ(DifferKind kind,
                                     const DifferOptions& options = {});
 
-/// One-shot convenience wrapper.
+/// One-shot convenience wrapper; the Script borrows `version` as diff()'s
+/// does.
 Script diff_bytes(DifferKind kind, ByteView reference, ByteView version,
                   const DifferOptions& options = {});
 
-/// Incremental script assembly in write order: literals accumulate into a
-/// pending add; copies flush it. Used by both differencers and handy for
-/// building test fixtures.
+/// Incremental script assembly over a version, in write order: literals
+/// are counted into a pending run of version bytes; a copy, or finish(),
+/// turns the run into an add that borrows those bytes. Used by every
+/// differencer and handy for building test fixtures.
 class ScriptBuilder {
  public:
-  /// Append one literal version byte at the current write offset.
-  void literal(std::uint8_t byte);
+  /// The Script finish() returns borrows `version`'s bytes.
+  explicit ScriptBuilder(ByteView version) : version_(version) {}
 
-  /// Append `data` as literal bytes.
-  void literals(ByteView data);
+  /// Class the next `n` version bytes as literals.
+  void literals(std::size_t n) { pending_ += n; }
 
   /// Remove the last `n` pending literal bytes (used when a match extends
   /// backwards over bytes previously classed as literals).
@@ -124,10 +131,8 @@ class ScriptBuilder {
   /// Emit copy of `length` reference bytes starting at `from`.
   void copy(offset_t from, length_t length);
 
-  std::size_t pending_literals() const noexcept { return pending_.size(); }
-  offset_t write_offset() const noexcept {
-    return cursor_ + pending_.size();
-  }
+  std::size_t pending_literals() const noexcept { return pending_; }
+  offset_t write_offset() const noexcept { return cursor_ + pending_; }
 
   /// Flush pending literals and return the finished script.
   Script finish();
@@ -135,9 +140,10 @@ class ScriptBuilder {
  private:
   void flush();
 
+  ByteView version_;
   Script script_;
-  Bytes pending_;
-  offset_t cursor_ = 0;  // write offset at the start of `pending_`
+  std::size_t pending_ = 0;
+  offset_t cursor_ = 0;  // write offset at the start of the pending run
 };
 
 }  // namespace ipd

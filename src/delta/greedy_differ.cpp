@@ -84,13 +84,13 @@ Script GreedyDiffer::scan(const DifferIndex& index, ByteView reference,
   if (greedy == nullptr) {
     throw ValidationError("greedy differ: foreign index");
   }
-  ScriptBuilder builder;
+  ScriptBuilder builder(version);
   const std::size_t seed = options_.seed_length;
   if (version.empty()) {
     return builder.finish();
   }
   if (reference.size() < seed || version.size() < seed) {
-    builder.literals(version);
+    builder.literals(version.size());
     return builder.finish();
   }
 
@@ -124,7 +124,7 @@ Script GreedyDiffer::scan(const DifferIndex& index, ByteView reference,
   while (pos < version.size()) {
     if (pos + seed > version.size()) {
       // Tail shorter than a seed can never match; flush as literals.
-      builder.literals(version.subspan(pos));
+      builder.literals(version.size() - pos);
       break;
     }
 
@@ -160,7 +160,7 @@ Script GreedyDiffer::scan(const DifferIndex& index, ByteView reference,
       builder.copy(best_from - best_back, best_len + best_back);
       advance_to(pos + best_len);
     } else {
-      builder.literal(version[pos]);
+      builder.literals(1);
       advance_to(pos + 1);
     }
   }

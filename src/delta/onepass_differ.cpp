@@ -112,13 +112,13 @@ Script OnePassDiffer::scan(const DifferIndex& index, ByteView reference,
   if (fp == nullptr) {
     throw ValidationError("one-pass differ: foreign index");
   }
-  ScriptBuilder builder;
+  ScriptBuilder builder(version);
   const std::size_t seed = options_.seed_length;
   if (version.empty()) {
     return builder.finish();
   }
   if (fp->table.empty() || version.size() < seed) {
-    builder.literals(version);
+    builder.literals(version.size());
     return builder.finish();
   }
   const std::size_t mask = fp->mask;
@@ -158,7 +158,7 @@ Script OnePassDiffer::scan(const DifferIndex& index, ByteView reference,
         const std::size_t back =
             match_backward(reference, cand, version, pos, pos - lit);
         if (fwd + back >= options_.min_match) {
-          builder.literals(version.subspan(lit, pos - back - lit));
+          builder.literals(pos - back - lit);
           builder.copy(cand - back, fwd + back);
           pos += fwd;
           lit = pos;
@@ -174,7 +174,7 @@ Script OnePassDiffer::scan(const DifferIndex& index, ByteView reference,
     ++pos;
     look_ahead();
   }
-  builder.literals(version.subspan(lit));
+  builder.literals(version.size() - lit);
   return builder.finish();
 }
 

@@ -18,12 +18,8 @@ constexpr std::size_t kCutWindow = 16;
 /// whole-version coordinates).
 void shift_writes(Script& script, offset_t delta) {
   if (delta == 0) return;
-  for (Command& c : script.commands()) {
-    if (auto* copy = std::get_if<CopyCommand>(&c)) {
-      copy->to += delta;
-    } else {
-      std::get<AddCommand>(c).to += delta;
-    }
+  for (CommandRef& c : script.commands()) {
+    c.to += delta;
   }
 }
 
@@ -78,24 +74,24 @@ Script stitch_segments(std::vector<Script> parts,
                        const std::vector<std::size_t>& bounds,
                        ByteView reference) {
   assert(bounds.size() == parts.size() + 1);
-  std::vector<Command> out;
+  Script out;
   for (std::size_t i = 0; i < parts.size(); ++i) {
     shift_writes(parts[i], static_cast<offset_t>(bounds[i]));
-    std::vector<Command>& cmds = parts[i].commands();
+    const std::span<CommandRef> cmds = parts[i].commands();
     std::size_t j = 0;
     // Junction repair: the commands straddling the cut are merged /
     // re-extended until no rule applies. Every rule moves bytes between
     // abutting commands without changing what any version byte holds,
     // so the tiling invariant survives by construction.
     while (i > 0 && j < cmds.size() && !out.empty()) {
-      Command& prev_cmd = out.back();
-      Command& next_cmd = cmds[j];
-      if (auto* p = std::get_if<CopyCommand>(&prev_cmd)) {
-        if (auto* nc = std::get_if<CopyCommand>(&next_cmd)) {
+      CommandRef& prev = out.commands().back();
+      CommandRef& next = cmds[j];
+      if (!prev.is_add()) {
+        if (!next.is_add()) {
           // copy|copy — one match the cut split in two.
-          if (p->from + p->length == nc->from &&
-              p->to + p->length == nc->to) {
-            p->length += nc->length;
+          if (prev.from + prev.length == next.from &&
+              prev.to + prev.length == next.to) {
+            prev.length += next.length;
             ++j;
             continue;
           }
@@ -103,57 +99,55 @@ Script stitch_segments(std::vector<Script> parts,
         }
         // copy|add — forward-extend the copy over literals matching
         // the bytes after its read interval.
-        auto& na = std::get<AddCommand>(next_cmd);
         std::size_t k = 0;
-        while (k < na.data.size() &&
-               p->from + p->length + k < reference.size() &&
-               reference[static_cast<std::size_t>(p->from + p->length + k)] ==
-                   na.data[k]) {
+        while (k < next.length &&
+               prev.from + prev.length + k < reference.size() &&
+               reference[static_cast<std::size_t>(prev.from + prev.length +
+                                                  k)] == next.literal[k]) {
           ++k;
         }
         if (k == 0) break;
-        p->length += k;
-        na.to += k;
-        na.data.erase(na.data.begin(),
-                      na.data.begin() + static_cast<std::ptrdiff_t>(k));
-        if (na.data.empty()) {
+        prev.length += k;
+        next.to += k;
+        next.literal += k;
+        next.length -= k;
+        if (next.length == 0) {
           ++j;  // the whole add was really the match continuing
           continue;
         }
         break;
       }
-      auto& pa = std::get<AddCommand>(prev_cmd);
-      if (auto* nc = std::get_if<CopyCommand>(&next_cmd)) {
+      if (!next.is_add()) {
         // add|copy — extend the copy backwards over literal bytes that
         // match the reference (the backward extension the cut denied
         // the right-hand scan).
         std::size_t k = 0;
-        while (k < pa.data.size() && nc->from > k &&
-               reference[static_cast<std::size_t>(nc->from) - 1 - k] ==
-                   pa.data[pa.data.size() - 1 - k]) {
+        while (k < prev.length && next.from > k &&
+               reference[static_cast<std::size_t>(next.from) - 1 - k] ==
+                   prev.literal[prev.length - 1 - k]) {
           ++k;
         }
         if (k == 0) break;
-        nc->from -= k;
-        nc->to -= k;
-        nc->length += k;
-        pa.data.resize(pa.data.size() - k);
-        if (pa.data.empty()) {
+        next.from -= k;
+        next.to -= k;
+        next.length += k;
+        prev.length -= k;
+        if (prev.length == 0) {
           out.pop_back();  // may expose a copy|copy merge — loop again
           continue;
         }
         break;
       }
-      // add|add — always abutting at a junction; concatenate.
-      auto& na = std::get<AddCommand>(next_cmd);
-      pa.data.insert(pa.data.end(), na.data.begin(), na.data.end());
+      // add|add — always abutting at a junction; one run of the version.
+      out.append_add(next.to, next.bytes());
       ++j;
     }
     for (; j < cmds.size(); ++j) {
-      out.push_back(std::move(cmds[j]));
+      out.push(cmds[j]);
     }
+    out.adopt_arena(std::move(parts[i]));
   }
-  return Script(std::move(out));
+  return out;
 }
 
 ParallelDiffResult diff_parallel(const Differ& differ, ByteView reference,

@@ -50,18 +50,20 @@ std::vector<std::size_t> plan_segments(ByteView version,
 /// version[bounds[k], bounds[k+1])) into one whole-version script,
 /// repairing each junction:
 ///   * copies whose reads abut in the reference merge into one;
-///   * adjacent adds concatenate;
+///   * adjacent adds join: a length sum when both borrow one version,
+///     as a differ's adds do;
 ///   * a copy right of the cut extends backwards over literal bytes
 ///     that match the reference (reproducing the serial differ's
 ///     backward extension the cut interrupted);
 ///   * a copy left of the cut extends forwards over matching literals.
-/// Pure function — no parallelism involved. Exposed for tests.
+/// The result borrows what the parts borrowed and takes over their
+/// arenas. Pure function — no parallelism involved. Exposed for tests.
 Script stitch_segments(std::vector<Script> parts,
                        const std::vector<std::size_t>& bounds,
                        ByteView reference);
 
 struct ParallelDiffResult {
-  Script script;
+  Script script;  ///< borrows `version`, as Differ::diff()'s result does
   /// Segments actually scanned (1 == unsegmented path). This is the
   /// diff fan-out the service histograms record.
   std::size_t segments = 1;

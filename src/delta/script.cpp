@@ -3,74 +3,134 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstring>
 #include <sstream>
 #include <utility>
 
 namespace ipd {
 
+namespace {
+
+// Any non-null literal marks an add, and an empty add may have no bytes.
+constexpr std::uint8_t kEmptyLiteral = 0;
+constexpr std::size_t kMinChunk = 4096;
+
+}  // namespace
+
+Script::Script(std::vector<CommandRef> commands, Bytes owned)
+    : commands_(std::move(commands)) {
+  if (!owned.empty()) {
+    arena_.push_back(std::make_shared<Bytes>(std::move(owned)));
+  }
+}
+
+void Script::push_add(offset_t to, ByteView bytes) {
+  commands_.push_back(
+      {to, bytes.size(), 0, bytes.empty() ? &kEmptyLiteral : bytes.data()});
+}
+
+void Script::push_owned_add(offset_t to, ByteView bytes) {
+  push_add(to, bytes);
+  if (!bytes.empty()) {
+    std::uint8_t* copy = allocate(bytes.size());
+    std::memcpy(copy, bytes.data(), bytes.size());
+    commands_.back().literal = copy;
+  }
+}
+
+void Script::append_add(offset_t to, ByteView more) {
+  if (empty() || !commands_.back().is_add() ||
+      commands_.back().to + commands_.back().length != to) {
+    push_add(to, more);
+    return;
+  }
+  if (more.empty()) return;
+  CommandRef& last = commands_.back();
+  const auto held = static_cast<std::size_t>(last.length);
+  if (last.literal + held != more.data()) {
+    // Gather the run into the arena; one gathered at its end grows there.
+    std::uint8_t* to;
+    if (room_for(more.size()) &&
+        last.literal + held == arena_.back()->data() + arena_.back()->size()) {
+      to = allocate(more.size());
+    } else {
+      std::uint8_t* run = allocate(held + more.size());
+      std::memcpy(run, last.literal, held);
+      last.literal = run;
+      to = run + held;
+    }
+    std::memcpy(to, more.data(), more.size());
+  }
+  last.length += more.size();
+}
+
+void Script::adopt_arena(Script&& other) {
+  arena_.insert(arena_.end(), other.arena_.begin(), other.arena_.end());
+  other.arena_.clear();
+}
+
+std::size_t Script::arena_bytes() const noexcept {
+  std::size_t total = 0;
+  for (const auto& chunk : arena_) total += chunk->size();
+  return total;
+}
+
+bool Script::room_for(std::size_t n) const noexcept {
+  return !arena_.empty() && arena_.back().use_count() == 1 &&
+         arena_.back()->capacity() - arena_.back()->size() >= n;
+}
+
+std::uint8_t* Script::allocate(std::size_t n) {
+  if (!room_for(n)) {
+    arena_.push_back(std::make_shared<Bytes>());
+    arena_.back()->reserve(std::max({n, kMinChunk, arena_bytes()}));
+  }
+  Bytes& chunk = *arena_.back();
+  chunk.resize(chunk.size() + n);  // within capacity: no byte moves
+  return chunk.data() + chunk.size() - n;
+}
+
 length_t Script::version_length() const noexcept {
   length_t total = 0;
-  for (const Command& c : commands_) {
-    total += command_length(c);
+  for (const CommandRef& c : commands_) {
+    total += c.length;
   }
   return total;
 }
 
 ScriptSummary Script::summary() const noexcept {
   ScriptSummary s;
-  for (const Command& c : commands_) {
-    if (const auto* copy = std::get_if<CopyCommand>(&c)) {
-      ++s.copy_count;
-      s.copied_bytes += copy->length;
-    } else {
+  for (const CommandRef& c : commands_) {
+    if (c.is_add()) {
       ++s.add_count;
-      s.added_bytes += std::get<AddCommand>(c).length();
+      s.added_bytes += c.length;
+    } else {
+      ++s.copy_count;
+      s.copied_bytes += c.length;
     }
   }
   return s;
 }
 
-std::vector<CopyCommand> Script::copies() const {
-  std::vector<CopyCommand> out;
-  for (const Command& c : commands_) {
-    if (const auto* copy = std::get_if<CopyCommand>(&c)) {
-      out.push_back(*copy);
-    }
-  }
-  return out;
-}
-
-std::vector<AddCommand> Script::adds() const {
-  std::vector<AddCommand> out;
-  for (const Command& c : commands_) {
-    if (const auto* add = std::get_if<AddCommand>(&c)) {
-      out.push_back(*add);
-    }
-  }
-  return out;
-}
-
 void Script::validate(length_t reference_length,
                       length_t version_length) const {
-  check_command_table(command_table(*this), reference_length,
-                      version_length);
+  check_command_table(commands_, reference_length, version_length);
 }
 
-std::vector<CommandRef> command_table(const Script& script) {
-  // Any non-null literal marks an add, and an empty Bytes may hold none.
-  static constexpr std::uint8_t kEmptyLiteral = 0;
-  std::vector<CommandRef> table;
-  table.reserve(script.size());
-  for (const Command& cmd : script.commands()) {
-    if (const auto* copy = std::get_if<CopyCommand>(&cmd)) {
-      table.push_back({copy->to, copy->length, copy->from});
-    } else {
-      const AddCommand& add = std::get<AddCommand>(cmd);
-      table.push_back({add.to, add.length(), 0,
-                       add.data.empty() ? &kEmptyLiteral : add.data.data()});
+bool Script::operator==(const Script& other) const noexcept {
+  if (commands_.size() != other.commands_.size()) return false;
+  for (std::size_t i = 0; i < commands_.size(); ++i) {
+    const CommandRef& a = commands_[i];
+    const CommandRef& b = other.commands_[i];
+    if (a.to != b.to || a.length != b.length || a.is_add() != b.is_add()) {
+      return false;
+    }
+    if (a.is_add() ? !std::equal(a.literal, a.literal + a.length, b.literal)
+                   : a.from != b.from) {
+      return false;
     }
   }
-  return table;
+  return true;
 }
 
 namespace {
@@ -182,20 +242,13 @@ std::vector<KeyedWrite> check_command_table(
 
 bool Script::in_write_order() const noexcept {
   offset_t expected = 0;
-  for (const Command& c : commands_) {
-    if (command_to(c) != expected) {
+  for (const CommandRef& c : commands_) {
+    if (c.to != expected) {
       return false;
     }
-    expected += command_length(c);
+    expected += c.length;
   }
   return true;
-}
-
-void Script::sort_by_write_offset() {
-  std::stable_sort(commands_.begin(), commands_.end(),
-                   [](const Command& a, const Command& b) {
-                     return command_to(a) < command_to(b);
-                   });
 }
 
 std::string Script::to_text(std::size_t max_commands) const {
@@ -208,14 +261,6 @@ std::string Script::to_text(std::size_t max_commands) const {
     os << "... (" << commands_.size() - shown << " more commands)\n";
   }
   return os.str();
-}
-
-bool same_effect(const Script& a, const Script& b) {
-  Script sa = a;
-  Script sb = b;
-  sa.sort_by_write_offset();
-  sb.sort_by_write_offset();
-  return sa.commands() == sb.commands();
 }
 
 }  // namespace ipd

@@ -1,10 +1,19 @@
-// Script: an ordered sequence of delta commands plus the structural
-// invariants the paper relies on (§3): write intervals of all commands are
-// pairwise disjoint, and together they exactly tile the version file
-// [0, L_V). Commands are applied in sequence order.
+// Script: the command table the producers build and the encoder reads,
+// plus the structural invariants the paper relies on (§3): write
+// intervals of all commands are pairwise disjoint, and together they
+// exactly tile the version file [0, L_V). Commands are applied in
+// sequence order.
+//
+// An add is <t, l> and a pointer to bytes that already exist, which the
+// Script does not own (a differ's version, the reference, a delta's
+// payload): keep them alive and unchanged while the Script is used. A
+// small arena, shared by copies of the Script, holds bytes only where no
+// such source exists: hand-built adds and merged runs whose pieces are
+// not contiguous in memory.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -26,17 +35,33 @@ struct ScriptSummary {
 class Script {
  public:
   Script() = default;
-  explicit Script(std::vector<Command> commands)
-      : commands_(std::move(commands)) {}
+  /// A table as it stands; adds pointing into `owned` (a parsed delta's
+  /// decompressed payload, say) are the Script's own from now on.
+  explicit Script(std::vector<CommandRef> commands, Bytes owned = {});
 
-  const std::vector<Command>& commands() const noexcept { return commands_; }
-  std::vector<Command>& commands() noexcept { return commands_; }
+  std::span<const CommandRef> commands() const noexcept { return commands_; }
+  /// Rows may be edited in place; an add must keep pointing at live bytes.
+  std::span<CommandRef> commands() noexcept { return commands_; }
   std::size_t size() const noexcept { return commands_.size(); }
   bool empty() const noexcept { return commands_.empty(); }
+  void pop_back() noexcept { commands_.pop_back(); }
 
-  void push(CopyCommand c) { commands_.emplace_back(std::move(c)); }
-  void push(AddCommand a) { commands_.emplace_back(std::move(a)); }
-  void push(Command c) { commands_.emplace_back(std::move(c)); }
+  void push(const CopyCommand& c) {
+    commands_.push_back({c.to, c.length, c.from});
+  }
+  /// Append a row as it is; an add keeps borrowing its bytes.
+  void push(const CommandRef& c) { commands_.push_back(c); }
+  /// Append add <to, bytes.size()> borrowing `bytes`.
+  void push_add(offset_t to, ByteView bytes);
+  /// Append add <to, bytes.size()> over a copy of `bytes` in the arena.
+  void push_owned_add(offset_t to, ByteView bytes);
+  /// push_add, joined to the last command when that is an add ending at
+  /// `to`: a length sum when `bytes` follow its bytes in memory, else
+  /// the run is gathered into the arena.
+  void append_add(offset_t to, ByteView bytes);
+  /// Keep `other`'s arena alive too, for rows taken from it.
+  void adopt_arena(Script&& other);
+  std::size_t arena_bytes() const noexcept;
 
   /// Length of the version file this script materialises: the sum of all
   /// command lengths (== max write end + 1 for a valid script; this
@@ -44,10 +69,6 @@ class Script {
   length_t version_length() const noexcept;
 
   ScriptSummary summary() const noexcept;
-
-  /// Copies and adds split into separate vectors, preserving order.
-  std::vector<CopyCommand> copies() const;
-  std::vector<AddCommand> adds() const;
 
   /// Validate against the §3 model:
   ///  * every command length >= 1;
@@ -62,24 +83,21 @@ class Script {
   /// ("no write offsets", Table 1 column 1) codeword format.
   bool in_write_order() const noexcept;
 
-  /// Stable-sort all commands by write offset. Any valid script can be
-  /// reordered freely (§3: "any permutation ... materializes the same
-  /// output"), so this never changes the encoded version.
-  void sort_by_write_offset();
-
   /// Human-readable listing (one command per line) for debugging/CLI.
   std::string to_text(std::size_t max_commands = 64) const;
 
-  bool operator==(const Script&) const = default;
+  /// Same commands in the same order; adds compare by their bytes.
+  bool operator==(const Script& other) const noexcept;
 
  private:
-  std::vector<Command> commands_;
-};
+  bool room_for(std::size_t n) const noexcept;
+  /// `n` arena bytes that stay put while any copy of the Script lives.
+  std::uint8_t* allocate(std::size_t n);
 
-/// The Script as a command table, in its order: the one conversion from
-/// the owning form. Adds borrow the Script's bytes, so the table must not
-/// outlive the Script or see it change. A zero-length add stays an add.
-std::vector<CommandRef> command_table(const Script& script);
+  std::vector<CommandRef> commands_;
+  /// Chunks are never reallocated, nor appended to once shared.
+  std::vector<std::shared_ptr<Bytes>> arena_;
+};
 
 /// One entry of an offset order: the `index`-th range starts at `to`.
 struct KeyedWrite {
@@ -115,9 +133,5 @@ std::vector<KeyedWrite> check_write_tiling(
 std::vector<KeyedWrite> check_command_table(
     std::span<const CommandRef> commands, length_t reference_length,
     length_t version_length, Coverage coverage = Coverage::kTile);
-
-/// Apply-order-independence helper: scripts that contain the same command
-/// multiset encode the same version. Compares write-offset-sorted copies.
-bool same_effect(const Script& a, const Script& b);
 
 }  // namespace ipd

@@ -102,12 +102,12 @@ Script SuffixDiffer::scan(const DifferIndex& index, ByteView reference,
   if (suffix == nullptr) {
     throw ValidationError("suffix differ: foreign index");
   }
-  ScriptBuilder builder;
+  ScriptBuilder builder(version);
   if (version.empty()) {
     return builder.finish();
   }
   if (reference.empty()) {
-    builder.literals(version);
+    builder.literals(version.size());
     return builder.finish();
   }
 
@@ -120,7 +120,7 @@ Script SuffixDiffer::scan(const DifferIndex& index, ByteView reference,
       builder.copy(match.position, match.length);
       pos += match.length;
     } else {
-      builder.literal(version[pos]);
+      builder.literals(1);
       ++pos;
     }
   }

@@ -32,16 +32,17 @@ DeltaAnalysis analyze_delta(const Script& script,
 
   DeltaAnalysis a;
   a.summary = script.summary();
-  for (const Command& cmd : script.commands()) {
-    if (const auto* copy = std::get_if<CopyCommand>(&cmd)) {
-      a.copy_lengths.add(copy->length);
+  std::vector<CopyCommand> copies;
+  for (const CommandRef& cmd : script.commands()) {
+    if (cmd.is_add()) {
+      a.add_lengths.add(cmd.length);
     } else {
-      a.add_lengths.add(std::get<AddCommand>(cmd).length());
+      a.copy_lengths.add(cmd.length);
+      copies.push_back(cmd.copy());
     }
   }
 
   // Conflict structure.
-  std::vector<CopyCommand> copies = script.copies();
   std::sort(copies.begin(), copies.end(),
             [](const CopyCommand& x, const CopyCommand& y) {
               return x.to < y.to;
@@ -89,13 +90,12 @@ DeltaAnalysis analyze_delta(const Script& script,
   }
 
   // Encoded sizes.
-  const std::vector<CommandRef> table = command_table(script);
   DeltaHeader header;
   header.reference_length = reference_length;
   header.version_length = version_length;
   const auto size_of = [&](DeltaFormat fmt) -> std::uint64_t {
     header.format = fmt;
-    return serialize_delta(header, table).size();
+    return serialize_delta(header, script.commands()).size();
   };
   if (script.in_write_order()) {
     a.size_paper_sequential = size_of(kPaperSequential);

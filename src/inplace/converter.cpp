@@ -8,29 +8,6 @@
 #include "obs/trace.hpp"
 
 namespace ipd {
-namespace {
-
-/// Sort adds by write offset and merge runs that abut exactly.
-std::vector<AddCommand> coalesce(std::vector<AddCommand> adds) {
-  std::sort(adds.begin(), adds.end(),
-            [](const AddCommand& a, const AddCommand& b) {
-              return a.to < b.to;
-            });
-  std::vector<AddCommand> merged;
-  for (AddCommand& a : adds) {
-    if (!merged.empty() &&
-        merged.back().to + merged.back().length() == a.to) {
-      merged.back().data.insert(merged.back().data.end(), a.data.begin(),
-                                a.data.end());
-    } else {
-      merged.push_back(std::move(a));
-    }
-  }
-  return merged;
-}
-
-}  // namespace
-
 ConvertResult convert_to_inplace(const Script& input, ByteView reference,
                                  const ConvertOptions& options,
                                  const ParallelContext& ctx) {
@@ -38,8 +15,15 @@ ConvertResult convert_to_inplace(const Script& input, ByteView reference,
   input.validate(reference.size(), version_length);
 
   // Steps 1–2: partition and sort the copies by write offset.
-  std::vector<CopyCommand> copies = input.copies();
-  std::vector<AddCommand> adds = input.adds();
+  std::vector<CopyCommand> copies;
+  std::vector<CommandRef> adds;
+  for (const CommandRef& c : input.commands()) {
+    if (c.is_add()) {
+      adds.push_back(c);
+    } else {
+      copies.push_back(c.copy());
+    }
+  }
   std::sort(copies.begin(), copies.end(),
             [](const CopyCommand& a, const CopyCommand& b) {
               return a.to < b.to;
@@ -94,37 +78,51 @@ ConvertResult convert_to_inplace(const Script& input, ByteView reference,
   report.cycle_length_sum = topo.cycle_length_sum;
 
   obs::Span emit_span(obs::Stage::kConvertEmit);
-  // Deleted vertices: re-encode their copies as adds, fetching the bytes
-  // from the reference (Equation 2 makes this the same data the copy
-  // would have read at reconstruction time).
+  // Deleted vertices: re-encode their copies as adds whose bytes are the
+  // reference's (Equation 2 makes this the same data the copy would have
+  // read at reconstruction time).
+  const std::size_t adds_in = adds.size();
+  adds.reserve(adds_in + topo.deleted.size());
   for (const std::uint32_t v : topo.deleted) {
     const CopyCommand& c = copies[v];
-    const auto begin =
-        reference.begin() + static_cast<std::ptrdiff_t>(c.from);
-    adds.push_back(AddCommand{
-        c.to, Bytes(begin, begin + static_cast<std::ptrdiff_t>(c.length))});
+    adds.push_back({c.to, c.length, 0, reference.data() + c.from});
     ++report.copies_converted;
     report.bytes_converted += c.length;
     report.conversion_cost += costs[v];
   }
 
-  // Steps 5–6: surviving copies in topological order, then all adds.
-  Script& out = result.script;
+  // Steps 5–6: surviving copies in topological order, then all adds,
+  // with runs that abut exactly merged when coalescing.
+  std::vector<CommandRef> rows;
+  rows.reserve(copies.size() + adds.size());
   for (const std::uint32_t v : topo.order) {
-    out.push(copies[v]);
+    rows.push_back({copies[v].to, copies[v].length, copies[v].from});
   }
-  if (options.coalesce_adds) {
-    adds = coalesce(std::move(adds));
+  result.script = Script(std::move(rows));
+  if (!options.coalesce_adds) {
+    for (const CommandRef& a : adds) result.script.push(a);
+    return result;
   }
-  for (AddCommand& a : adds) {
-    out.push(std::move(a));
+  // A differ's adds already are in write order: sort the converted ones
+  // and merge.
+  const auto by_offset = [](const CommandRef& a, const CommandRef& b) {
+    return a.to < b.to;
+  };
+  const auto converted = adds.begin() + static_cast<std::ptrdiff_t>(adds_in);
+  if (!std::is_sorted(adds.begin(), converted, by_offset)) {
+    std::sort(adds.begin(), converted, by_offset);
+  }
+  std::sort(converted, adds.end(), by_offset);
+  std::inplace_merge(adds.begin(), converted, adds.end(), by_offset);
+  for (const CommandRef& a : adds) {
+    result.script.append_add(a.to, a.bytes());
   }
   return result;
 }
 
 bool satisfies_equation2(const Script& script) {
   constexpr length_t kUnbounded = std::numeric_limits<length_t>::max();
-  const std::vector<CommandRef> table = command_table(script);
+  const std::span<const CommandRef> table = script.commands();
   // Gaps do not matter to Equation 2, overlaps do: with two writers of
   // one byte, "the earlier writer" is ambiguous.
   const std::vector<KeyedWrite> order =
@@ -148,7 +146,7 @@ Bytes serialize_inplace(Script script, const DeltaFormat& format,
   header.version_length = version.size();
   header.version_crc = crc32c(version);
   obs::Span span(obs::Stage::kEncode);
-  Bytes out = serialize_delta(header, command_table(script));
+  Bytes out = serialize_delta(header, script.commands());
   span.add_bytes(out.size());
   return out;
 }

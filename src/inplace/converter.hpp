@@ -15,6 +15,11 @@
 //      as an add whose bytes are fetched from the reference;
 //   5. emit surviving copies in topological order;
 //   6. emit all adds (original + converted) at the end.
+//
+// The output Script copies no add byte it can point at: original adds
+// keep borrowing what the input's borrow (a differ's version), converted
+// copies borrow the reference. Only coalesced runs whose pieces are not
+// contiguous in memory are gathered into the output's arena.
 #pragma once
 
 #include "delta/codec.hpp"
@@ -59,9 +64,10 @@ struct ConvertResult {
 };
 
 /// Convert `input` (validated against `reference`) into an in-place
-/// reconstructible script. Deleted copies pull their literal bytes out of
-/// `reference` — safe precisely because Equation 2 guarantees every copy
-/// in the output reads original reference data.
+/// reconstructible script. Deleted copies become adds over `reference`'s
+/// bytes — safe precisely because Equation 2 guarantees every copy in
+/// the output reads original reference data. The result borrows
+/// `reference` and whatever `input`'s adds borrow: both must outlive it.
 ///
 /// `ctx` parallelizes CRWI edge discovery (crwi_graph.hpp); the output
 /// is byte-identical at any parallelism.

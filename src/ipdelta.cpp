@@ -66,7 +66,7 @@ BuildResult Pipeline::build_delta(ByteView reference, ByteView version) const {
   const std::uint64_t t1 = obs::now_ns();
   {
     obs::Span span(obs::Stage::kEncode);
-    result.delta = serialize_delta(header, command_table(diffed.script));
+    result.delta = serialize_delta(header, diffed.script.commands());
     span.add_bytes(result.delta.size());
   }
   result.timing.encode_ns = obs::now_ns() - t1;

@@ -27,7 +27,7 @@ TEST(Fig2, ScriptIsValidAndSized) {
 TEST(Fig2, CostOrderingLeafRootInner) {
   const Fig2Instance inst = make_fig2_tree(4);
   EXPECT_LT(inst.leaf_copy_length, inst.root_copy_length);
-  for (const CopyCommand& c : inst.script.copies()) {
+  for (const CopyCommand& c : test::copies_of(inst.script)) {
     if (c.length != inst.leaf_copy_length &&
         c.length != inst.root_copy_length) {
       EXPECT_GT(c.length, inst.root_copy_length);

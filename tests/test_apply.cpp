@@ -156,7 +156,9 @@ Bytes wrapped_offset_delta(CopyCommand copy) {
   header.in_place = true;
   header.reference_length = 64;
   header.version_length = 16;
-  return test::encode(header, Script({copy}));
+  Script script;
+  script.push(copy);
+  return test::encode(header, script);
 }
 
 constexpr offset_t kWrapOffset = ~offset_t{0} - 7;  // 2^64 - 8
@@ -190,7 +192,7 @@ TEST(ApplyScript, RejectsWrappedRangesOnUnvalidatedScripts) {
   read_wraps.push(CopyCommand{kWrapOffset, 0, 16});
   EXPECT_THROW(apply_script_into(read_wraps, ref, version), ValidationError);
   Script write_wraps;
-  write_wraps.push(AddCommand{kWrapOffset, Bytes(16, 0xAB)});
+  write_wraps.push_owned_add(kWrapOffset, Bytes(16, 0xAB));
   EXPECT_THROW(apply_script_into(write_wraps, ref, version), ValidationError);
 }
 

@@ -36,15 +36,21 @@ Bytes encode(const Script& script, length_t ref_len, DeltaFormat format) {
   return test::encode(make_header(script, ref_len, format), script);
 }
 
-/// A parsed delta with its commands as an owning Script.
+/// A parsed delta with its commands as a Script, and the wire its adds
+/// borrow.
 struct Decoded {
+  Bytes wire;
   DeltaHeader header;
   Script script;
 };
 
-Decoded decode(ByteView wire) {
-  const ParsedDelta parsed = parse_delta(wire);
-  return {parsed.header, test::owning_script(parsed.commands)};
+Decoded decode(Bytes wire) {
+  Decoded out{std::move(wire)};
+  ParsedDelta parsed = parse_delta(out.wire);
+  out.header = parsed.header;
+  out.script =
+      Script(std::move(parsed.commands), std::move(parsed.decompressed));
+  return out;
 }
 
 class CodecFormatTest : public ::testing::TestWithParam<DeltaFormat> {};
@@ -81,7 +87,7 @@ TEST_P(CodecFormatTest, RoundTripLargeOffsets) {
   // Offsets above 2^16 and 2^32 hit the wider PaperByte field classes.
   Script script;
   script.push(CopyCommand{0x1FFFF, 0, 100});
-  script.push(AddCommand{100, test::random_bytes(1, 40)});
+  script.push_owned_add(100, test::random_bytes(1, 40));
   script.push(CopyCommand{0x1'0000'0001ull, 140, 60});
   const Decoded back = decode(encode(script, 0x2'0000'0000ull, GetParam()));
   EXPECT_EQ(back.script, script);
@@ -128,7 +134,7 @@ TEST(Codec, VarintIsSmallerThanPaperByteOnShortAdds) {
   Script script;
   offset_t to = 0;
   for (int i = 0; i < 100; ++i) {
-    script.push(AddCommand{to, test::random_bytes(i, 10)});
+    script.push_owned_add(to, test::random_bytes(i, 10));
     to += 10;
   }
   const std::size_t paper = encode(script, 0, kPaperExplicit).size();
@@ -144,7 +150,7 @@ TEST(Codec, ExplicitOffsetsCostMoreThanImplicit) {
   for (int i = 0; i < 50; ++i) {
     script.push(CopyCommand{static_cast<offset_t>(i * 100), to, 30});
     to += 30;
-    script.push(AddCommand{to, test::random_bytes(i, 5)});
+    script.push_owned_add(to, test::random_bytes(i, 5));
     to += 5;
   }
   const std::size_t implicit = encode(script, 10000, kPaperSequential).size();
@@ -208,7 +214,7 @@ TEST_P(CodecFormatTest, CompressedPayloadRoundTrips) {
   for (int i = 0; i < 20; ++i) {
     script.push(CopyCommand{static_cast<offset_t>(i * 64), to, 32});
     to += 32;
-    script.push(AddCommand{to, Bytes(100, static_cast<std::uint8_t>(i))});
+    script.push_owned_add(to, Bytes(100, static_cast<std::uint8_t>(i)));
     to += 100;
   }
   DeltaHeader header = make_header(script, 4096, GetParam());
@@ -232,7 +238,7 @@ TEST_P(CodecFormatTest, CompressedEmptyScript) {
 TEST(Codec, CompressionAutoFallbackNeverGrowsFile) {
   // Incompressible payload: requesting compression must not add a byte.
   Script script;
-  script.push(AddCommand{0, test::random_bytes(77, 3000)});
+  script.push_owned_add(0, test::random_bytes(77, 3000));
   DeltaHeader header = make_header(script, 0, kVarintExplicit);
   const std::size_t plain_size = test::encode(header, script).size();
   header.compress_payload = true;
@@ -245,7 +251,7 @@ TEST(Codec, CompressionAutoFallbackNeverGrowsFile) {
 
 TEST(Codec, CompressedCorruptionRejected) {
   Script script;
-  script.push(AddCommand{0, Bytes(1000, 7)});
+  script.push_owned_add(0, Bytes(1000, 7));
   DeltaHeader header = make_header(script, 0, kVarintExplicit);
   header.compress_payload = true;
   Bytes wire = test::encode(header, script);
@@ -258,7 +264,7 @@ TEST(Codec, CompressedCorruptionRejected) {
 
 TEST(Codec, HeaderReportsCompressedAndUncompressedSizes) {
   Script script;
-  script.push(AddCommand{0, Bytes(5000, 9)});
+  script.push_owned_add(0, Bytes(5000, 9));
   DeltaHeader input = make_header(script, 0, kVarintExplicit);
   input.compress_payload = true;
   const Bytes wire = test::encode(input, script);
@@ -295,10 +301,9 @@ TEST_P(CodecFormatTest, ParseDeltaBorrowsTheSameCommands) {
         EXPECT_LE(c.literal + c.length, wire.data() + wire.size());
       }
     }
-    EXPECT_TRUE(fuzzcorpus::same_commands(moved.commands,
-                                          parse_delta(wire).commands))
+    EXPECT_EQ(Script(moved.commands), Script(parse_delta(wire).commands))
         << "compress=" << compress;
-    EXPECT_EQ(apply_script(test::owning_script(moved.commands), ref),
+    EXPECT_EQ(apply_script(Script(moved.commands), ref),
               apply_script(script, ref))
         << "compress=" << compress;
   }
@@ -310,14 +315,14 @@ void expect_paths_agree(ByteView delta, ByteView reference,
                         const std::string& what) {
   using namespace fuzzcorpus;
   EXPECT_EQ(borrowed_scratch(delta, reference),
-            owning_scratch(delta, reference))
+            script_scratch(delta, reference))
       << what;
   const auto header = try_parse_header(delta);
   if (!header || header->first.version_length > (1u << 22)) return;
   Bytes buffer(reference.begin(), reference.end());
   buffer.resize(std::max<std::size_t>(
       buffer.size(), static_cast<std::size_t>(header->first.version_length)));
-  EXPECT_EQ(borrowed_inplace(delta, buffer), owning_inplace(delta, buffer))
+  EXPECT_EQ(borrowed_inplace(delta, buffer), script_inplace(delta, buffer))
       << what;
 }
 
@@ -359,6 +364,29 @@ TEST(ParseDelta, PipelineMatrixAgreesWithDeserialize) {
         }
       }
     }
+  }
+}
+
+TEST(ParseDelta, TableBytesCoverWhatTheTableHolds) {
+  // The device updaters charge table_bytes() to RamArena: it must count
+  // the table's storage, not just the rows in use, and the decoder must
+  // not hold much more than it uses.
+  Rng rng(0x7AB1E);
+  const Bytes ref = generate_file(rng, 48 << 10, FileProfile::kText);
+  Bytes ver = mutate(ref, rng, 40);
+  const Bytes tail = generate_file(rng, 8 << 10, FileProfile::kText);
+  ver.insert(ver.end(), tail.begin(), tail.end());  // a literal lzss packs
+  for (const bool compress : {false, true}) {
+    const Pipeline pipeline({.compress_payload = compress});
+    const Bytes delta = pipeline.build_inplace(ref, ver).delta;
+    const ParsedDelta parsed = parse_delta(delta);
+    ASSERT_EQ(parsed.header.compress_payload, compress);
+    EXPECT_GE(parsed.table_bytes(),
+              parsed.commands.capacity() * sizeof(CommandRef) +
+                  parsed.decompressed.capacity())
+        << "compress=" << compress;
+    EXPECT_LE(parsed.commands.capacity(), 2 * parsed.commands.size())
+        << "compress=" << compress;
   }
 }
 

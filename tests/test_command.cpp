@@ -26,39 +26,46 @@ TEST(CopyCommand, SelfOverlapDetection) {
   EXPECT_FALSE((CopyCommand{0, 50, 50}.self_overlaps()));
 }
 
-TEST(AddCommand, LengthAndInterval) {
-  const AddCommand a{10, to_bytes("abcde")};
-  EXPECT_EQ(a.length(), 5u);
+TEST(CommandRef, AddLengthAndInterval) {
+  const Bytes data = to_bytes("abcde");
+  const CommandRef a{10, data.size(), 0, data.data()};
+  EXPECT_EQ(a.length, 5u);
   EXPECT_EQ(a.write_interval(), Interval::of(10, 5));
+  EXPECT_EQ(a.bytes().data(), data.data());
+  EXPECT_EQ(a.bytes().size(), 5u);
 }
 
-TEST(Command, VariantAccessors) {
-  const Command copy = CopyCommand{1, 2, 3};
-  const Command add = AddCommand{7, to_bytes("xy")};
+TEST(CommandRef, Accessors) {
+  const Bytes xy = to_bytes("xy");
+  const CommandRef copy{2, 3, 1};
+  const CommandRef add{7, 2, 0, xy.data()};
 
-  EXPECT_TRUE(is_copy(copy));
-  EXPECT_FALSE(is_add(copy));
-  EXPECT_TRUE(is_add(add));
-  EXPECT_FALSE(is_copy(add));
+  EXPECT_FALSE(copy.is_add());
+  EXPECT_TRUE(add.is_add());
 
-  EXPECT_EQ(command_to(copy), 2u);
-  EXPECT_EQ(command_to(add), 7u);
-  EXPECT_EQ(command_length(copy), 3u);
-  EXPECT_EQ(command_length(add), 2u);
-  EXPECT_EQ(command_write_interval(copy), Interval::of(2, 3));
-  EXPECT_EQ(command_write_interval(add), Interval::of(7, 2));
+  EXPECT_EQ(copy.to, 2u);
+  EXPECT_EQ(add.to, 7u);
+  EXPECT_EQ(copy.length, 3u);
+  EXPECT_EQ(add.length, 2u);
+  EXPECT_EQ(copy.write_interval(), Interval::of(2, 3));
+  EXPECT_EQ(add.write_interval(), Interval::of(7, 2));
+  EXPECT_EQ(copy.copy(), (CopyCommand{1, 2, 3}));
 }
 
-TEST(Command, StreamFormatting) {
+TEST(CommandRef, StreamFormatting) {
+  const Bytes nines{9, 9};
   std::ostringstream os;
-  os << Command(CopyCommand{1, 2, 3}) << " " << Command(AddCommand{4, {9, 9}});
+  os << CommandRef{2, 3, 1} << " " << CommandRef{4, 2, 0, nines.data()};
   EXPECT_EQ(os.str(), "copy<f=1, t=2, l=3> add<t=4, l=2>");
 }
 
-TEST(Command, Equality) {
-  EXPECT_EQ(Command(CopyCommand{1, 2, 3}), Command(CopyCommand{1, 2, 3}));
-  EXPECT_NE(Command(CopyCommand{1, 2, 3}), Command(CopyCommand{1, 2, 4}));
-  EXPECT_NE(Command(CopyCommand{1, 2, 3}), Command(AddCommand{2, {0, 0, 0}}));
+TEST(CommandRef, EqualityInAScript) {
+  using test::A;
+  using test::C;
+  using test::script_of;
+  EXPECT_EQ(script_of({C(1, 2, 3)}), script_of({C(1, 2, 3)}));
+  EXPECT_NE(script_of({C(1, 2, 3)}), script_of({C(1, 2, 4)}));
+  EXPECT_NE(script_of({C(1, 2, 3)}), script_of({A(2, Bytes{0, 0, 0})}));
 }
 
 }  // namespace

@@ -20,7 +20,15 @@ using test::script_of;
 
 Script compose(const Script& first, const Script& second,
                ComposeReport* report = nullptr) {
-  return compose_scripts(command_table(first), command_table(second), report);
+  return compose_scripts(first.commands(), second.commands(), report);
+}
+
+/// folded = folded ∘ next. The fold may borrow bytes `folded` gathered
+/// in its arena, so it takes that arena over.
+void fold_into(Script& folded, const Script& next) {
+  Script composed = compose(folded, next);
+  composed.adopt_arena(std::move(folded));
+  folded = std::move(composed);
 }
 
 void expect_composes(const Bytes& a, const Bytes& b, const Bytes& c,
@@ -88,8 +96,10 @@ TEST(Compose, AssociativeInEffect) {
   const Script d12 = diff_bytes(DifferKind::kOnePass, v1, v2);
   const Script d23 = diff_bytes(DifferKind::kOnePass, v2, v3);
 
-  const Script left = compose(compose(d01, d12), d23);
-  const Script right = compose(d01, compose(d12, d23));
+  const Script d02 = compose(d01, d12);
+  const Script d13 = compose(d12, d23);
+  const Script left = compose(d02, d23);
+  const Script right = compose(d01, d13);
   EXPECT_TRUE(test::bytes_equal(apply_script(left, v0),
                                 apply_script(right, v0)));
   EXPECT_TRUE(test::bytes_equal(v3, apply_script(left, v0)));
@@ -106,8 +116,8 @@ TEST(Compose, LongChainFold) {
   Script folded =
       diff_bytes(DifferKind::kOnePass, history[0], history[1]);
   for (std::size_t i = 1; i + 1 < history.size(); ++i) {
-    folded = compose(
-        folded, diff_bytes(DifferKind::kOnePass, history[i], history[i + 1]));
+    fold_into(folded,
+              diff_bytes(DifferKind::kOnePass, history[i], history[i + 1]));
   }
   EXPECT_TRUE(
       test::bytes_equal(history.back(), apply_script(folded, history[0])));
@@ -130,9 +140,9 @@ TEST(Compose, FoldChainMatchesStepwiseCompose) {
         pipeline.build_delta(history[i], history[i + 1]).delta);
     hops.push_back(parse_delta(artifacts.back()));
   }
-  Script stepwise = test::owning_script(hops[0].commands);
+  Script stepwise(hops[0].commands);
   for (std::size_t i = 1; i < hops.size(); ++i) {
-    stepwise = compose(stepwise, test::owning_script(hops[i].commands));
+    fold_into(stepwise, Script(hops[i].commands));
   }
   const Script folded = fold_chain(hops);
   EXPECT_EQ(folded, stepwise);
@@ -194,6 +204,25 @@ TEST(Compose, RejectsSecondReadingPastB) {
   EXPECT_THROW(compose(d1, d2), ValidationError);
 }
 
+TEST(Compose, AddsBorrowTheInputsLiterals) {
+  // B = "wxyz" + A[0, 4); C = B[1, 3) + B[4, 6) + "!" + B[2, 4).
+  const Script d1 = script_of({A(0, "wxyz"), C(0, 4, 4)});
+  const Script d2 =
+      script_of({C(1, 0, 2), C(4, 2, 2), A(4, "!"), C(2, 5, 2)});
+  const Script composed = compose(d1, d2);
+  const Bytes a = to_bytes("abcd");
+  EXPECT_EQ(apply_script(composed, a), to_bytes("xyab!yz"));
+  ASSERT_EQ(composed.size(), 3u);
+  // "xy" is a slice of δ₁'s add, borrowed as it is.
+  ASSERT_TRUE(composed.commands()[0].is_add());
+  EXPECT_EQ(composed.commands()[0].literal, d1.commands()[0].literal + 1);
+  EXPECT_EQ(composed.commands()[0].length, 2u);
+  EXPECT_FALSE(composed.commands()[1].is_add());
+  // "!" and "yz" abut in C but not in memory: one add, gathered.
+  EXPECT_EQ(test::bytes_of(composed.commands()[2]), to_bytes("!yz"));
+  EXPECT_EQ(composed.arena_bytes(), 3u);
+}
+
 TEST(Compose, FragmentsMergeBackTogether) {
   // δ₁ splits A into two abutting copies; a δ₂ copy spanning both must
   // come out as ONE copy, not two.
@@ -201,7 +230,8 @@ TEST(Compose, FragmentsMergeBackTogether) {
   const Script d2 = script_of({C(0, 0, 8)});
   const Script composed = compose(d1, d2);
   ASSERT_EQ(composed.size(), 1u);
-  EXPECT_EQ(std::get<CopyCommand>(composed.commands()[0]).length, 8u);
+  EXPECT_FALSE(composed.commands()[0].is_add());
+  EXPECT_EQ(composed.commands()[0].length, 8u);
 }
 
 TEST(ComposePin, FoldedChainBytesArePinned) {

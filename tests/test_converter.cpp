@@ -73,8 +73,8 @@ TEST_P(ConverterPolicyTest, ReorderingAloneResolvesChains) {
   EXPECT_EQ(r.script.summary().copy_count, 3u);
   expect_inplace_equivalent(script, r.script, ref);
   // The emitted copy order must place the [0,*]-reading command first.
-  const auto copies = r.script.copies();
-  EXPECT_EQ(copies[0].from, 0u);
+  ASSERT_FALSE(r.script.commands()[0].is_add());
+  EXPECT_EQ(r.script.commands()[0].from, 0u);
 }
 
 TEST_P(ConverterPolicyTest, RotationRequiresExactlyOneConversion) {
@@ -151,15 +151,15 @@ TEST(Converter, AddsAreEmittedAfterAllCopies) {
   const AdversaryInstance inst = make_rotation(500, 100);
   // A rotation variant with an add in front, to prove it moves to the back.
   Script input;
-  input.push(AddCommand{0, Bytes(inst.version.begin(), inst.version.begin() + 7)});
+  input.push_add(0, ByteView(inst.version).first(7));
   input.push(CopyCommand{107, 7, 393});
   input.push(CopyCommand{0, 400, 100});
   const Bytes expected = apply_script(input, inst.reference);
 
   const ConvertResult r = convert_to_inplace(input, inst.reference, {});
   bool seen_add = false;
-  for (const Command& c : r.script.commands()) {
-    if (is_add(c)) {
+  for (const CommandRef& c : r.script.commands()) {
+    if (c.is_add()) {
       seen_add = true;
     } else {
       EXPECT_FALSE(seen_add) << "copy after an add";

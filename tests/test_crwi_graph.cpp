@@ -11,7 +11,7 @@ namespace ipd {
 namespace {
 
 std::vector<CopyCommand> sorted_copies(const Script& s) {
-  auto copies = s.copies();
+  auto copies = test::copies_of(s);
   std::sort(copies.begin(), copies.end(),
             [](const CopyCommand& a, const CopyCommand& b) {
               return a.to < b.to;

@@ -24,10 +24,10 @@ TEST(GreedyDiffer, IdenticalFilesOneCopy) {
   const Script script = diff(file, file);
   expect_roundtrip(file, file, script);
   ASSERT_EQ(script.size(), 1u);
-  const auto* copy = std::get_if<CopyCommand>(&script.commands()[0]);
-  ASSERT_NE(copy, nullptr);
-  EXPECT_EQ(copy->from, 0u);
-  EXPECT_EQ(copy->length, 10000u);
+  const CommandRef& copy = script.commands()[0];
+  ASSERT_FALSE(copy.is_add());
+  EXPECT_EQ(copy.from, 0u);
+  EXPECT_EQ(copy.length, 10000u);
 }
 
 TEST(GreedyDiffer, EmptyVersionEmptyScript) {
@@ -93,7 +93,7 @@ TEST(GreedyDiffer, FindsUnalignedMatches) {
   const Script script = diff(ref, ver);
   expect_roundtrip(ref, ver, script);
   bool found = false;
-  for (const CopyCommand& c : script.copies()) {
+  for (const CopyCommand& c : test::copies_of(script)) {
     if (c.from == 123 && c.length >= 1000) found = true;
   }
   EXPECT_TRUE(found);
@@ -126,7 +126,7 @@ TEST(GreedyDiffer, PicksLongestOfRepeatedMatches) {
   const Script script = diff(ref, ver, {.seed_length = 16, .min_match = 16});
   expect_roundtrip(ref, ver, script);
   EXPECT_EQ(script.summary().copy_count, 1u);
-  EXPECT_EQ(script.copies()[0].length, 900u);
+  EXPECT_EQ(test::copies_of(script)[0].length, 900u);
 }
 
 TEST(GreedyDiffer, VersionShorterThanSeedIsLiteral) {

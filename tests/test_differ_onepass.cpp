@@ -136,7 +136,7 @@ TEST(OnePassDiffer, FirstOccurrenceWinsSlot) {
   const Script script = diff(ref, block);
   expect_roundtrip(ref, block, script);
   ASSERT_EQ(script.summary().copy_count, 1u);
-  EXPECT_EQ(script.copies()[0].from, 256u);
+  EXPECT_EQ(test::copies_of(script)[0].from, 256u);
 }
 
 
@@ -318,17 +318,17 @@ std::vector<std::uint32_t> naive_table(ByteView ref, std::size_t seed,
 /// literal run one byte at a time. The fast scan must emit exactly this.
 Script naive_scan(const OnePassIndex& index, ByteView ref, ByteView ver,
                   const DifferOptions& opts) {
-  ScriptBuilder builder;
+  ScriptBuilder builder(ver);
   const std::size_t seed = opts.seed_length;
   if (index.table.empty() || ver.size() < seed) {
-    builder.literals(ver);
+    builder.literals(ver.size());
     return builder.finish();
   }
   RollingHash rh(seed);
   std::size_t pos = 0;
   while (pos < ver.size()) {
     if (pos + seed > ver.size()) {
-      builder.literals(ver.subspan(pos));
+      builder.literals(ver.size() - pos);
       break;
     }
     const std::uint32_t cand =
@@ -354,7 +354,7 @@ Script naive_scan(const OnePassIndex& index, ByteView ref, ByteView ver,
         continue;
       }
     }
-    builder.literal(ver[pos]);
+    builder.literals(1);
     ++pos;
   }
   return builder.finish();
@@ -428,9 +428,9 @@ TEST(OnePassDifferential, ScanMatchAtPositionZero) {
   expect_naive_scan(ref, ver, {});
   const Script script = diff(ref, ver);
   ASSERT_EQ(script.size(), 1u);
-  const auto* copy = std::get_if<CopyCommand>(&script.commands()[0]);
-  ASSERT_NE(copy, nullptr);
-  EXPECT_EQ(copy->from, 0u);
+  const CommandRef& copy = script.commands()[0];
+  ASSERT_FALSE(copy.is_add());
+  EXPECT_EQ(copy.from, 0u);
 }
 
 TEST(OnePassDifferential, ScanBackwardExtensionConsumesPendingRun) {
@@ -451,9 +451,9 @@ TEST(OnePassDifferential, ScanBackwardExtensionConsumesPendingRun) {
       << "the first version seed must not own its slot";
   const Script script = differ.scan(*index, ref, ver);
   ASSERT_EQ(script.size(), 1u);
-  const auto* copy = std::get_if<CopyCommand>(&script.commands()[0]);
-  ASSERT_NE(copy, nullptr);
-  EXPECT_EQ(copy->from, 300u);
+  const CommandRef& copy = script.commands()[0];
+  ASSERT_FALSE(copy.is_add());
+  EXPECT_EQ(copy.from, 300u);
 }
 
 TEST(OnePassDifferential, ScanCopyEndingWithinOneSeedOfTheEnd) {

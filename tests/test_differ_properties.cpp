@@ -104,42 +104,80 @@ TEST_P(SelfDiff, SelfDiffIsAllCopy) {
 }
 
 TEST(ScriptBuilder, LiteralsAndCopiesInterleave) {
-  ScriptBuilder b;
-  b.literals(to_bytes("ab"));
+  const Bytes version = to_bytes("ab.....z");
+  ScriptBuilder b(version);
+  b.literals(2);
   b.copy(100, 5);
-  b.literal('z');
+  b.literals(1);
   EXPECT_EQ(b.pending_literals(), 1u);
   EXPECT_EQ(b.write_offset(), 8u);
   const Script s = b.finish();
   ASSERT_EQ(s.size(), 3u);
-  EXPECT_EQ(command_to(s.commands()[0]), 0u);
-  EXPECT_EQ(command_to(s.commands()[1]), 2u);
-  EXPECT_EQ(command_to(s.commands()[2]), 7u);
+  EXPECT_EQ(s.commands()[0].to, 0u);
+  EXPECT_EQ(s.commands()[1].to, 2u);
+  EXPECT_EQ(s.commands()[2].to, 7u);
   EXPECT_TRUE(s.in_write_order());
+  // The adds borrow the version's bytes.
+  EXPECT_EQ(s.commands()[0].literal, version.data());
+  EXPECT_EQ(s.commands()[2].literal, version.data() + 7);
+  EXPECT_EQ(s.arena_bytes(), 0u);
 }
 
 TEST(ScriptBuilder, RetractShrinksPendingAdd) {
-  ScriptBuilder b;
-  b.literals(to_bytes("abcdef"));
+  const Bytes version = to_bytes("abcdef......");
+  ScriptBuilder b(version);
+  b.literals(6);
   b.retract(4);
   b.copy(0, 10);  // backward-extended match re-claims 4 bytes
   const Script s = b.finish();
   ASSERT_EQ(s.size(), 2u);
-  EXPECT_EQ(std::get<AddCommand>(s.commands()[0]).data, to_bytes("ab"));
-  EXPECT_EQ(std::get<CopyCommand>(s.commands()[1]).to, 2u);
+  EXPECT_EQ(test::bytes_of(s.commands()[0]), to_bytes("ab"));
+  EXPECT_FALSE(s.commands()[1].is_add());
+  EXPECT_EQ(s.commands()[1].to, 2u);
+}
+
+TEST(ScriptBuilder, RetractAcrossARun) {
+  // Literals counted in three steps form one run; a retract may take
+  // back bytes from more than one of them.
+  const Bytes version = to_bytes("0123456789abcdef");
+  ScriptBuilder b(version);
+  b.literals(3);
+  b.literals(4);
+  b.literals(1);
+  b.retract(6);
+  EXPECT_EQ(b.pending_literals(), 2u);
+  EXPECT_EQ(b.write_offset(), 2u);
+  b.copy(40, 10);
+  b.literals(4);
+  const Script s = b.finish();
+  ASSERT_EQ(s.size(), 3u);
+  EXPECT_EQ(test::bytes_of(s.commands()[0]), to_bytes("01"));
+  EXPECT_EQ(s.commands()[1].to, 2u);
+  EXPECT_EQ(s.commands()[1].length, 10u);
+  EXPECT_EQ(test::bytes_of(s.commands()[2]), to_bytes("cdef"));
+  EXPECT_EQ(s.commands()[2].literal, version.data() + 12);
 }
 
 TEST(ScriptBuilder, FinishWithOnlyLiterals) {
-  ScriptBuilder b;
-  b.literals(to_bytes("xyz"));
+  const Bytes version = to_bytes("xyz");
+  ScriptBuilder b(version);
+  b.literals(3);
   const Script s = b.finish();
   ASSERT_EQ(s.size(), 1u);
   EXPECT_EQ(s.summary().added_bytes, 3u);
 }
 
 TEST(ScriptBuilder, EmptyFinish) {
-  ScriptBuilder b;
+  ScriptBuilder b(ByteView{});
   EXPECT_TRUE(b.finish().empty());
+  // Nothing classed yet: no add, even over a non-empty version.
+  const Bytes version = to_bytes("abc");
+  ScriptBuilder unused(version);
+  EXPECT_TRUE(unused.finish().empty());
+  ScriptBuilder retracted(version);
+  retracted.literals(2);
+  retracted.retract(2);
+  EXPECT_TRUE(retracted.finish().empty());
 }
 
 TEST(DifferFactory, MakesAllKinds) {

@@ -12,7 +12,7 @@ namespace ipd {
 namespace {
 
 CrwiGraph graph_from(const Script& script, length_t version_length) {
-  auto copies = script.copies();
+  auto copies = test::copies_of(script);
   std::sort(copies.begin(), copies.end(),
             [](const CopyCommand& a, const CopyCommand& b) {
               return a.to < b.to;
@@ -73,7 +73,7 @@ TEST(ExactFvs, Fig2OptimumIsTheRoot) {
   // so the optimum deletes the root alone, beating local-min's k leaves.
   const Fig2Instance inst = make_fig2_tree(4);  // 8 leaves
   const CrwiGraph g = graph_from(inst.script, inst.version.size());
-  auto copies = inst.script.copies();
+  auto copies = test::copies_of(inst.script);
   std::sort(copies.begin(), copies.end(),
             [](const CopyCommand& a, const CopyCommand& b) {
               return a.to < b.to;

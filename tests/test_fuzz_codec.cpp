@@ -138,7 +138,7 @@ TEST(FuzzCodec, StreamingDecoderChunkInvariance) {
   // The command sequence must be identical regardless of chunk sizes.
   const Bytes delta = valid_delta(5);
   const ParsedDelta parsed = parse_delta(delta);
-  const Script expected = test::owning_script(parsed.commands);
+  const Script expected(parsed.commands);
 
   // Re-extract the payload.
   const auto header = try_parse_header(delta);
@@ -158,7 +158,12 @@ TEST(FuzzCodec, StreamingDecoderChunkInvariance) {
       decoder.feed(payload.subspan(pos, n));
       pos += n;
       while (const auto cmd = decoder.next_ref()) {
-        streamed.push(test::owning_command(*cmd));
+        // The literal lives only until the next feed(): keep a copy.
+        if (cmd->is_add()) {
+          streamed.push_owned_add(cmd->to, cmd->bytes());
+        } else {
+          streamed.push(*cmd);
+        }
       }
     }
     EXPECT_EQ(streamed, expected) << "trial " << trial;

@@ -177,7 +177,7 @@ TEST(ApplyDeltaInplace, RejectedDeltaLeavesBufferUntouched) {
   Script script;
   for (offset_t to = 0; to < 4000; to += 400) {
     script.push(CopyCommand{3600 - to, to, 300});
-    script.push(AddCommand{to + 300, Bytes(100, 0x3C)});
+    script.push_owned_add(to + 300, Bytes(100, 0x3C));
   }
   DeltaHeader header;
   header.format = kPaperExplicit;

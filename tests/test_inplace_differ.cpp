@@ -14,15 +14,24 @@
 namespace ipd {
 namespace {
 
-Script built_script(const Pipeline& pipeline, ByteView ref, ByteView ver) {
-  return test::decode_script(pipeline.build_inplace(ref, ver).delta);
+/// build_inplace's artifact, and the Script it decodes to (which
+/// borrows the artifact).
+struct Built {
+  Bytes delta;
+  Script script;
+};
+
+Built build(const Pipeline& pipeline, ByteView ref, ByteView ver) {
+  Built built{pipeline.build_inplace(ref, ver).delta};
+  built.script = test::decode_script(built.delta);
+  return built;
 }
 
 TEST(InplaceDiffer, OutputIsDirectlyInplaceSafe) {
   const Pipeline pipeline({.differ = DifferKind::kOnePass});
   for (const VersionPair& pair : small_corpus(51)) {
-    const Script script =
-        built_script(pipeline, pair.reference, pair.version);
+    const Built built = build(pipeline, pair.reference, pair.version);
+    const Script& script = built.script;
     ASSERT_TRUE(satisfies_equation2(script)) << pair.name;
     ASSERT_TRUE(analyze_conflicts(script).in_place_safe()) << pair.name;
 
@@ -65,10 +74,10 @@ TEST(InplaceDiffer, ReportIsObservable) {
 
 TEST(InplaceDiffer, EmptyInputs) {
   const Pipeline pipeline({.differ = DifferKind::kOnePass});
-  EXPECT_TRUE(built_script(pipeline, {}, {}).empty());
+  EXPECT_TRUE(build(pipeline, {}, {}).script.empty());
   const Bytes ver = test::random_bytes(11, 100);
-  const Script script = built_script(pipeline, {}, ver);
-  EXPECT_TRUE(test::bytes_equal(ver, apply_script(script, {})));
+  const Built built = build(pipeline, {}, ver);
+  EXPECT_TRUE(test::bytes_equal(ver, apply_script(built.script, {})));
 }
 
 }  // namespace

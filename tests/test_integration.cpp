@@ -131,7 +131,7 @@ TEST(Integration, Lemma1HoldsAcrossCorpusAndAdversaries) {
   for (const VersionPair& pair : small_corpus(9)) {
     const Script script =
         diff_bytes(DifferKind::kOnePass, pair.reference, pair.version);
-    auto copies = script.copies();
+    auto copies = test::copies_of(script);
     std::sort(copies.begin(), copies.end(),
               [](const CopyCommand& a, const CopyCommand& b) {
                 return a.to < b.to;
@@ -141,7 +141,7 @@ TEST(Integration, Lemma1HoldsAcrossCorpusAndAdversaries) {
   }
   for (const length_t block : {4ull, 16ull, 64ull}) {
     const Fig3Instance inst = make_fig3_quadratic(block);
-    auto copies = inst.script.copies();
+    auto copies = test::copies_of(inst.script);
     std::sort(copies.begin(), copies.end(),
               [](const CopyCommand& a, const CopyCommand& b) {
                 return a.to < b.to;

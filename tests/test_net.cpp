@@ -584,8 +584,8 @@ TEST(Session, HostileInPlaceDeltaIsRefusedBeforeAnyFlashWrite) {
   header.reference_length = ref.size();
   header.version_length = ref.size();
   const Bytes evil = test::encode(
-      header, Script({CopyCommand{half, 0, half},     // writes what...
-                      CopyCommand{0, half, half}}));  // ...this one reads
+      header, test::script_of({test::C(half, 0, half),     // writes what...
+                               test::C(0, half, half)}));  // ...this reads
 
   auto [client_end, server_end] = make_socket_pair();
   std::thread hostile([server = std::move(server_end),
@@ -830,8 +830,9 @@ TEST(Session, PoisonedPreloadIsRefusedAndCleanUpgradeStillServes) {
   header.version_crc = rig.store.content_key(1).crc;
   const length_t half =
       std::min(header.reference_length, header.version_length) / 2;
-  const Script conflicting({CopyCommand{half, 0, half},
-                            CopyCommand{0, half, header.version_length - half}});
+  const Script conflicting = test::script_of(
+      {test::C(half, 0, half),
+       test::C(0, half, header.version_length - half)});
   EXPECT_FALSE(
       rig.service->preload(0, 1, test::encode(header, conflicting)));
   EXPECT_EQ(rig.service->metrics().verify_rejects.load(), 1u);

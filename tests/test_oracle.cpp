@@ -137,15 +137,15 @@ TEST(Oracle, AgreesWithEquation2CheckerOnRandomScripts) {
     for (int i = 0; i < commands; ++i) {
       const length_t len = rng.range(1, 30);
       if (rng.chance(0.3)) {
-        Bytes data(len, static_cast<std::uint8_t>(i));
-        s.push(AddCommand{cursor, std::move(data)});
+        const Bytes data(len, static_cast<std::uint8_t>(i));
+        s.push_owned_add(cursor, data);
       } else {
         s.push(CopyCommand{rng.below(300), cursor, len});
       }
       cursor += len;
     }
     // Shuffle the command order.
-    auto& cmds = s.commands();
+    const std::span<CommandRef> cmds = s.commands();
     for (std::size_t i = cmds.size(); i > 1; --i) {
       std::swap(cmds[i - 1], cmds[rng.below(i)]);
     }
@@ -221,7 +221,7 @@ TEST(WrittenBytes, AgreesWithTheOracleOnRandomScripts) {
       const offset_t to = rng.below(kVersion - 1);
       const length_t len = rng.range(1, std::min<length_t>(80, kVersion - to));
       if (rng.chance(0.3)) {
-        s.push(AddCommand{to, Bytes(len, static_cast<std::uint8_t>(i))});
+        s.push_owned_add(to, Bytes(len, static_cast<std::uint8_t>(i)));
       } else {
         s.push(CopyCommand{rng.below(kVersion + 60), to, len});
       }
@@ -234,12 +234,13 @@ TEST(WrittenBytes, AgreesWithTheOracleOnRandomScripts) {
     Bytes storage(WrittenBytes::storage_bytes(kVersion));
     WrittenBytes written(storage, kVersion);
     for (std::size_t j = 0; j < s.size(); ++j) {
-      const Command& command = s.commands()[j];
-      if (const auto* copy = std::get_if<CopyCommand>(&command)) {
-        EXPECT_EQ(written.intersects(copy->read_interval()), expected[j])
+      const CommandRef& command = s.commands()[j];
+      if (!command.is_add()) {
+        EXPECT_EQ(written.intersects(command.copy().read_interval()),
+                  expected[j])
             << "trial " << trial << " command " << j;
       }
-      written.insert(command_write_interval(command));
+      written.insert(command.write_interval());
     }
   }
 }

@@ -74,11 +74,7 @@ TEST(PlanSegments, ZeroSegmentBytesDisablesSegmentation) {
 
 // ---- stitch_segments junction repair ---------------------------------
 
-Script one_command(Command c) {
-  Script s;
-  s.push(std::move(c));
-  return s;
-}
+Script one_command(const test::Fixture& c) { return test::script_of({c}); }
 
 TEST(StitchSegments, MergesAbuttingCopies) {
   const Bytes ref = test::ramp_bytes(8);
@@ -87,7 +83,8 @@ TEST(StitchSegments, MergesAbuttingCopies) {
   parts.push_back(one_command(test::C(4, 0, 4)));  // segment-relative to
   const Script out = stitch_segments(std::move(parts), {0, 4, 8}, ref);
   ASSERT_EQ(out.commands().size(), 1u);
-  const auto& copy = std::get<CopyCommand>(out.commands()[0]);
+  const CommandRef& copy = out.commands()[0];
+  ASSERT_FALSE(copy.is_add());
   EXPECT_EQ(copy.from, 0u);
   EXPECT_EQ(copy.to, 0u);
   EXPECT_EQ(copy.length, 8u);
@@ -100,9 +97,25 @@ TEST(StitchSegments, ConcatenatesAbuttingAdds) {
   parts.push_back(one_command(test::A(0, "efgh")));
   const Script out = stitch_segments(std::move(parts), {0, 4, 8}, ref);
   ASSERT_EQ(out.commands().size(), 1u);
-  const auto& add = std::get<AddCommand>(out.commands()[0]);
+  const CommandRef& add = out.commands()[0];
+  ASSERT_TRUE(add.is_add());
   EXPECT_EQ(add.to, 0u);
-  EXPECT_TRUE(test::bytes_equal(to_bytes("abcdefgh"), add.data));
+  EXPECT_TRUE(test::bytes_equal(to_bytes("abcdefgh"), add.bytes()));
+}
+
+TEST(StitchSegments, JoinsAddsOfOneVersionWithoutCopying) {
+  // Segments scanned from one version borrow it, so the adds meeting at
+  // a cut join into one run of it by a length sum.
+  const Bytes version = to_bytes("abcdefgh");
+  const ByteView v = version;
+  std::vector<Script> parts(2);
+  parts[0].push_add(0, v.first(4));
+  parts[1].push_add(0, v.subspan(4));
+  const Script out = stitch_segments(std::move(parts), {0, 4, 8}, Bytes{});
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out.commands()[0].literal, version.data());
+  EXPECT_EQ(out.commands()[0].length, 8u);
+  EXPECT_EQ(out.arena_bytes(), 0u);
 }
 
 TEST(StitchSegments, CopyAbsorbsMatchingLiteralPrefix) {
@@ -114,7 +127,8 @@ TEST(StitchSegments, CopyAbsorbsMatchingLiteralPrefix) {
   parts.push_back(one_command(test::A(0, "efgh")));
   const Script out = stitch_segments(std::move(parts), {0, 4, 8}, ref);
   ASSERT_EQ(out.commands().size(), 1u);
-  const auto& copy = std::get<CopyCommand>(out.commands()[0]);
+  const CommandRef& copy = out.commands()[0];
+  ASSERT_FALSE(copy.is_add());
   EXPECT_EQ(copy.length, 8u);
   EXPECT_TRUE(test::bytes_equal(ref, apply_script(out, ref)));
 }
@@ -129,7 +143,8 @@ TEST(StitchSegments, CopyAbsorbsMatchingLiteralTail) {
   parts.push_back(one_command(test::C(4, 0, 4)));
   const Script out = stitch_segments(std::move(parts), {0, 4, 8}, ref);
   ASSERT_EQ(out.commands().size(), 1u);
-  const auto& copy = std::get<CopyCommand>(out.commands()[0]);
+  const CommandRef& copy = out.commands()[0];
+  ASSERT_FALSE(copy.is_add());
   EXPECT_EQ(copy.from, 0u);
   EXPECT_EQ(copy.to, 0u);
   EXPECT_EQ(copy.length, 8u);

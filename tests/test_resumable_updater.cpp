@@ -92,20 +92,18 @@ Fixture make_implicit_fixture() {
   Fixture f;
   Rng rng(41);
   f.v1 = generate_file(rng, 48 << 10, FileProfile::kBinary);
-  std::vector<Command> commands;
+  Script script;
   offset_t to = 0;
   while (to + 2800 < f.v1.size()) {
     const length_t shift = rng.below(700);
     const length_t len = 600 + rng.below(1400);
-    commands.push_back(CopyCommand{to + shift, to, len});
+    script.push(CopyCommand{to + shift, to, len});
     to += len;
     Bytes literal(1 + rng.below(60));
     for (std::uint8_t& b : literal) b = static_cast<std::uint8_t>(rng.next());
-    const offset_t at = to;
+    script.push_owned_add(to, literal);
     to += literal.size();
-    commands.push_back(AddCommand{at, std::move(literal)});
   }
-  const Script script(std::move(commands));
   f.v2 = apply_script(script, f.v1);
   DeltaHeader header;
   header.format = kPaperSequential;
@@ -362,7 +360,7 @@ TEST(ResumableUpdater, SurvivesPowerCutsOnImplicitOffsetDelta) {
   ASSERT_EQ(parse_delta(f.delta).header.format.offsets,
             WriteOffsets::kImplicit);
   bool self_overlap = false;
-  for (const CopyCommand& c : test::decode_script(f.delta).copies()) {
+  for (const CopyCommand& c : test::copies_of(test::decode_script(f.delta))) {
     self_overlap |= c.self_overlaps();
   }
   ASSERT_TRUE(self_overlap);
@@ -477,7 +475,7 @@ TEST(ResumableUpdater, CountsEachCloseByItsCause) {
   // 40 adds read nothing: one batch fills its 32 commands.
   Script adds;
   for (offset_t at = 0; at < 400; at += 10) {
-    adds.push(AddCommand{at, test::random_bytes(at, 10)});
+    adds.push_owned_add(at, test::random_bytes(at, 10));
   }
   EXPECT_EQ(closes_of(adds), (Counts{1, 0, 0, 3}));
   // The last add writes [100, 150), which the copy read.
@@ -495,7 +493,7 @@ TEST(ResumableUpdater, CountsEachCloseByItsCause) {
 /// A hand-built in-place-flagged delta over a 120-byte version whose
 /// last command is a copy of 10 bytes to [100, 110) that reads bytes an
 /// earlier add wrote.
-Fixture conflicting_fixture(std::initializer_list<Command> commands) {
+Fixture conflicting_fixture(std::initializer_list<test::Fixture> commands) {
   Fixture f;
   f.v1 = test::random_bytes(5, 48 << 10);
   DeltaHeader header;
@@ -528,7 +526,7 @@ TEST(ResumableUpdater, OracleSeesAConflictBeforeTheCopy) {
 /// table to the executor as apply_update_resumable configures it; the
 /// oracle must throw before the copy's first flash write.
 void expect_staged_conflict_before_copy(
-    std::initializer_list<Command> commands) {
+    std::initializer_list<test::Fixture> commands) {
   const Fixture f = conflicting_fixture(commands);
   FlashDevice dev = make_device(f);
   const std::uint64_t before = dev.bytes_written();
@@ -636,7 +634,7 @@ TEST(ResumableUpdater, FixtureActuallyExercisesSelfOverlap) {
   // delta contains self-overlapping copies (the non-idempotent case).
   const Fixture f = make_fixture();
   bool self_overlap = false;
-  for (const CopyCommand& c : test::decode_script(f.delta).copies()) {
+  for (const CopyCommand& c : test::copies_of(test::decode_script(f.delta))) {
     self_overlap |= c.self_overlaps();
   }
   EXPECT_TRUE(self_overlap);

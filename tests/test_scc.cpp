@@ -13,7 +13,7 @@ namespace ipd {
 namespace {
 
 CrwiGraph graph_from(const Script& script, length_t version_length) {
-  auto copies = script.copies();
+  auto copies = test::copies_of(script);
   std::sort(copies.begin(), copies.end(),
             [](const CopyCommand& a, const CopyCommand& b) {
               return a.to < b.to;
@@ -126,7 +126,7 @@ TEST(SccGreedyFvs, PaysPerLeafWithPaperCostsOnFig2) {
   // defeats this heuristic as well, just over more rounds.
   const Fig2Instance inst = make_fig2_tree(3);  // 4 leaves
   const CrwiGraph g = graph_from(inst.script, inst.version.size());
-  auto copies = inst.script.copies();
+  auto copies = test::copies_of(inst.script);
   std::sort(copies.begin(), copies.end(),
             [](const CopyCommand& a, const CopyCommand& b) {
               return a.to < b.to;

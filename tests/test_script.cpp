@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/rng.hpp"
 #include "delta/codec.hpp"
 #include "inplace/converter.hpp"
@@ -29,16 +31,19 @@ TEST(Script, SummaryCounts) {
   EXPECT_EQ(sum.version_bytes(), 20u);
 }
 
-TEST(Script, CopiesAndAddsSplitPreservingOrder) {
+TEST(Script, CommandsKeepTheirKindAndOrder) {
   const Script s = script_of({A(0, "x"), C(0, 1, 2), A(3, "y"), C(9, 4, 1)});
-  const auto copies = s.copies();
-  const auto adds = s.adds();
+  std::vector<offset_t> copies;
+  std::vector<offset_t> adds;
+  for (const CommandRef& c : s.commands()) {
+    (c.is_add() ? adds : copies).push_back(c.to);
+  }
   ASSERT_EQ(copies.size(), 2u);
   ASSERT_EQ(adds.size(), 2u);
-  EXPECT_EQ(copies[0].to, 1u);
-  EXPECT_EQ(copies[1].to, 4u);
-  EXPECT_EQ(adds[0].to, 0u);
-  EXPECT_EQ(adds[1].to, 3u);
+  EXPECT_EQ(copies[0], 1u);
+  EXPECT_EQ(copies[1], 4u);
+  EXPECT_EQ(adds[0], 0u);
+  EXPECT_EQ(adds[1], 3u);
 }
 
 TEST(Script, ValidateAcceptsExactTiling) {
@@ -186,26 +191,32 @@ TEST(WriteTiling, DisjointCoverageAllowsGapsNotOverlaps) {
       ValidationError);
 }
 
-// ---- command_table -------------------------------------------------------
+// ---- the Script as a command table --------------------------------------
 
-TEST(CommandTable, BorrowsTheScriptsCommands) {
+TEST(CommandTable, ATableBecomesAScriptWithoutCopying) {
   const Script s = script_of({C(7, 0, 4), A(4, "ab")});
-  const std::vector<CommandRef> table = command_table(s);
+  const std::span<const CommandRef> table = s.commands();
   ASSERT_EQ(table.size(), 2u);
   EXPECT_FALSE(table[0].is_add());
   EXPECT_EQ(table[0].from, 7u);
   EXPECT_EQ(table[0].length, 4u);
   EXPECT_TRUE(table[1].is_add());
   EXPECT_EQ(table[1].to, 4u);
-  EXPECT_EQ(table[1].literal,
-            std::get<AddCommand>(s.commands()[1]).data.data());
+  EXPECT_EQ(test::bytes_of(table[1]), to_bytes("ab"));
+  const Script borrowed(std::vector<CommandRef>(table.begin(), table.end()));
+  EXPECT_EQ(borrowed.commands()[1].literal, table[1].literal);
+  EXPECT_EQ(borrowed.arena_bytes(), 0u);
+  EXPECT_EQ(borrowed, s);
 }
 
 TEST(CommandTable, EmptyAddStaysAnAdd) {
-  // An empty Bytes may hold no storage, and a null literal marks a copy.
+  // An empty view may hold no storage, and a null literal marks a copy.
   Script s;
-  s.push(AddCommand{0, Bytes{}});
-  const std::vector<CommandRef> table = command_table(s);
+  s.push_add(0, ByteView{});
+  Script owned;
+  owned.push_owned_add(0, ByteView{});
+  EXPECT_EQ(owned, s);
+  const std::span<const CommandRef> table = s.commands();
   ASSERT_EQ(table.size(), 1u);
   EXPECT_TRUE(table[0].is_add());
   EXPECT_EQ(table[0].length, 0u);
@@ -231,21 +242,79 @@ TEST(CommandTable, EmptyAddStaysAnAdd) {
   EXPECT_EQ(rejection->message, "add command with zero length");
 }
 
-TEST(Script, SortByWriteOffset) {
-  Script s = script_of({C(2, 6, 2), A(4, "ab"), C(0, 0, 4)});
-  s.sort_by_write_offset();
-  EXPECT_TRUE(s.in_write_order());
-  EXPECT_EQ(command_to(s.commands()[0]), 0u);
-  EXPECT_EQ(command_to(s.commands()[1]), 4u);
-  EXPECT_EQ(command_to(s.commands()[2]), 6u);
+TEST(Script, EqualityComparesAddBytesNotPointers) {
+  const Bytes one = test::random_bytes(5, 64);
+  Bytes two = one;
+  Script a;
+  a.push(CopyCommand{3, 0, 8});
+  a.push_add(8, one);
+  Script b;
+  b.push(CopyCommand{3, 0, 8});
+  b.push_add(8, two);
+  ASSERT_NE(a.commands()[1].literal, b.commands()[1].literal);
+  EXPECT_EQ(a, b);
+  Script owned;
+  owned.push(CopyCommand{3, 0, 8});
+  owned.push_owned_add(8, one);
+  EXPECT_EQ(owned, a);
+  two[17] ^= 0x01;
+  EXPECT_NE(a, b);
+  EXPECT_NE(b, owned);
 }
 
-TEST(Script, SameEffectIgnoresOrder) {
-  const Script a = script_of({C(0, 0, 4), A(4, "ab")});
-  Script b = script_of({A(4, "ab"), C(0, 0, 4)});
-  EXPECT_TRUE(same_effect(a, b));
-  b.push(C(0, 6, 1));
-  EXPECT_FALSE(same_effect(a, b));
+TEST(Script, CopyKeepsArenaAddsValidAfterTheOriginalDies) {
+  const Bytes head = test::random_bytes(6, 100);
+  const Bytes tail = test::random_bytes(7, 50);
+  Bytes expected = head;
+  expected.insert(expected.end(), tail.begin(), tail.end());
+  Script copy;
+  {
+    auto original = std::make_unique<Script>(
+        script_of({A(0, test::random_bytes(8, 10)), C(0, 10, 5)}));
+    original->push_add(15, head);
+    original->append_add(115, tail);  // not contiguous: gathered
+    EXPECT_EQ(original->arena_bytes(), 10u + expected.size());
+    copy = *original;
+    original.reset();
+  }
+  ASSERT_EQ(copy.size(), 3u);
+  EXPECT_EQ(test::bytes_of(copy.commands()[0]), test::random_bytes(8, 10));
+  EXPECT_EQ(test::bytes_of(copy.commands()[2]), expected);
+  EXPECT_EQ(copy.commands()[2].to, 15u);
+  // The copy's own additions do not write into the shared arena.
+  copy.push_owned_add(150, to_bytes("xyz"));
+  copy.append_add(153, to_bytes("uvw"));
+  EXPECT_EQ(test::bytes_of(copy.commands()[3]), to_bytes("xyzuvw"));
+  EXPECT_EQ(test::bytes_of(copy.commands()[2]), expected);
+}
+
+TEST(Script, AppendAddJoinsOnlyAnAbuttingAdd) {
+  const Bytes version = test::random_bytes(9, 40);
+  const ByteView v = version;
+  Script s;
+  s.push_add(0, v.first(10));
+  s.append_add(10, v.subspan(10, 30));  // contiguous: a length sum
+  ASSERT_EQ(s.size(), 1u);
+  EXPECT_EQ(s.commands()[0].literal, version.data());
+  EXPECT_EQ(s.commands()[0].length, 40u);
+  EXPECT_EQ(s.arena_bytes(), 0u);
+  s.append_add(41, v.first(2));  // a gap: a new add
+  s.push(CopyCommand{0, 43, 2});
+  s.append_add(45, v.first(2));  // after a copy: a new add
+  ASSERT_EQ(s.size(), 4u);
+  EXPECT_EQ(s.commands()[3].literal, version.data());
+  EXPECT_EQ(s.arena_bytes(), 0u);
+}
+
+TEST(Script, AdoptedArenaOutlivesItsScript) {
+  Script out;
+  {
+    Script part = script_of({A(0, "abc")});
+    out.push(part.commands()[0]);
+    out.adopt_arena(std::move(part));
+  }
+  EXPECT_EQ(test::bytes_of(out.commands()[0]), to_bytes("abc"));
+  EXPECT_EQ(out.arena_bytes(), 3u);
 }
 
 TEST(Script, ToTextListsAndTruncates) {

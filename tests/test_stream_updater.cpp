@@ -132,7 +132,7 @@ TEST(StreamUpdater, CleanRunReconstructsAndJournals) {
 TEST(StreamUpdater, FixtureActuallyExercisesSelfOverlap) {
   const Fixture f = make_fixture();
   bool self_overlap = false;
-  for (const CopyCommand& c : test::decode_script(f.delta).copies()) {
+  for (const CopyCommand& c : test::copies_of(test::decode_script(f.delta))) {
     self_overlap |= c.self_overlaps();
   }
   EXPECT_TRUE(self_overlap);
@@ -380,7 +380,8 @@ TEST(StreamUpdater, RejectsBadArtifactsBeforeFlashWrites) {
 /// Stream a hand-built in-place-flagged delta whose last command is a
 /// copy reading bytes an earlier add wrote; the oracle must reject it
 /// before the copy's flash write, leaving [100, 110) untouched.
-void expect_conflict_before_copy(std::initializer_list<Command> commands) {
+void expect_conflict_before_copy(
+    std::initializer_list<test::Fixture> commands) {
   const Fixture f = make_fixture();
   DeltaHeader header;
   header.format = kVarintExplicit;

@@ -5,6 +5,7 @@
 
 #include <span>
 #include <string>
+#include <vector>
 
 #include "core/rng.hpp"
 #include "core/types.hpp"
@@ -41,51 +42,62 @@ inline std::uint64_t fnv1a(ByteView bytes) {
   return h;
 }
 
+/// One hand-written command: a copy, or an add with its own bytes.
+struct Fixture {
+  CommandRef row;  ///< the add's `literal` is set when it joins a Script
+  Bytes data;      ///< the add's bytes
+};
+
 /// Shorthand copy/add constructors.
-inline Command C(offset_t from, offset_t to, length_t len) {
-  return CopyCommand{from, to, len};
+inline Fixture C(offset_t from, offset_t to, length_t len) {
+  return {{to, len, from}, {}};
 }
-inline Command A(offset_t to, std::string_view data) {
-  return AddCommand{to, to_bytes(data)};
+inline Fixture A(offset_t to, Bytes data) {
+  static constexpr std::uint8_t kAdd = 0;  // marks the row an add
+  const length_t len = data.size();
+  return {{to, len, 0, &kAdd}, std::move(data)};
 }
-inline Command A(offset_t to, Bytes data) {
-  return AddCommand{to, std::move(data)};
+inline Fixture A(offset_t to, std::string_view data) {
+  return A(to, to_bytes(data));
 }
 
-/// Build a Script from an initializer list of commands.
-inline Script script_of(std::initializer_list<Command> commands) {
+/// Build a Script from fixtures; adds are copied into its arena.
+inline Script script_of(std::initializer_list<Fixture> commands) {
   Script s;
-  for (const Command& c : commands) {
-    s.push(c);
+  for (const Fixture& c : commands) {
+    if (c.row.is_add()) {
+      s.push_owned_add(c.row.to, c.data);
+    } else {
+      s.push(c.row);
+    }
   }
   return s;
 }
 
+/// The script's copies, in order.
+inline std::vector<CopyCommand> copies_of(const Script& script) {
+  std::vector<CopyCommand> copies;
+  for (const CommandRef& c : script.commands()) {
+    if (!c.is_add()) copies.push_back(c.copy());
+  }
+  return copies;
+}
+
+/// An add's bytes, copied out for comparison.
+inline Bytes bytes_of(const CommandRef& c) {
+  return Bytes(c.literal, c.literal + c.length);
+}
+
 /// Encode `script` under `header`; the encoder fills the payload fields.
 inline Bytes encode(const DeltaHeader& header, const Script& script) {
-  return serialize_delta(header, command_table(script));
+  return serialize_delta(header, script.commands());
 }
 
-/// The owning form of one table row (copies an add's bytes).
-inline Command owning_command(const CommandRef& c) {
-  if (c.is_add()) {
-    return AddCommand{c.to, Bytes(c.literal, c.literal + c.length)};
-  }
-  return CopyCommand{c.from, c.to, c.length};
-}
-
-/// An owning Script with a table's commands.
-inline Script owning_script(std::span<const CommandRef> table) {
-  Script script;
-  for (const CommandRef& c : table) {
-    script.push(owning_command(c));
-  }
-  return script;
-}
-
-/// The commands a delta encodes, as an owning Script.
+/// The commands a delta encodes, as a Script. Its adds borrow `delta`
+/// (or own the decompressed payload), so `delta` must outlive it.
 inline Script decode_script(ByteView delta) {
-  return owning_script(parse_delta(delta).commands);
+  ParsedDelta parsed = parse_delta(delta);
+  return Script(std::move(parsed.commands), std::move(parsed.decompressed));
 }
 
 /// An in-place-safe script whose copies read past its version: a

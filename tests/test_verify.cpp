@@ -158,7 +158,7 @@ TEST(VerifyMalformed, OffsetPlusLengthWraparoundIsCaughtBeforeIntervalMath) {
   // to + length - 1 wraps around u64; Interval::of would "succeed" with
   // last < first and every downstream bound check would pass vacuously.
   s.push(CopyCommand{0, kMaxOffset - 4, 10});
-  s.push(AddCommand{0, Bytes(10, 0x11)});
+  s.push_owned_add(0, Bytes(10, 0x11));
   const Report r = Verifier().check(make_delta(std::move(s), false, 64, 10));
   EXPECT_FALSE(r.ok());
   const Finding* f = find_check(r, Check::kOffsetOverflow);
@@ -265,8 +265,8 @@ TEST(VerifySeverity, CompressedPayloadDeclaringAbsurdSizeIsRefused) {
   header.compress_payload = true;
   header.reference_length = 64;
   header.version_length = 20000;
-  const Bytes delta = test::encode(
-      header, Script({AddCommand{0, Bytes(20000, 0x41)}}));  // compresses well
+  const Bytes delta = test::encode(  // compresses well
+      header, test::script_of({test::A(0, Bytes(20000, 0x41))}));
   ASSERT_TRUE(parse_delta(delta).header.compress_payload);  // lzss paid
 
   VerifyOptions limits;
