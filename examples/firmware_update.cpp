@@ -53,7 +53,9 @@ int main() {
   }
 
   // -- device side: apply inside the RAM budget ----------------------------
-  const std::size_t ram_budget = delta.size() + (8 << 10);
+  // The device stages the delta and holds its parsed command table.
+  const std::size_t ram_budget =
+      delta.size() + parse_delta(delta).table_bytes() + (8 << 10);
   FlashDevice device(/*storage=*/256 << 10, /*page=*/4096, ram_budget);
   device.load_image(v1);
 

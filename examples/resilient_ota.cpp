@@ -54,8 +54,9 @@ int main() {
   {
     const std::size_t image_area = 192 << 10;
     const JournalRegion journal{image_area, 16 << 10};
-    FlashDevice device(image_area + journal.size, 4096,
-                       delta.size() + (32 << 10));
+    FlashDevice device(
+        image_area + journal.size, 4096,
+        delta.size() + parse_delta(delta).table_bytes() + (32 << 10));
     device.load_image(v1);
     clear_journal(device, journal);
 
