@@ -17,7 +17,7 @@ namespace {
 using namespace ipd;
 
 CrwiGraph build_graph(const Script& script, length_t version_length) {
-  return CrwiGraph::build(bench::sorted_copies(script), version_length);
+  return CrwiGraph::build(sorted_copies(script.commands()), version_length);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include <map>
 
 #include "adversary/constructions.hpp"
-#include "bench_util.hpp"
 #include "apply/stream_applier.hpp"
 #include "core/checksum.hpp"
 #include "core/checksum_kernels.hpp"
@@ -28,8 +27,6 @@
 namespace {
 
 using namespace ipd;
-
-using bench::sorted_copies;
 
 // A reusable versioned pair sized by the benchmark argument.
 struct Pair {
@@ -96,7 +93,7 @@ void BM_CrwiGraphBuild(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const AdversaryInstance inst =
       make_block_permutation(64, random_permutation(rng, n));
-  const auto copies = sorted_copies(inst.script);
+  const auto copies = sorted_copies(inst.script.commands());
   for (auto _ : state) {
     benchmark::DoNotOptimize(CrwiGraph::build(copies, n * 64));
   }
@@ -145,7 +142,8 @@ void BM_TopoSort(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(1));
   const AdversaryInstance inst =
       make_block_permutation(64, random_permutation(rng, n));
-  run_topo_sort(state, topo_graph(sorted_copies(inst.script), n * 64));
+  run_topo_sort(state,
+                topo_graph(sorted_copies(inst.script.commands()), n * 64));
 }
 BENCHMARK(BM_TopoSort)
     ->ArgsProduct({{0 /*constant*/, 1 /*local-min*/}, {1 << 8, 1 << 12}});
@@ -177,7 +175,8 @@ BENCHMARK(BM_TopoSortRandomCopies)
 void BM_TopoSortFig3(benchmark::State& state) {
   static const TopoGraph t = [] {
     const Fig3Instance inst = make_fig3_quadratic(1024);
-    return topo_graph(sorted_copies(inst.script), inst.version.size());
+    return topo_graph(sorted_copies(inst.script.commands()),
+                      inst.version.size());
   }();
   run_topo_sort(state, t);
 }
@@ -502,7 +501,7 @@ void BM_SccDecomposition(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const AdversaryInstance inst =
       make_block_permutation(64, random_permutation(rng, n));
-  const auto copies = sorted_copies(inst.script);
+  const auto copies = sorted_copies(inst.script.commands());
   const CrwiGraph g = CrwiGraph::build(copies, n * 64);
   for (auto _ : state) {
     benchmark::DoNotOptimize(strongly_connected_components(g));
@@ -528,7 +527,7 @@ BENCHMARK(BM_StreamingApply);
 void BM_Fig2LocalMin(benchmark::State& state) {
   const Fig2Instance inst =
       make_fig2_tree(static_cast<std::size_t>(state.range(0)));
-  const auto copies = sorted_copies(inst.script);
+  const auto copies = sorted_copies(inst.script.commands());
   const CrwiGraph g = CrwiGraph::build(copies, inst.version.size());
   const CodewordCostModel model(kPaperExplicit, inst.version.size());
   const auto costs = conversion_costs(copies, model);

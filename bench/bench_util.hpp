@@ -4,7 +4,6 @@
 // bench_server and bench_net no longer carry their own percentile math.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -15,7 +14,6 @@
 
 #include "core/rng.hpp"
 #include "corpus/workload.hpp"
-#include "delta/script.hpp"
 #include "obs/histogram.hpp"
 
 namespace ipd::bench {
@@ -60,19 +58,6 @@ inline double thread_scaling(std::size_t threads, double seconds = 0.1) {
   };
   const double one = busy_rate(1);
   return one > 0 ? busy_rate(threads) / one : 0.0;
-}
-
-/// A script's copies sorted by write offset: the CRWI digraph's input.
-inline std::vector<CopyCommand> sorted_copies(const Script& script) {
-  std::vector<CopyCommand> copies;
-  for (const CommandRef& c : script.commands()) {
-    if (!c.is_add()) copies.push_back(c.copy());
-  }
-  std::sort(copies.begin(), copies.end(),
-            [](const CopyCommand& a, const CopyCommand& b) {
-              return a.to < b.to;
-            });
-  return copies;
 }
 
 /// The evaluation corpus shared by bench_table1 / bench_runtime /

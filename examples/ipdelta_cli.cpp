@@ -326,7 +326,7 @@ int lint_self_check(std::uint64_t seed) {
 
       const Report report = verifier.check(delta);
       const ConflictAnalysis oracle =
-          analyze_conflicts(Script(parse_delta(delta).commands));
+          analyze_conflicts(Script(parse_delta(delta)));
       const Bytes applied = apply_delta(delta, pair.reference);
 
       std::string complaint;

@@ -35,12 +35,6 @@ struct ApplyOutcome {
   bool operator==(const ApplyOutcome&) const = default;
 };
 
-/// The parsed table as a Script: adds keep borrowing the artifact, and
-/// the Script takes the decompressed payload over.
-inline Script script_of(ParsedDelta parsed) {
-  return Script(std::move(parsed.commands), std::move(parsed.decompressed));
-}
-
 /// Encode a parsed table again under its header and parse that: true
 /// when the header and the commands survive. The payload fields and the
 /// LZSS flag describe one encoding, so only the header fields the
@@ -82,7 +76,7 @@ inline ApplyOutcome script_scratch(ByteView delta, ByteView reference) {
     if (header.reference_length != reference.size()) {
       throw FormatError("reference length mismatch");
     }
-    Bytes version = apply_script(script_of(std::move(parsed)), reference);
+    Bytes version = apply_script(Script(std::move(parsed)), reference);
     if (crc32c(version) != header.version_crc) {
       throw FormatError("version CRC mismatch");
     }
@@ -112,7 +106,7 @@ inline ApplyOutcome script_inplace(ByteView delta, Bytes buffer) {
         header.version_length > buffer.size()) {
       throw ValidationError("buffer too small");
     }
-    apply_inplace(script_of(std::move(parsed)), buffer,
+    apply_inplace(Script(std::move(parsed)), buffer,
                   header.reference_length, header.version_length);
     const auto version_size = static_cast<std::size_t>(header.version_length);
     if (crc32c(ByteView(buffer).first(version_size)) != header.version_crc) {

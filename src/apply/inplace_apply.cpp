@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 
 #include "core/checksum.hpp"
 #include "obs/trace.hpp"
@@ -9,16 +10,21 @@
 namespace ipd {
 namespace {
 
-void check_bounds(const Script& script, std::size_t buffer_size,
+void check_bounds(const Script& script, MutByteView buffer,
                   length_t reference_length, length_t version_length) {
-  if (buffer_size < reference_length || buffer_size < version_length) {
+  if (buffer.size() < reference_length || buffer.size() < version_length) {
     throw ValidationError(
         "in-place apply: buffer must hold max(reference, version)");
   }
+  const std::less<> below;  // orders pointers into unrelated buffers
   for (const CommandRef& cmd : script.commands()) {
     if (!cmd.is_add() &&
         !range_fits(cmd.from, cmd.length, reference_length)) {
       throw ValidationError("in-place apply: copy reads past reference");
+    }
+    if (cmd.is_add() && below(cmd.literal, buffer.data() + buffer.size()) &&
+        below(buffer.data(), cmd.literal + cmd.length)) {
+      throw ValidationError("in-place apply: add bytes lie in the buffer");
     }
     if (!range_fits(cmd.to, cmd.length, version_length)) {
       throw ValidationError("in-place apply: command writes past version");
@@ -41,7 +47,7 @@ void overlapping_copy(MutByteView buffer, offset_t from, offset_t to,
 
 void apply_inplace(const Script& script, MutByteView buffer,
                    length_t reference_length, length_t version_length) {
-  check_bounds(script, buffer.size(), reference_length, version_length);
+  check_bounds(script, buffer, reference_length, version_length);
   for (const CommandRef& cmd : script.commands()) {
     if (cmd.is_add()) {
       std::copy_n(cmd.literal, cmd.length,

@@ -25,6 +25,8 @@ namespace ipd {
 /// The script is trusted to be in-place safe (Equation 2); applying a
 /// conflicting script silently corrupts, exactly as the paper describes —
 /// check untrusted input with the oracle (apply/oracle.hpp) first.
+/// An add whose bytes lie in `buffer` (a converted copy borrowing the
+/// reference, say) may read rewritten bytes, so it throws ValidationError.
 void apply_inplace(const Script& script, MutByteView buffer,
                    length_t reference_length, length_t version_length);
 

@@ -22,6 +22,9 @@ constexpr std::uint8_t kOpVarCopy = 0x02;
 constexpr length_t kPaperMaxAdd = 255;
 constexpr length_t kPaperMaxCopy = 0xFFFFFFFFull;
 
+// decode_delta's largest up-front table reservation: 1 MiB of rows.
+constexpr std::uint64_t kReservedRowsMax = (1 << 20) / sizeof(CommandRef);
+
 // Width classes for PaperByte copy fields: f in {2,4,8}, l in {1,2,4}.
 unsigned f_class(offset_t f) noexcept {
   if (f <= 0xFFFF) return 0;
@@ -463,17 +466,11 @@ const char* format_name(DeltaFormat f) noexcept {
 
 Bytes serialize_delta(const DeltaHeader& header,
                       std::span<const CommandRef> commands) {
-  if (header.format.offsets == WriteOffsets::kImplicit) {
-    offset_t expected = 0;
-    for (const CommandRef& c : commands) {
-      if (c.to != expected) {
-        throw ValidationError(
-            "implicit-offset format requires commands in write order with "
-            "no gaps; permuted (in-place) scripts need explicit write "
-            "offsets");
-      }
-      expected += c.length;
-    }
+  if (header.format.offsets == WriteOffsets::kImplicit &&
+      !in_write_order(commands)) {
+    throw ValidationError(
+        "implicit-offset format requires commands in write order with no "
+        "gaps; permuted (in-place) scripts need explicit write offsets");
   }
 
   const unsigned offw = paper_offset_width(header.version_length);
@@ -567,11 +564,13 @@ std::optional<DeltaRejection> decode_delta(ByteView data, ParsedDelta& out,
     stream = out.decompressed;
   }
 
-  // Every codeword takes at least 3 stream bytes and writes at least one
-  // version byte, so one reservation holds any table that can tile; the
-  // table is trimmed to its size once decoded.
-  out.commands.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(stream.size() / 3, header.version_length)));
+  // Reserve the worst case (a codeword per 3 stream bytes, ~8x the rows
+  // of a typical artifact), but no more than 1 MiB of rows: a larger
+  // reservation maps fresh pages on every parse, while a table that
+  // outgrows it grows in heap memory earlier parses warmed. The table is
+  // trimmed to its size once decoded.
+  out.commands.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
+      {stream.size() / 3, header.version_length, kReservedRowsMax})));
   const unsigned offset_width = paper_offset_width(header.version_length);
   offset_t running_to = 0;
   for (std::size_t pos = 0; pos < stream.size();) {

@@ -27,8 +27,8 @@
 // the artifact bytes it was parsed from. The streaming decoder, and the
 // container reader both streaming appliers run on it, borrow the same
 // way. serialize_delta() encodes the same table, which is what a Script
-// is (delta/script.hpp); Script(parsed.commands, parsed.decompressed)
-// turns a parsed table into one without copying.
+// is (delta/script.hpp); Script(std::move(parsed)) turns a parsed table
+// into one without copying.
 #pragma once
 
 #include <cstdint>

@@ -10,13 +10,9 @@ struct WriteMap {
   std::vector<CommandRef> commands;  // sorted by write offset
   std::vector<offset_t> starts;
 
-  explicit WriteMap(std::span<const CommandRef> first) {
-    commands.reserve(first.size());
-    for (const CommandRef& c : first) {
-      if (c.length > 0) {
-        commands.push_back(c);
-      }
-    }
+  explicit WriteMap(std::span<const CommandRef> first)
+      : commands(first.begin(), first.end()) {
+    std::erase_if(commands, [](const CommandRef& c) { return c.length == 0; });
     std::sort(commands.begin(), commands.end(),
               [](const CommandRef& a, const CommandRef& b) {
                 return a.to < b.to;
@@ -44,30 +40,20 @@ struct WriteMap {
   }
 };
 
-/// Merges output fragments: adjacent copies that continue each other and
-/// adjacent adds fuse back together, so composition does not fragment the
-/// stream more than necessary.
-class Emitter {
- public:
-  void copy(offset_t from, offset_t to, length_t length) {
-    if (!out_.empty()) {
-      CommandRef& prev = out_.commands().back();
-      if (!prev.is_add() && prev.to + prev.length == to &&
-          prev.from + prev.length == from) {
-        prev.length += length;
-        return;
-      }
+/// Append a copy to `out`, fused with the last one when it continues it
+/// (append_add fuses adds), so composition fragments the stream no more
+/// than necessary.
+void emit_copy(Script& out, offset_t from, offset_t to, length_t length) {
+  if (!out.empty()) {
+    CommandRef& prev = out.commands().back();
+    if (!prev.is_add() && prev.to + prev.length == to &&
+        prev.from + prev.length == from) {
+      prev.length += length;
+      return;
     }
-    out_.push(CopyCommand{from, to, length});
   }
-
-  void add(offset_t to, ByteView data) { out_.append_add(to, data); }
-
-  Script finish() { return std::move(out_); }
-
- private:
-  Script out_;
-};
+  out.push(CopyCommand{from, to, length});
+}
 
 }  // namespace
 
@@ -78,11 +64,11 @@ Script compose_scripts(std::span<const CommandRef> first,
   ComposeReport report;
   report.second_commands = second.size();
 
-  Emitter out;
+  Script out;
   for (const CommandRef& cmd : second) {
     if (cmd.length == 0) continue;
     if (cmd.is_add()) {
-      out.add(cmd.to, cmd.bytes());
+      out.append_add(cmd.to, cmd.bytes());
       report.literal_bytes += cmd.length;
       ++report.pieces;
       continue;
@@ -102,11 +88,11 @@ Script compose_scripts(std::span<const CommandRef> first,
           std::min<length_t>(remaining, writer.length - offset_in_writer);
 
       if (writer.is_add()) {
-        out.add(c_pos, ByteView(writer.literal + offset_in_writer,
-                                static_cast<std::size_t>(n)));
+        out.append_add(c_pos, ByteView(writer.literal + offset_in_writer,
+                                       static_cast<std::size_t>(n)));
         report.literal_bytes += n;
       } else {
-        out.copy(writer.from + offset_in_writer, c_pos, n);
+        emit_copy(out, writer.from + offset_in_writer, c_pos, n);
       }
       ++report.pieces;
       b_pos += n;
@@ -119,7 +105,7 @@ Script compose_scripts(std::span<const CommandRef> first,
   if (report_out != nullptr) {
     *report_out = report;
   }
-  return out.finish();
+  return out;
 }
 
 Script fold_chain(std::span<const ParsedDelta> hops) {
@@ -130,7 +116,7 @@ Script fold_chain(std::span<const ParsedDelta> hops) {
   for (std::size_t i = 2; i < hops.size(); ++i) {
     // The next fold may borrow bytes this one gathered: keep them.
     Script next = compose_scripts(folded.commands(), hops[i].commands);
-    next.adopt_arena(std::move(folded));
+    next.share_arena(folded);
     folded = std::move(next);
   }
   return folded;

@@ -145,7 +145,7 @@ Script stitch_segments(std::vector<Script> parts,
     for (; j < cmds.size(); ++j) {
       out.push(cmds[j]);
     }
-    out.adopt_arena(std::move(parts[i]));
+    out.share_arena(parts[i]);
   }
   return out;
 }

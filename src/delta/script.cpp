@@ -7,6 +7,8 @@
 #include <sstream>
 #include <utility>
 
+#include "delta/codec.hpp"
+
 namespace ipd {
 
 namespace {
@@ -17,10 +19,10 @@ constexpr std::size_t kMinChunk = 4096;
 
 }  // namespace
 
-Script::Script(std::vector<CommandRef> commands, Bytes owned)
-    : commands_(std::move(commands)) {
-  if (!owned.empty()) {
-    arena_.push_back(std::make_shared<Bytes>(std::move(owned)));
+Script::Script(ParsedDelta&& parsed)
+    : commands_(std::move(parsed.commands)) {
+  if (!parsed.decompressed.empty()) {
+    arena_.push_back(std::make_shared<Bytes>(std::move(parsed.decompressed)));
   }
 }
 
@@ -64,9 +66,8 @@ void Script::append_add(offset_t to, ByteView more) {
   last.length += more.size();
 }
 
-void Script::adopt_arena(Script&& other) {
+void Script::share_arena(const Script& other) {
   arena_.insert(arena_.end(), other.arena_.begin(), other.arena_.end());
-  other.arena_.clear();
 }
 
 std::size_t Script::arena_bytes() const noexcept {
@@ -118,19 +119,13 @@ void Script::validate(length_t reference_length,
 }
 
 bool Script::operator==(const Script& other) const noexcept {
-  if (commands_.size() != other.commands_.size()) return false;
-  for (std::size_t i = 0; i < commands_.size(); ++i) {
-    const CommandRef& a = commands_[i];
-    const CommandRef& b = other.commands_[i];
-    if (a.to != b.to || a.length != b.length || a.is_add() != b.is_add()) {
-      return false;
-    }
-    if (a.is_add() ? !std::equal(a.literal, a.literal + a.length, b.literal)
-                   : a.from != b.from) {
-      return false;
-    }
-  }
-  return true;
+  const auto same = [](const CommandRef& a, const CommandRef& b) {
+    return a.to == b.to && a.length == b.length && a.is_add() == b.is_add() &&
+           (a.is_add() ? std::equal(a.literal, a.literal + a.length, b.literal)
+                       : a.from == b.from);
+  };
+  return std::equal(commands_.begin(), commands_.end(),
+                    other.commands_.begin(), other.commands_.end(), same);
 }
 
 namespace {
@@ -240,15 +235,22 @@ std::vector<KeyedWrite> check_command_table(
   return check_write_tiling(commands, version_length, coverage);
 }
 
-bool Script::in_write_order() const noexcept {
+bool in_write_order(std::span<const CommandRef> commands) noexcept {
   offset_t expected = 0;
-  for (const CommandRef& c : commands_) {
+  for (const CommandRef& c : commands) {
     if (c.to != expected) {
       return false;
     }
     expected += c.length;
   }
   return true;
+}
+
+void Script::sort_by_write_offset() {
+  std::stable_sort(commands_.begin(), commands_.end(),
+                   [](const CommandRef& a, const CommandRef& b) {
+                     return a.to < b.to;
+                   });
 }
 
 std::string Script::to_text(std::size_t max_commands) const {
@@ -261,6 +263,12 @@ std::string Script::to_text(std::size_t max_commands) const {
     os << "... (" << commands_.size() - shown << " more commands)\n";
   }
   return os.str();
+}
+
+bool same_effect(Script a, Script b) {
+  a.sort_by_write_offset();
+  b.sort_by_write_offset();
+  return a == b;
 }
 
 }  // namespace ipd

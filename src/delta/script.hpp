@@ -16,11 +16,19 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "delta/command.hpp"
 
 namespace ipd {
+
+struct ParsedDelta;
+
+/// True iff `commands` appear in strictly increasing write-offset order
+/// with no gaps — the precondition for the implicit-write-offset
+/// ("no write offsets", Table 1 column 1) codeword format.
+bool in_write_order(std::span<const CommandRef> commands) noexcept;
 
 /// Aggregate counts over a script, used by stats and the benches.
 struct ScriptSummary {
@@ -35,9 +43,12 @@ struct ScriptSummary {
 class Script {
  public:
   Script() = default;
-  /// A table as it stands; adds pointing into `owned` (a parsed delta's
-  /// decompressed payload, say) are the Script's own from now on.
-  explicit Script(std::vector<CommandRef> commands, Bytes owned = {});
+  /// A table as it stands; its adds keep borrowing their bytes.
+  explicit Script(std::vector<CommandRef> commands)
+      : commands_(std::move(commands)) {}
+  /// A parsed delta's table, without copying: its adds keep borrowing
+  /// the artifact, and the Script takes the decompressed payload over.
+  explicit Script(ParsedDelta&& parsed);
 
   std::span<const CommandRef> commands() const noexcept { return commands_; }
   /// Rows may be edited in place; an add must keep pointing at live bytes.
@@ -59,8 +70,9 @@ class Script {
   /// `to`: a length sum when `bytes` follow its bytes in memory, else
   /// the run is gathered into the arena.
   void append_add(offset_t to, ByteView bytes);
-  /// Keep `other`'s arena alive too, for rows taken from it.
-  void adopt_arena(Script&& other);
+  /// Share `other`'s arena, for rows taken from it: its chunks live on
+  /// while either Script does.
+  void share_arena(const Script& other);
   std::size_t arena_bytes() const noexcept;
 
   /// Length of the version file this script materialises: the sum of all
@@ -78,10 +90,14 @@ class Script {
   /// Throws ValidationError with a diagnostic on the first violation.
   void validate(length_t reference_length, length_t version_length) const;
 
-  /// True iff commands appear in strictly increasing write-offset order
-  /// with no gaps — the precondition for the implicit-write-offset
-  /// ("no write offsets", Table 1 column 1) codeword format.
-  bool in_write_order() const noexcept;
+  bool in_write_order() const noexcept {
+    return ipd::in_write_order(commands_);
+  }
+
+  /// Stable-sort all commands by write offset. Any valid script can be
+  /// reordered freely (§3: "any permutation ... materializes the same
+  /// output"), so this never changes the encoded version.
+  void sort_by_write_offset();
 
   /// Human-readable listing (one command per line) for debugging/CLI.
   std::string to_text(std::size_t max_commands = 64) const;
@@ -133,5 +149,9 @@ std::vector<KeyedWrite> check_write_tiling(
 std::vector<KeyedWrite> check_command_table(
     std::span<const CommandRef> commands, length_t reference_length,
     length_t version_length, Coverage coverage = Coverage::kTile);
+
+/// Apply-order-independence helper: scripts that contain the same command
+/// multiset encode the same version. Compares write-offset-sorted copies.
+bool same_effect(Script a, Script b);
 
 }  // namespace ipd

@@ -32,21 +32,12 @@ DeltaAnalysis analyze_delta(const Script& script,
 
   DeltaAnalysis a;
   a.summary = script.summary();
-  std::vector<CopyCommand> copies;
   for (const CommandRef& cmd : script.commands()) {
-    if (cmd.is_add()) {
-      a.add_lengths.add(cmd.length);
-    } else {
-      a.copy_lengths.add(cmd.length);
-      copies.push_back(cmd.copy());
-    }
+    (cmd.is_add() ? a.add_lengths : a.copy_lengths).add(cmd.length);
   }
 
   // Conflict structure.
-  std::sort(copies.begin(), copies.end(),
-            [](const CopyCommand& x, const CopyCommand& y) {
-              return x.to < y.to;
-            });
+  const std::vector<CopyCommand> copies = sorted_copies(script.commands());
   const CrwiGraph graph = CrwiGraph::build(copies, version_length);
   a.edges = graph.edge_count();
 

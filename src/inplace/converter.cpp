@@ -15,19 +15,11 @@ ConvertResult convert_to_inplace(const Script& input, ByteView reference,
   input.validate(reference.size(), version_length);
 
   // Steps 1–2: partition and sort the copies by write offset.
-  std::vector<CopyCommand> copies;
+  const std::vector<CopyCommand> copies = sorted_copies(input.commands());
   std::vector<CommandRef> adds;
   for (const CommandRef& c : input.commands()) {
-    if (c.is_add()) {
-      adds.push_back(c);
-    } else {
-      copies.push_back(c.copy());
-    }
+    if (c.is_add()) adds.push_back(c);
   }
-  std::sort(copies.begin(), copies.end(),
-            [](const CopyCommand& a, const CopyCommand& b) {
-              return a.to < b.to;
-            });
 
   ConvertResult result;
   ConvertReport& report = result.report;
@@ -99,6 +91,7 @@ ConvertResult convert_to_inplace(const Script& input, ByteView reference,
     rows.push_back({copies[v].to, copies[v].length, copies[v].from});
   }
   result.script = Script(std::move(rows));
+  result.script.share_arena(input);  // for adds the input's arena holds
   if (!options.coalesce_adds) {
     for (const CommandRef& a : adds) result.script.push(a);
     return result;

@@ -19,7 +19,8 @@
 // The output Script copies no add byte it can point at: original adds
 // keep borrowing what the input's borrow (a differ's version), converted
 // copies borrow the reference. Only coalesced runs whose pieces are not
-// contiguous in memory are gathered into the output's arena.
+// contiguous in memory are gathered into the output's arena, which also
+// shares the input's.
 #pragma once
 
 #include "delta/codec.hpp"
@@ -67,7 +68,10 @@ struct ConvertResult {
 /// reconstructible script. Deleted copies become adds over `reference`'s
 /// bytes — safe precisely because Equation 2 guarantees every copy in
 /// the output reads original reference data. The result borrows
-/// `reference` and whatever `input`'s adds borrow: both must outlive it.
+/// `reference` and whatever `input`'s adds borrow outside its arena
+/// (which the result shares): both must stay alive and unchanged until
+/// the Script is serialized. So never apply the result in place over its
+/// own reference; apply_inplace refuses, and the serialized delta is safe.
 ///
 /// `ctx` parallelizes CRWI edge discovery (crwi_graph.hpp); the output
 /// is byte-identical at any parallelism.

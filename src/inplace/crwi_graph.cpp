@@ -33,6 +33,18 @@ void discover_edges(const std::vector<CopyCommand>& copies,
 
 }  // namespace
 
+std::vector<CopyCommand> sorted_copies(std::span<const CommandRef> commands) {
+  std::vector<CopyCommand> copies;
+  for (const CommandRef& c : commands) {
+    if (!c.is_add()) copies.push_back(c.copy());
+  }
+  std::sort(copies.begin(), copies.end(),
+            [](const CopyCommand& a, const CopyCommand& b) {
+              return a.to < b.to;
+            });
+  return copies;
+}
+
 CrwiGraph CrwiGraph::build(const std::vector<CopyCommand>& copies,
                            length_t version_length) {
   return build(copies, version_length, ParallelContext{});

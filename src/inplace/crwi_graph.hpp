@@ -17,6 +17,10 @@
 
 namespace ipd {
 
+/// The copies of `commands` sorted by write offset (the paper's steps
+/// 1-2): the vertices build() takes.
+std::vector<CopyCommand> sorted_copies(std::span<const CommandRef> commands);
+
 class CrwiGraph {
  public:
   /// Build from copies sorted by write offset (disjoint writes).

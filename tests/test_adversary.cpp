@@ -6,6 +6,7 @@
 #include <set>
 
 #include "apply/apply.hpp"
+#include "inplace/crwi_graph.hpp"
 #include "test_util.hpp"
 
 namespace ipd {
@@ -27,7 +28,7 @@ TEST(Fig2, ScriptIsValidAndSized) {
 TEST(Fig2, CostOrderingLeafRootInner) {
   const Fig2Instance inst = make_fig2_tree(4);
   EXPECT_LT(inst.leaf_copy_length, inst.root_copy_length);
-  for (const CopyCommand& c : test::copies_of(inst.script)) {
+  for (const CopyCommand& c : sorted_copies(inst.script.commands())) {
     if (c.length != inst.leaf_copy_length &&
         c.length != inst.root_copy_length) {
       EXPECT_GT(c.length, inst.root_copy_length);

@@ -48,8 +48,7 @@ Decoded decode(Bytes wire) {
   Decoded out{std::move(wire)};
   ParsedDelta parsed = parse_delta(out.wire);
   out.header = parsed.header;
-  out.script =
-      Script(std::move(parsed.commands), std::move(parsed.decompressed));
+  out.script = Script(std::move(parsed));
   return out;
 }
 

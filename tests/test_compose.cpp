@@ -24,10 +24,10 @@ Script compose(const Script& first, const Script& second,
 }
 
 /// folded = folded ∘ next. The fold may borrow bytes `folded` gathered
-/// in its arena, so it takes that arena over.
+/// in its arena, so it shares that arena.
 void fold_into(Script& folded, const Script& next) {
   Script composed = compose(folded, next);
-  composed.adopt_arena(std::move(folded));
+  composed.share_arena(folded);
   folded = std::move(composed);
 }
 

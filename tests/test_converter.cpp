@@ -306,6 +306,47 @@ TEST(Converter, MakeInplaceDeltaEndToEnd) {
                                 ByteView(buffer).first(new_len)));
 }
 
+TEST(Converter, ResultOutlivesAHandBuiltInput) {
+  const Bytes ref = test::ramp_bytes(64);
+  ConvertResult r;
+  Bytes expected;
+  {
+    // One of the adds merges with the converted copy; the other stays
+    // on its own, borrowed from the input's arena, which must outlive
+    // the input.
+    const Script input = script_of({
+        C(32, 0, 16),
+        C(0, 32, 16),  // 2-cycle with the first copy
+        A(16, "aaaaaaaa"),
+        C(24, 24, 8),
+        A(48, "bbbbbbbbbbbbbbbb"),
+    });
+    expected = apply_script(input, ref);
+    r = convert_to_inplace(input, ref, {});
+    ASSERT_EQ(r.report.copies_converted, 1u);
+  }
+  EXPECT_TRUE(test::bytes_equal(expected, apply_script(r.script, ref)));
+}
+
+TEST(Converter, ApplyInplaceRefusesAddsOverItsOwnReference) {
+  const AdversaryInstance inst = make_rotation(2000, 500);
+  ASSERT_EQ(inst.reference.size(), inst.version.size());
+  Bytes buffer = inst.reference;
+  const ConvertResult r = convert_to_inplace(inst.script, buffer, {});
+  ASSERT_EQ(r.report.copies_converted, 1u);
+  // The converted copy's add borrows `buffer`, which the copies rewrite
+  // before any add runs.
+  EXPECT_THROW(apply_inplace(r.script, buffer, buffer.size(),
+                             inst.version.size()),
+               ValidationError);
+  EXPECT_TRUE(test::bytes_equal(inst.reference, buffer));
+  // Serialized, the delta carries those bytes: safe over the same buffer.
+  const Bytes delta = serialize_inplace(r.script, kPaperExplicit, buffer,
+                                        inst.version, false);
+  const length_t n = apply_delta_inplace(delta, buffer);
+  EXPECT_TRUE(test::bytes_equal(inst.version, ByteView(buffer).first(n)));
+}
+
 TEST(Converter, MakeInplaceDeltaRejectsImplicitFormat) {
   const AdversaryInstance inst = make_rotation(100, 30);
   ConvertOptions options;

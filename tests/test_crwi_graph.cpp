@@ -10,15 +10,6 @@
 namespace ipd {
 namespace {
 
-std::vector<CopyCommand> sorted_copies(const Script& s) {
-  auto copies = test::copies_of(s);
-  std::sort(copies.begin(), copies.end(),
-            [](const CopyCommand& a, const CopyCommand& b) {
-              return a.to < b.to;
-            });
-  return copies;
-}
-
 TEST(CrwiGraph, EmptyGraph) {
   const CrwiGraph g = CrwiGraph::build({}, 0);
   EXPECT_EQ(g.vertex_count(), 0u);
@@ -103,7 +94,7 @@ TEST(CrwiGraph, EdgesMatchDefinitionOnRandomScripts) {
 TEST(CrwiGraph, Fig3RealizesQuadraticEdges) {
   for (const length_t block : {4ull, 8ull, 16ull, 32ull}) {
     const Fig3Instance inst = make_fig3_quadratic(block);
-    const auto copies = sorted_copies(inst.script);
+    const auto copies = sorted_copies(inst.script.commands());
     const CrwiGraph g = CrwiGraph::build(copies, block * block);
     EXPECT_EQ(g.edge_count(), inst.expected_edges);
     // Θ(|C|²): with |C| = 2√L - 1, edges = (√L-1)√L > (|C|/2)²/2.
@@ -117,7 +108,7 @@ TEST(CrwiGraph, Fig3RealizesQuadraticEdges) {
 
 TEST(CrwiGraph, Fig2TreeShape) {
   const Fig2Instance inst = make_fig2_tree(4);  // 15 nodes, 8 leaves
-  const auto copies = sorted_copies(inst.script);
+  const auto copies = sorted_copies(inst.script.commands());
   ASSERT_EQ(copies.size(), 15u);
   const CrwiGraph g = CrwiGraph::build(copies, inst.version.size());
   // 14 tree edges (each non-root child pointed at by its parent) + 8
@@ -138,7 +129,7 @@ TEST(CrwiGraph, PermutationCyclesMatch) {
   // A single 6-cycle permutation -> one 6-cycle in the digraph.
   const auto perm = single_cycle_permutation(6);
   const AdversaryInstance inst = make_block_permutation(8, perm);
-  const auto copies = sorted_copies(inst.script);
+  const auto copies = sorted_copies(inst.script.commands());
   const CrwiGraph g = CrwiGraph::build(copies, 48);
   EXPECT_EQ(g.edge_count(), 6u);
   EXPECT_TRUE(g.has_cycle());
@@ -193,7 +184,7 @@ TEST(CrwiGraph, IdentityPermutationIsEdgeless) {
   for (std::uint32_t i = 0; i < 5; ++i) identity[i] = i;
   const AdversaryInstance inst = make_block_permutation(16, identity);
   const CrwiGraph g =
-      CrwiGraph::build(sorted_copies(inst.script), 80);
+      CrwiGraph::build(sorted_copies(inst.script.commands()), 80);
   EXPECT_EQ(g.edge_count(), 0u);
 }
 

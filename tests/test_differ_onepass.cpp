@@ -136,7 +136,7 @@ TEST(OnePassDiffer, FirstOccurrenceWinsSlot) {
   const Script script = diff(ref, block);
   expect_roundtrip(ref, block, script);
   ASSERT_EQ(script.summary().copy_count, 1u);
-  EXPECT_EQ(test::copies_of(script)[0].from, 256u);
+  EXPECT_EQ(sorted_copies(script.commands())[0].from, 256u);
 }
 
 

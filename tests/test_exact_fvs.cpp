@@ -12,12 +12,7 @@ namespace ipd {
 namespace {
 
 CrwiGraph graph_from(const Script& script, length_t version_length) {
-  auto copies = test::copies_of(script);
-  std::sort(copies.begin(), copies.end(),
-            [](const CopyCommand& a, const CopyCommand& b) {
-              return a.to < b.to;
-            });
-  return CrwiGraph::build(copies, version_length);
+  return CrwiGraph::build(sorted_copies(script.commands()), version_length);
 }
 
 bool acyclic_after_removal(const CrwiGraph& g,
@@ -73,11 +68,7 @@ TEST(ExactFvs, Fig2OptimumIsTheRoot) {
   // so the optimum deletes the root alone, beating local-min's k leaves.
   const Fig2Instance inst = make_fig2_tree(4);  // 8 leaves
   const CrwiGraph g = graph_from(inst.script, inst.version.size());
-  auto copies = test::copies_of(inst.script);
-  std::sort(copies.begin(), copies.end(),
-            [](const CopyCommand& a, const CopyCommand& b) {
-              return a.to < b.to;
-            });
+  const auto copies = sorted_copies(inst.script.commands());
   std::vector<std::uint64_t> costs;
   for (const auto& c : copies) costs.push_back(c.length);
 

@@ -23,7 +23,7 @@ struct Built {
 
 Built build(const Pipeline& pipeline, ByteView ref, ByteView ver) {
   Built built{pipeline.build_inplace(ref, ver).delta};
-  built.script = test::decode_script(built.delta);
+  built.script = Script(parse_delta(built.delta));
   return built;
 }
 
@@ -66,7 +66,7 @@ TEST(InplaceDiffer, ReportIsObservable) {
   const Pipeline pipeline({.differ = DifferKind::kOnePass});
   const BuildResult r = pipeline.build_inplace(inst.reference, inst.version);
   EXPECT_GT(r.report.copies_in, 0u);
-  const Script script = test::decode_script(r.delta);
+  const Script script = Script(parse_delta(r.delta));
   EXPECT_TRUE(satisfies_equation2(script));
   EXPECT_TRUE(test::bytes_equal(inst.version,
                                 apply_script(script, inst.reference)));

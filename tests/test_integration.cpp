@@ -131,21 +131,13 @@ TEST(Integration, Lemma1HoldsAcrossCorpusAndAdversaries) {
   for (const VersionPair& pair : small_corpus(9)) {
     const Script script =
         diff_bytes(DifferKind::kOnePass, pair.reference, pair.version);
-    auto copies = test::copies_of(script);
-    std::sort(copies.begin(), copies.end(),
-              [](const CopyCommand& a, const CopyCommand& b) {
-                return a.to < b.to;
-              });
+    const auto copies = sorted_copies(script.commands());
     const CrwiGraph g = CrwiGraph::build(copies, pair.version.size());
     EXPECT_LE(g.edge_count(), pair.version.size()) << pair.name;
   }
   for (const length_t block : {4ull, 16ull, 64ull}) {
     const Fig3Instance inst = make_fig3_quadratic(block);
-    auto copies = test::copies_of(inst.script);
-    std::sort(copies.begin(), copies.end(),
-              [](const CopyCommand& a, const CopyCommand& b) {
-                return a.to < b.to;
-              });
+    const auto copies = sorted_copies(inst.script.commands());
     const CrwiGraph g = CrwiGraph::build(copies, block * block);
     EXPECT_LE(g.edge_count(), block * block);
   }

@@ -164,7 +164,7 @@ TEST(LzssCodec, CompressedDeltaRoundTrips) {
 
   // The flag reflects the wire (auto-fallback may store uncompressed
   // when the payload is copy-dominated); the script always round-trips.
-  EXPECT_EQ(test::decode_script(compressed), test::decode_script(plain));
+  EXPECT_EQ(Script(parse_delta(compressed)), Script(parse_delta(plain)));
   EXPECT_LE(compressed.size(), plain.size());
 }
 

@@ -360,7 +360,7 @@ TEST(ResumableUpdater, SurvivesPowerCutsOnImplicitOffsetDelta) {
   ASSERT_EQ(parse_delta(f.delta).header.format.offsets,
             WriteOffsets::kImplicit);
   bool self_overlap = false;
-  for (const CopyCommand& c : test::copies_of(test::decode_script(f.delta))) {
+  for (const CopyCommand& c : sorted_copies(parse_delta(f.delta).commands)) {
     self_overlap |= c.self_overlaps();
   }
   ASSERT_TRUE(self_overlap);
@@ -634,7 +634,7 @@ TEST(ResumableUpdater, FixtureActuallyExercisesSelfOverlap) {
   // delta contains self-overlapping copies (the non-idempotent case).
   const Fixture f = make_fixture();
   bool self_overlap = false;
-  for (const CopyCommand& c : test::copies_of(test::decode_script(f.delta))) {
+  for (const CopyCommand& c : sorted_copies(parse_delta(f.delta).commands)) {
     self_overlap |= c.self_overlaps();
   }
   EXPECT_TRUE(self_overlap);

@@ -13,12 +13,7 @@ namespace ipd {
 namespace {
 
 CrwiGraph graph_from(const Script& script, length_t version_length) {
-  auto copies = test::copies_of(script);
-  std::sort(copies.begin(), copies.end(),
-            [](const CopyCommand& a, const CopyCommand& b) {
-              return a.to < b.to;
-            });
-  return CrwiGraph::build(copies, version_length);
+  return CrwiGraph::build(sorted_copies(script.commands()), version_length);
 }
 
 TEST(Scc, EmptyGraph) {
@@ -126,11 +121,7 @@ TEST(SccGreedyFvs, PaysPerLeafWithPaperCostsOnFig2) {
   // defeats this heuristic as well, just over more rounds.
   const Fig2Instance inst = make_fig2_tree(3);  // 4 leaves
   const CrwiGraph g = graph_from(inst.script, inst.version.size());
-  auto copies = test::copies_of(inst.script);
-  std::sort(copies.begin(), copies.end(),
-            [](const CopyCommand& a, const CopyCommand& b) {
-              return a.to < b.to;
-            });
+  const auto copies = sorted_copies(inst.script.commands());
   std::vector<std::uint64_t> costs;
   for (const auto& c : copies) costs.push_back(c.length);
   const auto removed = scc_greedy_fvs(g, costs);

@@ -306,15 +306,32 @@ TEST(Script, AppendAddJoinsOnlyAnAbuttingAdd) {
   EXPECT_EQ(s.arena_bytes(), 0u);
 }
 
-TEST(Script, AdoptedArenaOutlivesItsScript) {
+TEST(Script, SharedArenaOutlivesItsScript) {
   Script out;
   {
     Script part = script_of({A(0, "abc")});
     out.push(part.commands()[0]);
-    out.adopt_arena(std::move(part));
+    out.share_arena(part);
   }
   EXPECT_EQ(test::bytes_of(out.commands()[0]), to_bytes("abc"));
   EXPECT_EQ(out.arena_bytes(), 3u);
+}
+
+TEST(Script, SortByWriteOffset) {
+  Script s = script_of({C(2, 6, 2), A(4, "ab"), C(0, 0, 4)});
+  s.sort_by_write_offset();
+  EXPECT_TRUE(s.in_write_order());
+  EXPECT_EQ(s.commands()[0].to, 0u);
+  EXPECT_EQ(s.commands()[1].to, 4u);
+  EXPECT_EQ(s.commands()[2].to, 6u);
+}
+
+TEST(Script, SameEffectIgnoresOrder) {
+  const Script a = script_of({C(0, 0, 4), A(4, "ab")});
+  Script b = script_of({A(4, "ab"), C(0, 0, 4)});
+  EXPECT_TRUE(same_effect(a, b));
+  b.push(CopyCommand{0, 6, 1});
+  EXPECT_FALSE(same_effect(a, b));
 }
 
 TEST(Script, ToTextListsAndTruncates) {

@@ -132,7 +132,7 @@ TEST(StreamUpdater, CleanRunReconstructsAndJournals) {
 TEST(StreamUpdater, FixtureActuallyExercisesSelfOverlap) {
   const Fixture f = make_fixture();
   bool self_overlap = false;
-  for (const CopyCommand& c : test::copies_of(test::decode_script(f.delta))) {
+  for (const CopyCommand& c : sorted_copies(parse_delta(f.delta).commands)) {
     self_overlap |= c.self_overlaps();
   }
   EXPECT_TRUE(self_overlap);

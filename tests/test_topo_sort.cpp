@@ -68,7 +68,8 @@ TEST_P(TopoPolicyTest, SingleCyclePermutationsDeleteOneVertexEach) {
   for (const std::size_t n : {2ul, 3ul, 10ul, 100ul}) {
     const auto perm = single_cycle_permutation(n);
     const AdversaryInstance inst = make_block_permutation(4, perm);
-    const CrwiGraph g = graph_from(test::copies_of(inst.script), n * 4);
+    const CrwiGraph g =
+        graph_from(sorted_copies(inst.script.commands()), n * 4);
     const TopoSortResult r =
         topo_sort_breaking_cycles(g, GetParam(), unit_costs(n));
     EXPECT_EQ(r.deleted.size(), 1u) << "n=" << n;
@@ -94,7 +95,8 @@ TEST_P(TopoPolicyTest, RandomPermutationDeletesOnePerNontrivialCycle) {
       if (len >= 2) ++nontrivial;
     }
     const AdversaryInstance inst = make_block_permutation(4, perm);
-    const CrwiGraph g = graph_from(test::copies_of(inst.script), n * 4);
+    const CrwiGraph g =
+        graph_from(sorted_copies(inst.script.commands()), n * 4);
     const TopoSortResult r =
         topo_sort_breaking_cycles(g, GetParam(), unit_costs(n));
     EXPECT_EQ(r.deleted.size(), nontrivial);
@@ -108,7 +110,7 @@ TEST(TopoSort, LocalMinPicksCheapestOnCycle) {
   // happened.
   const auto perm = single_cycle_permutation(3);
   const AdversaryInstance inst = make_block_permutation(4, perm);
-  const CrwiGraph g = graph_from(test::copies_of(inst.script), 12);
+  const CrwiGraph g = graph_from(sorted_copies(inst.script.commands()), 12);
   const std::vector<std::uint64_t> costs = {10, 1, 10};
   const TopoSortResult r =
       topo_sort_breaking_cycles(g, BreakPolicy::kLocalMin, costs);
@@ -139,7 +141,7 @@ TEST(TopoSort, InteriorVictimUnwindsInOneCall) {
 TEST(TopoSort, ConstantTimeDoesNoCycleScanning) {
   const auto perm = single_cycle_permutation(64);
   const AdversaryInstance inst = make_block_permutation(4, perm);
-  const CrwiGraph g = graph_from(test::copies_of(inst.script), 64 * 4);
+  const CrwiGraph g = graph_from(sorted_copies(inst.script.commands()), 64 * 4);
   const TopoSortResult r = topo_sort_breaking_cycles(
       g, BreakPolicy::kConstantTime, unit_costs(64));
   EXPECT_EQ(r.cycle_length_sum, 0u);
@@ -150,11 +152,7 @@ TEST(TopoSort, Fig2LocalMinDeletesAllLeaves) {
   // The paper's adversary: local-min deletes every leaf where deleting
   // the root would have sufficed.
   const Fig2Instance inst = make_fig2_tree(5);  // 16 leaves
-  auto copies = test::copies_of(inst.script);
-  std::sort(copies.begin(), copies.end(),
-            [](const CopyCommand& a, const CopyCommand& b) {
-              return a.to < b.to;
-            });
+  const auto copies = sorted_copies(inst.script.commands());
   const CrwiGraph g = CrwiGraph::build(copies, inst.version.size());
   // Cost = copy length (leaf=16 cheapest, root=24, inner larger).
   std::vector<std::uint64_t> costs;
@@ -172,7 +170,7 @@ TEST(TopoSort, Fig2LocalMinDeletesAllLeaves) {
 TEST(TopoSort, PreDeletedVerticesAreExcluded) {
   const auto perm = single_cycle_permutation(4);
   const AdversaryInstance inst = make_block_permutation(4, perm);
-  const CrwiGraph g = graph_from(test::copies_of(inst.script), 16);
+  const CrwiGraph g = graph_from(sorted_copies(inst.script.commands()), 16);
   std::vector<bool> pre(4, false);
   pre[2] = true;  // breaks the only cycle up front
   const TopoSortResult r = topo_sort_breaking_cycles(

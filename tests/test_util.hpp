@@ -74,15 +74,6 @@ inline Script script_of(std::initializer_list<Fixture> commands) {
   return s;
 }
 
-/// The script's copies, in order.
-inline std::vector<CopyCommand> copies_of(const Script& script) {
-  std::vector<CopyCommand> copies;
-  for (const CommandRef& c : script.commands()) {
-    if (!c.is_add()) copies.push_back(c.copy());
-  }
-  return copies;
-}
-
 /// An add's bytes, copied out for comparison.
 inline Bytes bytes_of(const CommandRef& c) {
   return Bytes(c.literal, c.literal + c.length);
@@ -91,13 +82,6 @@ inline Bytes bytes_of(const CommandRef& c) {
 /// Encode `script` under `header`; the encoder fills the payload fields.
 inline Bytes encode(const DeltaHeader& header, const Script& script) {
   return serialize_delta(header, script.commands());
-}
-
-/// The commands a delta encodes, as a Script. Its adds borrow `delta`
-/// (or own the decompressed payload), so `delta` must outlive it.
-inline Script decode_script(ByteView delta) {
-  ParsedDelta parsed = parse_delta(delta);
-  return Script(std::move(parsed.commands), std::move(parsed.decompressed));
 }
 
 /// An in-place-safe script whose copies read past its version: a

@@ -357,7 +357,7 @@ TEST(VerifyClean, VerdictAgreesWithTheDynamicOracleAcrossTheCorpus) {
       ASSERT_TRUE(r.well_formed) << pair.name;
       EXPECT_TRUE(r.ok()) << pair.name << "\n" << r.to_text();
       EXPECT_EQ(r.in_place_safe,
-                analyze_conflicts(test::decode_script(delta)).in_place_safe())
+                analyze_conflicts(Script(parse_delta(delta))).in_place_safe())
           << pair.name;
     }
   }
