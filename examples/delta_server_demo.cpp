@@ -5,7 +5,7 @@
 // fleet of 48 simulated devices — stragglers on old releases, most near
 // the tip — upgrade to the latest release from 8 concurrent client
 // threads. Every device applies its served artifacts in place and
-// verifies the result; the service's metrics snapshot then shows the
+// verifies the result; the service's stats exposition then shows the
 // machinery that made it cheap: cache hits, coalesced builds, and the
 // route mix (direct delta / per-hop chain / full image).
 #include <atomic>
@@ -79,6 +79,6 @@ int main() {
 
   std::printf("upgraded %zu/%zu devices to release %u\n\n", ok.load(),
               fleet.size(), target);
-  std::printf("%s", service.metrics_text().c_str());
+  std::printf("%s", service.stats_text().c_str());
   return ok.load() == fleet.size() ? 0 : 1;
 }

@@ -94,7 +94,6 @@ int usage() {
       "  ipdelta fetch <host:port> <image file> --to B\n"
       "                [--from A] [--out FILE] [--chunk BYTES] [--verbose]\n"
       "                [--stall-ms MS]     # watchdog deadline per transfer\n"
-      "  ipdelta fetch <host:port> --metrics\n"
       "  ipdelta stats <host:port>        # Prometheus-style live stats\n"
       "  ipdelta campaign [--devices N] [--releases N] [--seed S]\n"
       "                [--image-bytes B] [--drop R] [--truncate R]\n"
@@ -443,8 +442,8 @@ int cmd_info(const std::vector<std::string>& args) {
 // Stand up a DeltaService over the given release history and replay a
 // mixed-version fleet against it from `--threads` client threads: every
 // request picks a random (older, newer) pair, is served, applied to the
-// old body, and verified against the new one. Prints the service metrics
-// snapshot — the smallest end-to-end exercise of src/server/.
+// old body, and verified against the new one. Prints the service's stats
+// exposition — the smallest end-to-end exercise of src/server/.
 int cmd_serve(const std::vector<std::string>& args) {
   std::vector<std::string> files;
   std::size_t requests = 32;
@@ -595,7 +594,7 @@ int cmd_serve(const std::vector<std::string>& args) {
       std::printf("trace: %zu span(s) -> %s\n", obs::trace_event_count(),
                   trace_out.c_str());
     }
-    std::printf("%s", service.metrics_text().c_str());
+    std::printf("%s", service.stats_text().c_str());
     const std::string events = obs::global_events().dump();
     if (!events.empty()) {
       std::printf("recent events:\n%s", events.c_str());
@@ -628,7 +627,7 @@ int cmd_serve(const std::vector<std::string>& args) {
   }
   for (std::thread& client : clients) client.join();
 
-  std::printf("%s", service.metrics_text().c_str());
+  std::printf("%s", service.stats_text().c_str());
   if (failures.load() != 0) {
     std::printf("serve: %llu of %zu reconstructions FAILED\n",
                 static_cast<unsigned long long>(failures.load()), requests);
@@ -700,7 +699,7 @@ int cmd_store(const std::vector<std::string>& args) {
             store.chain_stats(rel.id).chain_length);
       }
     }
-    std::printf("%s", store.metrics().snapshot().c_str());
+    std::printf("%s", store.stats_text().c_str());
     return 0;
   }
 
@@ -727,14 +726,12 @@ int cmd_store(const std::vector<std::string>& args) {
 
 // Streaming OTA client against a `serve --port` endpoint: upgrade a
 // local image file release A -> B over TCP, applying each hop's delta
-// in place as it arrives (peak RAM: one command). With --metrics, just
-// print the server's counter snapshot.
+// in place as it arrives (peak RAM: one command).
 int cmd_fetch(const std::vector<std::string>& args) {
   std::vector<std::string> positional;
   ReleaseId from = 0;
   ReleaseId to = 0;
   bool to_set = false;
-  bool metrics = false;
   bool verbose = false;
   std::string out;
   std::uint64_t chunk = 64u << 10;
@@ -767,8 +764,6 @@ int cmd_fetch(const std::vector<std::string>& args) {
       chunk = number();
     } else if (a == "--stall-ms") {
       stall_ms = number();
-    } else if (a == "--metrics") {
-      metrics = true;
     } else if (a == "--verbose") {
       verbose = true;
     } else if (!a.empty() && a[0] == '-') {
@@ -791,10 +786,6 @@ int cmd_fetch(const std::vector<std::string>& args) {
       [host, port] { return TcpTransport::connect(host, port); },
       client_options);
 
-  if (metrics) {
-    std::printf("%s", client.fetch_metrics().c_str());
-    return 0;
-  }
   if (positional.size() != 2 || !to_set) return usage();
   const std::string& image_file = positional[1];
   Bytes image = read_file(image_file);

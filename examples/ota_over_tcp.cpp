@@ -114,6 +114,6 @@ int main() {
               static_cast<unsigned long long>(faults_seen.drops.load()),
               static_cast<unsigned long long>(faults_seen.truncations.load()),
               static_cast<unsigned long long>(faults_seen.flips.load()));
-  std::printf("\nserver metrics:\n%s", service.metrics_text().c_str());
+  std::printf("\nserver metrics:\n%s", service.stats_text().c_str());
   return all_ok ? 0 : 1;
 }

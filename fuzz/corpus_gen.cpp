@@ -52,7 +52,7 @@ std::vector<Bytes> frame_seeds() {
   rng.fill(hello);
   seeds.push_back(encode_frame(FrameType::kHello, hello));
   seeds.push_back(encode_frame(FrameType::kGetDelta, hello));
-  seeds.push_back(encode_frame(FrameType::kMetricsReq, ByteView{}));
+  seeds.push_back(encode_frame(FrameType::kStatsReq, ByteView{}));
 
   Bytes chunk(300);
   rng.fill(chunk);

@@ -14,7 +14,7 @@ namespace ipd {
 Bytes apply_script(const Script& script, ByteView reference);
 
 /// Apply `script` writing into `version` (pre-sized to the version
-/// length); used by the device simulator to control allocation.
+/// length): apply_script's body, for callers that own the output.
 void apply_script_into(const Script& script, ByteView reference,
                        MutByteView version);
 

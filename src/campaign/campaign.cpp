@@ -14,7 +14,6 @@
 #include "core/rng.hpp"
 #include "device/flash_journal.hpp"
 #include "device/resumable_updater.hpp"
-#include "device/updater.hpp"
 #include "net/delta_server.hpp"
 #include "net/faulty_transport.hpp"
 
@@ -71,12 +70,15 @@ bool holds_some_release(const FlashDevice& device,
   return false;
 }
 
-/// Is there any valid apply-journal record to resume from? The staged
-/// path journals with header_capacity = 0 and the streaming path with
-/// its own capacities; scan with whichever layout this device used.
+/// Is there any valid apply-journal record to resume from? Scans with
+/// the layout of the updater this device ran: the staged one with its
+/// default options, or the streaming one with `apply`.
 bool has_resumable_record(FlashDevice& device, const JournalRegion& journal,
-                          const ApplyJournalOptions& jopts) {
+                          bool staged, const StreamUpdaterOptions& apply) {
   try {
+    const ApplyJournalOptions jopts =
+        staged ? resumable_journal_options(device)
+               : StreamingDeviceUpdater::journal_options(device, apply);
     const std::size_t slot = ApplyJournal::slot_bytes(jopts);
     if (journal.size < 2 * slot) return false;
     Bytes scratch(slot, 0);
@@ -195,13 +197,8 @@ bool run_device(FleetState& fleet, std::size_t index) {
   fleet.failed.fetch_add(1, std::memory_order_relaxed);
   // Brick check: a failed device is fine as long as it still holds SOME
   // release, or its journal can finish the interrupted apply next boot.
-  ApplyJournalOptions jopts;
-  jopts.page_size = device.page_size();
-  jopts.undo_capacity = staged ? UpdaterOptions{}.window_bytes
-                               : fleet.options.apply.window_bytes;
-  jopts.header_capacity = staged ? 0 : fleet.options.apply.header_capacity;
   if (!holds_some_release(device, fleet.history) &&
-      !has_resumable_record(device, journal, jopts)) {
+      !has_resumable_record(device, journal, staged, o.apply)) {
     fleet.bricked.fetch_add(1, std::memory_order_relaxed);
   }
   return false;

@@ -20,6 +20,12 @@ void clear_journal(FlashDevice& device, const JournalRegion& journal) {
   }
 }
 
+ApplyJournalOptions resumable_journal_options(const FlashDevice& device,
+                                              const UpdaterOptions& options) {
+  // No header capacity: the staged path re-stages the whole delta.
+  return ApplyJournalOptions{device.page_size(), options.window_bytes, 0};
+}
+
 ResumableUpdateResult apply_update_resumable(FlashDevice& device,
                                              ByteView delta,
                                              const ChannelModel& channel,
@@ -41,10 +47,7 @@ ResumableUpdateResult apply_update_resumable(FlashDevice& device,
     throw ValidationError(
         "resumable updater: delta is not marked in-place reconstructible");
   }
-  // No header capacity: the staged path re-stages the whole delta.
-  DeviceJournal dj(device, journal,
-                   ApplyJournalOptions{device.page_size(),
-                                       options.window_bytes, 0},
+  DeviceJournal dj(device, journal, resumable_journal_options(device, options),
                    "resumable updater");
   const ApplyRecordFields identity{.artifact_crc = crc32c(delta),
                                    .artifact_size = delta.size()};

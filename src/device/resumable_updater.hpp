@@ -13,7 +13,8 @@
 // checksum), the updater restores its undo and resumes at the recorded
 // command and sub-step. The staged journal carries no container header
 // (header_capacity = 0), so its slot layout depends only on the page size
-// and the window; see docs/DEVICE.md for the on-flash layout.
+// and the window (resumable_journal_options); see docs/DEVICE.md for the
+// on-flash layout.
 #pragma once
 
 #include "device/channel.hpp"
@@ -49,6 +50,11 @@ struct ResumableUpdateResult {
 ResumableUpdateResult apply_update_resumable(
     FlashDevice& device, ByteView delta, const ChannelModel& channel,
     const JournalRegion& journal, const UpdaterOptions& options = {});
+
+/// The apply-journal layout apply_update_resumable uses on `device` with
+/// `options`: anything that reads its journal opens it with this.
+ApplyJournalOptions resumable_journal_options(
+    const FlashDevice& device, const UpdaterOptions& options = {});
 
 /// Erase any journal state in `journal` (e.g. after provisioning).
 void clear_journal(FlashDevice& device, const JournalRegion& journal);

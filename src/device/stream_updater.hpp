@@ -236,10 +236,13 @@ class StreamingDeviceUpdater {
   }
   std::uint64_t journal_records() const noexcept;
 
- private:
+  /// The apply-journal layout this updater uses on `device` with
+  /// `options`: anything that reads its journal opens it with this.
+  /// Throws DeviceError for a zero window.
   static ApplyJournalOptions journal_options(
       const FlashDevice& device, const StreamUpdaterOptions& options);
 
+ private:
   void feed_full_image(ByteView chunk);
   void feed_delta(ByteView chunk);
   void append_image_record(ApplyRecordKind kind);

@@ -50,8 +50,10 @@ void append_trace_ext(Bytes& out, const obs::TraceContext& trace) {
 }
 
 bool valid_type(std::uint8_t t) noexcept {
-  return t >= static_cast<std::uint8_t>(FrameType::kHello) &&
-         t <= static_cast<std::uint8_t>(FrameType::kStats);
+  return (t >= static_cast<std::uint8_t>(FrameType::kHello) &&
+          t <= static_cast<std::uint8_t>(FrameType::kError)) ||
+         t == static_cast<std::uint8_t>(FrameType::kStatsReq) ||
+         t == static_cast<std::uint8_t>(FrameType::kStats);
 }
 
 }  // namespace
@@ -66,8 +68,6 @@ const char* frame_type_name(FrameType type) noexcept {
     case FrameType::kDeltaData: return "DELTA_DATA";
     case FrameType::kDeltaEnd: return "DELTA_END";
     case FrameType::kError: return "ERROR";
-    case FrameType::kMetricsReq: return "METRICS_REQ";
-    case FrameType::kMetrics: return "METRICS";
     case FrameType::kStatsReq: return "STATS_REQ";
     case FrameType::kStats: return "STATS";
   }

@@ -70,8 +70,8 @@ enum class FrameType : std::uint8_t {
   kDeltaData = 6,   ///< one chunk of artifact bytes
   kDeltaEnd = 7,    ///< artifact trailer: total size + checksum
   kError = 8,       ///< structured failure (code + text)
-  kMetricsReq = 9,  ///< ask the server for its metrics snapshot
-  kMetrics = 10,    ///< metrics snapshot text
+  // 9 and 10 are retired (a second metrics request/reply pair, folded
+  // into STATS): FrameReader refuses them; never reuse them.
   kStatsReq = 11,   ///< ask for the Prometheus-style stats exposition
   kStats = 12,      ///< stats exposition text (counters + histograms)
 };

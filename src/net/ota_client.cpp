@@ -638,12 +638,6 @@ OtaReport OtaClient::update_device_streaming(
   return report;
 }
 
-std::string OtaClient::fetch_metrics() {
-  Session session = connect_session();
-  session.conn->send(MetricsReqMsg{});
-  return expect<MetricsMsg>(*session.conn, "METRICS").text;
-}
-
 std::string OtaClient::fetch_stats() {
   Session session = connect_session();
   session.conn->send(StatsReqMsg{});

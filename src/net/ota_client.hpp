@@ -133,9 +133,6 @@ class OtaClient {
       FlashDevice& device, const JournalRegion& journal, ReleaseId current,
       ReleaseId target, const StreamUpdaterOptions& apply_options = {});
 
-  /// One-shot METRICS_REQ round trip: the server's snapshot text.
-  std::string fetch_metrics();
-
   /// One-shot STATS_REQ round trip: the server's Prometheus-style stats
   /// exposition (`ipdelta stats <host:port>`).
   std::string fetch_stats();

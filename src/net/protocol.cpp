@@ -137,12 +137,6 @@ Bytes payload_of(const ErrorMsg& m) {
   return out;
 }
 
-Bytes payload_of(const MetricsReqMsg&) { return {}; }
-
-Bytes payload_of(const MetricsMsg& m) {
-  return Bytes(m.text.begin(), m.text.end());
-}
-
 Bytes payload_of(const StatsReqMsg&) { return {}; }
 
 Bytes payload_of(const StatsMsg& m) {
@@ -163,10 +157,6 @@ FrameType message_type(const Message& message) noexcept {
     FrameType operator()(const DeltaDataMsg&) { return FrameType::kDeltaData; }
     FrameType operator()(const DeltaEndMsg&) { return FrameType::kDeltaEnd; }
     FrameType operator()(const ErrorMsg&) { return FrameType::kError; }
-    FrameType operator()(const MetricsReqMsg&) {
-      return FrameType::kMetricsReq;
-    }
-    FrameType operator()(const MetricsMsg&) { return FrameType::kMetrics; }
     FrameType operator()(const StatsReqMsg&) { return FrameType::kStatsReq; }
     FrameType operator()(const StatsMsg&) { return FrameType::kStats; }
   };
@@ -245,15 +235,6 @@ Message decode_message(const Frame& frame) {
       ErrorMsg m;
       m.code = static_cast<ErrorCode>(c.u32());
       m.message = c.rest_string();
-      return m;
-    }
-    case FrameType::kMetricsReq: {
-      c.done();
-      return MetricsReqMsg{};
-    }
-    case FrameType::kMetrics: {
-      MetricsMsg m;
-      m.text = c.rest_string();
       return m;
     }
     case FrameType::kStatsReq: {

@@ -23,8 +23,8 @@
 // deterministic pipeline makes it byte-identical — guarded by the crc
 // echo) starting at `offset`. ERROR carries a machine-readable code so
 // clients can tell retryable congestion (kShed, kBusy) from permanent
-// failures (kBadRequest). METRICS_REQ/METRICS expose the server's ServiceMetrics
-// snapshot for fleet dashboards.
+// failures (kBadRequest). STATS_REQ/STATS expose the server's metrics for
+// fleet dashboards.
 #pragma once
 
 #include <cstdint>
@@ -105,14 +105,8 @@ struct ErrorMsg {
   std::string message;
 };
 
-struct MetricsReqMsg {};
-
-struct MetricsMsg {
-  std::string text;
-};
-
-/// STATS_REQ/STATS carry the machine-readable sibling of METRICS: the
-/// Prometheus-style exposition (DeltaService::stats_text()) with every
+/// STATS_REQ/STATS carry the server's one metrics exposition: the
+/// Prometheus-style text (DeltaService::stats_text()) with every
 /// counter, histogram quantiles, cache gauges and stage timings — what
 /// `ipdelta stats <host:port>` polls and a scraper would ingest.
 struct StatsReqMsg {};
@@ -123,8 +117,7 @@ struct StatsMsg {
 
 using Message =
     std::variant<HelloMsg, HelloAckMsg, GetDeltaMsg, ResumeMsg, DeltaBeginMsg,
-                 DeltaDataMsg, DeltaEndMsg, ErrorMsg, MetricsReqMsg,
-                 MetricsMsg, StatsReqMsg, StatsMsg>;
+                 DeltaDataMsg, DeltaEndMsg, ErrorMsg, StatsReqMsg, StatsMsg>;
 
 /// Wire type of an encoded message.
 FrameType message_type(const Message& message) noexcept;

@@ -516,8 +516,6 @@ struct Reactor::Impl {
     } else if (const auto* resume = std::get_if<ResumeMsg>(&message)) {
       begin_request(c, resume->from, resume->to, resume->offset,
                     resume->artifact_crc, true);
-    } else if (std::get_if<MetricsReqMsg>(&message)) {
-      enqueue_message(c, MetricsMsg{service.metrics_text()});
     } else if (std::get_if<StatsReqMsg>(&message)) {
       enqueue_message(c, StatsMsg{service.stats_text()});
     } else {

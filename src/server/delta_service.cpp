@@ -242,16 +242,6 @@ void DeltaService::serve_async(ReleaseId from, ReleaseId to,
   }
 }
 
-std::string DeltaService::metrics_text() const {
-  const DeltaCache::Stats stats = cache_.stats();
-  std::string text = metrics_.snapshot();
-  text += "bytes cached:      " + std::to_string(stats.bytes_held) + " of " +
-          std::to_string(cache_.byte_budget()) + " budget (" +
-          std::to_string(stats.entries) + " entries, " +
-          std::to_string(cache_.shard_count()) + " shards)\n";
-  return text;
-}
-
 std::string DeltaService::stats_text() const {
   obs::PrometheusRenderer r;
   metrics_.for_each([&](const char* name, std::uint64_t value) {

@@ -131,9 +131,6 @@ class DeltaService {
   /// admission limit from this.
   std::size_t build_workers() const noexcept { return pool_.worker_count(); }
 
-  /// Metrics counters plus cache residency, ready to print.
-  std::string metrics_text() const;
-
   /// Prometheus-style text exposition: every ServiceMetrics counter,
   /// every ServiceHistograms summary (p50/p90/p99), cache residency
   /// gauges, per-stage pipeline time and the event-ring depth. This is

@@ -8,16 +8,15 @@
 // every counter is monotone except the bytes_cached gauge.
 //
 // The counter and histogram inventories are single X-macro lists:
-// member declarations, for_each(), snapshot() and reset() are all
-// generated from the same line, so a metric cannot be added to one and
-// silently missed by another (the drift that once threatened
-// snapshot()/reset()). tests/test_server.cpp and the stats exposition
-// iterate the same lists.
+// member declarations, for_each() and reset() are all generated from the
+// same line, so a metric cannot be added to one and silently missed by
+// another. The stats exposition (DeltaService::stats_text(), the one way
+// these values leave the process) and tests/test_server.cpp iterate the
+// same lists.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 
 #include "obs/histogram.hpp"
 
@@ -54,7 +53,7 @@ struct ServiceMetrics {
 #undef IPD_DECLARE_COUNTER
 
   /// Visit every counter as (name, current value) — the one iteration
-  /// the snapshot, the Prometheus exposition and the drift tests share.
+  /// the stats exposition and the drift tests share.
   template <typename Fn>
   void for_each(Fn&& fn) const {
 #define IPD_VISIT_COUNTER(name) \
@@ -62,11 +61,6 @@ struct ServiceMetrics {
     IPD_SERVICE_COUNTERS(IPD_VISIT_COUNTER)
 #undef IPD_VISIT_COUNTER
   }
-
-  /// Multi-line human-readable snapshot (benches, CLI `serve`): one
-  /// generated line per counter — names every counter exactly once
-  /// (asserted by tests/test_server.cpp) — plus derived summary lines.
-  std::string snapshot() const;
 
   /// Zero every counter (bench warm-up/measure phase boundary).
   void reset() noexcept;

@@ -6,6 +6,7 @@
 #include "core/checksum.hpp"
 #include "core/varint.hpp"
 #include "delta/compose.hpp"
+#include "obs/stats.hpp"
 #include "obs/trace.hpp"
 
 namespace ipd {
@@ -280,6 +281,17 @@ Bytes ArtifactStore::stored_artifact(ReleaseId id) const {
     throw ValidationError("store: no release " + std::to_string(id));
   }
   return artifact_locked(id);
+}
+
+std::string ArtifactStore::stats_text() const {
+  obs::PrometheusRenderer r("ipdelta_store_");
+  metrics_.for_each([&](const char* name, std::uint64_t value) {
+    r.counter(name, value);
+  });
+  metrics_.for_each_histogram([&](const char* name, const obs::Histogram& h) {
+    r.histogram(name, h.snapshot());
+  });
+  return r.str();
 }
 
 std::uint64_t ArtifactStore::segment_bytes() const {

@@ -1,7 +1,8 @@
 // Artifact-store observability: counters and histograms in the same
 // X-macro discipline as server/metrics.hpp — one list generates the
-// members, the iteration, the text snapshot, and the Prometheus
-// exposition, so a metric cannot be added to one and missed by another.
+// members, the iteration and reset(), and the Prometheus exposition
+// (ArtifactStore::stats_text()) walks the same iteration, so a metric
+// cannot be added to one and missed by another.
 //
 // Counters are relaxed atomics (statistics, not synchronization);
 // histograms are the lock-free obs::Histogram used everywhere else.
@@ -9,7 +10,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 
 #include "obs/histogram.hpp"
 
@@ -48,9 +48,6 @@ struct StoreMetrics {
     IPD_STORE_COUNTERS(IPD_VISIT_COUNTER)
 #undef IPD_VISIT_COUNTER
   }
-
-  /// Multi-line human-readable snapshot (CLI `store list`, benches).
-  std::string snapshot() const;
 
   void reset() noexcept {
 #define IPD_RESET_COUNTER(name) name.store(0, std::memory_order_relaxed);

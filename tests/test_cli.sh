@@ -87,7 +87,7 @@ fi
 "$IPDELTA" serve ref.bin new.bin newer.bin \
   --requests 24 --threads 4 --seed 7 > serve.out || fail "serve"
 grep -q "all reconstructions verified" serve.out || fail "serve verify line"
-grep -Eq "^requests: +24$" serve.out || fail "serve metrics"
+grep -Eq "^ipdelta_requests 24$" serve.out || fail "serve metrics"
 if "$IPDELTA" serve ref.bin > /dev/null 2>&1; then
   fail "serve accepted a single-release history"
 fi

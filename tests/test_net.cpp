@@ -60,12 +60,12 @@ TEST(Frame, RoundTripsThroughAnyChunking) {
 
 TEST(Frame, BackToBackFramesDecodeInOrder) {
   Bytes wire = encode_frame(FrameType::kHello, test::ramp_bytes(8));
-  const Bytes second = encode_frame(FrameType::kMetricsReq, {});
+  const Bytes second = encode_frame(FrameType::kStatsReq, {});
   wire.insert(wire.end(), second.begin(), second.end());
   FrameReader reader;
   reader.feed(wire);
   ASSERT_EQ(reader.next()->type, FrameType::kHello);
-  ASSERT_EQ(reader.next()->type, FrameType::kMetricsReq);
+  ASSERT_EQ(reader.next()->type, FrameType::kStatsReq);
   EXPECT_FALSE(reader.next().has_value());
   EXPECT_EQ(reader.frames_decoded(), 2u);
 }
@@ -98,6 +98,24 @@ TEST(Frame, TruncatedStreamIsDetectedByFinish) {
   reader.feed(ByteView(wire).first(wire.size() - 3));
   EXPECT_FALSE(reader.next().has_value());  // waiting, not lying
   EXPECT_THROW(reader.finish(), FormatError);
+}
+
+TEST(Frame, RetiredTypesAreRefusedAsUnknown) {
+  // 9 and 10 were a second metrics request/reply pair; an old peer's
+  // well-formed frame of either type is refused like any unknown type.
+  for (const std::uint8_t retired : {9, 10}) {
+    FrameReader reader;
+    reader.feed(encode_frame(static_cast<FrameType>(retired), {}));
+    try {
+      (void)reader.next();
+      ADD_FAILURE() << "type " << int{retired} << " accepted";
+    } catch (const FormatError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown type " +
+                                           std::to_string(retired)),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Frame, OversizedPayloadLengthRejectedBeforeAllocation) {
@@ -136,8 +154,8 @@ TEST(Protocol, EveryMessageRoundTrips) {
       DeltaDataMsg{42, test::ramp_bytes(100)},
       DeltaEndMsg{100, 0x12345678},
       ErrorMsg{ErrorCode::kBadResume, "offset beyond artifact"},
-      MetricsReqMsg{},
-      MetricsMsg{"requests: 5\n"},
+      StatsReqMsg{},
+      StatsMsg{"ipdelta_requests 5\n"},
   };
   for (const Message& message : messages) {
     const Bytes wire = encode_message(message);
@@ -332,8 +350,8 @@ TEST(Session, LocalConnectionPastTheLimitIsShed) {
   EXPECT_EQ(rig.service->metrics().net_rejected.load(), 1u);
   EXPECT_EQ(rig.service->metrics().net_sessions.load(), 1u);
 
-  held.send(MetricsReqMsg{});
-  EXPECT_TRUE(std::holds_alternative<MetricsMsg>(*held.receive()));
+  held.send(StatsReqMsg{});
+  EXPECT_TRUE(std::holds_alternative<StatsMsg>(*held.receive()));
   holder->close();
 }
 
@@ -525,12 +543,12 @@ TEST(Session, RefusedResumeRestartsTheDownloadFromScratch) {
       ByteView(device.inspect()).first(rig.history[1].size())));
 }
 
-TEST(Session, MetricsRequestReturnsTheSnapshot) {
+TEST(Session, StatsRequestReturnsTheExposition) {
   LocalRig rig(2);
   OtaClient client([&] { return rig.connect(); });
-  const std::string text = client.fetch_metrics();
-  EXPECT_NE(text.find("net_sessions:"), std::string::npos);
-  EXPECT_NE(text.find("bytes cached:"), std::string::npos);
+  const std::string text = client.fetch_stats();
+  EXPECT_NE(text.find("\nipdelta_net_sessions "), std::string::npos);
+  EXPECT_NE(text.find("\nipdelta_cache_bytes_held "), std::string::npos);
 }
 
 TEST(Session, StreamingClientSurvivesInjectedFaults) {

@@ -333,7 +333,7 @@ TEST(NetE2E, RestartedServerAcceptsConnectionsAgain) {
   SKIP_IF_NO_SOCKETS(rig);
   {
     OtaClient client(rig.factory());
-    EXPECT_NE(client.fetch_metrics().find("net_sessions:"),
+    EXPECT_NE(client.fetch_stats().find("ipdelta_net_sessions "),
               std::string::npos);
   }
   rig.server->stop();
@@ -342,7 +342,7 @@ TEST(NetE2E, RestartedServerAcceptsConnectionsAgain) {
   // accept sessions again, not answer each with ERROR{kBusy}. The
   // factory is rebuilt because the ephemeral port may have changed.
   OtaClient client(rig.factory());
-  EXPECT_NE(client.fetch_metrics().find("net_sessions:"),
+  EXPECT_NE(client.fetch_stats().find("ipdelta_net_sessions "),
             std::string::npos);
 }
 
@@ -371,19 +371,19 @@ TEST(NetE2E, ConnectionLimitShedsWithTypedErrorAndRecovers) {
   EXPECT_GE(rig.service->metrics().net_shed.load(), 1u);
 
   // Free the slot. The server notices the hang-up asynchronously, so
-  // poll: fetch_metrics() throws retryable errors while the slot is
+  // poll: fetch_stats() throws retryable errors while the slot is
   // still occupied.
   holder->close();
   std::string text;
   for (int i = 0; i < 100 && text.empty(); ++i) {
     try {
       OtaClient client(rig.factory());
-      text = client.fetch_metrics();
+      text = client.fetch_stats();
     } catch (const Error&) {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
   }
-  EXPECT_NE(text.find("net_sessions:"), std::string::npos);
+  EXPECT_NE(text.find("ipdelta_net_sessions "), std::string::npos);
 }
 
 TEST(NetE2E, StatsServedMidLoadNamesEveryMetric) {
@@ -589,7 +589,7 @@ TEST(NetE2E, V1SessionInteroperatesWithNoTraceExtension) {
 TEST(NetE2E, NewClientDowngradesStickilyAgainstAnOldServer) {
   // A pre-trace server: rejects any HELLO version it does not know with
   // ERROR{kProtocol} (exactly what the reactor does), acks v1, and
-  // answers METRICS_REQ. The new client must downgrade, reconnect
+  // answers STATS_REQ. The new client must downgrade, reconnect
   // speaking v1 — and remember the downgrade on later connections.
   std::unique_ptr<TcpListener> listener;
   try {
@@ -620,8 +620,8 @@ TEST(NetE2E, NewClientDowngradesStickilyAgainstAnOldServer) {
         ack.chunk = 4096;
         conn.send(ack);
         const std::optional<Message> req = conn.receive();
-        if (req && std::holds_alternative<MetricsReqMsg>(*req)) {
-          conn.send(MetricsMsg{"net_sessions:         1\n"});
+        if (req && std::holds_alternative<StatsReqMsg>(*req)) {
+          conn.send(StatsMsg{"ipdelta_net_sessions 1\n"});
         }
       } catch (const Error&) {
         // a half-closed connection is the client's business
@@ -633,9 +633,9 @@ TEST(NetE2E, NewClientDowngradesStickilyAgainstAnOldServer) {
     return TcpTransport::connect("127.0.0.1", port);
   });
   // First call: v2 offer refused, downgrade, v1 succeeds (2 connects).
-  EXPECT_NE(client.fetch_metrics().find("net_sessions"), std::string::npos);
+  EXPECT_NE(client.fetch_stats().find("net_sessions"), std::string::npos);
   // Second call: the downgrade stuck, so v1 straight away (1 connect).
-  EXPECT_NE(client.fetch_metrics().find("net_sessions"), std::string::npos);
+  EXPECT_NE(client.fetch_stats().find("net_sessions"), std::string::npos);
   listener->close();
   old_server.join();
   EXPECT_EQ(rejected.load(), 1);

@@ -25,15 +25,7 @@
 namespace ipd::obs {
 namespace {
 
-std::size_t count_occurrences(const std::string& text,
-                              const std::string& needle) {
-  std::size_t count = 0;
-  for (std::size_t pos = text.find(needle); pos != std::string::npos;
-       pos = text.find(needle, pos + needle.size())) {
-    ++count;
-  }
-  return count;
-}
+using test::count_occurrences;
 
 // ---- histogram ------------------------------------------------------
 

@@ -325,8 +325,8 @@ void traced_session(FramedConnection& conn, const obs::TraceContext& ctx) {
   conn.send(HelloMsg{kProtocolVersionTraced, 4096});
   ASSERT_TRUE(std::holds_alternative<HelloAckMsg>(*conn.receive()));
   conn.set_outbound_trace(ctx);
-  conn.send(MetricsReqMsg{});
-  ASSERT_TRUE(std::holds_alternative<MetricsMsg>(*conn.receive()));
+  conn.send(StatsReqMsg{});
+  ASSERT_TRUE(std::holds_alternative<StatsMsg>(*conn.receive()));
 }
 
 /// The server-side dump recorded for `reason`, if any.
@@ -363,29 +363,49 @@ TEST(Reactor, RefusedResumeLeavesAFlightDumpKeyedByTheRequestTrace) {
   obs::clear_flight_dumps();
 }
 
-TEST(Reactor, CorruptInboundFrameLeavesAFlightDumpAndDropsTheConnection) {
-  ReactorRig rig(heavy_history(2), ServerConfig{});
-  SKIP_IF_NO_SOCKETS(rig);
+/// Write `wire` on a traced session: the server must hang up on the
+/// untrustworthy stream and leave a flight dump under the session's
+/// trace. Returns the dump's text.
+std::string expect_dropped_with_flight_dump(ReactorRig& rig,
+                                            const Bytes& wire) {
   obs::clear_flight_dumps();
   auto transport = rig.connect();
   FramedConnection conn(*transport);
   const obs::TraceContext ctx = obs::mint_trace();
   traced_session(conn, ctx);
-
-  // One flipped payload bit: the frame CRC no longer matches.
-  Bytes wire = encode_message(GetDeltaMsg{0, 1});
-  wire[wire.size() - 5] ^= 0x01;
   transport->write_all(wire);
-  // The server hangs up on the untrustworthy stream (EOF, or a reset).
+  // The server hangs up (EOF, or a reset).
   try {
     EXPECT_FALSE(conn.receive().has_value());
   } catch (const TransportError&) {
   }
   const std::optional<obs::FlightDump> dump =
       server_dump("corrupt inbound frame");
-  ASSERT_TRUE(dump.has_value()) << "corrupt frame left no flight dump";
-  EXPECT_EQ(dump->trace_id, ctx.trace_id_hex());
   obs::clear_flight_dumps();
+  if (!dump.has_value()) {
+    ADD_FAILURE() << "corrupt frame left no flight dump";
+    return {};
+  }
+  EXPECT_EQ(dump->trace_id, ctx.trace_id_hex());
+  return dump->text;
+}
+
+TEST(Reactor, CorruptInboundFrameLeavesAFlightDumpAndDropsTheConnection) {
+  ReactorRig rig(heavy_history(2), ServerConfig{});
+  SKIP_IF_NO_SOCKETS(rig);
+  // One flipped payload bit: the frame CRC no longer matches.
+  Bytes wire = encode_message(GetDeltaMsg{0, 1});
+  wire[wire.size() - 5] ^= 0x01;
+  expect_dropped_with_flight_dump(rig, wire);
+}
+
+TEST(Reactor, RetiredFrameTypeLeavesAFlightDumpAndDropsTheConnection) {
+  ReactorRig rig(heavy_history(2), ServerConfig{});
+  SKIP_IF_NO_SOCKETS(rig);
+  // An old client's METRICS_REQ: a well-formed frame of retired type 9.
+  const Bytes wire = encode_frame(static_cast<FrameType>(9), {});
+  EXPECT_NE(expect_dropped_with_flight_dump(rig, wire).find("unknown type 9"),
+            std::string::npos);
 }
 
 // ---- config validation ----------------------------------------------

@@ -175,6 +175,30 @@ TEST(ResumableUpdater, SurvivesPowerFailureAtManyPoints) {
   }
 }
 
+TEST(ResumableUpdater, JournalOptionsFindTheRecordAPowerCutLeft) {
+  // resumable_journal_options is the one owner of the staged layout:
+  // one page per slot, an undo window per record and no header (the
+  // staged path re-stages the whole delta). A journal opened with it, as
+  // the fleet's brick check does, finds the checkpoint a mid-apply power
+  // cut left behind.
+  const Fixture f = make_fixture();
+  FlashDevice dev = make_device(f);
+  const ApplyJournalOptions opts = resumable_journal_options(dev);
+  EXPECT_EQ(opts.page_size, dev.page_size());
+  EXPECT_EQ(opts.undo_capacity, UpdaterOptions{}.window_bytes);
+  EXPECT_EQ(opts.header_capacity, 0u);
+
+  dev.inject_power_failure_after(10 << 10);
+  EXPECT_THROW(apply_update_resumable(dev, f.delta, channel_28k(), kJournal),
+               FlashDevice::PowerFailure);
+  dev.clear_power_failure();
+  const DeviceJournal dj(dev, kJournal, opts, "test");
+  const std::optional<ApplyRecord> rec = dj.journal.newest();
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->artifact_crc, crc32c(f.delta));
+  EXPECT_NE(rec->kind, ApplyRecordKind::kDone);
+}
+
 TEST(ResumableUpdater, SurvivesRepeatedCrashesInOneUpdate) {
   const Fixture f = make_fixture();
   FlashDevice dev = make_device(f);

@@ -370,34 +370,26 @@ TEST(DeltaService, RejectsBadRequests) {
   EXPECT_THROW(service.serve(0, 2), ValidationError);
 }
 
-std::size_t count_occurrences(const std::string& text,
-                              const std::string& needle) {
-  std::size_t count = 0;
-  for (std::size_t pos = text.find(needle); pos != std::string::npos;
-       pos = text.find(needle, pos + needle.size())) {
-    ++count;
-  }
-  return count;
-}
-
 TEST(DeltaService, SnapshotNamesEveryCounterExactlyOnce) {
   const auto history = make_history(2, 51);
   VersionStore store;
   publish_all(store, history);
   DeltaService service(store, {});
   service.serve(0, 1);
-  const std::string text = service.metrics_text();
-  // snapshot() walks the same IPD_SERVICE_COUNTERS X-macro that declares
-  // the members, so this loop covers any counter added later for free.
-  // Exactly once each: a label that vanishes or gets duplicated breaks
-  // dashboards scraping this text.
+  const std::string text = service.stats_text();
+  // stats_text() walks the same IPD_SERVICE_COUNTERS and
+  // IPD_SERVICE_HISTOGRAMS X-macros that declare the members, so these
+  // loops cover any metric added later for free. Exactly once each: a
+  // series that vanishes or gets duplicated breaks dashboards scraping
+  // this text.
   service.metrics().for_each([&](const char* name, std::uint64_t) {
-    EXPECT_EQ(count_occurrences(text, std::string(name) + ":"), 1u) << name;
+    EXPECT_TRUE(test::exposes_once(text, "ipdelta_" + std::string(name),
+                                   "counter"));
   });
-  // Derived lines worded so no raw counter label appears twice.
-  for (const char* label : {"hit rate:", "mean build:", "bytes cached:"}) {
-    EXPECT_EQ(count_occurrences(text, label), 1u) << label;
-  }
+  service.histograms().for_each([&](const char* name, const obs::Histogram&) {
+    EXPECT_TRUE(test::exposes_once(text, "ipdelta_" + std::string(name),
+                                   "summary"));
+  });
 }
 
 TEST(DeltaService, ApplyServedRejectsEmptyResult) {

@@ -229,6 +229,26 @@ TEST_F(StoreTest, ChainPolicyBoundsChainLength) {
   EXPECT_GT(store.metrics().folds.load(), 0u);
 }
 
+TEST_F(StoreTest, StatsTextNamesEveryMetricExactlyOnce) {
+  ArtifactStore::init(dir_);
+  ArtifactStore store(dir_);
+  for (const Bytes& body : make_history(3)) store.publish(body);
+  const std::string text = store.stats_text();
+  // The prefix keeps verify_rejects and artifact_bytes apart from the
+  // service's series of the same names.
+  store.metrics().for_each([&](const char* name, std::uint64_t) {
+    EXPECT_TRUE(test::exposes_once(text, "ipdelta_store_" + std::string(name),
+                                   "counter"));
+  });
+  store.metrics().for_each_histogram(
+      [&](const char* name, const obs::Histogram&) {
+        EXPECT_TRUE(test::exposes_once(
+            text, "ipdelta_store_" + std::string(name), "summary"));
+      });
+  EXPECT_EQ(test::count_occurrences(text, "\nipdelta_store_publishes 3\n"),
+            1u);
+}
+
 TEST_F(StoreTest, InitRefusesToEatAnExistingStore) {
   ArtifactStore::init(dir_);
   EXPECT_THROW(ArtifactStore::init(dir_), StoreError);

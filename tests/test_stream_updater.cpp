@@ -509,6 +509,34 @@ TEST(StreamUpdater, RefusesAnUndoWindowOutsideTheVersion) {
   }
 }
 
+TEST(StreamUpdater, JournalOptionsFindTheRecordAPowerCutLeft) {
+  // journal_options is the one owner of the streaming layout: one page
+  // per slot, the options' window and header capacity. A journal opened
+  // with it, as the fleet's brick check does, finds the checkpoint a
+  // mid-apply power cut left behind. The tight options' window is not
+  // the default, so the layout does not match by accident.
+  const Fixture f = make_fixture();
+  const StreamUpdaterOptions opts = tight_options();
+  FlashDevice dev = make_device(f.v1);
+  const ApplyJournalOptions journal_opts =
+      StreamingDeviceUpdater::journal_options(dev, opts);
+  EXPECT_EQ(journal_opts.page_size, dev.page_size());
+  EXPECT_EQ(journal_opts.undo_capacity, opts.window_bytes);
+  EXPECT_EQ(journal_opts.header_capacity, opts.header_capacity);
+
+  dev.inject_power_failure_after(10 << 10);
+  {
+    StreamingDeviceUpdater u(dev, kJournal, f.info, opts);
+    EXPECT_THROW(feed_rest(u, f.delta), FlashDevice::PowerFailure);
+  }
+  dev.clear_power_failure();
+  const DeviceJournal dj(dev, kJournal, journal_opts, "test");
+  const std::optional<ApplyRecord> rec = dj.journal.newest();
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->artifact_crc, f.info.artifact_crc);
+  EXPECT_NE(rec->kind, ApplyRecordKind::kDone);
+}
+
 TEST(StreamUpdater, HeaderCapacityIsEnforced) {
   const Fixture f = make_fixture();
   FlashDevice dev = make_device(f.v1);

@@ -128,4 +128,35 @@ inline ::testing::AssertionResult bytes_equal(ByteView expected,
   return ::testing::AssertionSuccess();
 }
 
+/// Non-overlapping occurrences of `needle` in `text`.
+inline std::size_t count_occurrences(const std::string& text,
+                                     const std::string& needle) {
+  std::size_t count = 0;
+  for (std::size_t pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + needle.size())) {
+    ++count;
+  }
+  return count;
+}
+
+/// Gtest helper: `text`, a Prometheus-style exposition (obs/stats.hpp),
+/// declares `series` exactly once with `type` ("counter" or "summary")
+/// and carries exactly one sample line for it (a summary's _count line).
+inline ::testing::AssertionResult exposes_once(const std::string& text,
+                                               const std::string& series,
+                                               const std::string& type) {
+  const std::size_t types = count_occurrences(text, "# TYPE " + series + " ");
+  const std::size_t typed =
+      count_occurrences(text, "# TYPE " + series + " " + type + "\n");
+  const std::string sample =
+      "\n" + series + (type == "summary" ? "_count " : " ");
+  const std::size_t samples = count_occurrences(text, sample);
+  if (types != 1 || typed != 1 || samples != 1) {
+    return ::testing::AssertionFailure()
+           << series << ": " << types << " TYPE line(s), " << typed
+           << " of type " << type << ", " << samples << " sample line(s)";
+  }
+  return ::testing::AssertionSuccess();
+}
+
 }  // namespace ipd::test
