@@ -396,5 +396,139 @@ TEST(DeltaService, ApplyServedRejectsEmptyResult) {
   EXPECT_THROW(apply_served(ServeResult{}, Bytes{}), ValidationError);
 }
 
+// ------------------------------------------------------------ route pins
+//
+// Fixed seeded histories that reach every branch of serve()'s route
+// choice. Each pin names the route's step kinds, endpoints and the FNV-1a
+// of every artifact, then the route counters, so a change to how routes
+// are priced shows up here before any wire or store test.
+
+/// Release k+1 rewrites one byte in every 1536-byte block, at offset
+/// k * (1536 / (releases - 1)) within it. With matches shorter than
+/// kLongMatch not worth a copy, a hop still copies nearly everything,
+/// while release 0 and the last release share no kLongMatch run, so the
+/// direct delta copies nothing and the chain of hops is far cheaper.
+constexpr std::size_t kLongMatch = 256;
+
+std::vector<Bytes> interleaved_history(std::size_t releases,
+                                       std::uint64_t seed) {
+  constexpr std::size_t kBlock = 1536;
+  const std::size_t stride = kBlock / (releases - 1);
+  Rng rng(seed);
+  std::vector<Bytes> history{test::random_bytes(seed, 24 << 10)};
+  for (std::size_t k = 0; k + 1 < releases; ++k) {
+    Bytes next = history.back();
+    for (std::size_t at = k * stride; at < next.size(); at += kBlock) {
+      next[at] ^= static_cast<std::uint8_t>(rng.next() | 1);
+    }
+    history.push_back(std::move(next));
+  }
+  return history;
+}
+
+/// "from->to delta|image <fnv1a>; " per step, then the route counters
+/// and the build count.
+std::string route_pin(const DeltaService& service, const ServeResult& r) {
+  std::string out;
+  char line[96];
+  for (const ServedStep& step : r.steps) {
+    std::snprintf(line, sizeof line, "%llu->%llu %s %016llx; ",
+                  static_cast<unsigned long long>(step.from),
+                  static_cast<unsigned long long>(step.to),
+                  step.full_image ? "image" : "delta",
+                  static_cast<unsigned long long>(test::fnv1a(*step.bytes)));
+    out += line;
+  }
+  const ServiceMetrics& m = service.metrics();
+  std::snprintf(line, sizeof line,
+                "deltas %llu chains %llu images %llu builds %llu",
+                static_cast<unsigned long long>(m.deltas_served.load()),
+                static_cast<unsigned long long>(m.chains_served.load()),
+                static_cast<unsigned long long>(m.full_images_served.load()),
+                static_cast<unsigned long long>(m.builds.load()));
+  return out + line;
+}
+
+/// Serve one request on a fresh service over `history`, check that the
+/// response lands on the target body, and return its pin.
+std::string serve_pin(const std::vector<Bytes>& history, ReleaseId from,
+                      ReleaseId to, const ServiceOptions& options = {}) {
+  VersionStore store;
+  publish_all(store, history);
+  DeltaService service(store, options);
+  const ServeResult result = service.serve(from, to);
+  EXPECT_TRUE(
+      test::bytes_equal(history[to], apply_served(result, history[from])));
+  return route_pin(service, result);
+}
+
+TEST(RoutePin, DirectDeltaWins) {
+  const auto history = make_history(3, 11);
+  EXPECT_EQ(serve_pin(history, 0, 2), "0->2 delta 871b44df7452baf3; "
+            "deltas 1 chains 0 images 0 builds 1");
+  EXPECT_EQ(serve_pin(history, 1, 2), "1->2 delta 8b21354f36edace4; "
+            "deltas 1 chains 0 images 0 builds 1");
+}
+
+TEST(RoutePin, DriftedHistoryChainWins) {
+  const auto history = interleaved_history(7, 61);
+  ServiceOptions options;
+  options.direct_gain_threshold = 0.1;
+  options.pipeline.differ_options.min_match = kLongMatch;
+  EXPECT_EQ(serve_pin(history, 0, 6, options), "0->1 delta c84d6414ad0865a0; "
+            "1->2 delta e9a988c3a64b89fe; "
+            "2->3 delta 137a8f50e2f3381b; "
+            "3->4 delta d8049f5a692d1b2a; "
+            "4->5 delta b7a2251dd6f83391; "
+            "5->6 delta 51b8e245c4dc3faf; "
+            "deltas 0 chains 1 images 0 builds 7");
+}
+
+TEST(RoutePin, PricedChainLosesToDirect) {
+  // The existing drifted-history input: the chain is priced (the direct
+  // delta is above 10% of the image) but the direct delta is cheapest.
+  const auto history = make_history(7, 31, /*edits_per_release=*/150);
+  ServiceOptions options;
+  options.direct_gain_threshold = 0.1;
+  EXPECT_EQ(serve_pin(history, 0, 6, options), "0->6 delta 08a03507cdd906c0; "
+            "deltas 1 chains 0 images 0 builds 7");
+}
+
+TEST(RoutePin, DriftedHistoryImageWins) {
+  // Heavy churn: the direct delta is a little larger than the image and
+  // the chain is more than twice it.
+  const auto history = make_history(7, 31, /*edits_per_release=*/300);
+  EXPECT_EQ(serve_pin(history, 0, 6), "0->6 image 39d85ceec768ea97; "
+            "deltas 0 chains 0 images 1 builds 7");
+}
+
+TEST(RoutePin, SingleHopUnrelatedBodiesShipTheImage) {
+  const std::vector<Bytes> history{test::random_bytes(71, 20000),
+                                   test::random_bytes(72, 20000)};
+  EXPECT_EQ(serve_pin(history, 0, 1), "0->1 image dc38f6d2de7a5022; "
+            "deltas 0 chains 0 images 1 builds 1");
+}
+
+TEST(RoutePin, RequestLongerThanTheChainLimitIsNotChained) {
+  // Nine hops: past the chain limit, so only the direct delta and the
+  // image are priced, and the image ships although the chain would be
+  // cheaper. Eight hops of the same history fit the limit and chain.
+  const auto history = interleaved_history(10, 62);
+  ServiceOptions options;
+  options.direct_gain_threshold = 0.1;
+  options.pipeline.differ_options.min_match = kLongMatch;
+  EXPECT_EQ(serve_pin(history, 0, 9, options), "0->9 image afdbcb494de9e151; "
+            "deltas 0 chains 0 images 1 builds 1");
+  EXPECT_EQ(serve_pin(history, 0, 8, options), "0->1 delta 302571900d531d4c; "
+            "1->2 delta 9dff33aca4b18071; "
+            "2->3 delta 80aceeeff1775255; "
+            "3->4 delta 25cf08669bce9907; "
+            "4->5 delta a73cad587086834e; "
+            "5->6 delta ea00b159162cb286; "
+            "6->7 delta cdcf87d413accaad; "
+            "7->8 delta 2dd0dc7295660b65; "
+            "deltas 0 chains 1 images 0 builds 9");
+}
+
 }  // namespace
 }  // namespace ipd
