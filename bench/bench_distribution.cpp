@@ -1,16 +1,17 @@
 // E10 — software distribution at fleet scale: update archives across a
-// multi-file release history, and upgrade planning for devices scattered
-// over that history. Extends the paper's single-file evaluation to the
-// artifact a publisher actually ships.
+// multi-file release history, and the delta service's routes for devices
+// scattered over that history. Extends the paper's single-file
+// evaluation to the artifact a publisher actually ships.
 #include <cstdio>
 #include <map>
 
 #include "archive/archive.hpp"
-#include "archive/upgrade_planner.hpp"
 #include "bench_util.hpp"
 #include "corpus/generator.hpp"
 #include "corpus/mutation.hpp"
+#include "delta/compose.hpp"
 #include "delta/stats.hpp"
+#include "server/delta_service.hpp"
 
 namespace {
 
@@ -82,75 +83,89 @@ int main() {
 
   bench::rule();
   std::printf(
-      "Upgrade planner — per-device download to reach the latest release\n"
+      "Delta service — per-device download to reach the latest release\n"
       "(single-file image distilled from the release history)\n");
-  std::vector<Bytes> images;
-  {
-    // Concatenate each release's files into one image for the planner.
-    for (const FileSet& release : history) {
-      Bytes image;
-      for (const auto& [name, content] : release) {
-        (void)name;
-        image.insert(image.end(), content.begin(), content.end());
-      }
-      images.push_back(std::move(image));
+  VersionStore store;
+  for (const FileSet& release : history) {
+    // Concatenate each release's files into one image.
+    Bytes image;
+    for (const auto& [name, content] : release) {
+      (void)name;
+      image.insert(image.end(), content.begin(), content.end());
     }
+    store.publish(std::move(image));
   }
-  UpgradePlanner planner(
-      std::vector<ByteView>(images.begin(), images.end()));
+  DeltaService service(store);
+  const ReleaseId latest = kReleases - 1;
+  const Bytes& target = *store.body(latest);
   std::printf("%8s %12s %12s %10s %8s\n", "from", "plan bytes", "full image",
               "saving", "hops");
-  for (std::size_t from = 0; from < kReleases - 1; ++from) {
-    const UpgradePlan plan = planner.plan(from, kReleases - 1);
-    Bytes image = images[from];
-    planner.execute(plan, image);
-    if (image != images.back()) {
-      std::printf("PLAN VERIFY FAILED from %zu\n", from);
+  for (ReleaseId from = 0; from < latest; ++from) {
+    const ServeResult served = service.serve(from, latest);
+    if (apply_served(served, *store.body(from)) != target) {
+      std::printf("PLAN VERIFY FAILED from %llu\n",
+                  static_cast<unsigned long long>(from));
       return 1;
     }
-    std::printf("%8zu %12s %12s %9.1fx %8zu\n", from,
-                format_bytes(plan.total_bytes).c_str(),
-                format_bytes(images.back().size()).c_str(),
-                static_cast<double>(images.back().size()) /
-                    static_cast<double>(plan.total_bytes),
-                plan.steps.size());
+    std::printf("%8llu %12s %12s %9.1fx %8zu\n",
+                static_cast<unsigned long long>(from),
+                format_bytes(served.total_bytes).c_str(),
+                format_bytes(target.size()).c_str(),
+                static_cast<double>(target.size()) /
+                    static_cast<double>(served.total_bytes),
+                served.steps.size());
   }
-  std::printf("(deltas built lazily for the whole fleet: %zu)\n",
-              planner.deltas_built());
+  const std::uint64_t fleet_builds = service.metrics().builds.load();
+  std::printf("(deltas built for the whole fleet: %llu)\n",
+              static_cast<unsigned long long>(fleet_builds));
 
   bench::rule();
   // Chain folding (delta composition): mint a direct v0->vN delta from
-  // the cached per-hop deltas, never touching the endpoint files, and
+  // the served per-hop deltas, never touching the endpoint files, and
   // compare against the differencer's direct delta.
   {
-    PlannerOptions chain_only;
-    chain_only.max_hop_span = 1;
-    UpgradePlanner chained(
-        std::vector<ByteView>(images.begin(), images.end()), chain_only);
-    const UpgradePlan plan = chained.plan(0, kReleases - 1);
-    const Bytes folded = chained.fold_plan(plan);
-    const Bytes direct = Pipeline().build_inplace(images[0], images.back()).delta;
+    std::vector<std::shared_ptr<const Bytes>> artifacts;
+    std::vector<ParsedDelta> hops;
+    std::uint64_t chain_bytes = 0;
+    for (ReleaseId k = 0; k < latest; ++k) {
+      const ServeResult hop = service.serve(k, k + 1);
+      if (hop.steps.size() != 1 || hop.steps[0].full_image) {
+        std::printf("hop %llu->%llu was not served as one delta\n",
+                    static_cast<unsigned long long>(k),
+                    static_cast<unsigned long long>(k + 1));
+        return 1;
+      }
+      chain_bytes += hop.total_bytes;
+      artifacts.push_back(hop.steps[0].bytes);
+      hops.push_back(parse_delta(*artifacts.back()));
+    }
+    const Bytes& reference = *store.body(0);
+    const PipelineOptions& pipeline = service.options().pipeline;
+    const Bytes folded = make_inplace_delta(
+        fold_chain(hops), reference, target, pipeline.convert, nullptr,
+        pipeline.compress_payload);
+    const Bytes direct = Pipeline().build_inplace(reference, target).delta;
 
-    Bytes image = images[0];
-    image.resize(std::max(images[0].size(), images.back().size()));
+    Bytes image = reference;
+    image.resize(std::max(reference.size(), target.size()));
     const length_t n = apply_delta_inplace(folded, image);
-    const bool ok = n == images.back().size() &&
-                    std::equal(images.back().begin(), images.back().end(),
-                               image.begin());
+    const bool ok = n == target.size() &&
+                    std::equal(target.begin(), target.end(), image.begin());
     std::printf(
         "chain folding (compose %zu per-hop deltas into one, no "
         "re-diffing):\n"
         "  chain total %s -> folded %s; direct differ delta %s; %s\n",
-        plan.steps.size(), format_bytes(plan.total_bytes).c_str(),
+        hops.size(), format_bytes(chain_bytes).c_str(),
         format_bytes(folded.size()).c_str(),
         format_bytes(direct.size()).c_str(),
         ok ? "folded delta verified" : "VERIFY FAILED");
+    if (!ok) return 1;
   }
 
   bench::rule();
   std::printf(
       "expected shape: archives ship a few percent of the release; older\n"
       "devices pay more but always far less than the full image; the\n"
-      "planner builds only the deltas its plans touch.\n");
+      "service builds only the deltas its routes price.\n");
   return 0;
 }

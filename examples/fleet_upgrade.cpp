@@ -3,77 +3,78 @@
 //
 // The server holds releases v0..v7 of a firmware. Devices check in
 // running anything from v0 to v6 and must reach v7 over a slow link. For
-// each device the UpgradePlanner picks the byte-cheapest route: direct
+// each device the DeltaService serves the byte-cheapest route: direct
 // in-place delta, a chain of cached release-to-release deltas, or the
-// full image — and we execute the plan to prove it lands byte-perfect.
+// full image — and we apply the response to prove it lands byte-perfect.
 //
 // Run:  ./examples/fleet_upgrade
 #include <cstdio>
 
-#include "archive/upgrade_planner.hpp"
 #include "corpus/generator.hpp"
 #include "corpus/mutation.hpp"
 #include "delta/stats.hpp"
+#include "device/channel.hpp"
+#include "server/delta_service.hpp"
 
 int main() {
   using namespace ipd;
 
   // Build an 8-release history with realistic drift.
   Rng rng(0xF1EE7);
-  std::vector<Bytes> history;
-  history.push_back(generate_file(rng, 160 << 10, FileProfile::kBinary));
+  VersionStore store;
+  ReleaseId latest =
+      store.publish(generate_file(rng, 160 << 10, FileProfile::kBinary));
   MutationModel model;
   model.length_scale = 64;
   for (int i = 1; i < 8; ++i) {
-    history.push_back(mutate(history.back(), rng, 80, model));
+    latest = store.publish(mutate(*store.body(latest), rng, 80, model));
   }
-  const std::size_t latest = history.size() - 1;
+  const Bytes& target = *store.body(latest);
 
-  PlannerOptions options;
-  options.max_hop_span = 7;
-  UpgradePlanner planner(
-      std::vector<ByteView>(history.begin(), history.end()), options);
+  DeltaService service(store);
 
   const ChannelModel link = channel_28k();
   std::printf(
       "release history: 8 versions of a %s firmware; fleet reaches v7 over "
       "%s\n\n",
-      format_bytes(history[0].size()).c_str(), link.name.c_str());
+      format_bytes(store.body(0)->size()).c_str(), link.name.c_str());
   std::printf("%6s %28s %12s %10s %12s %10s\n", "device", "plan", "download",
               "time", "vs direct", "vs full");
 
   bool all_ok = true;
   const Pipeline pipeline;
-  for (std::size_t from = 0; from < latest; ++from) {
-    const UpgradePlan plan = planner.plan(from, latest);
+  for (ReleaseId from = 0; from < latest; ++from) {
+    const ServeResult served = service.serve(from, latest);
+    const Bytes& current = *store.body(from);
 
     std::string route = "v" + std::to_string(from);
-    for (const UpgradeStep& step : plan.steps) {
+    double seconds = 0;
+    for (const ServedStep& step : served.steps) {
       route += step.full_image ? "=>v" : "->v";
       route += std::to_string(step.to);
+      seconds += link.transfer_seconds(step.bytes->size());
     }
 
-    const Bytes direct =
-        pipeline.build_inplace(history[from], history[latest]).delta;
-    Bytes image = history[from];
-    planner.execute(plan, image);
-    const bool ok = image == history[latest];
+    const Bytes direct = pipeline.build_inplace(current, target).delta;
+    const bool ok = apply_served(served, current) == target;
     all_ok = all_ok && ok;
 
-    std::printf("%6zu %28s %12s %9.1fs %11.2fx %9.2fx%s\n", from,
-                route.c_str(), format_bytes(plan.total_bytes).c_str(),
-                plan.download_seconds(link),
+    std::printf("%6llu %28s %12s %9.1fs %11.2fx %9.2fx%s\n",
+                static_cast<unsigned long long>(from), route.c_str(),
+                format_bytes(served.total_bytes).c_str(), seconds,
                 static_cast<double>(direct.size()) /
-                    static_cast<double>(plan.total_bytes),
-                static_cast<double>(history[latest].size()) /
-                    static_cast<double>(plan.total_bytes),
+                    static_cast<double>(served.total_bytes),
+                static_cast<double>(target.size()) /
+                    static_cast<double>(served.total_bytes),
                 ok ? "" : "  ** VERIFY FAILED **");
   }
 
   std::printf(
-      "\n%zu deltas were built to serve the whole fleet (lazy cache; the "
-      "naive all-pairs build would need %zu)\n",
-      planner.deltas_built(), latest * (latest + 1) / 2);
+      "\n%llu deltas were built to serve the whole fleet (the naive "
+      "all-pairs build would need %llu;\nthe chain of hops is priced only "
+      "where a direct delta exceeds half the image)\n",
+      static_cast<unsigned long long>(service.metrics().builds.load()),
+      static_cast<unsigned long long>(latest * (latest + 1) / 2));
   std::printf("all devices verified: %s\n", all_ok ? "yes" : "NO");
   return all_ok ? 0 : 1;
 }

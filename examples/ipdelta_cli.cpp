@@ -88,7 +88,7 @@ int usage() {
       "                # preloaded into the cache\n"
       "  ipdelta store init <dir>\n"
       "  ipdelta store publish <dir> <release files, oldest first...>\n"
-      "  ipdelta store list <dir>         # releases, chains, metrics\n"
+      "  ipdelta store list <dir>         # releases, chains, recovery\n"
       "  ipdelta store gc <dir>           # drop superseded artifacts\n"
       "  ipdelta store check <dir>        # deep integrity check\n"
       "  ipdelta fetch <host:port> <image file> --to B\n"
@@ -595,6 +595,7 @@ int cmd_serve(const std::vector<std::string>& args) {
                   trace_out.c_str());
     }
     std::printf("%s", service.stats_text().c_str());
+    if (artifacts) std::printf("%s", artifacts->stats_text().c_str());
     const std::string events = obs::global_events().dump();
     if (!events.empty()) {
       std::printf("recent events:\n%s", events.c_str());
@@ -628,6 +629,7 @@ int cmd_serve(const std::vector<std::string>& args) {
   for (std::thread& client : clients) client.join();
 
   std::printf("%s", service.stats_text().c_str());
+  if (artifacts) std::printf("%s", artifacts->stats_text().c_str());
   if (failures.load() != 0) {
     std::printf("serve: %llu of %zu reconstructions FAILED\n",
                 static_cast<unsigned long long>(failures.load()), requests);
@@ -642,7 +644,7 @@ int cmd_serve(const std::vector<std::string>& args) {
 // Durable artifact-store administration: init/publish/list/gc/check over
 // a store directory (src/store/). `publish` appends releases through the
 // chain policy exactly as `serve --store-dir` would; `list` is the
-// operator's view of the chain layout and recovery/metrics state.
+// operator's view of the chain layout and of what recovery found.
 int cmd_store(const std::vector<std::string>& args) {
   if (args.size() < 2) return usage();
   const std::string& verb = args[0];
@@ -679,13 +681,15 @@ int cmd_store(const std::vector<std::string>& args) {
     std::printf("store: %zu releases in %s (%llu segment bytes)\n",
                 store.release_count(), dir.c_str(),
                 static_cast<unsigned long long>(store.segment_bytes()));
-    if (rec.manifest_truncated || rec.segment_orphan_bytes != 0) {
-      std::printf(
-          "recovery: dropped %llu torn manifest bytes, "
-          "%llu orphan segment bytes\n",
-          static_cast<unsigned long long>(rec.manifest_bytes_dropped),
-          static_cast<unsigned long long>(rec.segment_orphan_bytes));
-    }
+    // What this open recovered from disk. The store's counters are not
+    // printed: they count only this process's work, so a listing would
+    // read zero publishes however many other processes made.
+    std::printf(
+        "recovery: %zu releases, %zu manifest records, dropped %llu torn "
+        "manifest bytes, %llu orphan segment bytes\n",
+        rec.releases, rec.manifest_records,
+        static_cast<unsigned long long>(rec.manifest_bytes_dropped),
+        static_cast<unsigned long long>(rec.segment_orphan_bytes));
     for (const StoredRelease& rel : store.releases()) {
       if (rel.kind == StoredKind::kBaseline) {
         std::printf("  %4u  baseline  %10llu bytes  crc %08x\n", rel.id,
@@ -699,7 +703,6 @@ int cmd_store(const std::vector<std::string>& args) {
             store.chain_stats(rel.id).chain_length);
       }
     }
-    std::printf("%s", store.stats_text().c_str());
     return 0;
   }
 

@@ -146,6 +146,23 @@ bool DeltaService::preload(ReleaseId from, ReleaseId to, Bytes delta) {
   return true;
 }
 
+RouteKind cheapest_route(std::uint64_t direct,
+                         std::span<const std::uint64_t> chain_hops,
+                         std::uint64_t image) noexcept {
+  const std::uint64_t direct_cost = direct + kPerHopOverhead;
+  const std::uint64_t image_cost = image + kPerHopOverhead;
+  if (!chain_hops.empty()) {
+    std::uint64_t chain_cost = 0;
+    for (const std::uint64_t hop : chain_hops) {
+      chain_cost += hop + kPerHopOverhead;
+    }
+    if (chain_cost <= std::min(direct_cost, image_cost)) {
+      return RouteKind::kChain;
+    }
+  }
+  return image_cost <= direct_cost ? RouteKind::kImage : RouteKind::kDirect;
+}
+
 ServeResult DeltaService::serve(ReleaseId from, ReleaseId to) {
   const std::size_t releases = store_.release_count();
   if (from >= to || to >= releases) {
@@ -156,57 +173,43 @@ ServeResult DeltaService::serve(ReleaseId from, ReleaseId to) {
   obs::Span span(obs::Stage::kServe);
 
   ServeResult result;
-  result.cache_hit = true;
-  bool hit = false;
-
   const auto target = store_.body(to);
   const std::uint64_t version_size = target->size();
 
-  auto direct = fetch_delta(from, to, &hit, &result.coalesced);
-  result.cache_hit = hit;
+  auto direct = fetch_delta(from, to, &result.cache_hit, &result.coalesced);
 
+  // Drifted history: once the direct delta stops being a real win, price
+  // the per-release chain too (every hop delta is shared with all other
+  // stragglers, so building them is amortized).
+  std::vector<ServedStep> chain;
+  std::vector<std::uint64_t> hop_sizes;
   const bool direct_wins =
       static_cast<double>(direct->size()) <=
       options_.direct_gain_threshold * static_cast<double>(version_size);
   const std::size_t hops = to - from;
-
-  if (!direct_wins && hops >= 2 && hops <= options_.max_chain_hops) {
-    // Drifted history: price the per-release chain (every hop delta is
-    // shared with all other stragglers, so building them is amortized)
-    // and the full image, and serve the byte-cheapest route.
-    std::vector<ServedStep> chain;
-    std::uint64_t chain_bytes = 0;
+  if (!direct_wins && hops >= 2 && hops <= kMaxChainHops) {
     for (ReleaseId at = from; at < to; ++at) {
       bool hop_hit = false;
       auto hop = fetch_delta(at, at + 1, &hop_hit, &result.coalesced);
       if (!hop_hit) result.cache_hit = false;
-      chain_bytes += hop->size() + options_.per_hop_overhead;
+      hop_sizes.push_back(hop->size());
       chain.push_back(ServedStep{at, at + 1, false, std::move(hop)});
     }
-    const std::uint64_t direct_cost =
-        direct->size() + options_.per_hop_overhead;
-    const std::uint64_t image_cost =
-        version_size + options_.per_hop_overhead;
-    const std::uint64_t best =
-        std::min({chain_bytes, direct_cost, image_cost});
-    if (best == chain_bytes) {
-      result.steps = std::move(chain);
-      metrics_.chains_served.fetch_add(1, std::memory_order_relaxed);
-    } else if (best == image_cost) {
-      result.steps.push_back(ServedStep{from, to, true, target});
-      metrics_.full_images_served.fetch_add(1, std::memory_order_relaxed);
-    }
-  } else if (!direct_wins &&
-             static_cast<std::uint64_t>(direct->size()) > version_size) {
-    // Single hop (or chain too long) and the delta is outright larger
-    // than the file: ship the image.
-    result.steps.push_back(ServedStep{from, to, true, target});
-    metrics_.full_images_served.fetch_add(1, std::memory_order_relaxed);
   }
 
-  if (result.steps.empty()) {
-    result.steps.push_back(ServedStep{from, to, false, std::move(direct)});
-    metrics_.deltas_served.fetch_add(1, std::memory_order_relaxed);
+  switch (cheapest_route(direct->size(), hop_sizes, version_size)) {
+    case RouteKind::kChain:
+      result.steps = std::move(chain);
+      metrics_.chains_served.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case RouteKind::kImage:
+      result.steps.push_back(ServedStep{from, to, true, target});
+      metrics_.full_images_served.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case RouteKind::kDirect:
+      result.steps.push_back(ServedStep{from, to, false, std::move(direct)});
+      metrics_.deltas_served.fetch_add(1, std::memory_order_relaxed);
+      break;
   }
   for (const ServedStep& step : result.steps) {
     result.total_bytes += step.bytes->size();

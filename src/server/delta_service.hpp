@@ -11,12 +11,12 @@
 //     │          (which also absorbs the build's own parallel fan-out,
 //     │          so total build threads stay bounded), verify the
 //     │          artifact (admit, the service's one gate), insert the cache
-//     └─ response selection: the direct delta is served only while it is
-//        a real win; a drifted history where delta(i, j) approaches the
-//        full image falls back UpgradePlanner-style to the chain of
-//        per-release hops i -> i+1 -> ... -> j (each hop an in-place
-//        delta that every other straggler reuses) or to the full image,
-//        whichever is byte-cheapest.
+//     └─ route choice: cheapest_route() prices the direct delta, the
+//        full image and, once the direct delta stops being a real win on
+//        a drifted history, the chain of per-release hops
+//        i -> i+1 -> ... -> j (each hop an in-place delta that every
+//        other straggler reuses), and serve() ships the cheapest. This
+//        is the one place routes are priced.
 //
 // Every response artifact is an *in-place* delta (or a raw image), so the
 // requesting device needs no scratch space at any hop — the paper's §1
@@ -28,6 +28,7 @@
 
 #include <exception>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,17 +52,27 @@ struct ServiceOptions {
   std::size_t cache_shards = 16;
   /// Build workers; 0 = hardware concurrency.
   std::size_t workers = 0;
-  /// Serve the direct delta while
-  ///     direct_size <= direct_gain_threshold * version_size;
-  /// beyond that the delta stopped pulling its weight and the chain /
-  /// full-image fallbacks are evaluated.
+  /// Price the chain of per-release hops only when
+  ///     direct_size > direct_gain_threshold * version_size;
+  /// below that the direct delta is a real win and no hop is fetched.
   double direct_gain_threshold = 0.5;
-  /// Per-artifact fixed response overhead used when comparing routes
-  /// (mirrors PlannerOptions::per_hop_overhead).
-  std::uint64_t per_hop_overhead = 512;
-  /// Longest per-release chain the fallback will consider building.
-  std::size_t max_chain_hops = 8;
 };
+
+/// Fixed response overhead per artifact, in bytes, added to every
+/// artifact's size when routes are compared.
+inline constexpr std::uint64_t kPerHopOverhead = 512;
+/// Longest per-release chain serve() prices.
+inline constexpr std::size_t kMaxChainHops = 8;
+
+enum class RouteKind { kDirect, kChain, kImage };
+
+/// The cheapest route from its artifact sizes: the direct delta, the
+/// chain of hop deltas (empty when the chain was not priced) and the
+/// target image, each charged kPerHopOverhead per artifact. Ties go to
+/// the chain, then the image, then the direct delta.
+RouteKind cheapest_route(std::uint64_t direct,
+                         std::span<const std::uint64_t> chain_hops,
+                         std::uint64_t image) noexcept;
 
 /// One artifact of a response. `full_image` steps carry the raw release
 /// body; the rest carry in-place deltas for apply_delta_inplace().

@@ -81,9 +81,8 @@ struct StoredRelease {
   std::uint64_t stored_bytes = 0;    ///< artifact payload size
 };
 
-/// One materialized chain edge: the stored in-place delta `from -> to`.
-/// What the rebased UpgradePlanner seeds its route graph with and what
-/// `serve --store-dir` preloads into the DeltaCache.
+/// One materialized chain edge: the stored in-place delta `from -> to`,
+/// which `serve --store-dir` preloads into the DeltaCache.
 struct StoredEdge {
   ReleaseId from = 0;
   ReleaseId to = 0;

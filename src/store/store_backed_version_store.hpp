@@ -9,9 +9,8 @@
 // release do not re-read the disk cache.
 //
 // preload_stored_edges() warms a DeltaService with every delta artifact
-// the store already holds: those chain edges cost the server nothing to
-// serve (the delta exists on disk), which is exactly the asymmetry the
-// rebased UpgradePlanner models with its build-cost penalty.
+// the store already holds, through the service's verified preload(): those
+// chain edges then serve, directly or as hops of a chain, with no build.
 #pragma once
 
 #include <list>

@@ -118,6 +118,10 @@ fi
   || fail "store publish (second process)"
 "$IPDELTA" store list repo.store > store.out || fail "store list"
 grep -q "store: 3 releases" store.out || fail "store list release count"
+grep -q "^recovery: 3 releases" store.out || fail "store list recovery line"
+if grep -q "^ipdelta_store_" store.out; then
+  fail "store list printed another process's counters"
+fi
 "$IPDELTA" store check repo.store > /dev/null || fail "store check"
 "$IPDELTA" store gc repo.store > /dev/null || fail "store gc"
 "$IPDELTA" store check repo.store > /dev/null || fail "store check after gc"
@@ -126,6 +130,8 @@ grep -q "store: 3 releases" store.out || fail "store list release count"
   || fail "serve --store-dir"
 grep -q "all reconstructions verified" serve_store.out \
   || fail "serve --store-dir verify line"
+grep -q "^ipdelta_store_releases_recovered 3$" serve_store.out \
+  || fail "serve --store-dir store counters"
 
 # campaign: a small clean fleet converges (exit 0), JSON mode emits the
 # headline counters, and an undeliverable rollout aborts with exit 2

@@ -9,6 +9,7 @@
 #include "corpus/mutation.hpp"
 #include "inplace/converter.hpp"
 #include "ipdelta.hpp"
+#include "server/delta_service.hpp"
 #include "test_util.hpp"
 
 namespace ipd {
@@ -149,6 +150,43 @@ TEST(Compose, FoldChainMatchesStepwiseCompose) {
   EXPECT_TRUE(
       test::bytes_equal(history.back(), apply_script(folded, history[0])));
   EXPECT_THROW(fold_chain(std::span(hops).first(1)), ValidationError);
+}
+
+TEST(Compose, FoldsServedHopsIntoOneDirectDelta) {
+  // The per-release hops a DeltaService serves fold into one in-place
+  // delta straight from v0 to v5, with no differencing over the ends.
+  Rng rng(10);
+  VersionStore store;
+  std::vector<Bytes> history{
+      generate_file(rng, 40 << 10, FileProfile::kBinary)};
+  MutationModel model;
+  model.length_scale = 48;
+  for (int i = 0; i < 5; ++i) {
+    history.push_back(mutate(history.back(), rng, 25, model));
+  }
+  for (const Bytes& body : history) store.publish(body);
+  DeltaService service(store);
+
+  std::vector<std::shared_ptr<const Bytes>> artifacts;
+  std::vector<ParsedDelta> hops;
+  for (ReleaseId k = 0; k + 1 < history.size(); ++k) {
+    const ServeResult hop = service.serve(k, k + 1);
+    ASSERT_EQ(hop.steps.size(), 1u);
+    ASSERT_FALSE(hop.steps[0].full_image);
+    artifacts.push_back(hop.steps[0].bytes);
+    hops.push_back(parse_delta(*artifacts.back()));
+  }
+  const Bytes folded = make_inplace_delta(fold_chain(hops), history[0],
+                                          history[5]);
+
+  const DeltaHeader header = parse_delta(folded).header;
+  EXPECT_TRUE(header.in_place);
+  EXPECT_EQ(header.reference_length, history[0].size());
+  EXPECT_EQ(header.version_length, history[5].size());
+  Bytes image = history[0];
+  image.resize(std::max(history[0].size(), history[5].size()));
+  const length_t n = apply_delta_inplace(folded, image);
+  EXPECT_TRUE(test::bytes_equal(history[5], ByteView(image).first(n)));
 }
 
 TEST(Compose, SecondMayBeInplaceConverted) {

@@ -1,18 +1,15 @@
-// Publish-while-planning regression for the UpgradePlanner.
-//
-// The planner once borrowed ByteViews of the release bodies; a caller
-// that published (reallocating its history vector) or simply returned
-// while another thread was planning handed the Dijkstra loop dangling
-// views. The planner now owns shared_ptr references, and this suite
-// hammers exactly that interleaving — run it under TSan/ASan via
+// Routing while the history and the cache change underneath: releases
+// published while other threads serve, and verified preloads racing
+// with serves. Run it under TSan/ASan via
 //   IPDELTA_SANITIZE=thread ctest -L stress
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <thread>
 #include <vector>
 
-#include "archive/upgrade_planner.hpp"
+#include "server/delta_service.hpp"
 #include "test_util.hpp"
 
 namespace ipd {
@@ -20,11 +17,11 @@ namespace {
 
 using test::random_bytes;
 
-std::vector<std::shared_ptr<const Bytes>> drifting_history(
-    std::size_t releases, std::uint64_t seed) {
-  std::vector<std::shared_ptr<const Bytes>> history;
+std::vector<Bytes> drifting_history(std::size_t releases,
+                                    std::uint64_t seed) {
+  std::vector<Bytes> history;
   Bytes body = random_bytes(seed, 8 << 10);
-  history.push_back(std::make_shared<const Bytes>(body));
+  history.push_back(body);
   for (std::size_t i = 1; i < releases; ++i) {
     Rng rng(seed + i * 7919);
     for (int edit = 0; edit < 4; ++edit) {
@@ -33,120 +30,87 @@ std::vector<std::shared_ptr<const Bytes>> drifting_history(
         body[at + b] = static_cast<std::uint8_t>(rng.next());
       }
     }
-    history.push_back(std::make_shared<const Bytes>(body));
+    history.push_back(body);
   }
   return history;
 }
 
-TEST(PlannerConcurrency, PublishWhilePlanning) {
-  auto history = drifting_history(10, 42);
-  UpgradePlanner planner(
-      std::vector<std::shared_ptr<const Bytes>>(history.begin(),
-                                                history.begin() + 6));
+TEST(ServeConcurrency, PublishWhileServing) {
+  const auto history = drifting_history(10, 42);
+  VersionStore store;
+  for (std::size_t i = 0; i < 6; ++i) store.publish(history[i]);
+  DeltaService service(store);
 
-  // Publisher: appends the remaining releases while planners run.
+  // Publisher: appends the remaining releases while requests run.
   std::thread publisher([&] {
     for (std::size_t i = 6; i < history.size(); ++i) {
-      planner.append_release(history[i]);
+      store.publish(history[i]);
       std::this_thread::yield();
     }
   });
 
-  // Planners: route, execute, and fold over the stable prefix while the
+  // Requesters: route and apply over the stable prefix while the
   // history grows underneath them.
-  std::vector<std::thread> planners;
+  std::vector<std::thread> requesters;
   for (int t = 0; t < 3; ++t) {
-    planners.emplace_back([&, t] {
+    requesters.emplace_back([&, t] {
       for (int round = 0; round < 4; ++round) {
-        const std::size_t to = 3 + static_cast<std::size_t>(t) % 3;
-        const UpgradePlan plan = planner.plan(0, to);
-        Bytes image = *history[0];
-        planner.execute(plan, image);
-        EXPECT_EQ(image, *history[to]) << "t" << t << " round " << round;
-        const Bytes folded = planner.fold_plan(plan);
-        EXPECT_FALSE(folded.empty());
+        const ReleaseId to = 3 + static_cast<ReleaseId>(t) % 3;
+        const ServeResult result = service.serve(0, to);
+        EXPECT_EQ(apply_served(result, history[0]), history[to])
+            << "t" << t << " round " << round;
       }
     });
   }
   publisher.join();
-  for (std::thread& thread : planners) thread.join();
+  for (std::thread& thread : requesters) thread.join();
 
-  // The appended tail is immediately plannable.
-  ASSERT_EQ(planner.release_count(), history.size());
-  Bytes image = *history[0];
-  planner.execute(planner.plan(0, history.size() - 1), image);
-  EXPECT_EQ(image, *history.back());
+  // The appended tail is immediately servable.
+  ASSERT_EQ(store.release_count(), history.size());
+  const ReleaseId last = history.size() - 1;
+  EXPECT_EQ(apply_served(service.serve(0, last), history[0]), history.back());
 }
 
-TEST(PlannerConcurrency, CallerHistoryCanDieMidPlan) {
-  // The original hazard, concurrently: construct from views, destroy the
-  // backing vector, then plan from several threads at once.
-  std::unique_ptr<UpgradePlanner> planner;
-  Bytes first;
-  Bytes last;
-  {
-    std::vector<Bytes> bodies;
-    Bytes body = random_bytes(7, 8 << 10);
-    for (std::size_t i = 0; i < 6; ++i) {
-      bodies.push_back(body);
-      Rng rng(100 + i);
-      for (int e = 0; e < 4; ++e) {
-        const std::size_t at = rng.below(body.size() - 32);
-        for (std::size_t b = 0; b < 32; ++b) {
-          body[at + b] = static_cast<std::uint8_t>(rng.next());
-        }
-      }
-    }
-    first = bodies.front();
-    last = bodies.back();
-    std::vector<ByteView> views(bodies.begin(), bodies.end());
-    planner = std::make_unique<UpgradePlanner>(views);
-  }  // bodies destroyed; the planner's copies must be independent
+TEST(ServeConcurrency, ConcurrentPreloadAndServe) {
+  const auto history = drifting_history(8, 1234);
+  VersionStore store;
+  for (const Bytes& body : history) store.publish(body);
+  DeltaService service(store);
 
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      const UpgradePlan plan = planner->plan(0, 5);
-      Bytes image = first;
-      planner->execute(plan, image);
-      EXPECT_EQ(image, last);
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-}
-
-TEST(PlannerConcurrency, ConcurrentSeedAndPlan) {
-  auto history = drifting_history(8, 1234);
-  PlannerOptions options;
-  options.build_cost_penalty = 64 << 10;
-  UpgradePlanner planner(history, options);
-
-  // Pre-serialize the adjacent-hop deltas to seed from another thread.
+  // Pre-serialize the adjacent-hop deltas to preload from another thread.
   std::vector<Bytes> artifacts;
   for (std::size_t i = 0; i + 1 < history.size(); ++i) {
     artifacts.push_back(
-        Pipeline().build_inplace(*history[i], *history[i + 1]).delta);
+        Pipeline().build_inplace(history[i], history[i + 1]).delta);
   }
 
-  std::thread seeder([&] {
+  std::atomic<int> refused{0};
+  std::thread preloader([&] {
     for (std::size_t i = 0; i + 1 < history.size(); ++i) {
-      planner.seed_edge(i, i + 1, artifacts[i]);
+      if (!service.preload(i, i + 1, artifacts[i])) ++refused;
     }
   });
-  std::vector<std::thread> planners;
+  std::vector<std::thread> requesters;
   for (int t = 0; t < 2; ++t) {
-    planners.emplace_back([&] {
+    requesters.emplace_back([&] {
       for (int round = 0; round < 3; ++round) {
-        Bytes image = *history[0];
-        planner.execute(planner.plan(0, history.size() - 1), image);
-        EXPECT_EQ(image, *history.back());
+        const ReleaseId last = history.size() - 1;
+        EXPECT_EQ(apply_served(service.serve(0, last), history[0]),
+                  history.back());
+        EXPECT_EQ(apply_served(service.serve(round, round + 1),
+                               history[round]),
+                  history[round + 1]);
       }
     });
   }
-  seeder.join();
-  for (std::thread& thread : planners) thread.join();
+  preloader.join();
+  for (std::thread& thread : requesters) thread.join();
+
+  // Every verified preload was admitted, and each hop now serves from
+  // the cache.
+  EXPECT_EQ(refused.load(), 0);
   for (std::size_t i = 0; i + 1 < history.size(); ++i) {
-    EXPECT_TRUE(planner.materialized(i, i + 1));
+    EXPECT_TRUE(service.serve(i, i + 1).cache_hit) << i;
   }
 }
 

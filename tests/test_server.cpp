@@ -403,28 +403,8 @@ TEST(DeltaService, ApplyServedRejectsEmptyResult) {
 // of every artifact, then the route counters, so a change to how routes
 // are priced shows up here before any wire or store test.
 
-/// Release k+1 rewrites one byte in every 1536-byte block, at offset
-/// k * (1536 / (releases - 1)) within it. With matches shorter than
-/// kLongMatch not worth a copy, a hop still copies nearly everything,
-/// while release 0 and the last release share no kLongMatch run, so the
-/// direct delta copies nothing and the chain of hops is far cheaper.
-constexpr std::size_t kLongMatch = 256;
-
-std::vector<Bytes> interleaved_history(std::size_t releases,
-                                       std::uint64_t seed) {
-  constexpr std::size_t kBlock = 1536;
-  const std::size_t stride = kBlock / (releases - 1);
-  Rng rng(seed);
-  std::vector<Bytes> history{test::random_bytes(seed, 24 << 10)};
-  for (std::size_t k = 0; k + 1 < releases; ++k) {
-    Bytes next = history.back();
-    for (std::size_t at = k * stride; at < next.size(); at += kBlock) {
-      next[at] ^= static_cast<std::uint8_t>(rng.next() | 1);
-    }
-    history.push_back(std::move(next));
-  }
-  return history;
-}
+using test::interleaved_history;
+using test::kLongMatch;
 
 /// "from->to delta|image <fnv1a>; " per step, then the route counters
 /// and the build count.
@@ -528,6 +508,22 @@ TEST(RoutePin, RequestLongerThanTheChainLimitIsNotChained) {
             "6->7 delta cdcf87d413accaad; "
             "7->8 delta 2dd0dc7295660b65; "
             "deltas 0 chains 1 images 0 builds 9");
+}
+
+TEST(CheapestRoute, TiesGoToTheChainThenTheImageThenTheDirectDelta) {
+  // Two 100-byte hops cost 2 * (100 + overhead); a direct delta or image
+  // of `tie` bytes costs exactly the same.
+  const std::vector<std::uint64_t> hops{100, 100};
+  const std::uint64_t tie = 200 + kPerHopOverhead;
+  EXPECT_EQ(cheapest_route(tie, hops, tie), RouteKind::kChain);
+  EXPECT_EQ(cheapest_route(tie - 1, hops, tie), RouteKind::kDirect);
+  EXPECT_EQ(cheapest_route(tie, hops, tie - 1), RouteKind::kImage);
+  // With the chain unpriced, a delta as large as the image ships as the
+  // image; one byte smaller, it ships as the delta.
+  EXPECT_EQ(cheapest_route(tie, {}, tie), RouteKind::kImage);
+  EXPECT_EQ(cheapest_route(tie - 1, {}, tie), RouteKind::kDirect);
+  // An empty chain is unpriced, never a free route.
+  EXPECT_EQ(cheapest_route(1, {}, 2), RouteKind::kDirect);
 }
 
 }  // namespace

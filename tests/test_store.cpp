@@ -1,12 +1,11 @@
 // Durable artifact store (src/store/): chain policy, record log, publish
 // and reconstruct round trips, reopen/restart byte-identity, the
-// VersionStore adapter, and the store-seeded UpgradePlanner.
+// VersionStore adapter, and stored edges warming a DeltaService.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <unistd.h>
 
-#include "archive/upgrade_planner.hpp"
 #include "core/checksum.hpp"
 #include "server/delta_service.hpp"
 #include "store/artifact_store.hpp"
@@ -378,103 +377,28 @@ TEST_F(StoreTest, AdapterForwardsDuplicateCounter) {
   EXPECT_EQ(store.content_key(0), (ContentKey{crc32c(a), a.size()}));
 }
 
-// ---- store-seeded planner --------------------------------------------
+// ---- stored edges warm the service -----------------------------------
 
-TEST_F(StoreTest, PlannerSeedsFromStoredEdges) {
+TEST_F(StoreTest, PreloadedStoredEdgesServeWithoutBuilds) {
   ArtifactStore::init(dir_);
-  ArtifactStore store(dir_);
   const std::vector<Bytes> history = make_history(6);
-  std::vector<std::shared_ptr<const Bytes>> bodies;
-  for (const Bytes& body : history) {
-    store.publish(body);
-    bodies.push_back(std::make_shared<const Bytes>(body));
-  }
+  auto artifacts = std::make_shared<ArtifactStore>(dir_);
+  for (const Bytes& body : history) artifacts->publish(body);
+  StoreBackedVersionStore store(artifacts);
+  DeltaService service(store);
+  const std::vector<StoredEdge> edges = artifacts->stored_edges();
+  ASSERT_FALSE(edges.empty());
+  EXPECT_EQ(preload_stored_edges(*artifacts, service), edges.size());
 
-  PlannerOptions options;
-  options.build_cost_penalty = 1 << 20;  // un-built edges are expensive
-  UpgradePlanner planner(bodies, options);
-  for (const StoredEdge& edge : store.stored_edges()) {
-    planner.seed_edge(edge.from, edge.to, store.stored_artifact(edge.to));
-    EXPECT_TRUE(planner.materialized(edge.from, edge.to));
+  // Every stored edge passed the service's verifier on the way in, so
+  // serving it is a cache hit: no differencing pass runs.
+  for (const StoredEdge& edge : edges) {
+    const ServeResult result = service.serve(edge.from, edge.to);
+    EXPECT_TRUE(result.cache_hit) << edge.from << " -> " << edge.to;
+    EXPECT_TRUE(test::bytes_equal(history[edge.to],
+                                  apply_served(result, history[edge.from])));
   }
-  const std::size_t built_before = planner.deltas_built();
-
-  // With materialized chain hops free and fresh builds penalized a MiB,
-  // the cheapest route 0 -> 5 is the stored chain: no new deltas built.
-  const UpgradePlan plan = planner.plan(0, 5);
-  EXPECT_EQ(planner.deltas_built(), built_before);
-  for (const UpgradeStep& step : plan.steps) {
-    EXPECT_FALSE(step.full_image);
-    EXPECT_TRUE(planner.materialized(step.from, step.to));
-  }
-  Bytes image = history[0];
-  planner.execute(plan, image);
-  EXPECT_TRUE(test::bytes_equal(history[5], image));
-}
-
-TEST_F(StoreTest, PlannerRejectsMismatchedSeed) {
-  const std::vector<Bytes> history = make_history(3);
-  std::vector<std::shared_ptr<const Bytes>> bodies;
-  for (const Bytes& body : history) {
-    bodies.push_back(std::make_shared<const Bytes>(body));
-  }
-  UpgradePlanner planner(bodies);
-  // A delta for 0 -> 2 offered as the 0 -> 1 edge: endpoint mismatch.
-  const Bytes wrong = Pipeline().build_inplace(history[0], history[2]).delta;
-  EXPECT_THROW(planner.seed_edge(0, 1, wrong), ValidationError);
-  EXPECT_THROW(planner.seed_edge(0, 1, random_bytes(1, 64)),
-               ValidationError);
-  EXPECT_FALSE(planner.materialized(0, 1));
-}
-
-TEST_F(StoreTest, PlannerPrebuildMarksMaterialized) {
-  const std::vector<Bytes> history = make_history(3);
-  std::vector<std::shared_ptr<const Bytes>> bodies;
-  for (const Bytes& body : history) {
-    bodies.push_back(std::make_shared<const Bytes>(body));
-  }
-  UpgradePlanner planner(bodies);
-  EXPECT_FALSE(planner.materialized(0, 1));
-  const std::uint64_t bytes = planner.prebuild(0, 1);
-  EXPECT_GT(bytes, 0u);
-  EXPECT_TRUE(planner.materialized(0, 1));
-  EXPECT_EQ(planner.deltas_built(), 1u);
-}
-
-TEST_F(StoreTest, PlannerOwnsBodiesBeyondCallerScope) {
-  // The regression the shared_ptr rebase fixes: the caller's history
-  // vanishes, the planner keeps planning.
-  std::unique_ptr<UpgradePlanner> planner;
-  Bytes first_body;
-  Bytes last_body;
-  {
-    const std::vector<Bytes> history = make_history(4);
-    first_body = history.front();
-    last_body = history.back();
-    std::vector<ByteView> views(history.begin(), history.end());
-    planner = std::make_unique<UpgradePlanner>(views);
-  }  // history destroyed — views dangle, owned copies must not
-  const UpgradePlan plan = planner->plan(0, 3);
-  EXPECT_FALSE(plan.steps.empty());
-  Bytes image = first_body;
-  planner->execute(plan, image);
-  EXPECT_TRUE(test::bytes_equal(last_body, image));
-}
-
-TEST_F(StoreTest, PlannerAppendReleaseExtendsHistory) {
-  const std::vector<Bytes> history = make_history(4);
-  std::vector<std::shared_ptr<const Bytes>> bodies;
-  for (std::size_t i = 0; i < 3; ++i) {
-    bodies.push_back(std::make_shared<const Bytes>(history[i]));
-  }
-  UpgradePlanner planner(bodies);
-  EXPECT_EQ(planner.release_count(), 3u);
-  const std::size_t id =
-      planner.append_release(std::make_shared<const Bytes>(history[3]));
-  EXPECT_EQ(id, 3u);
-  Bytes image = history[0];
-  planner.execute(planner.plan(0, 3), image);
-  EXPECT_TRUE(test::bytes_equal(history[3], image));
+  EXPECT_EQ(service.metrics().builds.load(), 0u);
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
-#include "archive/upgrade_planner.hpp"
-
+// Upgrade routes across a release history, as DeltaService::serve picks
+// them with cheapest_route(): a served route is never worse than the
+// direct delta or the image, it chains the per-release hops when the
+// direct delta is bloated, its steps are contiguous and each applies on
+// its own, and concurrent requests build each edge once.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,10 +10,14 @@
 
 #include "corpus/generator.hpp"
 #include "corpus/mutation.hpp"
+#include "server/delta_service.hpp"
 #include "test_util.hpp"
 
 namespace ipd {
 namespace {
+
+using test::interleaved_history;
+using test::kLongMatch;
 
 /// A drifting release history: consecutive releases differ a little,
 /// distant ones a lot.
@@ -27,223 +34,150 @@ std::vector<Bytes> make_history(std::size_t releases, std::uint64_t seed,
   return history;
 }
 
-std::vector<ByteView> views(const std::vector<Bytes>& history) {
-  return std::vector<ByteView>(history.begin(), history.end());
+void publish_all(VersionStore& store, const std::vector<Bytes>& history) {
+  for (const Bytes& body : history) store.publish(body);
 }
 
-TEST(UpgradePlanner, AdjacentUpgradeIsOneStep) {
+/// Options under which interleaved_history() serves a chain.
+ServiceOptions chain_options() {
+  ServiceOptions options;
+  options.direct_gain_threshold = 0.1;
+  options.pipeline.differ_options.min_match = kLongMatch;
+  return options;
+}
+
+/// What the response costs under cheapest_route()'s pricing.
+std::uint64_t route_cost(const ServeResult& result) {
+  return result.total_bytes + result.steps.size() * kPerHopOverhead;
+}
+
+TEST(Route, AdjacentUpgradeIsOneDeltaStep) {
   const auto history = make_history(3, 1);
-  UpgradePlanner planner(views(history));
-  const UpgradePlan plan = planner.plan(0, 1);
-  ASSERT_EQ(plan.steps.size(), 1u);
-  EXPECT_EQ(plan.steps[0].from, 0u);
-  EXPECT_EQ(plan.steps[0].to, 1u);
-  EXPECT_FALSE(plan.steps[0].full_image);
-  EXPECT_EQ(plan.total_bytes, plan.steps[0].bytes);
+  VersionStore store;
+  publish_all(store, history);
+  DeltaService service(store);
+  const ServeResult result = service.serve(0, 1);
+  ASSERT_EQ(result.steps.size(), 1u);
+  EXPECT_EQ(result.steps[0].from, 0u);
+  EXPECT_EQ(result.steps[0].to, 1u);
+  EXPECT_FALSE(result.steps[0].full_image);
+  EXPECT_EQ(result.total_bytes, result.steps[0].bytes->size());
 }
 
-TEST(UpgradePlanner, ExecuteReachesTarget) {
+TEST(Route, ServedResponseReachesTarget) {
   const auto history = make_history(6, 2);
-  UpgradePlanner planner(views(history));
-  for (const std::size_t from : {0ul, 2ul, 4ul}) {
-    const UpgradePlan plan = planner.plan(from, 5);
-    Bytes image = history[from];
-    planner.execute(plan, image);
-    EXPECT_TRUE(test::bytes_equal(history[5], image)) << "from " << from;
+  VersionStore store;
+  publish_all(store, history);
+  DeltaService service(store);
+  for (const ReleaseId from : {0u, 2u, 4u}) {
+    const ServeResult result = service.serve(from, 5);
+    EXPECT_TRUE(
+        test::bytes_equal(history[5], apply_served(result, history[from])))
+        << "from " << from;
   }
 }
 
-TEST(UpgradePlanner, StepsChainContiguously) {
-  const auto history = make_history(8, 3);
-  UpgradePlanner planner(views(history));
-  const UpgradePlan plan = planner.plan(0, 7);
-  ASSERT_FALSE(plan.steps.empty());
-  EXPECT_EQ(plan.steps.front().from, 0u);
-  EXPECT_EQ(plan.steps.back().to, 7u);
-  for (std::size_t i = 1; i < plan.steps.size(); ++i) {
-    EXPECT_EQ(plan.steps[i].from, plan.steps[i - 1].to);
-  }
-}
-
-TEST(UpgradePlanner, NeverWorseThanDirectDelta) {
-  const auto history = make_history(7, 4, /*edits_per_release=*/60);
-  PlannerOptions options;
-  options.max_hop_span = 6;  // direct 0->6 is a candidate edge
-  UpgradePlanner planner(views(history), options);
-  const UpgradePlan plan = planner.plan(0, 6);
-
-  const Bytes direct = Pipeline().build_inplace(history[0], history[6]).delta;
-  EXPECT_LE(plan.total_bytes,
-            direct.size() + 7 * options.per_hop_overhead);
-}
-
-TEST(UpgradePlanner, NeverWorseThanFullImage) {
-  // Completely unrelated "releases": every delta is ~file size, so the
-  // plan must fall back to the full image (single hop).
-  std::vector<Bytes> history;
+TEST(Route, NeverWorseThanDirectDeltaOrImage) {
+  struct Case {
+    std::vector<Bytes> history;
+    ServiceOptions options;
+  };
+  std::vector<Case> cases;
+  cases.push_back({make_history(7, 4, /*edits_per_release=*/60), {}});
+  cases.push_back({make_history(7, 4, /*edits_per_release=*/60),
+                   ServiceOptions{.direct_gain_threshold = 0.1}});
+  cases.push_back({interleaved_history(7, 5), chain_options()});
+  // Unrelated releases: every delta is about the file size.
+  std::vector<Bytes> unrelated;
   for (int i = 0; i < 4; ++i) {
-    history.push_back(test::random_bytes(100 + i, 30000));
+    unrelated.push_back(test::random_bytes(100 + i, 30000));
   }
-  UpgradePlanner planner(views(history));
-  const UpgradePlan plan = planner.plan(0, 3);
-  EXPECT_LE(plan.total_bytes, history[3].size() + 3 * 512);
-  Bytes image = history[0];
-  planner.execute(plan, image);
-  EXPECT_TRUE(test::bytes_equal(history[3], image));
-}
+  cases.push_back({std::move(unrelated), {}});
 
-TEST(UpgradePlanner, DeltaCacheIsLazyAndShared) {
-  const auto history = make_history(10, 5);
-  PlannerOptions options;
-  options.max_hop_span = 2;
-  UpgradePlanner planner(views(history), options);
-  EXPECT_EQ(planner.deltas_built(), 0u);
-  planner.plan(0, 3);
-  const std::size_t after_first = planner.deltas_built();
-  EXPECT_GT(after_first, 0u);
-  // Bounded by the span-limited edge set, far below all O(n^2) pairs.
-  EXPECT_LE(after_first, 2u * 4u);
-  planner.plan(0, 3);  // fully cached
-  EXPECT_EQ(planner.deltas_built(), after_first);
-}
-
-TEST(UpgradePlanner, HopSpanLimitsEdges) {
-  const auto history = make_history(6, 6);
-  PlannerOptions options;
-  options.max_hop_span = 1;
-  UpgradePlanner planner(views(history), options);
-  const UpgradePlan plan = planner.plan(0, 5);
-  // Either 5 adjacent hops or a full-image shortcut; never a span-2 delta.
-  for (const UpgradeStep& step : plan.steps) {
-    EXPECT_TRUE(step.full_image || step.to - step.from == 1);
-  }
-  Bytes image = history[0];
-  planner.execute(plan, image);
-  EXPECT_TRUE(test::bytes_equal(history[5], image));
-}
-
-TEST(UpgradePlanner, StepArtifactsApplyIndividually) {
-  const auto history = make_history(4, 7);
-  UpgradePlanner planner(views(history));
-  const UpgradePlan plan = planner.plan(1, 3);
-  Bytes image = history[1];
-  for (const UpgradeStep& step : plan.steps) {
-    const Bytes artifact = planner.step_artifact(step);
-    if (step.full_image) {
-      image = artifact;
-    } else {
-      image.resize(std::max(image.size(), history[step.to].size()));
-      const length_t n = apply_delta_inplace(artifact, image);
-      image.resize(static_cast<std::size_t>(n));
+  for (const Case& c : cases) {
+    VersionStore store;
+    publish_all(store, c.history);
+    DeltaService service(store, c.options);
+    const Pipeline pipeline(c.options.pipeline);
+    const ReleaseId last = c.history.size() - 1;
+    for (ReleaseId from = 0; from < last; ++from) {
+      const ServeResult result = service.serve(from, last);
+      const std::uint64_t direct =
+          pipeline.build_inplace(c.history[from], c.history[last])
+              .delta.size();
+      EXPECT_LE(route_cost(result), direct + kPerHopOverhead)
+          << "from " << from;
+      EXPECT_LE(route_cost(result), c.history[last].size() + kPerHopOverhead)
+          << "from " << from;
+      EXPECT_TRUE(test::bytes_equal(c.history[last],
+                                    apply_served(result, c.history[from])));
     }
   }
-  EXPECT_TRUE(test::bytes_equal(history[3], image));
 }
 
-TEST(UpgradePlanner, FoldPlanMintsOneDirectDelta) {
-  const auto history = make_history(6, 10);
-  PlannerOptions options;
-  options.max_hop_span = 1;  // force a genuine multi-hop chain
-  UpgradePlanner planner(views(history), options);
-  const UpgradePlan plan = planner.plan(0, 5);
+TEST(Route, PicksChainWhenDirectDeltaIsBloated) {
+  const auto history = interleaved_history(7, 9);
+  VersionStore store;
+  publish_all(store, history);
+  const ServiceOptions options = chain_options();
+  DeltaService service(store, options);
+  const ServeResult result = service.serve(0, 6);
 
-  const Bytes folded = planner.fold_plan(plan);
-  if (plan.steps.size() > 1 && !plan.steps.back().full_image) {
-    // A real fold: one in-place delta straight from v0 to v5.
-    const DeltaHeader parsed = parse_delta(folded).header;
-    EXPECT_TRUE(parsed.in_place);
-    EXPECT_EQ(parsed.reference_length, history[0].size());
-    EXPECT_EQ(parsed.version_length, history[5].size());
-    Bytes image = history[0];
-    image.resize(std::max(history[0].size(), history[5].size()));
-    const length_t n = apply_delta_inplace(folded, image);
-    EXPECT_TRUE(
-        test::bytes_equal(history[5], ByteView(image).first(n)));
-  }
-}
+  EXPECT_EQ(service.metrics().chains_served.load(), 1u);
+  const Bytes direct =
+      Pipeline(options.pipeline).build_inplace(history[0], history[6]).delta;
+  EXPECT_LT(route_cost(result), direct.size() + kPerHopOverhead);
 
-TEST(UpgradePlanner, FoldPlanSingleHopReturnsThatDelta) {
-  const auto history = make_history(3, 11);
-  UpgradePlanner planner(views(history));
-  const UpgradePlan plan = planner.plan(1, 2);
-  ASSERT_EQ(plan.steps.size(), 1u);
-  const Bytes folded = planner.fold_plan(plan);
-  EXPECT_EQ(folded, planner.step_artifact(plan.steps[0]));
-}
-
-TEST(UpgradePlanner, FoldPlanRejectsEmptyPlan) {
-  const auto history = make_history(2, 12);
-  UpgradePlanner planner(views(history));
-  EXPECT_THROW(planner.fold_plan(UpgradePlan{}), ValidationError);
-}
-
-TEST(UpgradePlanner, RejectsBadArguments) {
-  const auto history = make_history(3, 8);
-  UpgradePlanner planner(views(history));
-  EXPECT_THROW(planner.plan(1, 1), ValidationError);
-  EXPECT_THROW(planner.plan(2, 1), ValidationError);
-  EXPECT_THROW(planner.plan(0, 3), ValidationError);
-  PlannerOptions bad;
-  bad.max_hop_span = 0;
-  EXPECT_THROW(UpgradePlanner(views(history), bad), ValidationError);
-}
-
-TEST(UpgradePlanner, PicksChainWhenDirectDeltaIsBloated) {
-  // Drift hard: after 6 heavy releases the direct delta is much larger
-  // than the sum of adjacent deltas... verify the planner notices
-  // whichever is cheaper and executes correctly either way.
-  const auto history = make_history(7, 9, /*edits_per_release=*/120);
-  PlannerOptions options;
-  options.max_hop_span = 6;
-  UpgradePlanner planner(views(history), options);
-  const UpgradePlan plan = planner.plan(0, 6);
-
-  std::uint64_t adjacent_total = 0;
-  for (std::size_t i = 0; i < 6; ++i) {
-    adjacent_total +=
-        Pipeline().build_inplace(history[i], history[i + 1]).delta.size() +
-        options.per_hop_overhead;
-  }
-  EXPECT_LE(plan.total_bytes, adjacent_total);
-
+  // Contiguous single hops from 0 to 6, each applying on its own.
+  ASSERT_EQ(result.steps.size(), 6u);
   Bytes image = history[0];
-  planner.execute(plan, image);
-  EXPECT_TRUE(test::bytes_equal(history[6], image));
+  for (std::size_t i = 0; i < result.steps.size(); ++i) {
+    const ServedStep& step = result.steps[i];
+    EXPECT_EQ(step.from, i);
+    EXPECT_EQ(step.to, i + 1);
+    ASSERT_FALSE(step.full_image);
+    image.resize(std::max(image.size(), history[step.to].size()));
+    const length_t n = apply_delta_inplace(*step.bytes, image);
+    image.resize(static_cast<std::size_t>(n));
+    EXPECT_TRUE(test::bytes_equal(history[step.to], image)) << "hop " << i;
+  }
 }
 
-TEST(UpgradePlanner, ConcurrentPlansAreSafeAndBuildEachEdgeOnce) {
-  // Regression test for the planner's lazy edge cache: the delta
-  // distribution service shares one planner across request threads, so
-  // concurrent plan() + execute() must neither race on the cache map nor
-  // build an edge twice.
-  const auto history = make_history(8, 13);
-  UpgradePlanner serial(views(history));
-  const UpgradePlan expected = serial.plan(0, 7);
-  const std::size_t serial_builds = serial.deltas_built();
+TEST(Route, ConcurrentServesAreSafeAndBuildEachEdgeOnce) {
+  // Eight threads request one chain-routed upgrade at once: singleflight
+  // and the DeltaCache must hand every thread the serial service's route
+  // while building each edge exactly once.
+  const auto history = interleaved_history(8, 13);
+  VersionStore store;
+  publish_all(store, history);
+  const ServiceOptions options = chain_options();
+  DeltaService serial(store, options);
+  const ServeResult expected = serial.serve(0, 7);
+  ASSERT_GT(expected.steps.size(), 1u);
+  const std::uint64_t serial_builds = serial.metrics().builds.load();
 
-  UpgradePlanner planner(views(history));
+  DeltaService service(store, options);
   constexpr int kThreads = 8;
-  std::vector<UpgradePlan> plans(kThreads);
-  std::atomic<int> bad_executions{0};
+  std::vector<ServeResult> results(kThreads);
+  std::atomic<int> bad_applies{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      plans[t] = planner.plan(0, 7);
-      Bytes image = history[0];
-      planner.execute(plans[t], image);
-      if (image != history[7]) ++bad_executions;
+      results[t] = service.serve(0, 7);
+      if (apply_served(results[t], history[0]) != history[7]) ++bad_applies;
     });
   }
   for (auto& thread : threads) thread.join();
 
-  EXPECT_EQ(bad_executions.load(), 0);
-  for (const UpgradePlan& plan : plans) {
-    ASSERT_EQ(plan.steps.size(), expected.steps.size());
-    EXPECT_EQ(plan.total_bytes, expected.total_bytes);
+  EXPECT_EQ(bad_applies.load(), 0);
+  for (const ServeResult& result : results) {
+    ASSERT_EQ(result.steps.size(), expected.steps.size());
+    for (std::size_t i = 0; i < result.steps.size(); ++i) {
+      EXPECT_TRUE(test::bytes_equal(*expected.steps[i].bytes,
+                                    *result.steps[i].bytes));
+    }
   }
-  // The shared lazy cache built exactly the serial planner's edge set —
-  // once — despite eight threads racing to fill it.
-  EXPECT_EQ(planner.deltas_built(), serial_builds);
+  EXPECT_EQ(service.metrics().builds.load(), serial_builds);
 }
 
 }  // namespace

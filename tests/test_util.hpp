@@ -42,6 +42,31 @@ inline std::uint64_t fnv1a(ByteView bytes) {
   return h;
 }
 
+/// A differ min_match under which interleaved_history() defeats the
+/// direct delta.
+inline constexpr std::size_t kLongMatch = 256;
+
+/// Release k+1 rewrites one byte in every 1536-byte block, at offset
+/// k * (1536 / (releases - 1)) within it. Built with a differ whose
+/// min_match is kLongMatch, a hop still copies nearly everything, while
+/// release 0 and the last release share no kLongMatch run, so the direct
+/// delta copies nothing and the chain of hops is far cheaper.
+inline std::vector<Bytes> interleaved_history(std::size_t releases,
+                                       std::uint64_t seed) {
+  constexpr std::size_t kBlock = 1536;
+  const std::size_t stride = kBlock / (releases - 1);
+  Rng rng(seed);
+  std::vector<Bytes> history{random_bytes(seed, 24 << 10)};
+  for (std::size_t k = 0; k + 1 < releases; ++k) {
+    Bytes next = history.back();
+    for (std::size_t at = k * stride; at < next.size(); at += kBlock) {
+      next[at] ^= static_cast<std::uint8_t>(rng.next() | 1);
+    }
+    history.push_back(std::move(next));
+  }
+  return history;
+}
+
 /// One hand-written command: a copy, or an add with its own bytes.
 struct Fixture {
   CommandRef row;  ///< the add's `literal` is set when it joins a Script
