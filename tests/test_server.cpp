@@ -518,6 +518,7 @@ TEST(CheapestRoute, TiesGoToTheChainThenTheImageThenTheDirectDelta) {
   EXPECT_EQ(cheapest_route(tie, hops, tie), RouteKind::kChain);
   EXPECT_EQ(cheapest_route(tie - 1, hops, tie), RouteKind::kDirect);
   EXPECT_EQ(cheapest_route(tie, hops, tie - 1), RouteKind::kImage);
+  EXPECT_EQ(cheapest_route(tie - 1, hops, tie - 1), RouteKind::kImage);
   // With the chain unpriced, a delta as large as the image ships as the
   // image; one byte smaller, it ships as the delta.
   EXPECT_EQ(cheapest_route(tie, {}, tie), RouteKind::kImage);
