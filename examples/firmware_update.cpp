@@ -3,14 +3,16 @@
 // A set-top-box-class device holds firmware v1 in flash, has a few KiB of
 // RAM, and hangs off a slow link. The server diffs v1 -> v2, converts the
 // delta for in-place reconstruction, and ships it; the device rebuilds v2
-// in the flash pages v1 occupies, inside its RAM budget.
+// in the flash pages v1 occupies, inside its RAM budget, under a power-cut
+// journal kept in a spare flash region behind the image.
 //
 // Run:  ./examples/firmware_update
+#include <algorithm>
 #include <cstdio>
 
 #include "corpus/generator.hpp"
 #include "corpus/mutation.hpp"
-#include "device/updater.hpp"
+#include "device/resumable_updater.hpp"
 #include "ipdelta.hpp"
 
 int main() {
@@ -53,28 +55,42 @@ int main() {
   }
 
   // -- device side: apply inside the RAM budget ----------------------------
-  // The device stages the delta and holds its parsed command table.
-  const std::size_t ram_budget =
-      delta.size() + parse_delta(delta).table_bytes() + (8 << 10);
-  FlashDevice device(/*storage=*/256 << 10, /*page=*/4096, ram_budget);
-  device.load_image(v1);
-
+  // 256 KiB of firmware flash, then a 16 KiB journal region. The device
+  // stages the delta and holds its parsed command table, the copy window,
+  // one journal slot and the conflict set (a bit per version byte).
+  const std::size_t page = 4096;
+  const JournalRegion journal{256 << 10, 16 << 10};
   UpdaterOptions updater;
   updater.window_bytes = 4096;
-  const UpdateResult result =
-      apply_update(device, delta, channel_28k(), updater);
+  const std::size_t slot = ApplyJournal::slot_bytes(
+      ApplyJournalOptions{page, updater.window_bytes, 0});
+  const std::size_t ram_budget = delta.size() +
+                                 parse_delta(delta).table_bytes() +
+                                 updater.window_bytes + slot +
+                                 WrittenBytes::storage_bytes(v2.size());
+  FlashDevice device(journal.offset + journal.size, page, ram_budget);
+  device.load_image(v1);
+  clear_journal(device, journal);
+  device.reset_stats();
+
+  const ResumableUpdateResult result =
+      apply_update_resumable(device, delta, channel_28k(), journal, updater);
 
   std::printf(
       "\ndevice update: new image %llu bytes, CRC %s\n"
       "  RAM high-water: %zu bytes (budget %zu)\n"
-      "  flash: %llu bytes written across %llu page touches\n"
+      "  flash: %llu bytes written (image %llu + journal %llu in %zu "
+      "records) across %llu page touches\n"
       "  download over %s: %.1f s\n",
-      static_cast<unsigned long long>(result.new_image_length),
-      result.crc_verified ? "verified" : "NOT verified",
-      result.ram_high_water, ram_budget,
-      static_cast<unsigned long long>(result.storage_bytes_written),
-      static_cast<unsigned long long>(result.storage_pages_written),
-      channel_28k().name.c_str(), result.download_seconds);
+      static_cast<unsigned long long>(result.update.new_image_length),
+      result.update.crc_verified ? "verified" : "NOT verified",
+      result.update.ram_high_water, ram_budget,
+      static_cast<unsigned long long>(result.update.storage_bytes_written),
+      static_cast<unsigned long long>(result.image_bytes_written),
+      static_cast<unsigned long long>(result.journal_bytes_written),
+      result.journal_records,
+      static_cast<unsigned long long>(result.update.storage_pages_written),
+      channel_28k().name.c_str(), result.update.download_seconds);
 
   const bool ok =
       std::equal(v2.begin(), v2.end(), device.inspect().begin());

@@ -8,8 +8,8 @@
 
 namespace ipd {
 
-void apply_script_into(const Script& script, ByteView reference,
-                       MutByteView version) {
+Bytes apply_script(const Script& script, ByteView reference) {
+  Bytes version(script.version_length());
   for (const CommandRef& cmd : script.commands()) {
     if (!range_fits(cmd.to, cmd.length, version.size()) ||
         (!cmd.is_add() &&
@@ -22,11 +22,6 @@ void apply_script_into(const Script& script, ByteView reference,
     std::copy_n(source, cmd.length,
                 version.begin() + static_cast<std::ptrdiff_t>(cmd.to));
   }
-}
-
-Bytes apply_script(const Script& script, ByteView reference) {
-  Bytes version(script.version_length());
-  apply_script_into(script, reference, version);
   return version;
 }
 

@@ -13,11 +13,6 @@ namespace ipd {
 /// Throws ValidationError on out-of-bounds commands.
 Bytes apply_script(const Script& script, ByteView reference);
 
-/// Apply `script` writing into `version` (pre-sized to the version
-/// length): apply_script's body, for callers that own the output.
-void apply_script_into(const Script& script, ByteView reference,
-                       MutByteView version);
-
 /// Decode a serialized delta file and apply it. Verifies the container
 /// checksums and the version CRC; throws FormatError on mismatch.
 Bytes apply_delta(ByteView delta, ByteView reference);

@@ -192,18 +192,4 @@ void ApplyJournal::append(ApplyRecord record) {
   newest_ = std::move(record);
 }
 
-void ApplyJournal::clear() {
-  // Killing the magic is enough to invalidate a slot; zero a whole page
-  // per slot so no prefix of the write can leave the magic intact only
-  // for the CRC to accidentally verify (it can't — but pages are cheap).
-  const std::size_t n = std::min(slot_bytes_, options_.page_size);
-  const MutByteView zeros = scratch_.first(std::max<std::size_t>(n, 4));
-  std::fill(zeros.begin(), zeros.end(), std::uint8_t{0});
-  for (int slot = 0; slot < 2; ++slot) {
-    storage_.write(static_cast<offset_t>(slot) * slot_bytes_, zeros);
-  }
-  newest_.reset();
-  next_seq_ = 0;
-}
-
 }  // namespace ipd

@@ -145,10 +145,6 @@ class ApplyJournal {
   /// append() for an owning record; newest() then holds it in full.
   void append(ApplyRecord record);
 
-  /// Invalidate both slots (start of a fresh artifact, or provisioning).
-  /// After clear() the journal holds no record and seq restarts at 0.
-  void clear();
-
   std::uint64_t records_written() const noexcept { return writes_; }
 
  private:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <string>
 
 namespace ipd {
 
@@ -19,6 +20,21 @@ constexpr std::uint64_t through_bit(offset_t b) noexcept {
 }
 
 }  // namespace
+
+void refuse_inplace_write(WriteRefusal why, const char* who,
+                          std::uint64_t index) {
+  switch (why) {
+    case WriteRefusal::kWritePastVersion:
+      throw ValidationError(std::string(who) + ": command writes past version");
+    case WriteRefusal::kReadPastReference:
+      throw ValidationError(std::string(who) + ": copy reads past reference");
+    case WriteRefusal::kConflict:
+      break;
+  }
+  throw ConflictError(std::string(who) +
+                      ": write-before-read conflict at command " +
+                      std::to_string(index));
+}
 
 WrittenBytes::WrittenBytes(MutByteView storage, length_t limit)
     : words_(storage.first(storage_bytes(limit))), limit_(limit) {

@@ -8,8 +8,9 @@
 // The oracle is the test suite's ground truth: converter output must
 // analyze clean, and deliberately conflicting scripts must not. The
 // streaming appliers check the same condition one command at a time
-// against a WrittenBytes set: one bit per version byte, V/8 bytes of
-// caller-provided storage (the device updaters charge it to RamArena).
+// (admit_inplace_write) against a WrittenBytes set: one bit per version
+// byte, V/8 bytes of caller-provided storage (the device updaters charge
+// it to RamArena).
 // Writes tile the version and each copy reads as many bytes as it
 // writes, so a whole update costs O(n + V/64) word operations. A sorted
 // span array probed at the last-touched span lost to it: release_corpus
@@ -44,12 +45,49 @@ class WrittenBytes {
   /// Mark `range` written. Precondition: range.last < limit.
   void insert(const Interval& range) noexcept;
 
+  /// The end of the set: the version length.
+  length_t limit() const noexcept { return limit_; }
+
  private:
   std::uint64_t word(std::size_t w) const noexcept;
 
   MutByteView words_;
   length_t limit_;
 };
+
+/// Why admit_inplace_write refused a command.
+enum class WriteRefusal { kWritePastVersion, kReadPastReference, kConflict };
+
+/// Throws admit_inplace_write's error for command `index`, naming `who`:
+/// ValidationError for a bound, ConflictError for a conflict. Out of
+/// line, so the gate itself stays small enough to inline.
+[[noreturn]] void refuse_inplace_write(WriteRefusal why, const char* who,
+                                       std::uint64_t index);
+
+/// The gate every streaming in-place applier runs on command `index`
+/// (length >= 1, as the decoder guarantees) before its first write: the
+/// write lies inside the version (written.limit()), a copy reads inside
+/// the reference, and, Equation 2, no copy reads a byte an earlier
+/// command of this run wrote. Throws through refuse_inplace_write;
+/// otherwise marks the write in `written`. Inline: it runs once per
+/// command.
+inline void admit_inplace_write(WrittenBytes& written,
+                                const CommandRef& command,
+                                length_t reference_length, const char* who,
+                                std::uint64_t index) {
+  if (!range_fits(command.to, command.length, written.limit())) {
+    refuse_inplace_write(WriteRefusal::kWritePastVersion, who, index);
+  }
+  if (!command.is_add()) {
+    if (!range_fits(command.from, command.length, reference_length)) {
+      refuse_inplace_write(WriteRefusal::kReadPastReference, who, index);
+    }
+    if (written.intersects(Interval::of(command.from, command.length))) {
+      refuse_inplace_write(WriteRefusal::kConflict, who, index);
+    }
+  }
+  written.insert(Interval::of(command.to, command.length));
+}
 
 struct Conflict {
   std::size_t reader_index;  ///< position of the conflicting copy

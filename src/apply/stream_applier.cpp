@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <string>
 
 #include "core/checksum.hpp"
 
@@ -51,27 +50,15 @@ void StreamingInplaceApplier::feed(ByteView chunk) {
 }
 
 void StreamingInplaceApplier::apply(const CommandRef& command) {
-  if (command.length == 0) return;
-  const DeltaHeader& header = *reader_.header();
-  if (!range_fits(command.to, command.length, header.version_length)) {
-    throw ValidationError("streaming applier: command writes past version");
-  }
+  admit_inplace_write(*written_, command, reader_.header()->reference_length,
+                      "streaming applier", commands_);
   const auto n = static_cast<std::size_t>(command.length);
   if (command.is_add()) {
     std::memcpy(buffer_.data() + command.to, command.literal, n);
   } else {
-    if (!range_fits(command.from, command.length, header.reference_length)) {
-      throw ValidationError("streaming applier: copy reads past reference");
-    }
-    if (written_->intersects(Interval::of(command.from, command.length))) {
-      throw ConflictError(
-          "streaming applier: write-before-read conflict at command " +
-          std::to_string(commands_));
-    }
     std::memmove(buffer_.data() + command.to, buffer_.data() + command.from,
                  n);
   }
-  written_->insert(Interval::of(command.to, command.length));
 }
 
 length_t apply_delta_inplace_streaming(ByteView delta, MutByteView buffer,

@@ -12,8 +12,9 @@
 //
 // The container checks live in StreamingDeltaReader (delta/codec.hpp),
 // which the flash updater runs too; this applier adds the RAM buffer: a
-// memmove or memcpy per command, gated by bounds and a write-before-read
-// check against a WrittenBytes set (V/8 bytes, sized from the header),
+// memmove or memcpy per command, each behind admit_inplace_write
+// (apply/oracle.hpp), the bounds and Equation-2 gate the flash executor
+// runs too, over a WrittenBytes set (V/8 bytes, sized from the header),
 // and the version CRC at the end.
 #pragma once
 

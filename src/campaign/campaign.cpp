@@ -153,7 +153,7 @@ bool run_device(FleetState& fleet, std::size_t index) {
       // forward rule in OtaClient).
       const OtaReport r =
           staged ? client.update_device(device, journal, start, fleet.target,
-                                        channel_28k(), &transfer)
+                                        &transfer)
                  : client.update_device_streaming(device, journal, start,
                                                   fleet.target, o.apply);
       fleet.retries.fetch_add(r.retries, std::memory_order_relaxed);

@@ -52,6 +52,8 @@ class ByteWriter {
   ByteWriter() = default;
 
   std::size_t size() const noexcept { return out_.size(); }
+  /// Pre-size the buffer for `n` bytes in all.
+  void reserve(std::size_t n) { out_.reserve(n); }
 
   void write_u8(std::uint8_t v);
   void write_u16le(std::uint16_t v);

@@ -8,16 +8,10 @@
 namespace ipd {
 
 void clear_journal(FlashDevice& device, const JournalRegion& journal) {
-  // Invalidate both slots of the largest journal that could live here:
-  // a record's magic sits at its slot's first byte, so zeroing the first
-  // page of each half kills any record regardless of the layout in use.
-  const std::size_t page = std::max<std::size_t>(device.page_size(), 4);
-  const std::size_t half = journal.size / 2;
-  const Bytes zeros(std::min(page, journal.size), 0);
-  device.write(journal.offset, zeros);
-  if (half >= zeros.size()) {
-    device.write(journal.offset + half, zeros);
-  }
+  // Every layout puts its slots at the front of the region, but their
+  // size depends on the page size, the window and the header capacity:
+  // zeroing the whole region kills every record of every layout.
+  device.write(journal.offset, Bytes(journal.size, 0));
 }
 
 ApplyJournalOptions resumable_journal_options(const FlashDevice& device,

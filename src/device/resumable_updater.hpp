@@ -21,9 +21,25 @@
 #include "device/flash_device.hpp"
 #include "device/flash_journal.hpp"
 #include "device/stream_updater.hpp"
-#include "device/updater.hpp"
 
 namespace ipd {
+
+struct UpdaterOptions {
+  /// Size of the bounded copy window (device working buffer).
+  std::size_t window_bytes = 4096;
+};
+
+struct UpdateResult {
+  length_t new_image_length = 0;
+  double download_seconds = 0;       ///< channel time for the delta
+  std::size_t delta_bytes = 0;
+  std::size_t ram_high_water = 0;    ///< peak device RAM during update
+  std::uint64_t storage_bytes_written = 0;
+  std::uint64_t storage_pages_written = 0;
+  /// The version CRC read back from storage matched; always true on
+  /// return, since a mismatch throws.
+  bool crc_verified = false;
+};
 
 struct ResumableUpdateResult {
   UpdateResult update;
@@ -56,7 +72,10 @@ ResumableUpdateResult apply_update_resumable(
 ApplyJournalOptions resumable_journal_options(
     const FlashDevice& device, const UpdaterOptions& options = {});
 
-/// Erase any journal state in `journal` (e.g. after provisioning).
+/// Erase any journal state in `journal` (provisioning, test reset): one
+/// write of zeros over the whole region, whatever layout last used it.
+/// NOT part of the normal hop sequence: a completed hop's done record is
+/// the device's only durable memory of the release it now runs.
 void clear_journal(FlashDevice& device, const JournalRegion& journal);
 
 }  // namespace ipd

@@ -1,13 +1,55 @@
 #include "device/stream_updater.hpp"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 
 #include "core/checksum.hpp"
-#include "device/updater.hpp"
 
 namespace ipd {
+
+void device_windowed_copy(FlashDevice& device, MutByteView window,
+                          offset_t from, offset_t to, length_t length) {
+  const std::size_t win = window.size();
+  if (from >= to) {
+    // Left-to-right.
+    length_t done = 0;
+    while (done < length) {
+      const std::size_t n =
+          static_cast<std::size_t>(std::min<length_t>(win, length - done));
+      const MutByteView chunk = window.first(n);
+      device.read(from + done, chunk);
+      device.write(to + done, chunk);
+      done += n;
+    }
+  } else {
+    // Right-to-left.
+    length_t remaining = length;
+    while (remaining > 0) {
+      const std::size_t n =
+          static_cast<std::size_t>(std::min<length_t>(win, remaining));
+      remaining -= n;
+      const MutByteView chunk = window.first(n);
+      device.read(from + remaining, chunk);
+      device.write(to + remaining, chunk);
+    }
+  }
+}
+
+std::uint32_t storage_crc(FlashDevice& device, MutByteView window,
+                          length_t length) {
+  Crc32c crc;
+  length_t done = 0;
+  while (done < length) {
+    const std::size_t n = static_cast<std::size_t>(
+        std::min<length_t>(window.size(), length - done));
+    const MutByteView chunk = window.first(n);
+    device.read(done, chunk);
+    crc.update(chunk);
+    done += n;
+  }
+  return crc.value();
+}
+
 namespace {
 
 /// Sub-step `s` of a self-overlapping copy, in the §4.1 direction
@@ -86,22 +128,10 @@ void JournaledExecutor::resume(const ApplyRecord& record) {
 void JournaledExecutor::execute(const CommandRef& command,
                                 std::uint64_t payload_pre) {
   const std::uint64_t index = next_command_++;
-  if (!range_fits(command.to, command.length, header_.version_length)) {
-    throw ValidationError("journaled apply: command writes past version");
-  }
+  admit_inplace_write(written_, command, header_.reference_length,
+                      "journaled apply", index);
   const Interval write = Interval::of(command.to, command.length);
   const Interval read = Interval::of(command.from, command.length);
-  if (!command.is_add()) {
-    if (!range_fits(command.from, command.length,
-                    header_.reference_length)) {
-      throw ValidationError("journaled apply: copy reads past reference");
-    }
-    if (written_.intersects(read)) {
-      throw ConflictError(
-          "journaled apply: write-before-read conflict at command " +
-          std::to_string(index));
-    }
-  }
   if (!command.is_add() && read.intersects(write)) {
     run_substeps(command, index, payload_pre);
   } else {
@@ -125,7 +155,6 @@ void JournaledExecutor::execute(const CommandRef& command,
     }
     ++batch_count_;
   }
-  written_.insert(write);
 }
 
 void JournaledExecutor::run_substeps(const CommandRef& copy,
@@ -347,14 +376,6 @@ std::optional<StreamApplyProbe> StreamingDeviceUpdater::probe(
   result.resume_offset =
       result.done ? rec->artifact_size : rec->artifact_offset;
   return result;
-}
-
-void StreamingDeviceUpdater::clear(FlashDevice& device,
-                                   const JournalRegion& journal,
-                                   const StreamUpdaterOptions& options) {
-  DeviceJournal(device, journal, journal_options(device, options),
-                "stream updater")
-      .journal.clear();
 }
 
 std::uint64_t StreamingDeviceUpdater::journal_records() const noexcept {

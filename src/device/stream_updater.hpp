@@ -9,10 +9,11 @@
 // (device/resumable_updater.hpp) feeds it parse_delta()'s table or
 // StreamingDeviceUpdater feeds it commands as their bytes arrive:
 //
-//  * Bounds and an exact write-before-read oracle (no copy reads a byte
-//    an earlier command of this run wrote) gate each flash write. The
-//    oracle is a bit per version byte (WrittenBytes), charged to device
-//    RAM before the first flash write.
+//  * admit_inplace_write (apply/oracle.hpp), the gate the RAM streaming
+//    applier runs too, checks bounds and Equation 2 (no copy reads a
+//    byte an earlier command of this run wrote) before each command's
+//    first flash write. Its set is a bit per version byte
+//    (WrittenBytes), charged to device RAM before the first flash write.
 //  * Replay-idempotent batching. Equation 2 guarantees no command writes
 //    over a LATER command's reads, but command j may overwrite what
 //    command i < j already read. Commands k..m-1 share one checkpoint
@@ -50,6 +51,17 @@
 #include "device/flash_journal.hpp"
 
 namespace ipd {
+
+/// Storage-to-storage copy through a bounded RAM window, ordered so
+/// overlapping source/destination never reads an overwritten byte
+/// (§4.1's buffer-granular copy); exposed for tests.
+void device_windowed_copy(FlashDevice& device, MutByteView window,
+                          offset_t from, offset_t to, length_t length);
+
+/// CRC-32C of storage bytes [0, length), read back through `window`:
+/// how the updaters check a reconstruction before committing it.
+std::uint32_t storage_crc(FlashDevice& device, MutByteView window,
+                          length_t length);
 
 struct StreamUpdaterOptions {
   /// Copy window = undo capacity = largest journaled pre-image.
@@ -207,12 +219,6 @@ class StreamingDeviceUpdater {
   static std::optional<StreamApplyProbe> probe(
       FlashDevice& device, const JournalRegion& journal,
       const StreamUpdaterOptions& options = {});
-
-  /// Invalidate the journal (provisioning / test reset). NOT part of the
-  /// normal hop sequence — a completed hop's done record is the device's
-  /// only durable memory of the release it now runs.
-  static void clear(FlashDevice& device, const JournalRegion& journal,
-                    const StreamUpdaterOptions& options = {});
 
   /// Feed the next artifact bytes, starting at next_offset(). Applies
   /// every command that becomes complete and journals checkpoints as

@@ -11,43 +11,9 @@ namespace {
 
 constexpr std::uint8_t kMagic[4] = {'I', 'P', 'D', 'F'};
 
-void put_u32(Bytes& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) noexcept {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-void put_u64(Bytes& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) noexcept {
-  return static_cast<std::uint64_t>(get_u32(p)) |
-         (static_cast<std::uint64_t>(get_u32(p + 4)) << 32);
-}
-
 /// Trace extension body length for ext_version 1 (after the ext_len
 /// byte): version + 16B trace id + 8B span + 8B parent + 1B flags.
 constexpr std::size_t kTraceExtBody = kTraceExtSize - 1;
-
-void append_trace_ext(Bytes& out, const obs::TraceContext& trace) {
-  out.push_back(static_cast<std::uint8_t>(kTraceExtBody));
-  out.push_back(1);  // ext_version
-  put_u64(out, trace.trace_hi);
-  put_u64(out, trace.trace_lo);
-  put_u64(out, trace.span_id);
-  put_u64(out, trace.parent_span_id);
-  out.push_back(trace.sampled ? 1 : 0);
-}
 
 bool valid_type(std::uint8_t t) noexcept {
   return (t >= static_cast<std::uint8_t>(FrameType::kHello) &&
@@ -74,27 +40,42 @@ const char* frame_type_name(FrameType type) noexcept {
   return "?";
 }
 
-Bytes encode_frame(FrameType type, ByteView payload,
-                   const obs::TraceContext* trace) {
+void append_frame_header(ByteWriter& out, FrameType type,
+                         std::size_t body_len,
+                         const obs::TraceContext* trace) {
   const bool traced = trace != nullptr && trace->valid();
   const std::size_t ext = traced ? kTraceExtSize : 0;
-  if (payload.size() > kMaxFramePayload - ext) {
+  if (body_len > kMaxFramePayload - ext) {
     throw ValidationError("frame payload too large: " +
-                          std::to_string(payload.size()) + " > " +
+                          std::to_string(body_len) + " > " +
                           std::to_string(kMaxFramePayload));
   }
-  Bytes out;
-  out.reserve(kFrameHeaderSize + ext + payload.size() + kFrameTrailerSize);
-  out.insert(out.end(), kMagic, kMagic + 4);
-  out.push_back(kFrameVersion);
-  out.push_back(static_cast<std::uint8_t>(type));
-  out.push_back(traced ? kFrameFlagTrace : 0);
-  out.push_back(0);
-  put_u32(out, static_cast<std::uint32_t>(ext + payload.size()));
-  if (traced) append_trace_ext(out, *trace);
-  out.insert(out.end(), payload.begin(), payload.end());
-  put_u32(out, crc32c(out));
-  return out;
+  out.write_bytes(ByteView(kMagic, 4));
+  out.write_u8(kFrameVersion);
+  out.write_u8(static_cast<std::uint8_t>(type));
+  out.write_u8(traced ? kFrameFlagTrace : 0);
+  out.write_u8(0);
+  out.write_u32le(static_cast<std::uint32_t>(ext + body_len));
+  if (traced) {
+    out.write_u8(static_cast<std::uint8_t>(kTraceExtBody));
+    out.write_u8(1);  // ext_version
+    out.write_u64le(trace->trace_hi);
+    out.write_u64le(trace->trace_lo);
+    out.write_u64le(trace->span_id);
+    out.write_u64le(trace->parent_span_id);
+    out.write_u8(trace->sampled ? 1 : 0);
+  }
+}
+
+Bytes encode_frame(FrameType type, ByteView payload,
+                   const obs::TraceContext* trace) {
+  ByteWriter out;
+  out.reserve(kFrameHeaderSize + kTraceExtSize + payload.size() +
+              kFrameTrailerSize);
+  append_frame_header(out, type, payload.size(), trace);
+  out.write_bytes(payload);
+  out.write_u32le(crc32c(out.bytes()));
+  return out.take();
 }
 
 void FrameReader::feed(ByteView chunk) {
@@ -117,14 +98,15 @@ std::optional<Frame> FrameReader::next() {
   if ((head[6] & ~kFrameFlagTrace) != 0 || head[7] != 0) {
     throw FormatError("frame: nonzero reserved bytes");
   }
-  const std::uint32_t len = get_u32(head + 8);
+  const std::uint32_t len = ByteReader(ByteView(head + 8, 4)).read_u32le();
   if (len > kMaxFramePayload) {
     throw FormatError("frame: payload length " + std::to_string(len) +
                       " exceeds limit");
   }
   const std::size_t total = kFrameHeaderSize + len + kFrameTrailerSize;
   if (buffered() < total) return std::nullopt;
-  const std::uint32_t wire_crc = get_u32(head + kFrameHeaderSize + len);
+  const std::uint32_t wire_crc =
+      ByteReader(ByteView(head + kFrameHeaderSize + len, 4)).read_u32le();
   const std::uint32_t computed =
       crc32c(ByteView(head, kFrameHeaderSize + len));
   if (wire_crc != computed) {
@@ -142,13 +124,14 @@ std::optional<Frame> FrameReader::next() {
     if (body_len < 1 + ext_len) {
       throw FormatError("frame: trace extension truncated");
     }
-    if (ext_len >= kTraceExtSize - 1 && body[1] == 1) {
+    if (ext_len >= kTraceExtBody && body[1] == 1) {
+      ByteReader ext(ByteView(body + 2, kTraceExtBody - 1));
       obs::TraceContext ctx;
-      ctx.trace_hi = get_u64(body + 2);
-      ctx.trace_lo = get_u64(body + 10);
-      ctx.span_id = get_u64(body + 18);
-      ctx.parent_span_id = get_u64(body + 26);
-      ctx.sampled = (body[34] & 1) != 0;
+      ctx.trace_hi = ext.read_u64le();
+      ctx.trace_lo = ext.read_u64le();
+      ctx.span_id = ext.read_u64le();
+      ctx.parent_span_id = ext.read_u64le();
+      ctx.sampled = (ext.read_u8() & 1) != 0;
       if (ctx.valid()) frame.trace = ctx;
     }
     body += 1 + ext_len;

@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <optional>
 
+#include "core/buffer.hpp"
 #include "core/types.hpp"
 #include "obs/trace_context.hpp"
 
@@ -92,6 +93,16 @@ struct Frame {
 /// extension) exceeds kMaxFramePayload.
 Bytes encode_frame(FrameType type, ByteView payload,
                    const obs::TraceContext* trace = nullptr);
+
+/// Append the bytes a frame's CRC covers ahead of its message body: the
+/// 12-byte header for a `body_len`-byte body, then the trace-context
+/// extension when `trace` is valid. encode_frame and the server's
+/// zero-copy DELTA_DATA path both write their headers with it. Throws
+/// ValidationError if the body (plus extension) exceeds
+/// kMaxFramePayload.
+void append_frame_header(ByteWriter& out, FrameType type,
+                         std::size_t body_len,
+                         const obs::TraceContext* trace);
 
 /// Incremental frame parser: feed transport bytes in any chunking, pop
 /// complete verified frames. Malformed input (bad magic, version, type,

@@ -256,13 +256,11 @@ class ImageSink final : public HopSink {
 class DownloadSink final : public HopSink {
  public:
   DownloadSink(TransferJournal& journal, ReleaseId target, FlashDevice& device,
-               const JournalRegion& region, const ChannelModel& channel,
-               ServiceMetrics* metrics)
+               const JournalRegion& region, ServiceMetrics* metrics)
       : journal_(journal),
         target_(target),
         device_(device),
         region_(region),
-        channel_(channel),
         metrics_(metrics) {}
 
   std::optional<Transfer> transfer() const override {
@@ -311,7 +309,9 @@ class DownloadSink final : public HopSink {
       verify_before_flash();
       // PowerFailure propagates with the journal intact; the next call
       // skips the download and the flash journal resumes the apply.
-      apply_update_resumable(device_, journal_.received, channel_, region_);
+      // The transport was the link: no modelled channel time.
+      apply_update_resumable(device_, journal_.received, ChannelModel{},
+                             region_);
     }
     journal_ = TransferJournal{};
   }
@@ -358,7 +358,6 @@ class DownloadSink final : public HopSink {
   ReleaseId target_;
   FlashDevice& device_;
   const JournalRegion& region_;
-  const ChannelModel& channel_;
   ServiceMetrics* metrics_;
 };
 
@@ -571,7 +570,6 @@ OtaReport OtaClient::update_streaming(Bytes& image, ReleaseId current,
 OtaReport OtaClient::update_device(FlashDevice& device,
                                    const JournalRegion& journal,
                                    ReleaseId current, ReleaseId target,
-                                   const ChannelModel& channel,
                                    TransferJournal* transfer) {
   const obs::TraceContext trace = mint_update_trace();
   const obs::TraceScope scope(trace);
@@ -597,7 +595,7 @@ OtaReport OtaClient::update_device(FlashDevice& device,
     }
   }
   while (current < target) {
-    DownloadSink sink(tj, target, device, journal, channel, metrics_);
+    DownloadSink sink(tj, target, device, journal, metrics_);
     current = run_hop(current, target, sink, report);
     ++report.hops;
   }

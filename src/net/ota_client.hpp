@@ -117,7 +117,6 @@ class OtaClient {
   /// `transfer` may be null for a throwaway in-call journal.
   OtaReport update_device(FlashDevice& device, const JournalRegion& journal,
                           ReleaseId current, ReleaseId target,
-                          const ChannelModel& channel,
                           TransferJournal* transfer = nullptr);
 
   /// Upgrade a FlashDevice by streaming each hop's artifact straight to

@@ -1,140 +1,92 @@
 #include "net/protocol.hpp"
 
-#include <cstring>
-
 namespace ipd {
 
 namespace {
 
-// Fixed-width little-endian field helpers. A Cursor throws FormatError on
-// underrun so every decoder gets bounds checking for free; decoders also
-// call done() so trailing garbage is rejected (a frame passed its CRC, so
-// any length mismatch is a protocol bug, not line noise).
-struct Cursor {
-  const std::uint8_t* p;
-  const std::uint8_t* end;
-
-  explicit Cursor(ByteView payload)
-      : p(payload.data()), end(payload.data() + payload.size()) {}
-
-  void need(std::size_t n) const {
-    if (static_cast<std::size_t>(end - p) < n) {
-      throw FormatError("message payload truncated");
-    }
-  }
-  std::uint8_t u8() {
-    need(1);
-    return *p++;
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = static_cast<std::uint32_t>(p[0]) |
-                      (static_cast<std::uint32_t>(p[1]) << 8) |
-                      (static_cast<std::uint32_t>(p[2]) << 16) |
-                      (static_cast<std::uint32_t>(p[3]) << 24);
-    p += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    const std::uint64_t lo = u32();
-    const std::uint64_t hi = u32();
-    return lo | (hi << 32);
-  }
-  Bytes rest() {
-    Bytes out(p, end);
-    p = end;
-    return out;
-  }
-  std::string rest_string() {
-    std::string out(reinterpret_cast<const char*>(p),
-                    static_cast<std::size_t>(end - p));
-    p = end;
-    return out;
-  }
-  void done() const {
-    if (p != end) throw FormatError("message payload has trailing bytes");
-  }
-};
-
-void put_u8(Bytes& out, std::uint8_t v) { out.push_back(v); }
-
-void put_u32(Bytes& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
+// Fields are fixed-width little-endian (core/buffer.hpp). A ByteReader
+// throws FormatError on underrun, and decoders call done() so trailing
+// bytes are rejected too (a frame passed its CRC, so any length mismatch
+// is a protocol bug, not line noise).
+void done(const ByteReader& r) {
+  if (!r.exhausted()) throw FormatError("message payload has trailing bytes");
 }
 
-void put_u64(Bytes& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
+Bytes rest(ByteReader& r) {
+  const ByteView tail = r.read_bytes(r.remaining());
+  return Bytes(tail.begin(), tail.end());
+}
+
+std::string rest_string(ByteReader& r) {
+  const ByteView tail = r.read_bytes(r.remaining());
+  return std::string(tail.begin(), tail.end());
 }
 
 Bytes payload_of(const HelloMsg& m) {
-  Bytes out;
-  put_u32(out, m.protocol_version);
-  put_u32(out, m.max_chunk);
-  return out;
+  ByteWriter out;
+  out.write_u32le(m.protocol_version);
+  out.write_u32le(m.max_chunk);
+  return out.take();
 }
 
 Bytes payload_of(const HelloAckMsg& m) {
-  Bytes out;
-  put_u32(out, m.protocol_version);
-  put_u32(out, m.release_count);
-  put_u32(out, m.latest);
-  put_u32(out, m.chunk);
-  return out;
+  ByteWriter out;
+  out.write_u32le(m.protocol_version);
+  out.write_u32le(m.release_count);
+  out.write_u32le(m.latest);
+  out.write_u32le(m.chunk);
+  return out.take();
 }
 
 Bytes payload_of(const GetDeltaMsg& m) {
-  Bytes out;
-  put_u32(out, m.from);
-  put_u32(out, m.to);
-  return out;
+  ByteWriter out;
+  out.write_u32le(m.from);
+  out.write_u32le(m.to);
+  return out.take();
 }
 
 Bytes payload_of(const ResumeMsg& m) {
-  Bytes out;
-  put_u32(out, m.from);
-  put_u32(out, m.to);
-  put_u64(out, m.offset);
-  put_u32(out, m.artifact_crc);
-  return out;
+  ByteWriter out;
+  out.write_u32le(m.from);
+  out.write_u32le(m.to);
+  out.write_u64le(m.offset);
+  out.write_u32le(m.artifact_crc);
+  return out.take();
 }
 
 Bytes payload_of(const DeltaBeginMsg& m) {
-  Bytes out;
-  put_u32(out, m.from);
-  put_u32(out, m.to);
-  put_u8(out, m.full_image);
-  put_u8(out, m.last_hop);
-  put_u64(out, m.total_size);
-  put_u64(out, m.start_offset);
-  put_u64(out, m.reference_length);
-  put_u64(out, m.version_length);
-  put_u32(out, m.artifact_crc);
-  return out;
+  ByteWriter out;
+  out.write_u32le(m.from);
+  out.write_u32le(m.to);
+  out.write_u8(m.full_image);
+  out.write_u8(m.last_hop);
+  out.write_u64le(m.total_size);
+  out.write_u64le(m.start_offset);
+  out.write_u64le(m.reference_length);
+  out.write_u64le(m.version_length);
+  out.write_u32le(m.artifact_crc);
+  return out.take();
 }
 
 Bytes payload_of(const DeltaDataMsg& m) {
-  Bytes out;
-  put_u64(out, m.offset);
-  out.insert(out.end(), m.data.begin(), m.data.end());
-  return out;
+  ByteWriter out;
+  out.write_u64le(m.offset);
+  out.write_bytes(m.data);
+  return out.take();
 }
 
 Bytes payload_of(const DeltaEndMsg& m) {
-  Bytes out;
-  put_u64(out, m.total_size);
-  put_u32(out, m.artifact_crc);
-  return out;
+  ByteWriter out;
+  out.write_u64le(m.total_size);
+  out.write_u32le(m.artifact_crc);
+  return out.take();
 }
 
 Bytes payload_of(const ErrorMsg& m) {
-  Bytes out;
-  put_u32(out, static_cast<std::uint32_t>(m.code));
-  out.insert(out.end(), m.message.begin(), m.message.end());
-  return out;
+  ByteWriter out;
+  out.write_u32le(static_cast<std::uint32_t>(m.code));
+  out.write_string(m.message);
+  return out.take();
 }
 
 Bytes payload_of(const StatsReqMsg&) { return {}; }
@@ -170,80 +122,80 @@ Bytes encode_message(const Message& message, const obs::TraceContext* trace) {
 }
 
 Message decode_message(const Frame& frame) {
-  Cursor c{frame.payload};
+  ByteReader c(frame.payload);
   switch (frame.type) {
     case FrameType::kHello: {
       HelloMsg m;
-      m.protocol_version = c.u32();
-      m.max_chunk = c.u32();
-      c.done();
+      m.protocol_version = c.read_u32le();
+      m.max_chunk = c.read_u32le();
+      done(c);
       return m;
     }
     case FrameType::kHelloAck: {
       HelloAckMsg m;
-      m.protocol_version = c.u32();
-      m.release_count = c.u32();
-      m.latest = c.u32();
-      m.chunk = c.u32();
-      c.done();
+      m.protocol_version = c.read_u32le();
+      m.release_count = c.read_u32le();
+      m.latest = c.read_u32le();
+      m.chunk = c.read_u32le();
+      done(c);
       return m;
     }
     case FrameType::kGetDelta: {
       GetDeltaMsg m;
-      m.from = c.u32();
-      m.to = c.u32();
-      c.done();
+      m.from = c.read_u32le();
+      m.to = c.read_u32le();
+      done(c);
       return m;
     }
     case FrameType::kResume: {
       ResumeMsg m;
-      m.from = c.u32();
-      m.to = c.u32();
-      m.offset = c.u64();
-      m.artifact_crc = c.u32();
-      c.done();
+      m.from = c.read_u32le();
+      m.to = c.read_u32le();
+      m.offset = c.read_u64le();
+      m.artifact_crc = c.read_u32le();
+      done(c);
       return m;
     }
     case FrameType::kDeltaBegin: {
       DeltaBeginMsg m;
-      m.from = c.u32();
-      m.to = c.u32();
-      m.full_image = c.u8();
-      m.last_hop = c.u8();
-      m.total_size = c.u64();
-      m.start_offset = c.u64();
-      m.reference_length = c.u64();
-      m.version_length = c.u64();
-      m.artifact_crc = c.u32();
-      c.done();
+      m.from = c.read_u32le();
+      m.to = c.read_u32le();
+      m.full_image = c.read_u8();
+      m.last_hop = c.read_u8();
+      m.total_size = c.read_u64le();
+      m.start_offset = c.read_u64le();
+      m.reference_length = c.read_u64le();
+      m.version_length = c.read_u64le();
+      m.artifact_crc = c.read_u32le();
+      done(c);
       return m;
     }
     case FrameType::kDeltaData: {
       DeltaDataMsg m;
-      m.offset = c.u64();
-      m.data = c.rest();
+      m.offset = c.read_u64le();
+      m.data = rest(c);
       return m;
     }
     case FrameType::kDeltaEnd: {
       DeltaEndMsg m;
-      m.total_size = c.u64();
-      m.artifact_crc = c.u32();
-      c.done();
+      m.total_size = c.read_u64le();
+      m.artifact_crc = c.read_u32le();
+      done(c);
       return m;
     }
     case FrameType::kError: {
       ErrorMsg m;
-      m.code = static_cast<ErrorCode>(c.u32());
-      m.message = c.rest_string();
+      m.code = static_cast<ErrorCode>(c.read_u32le());
+      m.message = rest_string(c);
       return m;
     }
     case FrameType::kStatsReq: {
-      c.done();
+      done(c);
       return StatsReqMsg{};
     }
     case FrameType::kStats: {
       StatsMsg m;
-      m.text = c.rest_string();
+      m.text = rest_string(c);
       return m;
     }
   }

@@ -47,32 +47,6 @@ constexpr int kEpollTickMs = 100;
 /// (head + body + trailer per frame) in one syscall.
 constexpr std::size_t kMaxIov = 64;
 
-void put_u32(Bytes& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void put_u64(Bytes& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-/// Same layout as frame.cpp's trace extension — the zero-copy path
-/// assembles DELTA_DATA frame headers by hand, and the wire tests pin
-/// the two against drift by decoding reactor output with the ordinary
-/// FrameReader.
-void append_trace_ext(Bytes& out, const obs::TraceContext& trace) {
-  out.push_back(static_cast<std::uint8_t>(kTraceExtSize - 1));
-  out.push_back(1);  // ext_version
-  put_u64(out, trace.trace_hi);
-  put_u64(out, trace.trace_lo);
-  put_u64(out, trace.span_id);
-  put_u64(out, trace.parent_span_id);
-  out.push_back(trace.sampled ? 1 : 0);
-}
-
 /// The typed reply for a failed build, made on the thread that caught
 /// the exception so only the message crosses to the loop thread. A
 /// shared exception object would be released on two threads through
@@ -290,28 +264,20 @@ struct Reactor::Impl {
   /// Zero-copy DELTA_DATA: header + offset field in `head`, the artifact
   /// slice borrowed as an iovec, CRC-32C trailer chained across both.
   void enqueue_data(Conn& c, std::uint64_t pos, std::size_t n) {
-    const obs::TraceContext* trace = reply_trace(c);
-    const std::size_t ext = trace != nullptr ? kTraceExtSize : 0;
+    ByteWriter head;
+    head.reserve(kFrameHeaderSize + kTraceExtSize + 8);
+    append_frame_header(head, FrameType::kDeltaData, 8 + n, reply_trace(c));
+    head.write_u64le(pos);
     OutBuf ob;
-    ob.head.reserve(kFrameHeaderSize + ext + 8);
-    ob.head.push_back('I');
-    ob.head.push_back('P');
-    ob.head.push_back('D');
-    ob.head.push_back('F');
-    ob.head.push_back(kFrameVersion);
-    ob.head.push_back(static_cast<std::uint8_t>(FrameType::kDeltaData));
-    ob.head.push_back(trace != nullptr ? kFrameFlagTrace : 0);
-    ob.head.push_back(0);
-    put_u32(ob.head, static_cast<std::uint32_t>(ext + 8 + n));
-    if (trace != nullptr) append_trace_ext(ob.head, *trace);
-    put_u64(ob.head, pos);
+    ob.head = head.take();
     ob.body = c.artifact;
     ob.body_off = static_cast<std::size_t>(pos);
     ob.body_len = n;
-    const std::uint32_t crc =
-        crc32c(ByteView(c.artifact->data() + ob.body_off, n),
-               crc32c(ByteView(ob.head)));
-    put_u32(ob.tail, crc);
+    ByteWriter tail;
+    tail.reserve(kFrameTrailerSize);
+    tail.write_u32le(crc32c(ByteView(c.artifact->data() + ob.body_off, n),
+                            crc32c(ByteView(ob.head))));
+    ob.tail = tail.take();
     c.queued_bytes += ob.size();
     count_outgoing(ob.size(), nullptr);
     c.outbox.push_back(std::move(ob));

@@ -41,14 +41,13 @@ TEST(Apply, ThrowsOnOutOfBoundsCopyRead) {
                ValidationError);
 }
 
-TEST(Apply, IntoRespectsProvidedBuffer) {
+TEST(Apply, ThrowsOnWritePastTheVersion) {
+  // The version is as long as the commands' lengths sum; a command that
+  // writes beyond that is refused, add or copy.
   const Bytes ref = to_bytes("0123456789");
-  const Script s = script_of({C(0, 0, 5)});
-  Bytes out(5, '?');
-  apply_script_into(s, ref, out);
-  EXPECT_EQ(to_string(out), "01234");
-  Bytes small(3);
-  EXPECT_THROW(apply_script_into(s, ref, small), ValidationError);
+  EXPECT_THROW(apply_script(script_of({C(0, 3, 5)}), ref), ValidationError);
+  EXPECT_THROW(apply_script(script_of({A(3, "abcde")}), ref),
+               ValidationError);
 }
 
 TEST(ApplyDelta, EndToEndWithChecksums) {
@@ -187,13 +186,12 @@ TEST(ApplyDelta, StreamingRejectsWriteOffsetThatWraps) {
 
 TEST(ApplyScript, RejectsWrappedRangesOnUnvalidatedScripts) {
   const Bytes ref = test::random_bytes(32, 64);
-  Bytes version(16);
   Script read_wraps;
   read_wraps.push(CopyCommand{kWrapOffset, 0, 16});
-  EXPECT_THROW(apply_script_into(read_wraps, ref, version), ValidationError);
+  EXPECT_THROW(apply_script(read_wraps, ref), ValidationError);
   Script write_wraps;
   write_wraps.push_owned_add(kWrapOffset, Bytes(16, 0xAB));
-  EXPECT_THROW(apply_script_into(write_wraps, ref, version), ValidationError);
+  EXPECT_THROW(apply_script(write_wraps, ref), ValidationError);
 }
 
 }  // namespace

@@ -255,21 +255,6 @@ TEST(ApplyJournal, NewestForFiltersByArtifactIdentity) {
   EXPECT_FALSE(aj.newest_for(rec.artifact_crc, rec.artifact_size + 1));
 }
 
-TEST(ApplyJournal, ClearForgetsEverythingAndRestartsSequence) {
-  MemoryJournalStorage storage(2 * ApplyJournal::slot_bytes(kOpts));
-  Bytes scratch = scratch_for(kOpts);
-  ApplyJournal aj(storage, MutByteView(scratch), kOpts);
-  aj.append(sample_record());
-  aj.append(sample_record());
-  aj.clear();
-  EXPECT_FALSE(aj.newest().has_value());
-  aj.append(sample_record());
-  EXPECT_EQ(aj.newest()->seq, 0u);
-  ApplyJournal again(storage, MutByteView(scratch), kOpts);
-  ASSERT_TRUE(again.newest().has_value());
-  EXPECT_EQ(again.newest()->seq, 0u);
-}
-
 TEST(ApplyJournal, RejectsOverCapacityPayloads) {
   MemoryJournalStorage storage(2 * ApplyJournal::slot_bytes(kOpts));
   Bytes scratch = scratch_for(kOpts);

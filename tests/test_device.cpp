@@ -8,7 +8,7 @@
 #include "device/channel.hpp"
 #include "device/flash_device.hpp"
 #include "device/flash_journal.hpp"
-#include "device/updater.hpp"
+#include "device/resumable_updater.hpp"
 #include "ipdelta.hpp"
 #include "test_util.hpp"
 
@@ -181,12 +181,24 @@ TEST(DeviceWindowedCopy, MatchesMemmoveInBothDirections) {
 
 class UpdaterTest : public ::testing::Test {
  protected:
-  // A firmware-style pair: 48 KiB image with scattered edits.
+  // A firmware-style pair: 48 KiB image with scattered edits, on a
+  // device with a 64 KiB image area and its apply journal behind it.
+  static constexpr std::size_t kImageArea = 64 << 10;
+  static constexpr JournalRegion kJournal{kImageArea, 16 << 10};
+  static constexpr std::size_t kStorage = kImageArea + (16 << 10);
+
   void SetUp() override {
     Rng rng(11);
     old_image_ = generate_file(rng, 48 << 10, FileProfile::kBinary);
     new_image_ = mutate(old_image_, rng, 25);
     delta_ = Pipeline().build_inplace(old_image_, new_image_).delta;
+  }
+
+  FlashDevice device(std::size_t ram) const {
+    FlashDevice dev(kStorage, 4096, ram);
+    dev.load_image(old_image_);
+    clear_journal(dev, kJournal);
+    return dev;
   }
 
   Bytes old_image_;
@@ -195,80 +207,60 @@ class UpdaterTest : public ::testing::Test {
 };
 
 TEST_F(UpdaterTest, EndToEndUpdateSucceeds) {
-  FlashDevice dev(64 << 10, 4096, 64 << 10);
-  dev.load_image(old_image_);
-  const UpdateResult r = apply_update(dev, delta_, channel_28k());
+  FlashDevice dev = device(96 << 10);
+  const UpdateResult r =
+      apply_update_resumable(dev, delta_, channel_28k(), kJournal).update;
   EXPECT_EQ(r.new_image_length, new_image_.size());
   EXPECT_TRUE(r.crc_verified);
   EXPECT_GT(r.download_seconds, 0.0);
   EXPECT_TRUE(test::bytes_equal(
       new_image_, ByteView(dev.inspect()).first(new_image_.size())));
-  // RAM never exceeded delta + its parsed table + window (plus nothing
-  // hidden).
+  // RAM never exceeded delta + its parsed table + window + one journal
+  // slot + the conflict set (plus nothing hidden).
+  const std::size_t slot =
+      ApplyJournal::slot_bytes(resumable_journal_options(dev));
   EXPECT_LE(r.ram_high_water,
-            delta_.size() + parse_delta(delta_).table_bytes() + 4096);
-}
-
-TEST_F(UpdaterTest, ParsedTableIsChargedToRam) {
-  // The staged delta, its parsed table and the window, exactly; a budget
-  // that fits all but the table is refused before the first flash write.
-  const std::size_t table = parse_delta(delta_).table_bytes();
-  const std::size_t all = delta_.size() + table + 4096;
-  {
-    FlashDevice dev(64 << 10, 4096, all);
-    dev.load_image(old_image_);
-    EXPECT_EQ(apply_update(dev, delta_, channel_28k()).ram_high_water, all);
-  }
-  FlashDevice dev(64 << 10, 4096, all - table);
-  dev.load_image(old_image_);
-  const std::uint64_t before = dev.bytes_written();
-  EXPECT_THROW(apply_update(dev, delta_, channel_28k()), DeviceError);
-  EXPECT_EQ(dev.bytes_written(), before);
-  EXPECT_TRUE(test::bytes_equal(
-      old_image_, ByteView(dev.inspect()).first(old_image_.size())));
+            delta_.size() + parse_delta(delta_).table_bytes() + 4096 + slot +
+                WrittenBytes::storage_bytes(new_image_.size()));
 }
 
 TEST_F(UpdaterTest, RamBudgetIsEnforced) {
   // Budget too small to stage the delta: must throw, not swap to hidden
   // memory.
-  FlashDevice dev(64 << 10, 4096, delta_.size() / 2);
-  dev.load_image(old_image_);
-  EXPECT_THROW(apply_update(dev, delta_, channel_28k()), DeviceError);
+  FlashDevice dev = device(delta_.size() / 2);
+  EXPECT_THROW(apply_update_resumable(dev, delta_, channel_28k(), kJournal),
+               DeviceError);
 }
 
 TEST_F(UpdaterTest, TinyWindowStillCorrect) {
-  FlashDevice dev(64 << 10, 4096, 64 << 10);
-  dev.load_image(old_image_);
+  FlashDevice dev = device(96 << 10);
   UpdaterOptions options;
   options.window_bytes = 64;  // pathologically small working buffer
-  const UpdateResult r = apply_update(dev, delta_, channel_28k(), options);
-  EXPECT_TRUE(r.crc_verified);
+  const ResumableUpdateResult r =
+      apply_update_resumable(dev, delta_, channel_28k(), kJournal, options);
+  EXPECT_TRUE(r.update.crc_verified);
   EXPECT_TRUE(test::bytes_equal(
       new_image_, ByteView(dev.inspect()).first(new_image_.size())));
 }
 
 TEST_F(UpdaterTest, WrongBaseImageFailsCrc) {
-  FlashDevice dev(64 << 10, 4096, 64 << 10);
+  FlashDevice dev = device(96 << 10);
   Bytes tampered = old_image_;
   tampered[1234] ^= 0xFF;
   dev.load_image(tampered);
-  EXPECT_THROW(apply_update(dev, delta_, channel_28k()), FormatError);
-}
-
-TEST_F(UpdaterTest, NonInplaceDeltaRejected) {
-  const Bytes plain = Pipeline({.format = kPaperExplicit}).build_delta(old_image_, new_image_).delta;
-  FlashDevice dev(64 << 10, 4096, 64 << 10);
-  dev.load_image(old_image_);
-  // A delta that merely *happens* to be conflict-free would carry the
-  // flag; this one was not converted and (with these edits) is unsafe.
-  if (!parse_delta(plain).header.in_place) {
-    EXPECT_THROW(apply_update(dev, plain, channel_28k()), ValidationError);
-  }
+  EXPECT_THROW(apply_update_resumable(dev, delta_, channel_28k(), kJournal),
+               FormatError);
 }
 
 TEST_F(UpdaterTest, ImageTooLargeForStorage) {
-  FlashDevice dev(8 << 10, 4096, 64 << 10);
-  EXPECT_THROW(apply_update(dev, delta_, channel_28k()), DeviceError);
+  // 8 KiB of image area in front of the journal: the 48 KiB image does
+  // not fit, and nothing is written.
+  FlashDevice dev((8 << 10) + kJournal.size, 4096, 96 << 10);
+  const std::uint64_t before = dev.bytes_written();
+  EXPECT_THROW(apply_update_resumable(dev, delta_, channel_28k(),
+                                      JournalRegion{8 << 10, kJournal.size}),
+               DeviceError);
+  EXPECT_EQ(dev.bytes_written(), before);
 }
 
 TEST(Updater, GrowingImageUpdatesInPlace) {
@@ -280,9 +272,12 @@ TEST(Updater, GrowingImageUpdatesInPlace) {
   new_image.insert(new_image.end(), extra.begin(), extra.end());
 
   const Bytes delta = Pipeline().build_inplace(old_image, new_image).delta;
-  FlashDevice dev(16 << 10, 1024, 64 << 10);
+  const JournalRegion journal{16 << 10, 12 << 10};
+  FlashDevice dev(journal.offset + journal.size, 1024, 64 << 10);
   dev.load_image(old_image);
-  const UpdateResult r = apply_update(dev, delta, channel_56k());
+  clear_journal(dev, journal);
+  const UpdateResult r =
+      apply_update_resumable(dev, delta, channel_56k(), journal).update;
   EXPECT_EQ(r.new_image_length, new_image.size());
   EXPECT_TRUE(test::bytes_equal(
       new_image, ByteView(dev.inspect()).first(new_image.size())));

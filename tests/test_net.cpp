@@ -501,7 +501,7 @@ TEST(Session, StagedFullImageCannotOverwriteTheApplyJournal) {
   const Bytes journal_before(
       device.inspect().begin() + kJournal.offset,
       device.inspect().begin() + kJournal.offset + kJournal.size);
-  EXPECT_THROW(client.update_device(device, kJournal, 0, 1, channel_28k()),
+  EXPECT_THROW(client.update_device(device, kJournal, 0, 1),
                DeviceError);
   oversized.join();
   EXPECT_TRUE(test::bytes_equal(
@@ -534,7 +534,7 @@ TEST(Session, RefusedResumeRestartsTheDownloadFromScratch) {
   journal.received.assign(1024, 0x7E);
 
   const OtaReport report =
-      client.update_device(device, kJournal, 0, 1, channel_28k(), &journal);
+      client.update_device(device, kJournal, 0, 1, &journal);
   EXPECT_EQ(report.final_release, 1u);
   EXPECT_EQ(report.resumes, 1u);  // the refused attempt
   EXPECT_GE(report.retries, 1u);  // ... counted as an attempt
@@ -645,7 +645,7 @@ TEST(Session, HostileInPlaceDeltaIsRefusedBeforeAnyFlashWrite) {
 
   TransferJournal journal;
   try {
-    client.update_device(device, kJournal, 0, 1, channel_28k(), &journal);
+    client.update_device(device, kJournal, 0, 1, &journal);
     FAIL() << "hostile in-place delta was accepted";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("unsafe delta refused"),
@@ -786,8 +786,7 @@ TEST(WirePin, StagedRequestsAndCountersArePinned) {
       run_pinned([&](OtaClient& client, const std::vector<Bytes>& history) {
         device.load_image(history[0]);
         clear_journal(device, kPinJournal);
-        return client.update_device(device, kPinJournal, 0, 3,
-                                    channel_28k());
+        return client.update_device(device, kPinJournal, 0, 3);
       });
   EXPECT_EQ(joined(run.requests), kPinnedRequests);
   EXPECT_EQ(run.counters(), kPinnedCounters);
@@ -821,8 +820,7 @@ TEST(WirePin, RefusedResumeRestartsOnlyTheStagedDownload) {
       run_pinned([&](OtaClient& client, const std::vector<Bytes>& history) {
         device.load_image(history[0]);
         clear_journal(device, kPinJournal);
-        return client.update_device(device, kPinJournal, 0, 3,
-                                    channel_28k(), &stale);
+        return client.update_device(device, kPinJournal, 0, 3, &stale);
       });
   EXPECT_EQ(joined(run.requests),
             "RESUME 0->3 @1024 bad0bad0\n"

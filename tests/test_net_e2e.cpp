@@ -204,8 +204,7 @@ TEST(NetE2E, KilledClientResumesFromJournaledOffset) {
               faults, nullptr);
         },
         options);
-    EXPECT_THROW(doomed.update_device(device, kJournal, 0, 1, channel_28k(),
-                                      &journal),
+    EXPECT_THROW(doomed.update_device(device, kJournal, 0, 1, &journal),
                  Error);
   }
   ASSERT_TRUE(journal.active);
@@ -218,7 +217,7 @@ TEST(NetE2E, KilledClientResumesFromJournaledOffset) {
   // Client #2 ("after reboot"): a fresh client, same journal, clean link.
   OtaClient revived(rig.factory());
   const OtaReport report =
-      revived.update_device(device, kJournal, 0, 1, channel_28k(), &journal);
+      revived.update_device(device, kJournal, 0, 1, &journal);
   EXPECT_EQ(report.final_release, 1u);
   EXPECT_EQ(report.resumes, 1u);
   EXPECT_GE(rig.service->metrics().net_resumes.load(), 1u);
@@ -251,7 +250,7 @@ TEST(NetE2E, StaleCurrentAfterRebootTrustsTheJournalForward) {
   {
     OtaClient client(rig.factory());
     const OtaReport r =
-        client.update_device(device, kJournal, 0, 1, channel_28k(), &journal);
+        client.update_device(device, kJournal, 0, 1, &journal);
     ASSERT_EQ(r.final_release, 1u);
   }
 
@@ -271,7 +270,7 @@ TEST(NetE2E, StaleCurrentAfterRebootTrustsTheJournalForward) {
         },
         options);
     EXPECT_THROW(
-        doomed.update_device(device, kJournal, 1, 2, channel_28k(), &journal),
+        doomed.update_device(device, kJournal, 1, 2, &journal),
         Error);
   }
   ASSERT_TRUE(journal.active);
@@ -283,7 +282,7 @@ TEST(NetE2E, StaleCurrentAfterRebootTrustsTheJournalForward) {
   // journaled hop (from = 1) must be resumed and finished first.
   OtaClient revived(rig.factory());
   const OtaReport report =
-      revived.update_device(device, kJournal, 0, 2, channel_28k(), &journal);
+      revived.update_device(device, kJournal, 0, 2, &journal);
   EXPECT_EQ(report.final_release, 2u);
   EXPECT_GE(report.resumes, 1u);
   EXPECT_TRUE(test::bytes_equal(
@@ -307,7 +306,7 @@ TEST(NetE2E, PowerFailureMidApplyResumesBothJournals) {
   // failure hits.
   device.inject_power_failure_after(4096);
   try {
-    client.update_device(device, kJournal, 0, 1, channel_28k(), &journal);
+    client.update_device(device, kJournal, 0, 1, &journal);
     FAIL() << "expected the injected power failure";
   } catch (const FlashDevice::PowerFailure&) {
   }
@@ -320,7 +319,7 @@ TEST(NetE2E, PowerFailureMidApplyResumesBothJournals) {
   device.clear_power_failure();
   const std::uint64_t wire_before = rig.service->metrics().net_bytes_sent.load();
   const OtaReport report =
-      client.update_device(device, kJournal, 0, 1, channel_28k(), &journal);
+      client.update_device(device, kJournal, 0, 1, &journal);
   EXPECT_EQ(report.final_release, 1u);
   EXPECT_EQ(rig.service->metrics().net_bytes_sent.load(), wire_before)
       << "resume after power failure re-downloaded the artifact";

@@ -137,10 +137,16 @@ TEST_P(PipelineMatrix, DeviceUpdater) {
   const auto loads = workloads();
   const auto& load = loads[1];  // binary-mutate fits the device nicely
   const Bytes delta = Pipeline(options()).build_inplace(load.ref, load.ver).delta;
-  FlashDevice dev(64 << 10, 1024, delta.size() + (16 << 10));
+  // The image area, then the journal; RAM covers the staged delta, its
+  // table, the window, one journal slot and the conflict set.
+  const JournalRegion journal{64 << 10, 12 << 10};
+  FlashDevice dev(journal.offset + journal.size, 1024,
+                  delta.size() + (32 << 10));
   dev.load_image(load.ref);
-  const UpdateResult r = apply_update(dev, delta, channel_56k());
-  ASSERT_TRUE(r.crc_verified);
+  clear_journal(dev, journal);
+  const ResumableUpdateResult r =
+      apply_update_resumable(dev, delta, channel_56k(), journal);
+  ASSERT_TRUE(r.update.crc_verified);
   ASSERT_TRUE(test::bytes_equal(
       load.ver, ByteView(dev.inspect()).first(load.ver.size())));
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
 #include <tuple>
 
@@ -44,6 +45,7 @@ FlashDevice make_device(const Fixture& f) {
   FlashDevice dev(kStorage, 512, (96 << 10));
   dev.load_image(f.v1);
   clear_journal(dev, kJournal);
+  dev.reset_stats();  // write counts cover the update alone
   return dev;
 }
 
@@ -115,7 +117,7 @@ Fixture make_implicit_fixture() {
   return f;
 }
 
-TEST(ResumableUpdater, CleanRunMatchesPlainUpdater) {
+TEST(ResumableUpdater, CleanRunReachesTheVersion) {
   const Fixture f = make_fixture();
   FlashDevice dev = make_device(f);
   const ResumableUpdateResult r =
@@ -197,6 +199,70 @@ TEST(ResumableUpdater, JournalOptionsFindTheRecordAPowerCutLeft) {
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->artifact_crc, crc32c(f.delta));
   EXPECT_NE(rec->kind, ApplyRecordKind::kDone);
+}
+
+/// Cut power at 24 evenly spaced write counts of `update`, then
+/// re-provision the device with v1 and clear_journal: the journal opened
+/// with `layout` must hold no record, and a fresh `update` must reach v2.
+/// The slots sit at the front of the region and, on 512 B pages, are not
+/// half of it, so this fails if clearing misses slot 1.
+void expect_reprovision_forgets_cut_updates(
+    const Fixture& f, const ApplyJournalOptions& layout,
+    const std::function<void(FlashDevice&)>& update) {
+  std::uint64_t total_writes = 0;
+  {
+    FlashDevice dev = make_device(f);
+    update(dev);
+    total_writes = dev.bytes_written();
+  }
+  std::size_t cuts = 0;
+  for (int i = 1; i <= 24; ++i) {
+    SCOPED_TRACE("cut " + std::to_string(i));
+    FlashDevice dev = make_device(f);
+    dev.inject_power_failure_after(total_writes * i / 25);
+    try {
+      update(dev);
+      continue;
+    } catch (const FlashDevice::PowerFailure&) {
+      ++cuts;
+    }
+    dev.clear_power_failure();
+    dev.load_image(f.v1);
+    clear_journal(dev, kJournal);
+    EXPECT_FALSE(DeviceJournal(dev, kJournal, layout, "test")
+                     .journal.newest()
+                     .has_value());
+    EXPECT_NO_THROW(update(dev));
+    expect_updated(dev, f);
+  }
+  EXPECT_GT(cuts, 20u);
+}
+
+TEST(ClearJournal, ReprovisionForgetsACutStagedUpdate) {
+  const Fixture f = make_fixture();
+  FlashDevice layout_of = make_device(f);
+  expect_reprovision_forgets_cut_updates(
+      f, resumable_journal_options(layout_of), [&f](FlashDevice& dev) {
+        apply_update_resumable(dev, f.delta, channel_28k(), kJournal);
+      });
+}
+
+TEST(ClearJournal, ReprovisionForgetsACutStreamingUpdate) {
+  const Fixture f = make_fixture();
+  StreamArtifactInfo info;
+  info.artifact_crc = crc32c(f.delta);
+  info.artifact_size = f.delta.size();
+  FlashDevice layout_of = make_device(f);
+  expect_reprovision_forgets_cut_updates(
+      f, StreamingDeviceUpdater::journal_options(layout_of, {}),
+      [&f, &info](FlashDevice& dev) {
+        StreamingDeviceUpdater u(dev, kJournal, info);
+        for (std::size_t at = 0; at < f.delta.size(); at += 1000) {
+          u.feed(ByteView(f.delta).subspan(
+              at, std::min<std::size_t>(1000, f.delta.size() - at)));
+        }
+        ASSERT_TRUE(u.finished());
+      });
 }
 
 TEST(ResumableUpdater, SurvivesRepeatedCrashesInOneUpdate) {

@@ -11,6 +11,7 @@
 #include "core/checksum.hpp"
 #include "corpus/generator.hpp"
 #include "corpus/mutation.hpp"
+#include "device/resumable_updater.hpp"
 #include "ipdelta.hpp"
 #include "test_util.hpp"
 
@@ -555,7 +556,7 @@ TEST(StreamUpdater, ClearForgetsTheJournal) {
   }
   ASSERT_TRUE(
       StreamingDeviceUpdater::probe(dev, kJournal, tight_options()));
-  StreamingDeviceUpdater::clear(dev, kJournal, tight_options());
+  clear_journal(dev, kJournal);
   EXPECT_FALSE(
       StreamingDeviceUpdater::probe(dev, kJournal, tight_options()));
 }
