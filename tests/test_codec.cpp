@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
 
 #include "apply/apply.hpp"
 #include "apply_paths.hpp"
@@ -20,6 +21,7 @@ namespace {
 
 using test::A;
 using test::C;
+using test::Fixture;
 using test::script_of;
 
 DeltaHeader make_header(const Script& script, length_t ref_len,
@@ -490,6 +492,206 @@ TEST(Codec, FormatNames) {
   EXPECT_STREQ(format_name(kPaperExplicit), "paper/write-offsets");
   EXPECT_STREQ(format_name(kVarintSequential), "varint/no-write-offsets");
   EXPECT_STREQ(format_name(kVarintExplicit), "varint/write-offsets");
+}
+
+// ---- DecodePin: the codeword decoder's outcomes, pinned ----------------
+//
+// One artifact per format, every payload truncation point and a handful
+// of single-byte corruptions of every codeword byte but the add literals
+// (opcodes, offsets, lengths), each re-wrapped in a container whose
+// length and Adler-32 match, so the codeword decoder is what answers.
+// The transcript of both decoders' outcomes (decode_delta's rejection
+// kind, message and command index; StreamingCommandDecoder's rows, then
+// its nullopt or FormatError text) is pinned as one FNV-1a hash per
+// artifact. A decoder rewrite must leave every hash unchanged.
+
+/// Copies from every PaperByte width class (f: 2/4/8 bytes, l: 1/2/4)
+/// and adds up to `max_add` bytes, permuted when the format carries
+/// write offsets. `huge` appends a copy past 4 GiB, which the PaperByte
+/// encoder splits and which widens its write offsets to 8 bytes.
+Script decode_pin_script(std::uint64_t seed, bool permute, length_t max_add,
+                         bool huge) {
+  Rng rng(seed);
+  std::vector<Fixture> rows;
+  offset_t to = 0;
+  for (int i = 0; i < 48; ++i) {
+    if (rng.below(2) == 0) {
+      const length_t len = 1 + rng.below(max_add);
+      rows.push_back(A(to, test::random_bytes(seed * 100 + i, len)));
+      to += len;
+      continue;
+    }
+    const std::uint64_t fc = rng.below(3);
+    const offset_t from = fc == 0   ? rng.below(0x10000)
+                          : fc == 1 ? 0x10000 + rng.below(1u << 24)
+                                    : 0x100000000ull + rng.below(1u << 20);
+    const std::uint64_t lc = rng.below(3);
+    const length_t len = lc == 0   ? 1 + rng.below(255)
+                         : lc == 1 ? 256 + rng.below(60000)
+                                   : 65536 + rng.below(1u << 20);
+    rows.push_back(C(from, to, len));
+    to += len;
+  }
+  if (huge) rows.push_back(C(7, to, 0x100000100ull));
+  if (permute) {
+    for (std::size_t i = rows.size(); i > 1; --i) {
+      std::swap(rows[i - 1], rows[rng.below(i)]);
+    }
+  }
+  Script script;
+  for (const Fixture& f : rows) {
+    if (f.row.is_add()) {
+      script.push_owned_add(f.row.to, f.data);
+    } else {
+      script.push(f.row);
+    }
+  }
+  return script;
+}
+
+/// A container around `payload` whose payload length and Adler-32 hold.
+Bytes wrap_payload(const DeltaHeader& h, ByteView payload) {
+  ByteWriter w;
+  w.write_string("IPD1");
+  w.write_u8(static_cast<std::uint8_t>(
+      (static_cast<unsigned>(h.format.codeword) << 4) |
+      static_cast<unsigned>(h.format.offsets)));
+  w.write_u8(h.in_place ? 1 : 0);
+  w.write_varint(h.reference_length);
+  w.write_varint(h.version_length);
+  w.write_u32le(h.version_crc);
+  w.write_varint(payload.size());
+  w.write_u32le(adler32(payload));
+  w.write_bytes(payload);
+  return w.take();
+}
+
+/// The rows' count and an FNV-1a hash of their fields and add bytes.
+std::string rows_digest(std::span<const CommandRef> rows) {
+  std::string text;
+  for (const CommandRef& c : rows) {
+    text += std::to_string(c.to) + "," + std::to_string(c.length) + ",";
+    text += c.is_add() ? "a" + std::to_string(test::fnv1a(c.bytes()))
+                       : std::to_string(c.from);
+    text += ";";
+  }
+  return std::to_string(rows.size()) + ":" +
+         std::to_string(test::fnv1a(ByteView(
+             reinterpret_cast<const std::uint8_t*>(text.data()),
+             text.size())));
+}
+
+/// Both decoders' outcome on `payload`, one transcript line. Collects
+/// decode_delta's messages into `messages`.
+std::string decode_outcome(const DeltaHeader& header, ByteView payload,
+                           std::set<std::string>& messages) {
+  std::string line = "batch ";
+  ParsedDelta parsed;
+  const Bytes wire = wrap_payload(header, payload);  // the rows borrow it
+  const auto rejection = decode_delta(wire, parsed);
+  if (rejection) {
+    line += std::to_string(static_cast<int>(rejection->kind)) + "@" +
+            std::to_string(rejection->command) + " " + rejection->message;
+    messages.insert(rejection->message);
+  } else {
+    line += "ok";
+  }
+  line += " rows " + rows_digest(parsed.commands);
+
+  line += " | stream ";
+  StreamingCommandDecoder decoder(header.format, header.version_length);
+  decoder.feed(payload);
+  std::vector<CommandRef> rows;
+  std::string end;
+  try {
+    while (const auto c = decoder.next_ref()) rows.push_back(*c);
+    end = "nullopt buffered " + std::to_string(decoder.buffered());
+  } catch (const FormatError& e) {
+    end = std::string("throw ") + e.what();
+  }
+  return line + rows_digest(rows) + " " + end + "\n";
+}
+
+struct DecodePinCase {
+  DeltaFormat format;
+  length_t max_add;
+  bool huge;
+  std::uint64_t transcript_fnv;
+};
+
+TEST(DecodePin, EveryTruncationAndCodewordCorruptionIsPinned) {
+  const DecodePinCase cases[] = {
+      {kPaperSequential, 255, false, 13155320587735888498ull},
+      {kPaperExplicit, 255, true, 11347514964448442684ull},
+      {kVarintSequential, 700, false, 1888660748839209517ull},
+      {kVarintExplicit, 700, true, 1902892545371942646ull},
+  };
+  std::set<std::string> messages;
+  for (const DecodePinCase& pin : cases) {
+    const bool explicit_offsets = pin.format.offsets == WriteOffsets::kExplicit;
+    const Script script = decode_pin_script(
+        0xDEC0DE + static_cast<std::uint64_t>(pin.format.codeword),
+        explicit_offsets, pin.max_add, pin.huge);
+    DeltaHeader header = make_header(script, 1ull << 34, pin.format);
+    header.in_place = explicit_offsets;
+    const Bytes artifact = test::encode(header, script);
+    const auto parsed_header = try_parse_header(artifact);
+    ASSERT_TRUE(parsed_header.has_value());
+    header = parsed_header->first;
+    const ByteView payload = ByteView(artifact).subspan(parsed_header->second);
+
+    std::string transcript;
+    for (std::size_t keep = 0; keep <= payload.size(); ++keep) {
+      transcript += "T" + std::to_string(keep) + " " +
+                    decode_outcome(header, payload.first(keep), messages);
+    }
+    // Every byte of every codeword but an add's literal.
+    StreamingCommandDecoder walk(header.format, header.version_length);
+    walk.feed(payload);
+    Bytes mutated(payload.begin(), payload.end());
+    std::size_t codewords = 0;
+    for (std::size_t start = 0; const auto c = walk.next_ref(); ++codewords) {
+      const std::size_t end = static_cast<std::size_t>(walk.consumed());
+      const std::size_t fields_end =
+          end - (c->is_add() ? static_cast<std::size_t>(c->length) : 0);
+      for (std::size_t i = start; i < fields_end; ++i) {
+        const std::uint8_t original = mutated[i];
+        const std::uint8_t values[] = {
+            0x00, 0xFF, static_cast<std::uint8_t>(original ^ 0x01),
+            static_cast<std::uint8_t>(original ^ 0x80),
+            static_cast<std::uint8_t>(original + 1)};
+        for (const std::uint8_t v : values) {
+          if (v == original) continue;
+          mutated[i] = v;
+          transcript += "C" + std::to_string(i) + "=" + std::to_string(v) +
+                        " " + decode_outcome(header, mutated, messages);
+        }
+        mutated[i] = original;
+      }
+      start = end;
+    }
+    EXPECT_EQ(walk.consumed(), payload.size());
+    EXPECT_GE(codewords, 48u);
+    EXPECT_EQ(test::fnv1a(ByteView(
+                  reinterpret_cast<const std::uint8_t*>(transcript.data()),
+                  transcript.size())),
+              pin.transcript_fnv)
+        << format_name(pin.format) << " (" << transcript.size()
+        << " transcript bytes)";
+  }
+  for (const char* literal :
+       {"add write offset truncated: stream ends mid-codeword",
+        "add length truncated: stream ends mid-codeword",
+        "copy write offset truncated: stream ends mid-codeword",
+        "copy source offset truncated: stream ends mid-codeword",
+        "copy length truncated: stream ends mid-codeword",
+        "unknown PaperByte opcode 0", "unknown Varint opcode 255",
+        "malformed varint in delta stream", "copy command with zero length",
+        "add command with zero length",
+        "add payload shorter than declared: need 114 bytes, have 0",
+        "add payload shorter than declared: need 1126661 bytes, have 5962"}) {
+    EXPECT_EQ(messages.count(literal), 1u) << literal;
+  }
 }
 
 }  // namespace
