@@ -239,15 +239,46 @@ const BuiltPair& built_pair(std::size_t size) {
 
 // The container decode alone: header, Adler-32, the borrowed command
 // table and the bounds and tiling checks, with no add byte copied.
+// Items are codewords, so items_per_second gives the ns per codeword.
 void BM_ParseDelta(benchmark::State& state) {
   const BuiltPair& b = built_pair(static_cast<std::size_t>(state.range(0)));
+  const std::size_t codewords = parse_delta(b.delta).commands.size();
   for (auto _ : state) {
     benchmark::DoNotOptimize(parse_delta(b.delta));
   }
   state.SetBytesProcessed(
       static_cast<std::int64_t>(state.iterations() * b.delta.size()));
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * codewords));
 }
 BENCHMARK(BM_ParseDelta)->Arg(1 << 20)->Arg(12 << 20);
+
+// The streaming decoder alone over the 1 MiB artifact's payload, fed in
+// 1 KiB chunks as a device receives it; items are codewords.
+void BM_StreamingDecode(benchmark::State& state) {
+  const BuiltPair& b = built_pair(1 << 20);
+  const auto header = try_parse_header(b.delta);
+  const ByteView payload = ByteView(b.delta).subspan(header->second);
+  std::size_t codewords = 0;
+  for (auto _ : state) {
+    StreamingCommandDecoder decoder(header->first.format,
+                                    header->first.version_length);
+    codewords = 0;
+    for (std::size_t at = 0; at < payload.size(); at += 1024) {
+      decoder.feed(payload.subspan(at, std::min<std::size_t>(
+                                           1024, payload.size() - at)));
+      while (const auto command = decoder.next_ref()) {
+        benchmark::DoNotOptimize(command->length);
+        ++codewords;
+      }
+    }
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations() * payload.size()));
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * codewords));
+}
+BENCHMARK(BM_StreamingDecode);
 
 // The static Verifier as the device-facing gates run it: parse_delta's
 // decode step and model check, then the one Equation-2 scan.
@@ -463,11 +494,14 @@ BENCHMARK(BM_SerializeDelta)->Arg(0)->Arg(1);
 void BM_ParseDelta64K(benchmark::State& state) {
   const Pair p = make_pair_bytes(1 << 16);
   const Bytes delta = Pipeline().build_inplace(p.ref, p.ver).delta;
+  const std::size_t codewords = parse_delta(delta).commands.size();
   for (auto _ : state) {
     benchmark::DoNotOptimize(parse_delta(delta));
   }
   state.SetBytesProcessed(
       static_cast<std::int64_t>(state.iterations() * delta.size()));
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * codewords));
 }
 BENCHMARK(BM_ParseDelta64K);
 

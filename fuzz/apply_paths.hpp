@@ -11,8 +11,12 @@
 // Both must accept and reject alike, with the same exception type, and
 // leave the same bytes behind. table_round_trips() is the encoder's
 // check on the same table: parse, serialize_delta, parse again.
+// streaming_disagreement() is the decoder's: StreamingCommandDecoder
+// against decode_delta over the same payload.
 #pragma once
 
+#include <algorithm>
+#include <cstring>
 #include <span>
 #include <string>
 #include <typeinfo>
@@ -50,6 +54,71 @@ inline bool table_round_trips(const ParsedDelta& first) {
          a.version_length == b.version_length &&
          a.version_crc == b.version_crc &&
          Script(first.commands) == Script(second.commands);
+}
+
+/// For a container that passes the header, container and Adler-32
+/// checks: how StreamingCommandDecoder, fed decode_delta's codeword
+/// stream in `chunk`-byte pieces, departs from decode_delta's outcome;
+/// empty when it does not. It must yield the same rows, then, at a
+/// codeword decode_delta refused, throw the same text after the same
+/// row when the codeword is malformed, or wait with bytes buffered when
+/// it is truncated. Other inputs are not compared.
+inline std::string streaming_disagreement(ByteView input, std::size_t chunk) {
+  ParsedDelta batch;
+  const auto rejection = decode_delta(input, batch);
+  if (rejection && rejection->kind != DeltaRejection::Kind::kCodeword) {
+    return {};
+  }
+  const ByteView stream =
+      batch.header.compress_payload
+          ? ByteView(batch.decompressed)
+          : input.last(static_cast<std::size_t>(batch.header.payload_length));
+  StreamingCommandDecoder decoder(batch.header.format,
+                                  batch.header.version_length);
+  std::size_t rows = 0;
+  std::string thrown;
+  try {
+    for (std::size_t at = 0; at < stream.size(); at += chunk) {
+      decoder.feed(stream.subspan(at, std::min(chunk, stream.size() - at)));
+      while (const auto c = decoder.next_ref()) {
+        if (rows == batch.commands.size()) return "streamed an extra row";
+        const CommandRef& b = batch.commands[rows];
+        if (c->to != b.to || c->length != b.length ||
+            c->is_add() != b.is_add() ||
+            (c->is_add() ? std::memcmp(c->literal, b.literal,
+                                       static_cast<std::size_t>(b.length)) != 0
+                         : c->from != b.from)) {
+          return "row " + std::to_string(rows) + " differs";
+        }
+        ++rows;
+      }
+    }
+  } catch (const FormatError& e) {
+    thrown = e.what();
+  }
+  if (rows != batch.commands.size()) {
+    return "streamed " + std::to_string(rows) + " of " +
+           std::to_string(batch.commands.size()) + " rows";
+  }
+  if (!rejection) {
+    if (!thrown.empty()) return "threw on an accepted stream: " + thrown;
+    if (decoder.buffered() != 0) return "bytes left after the last row";
+    return {};
+  }
+  const std::string& message = rejection->message;
+  const bool truncated =
+      message.find(" truncated: ") != std::string::npos ||
+      message.starts_with("add payload shorter than declared");
+  if (truncated) {
+    if (!thrown.empty()) return "threw on a truncated codeword: " + thrown;
+    if (decoder.buffered() == 0) return "a truncated codeword left no bytes";
+    return {};
+  }
+  if (thrown != message) {
+    return "threw \"" + thrown + "\" where decode_delta said \"" + message +
+           "\"";
+  }
+  return {};
 }
 
 template <typename Fn>

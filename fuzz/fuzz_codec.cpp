@@ -16,6 +16,10 @@
 //  * the borrowed batch appliers (parse_delta's command table) and the
 //    reference ones (that table as a Script + apply_script / apply_inplace)
 //    give the same verdict, exception type and bytes, in place and scratch.
+//  * past the header, container and Adler-32 checks, the streaming
+//    decoder, fed in chunks of 1 + (last input byte % 97) bytes, yields
+//    decode_delta's rows, then its malformed codeword's text at the same
+//    row, or waits with bytes buffered at its truncated one.
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
@@ -105,6 +109,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   }
 
   check_verifier_matches_parse(input);
+  if (size > 0 &&
+      !fuzzcorpus::streaming_disagreement(input, 1 + data[size - 1] % 97)
+           .empty()) {
+    abort();
+  }
 
   if (header) {
     const DeltaHeader& h = header->first;

@@ -27,24 +27,6 @@ void append_varint(Bytes& out, std::uint64_t value) {
   out.insert(out.end(), buf, buf + n);
 }
 
-std::optional<VarintResult> try_decode_varint(ByteView in) noexcept {
-  std::uint64_t value = 0;
-  unsigned shift = 0;
-  for (std::size_t i = 0; i < in.size() && i < kMaxVarintBytes; ++i) {
-    const std::uint8_t b = in[i];
-    // The 10th byte may contribute only the final bit of a 64-bit value.
-    if (i == kMaxVarintBytes - 1 && b > 1) {
-      return std::nullopt;
-    }
-    value |= static_cast<std::uint64_t>(b & 0x7F) << shift;
-    if ((b & 0x80) == 0) {
-      return VarintResult{value, i + 1};
-    }
-    shift += 7;
-  }
-  return std::nullopt;  // truncated or overlong
-}
-
 VarintResult decode_varint(ByteView in) {
   if (auto r = try_decode_varint(in)) {
     return *r;

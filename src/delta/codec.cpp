@@ -6,6 +6,7 @@
 #include "core/checksum.hpp"
 #include "core/lzss.hpp"
 #include "core/varint.hpp"
+#include "obs/trace.hpp"
 
 namespace ipd {
 namespace {
@@ -130,9 +131,68 @@ class PayloadEncoder {
   unsigned offset_width_;
 };
 
-// Non-throwing cursor for incremental parsing: every read reports
-// "not enough bytes yet" instead of failing, so streaming callers can
-// distinguish incomplete from malformed.
+/// One codeword decoded without allocating: on kOk the borrowed command
+/// and its encoded size. Any other status says what failed, and
+/// fault_text() turns it into the message: the stream ends mid-codeword
+/// (truncated()), or no further bytes could make it valid.
+struct Decoded {
+  enum class Status : std::uint8_t {
+    kOk,
+    kFieldTruncated,    ///< the stream ends inside `field`
+    kLiteralTruncated,  ///< ... inside the add's literal
+    kUnknownOpcode,
+    kOverlongVarint,
+    kZeroLength,
+  };
+  Status status = Status::kOk;
+  const char* field = nullptr;  ///< kFieldTruncated: the field's name
+  /// The command; on kLiteralTruncated, the add's fields.
+  CommandRef command;
+  /// Encoded size on kOk; on kLiteralTruncated, where the literal starts.
+  std::size_t consumed = 0;
+
+  bool truncated() const noexcept {
+    return status == Status::kFieldTruncated ||
+           status == Status::kLiteralTruncated;
+  }
+};
+
+/// A W-byte little-endian PaperByte field.
+template <unsigned W>
+std::uint64_t load_le(const std::uint8_t* p) noexcept {
+  std::uint64_t v = 0;
+  for (unsigned i = W; i > 0; --i) v = (v << 8) | p[i - 1];
+  return v;
+}
+
+[[gnu::always_inline]] inline std::uint64_t load_le(const std::uint8_t* p,
+                                                    unsigned width) noexcept {
+  switch (width) {
+    case 1: return p[0];
+    case 2: return load_le<2>(p);
+    case 4: return load_le<4>(p);
+    default: return load_le<8>(p);
+  }
+}
+
+/// One Varint field at data[pos]: kOk with `pos` past it, else
+/// kFieldTruncated, or kOverlongVarint when no further byte could end it.
+[[gnu::always_inline]] inline Decoded::Status read_varint(
+    ByteView data, std::size_t& pos, std::uint64_t& v) noexcept {
+  const auto r = try_decode_varint(data.subspan(pos));
+  if (!r) {
+    return data.size() - pos >= kMaxVarintBytes
+               ? Decoded::Status::kOverlongVarint
+               : Decoded::Status::kFieldTruncated;
+  }
+  v = r->value;
+  pos += r->consumed;
+  return Decoded::Status::kOk;
+}
+
+// Cursor for the container header: every read reports "not enough bytes
+// yet" instead of failing, so streaming callers can tell incomplete from
+// malformed.
 class TryReader {
  public:
   explicit TryReader(ByteView data) noexcept : data_(data) {}
@@ -148,10 +208,7 @@ class TryReader {
 
   bool fixed(unsigned width, std::uint64_t& out) noexcept {
     if (remaining() < width) return false;
-    out = 0;
-    for (unsigned i = width; i > 0; --i) {
-      out = (out << 8) | data_[pos_ + i - 1];
-    }
+    out = load_le(data_.data() + pos_, width);
     pos_ += width;
     return true;
   }
@@ -159,16 +216,11 @@ class TryReader {
   /// False when truncated; throws FormatError when definitely malformed
   /// (overlong encoding that no further bytes could fix).
   bool varint(std::uint64_t& out) {
-    const auto r = try_decode_varint(data_.subspan(pos_));
-    if (!r) {
-      if (remaining() >= kMaxVarintBytes) {
-        throw FormatError("malformed varint in delta stream");
-      }
-      return false;
+    const Decoded::Status status = read_varint(data_, pos_, out);
+    if (status == Decoded::Status::kOverlongVarint) {
+      throw FormatError("malformed varint in delta stream");
     }
-    out = r->value;
-    pos_ += r->consumed;
-    return true;
+    return status == Decoded::Status::kOk;
   }
 
   bool bytes(std::uint64_t n, ByteView& out) noexcept {
@@ -183,102 +235,125 @@ class TryReader {
   std::size_t pos_ = 0;
 };
 
-/// One codeword decoded without allocating: the borrowed command and its
-/// encoded size on kOk, else what failed: the stream ends mid-codeword
-/// (kTruncated), or no further bytes could make it valid (kMalformed).
-struct Decoded {
-  enum class Status : std::uint8_t { kOk, kTruncated, kMalformed };
-  Status status = Status::kMalformed;
-  CommandRef command;
-  std::size_t consumed = 0;
-  std::string detail;  ///< empty on kOk
-};
-
 /// The codeword decoder: every entry point below wraps it. It never
-/// throws, names the field that failed, and commits `running_to` (the
-/// implicit write offset) only on kOk, so a truncated probe can be
-/// retried after more bytes arrive.
-Decoded probe_impl(ByteView data, DeltaFormat fmt, unsigned offset_width,
-                   offset_t& running_to) {
+/// throws or allocates, reads each field straight from `data` once its
+/// bytes are known to be there, and commits `running_to` (the implicit
+/// write offset) only on kOk, so a truncated probe can be retried after
+/// more bytes arrive.
+[[gnu::always_inline]] inline Decoded probe_impl(
+    ByteView data, DeltaFormat fmt, unsigned offset_width,
+    offset_t& running_to) noexcept {
+  using Status = Decoded::Status;
   Decoded out;
-  const auto fail = [&out](Decoded::Status status, std::string detail) {
-    out.status = status;
-    out.detail = std::move(detail);
-    return std::move(out);
-  };
-  const auto truncated = [&fail](const char* field) {
-    return fail(Decoded::Status::kTruncated,
-                std::string(field) + " truncated: stream ends mid-codeword");
-  };
-
-  TryReader r(data);
-  std::uint8_t op = 0;
-  if (!r.u8(op)) return truncated("opcode");
-  const bool paper = fmt.codeword == Codeword::kPaperByte;
-  const bool add = op == (paper ? kOpAdd : kOpVarAdd);
-  const bool copy = paper ? op >= kOpCopyBase && op < kOpCopyBase + 9
-                          : op == kOpVarCopy;
-  if (!add && !copy) {
-    return fail(Decoded::Status::kMalformed,
-                std::string(paper ? "unknown PaperByte" : "unknown Varint") +
-                    " opcode " + std::to_string(op));
+  if (data.empty()) {
+    out.status = Status::kFieldTruncated;
+    out.field = "opcode";
+    return out;
   }
-
-  // Fields read in codeword order; the first that fails is reported and
-  // every read after it is a no-op. PaperByte fields are fixed-width,
-  // Varint ones LEB128.
-  const char* failed = nullptr;
-  bool overlong = false;  // a varint no further byte can fix
-  const auto field = [&](std::uint64_t& v, unsigned width, const char* name) {
-    if (failed != nullptr) return;
-    if (paper) {
-      if (!r.fixed(width, v)) failed = name;
-      return;
-    }
-    try {
-      if (!r.varint(v)) failed = name;
-    } catch (const FormatError&) {
-      failed = name;
-      overlong = true;
-    }
-  };
-
+  const std::uint8_t* const p = data.data();
+  const std::uint8_t op = p[0];
+  const bool explicit_to = fmt.offsets == WriteOffsets::kExplicit;
   CommandRef& c = out.command;
   c.to = running_to;
-  if (fmt.offsets == WriteOffsets::kExplicit) {
-    field(c.to, offset_width, add ? "add write offset" : "copy write offset");
-  }
-  if (add) {
-    field(c.length, 1, "add length");
-  } else {
-    const unsigned cls = paper ? op - kOpCopyBase : 0;
-    field(c.from, f_width(cls / 3), "copy source offset");
-    field(c.length, l_width(cls % 3), "copy length");
-  }
-  if (overlong) {
-    return fail(Decoded::Status::kMalformed,
-                "malformed varint in delta stream");
-  }
-  if (failed != nullptr) return truncated(failed);
-  if (c.length == 0) {
-    return fail(Decoded::Status::kMalformed,
-                std::string(add ? "add" : "copy") +
-                    " command with zero length");
-  }
-  if (add) {
-    ByteView body;
-    if (!r.bytes(c.length, body)) {
-      return fail(Decoded::Status::kTruncated,
-                  "add payload shorter than declared: need " +
-                      std::to_string(c.length) + " bytes, have " +
-                      std::to_string(r.remaining()));
+  std::size_t pos = 1;
+  bool add = false;
+  if (fmt.codeword == Codeword::kPaperByte) {
+    add = op == kOpAdd;
+    const unsigned cls = static_cast<unsigned>(op) - kOpCopyBase;
+    if (!add && cls >= 9) {
+      out.status = Status::kUnknownOpcode;
+      return out;
     }
-    c.literal = body.data();
+    const unsigned to_width = explicit_to ? offset_width : 0;
+    const unsigned from_width = add ? 0 : f_width(cls / 3);
+    const unsigned length_width = add ? 1 : l_width(cls % 3);
+    if (data.size() < 1 + to_width + from_width + length_width) {
+      // Name the first field whose bytes run out.
+      out.status = Status::kFieldTruncated;
+      out.field = data.size() < 1 + to_width
+                      ? (add ? "add write offset" : "copy write offset")
+                  : data.size() < 1 + to_width + from_width
+                      ? "copy source offset"
+                      : (add ? "add length" : "copy length");
+      return out;
+    }
+    if (explicit_to) c.to = load_le(p + pos, to_width);
+    pos += to_width;
+    if (!add) c.from = load_le(p + pos, from_width);
+    pos += from_width;
+    c.length = load_le(p + pos, length_width);
+    pos += length_width;
+  } else {
+    add = op == kOpVarAdd;
+    if (!add && op != kOpVarCopy) {
+      out.status = Status::kUnknownOpcode;
+      return out;
+    }
+    // Fields in codeword order; the first that fails is reported.
+    Status status = Status::kOk;
+    if (explicit_to) {
+      status = read_varint(data, pos, c.to);
+      out.field = add ? "add write offset" : "copy write offset";
+    }
+    if (status == Status::kOk && !add) {
+      status = read_varint(data, pos, c.from);
+      out.field = "copy source offset";
+    }
+    if (status == Status::kOk) {
+      status = read_varint(data, pos, c.length);
+      out.field = add ? "add length" : "copy length";
+    }
+    if (status != Status::kOk) {
+      out.status = status;
+      return out;
+    }
   }
-  out.status = Decoded::Status::kOk;
-  out.consumed = r.position();
+  if (c.length == 0) {
+    out.status = Status::kZeroLength;
+    return out;
+  }
+  if (add) {
+    if (data.size() - pos < c.length) {
+      out.status = Status::kLiteralTruncated;
+      out.consumed = pos;
+      return out;
+    }
+    c.literal = p + pos;
+    pos += static_cast<std::size_t>(c.length);
+  }
+  out.consumed = pos;
   running_to = c.to + c.length;
   return out;
+}
+
+/// The message for a codeword probe_impl() refused at the front of
+/// `data`. Cold: built only once a codeword has failed.
+[[gnu::cold, gnu::noinline]] std::string fault_text(const Decoded& decoded,
+                                                    ByteView data,
+                                                    Codeword codeword) {
+  using Status = Decoded::Status;
+  const bool paper = codeword == Codeword::kPaperByte;
+  switch (decoded.status) {
+    case Status::kFieldTruncated:
+      return std::string(decoded.field) +
+             " truncated: stream ends mid-codeword";
+    case Status::kLiteralTruncated:
+      return "add payload shorter than declared: need " +
+             std::to_string(decoded.command.length) + " bytes, have " +
+             std::to_string(data.size() - decoded.consumed);
+    case Status::kUnknownOpcode:
+      return std::string(paper ? "unknown PaperByte" : "unknown Varint") +
+             " opcode " + std::to_string(data[0]);
+    case Status::kOverlongVarint:
+      return "malformed varint in delta stream";
+    case Status::kZeroLength:
+      return std::string(data[0] == (paper ? kOpAdd : kOpVarAdd) ? "add"
+                                                                 : "copy") +
+             " command with zero length";
+    case Status::kOk:
+      break;
+  }
+  return {};
 }
 
 }  // namespace
@@ -342,13 +417,9 @@ std::optional<CommandRef> StreamingCommandDecoder::next_ref() {
   if (avail.empty()) return std::nullopt;
   const Decoded decoded =
       probe_impl(avail, format_, offset_width_, running_to_);
-  switch (decoded.status) {
-    case Decoded::Status::kOk:
-      break;
-    case Decoded::Status::kTruncated:
-      return std::nullopt;
-    case Decoded::Status::kMalformed:
-      throw FormatError(decoded.detail);
+  if (decoded.status != Decoded::Status::kOk) {
+    if (decoded.truncated()) return std::nullopt;
+    throw FormatError(fault_text(decoded, avail, format_.codeword));
   }
   pending_pos_ += decoded.consumed;
   consumed_ += decoded.consumed;
@@ -516,6 +587,7 @@ Bytes serialize_delta(const DeltaHeader& header,
 std::optional<DeltaRejection> decode_delta(ByteView data, ParsedDelta& out,
                                            std::uint64_t max_payload_bytes) {
   using Kind = DeltaRejection::Kind;
+  obs::Span span(obs::Stage::kDecode, data.size());
   std::optional<std::pair<DeltaHeader, std::size_t>> parsed;
   try {
     parsed = try_parse_header(data);
@@ -574,11 +646,14 @@ std::optional<DeltaRejection> decode_delta(ByteView data, ParsedDelta& out,
   const unsigned offset_width = paper_offset_width(header.version_length);
   offset_t running_to = 0;
   for (std::size_t pos = 0; pos < stream.size();) {
-    const Decoded decoded = probe_impl(stream.subspan(pos), header.format,
-                                       offset_width, running_to);
+    const ByteView rest = stream.subspan(pos);
+    const Decoded decoded =
+        probe_impl(rest, header.format, offset_width, running_to);
     if (decoded.status != Decoded::Status::kOk) {
-      return DeltaRejection{Kind::kCodeword, decoded.detail,
-                            out.commands.size()};
+      return DeltaRejection{
+          Kind::kCodeword,
+          fault_text(decoded, rest, header.format.codeword),
+          out.commands.size()};
     }
     out.commands.push_back(decoded.command);
     pos += decoded.consumed;

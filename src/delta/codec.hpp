@@ -21,12 +21,17 @@
 //
 // A delta has one decoded form: a table of CommandRefs (delta/command.hpp)
 // that borrow the add bytes instead of copying them. One decoder,
-// probe-style, reads every codeword. parse_delta() runs it over a whole
-// container into that table, which is what the batch appliers, the
-// static Verifier and chain folding run on; the table must not outlive
-// the artifact bytes it was parsed from. The streaming decoder, and the
-// container reader both streaming appliers run on it, borrow the same
-// way. serialize_delta() encodes the same table, which is what a Script
+// probe-style, reads every codeword: it neither allocates nor throws on a
+// codeword that decodes, reads each field straight from the bytes once
+// they are known to be present, and builds a failure's message only
+// once a codeword has failed. decode_delta() runs it over a whole
+// container into that table (one obs `decode` span per call), which is
+// what parse_delta(), so the batch appliers, both device updaters and
+// the store's chain reconstruct, and the static Verifier run on; the
+// table must not outlive the artifact bytes it was parsed from. The
+// streaming decoder runs the same decoder one codeword at a time; it,
+// and the container reader both streaming appliers run on it, borrow the
+// same way. serialize_delta() encodes the same table, which is what a Script
 // is (delta/script.hpp); Script(std::move(parsed)) turns a parsed table
 // into one without copying.
 #pragma once

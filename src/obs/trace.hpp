@@ -39,6 +39,7 @@ namespace ipd::obs {
   X(kTopoSort, "topo_sort")                \
   X(kConvertEmit, "convert_emit")          \
   X(kEncode, "encode")                     \
+  X(kDecode, "decode")                     \
   X(kApplyScratch, "apply_scratch")        \
   X(kApplyInplace, "apply_inplace")        \
   X(kVerify, "verify")                     \

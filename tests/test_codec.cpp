@@ -13,6 +13,7 @@
 #include "corpus/generator.hpp"
 #include "corpus/mutation.hpp"
 #include "ipdelta.hpp"
+#include "obs/trace.hpp"
 #include "test_util.hpp"
 #include "verify/verifier.hpp"
 
@@ -459,22 +460,39 @@ TEST(ParseDelta, RejectsLikeDeserialize) {
   expect_paths_agree(good, ref, "good");
 }
 
+TEST(ParseDelta, EachBatchDecodeIsOneDecodeSpan) {
+  // parse_delta and the Verifier each record one `decode` span over the
+  // artifact; the streaming decoder records none.
+  const Bytes wire = encode(script_of({C(5, 0, 10), A(10, "hello")}), 100,
+                            kPaperExplicit);
+  const auto header = try_parse_header(wire);
+  ASSERT_TRUE(header.has_value());
+  obs::flush_thread_stats();
+  const obs::StageCell before = obs::stage_totals()[obs::Stage::kDecode];
+  parse_delta(wire);
+  EXPECT_TRUE(Verifier().check(wire).well_formed);
+  StreamingCommandDecoder decoder(header->first.format,
+                                  header->first.version_length);
+  decoder.feed(ByteView(wire).subspan(header->second));
+  while (decoder.next_ref()) {
+  }
+  EXPECT_EQ(decoder.buffered(), 0u);
+  obs::flush_thread_stats();
+  const obs::StageCell after = obs::stage_totals()[obs::Stage::kDecode];
+  EXPECT_EQ(after.count - before.count, 2u);
+  EXPECT_EQ(after.bytes - before.bytes, 2 * wire.size());
+}
+
 TEST(Codec, AddLengthNearTwoToThe64IsTruncatedNotWrapped) {
   // Varint add, explicit offset 0, length 2^64-1, then two payload bytes:
   // the reader must not wrap `position + length` and accept it.
   const Bytes stream = {0x01, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
                         0xFF, 0xFF, 0xFF, 0x01, 'a',  'b'};
-  ByteWriter w;  // a correct container around the stream
-  w.write_string("IPD1");
-  w.write_u8(0x11);  // varint codewords, explicit write offsets
-  w.write_u8(0);     // flags: not in place, not compressed
-  w.write_varint(1000);  // reference length
-  w.write_varint(1000);  // version length
-  w.write_u32le(0);      // version CRC
-  w.write_varint(stream.size());
-  w.write_u32le(adler32(stream));
-  w.write_bytes(stream);
-  const Bytes delta = w.take();
+  DeltaHeader header;  // a correct container around the stream
+  header.format = kVarintExplicit;
+  header.reference_length = 1000;
+  header.version_length = 1000;
+  const Bytes delta = test::wrap_payload(header, stream);
 
   const Report report = Verifier().check(delta);
   EXPECT_FALSE(report.well_formed);
@@ -549,23 +567,6 @@ Script decode_pin_script(std::uint64_t seed, bool permute, length_t max_add,
   return script;
 }
 
-/// A container around `payload` whose payload length and Adler-32 hold.
-Bytes wrap_payload(const DeltaHeader& h, ByteView payload) {
-  ByteWriter w;
-  w.write_string("IPD1");
-  w.write_u8(static_cast<std::uint8_t>(
-      (static_cast<unsigned>(h.format.codeword) << 4) |
-      static_cast<unsigned>(h.format.offsets)));
-  w.write_u8(h.in_place ? 1 : 0);
-  w.write_varint(h.reference_length);
-  w.write_varint(h.version_length);
-  w.write_u32le(h.version_crc);
-  w.write_varint(payload.size());
-  w.write_u32le(adler32(payload));
-  w.write_bytes(payload);
-  return w.take();
-}
-
 /// The rows' count and an FNV-1a hash of their fields and add bytes.
 std::string rows_digest(std::span<const CommandRef> rows) {
   std::string text;
@@ -587,7 +588,7 @@ std::string decode_outcome(const DeltaHeader& header, ByteView payload,
                            std::set<std::string>& messages) {
   std::string line = "batch ";
   ParsedDelta parsed;
-  const Bytes wire = wrap_payload(header, payload);  // the rows borrow it
+  const Bytes wire = test::wrap_payload(header, payload);  // rows borrow it
   const auto rejection = decode_delta(wire, parsed);
   if (rejection) {
     line += std::to_string(static_cast<int>(rejection->kind)) + "@" +

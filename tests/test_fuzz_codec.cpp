@@ -6,8 +6,10 @@
 
 #include "apply/apply.hpp"
 #include "apply/stream_applier.hpp"
+#include "apply_paths.hpp"
 #include "core/rng.hpp"
 #include "corpus/generator.hpp"
+#include "corpus/mutation.hpp"
 #include "corpus_gen.hpp"
 #include "delta/codec.hpp"
 #include "ipdelta.hpp"
@@ -170,6 +172,52 @@ TEST(FuzzCodec, StreamingDecoderChunkInvariance) {
     EXPECT_EQ(decoder.consumed(), payload.size());
     EXPECT_EQ(decoder.buffered(), 0u);
   }
+}
+
+TEST(FuzzCodec, StreamingDecoderAgreesWithDecodeDeltaUnderCorruption) {
+  // Payloads corrupted and truncated, then re-wrapped with a matching
+  // length and Adler-32 so the codeword decoders are what answer:
+  // streaming_disagreement (fuzz/apply_paths.hpp, also run by fuzz_codec)
+  // must find none, in every format and chunking.
+  Rng rng(0xF008);
+  const Bytes ref = reference_for(6);
+  const Bytes ver = mutate(ref, rng, 40);
+  std::size_t codeword_rejections = 0;
+  for (const DeltaFormat format : {kPaperSequential, kPaperExplicit,
+                                   kVarintSequential, kVarintExplicit}) {
+    const Pipeline pipeline({.format = format});
+    const Bytes delta = format.offsets == WriteOffsets::kExplicit
+                            ? pipeline.build_inplace(ref, ver).delta
+                            : pipeline.build_delta(ref, ver).delta;
+    const auto header = try_parse_header(delta);
+    ASSERT_TRUE(header.has_value());
+    const DeltaHeader& h = header->first;
+    ASSERT_FALSE(h.compress_payload);
+    const ByteView payload = ByteView(delta).subspan(header->second);
+    EXPECT_EQ(fuzzcorpus::streaming_disagreement(delta, 64), "")
+        << format_name(format);
+    for (int trial = 0; trial < 300; ++trial) {
+      Bytes mutated(payload.begin(), payload.end());
+      if (trial % 3 != 0) {
+        const int flips = 1 + static_cast<int>(rng.below(3));
+        for (int i = 0; i < flips; ++i) {
+          mutated[rng.below(mutated.size())] ^=
+              static_cast<std::uint8_t>(1 + rng.below(255));
+        }
+      }
+      if (trial % 3 != 1) mutated.resize(rng.below(mutated.size() + 1));
+      const Bytes input = test::wrap_payload(h, mutated);
+      const std::size_t chunk = 1 + rng.below(97);
+      EXPECT_EQ(fuzzcorpus::streaming_disagreement(input, chunk), "")
+          << format_name(format) << " trial " << trial << " chunk " << chunk;
+      ParsedDelta parsed;
+      const auto rejection = decode_delta(input, parsed);
+      ASSERT_TRUE(!rejection ||
+                  rejection->kind == DeltaRejection::Kind::kCodeword);
+      codeword_rejections += rejection ? 1 : 0;
+    }
+  }
+  EXPECT_GE(codeword_rejections, 600u);  // most trials reach a bad codeword
 }
 
 }  // namespace

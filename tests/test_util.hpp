@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "core/buffer.hpp"
+#include "core/checksum.hpp"
 #include "core/rng.hpp"
 #include "core/types.hpp"
 #include "delta/codec.hpp"
@@ -107,6 +109,25 @@ inline Bytes bytes_of(const CommandRef& c) {
 /// Encode `script` under `header`; the encoder fills the payload fields.
 inline Bytes encode(const DeltaHeader& header, const Script& script) {
   return serialize_delta(header, script.commands());
+}
+
+/// An uncompressed container around `payload` under `header`'s format,
+/// flags and lengths, whose payload length and Adler-32 match it: what
+/// the codeword decoders see when a test corrupts or cuts a payload.
+inline Bytes wrap_payload(const DeltaHeader& header, ByteView payload) {
+  ByteWriter w;
+  w.write_string("IPD1");
+  w.write_u8(static_cast<std::uint8_t>(
+      (static_cast<unsigned>(header.format.codeword) << 4) |
+      static_cast<unsigned>(header.format.offsets)));
+  w.write_u8(header.in_place ? 1 : 0);
+  w.write_varint(header.reference_length);
+  w.write_varint(header.version_length);
+  w.write_u32le(header.version_crc);
+  w.write_varint(payload.size());
+  w.write_u32le(adler32(payload));
+  w.write_bytes(payload);
+  return w.take();
 }
 
 /// An in-place-safe script whose copies read past its version: a

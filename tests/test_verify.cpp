@@ -23,22 +23,16 @@ namespace {
 constexpr offset_t kMaxOffset = std::numeric_limits<offset_t>::max();
 
 /// Wrap raw payload bytes in a correct container (valid magic, lengths,
-/// adler) so a test can malform exactly one layer at a time.
+/// adler) so a test can malform exactly one layer at a time. The version
+/// CRC is 0: it is not statically checkable.
 Bytes wrap_payload(DeltaFormat format, bool in_place, length_t ref_len,
                    length_t ver_len, const Bytes& payload) {
-  ByteWriter w;
-  w.write_string("IPD1");
-  w.write_u8(static_cast<std::uint8_t>(
-      (static_cast<unsigned>(format.codeword) << 4) |
-      static_cast<unsigned>(format.offsets)));
-  w.write_u8(in_place ? 1 : 0);
-  w.write_varint(ref_len);
-  w.write_varint(ver_len);
-  w.write_u32le(0);  // version crc: not statically checkable
-  w.write_varint(payload.size());
-  w.write_u32le(adler32(payload));
-  w.write_bytes(payload);
-  return w.take();
+  DeltaHeader header;
+  header.format = format;
+  header.in_place = in_place;
+  header.reference_length = ref_len;
+  header.version_length = ver_len;
+  return test::wrap_payload(header, payload);
 }
 
 /// Serialize an arbitrary (possibly hostile) script as a delta file.
