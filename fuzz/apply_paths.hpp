@@ -16,7 +16,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cstring>
 #include <span>
 #include <string>
 #include <typeinfo>
@@ -75,30 +74,26 @@ inline std::string streaming_disagreement(ByteView input, std::size_t chunk) {
           : input.last(static_cast<std::size_t>(batch.header.payload_length));
   StreamingCommandDecoder decoder(batch.header.format,
                                   batch.header.version_length);
-  std::size_t rows = 0;
+  Script streamed;
   std::string thrown;
   try {
     for (std::size_t at = 0; at < stream.size(); at += chunk) {
       decoder.feed(stream.subspan(at, std::min(chunk, stream.size() - at)));
       while (const auto c = decoder.next_ref()) {
-        if (rows == batch.commands.size()) return "streamed an extra row";
-        const CommandRef& b = batch.commands[rows];
-        if (c->to != b.to || c->length != b.length ||
-            c->is_add() != b.is_add() ||
-            (c->is_add() ? std::memcmp(c->literal, b.literal,
-                                       static_cast<std::size_t>(b.length)) != 0
-                         : c->from != b.from)) {
-          return "row " + std::to_string(rows) + " differs";
+        // The literal lives only until the next feed(): keep a copy.
+        if (c->is_add()) {
+          streamed.push_owned_add(c->to, c->bytes());
+        } else {
+          streamed.push(*c);
         }
-        ++rows;
       }
     }
   } catch (const FormatError& e) {
     thrown = e.what();
   }
-  if (rows != batch.commands.size()) {
-    return "streamed " + std::to_string(rows) + " of " +
-           std::to_string(batch.commands.size()) + " rows";
+  if (!(streamed == Script(batch.commands))) {
+    return "streamed " + std::to_string(streamed.size()) + " rows unlike " +
+           "decode_delta's " + std::to_string(batch.commands.size());
   }
   if (!rejection) {
     if (!thrown.empty()) return "threw on an accepted stream: " + thrown;

@@ -1,6 +1,8 @@
 #include "delta/codec.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "core/buffer.hpp"
 #include "core/checksum.hpp"
@@ -157,21 +159,29 @@ struct Decoded {
   }
 };
 
-/// A W-byte little-endian PaperByte field.
-template <unsigned W>
+/// A little-endian PaperByte field of sizeof(T) bytes: one load on a
+/// little-endian host.
+template <typename T>
 std::uint64_t load_le(const std::uint8_t* p) noexcept {
-  std::uint64_t v = 0;
-  for (unsigned i = W; i > 0; --i) v = (v << 8) | p[i - 1];
-  return v;
+  if constexpr (std::endian::native == std::endian::little) {
+    T v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+  } else {
+    std::uint64_t v = 0;
+    for (std::size_t i = sizeof(T); i > 0; --i) v = (v << 8) | p[i - 1];
+    return v;
+  }
 }
 
+/// A `width`-byte (1, 2, 4 or 8) little-endian PaperByte field.
 [[gnu::always_inline]] inline std::uint64_t load_le(const std::uint8_t* p,
                                                     unsigned width) noexcept {
   switch (width) {
     case 1: return p[0];
-    case 2: return load_le<2>(p);
-    case 4: return load_le<4>(p);
-    default: return load_le<8>(p);
+    case 2: return load_le<std::uint16_t>(p);
+    case 4: return load_le<std::uint32_t>(p);
+    default: return load_le<std::uint64_t>(p);
   }
 }
 
