@@ -84,7 +84,7 @@ int main() {
   // RAM: the paper's device, plus one journal slot and the conflict set.
   const std::size_t ram_budget =
       staged(inplace) + window +
-      ApplyJournal::slot_bytes(ApplyJournalOptions{page, window, 0}) +
+      ApplyJournal::slot_bytes(updater_journal_options(page)) +
       WrittenBytes::storage_bytes(v2.size());
   FlashDevice device(image_area + journal.size, page, ram_budget);
   device.load_image(v1);

@@ -62,8 +62,8 @@ int main() {
   const JournalRegion journal{256 << 10, 16 << 10};
   UpdaterOptions updater;
   updater.window_bytes = 4096;
-  const std::size_t slot = ApplyJournal::slot_bytes(
-      ApplyJournalOptions{page, updater.window_bytes, 0});
+  const std::size_t slot =
+      ApplyJournal::slot_bytes(updater_journal_options(page, updater));
   const std::size_t ram_budget = delta.size() +
                                  parse_delta(delta).table_bytes() +
                                  updater.window_bytes + slot +

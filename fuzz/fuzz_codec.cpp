@@ -20,14 +20,22 @@
 //    decoder, fed in chunks of 1 + (last input byte % 97) bytes, yields
 //    decode_delta's rows, then its malformed codeword's text at the same
 //    row, or waits with bytes buffered at its truncated one.
+//
+// An input whose header parses and whose payload is uncompressed is also
+// checked resealed: with its declared payload length and Adler-32
+// rewritten to match the bytes present, so a mutation inside the payload
+// reaches the codeword decoders instead of failing the container checks.
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "apply/oracle.hpp"
 #include "apply_paths.hpp"
+#include "core/buffer.hpp"
 #include "core/checksum.hpp"
 #include "delta/codec.hpp"
 #include "ipdelta.hpp"
@@ -94,23 +102,44 @@ void check_verifier_matches_parse(ByteView input) {
   if (scanned != oracle || scanned.empty() != report.in_place_safe) abort();
 }
 
-}  // namespace
+/// `input` with its payload length and Adler-32 rewritten to match the
+/// bytes after its header; nullopt for a compressed payload or one that
+/// already matches.
+std::optional<Bytes> reseal(ByteView input, const DeltaHeader& h,
+                            std::size_t header_bytes) {
+  if (h.compress_payload) return std::nullopt;
+  const ByteView payload = input.subspan(header_bytes);
+  const std::uint32_t adler = adler32(payload);
+  if (h.payload_length == payload.size() && h.payload_adler == adler) {
+    return std::nullopt;
+  }
+  ByteWriter w;
+  w.write_bytes(input.first(6));  // magic, format byte and flags
+  w.write_varint(h.reference_length);
+  w.write_varint(h.version_length);
+  w.write_u32le(h.version_crc);
+  w.write_varint(payload.size());
+  w.write_u32le(adler);
+  w.write_bytes(payload);
+  return w.take();
+}
 
-extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
-                                      std::size_t size) {
-  const ByteView input(data, size);
-
+/// Every check of the contract above on one input; returns its header
+/// and size when the header parses.
+std::optional<std::pair<DeltaHeader, std::size_t>> check_input(
+    ByteView input) {
   std::optional<std::pair<DeltaHeader, std::size_t>> header;
   try {
     header = try_parse_header(input);
-    if (header && header->second > size) abort();  // consumed > available
+    // Never consumes more than is present.
+    if (header && header->second > input.size()) abort();
   } catch (const Error&) {
     header.reset();
   }
 
   check_verifier_matches_parse(input);
-  if (size > 0 &&
-      !fuzzcorpus::streaming_disagreement(input, 1 + data[size - 1] % 97)
+  if (!input.empty() &&
+      !fuzzcorpus::streaming_disagreement(input, 1 + input.back() % 97)
            .empty()) {
     abort();
   }
@@ -140,6 +169,19 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
           fuzzcorpus::script_scratch(input, reference)) {
         abort();
       }
+    }
+  }
+  return header;
+}
+
+}  // namespace
+
+extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
+                                      std::size_t size) {
+  const ByteView input(data, size);
+  if (const auto header = check_input(input)) {
+    if (const auto sealed = reseal(input, header->first, header->second)) {
+      check_input(*sealed);
     }
   }
   return 0;

@@ -17,19 +17,4 @@ Bytes apply_script(const Script& script, ByteView reference);
 /// checksums and the version CRC; throws FormatError on mismatch.
 Bytes apply_delta(ByteView delta, ByteView reference);
 
-/// Outcome of a non-destructive delta verification.
-struct VerifyResult {
-  bool ok = false;
-  /// Empty when ok; otherwise the first failure, human-readable.
-  std::string failure;
-  length_t version_length = 0;
-  bool in_place_capable = false;  ///< container flag AND Equation 2 hold
-};
-
-/// Dry-run a delta against a reference without touching either: parses
-/// (parse_delta), reconstructs into scratch, checks the version CRC, and
-/// re-checks the in-place flag with scan_equation2. Never throws for
-/// verification failures (only for allocation-level errors).
-VerifyResult verify_delta(ByteView delta, ByteView reference);
-
 }  // namespace ipd

@@ -137,15 +137,8 @@ Archive deserialize_archive(ByteView data) {
         // here, naming the entry, instead of corrupting an apply later.
         const Report verdict = Verifier().check(ByteView(entry.body));
         if (!verdict.ok()) {
-          std::string why =
-              "delta entry failed static verification: " + entry.name;
-          for (const Finding& f : verdict.findings) {
-            if (f.severity == Severity::kError) {
-              why += ": " + f.message;
-              break;
-            }
-          }
-          throw FormatError(why);
+          throw FormatError("delta entry failed static verification: " +
+                            entry.name + ": " + verdict.first_error());
         }
         break;
       }

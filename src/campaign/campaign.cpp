@@ -8,12 +8,12 @@
 #include <thread>
 #include <vector>
 
-#include "apply/apply_journal.hpp"
 #include "corpus/generator.hpp"
 #include "corpus/mutation.hpp"
 #include "core/rng.hpp"
 #include "device/flash_journal.hpp"
 #include "device/resumable_updater.hpp"
+#include "device/stream_updater.hpp"
 #include "net/delta_server.hpp"
 #include "net/faulty_transport.hpp"
 
@@ -68,27 +68,6 @@ bool holds_some_release(const FlashDevice& device,
     }
   }
   return false;
-}
-
-/// Is there any valid apply-journal record to resume from? Scans with
-/// the layout of the updater this device ran: the staged one with its
-/// default options, or the streaming one with `apply`.
-bool has_resumable_record(FlashDevice& device, const JournalRegion& journal,
-                          bool staged, const StreamUpdaterOptions& apply) {
-  try {
-    const ApplyJournalOptions jopts =
-        staged ? resumable_journal_options(device)
-               : StreamingDeviceUpdater::journal_options(device, apply);
-    const std::size_t slot = ApplyJournal::slot_bytes(jopts);
-    if (journal.size < 2 * slot) return false;
-    Bytes scratch(slot, 0);
-    FlashJournalStorage storage(device,
-                                JournalRegion{journal.offset, 2 * slot});
-    const ApplyJournal aj(storage, MutByteView(scratch), jopts);
-    return aj.newest().has_value();
-  } catch (const Error&) {
-    return false;
-  }
 }
 
 /// Run one device to completion (or exhaustion). Returns true when the
@@ -155,7 +134,7 @@ bool run_device(FleetState& fleet, std::size_t index) {
           staged ? client.update_device(device, journal, start, fleet.target,
                                         &transfer)
                  : client.update_device_streaming(device, journal, start,
-                                                  fleet.target, o.apply);
+                                                  fleet.target);
       fleet.retries.fetch_add(r.retries, std::memory_order_relaxed);
       fleet.resumes.fetch_add(r.resumes, std::memory_order_relaxed);
       fleet.hops.fetch_add(r.hops, std::memory_order_relaxed);
@@ -197,9 +176,16 @@ bool run_device(FleetState& fleet, std::size_t index) {
   fleet.failed.fetch_add(1, std::memory_order_relaxed);
   // Brick check: a failed device is fine as long as it still holds SOME
   // release, or its journal can finish the interrupted apply next boot.
-  if (!holds_some_release(device, fleet.history) &&
-      !has_resumable_record(device, journal, staged, o.apply)) {
-    fleet.bricked.fetch_add(1, std::memory_order_relaxed);
+  // probe() asks what the device's own boot path asks, and both
+  // updaters' journals share its layout.
+  if (!holds_some_release(device, fleet.history)) {
+    bool resumable = false;
+    try {
+      resumable = StreamingDeviceUpdater::probe(device, journal).has_value();
+    } catch (const Error&) {
+      // A region too small for two slots holds no record.
+    }
+    if (!resumable) fleet.bricked.fetch_add(1, std::memory_order_relaxed);
   }
   return false;
 }

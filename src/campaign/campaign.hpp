@@ -20,11 +20,17 @@
 //   * staged (staged_fraction): OtaClient::update_device — download into
 //     a TransferJournal, then the journaled staged apply.
 //
+// Both stories run their updater with the default UpdaterOptions, so
+// every device's journal has the one layout updater_journal_options()
+// gives.
+//
 // The rollout is staged by RolloutPolicy waves with an abort-on-failure-
 // rate gate at every wave boundary. The report's headline number is
-// `bricked`: devices left holding no recoverable version. The whole
-// point of the apply journal is that this is zero no matter what the
-// fault schedule does.
+// `bricked`: devices left holding no recoverable version, that is no
+// published release and no journal record StreamingDeviceUpdater::probe
+// finds (what the device's own boot path asks). The whole point of the
+// apply journal is that this is zero no matter what the fault schedule
+// does.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +40,6 @@
 #include "campaign/rollout.hpp"
 #include "campaign/slo.hpp"
 #include "core/types.hpp"
-#include "device/stream_updater.hpp"
 #include "net/ota_client.hpp"
 #include "obs/histogram.hpp"
 
@@ -76,7 +81,6 @@ struct CampaignOptions {
   /// reported.
   SloSpec slo;
 
-  StreamUpdaterOptions apply;
   /// Per-connection client knobs; backoff defaults here are tightened
   /// for simulation (1 ms initial, 8 ms cap) — a campaign is wall-clock
   /// bound by its slowest retrying device. The short read timeout is

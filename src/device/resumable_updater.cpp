@@ -14,12 +14,6 @@ void clear_journal(FlashDevice& device, const JournalRegion& journal) {
   device.write(journal.offset, Bytes(journal.size, 0));
 }
 
-ApplyJournalOptions resumable_journal_options(const FlashDevice& device,
-                                              const UpdaterOptions& options) {
-  // No header capacity: the staged path re-stages the whole delta.
-  return ApplyJournalOptions{device.page_size(), options.window_bytes, 0};
-}
-
 ResumableUpdateResult apply_update_resumable(FlashDevice& device,
                                              ByteView delta,
                                              const ChannelModel& channel,
@@ -41,12 +35,13 @@ ResumableUpdateResult apply_update_resumable(FlashDevice& device,
     throw ValidationError(
         "resumable updater: delta is not marked in-place reconstructible");
   }
-  DeviceJournal dj(device, journal, resumable_journal_options(device, options),
+  DeviceJournal dj(device, journal,
+                   updater_journal_options(device.page_size(), options),
                    "resumable updater");
   const ApplyRecordFields identity{.artifact_crc = crc32c(delta),
                                    .artifact_size = delta.size()};
   JournaledExecutor executor(device, dj, header, identity, {},
-                             StreamUpdaterOptions{}.checkpoint_commands,
+                             options.checkpoint_commands,
                              [](std::uint64_t) { return ResumePoint{}; });
 
   // Recovery: resume from the newest valid record for this delta. A

@@ -11,10 +11,11 @@
 // and journaled sub-steps in a two-slot journal. Recovery is automatic:
 // if the journal holds a valid record for this delta (matched by
 // checksum), the updater restores its undo and resumes at the recorded
-// command and sub-step. The staged journal carries no container header
-// (header_capacity = 0), so its slot layout depends only on the page size
-// and the window (resumable_journal_options); see docs/DEVICE.md for the
-// on-flash layout.
+// command and sub-step. Its window and batch cap come from the
+// UpdaterOptions the streaming updater reads too, and its journal has
+// the streaming layout (updater_journal_options): the staged records
+// carry no container header, but their slots reserve the same header
+// capacity. See docs/DEVICE.md for the on-flash layout.
 #pragma once
 
 #include "device/channel.hpp"
@@ -23,11 +24,6 @@
 #include "device/stream_updater.hpp"
 
 namespace ipd {
-
-struct UpdaterOptions {
-  /// Size of the bounded copy window (device working buffer).
-  std::size_t window_bytes = 4096;
-};
 
 struct UpdateResult {
   length_t new_image_length = 0;
@@ -62,15 +58,11 @@ struct ResumableUpdateResult {
 /// crash tolerance. Call again with the same arguments after a power
 /// failure to resume. Throws FlashDevice::PowerFailure through (that is
 /// the simulated crash), DeviceError for resource violations, and
-/// Format/ValidationError for bad deltas.
+/// Format/ValidationError for bad deltas. Reads `options`' window and
+/// batch cap; its journal layout is updater_journal_options().
 ResumableUpdateResult apply_update_resumable(
     FlashDevice& device, ByteView delta, const ChannelModel& channel,
     const JournalRegion& journal, const UpdaterOptions& options = {});
-
-/// The apply-journal layout apply_update_resumable uses on `device` with
-/// `options`: anything that reads its journal opens it with this.
-ApplyJournalOptions resumable_journal_options(
-    const FlashDevice& device, const UpdaterOptions& options = {});
 
 /// Erase any journal state in `journal` (provisioning, test reset): one
 /// write of zeros over the whole region, whatever layout last used it.

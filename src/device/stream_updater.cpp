@@ -251,18 +251,18 @@ void JournaledExecutor::append(ApplyRecordKind kind,
   }
 }
 
-ApplyJournalOptions StreamingDeviceUpdater::journal_options(
-    const FlashDevice& device, const StreamUpdaterOptions& options) {
+ApplyJournalOptions updater_journal_options(std::size_t page_size,
+                                            const UpdaterOptions& options) {
   if (options.window_bytes == 0) {
-    throw DeviceError("stream updater: window_bytes must be >= 1");
+    throw DeviceError("device updater: window_bytes must be >= 1");
   }
-  return ApplyJournalOptions{device.page_size(), options.window_bytes,
+  return ApplyJournalOptions{page_size, options.window_bytes,
                              options.header_capacity};
 }
 
 StreamingDeviceUpdater::StreamingDeviceUpdater(
     FlashDevice& device, const JournalRegion& journal,
-    const StreamArtifactInfo& info, const StreamUpdaterOptions& options)
+    const StreamArtifactInfo& info, const UpdaterOptions& options)
     : device_(device),
       identity_{.full_image = info.full_image,
                 .artifact_crc = info.artifact_crc,
@@ -271,7 +271,8 @@ StreamingDeviceUpdater::StreamingDeviceUpdater(
                 .meta_hop = info.meta_hop,
                 .meta_target = info.meta_target},
       options_(options),
-      journal_(device, journal, journal_options(device, options),
+      journal_(device, journal,
+               updater_journal_options(device.page_size(), options),
                "stream updater") {
   if (identity_.artifact_size == 0) {
     throw ValidationError("stream updater: artifact size must be >= 1");
@@ -358,8 +359,9 @@ void StreamingDeviceUpdater::start_executor() {
 
 std::optional<StreamApplyProbe> StreamingDeviceUpdater::probe(
     FlashDevice& device, const JournalRegion& journal,
-    const StreamUpdaterOptions& options) {
-  DeviceJournal dj(device, journal, journal_options(device, options),
+    const UpdaterOptions& options) {
+  DeviceJournal dj(device, journal,
+                   updater_journal_options(device.page_size(), options),
                    "stream updater");
   const auto& rec = dj.journal.newest();
   if (!rec) {

@@ -34,6 +34,11 @@
 // images stream through the same journal (flag full_image), with
 // checkpoints carrying the running CRC-32C.
 //
+// Both updaters read one UpdaterOptions, and updater_journal_options()
+// alone decides their journal layout from it and the page size: the
+// staged slots reserve the same header capacity they never fill, so
+// either updater's journal opens, and probe()s, the same way.
+//
 // Trust note: only the staged path can run the static Verifier before the
 // first flash write; a streaming device gets the incremental gating above,
 // and the server-side Verifier stays the authoritative pre-serve gate.
@@ -63,17 +68,27 @@ void device_windowed_copy(FlashDevice& device, MutByteView window,
 std::uint32_t storage_crc(FlashDevice& device, MutByteView window,
                           length_t length);
 
-struct StreamUpdaterOptions {
+/// The device-update options both updaters read: the staged
+/// apply_update_resumable and StreamingDeviceUpdater.
+struct UpdaterOptions {
   /// Copy window = undo capacity = largest journaled pre-image.
   std::size_t window_bytes = 4096;
   /// Commands per replay batch; smaller = more journal writes, less
   /// re-fetched artifact suffix after a power cut.
   std::size_t checkpoint_commands = 32;
-  /// Largest raw container header a journal record can carry.
+  /// Largest raw container header a journal record can carry. Both
+  /// layouts reserve it; only streaming records fill it.
   std::size_t header_capacity = 256;
-  /// Full-image mode: checkpoint cadence in artifact bytes.
+  /// Streaming updater only: full-image checkpoint cadence in artifact
+  /// bytes.
   std::uint64_t full_image_checkpoint_bytes = 64u << 10;
 };
+
+/// The apply-journal layout both updaters use with `options` on flash of
+/// `page_size`-byte pages: anything that reads an updater's journal opens
+/// it with this. Throws DeviceError for a zero window.
+ApplyJournalOptions updater_journal_options(std::size_t page_size,
+                                            const UpdaterOptions& options = {});
 
 /// What a record tells a rebooted device about the download: the
 /// artifact byte to re-fetch from and the running payload Adler-32
@@ -207,18 +222,18 @@ class StreamingDeviceUpdater {
   /// memory of its current release until our first record lands.
   StreamingDeviceUpdater(FlashDevice& device, const JournalRegion& journal,
                          const StreamArtifactInfo& info,
-                         const StreamUpdaterOptions& options = {});
+                         const UpdaterOptions& options = {});
 
   StreamingDeviceUpdater(const StreamingDeviceUpdater&) = delete;
   StreamingDeviceUpdater& operator=(const StreamingDeviceUpdater&) = delete;
 
   /// Inspect the journal without touching it: the newest valid record's
   /// artifact identity and resume offset, or nullopt when the journal
-  /// holds nothing. The same options used for applying must be passed
-  /// (the slot layout depends on them).
+  /// holds nothing. Either updater's journal reads the same; the options
+  /// used for applying must be passed (the slot layout depends on them).
   static std::optional<StreamApplyProbe> probe(
       FlashDevice& device, const JournalRegion& journal,
-      const StreamUpdaterOptions& options = {});
+      const UpdaterOptions& options = {});
 
   /// Feed the next artifact bytes, starting at next_offset(). Applies
   /// every command that becomes complete and journals checkpoints as
@@ -242,12 +257,6 @@ class StreamingDeviceUpdater {
   }
   std::uint64_t journal_records() const noexcept;
 
-  /// The apply-journal layout this updater uses on `device` with
-  /// `options`: anything that reads its journal opens it with this.
-  /// Throws DeviceError for a zero window.
-  static ApplyJournalOptions journal_options(
-      const FlashDevice& device, const StreamUpdaterOptions& options);
-
  private:
   void feed_full_image(ByteView chunk);
   void feed_delta(ByteView chunk);
@@ -259,7 +268,7 @@ class StreamingDeviceUpdater {
 
   FlashDevice& device_;
   ApplyRecordFields identity_;  ///< the artifact every record names
-  StreamUpdaterOptions options_;
+  UpdaterOptions options_;
   DeviceJournal journal_;
   std::uint64_t stream_pos_ = 0;  ///< artifact offset feed() expects next
 

@@ -338,13 +338,8 @@ class DownloadSink final : public HopSink {
     if (metrics_ != nullptr) {
       metrics_->verify_rejects.fetch_add(1, std::memory_order_relaxed);
     }
-    std::string why = "unsafe delta refused before flash write";
-    for (const Finding& f : verdict.findings) {
-      if (f.severity == Severity::kError) {
-        why += ": " + f.message;
-        break;
-      }
-    }
+    const std::string why =
+        "unsafe delta refused before flash write: " + verdict.first_error();
     obs::global_events().push(obs::EventType::kJournalPoison, journal_.from,
                               journal_.hop_to, why);
     // The push above already mirrored the event into the flight
@@ -367,14 +362,13 @@ class FlashSink final : public HopSink {
   /// `probe` carries reboot-recovery state when the apply journal holds
   /// an in-flight record for this hop.
   FlashSink(FlashDevice& device, const JournalRegion& region,
-            const StreamUpdaterOptions& options,
             const std::optional<StreamApplyProbe>& probe)
-      : device_(device), region_(region), options_(options) {
+      : device_(device), region_(region) {
     if (probe) {
       // Reboot recovery: reconstruct the mid-hop state from the journal
       // alone — header, command position, checksum state, undo window.
       info_ = probe->info;
-      updater_.emplace(device_, region_, info_, options_);
+      updater_.emplace(device_, region_, info_);
     }
   }
 
@@ -393,7 +387,7 @@ class FlashSink final : public HopSink {
     info_.meta_target = target;
     // The updater journals a write-ahead checkpoint before its first
     // flash write; from here on the hop survives power cuts.
-    updater_.emplace(device_, region_, info_, options_);
+    updater_.emplace(device_, region_, info_);
   }
 
   std::uint64_t offset() const override { return updater_->next_offset(); }
@@ -414,7 +408,6 @@ class FlashSink final : public HopSink {
  private:
   FlashDevice& device_;
   const JournalRegion& region_;
-  const StreamUpdaterOptions& options_;
   StreamArtifactInfo info_;
   std::optional<StreamingDeviceUpdater> updater_;
 };
@@ -603,9 +596,10 @@ OtaReport OtaClient::update_device(FlashDevice& device,
   return report;
 }
 
-OtaReport OtaClient::update_device_streaming(
-    FlashDevice& device, const JournalRegion& journal, ReleaseId current,
-    ReleaseId target, const StreamUpdaterOptions& apply_options) {
+OtaReport OtaClient::update_device_streaming(FlashDevice& device,
+                                             const JournalRegion& journal,
+                                             ReleaseId current,
+                                             ReleaseId target) {
   const obs::TraceContext trace = mint_update_trace();
   const obs::TraceScope scope(trace);
   obs::FlightRecorder flight("ota:device-stream " + std::to_string(current) +
@@ -620,7 +614,7 @@ OtaReport OtaClient::update_device_streaming(
     // in-flight record forces that hop to finish regardless of what the
     // caller believes the device runs.
     std::optional<StreamApplyProbe> probe =
-        StreamingDeviceUpdater::probe(device, journal, apply_options);
+        StreamingDeviceUpdater::probe(device, journal);
     if (probe && probe->done) {
       current = std::max(current, probe->info.meta_hop);
       probe.reset();
@@ -628,7 +622,7 @@ OtaReport OtaClient::update_device_streaming(
     if (!probe && current >= target) {
       break;
     }
-    FlashSink sink(device, journal, apply_options, probe);
+    FlashSink sink(device, journal, probe);
     current = run_hop(current, target, sink, report);
     ++report.hops;
   }

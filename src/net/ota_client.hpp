@@ -16,6 +16,9 @@
 //    straight to flash; its apply journal is the device's only durable
 //    state and survives power cuts mid-hop.
 //
+// Both device entry points run their updater with the default
+// UpdaterOptions, so the two leave the same journal layout behind.
+//
 // All three run one hop loop. It connects with capped exponential
 // backoff, sends GET_DELTA (or RESUME at exactly the byte the sink holds,
 // so nothing is re-transferred or re-applied), checks every
@@ -128,9 +131,9 @@ class OtaClient {
   /// resumes a half-applied one with a byte-exact network RESUME at the
   /// last durable checkpoint. `current` may be stale after a reboot; the
   /// journal's hop metadata wins.
-  OtaReport update_device_streaming(
-      FlashDevice& device, const JournalRegion& journal, ReleaseId current,
-      ReleaseId target, const StreamUpdaterOptions& apply_options = {});
+  OtaReport update_device_streaming(FlashDevice& device,
+                                    const JournalRegion& journal,
+                                    ReleaseId current, ReleaseId target);
 
   /// One-shot STATS_REQ round trip: the server's Prometheus-style stats
   /// exposition (`ipdelta stats <host:port>`).

@@ -37,13 +37,8 @@ bool DeltaService::admit(ByteView artifact, std::string* why) {
   }
   if (report.ok()) return true;
   metrics_.verify_rejects.fetch_add(1, std::memory_order_relaxed);
-  std::string reason = "delta failed static verification";
-  for (const Finding& f : report.findings) {
-    if (f.severity == Severity::kError) {
-      reason += ": " + f.message;
-      break;
-    }
-  }
+  const std::string reason =
+      "delta failed static verification: " + report.first_error();
   obs::global_events().push(obs::EventType::kVerifyReject, artifact.size(), 0,
                             reason);
   if (why != nullptr) *why = reason;

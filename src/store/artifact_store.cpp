@@ -312,15 +312,9 @@ void ArtifactStore::gate_delta_locked(ReleaseId id,
   const Report report = verifier_.check(artifact);
   if (!report.ok()) {
     metrics_.verify_rejects.fetch_add(1, std::memory_order_relaxed);
-    std::string why = "store: delta artifact for release " +
-                      std::to_string(id) + " failed static verification";
-    for (const Finding& f : report.findings) {
-      if (f.severity == Severity::kError) {
-        why += ": " + f.message;
-        break;
-      }
-    }
-    throw StoreError(why);
+    throw StoreError("store: delta artifact for release " +
+                     std::to_string(id) + " failed static verification: " +
+                     report.first_error());
   }
   const MutexLock guard(verified_mutex_);
   verified_.insert(id);

@@ -268,4 +268,11 @@ std::size_t Report::warning_count() const noexcept {
   return n;
 }
 
+std::string Report::first_error() const {
+  for (const Finding& f : findings) {
+    if (f.severity == Severity::kError) return f.message;
+  }
+  return {};
+}
+
 }  // namespace ipd

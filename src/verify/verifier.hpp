@@ -112,6 +112,8 @@ struct Report {
 
   std::size_t error_count() const noexcept;
   std::size_t warning_count() const noexcept;
+  /// The first error finding's message; "" when there is none.
+  std::string first_error() const;
   /// Safe to cache/serve/apply: no error-severity findings.
   bool ok() const noexcept { return error_count() == 0; }
 

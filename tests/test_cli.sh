@@ -34,12 +34,14 @@ for policy in constant localmin scc; do
   done
 done
 
-# verify: good and bad reference.
+# verify: good and bad reference (exit 2).
 "$IPDELTA" diff ref.bin new.bin d.ipd --in-place > /dev/null
-"$IPDELTA" verify d.ipd ref.bin > /dev/null || fail "verify good"
-if "$IPDELTA" verify d.ipd new.bin > /dev/null 2>&1; then
-  fail "verify accepted the wrong reference"
-fi
+"$IPDELTA" verify d.ipd ref.bin > verify.out || fail "verify good"
+grep -qx "OK: reconstructs $(wc -c < new.bin) bytes (in-place capable)" \
+  verify.out || fail "verify OK line"
+status=0
+"$IPDELTA" verify d.ipd new.bin > /dev/null 2>&1 || status=$?
+[ "$status" -eq 2 ] || fail "verify exit $status on the wrong reference"
 
 # lint: a clean in-place delta passes (text and JSON), one flipped
 # payload byte fails with exit 3, and the self-check over the generated

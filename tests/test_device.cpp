@@ -218,7 +218,7 @@ TEST_F(UpdaterTest, EndToEndUpdateSucceeds) {
   // RAM never exceeded delta + its parsed table + window + one journal
   // slot + the conflict set (plus nothing hidden).
   const std::size_t slot =
-      ApplyJournal::slot_bytes(resumable_journal_options(dev));
+      ApplyJournal::slot_bytes(updater_journal_options(dev.page_size()));
   EXPECT_LE(r.ram_high_water,
             delta_.size() + parse_delta(delta_).table_bytes() + 4096 + slot +
                 WrittenBytes::storage_bytes(new_image_.size()));

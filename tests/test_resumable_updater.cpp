@@ -177,38 +177,60 @@ TEST(ResumableUpdater, SurvivesPowerFailureAtManyPoints) {
   }
 }
 
-TEST(ResumableUpdater, JournalOptionsFindTheRecordAPowerCutLeft) {
-  // resumable_journal_options is the one owner of the staged layout:
-  // one page per slot, an undo window per record and no header (the
-  // staged path re-stages the whole delta). A journal opened with it, as
-  // the fleet's brick check does, finds the checkpoint a mid-apply power
-  // cut left behind.
+TEST(DeviceUpdaters, JournalOptionsFindTheRecordAPowerCutLeft) {
+  // updater_journal_options is the one owner of both updaters' layout:
+  // one page per slot, the options' window and header capacity (the
+  // staged records leave the header area empty). After a mid-apply
+  // power cut, probe() opened with the same options, as the device's
+  // boot path and the fleet's brick check do, finds the checkpoint
+  // either updater left behind. The window and batch cap are not the
+  // defaults, so the layout does not match by accident.
   const Fixture f = make_fixture();
-  FlashDevice dev = make_device(f);
-  const ApplyJournalOptions opts = resumable_journal_options(dev);
-  EXPECT_EQ(opts.page_size, dev.page_size());
-  EXPECT_EQ(opts.undo_capacity, UpdaterOptions{}.window_bytes);
-  EXPECT_EQ(opts.header_capacity, 0u);
+  UpdaterOptions opts;
+  opts.window_bytes = 1024;
+  opts.checkpoint_commands = 2;
+  StreamArtifactInfo info;
+  info.artifact_crc = crc32c(f.delta);
+  info.artifact_size = f.delta.size();
+  const std::pair<const char*, std::function<void(FlashDevice&)>>
+      updaters[] = {
+          {"staged",
+           [&](FlashDevice& dev) {
+             apply_update_resumable(dev, f.delta, channel_28k(), kJournal,
+                                    opts);
+           }},
+          {"streaming", [&](FlashDevice& dev) {
+             StreamingDeviceUpdater u(dev, kJournal, info, opts);
+             u.feed(f.delta);
+           }}};
+  for (const auto& [name, update] : updaters) {
+    SCOPED_TRACE(name);
+    FlashDevice dev = make_device(f);
+    const ApplyJournalOptions layout =
+        updater_journal_options(dev.page_size(), opts);
+    EXPECT_EQ(layout.page_size, dev.page_size());
+    EXPECT_EQ(layout.undo_capacity, opts.window_bytes);
+    EXPECT_EQ(layout.header_capacity, opts.header_capacity);
 
-  dev.inject_power_failure_after(10 << 10);
-  EXPECT_THROW(apply_update_resumable(dev, f.delta, channel_28k(), kJournal),
-               FlashDevice::PowerFailure);
-  dev.clear_power_failure();
-  const DeviceJournal dj(dev, kJournal, opts, "test");
-  const std::optional<ApplyRecord> rec = dj.journal.newest();
-  ASSERT_TRUE(rec.has_value());
-  EXPECT_EQ(rec->artifact_crc, crc32c(f.delta));
-  EXPECT_NE(rec->kind, ApplyRecordKind::kDone);
+    dev.inject_power_failure_after(10 << 10);
+    EXPECT_THROW(update(dev), FlashDevice::PowerFailure);
+    dev.clear_power_failure();
+    const std::optional<StreamApplyProbe> probe =
+        StreamingDeviceUpdater::probe(dev, kJournal, opts);
+    ASSERT_TRUE(probe.has_value());
+    EXPECT_EQ(probe->info.artifact_crc, crc32c(f.delta));
+    EXPECT_FALSE(probe->done);
+  }
 }
 
 /// Cut power at 24 evenly spaced write counts of `update`, then
 /// re-provision the device with v1 and clear_journal: the journal opened
-/// with `layout` must hold no record, and a fresh `update` must reach v2.
+/// with the updaters' layout must hold no record, and a fresh `update`
+/// must reach v2.
 /// The slots sit at the front of the region and, on 512 B pages, are not
 /// half of it, so this fails if clearing misses slot 1.
 void expect_reprovision_forgets_cut_updates(
-    const Fixture& f, const ApplyJournalOptions& layout,
-    const std::function<void(FlashDevice&)>& update) {
+    const Fixture& f, const std::function<void(FlashDevice&)>& update) {
   std::uint64_t total_writes = 0;
   {
     FlashDevice dev = make_device(f);
@@ -229,7 +251,9 @@ void expect_reprovision_forgets_cut_updates(
     dev.clear_power_failure();
     dev.load_image(f.v1);
     clear_journal(dev, kJournal);
-    EXPECT_FALSE(DeviceJournal(dev, kJournal, layout, "test")
+    EXPECT_FALSE(DeviceJournal(dev, kJournal,
+                               updater_journal_options(dev.page_size()),
+                               "test")
                      .journal.newest()
                      .has_value());
     EXPECT_NO_THROW(update(dev));
@@ -240,11 +264,9 @@ void expect_reprovision_forgets_cut_updates(
 
 TEST(ClearJournal, ReprovisionForgetsACutStagedUpdate) {
   const Fixture f = make_fixture();
-  FlashDevice layout_of = make_device(f);
-  expect_reprovision_forgets_cut_updates(
-      f, resumable_journal_options(layout_of), [&f](FlashDevice& dev) {
-        apply_update_resumable(dev, f.delta, channel_28k(), kJournal);
-      });
+  expect_reprovision_forgets_cut_updates(f, [&f](FlashDevice& dev) {
+    apply_update_resumable(dev, f.delta, channel_28k(), kJournal);
+  });
 }
 
 TEST(ClearJournal, ReprovisionForgetsACutStreamingUpdate) {
@@ -252,10 +274,8 @@ TEST(ClearJournal, ReprovisionForgetsACutStreamingUpdate) {
   StreamArtifactInfo info;
   info.artifact_crc = crc32c(f.delta);
   info.artifact_size = f.delta.size();
-  FlashDevice layout_of = make_device(f);
   expect_reprovision_forgets_cut_updates(
-      f, StreamingDeviceUpdater::journal_options(layout_of, {}),
-      [&f, &info](FlashDevice& dev) {
+      f, [&f, &info](FlashDevice& dev) {
         StreamingDeviceUpdater u(dev, kJournal, info);
         for (std::size_t at = 0; at < f.delta.size(); at += 1000) {
           u.feed(ByteView(f.delta).subspan(
@@ -381,7 +401,8 @@ TEST(ResumableUpdater, RefusesAnUndoWindowOutsideTheVersion) {
   // the version, or at an offset that wraps must be refused before the
   // restore writes a byte.
   const Fixture f = make_fixture();
-  const ApplyJournalOptions opts{512, UpdaterOptions{}.window_bytes, 0};
+  const ApplyJournalOptions opts{512, UpdaterOptions{}.window_bytes,
+                                 UpdaterOptions{}.header_capacity};
   for (const std::uint64_t undo_to :
        {std::uint64_t{kImageArea}, std::uint64_t{f.v2.size() - 63},
         std::numeric_limits<std::uint64_t>::max() - 5}) {
@@ -628,13 +649,14 @@ void expect_staged_conflict_before_copy(
   ASSERT_FALSE(decode_delta(f.delta, parsed).has_value());
   DeviceJournal dj(dev, kJournal,
                    ApplyJournalOptions{dev.page_size(),
-                                       UpdaterOptions{}.window_bytes, 0},
+                                       UpdaterOptions{}.window_bytes,
+                                       UpdaterOptions{}.header_capacity},
                    "test");
   JournaledExecutor executor(
       dev, dj, parsed.header,
       ApplyRecordFields{.artifact_crc = crc32c(f.delta),
                         .artifact_size = f.delta.size()},
-      {}, StreamUpdaterOptions{}.checkpoint_commands,
+      {}, UpdaterOptions{}.checkpoint_commands,
       [](std::uint64_t) { return ResumePoint{}; });
   executor.begin(ResumePoint{});
   executor.execute(parsed.commands[0], 0);
@@ -690,7 +712,8 @@ void expect_ram_charged(const Fixture& f) {
   }
   const std::size_t set = WrittenBytes::storage_bytes(f.v2.size());
   const std::size_t slot = ApplyJournal::slot_bytes(
-      ApplyJournalOptions{512, UpdaterOptions{}.window_bytes, 0});
+      ApplyJournalOptions{512, UpdaterOptions{}.window_bytes,
+                          UpdaterOptions{}.header_capacity});
   const std::size_t table = parse_delta(f.delta).table_bytes();
   EXPECT_EQ(high_water, f.delta.size() + table +
                             UpdaterOptions{}.window_bytes + slot + set);

@@ -55,8 +55,8 @@ FlashDevice make_device(const Bytes& image) {
   return dev;
 }
 
-StreamUpdaterOptions tight_options() {
-  StreamUpdaterOptions opts;
+UpdaterOptions tight_options() {
+  UpdaterOptions opts;
   opts.checkpoint_commands = 2;  // many boundaries for the matrix
   opts.window_bytes = 1024;
   return opts;
@@ -78,7 +78,7 @@ void expect_image(const FlashDevice& dev, const Bytes& expected) {
 
 /// One cut-at-`cut`-bytes-written run: apply until the power fails,
 /// reboot, probe, resume, and verify byte-identical reconstruction.
-void run_cut(const Fixture& f, const StreamUpdaterOptions& opts,
+void run_cut(const Fixture& f, const UpdaterOptions& opts,
              std::uint64_t cut) {
   SCOPED_TRACE("cut at " + std::to_string(cut) + " bytes written");
   FlashDevice dev = make_device(f.v1);
@@ -145,7 +145,7 @@ TEST(StreamUpdater, FixtureActuallyExercisesSelfOverlap) {
 // mid-journal-record (+17), requiring byte-identical recovery each time.
 TEST(StreamUpdater, PowerCutMatrixAtEveryBoundary) {
   const Fixture f = make_fixture();
-  const StreamUpdaterOptions opts = tight_options();
+  const UpdaterOptions opts = tight_options();
 
   std::vector<std::uint64_t> boundaries;
   std::uint64_t total_writes = 0;
@@ -182,7 +182,7 @@ TEST(StreamUpdater, PowerCutMatrixAtEveryBoundary) {
 
 TEST(StreamUpdater, SurvivesRepeatedCutsUntilDone) {
   const Fixture f = make_fixture();
-  const StreamUpdaterOptions opts = tight_options();
+  const UpdaterOptions opts = tight_options();
   FlashDevice dev = make_device(f.v1);
   int reboots = 0;
   for (;;) {
@@ -211,7 +211,7 @@ TEST(StreamUpdater, SurvivesRepeatedCutsUntilDone) {
 TEST(StreamUpdater, PowerCutSweepOverSeededCorpus) {
   for (const std::uint64_t seed : {7ull, 77ull, 123ull}) {
     const Fixture f = make_fixture(seed);
-    const StreamUpdaterOptions opts = tight_options();
+    const UpdaterOptions opts = tight_options();
     std::uint64_t total_writes = 0;
     {
       FlashDevice dev = make_device(f.v1);
@@ -235,7 +235,7 @@ TEST(StreamUpdater, FullImageModeStreamsWithCheckpoints) {
   info.meta_from = 0;
   info.meta_hop = 2;
   info.meta_target = 2;
-  StreamUpdaterOptions opts;
+  UpdaterOptions opts;
   opts.full_image_checkpoint_bytes = 4096;
 
   // Clean run.
@@ -480,7 +480,7 @@ TEST(StreamUpdater, RefusesAnUndoWindowOutsideTheVersion) {
   // the version, or at an offset that wraps must be refused before the
   // restore writes a byte.
   const Fixture f = make_fixture();
-  const StreamUpdaterOptions opts = tight_options();
+  const UpdaterOptions opts = tight_options();
   const ApplyJournalOptions journal_opts{512, opts.window_bytes,
                                          opts.header_capacity};
   for (const std::uint64_t undo_to :
@@ -510,38 +510,10 @@ TEST(StreamUpdater, RefusesAnUndoWindowOutsideTheVersion) {
   }
 }
 
-TEST(StreamUpdater, JournalOptionsFindTheRecordAPowerCutLeft) {
-  // journal_options is the one owner of the streaming layout: one page
-  // per slot, the options' window and header capacity. A journal opened
-  // with it, as the fleet's brick check does, finds the checkpoint a
-  // mid-apply power cut left behind. The tight options' window is not
-  // the default, so the layout does not match by accident.
-  const Fixture f = make_fixture();
-  const StreamUpdaterOptions opts = tight_options();
-  FlashDevice dev = make_device(f.v1);
-  const ApplyJournalOptions journal_opts =
-      StreamingDeviceUpdater::journal_options(dev, opts);
-  EXPECT_EQ(journal_opts.page_size, dev.page_size());
-  EXPECT_EQ(journal_opts.undo_capacity, opts.window_bytes);
-  EXPECT_EQ(journal_opts.header_capacity, opts.header_capacity);
-
-  dev.inject_power_failure_after(10 << 10);
-  {
-    StreamingDeviceUpdater u(dev, kJournal, f.info, opts);
-    EXPECT_THROW(feed_rest(u, f.delta), FlashDevice::PowerFailure);
-  }
-  dev.clear_power_failure();
-  const DeviceJournal dj(dev, kJournal, journal_opts, "test");
-  const std::optional<ApplyRecord> rec = dj.journal.newest();
-  ASSERT_TRUE(rec.has_value());
-  EXPECT_EQ(rec->artifact_crc, f.info.artifact_crc);
-  EXPECT_NE(rec->kind, ApplyRecordKind::kDone);
-}
-
 TEST(StreamUpdater, HeaderCapacityIsEnforced) {
   const Fixture f = make_fixture();
   FlashDevice dev = make_device(f.v1);
-  StreamUpdaterOptions opts = tight_options();
+  UpdaterOptions opts = tight_options();
   opts.header_capacity = 8;  // far too small for any real container
   StreamingDeviceUpdater u(dev, kJournal, f.info, opts);
   EXPECT_THROW(u.feed(f.delta), DeviceError);
