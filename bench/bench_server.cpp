@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -87,7 +88,7 @@ LoadResult run_load(DeltaService& service, std::size_t releases,
 }
 
 /// CI gate: the stats exposition must name every registered metric.
-/// Re-runs the same X-macro iterations the renderer consumed, against
+/// Re-runs the same generated visit() the renderer consumed, against
 /// the rendered text — a counter or histogram added to the registry but
 /// dropped from the exposition fails the bench (and the smoke job).
 int check_stats_exposition(const DeltaService& service) {
@@ -100,12 +101,17 @@ int check_stats_exposition(const DeltaService& service) {
       ++missing;
     }
   };
-  service.metrics().for_each([&](const char* name, std::uint64_t) {
-    require("ipdelta_" + std::string(name) + " ", "counter");
-  });
-  service.histograms().for_each([&](const char* name, const obs::Histogram&) {
-    require("ipdelta_" + std::string(name) + "{quantile=", "histogram");
-  });
+  const auto require_set = [&](const auto& set) {
+    set.visit([&](const char* name, const auto& metric) {
+      if (std::string_view(obs::metric_type(metric)) == "summary") {
+        require("ipdelta_" + std::string(name) + "{quantile=", "histogram");
+      } else {
+        require("ipdelta_" + std::string(name) + " ", "counter");
+      }
+    });
+  };
+  require_set(service.metrics());
+  require_set(service.histograms());
   for (std::size_t i = 0; i < obs::kStageCount; ++i) {
     const auto stage = static_cast<obs::Stage>(i);
     for (const char* series : {"stage_ns", "stage_bytes", "stage_ops"}) {
@@ -388,15 +394,14 @@ int main() {
       run_load(service, releases, 4, 600,
                bench::repetition_seed(0xCAFE, repetition++), latency);
       const ServiceMetrics& m = service.metrics();
-      const DeltaCache::Stats stats = service.cache().stats();
       char label[32];
       std::snprintf(label, sizeof label, "%llu KiB",
                     static_cast<unsigned long long>(budget >> 10));
       std::printf("  %-12s %9.1f%% %10llu %10llu %8llu\n", label,
                   100.0 * m.hit_rate(),
                   static_cast<unsigned long long>(m.builds.load()),
-                  static_cast<unsigned long long>(stats.evictions),
-                  static_cast<unsigned long long>(stats.rejected));
+                  static_cast<unsigned long long>(m.evictions.load()),
+                  static_cast<unsigned long long>(m.rejected_inserts.load()));
     }
   }
   json += "}";

@@ -604,7 +604,6 @@ int cmd_serve(const std::vector<std::string>& args) {
                   trace_out.c_str());
     }
     std::printf("%s", service.stats_text().c_str());
-    if (artifacts) std::printf("%s", artifacts->stats_text().c_str());
     const std::string events = obs::global_events().dump();
     if (!events.empty()) {
       std::printf("recent events:\n%s", events.c_str());
@@ -638,7 +637,6 @@ int cmd_serve(const std::vector<std::string>& args) {
   for (std::thread& client : clients) client.join();
 
   std::printf("%s", service.stats_text().c_str());
-  if (artifacts) std::printf("%s", artifacts->stats_text().c_str());
   if (failures.load() != 0) {
     std::printf("serve: %llu of %zu reconstructions FAILED\n",
                 static_cast<unsigned long long>(failures.load()), requests);

@@ -107,7 +107,8 @@ struct ErrorMsg {
 
 /// STATS_REQ/STATS carry the server's one metrics exposition: the
 /// Prometheus-style text (DeltaService::stats_text()) with every
-/// counter, histogram quantiles, cache gauges and stage timings — what
+/// counter, histogram quantiles, cache gauges, stage timings and, on a
+/// store-backed server, the store's ipdelta_store_* series — what
 /// `ipdelta stats <host:port>` polls and a scraper would ingest.
 struct StatsReqMsg {};
 

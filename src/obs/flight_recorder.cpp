@@ -6,6 +6,7 @@
 #include <deque>
 
 #include "core/sync.hpp"
+#include "obs/json.hpp"
 
 namespace ipd::obs {
 
@@ -38,26 +39,6 @@ void copy_detail(char (&dst)[FlightRecorder::kDetailBytes],
   // see even for a zero-byte copy.
   if (n != 0) std::memcpy(dst, src.data(), n);
   dst[n] = '\0';
-}
-
-void json_escape_into(std::string* out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
 }
 
 /// Best-effort file write; a dump must never turn a failure path into a

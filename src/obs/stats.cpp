@@ -6,6 +6,8 @@ namespace ipd::obs {
 
 namespace {
 
+constexpr std::string_view kPrefix = "ipdelta_";
+
 void append_value(std::string& out, std::uint64_t value) {
   char buf[24];
   std::snprintf(buf, sizeof buf, "%llu",
@@ -19,7 +21,7 @@ void PrometheusRenderer::type_line(std::string_view name, const char* type) {
   if (last_typed_ == name) return;
   last_typed_ = name;
   out_ += "# TYPE ";
-  out_ += prefix_;
+  out_ += kPrefix;
   out_ += name;
   out_ += ' ';
   out_ += type;
@@ -28,7 +30,7 @@ void PrometheusRenderer::type_line(std::string_view name, const char* type) {
 
 void PrometheusRenderer::counter(std::string_view name, std::uint64_t value) {
   type_line(name, "counter");
-  out_ += prefix_;
+  out_ += kPrefix;
   out_ += name;
   out_ += ' ';
   append_value(out_, value);
@@ -40,7 +42,7 @@ void PrometheusRenderer::counter(std::string_view name,
                                  std::string_view label_value,
                                  std::uint64_t value) {
   type_line(name, "counter");
-  out_ += prefix_;
+  out_ += kPrefix;
   out_ += name;
   out_ += '{';
   out_ += label_key;
@@ -53,7 +55,7 @@ void PrometheusRenderer::counter(std::string_view name,
 
 void PrometheusRenderer::gauge(std::string_view name, std::uint64_t value) {
   type_line(name, "gauge");
-  out_ += prefix_;
+  out_ += kPrefix;
   out_ += name;
   out_ += ' ';
   append_value(out_, value);
@@ -69,18 +71,18 @@ void PrometheusRenderer::histogram(std::string_view name,
   } kQuantiles[] = {{"0.5", 0.5}, {"0.9", 0.9}, {"0.99", 0.99}};
   char buf[64];
   for (const auto& quantile : kQuantiles) {
-    out_ += prefix_;
+    out_ += kPrefix;
     out_ += name;
     std::snprintf(buf, sizeof buf, "{quantile=\"%s\"} %.0f\n", quantile.label,
                   snap.quantile(quantile.q));
     out_ += buf;
   }
-  out_ += prefix_;
+  out_ += kPrefix;
   out_ += name;
   out_ += "_sum ";
   append_value(out_, snap.sum);
   out_ += '\n';
-  out_ += prefix_;
+  out_ += kPrefix;
   out_ += name;
   out_ += "_count ";
   append_value(out_, snap.count);

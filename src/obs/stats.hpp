@@ -1,12 +1,17 @@
 // Prometheus-style text exposition for counters, gauges and histograms.
 //
-// The renderer is deliberately dumb: callers iterate their own metric
-// sources (ServiceMetrics::for_each, ServiceHistograms::for_each, the
-// stage totals) and feed name/value pairs in; the renderer only owns
-// the format. That keeps obs/ free of dependencies on the subsystems it
+// The renderer is deliberately dumb: metric sets reach it through
+// render_metric_set() (obs/metric_set.hpp), other series (cache gauges,
+// stage totals) through direct calls, and the renderer only owns the
+// format. That keeps obs/ free of dependencies on the subsystems it
 // observes, and makes "every registered metric appears in the output"
-// checkable by re-running the same iteration over the rendered text —
-// which is exactly what the CI smoke gate does.
+// checkable by re-running the same visit over the rendered text, which
+// is exactly what the CI smoke gate does.
+//
+// Every series is "ipdelta_" + the name it is given; a set rendered
+// under a prefix passes that prefix as part of the name ("store_" +
+// "verify_rejects"), so the # TYPE dedup compares the whole series name
+// and two sets' same-named metrics stay apart.
 //
 // Output shape (prefix "ipdelta_"):
 //
@@ -32,9 +37,6 @@ namespace ipd::obs {
 
 class PrometheusRenderer {
  public:
-  explicit PrometheusRenderer(std::string prefix = "ipdelta_")
-      : prefix_(std::move(prefix)) {}
-
   void counter(std::string_view name, std::uint64_t value);
   /// Labeled counter series; the # TYPE line is emitted once per name.
   void counter(std::string_view name, std::string_view label_key,
@@ -48,7 +50,6 @@ class PrometheusRenderer {
  private:
   void type_line(std::string_view name, const char* type);
 
-  std::string prefix_;
   std::string out_;
   std::string last_typed_;  ///< dedup # TYPE for labeled series
 };

@@ -6,6 +6,8 @@
 #include <memory>
 #include <variant>
 
+#include "obs/json.hpp"
+
 namespace ipd::obs {
 
 namespace {
@@ -198,25 +200,9 @@ class JsonParser {
 
 // ---- serialization -------------------------------------------------
 
-void append_escaped(std::string* out, const std::string& text) {
+void append_string(std::string* out, const std::string& text) {
   *out += '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
+  json_escape_into(out, text);
   *out += '"';
 }
 
@@ -238,7 +224,7 @@ void append_object(std::string* out, const JsonObject& object) {
   for (const auto& [key, value] : object) {
     if (!first) *out += ',';
     first = false;
-    append_escaped(out, key);
+    append_string(out, key);
     *out += ':';
     append_value(out, value);
   }
@@ -258,7 +244,7 @@ void append_value(std::string* out, const JsonValue& v) {
     }
     *out += ']';
   } else if (v.is_string()) {
-    append_escaped(out, v.string());
+    append_string(out, v.string());
   } else if (v.is_number()) {
     append_number(out, v.number());
   } else if (std::holds_alternative<bool>(v.v)) {
@@ -313,7 +299,7 @@ std::string merge_traces(const std::vector<NamedTrace>& inputs,
 
     std::string meta = "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
                        std::to_string(pid) + ",\"args\":{\"name\":";
-    append_escaped(&meta, inputs[i].name);
+    append_string(&meta, inputs[i].name);
     meta += "}}";
     emit(meta);
     ++local.events;

@@ -52,7 +52,6 @@ bool DeltaCache::put(const DeltaKey& key,
   {
     MutexLock lock(shard.mutex);
     if (size > shard_budget_) {
-      ++shard.rejected;
       rejected = true;
     } else {
       const auto it = shard.index.find(key);
@@ -71,7 +70,6 @@ bool DeltaCache::put(const DeltaKey& key,
         shard.bytes -= victim.value->size();
         shard.index.erase(victim.key);
         shard.lru.pop_back();
-        ++shard.evictions;
         ++evicted;
       }
     }
@@ -96,8 +94,6 @@ DeltaCache::Stats DeltaCache::stats() const {
     MutexLock lock(shard->mutex);
     total.bytes_held += shard->bytes;
     total.entries += shard->lru.size();
-    total.evictions += shard->evictions;
-    total.rejected += shard->rejected;
   }
   return total;
 }

@@ -57,14 +57,13 @@ class DeltaCache {
   struct Stats {
     std::uint64_t bytes_held = 0;
     std::size_t entries = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t rejected = 0;
   };
 
   /// `byte_budget` is split evenly across `shards` (rounded up to a power
-  /// of two). `metrics`, when non-null, receives hit/miss/eviction
-  /// counts; it must outlive the cache. The cache trusts what it is
-  /// given: DeltaService::admit verifies every artifact before put().
+  /// of two). `metrics`, when non-null, receives hit/miss/eviction and
+  /// rejected-insert counts, which the cache keeps nowhere else; it must
+  /// outlive the cache. The cache trusts what it is given:
+  /// DeltaService::admit verifies every artifact before put().
   explicit DeltaCache(std::uint64_t byte_budget, std::size_t shards = 16,
                       ServiceMetrics* metrics = nullptr);
 
@@ -94,8 +93,6 @@ class DeltaCache {
     std::unordered_map<DeltaKey, std::list<Entry>::iterator, DeltaKeyHash>
         index GUARDED_BY(mutex);
     std::uint64_t bytes GUARDED_BY(mutex) = 0;
-    std::uint64_t evictions GUARDED_BY(mutex) = 0;
-    std::uint64_t rejected GUARDED_BY(mutex) = 0;
   };
 
   Shard& shard_for(const DeltaKey& key) noexcept;

@@ -4,7 +4,7 @@
 #include <string>
 
 #include "obs/event_ring.hpp"
-#include "obs/stats.hpp"
+#include "obs/metric_set.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_context.hpp"
 #include "server/fingerprint.hpp"
@@ -242,12 +242,8 @@ void DeltaService::serve_async(ReleaseId from, ReleaseId to,
 
 std::string DeltaService::stats_text() const {
   obs::PrometheusRenderer r;
-  metrics_.for_each([&](const char* name, std::uint64_t value) {
-    r.counter(name, value);
-  });
-  histograms_.for_each([&](const char* name, const obs::Histogram& h) {
-    r.histogram(name, h.snapshot());
-  });
+  obs::render_metric_set(r, "", metrics_);
+  obs::render_metric_set(r, "", histograms_);
   const DeltaCache::Stats stats = cache_.stats();
   r.gauge("cache_bytes_held", stats.bytes_held);
   r.gauge("cache_byte_budget", cache_.byte_budget());
@@ -271,6 +267,7 @@ std::string DeltaService::stats_text() const {
               totals[stage].count);
   }
   r.counter("events_recorded", obs::global_events().pushed());
+  store_.render_metrics(r);
   return r.str();
 }
 

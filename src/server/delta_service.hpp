@@ -144,8 +144,10 @@ class DeltaService {
 
   /// Prometheus-style text exposition: every ServiceMetrics counter,
   /// every ServiceHistograms summary (p50/p90/p99), cache residency
-  /// gauges, per-stage pipeline time and the event-ring depth. This is
-  /// the payload behind the wire STATS message and `ipdelta stats`.
+  /// gauges, per-stage pipeline time, the event-ring depth, then the
+  /// store's own set (VersionStore::render_metrics; ipdelta_store_* on
+  /// an ArtifactStore). This is the process's one exposition: the
+  /// payload behind the wire STATS message and `ipdelta stats`.
   std::string stats_text() const;
 
  private:

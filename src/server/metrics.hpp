@@ -7,18 +7,15 @@
 // (benches, the CLI, tests) only need eventually-consistent totals, and
 // every counter is monotone except the bytes_cached gauge.
 //
-// The counter and histogram inventories are single X-macro lists:
-// member declarations, for_each() and reset() are all generated from the
-// same line, so a metric cannot be added to one and silently missed by
+// The counter and histogram inventories are single X-macro lists, and
+// obs/metric_set.hpp generates the members, visit() and reset() from
+// them, so a metric cannot be added to one and silently missed by
 // another. The stats exposition (DeltaService::stats_text(), the one way
-// these values leave the process) and tests/test_server.cpp iterate the
-// same lists.
+// these values leave the process) and tests/test_server.cpp walk the
+// same visit().
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-
-#include "obs/histogram.hpp"
+#include "obs/metric_set.hpp"
 
 namespace ipd {
 
@@ -48,25 +45,17 @@ namespace ipd {
   X(net_shed)           /* load-shed refusals (ERROR{kShed} replies) */
 
 struct ServiceMetrics {
-#define IPD_DECLARE_COUNTER(name) std::atomic<std::uint64_t> name{0};
-  IPD_SERVICE_COUNTERS(IPD_DECLARE_COUNTER)
-#undef IPD_DECLARE_COUNTER
-
-  /// Visit every counter as (name, current value) — the one iteration
-  /// the stats exposition and the drift tests share.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-#define IPD_VISIT_COUNTER(name) \
-  fn(#name, name.load(std::memory_order_relaxed));
-    IPD_SERVICE_COUNTERS(IPD_VISIT_COUNTER)
-#undef IPD_VISIT_COUNTER
-  }
-
-  /// Zero every counter (bench warm-up/measure phase boundary).
-  void reset() noexcept;
+  IPD_METRIC_SET(IPD_SERVICE_COUNTERS, IPD_NO_METRICS)
 
   /// cache_hits / (cache_hits + cache_misses), 0 when no lookups yet.
-  double hit_rate() const noexcept;
+  double hit_rate() const noexcept {
+    const std::uint64_t hits = cache_hits.load(std::memory_order_relaxed);
+    const std::uint64_t lookups =
+        hits + cache_misses.load(std::memory_order_relaxed);
+    return lookups == 0 ? 0.0
+                        : static_cast<double>(hits) /
+                              static_cast<double>(lookups);
+  }
 };
 
 // Every ServiceHistograms member exactly once: X(name). Values are
@@ -83,24 +72,9 @@ struct ServiceMetrics {
 
 /// The latency/size distributions recorded alongside ServiceMetrics.
 /// Same discipline as the counters: relaxed atomics only, generated
-/// iteration, reset at phase boundaries.
+/// visit, reset at phase boundaries.
 struct ServiceHistograms {
-#define IPD_DECLARE_HISTOGRAM(name) obs::Histogram name;
-  IPD_SERVICE_HISTOGRAMS(IPD_DECLARE_HISTOGRAM)
-#undef IPD_DECLARE_HISTOGRAM
-
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-#define IPD_VISIT_HISTOGRAM(name) fn(#name, name);
-    IPD_SERVICE_HISTOGRAMS(IPD_VISIT_HISTOGRAM)
-#undef IPD_VISIT_HISTOGRAM
-  }
-
-  void reset() noexcept {
-#define IPD_RESET_HISTOGRAM(name) name.reset();
-    IPD_SERVICE_HISTOGRAMS(IPD_RESET_HISTOGRAM)
-#undef IPD_RESET_HISTOGRAM
-  }
+  IPD_METRIC_SET(IPD_NO_METRICS, IPD_SERVICE_HISTOGRAMS)
 };
 
 }  // namespace ipd

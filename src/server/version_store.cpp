@@ -13,7 +13,9 @@ ReleaseId VersionStore::publish(Bytes body) {
   const ReleaseId id = static_cast<ReleaseId>(bodies_.size());
   bodies_.push_back(std::move(shared));
   keys_.push_back(key);
-  if (by_content_.contains(key)) count_duplicate_publish();
+  if (by_content_.contains(key)) {
+    duplicate_publishes_.fetch_add(1, std::memory_order_relaxed);
+  }
   by_content_[key] = id;  // newer release wins the content address
   return id;
 }

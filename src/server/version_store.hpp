@@ -40,6 +40,10 @@
 
 namespace ipd {
 
+namespace obs {
+class PrometheusRenderer;
+}  // namespace obs
+
 /// Index of a release within a VersionStore (0 = oldest).
 using ReleaseId = std::uint32_t;
 
@@ -82,15 +86,13 @@ class VersionStore {
 
   /// How many publishes re-used content an earlier release already had
   /// (each one shadows the older release in find()).
-  std::uint64_t duplicate_publishes() const noexcept {
+  virtual std::uint64_t duplicate_publishes() const noexcept {
     return duplicate_publishes_.load(std::memory_order_relaxed);
   }
 
- protected:
-  /// Subclasses count their own shadowing publishes through this.
-  void count_duplicate_publish() noexcept {
-    duplicate_publishes_.fetch_add(1, std::memory_order_relaxed);
-  }
+  /// Render the backend's own metric set into a service's exposition
+  /// (DeltaService::stats_text()). The in-memory store has none.
+  virtual void render_metrics(obs::PrometheusRenderer&) const {}
 
  private:
   mutable SharedMutex mutex_{"VersionStore"};

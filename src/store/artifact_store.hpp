@@ -163,10 +163,6 @@ class ArtifactStore {
   const RecoveryReport& recovery() const noexcept { return recovery_; }
   const StoreMetrics& metrics() const noexcept { return metrics_; }
   StoreMetrics& metrics() noexcept { return metrics_; }
-  /// metrics() as a Prometheus-style exposition (obs/stats.hpp) under
-  /// the prefix "ipdelta_store_": every counter and every histogram
-  /// summary. What `ipdelta store list` prints.
-  std::string stats_text() const;
   const StoreOptions& options() const noexcept { return options_; }
   const std::filesystem::path& dir() const noexcept { return dir_; }
   /// Current segment-file size (cold-start and gc observability).

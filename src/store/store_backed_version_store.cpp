@@ -1,5 +1,7 @@
 #include "store/store_backed_version_store.hpp"
 
+#include "obs/metric_set.hpp"
+
 namespace ipd {
 
 StoreBackedVersionStore::StoreBackedVersionStore(
@@ -11,14 +13,8 @@ StoreBackedVersionStore::StoreBackedVersionStore(
 }
 
 ReleaseId StoreBackedVersionStore::publish(Bytes body) {
-  const std::uint64_t before =
-      store_->metrics().duplicate_publishes.load(std::memory_order_relaxed);
   auto shared = std::make_shared<const Bytes>(std::move(body));
   const ReleaseId id = store_->publish(*shared);
-  if (store_->metrics().duplicate_publishes.load(
-          std::memory_order_relaxed) > before) {
-    count_duplicate_publish();
-  }
   memo_put(id, std::move(shared));
   return id;
 }
@@ -46,6 +42,15 @@ std::optional<ReleaseId> StoreBackedVersionStore::find(
 
 ReleaseId StoreBackedVersionStore::latest() const {
   return store_->latest();
+}
+
+std::uint64_t StoreBackedVersionStore::duplicate_publishes() const noexcept {
+  return store_->metrics().duplicate_publishes.load(std::memory_order_relaxed);
+}
+
+void StoreBackedVersionStore::render_metrics(
+    obs::PrometheusRenderer& r) const {
+  obs::render_metric_set(r, "store_", store_->metrics());
 }
 
 std::shared_ptr<const Bytes> StoreBackedVersionStore::memo_get(

@@ -36,6 +36,10 @@ class StoreBackedVersionStore final : public VersionStore {
   ContentKey content_key(ReleaseId id) const override;
   std::optional<ReleaseId> find(const ContentKey& key) const override;
   ReleaseId latest() const override;
+  /// The ArtifactStore's own counter: it sees every shadowing publish.
+  std::uint64_t duplicate_publishes() const noexcept override;
+  /// The ArtifactStore's StoreMetrics as ipdelta_store_*.
+  void render_metrics(obs::PrometheusRenderer& r) const override;
 
   ArtifactStore& store() noexcept { return *store_; }
   const ArtifactStore& store() const noexcept { return *store_; }

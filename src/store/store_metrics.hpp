@@ -1,17 +1,13 @@
-// Artifact-store observability: counters and histograms in the same
-// X-macro discipline as server/metrics.hpp — one list generates the
-// members, the iteration and reset(), and the Prometheus exposition
-// (ArtifactStore::stats_text()) walks the same iteration, so a metric
-// cannot be added to one and missed by another.
+// Artifact-store observability: counters and histograms generated by
+// obs/metric_set.hpp from the two lists below, like server/metrics.hpp.
+// A service running on the store carries them in its STATS exposition
+// as ipdelta_store_* (StoreBackedVersionStore::render_metrics).
 //
 // Counters are relaxed atomics (statistics, not synchronization);
 // histograms are the lock-free obs::Histogram used everywhere else.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-
-#include "obs/histogram.hpp"
+#include "obs/metric_set.hpp"
 
 namespace ipd {
 
@@ -36,27 +32,7 @@ namespace ipd {
   X(gc_runs)                /* segment compactions                      */ \
   X(gc_bytes_reclaimed)     /* garbage segment bytes dropped            */
 
-struct StoreMetrics {
-#define IPD_DECLARE_COUNTER(name) std::atomic<std::uint64_t> name{0};
-  IPD_STORE_COUNTERS(IPD_DECLARE_COUNTER)
-#undef IPD_DECLARE_COUNTER
-
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-#define IPD_VISIT_COUNTER(name) \
-  fn(#name, name.load(std::memory_order_relaxed));
-    IPD_STORE_COUNTERS(IPD_VISIT_COUNTER)
-#undef IPD_VISIT_COUNTER
-  }
-
-  void reset() noexcept {
-#define IPD_RESET_COUNTER(name) name.store(0, std::memory_order_relaxed);
-    IPD_STORE_COUNTERS(IPD_RESET_COUNTER)
-#undef IPD_RESET_COUNTER
-    histograms_reset();
-  }
-
-  // Every StoreHistograms member exactly once: X(name).
+// Every StoreMetrics histogram exactly once: X(name).
 #define IPD_STORE_HISTOGRAMS(X)                                           \
   X(publish_ns)      /* publish wall time (build + policy + append)   */  \
   X(reconstruct_ns)  /* body() wall time on a disk-cache miss         */  \
@@ -64,22 +40,8 @@ struct StoreMetrics {
   X(artifact_bytes)  /* stored artifact size per publish              */  \
   X(chain_length)    /* chain length at each publish                  */
 
-#define IPD_DECLARE_HISTOGRAM(name) obs::Histogram name;
-  IPD_STORE_HISTOGRAMS(IPD_DECLARE_HISTOGRAM)
-#undef IPD_DECLARE_HISTOGRAM
-
-  template <typename Fn>
-  void for_each_histogram(Fn&& fn) const {
-#define IPD_VISIT_HISTOGRAM(name) fn(#name, name);
-    IPD_STORE_HISTOGRAMS(IPD_VISIT_HISTOGRAM)
-#undef IPD_VISIT_HISTOGRAM
-  }
-
-  void histograms_reset() noexcept {
-#define IPD_RESET_HISTOGRAM(name) name.reset();
-    IPD_STORE_HISTOGRAMS(IPD_RESET_HISTOGRAM)
-#undef IPD_RESET_HISTOGRAM
-  }
+struct StoreMetrics {
+  IPD_METRIC_SET(IPD_STORE_COUNTERS, IPD_STORE_HISTOGRAMS)
 };
 
 }  // namespace ipd

@@ -2,43 +2,11 @@
 // consumed by `ipdelta lint --json` (schema in docs/VERIFY.md).
 #include <string>
 
+#include "obs/json.hpp"
 #include "verify/verifier.hpp"
 
 namespace ipd {
 namespace {
-
-/// Minimal JSON string escaping; finding messages are ASCII by
-/// construction but quotes and control bytes must not break the document.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xF];
-          out += kHex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 const char* bool_text(bool b) noexcept { return b ? "true" : "false"; }
 
@@ -137,7 +105,9 @@ std::string Report::to_json() const {
     out += severity_name(f.severity);
     out += "\",\"check\":\"";
     out += check_name(f.check);
-    out += "\",\"message\":\"" + json_escape(f.message) + "\"";
+    out += "\",\"message\":\"";
+    obs::json_escape_into(&out, f.message);
+    out += '"';
     if (f.command) out += ",\"command\":" + std::to_string(*f.command);
     if (f.other) out += ",\"other\":" + std::to_string(*f.other);
     if (f.bytes) {

@@ -425,14 +425,14 @@ TEST(NetE2E, StatsServedMidLoadNamesEveryMetric) {
   ASSERT_FALSE(text.empty()) << "STATS never answered under load";
   EXPECT_EQ(failures.load(), 0u);
   // Every ServiceMetrics counter appears, by its registry name.
-  rig.service->metrics().for_each([&](const char* name, std::uint64_t) {
+  rig.service->metrics().visit([&](const char* name, const auto&) {
     EXPECT_NE(text.find("ipdelta_" + std::string(name) + " "),
               std::string::npos)
         << name;
   });
   // Every registered histogram renders as a summary with quantiles.
   std::size_t summaries = 0;
-  rig.service->histograms().for_each(
+  rig.service->histograms().visit(
       [&](const char* name, const obs::Histogram&) {
         ++summaries;
         EXPECT_NE(

@@ -15,6 +15,8 @@
 #include "obs/event_ring.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/histogram.hpp"
+#include "obs/json.hpp"
+#include "obs/metric_set.hpp"
 #include "obs/stats.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_context.hpp"
@@ -677,6 +679,59 @@ TEST(PrometheusRenderer, HistogramRendersSummary) {
             std::string::npos);
   EXPECT_NE(text.find("ipdelta_serve_ns_sum 5050\n"), std::string::npos);
   EXPECT_NE(text.find("ipdelta_serve_ns_count 100\n"), std::string::npos);
+}
+
+// ---- metric-set generator -------------------------------------------
+
+#define TEST_SET_COUNTERS(X) X(alpha) X(beta)
+#define TEST_SET_HISTOGRAMS(X) X(gamma_ns)
+
+struct TestSet {
+  IPD_METRIC_SET(TEST_SET_COUNTERS, TEST_SET_HISTOGRAMS)
+};
+
+TEST(MetricSet, VisitRenderAndResetCoverBothKinds) {
+  TestSet set;
+  set.alpha.fetch_add(3);
+  set.beta.fetch_add(5);
+  set.gamma_ns.record(100);
+  std::vector<std::string> visited;
+  set.visit([&](const char* name, const auto& metric) {
+    visited.push_back(std::string(name) + ":" + metric_type(metric));
+  });
+  EXPECT_EQ(visited, (std::vector<std::string>{
+                         "alpha:counter", "beta:counter", "gamma_ns:summary"}));
+
+  PrometheusRenderer r;
+  r.counter("alpha", 1);
+  render_metric_set(r, "set_", set);
+  const std::string& text = r.str();
+  // The set prefix is part of the series name, so the set's alpha gets
+  // its own TYPE line next to the unprefixed one.
+  EXPECT_EQ(count_occurrences(text, "# TYPE ipdelta_alpha counter\n"), 1u);
+  EXPECT_EQ(count_occurrences(text, "# TYPE ipdelta_set_alpha counter\n"), 1u);
+  EXPECT_NE(text.find("\nipdelta_set_alpha 3\n"), std::string::npos);
+  EXPECT_NE(text.find("\nipdelta_set_beta 5\n"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE ipdelta_set_gamma_ns summary\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("\nipdelta_set_gamma_ns_count 1\n"), std::string::npos);
+
+  set.reset();
+  EXPECT_EQ(set.alpha.load(), 0u);
+  EXPECT_EQ(set.beta.load(), 0u);
+  EXPECT_EQ(set.gamma_ns.snapshot().count, 0u);
+}
+
+// ---- json escaper ---------------------------------------------------
+
+TEST(JsonEscape, PinsEveryByteClass) {
+  std::string out = "x";
+  const std::string in = std::string("q\"b\\n\nt\t") + '\x01' + '\x1f' +
+                         '\x7f' + '\x80' + '\xff' + "end";
+  json_escape_into(&out, in);
+  const std::string want = std::string("xq\\\"b\\\\n\\nt\\t\\u0001\\u001f") +
+                           '\x7f' + '\x80' + '\xff' + "end";
+  EXPECT_EQ(out, want);
 }
 
 }  // namespace

@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <thread>
+#include <unistd.h>
 
 #include "corpus/generator.hpp"
 #include "corpus/mutation.hpp"
 #include "server/delta_service.hpp"
 #include "server/fingerprint.hpp"
+#include "store/store_backed_version_store.hpp"
 #include "test_util.hpp"
 
 namespace ipd {
@@ -372,24 +375,52 @@ TEST(DeltaService, RejectsBadRequests) {
 
 TEST(DeltaService, SnapshotNamesEveryCounterExactlyOnce) {
   const auto history = make_history(2, 51);
-  VersionStore store;
-  publish_all(store, history);
-  DeltaService service(store, {});
-  service.serve(0, 1);
-  const std::string text = service.stats_text();
-  // stats_text() walks the same IPD_SERVICE_COUNTERS and
-  // IPD_SERVICE_HISTOGRAMS X-macros that declare the members, so these
-  // loops cover any metric added later for free. Exactly once each: a
-  // series that vanishes or gets duplicated breaks dashboards scraping
-  // this text.
-  service.metrics().for_each([&](const char* name, std::uint64_t) {
-    EXPECT_TRUE(test::exposes_once(text, "ipdelta_" + std::string(name),
-                                   "counter"));
-  });
-  service.histograms().for_each([&](const char* name, const obs::Histogram&) {
-    EXPECT_TRUE(test::exposes_once(text, "ipdelta_" + std::string(name),
-                                   "summary"));
-  });
+  // stats_text() renders each set through the same visit() these checks
+  // walk, generated from the X-lists that declare the members, so they
+  // cover any metric added later for free. Exactly once each: a series
+  // that vanishes or gets duplicated breaks dashboards scraping this
+  // text.
+  const auto expect_each_once = [](const std::string& text,
+                                   const std::string& prefix,
+                                   const auto& set) {
+    set.visit([&](const char* name, const auto& metric) {
+      EXPECT_TRUE(
+          test::exposes_once(text, prefix + name, obs::metric_type(metric)));
+    });
+  };
+  {
+    VersionStore store;
+    publish_all(store, history);
+    DeltaService service(store, {});
+    service.serve(0, 1);
+    const std::string text = service.stats_text();
+    expect_each_once(text, "ipdelta_", service.metrics());
+    expect_each_once(text, "ipdelta_", service.histograms());
+    EXPECT_EQ(test::count_occurrences(text, "ipdelta_store_"), 0u);
+  }
+  // On a store-backed service the same exposition also carries the
+  // ArtifactStore's set under ipdelta_store_: verify_rejects and
+  // artifact_bytes then exist under both prefixes, each with its own
+  // TYPE line.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("ipd_stats_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  ArtifactStore::init(dir);
+  {
+    auto artifacts = std::make_shared<ArtifactStore>(dir);
+    StoreBackedVersionStore store(artifacts);
+    publish_all(store, history);
+    DeltaService service(store, {});
+    service.serve(0, 1);
+    const std::string text = service.stats_text();
+    expect_each_once(text, "ipdelta_", service.metrics());
+    expect_each_once(text, "ipdelta_", service.histograms());
+    expect_each_once(text, "ipdelta_store_", artifacts->metrics());
+    EXPECT_TRUE(test::exposes_once(text, "ipdelta_verify_rejects", "counter"));
+    EXPECT_TRUE(
+        test::exposes_once(text, "ipdelta_store_verify_rejects", "counter"));
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(DeltaService, ApplyServedRejectsEmptyResult) {

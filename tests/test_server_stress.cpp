@@ -130,7 +130,8 @@ TEST(ServerStress, ByteBudgetHoldsUnderConcurrentEviction) {
   const DeltaCache::Stats stats = service.cache().stats();
   EXPECT_LE(stats.bytes_held, options.cache_budget);
   // The tiny budget genuinely churned (else this test proves nothing).
-  EXPECT_GT(stats.evictions + stats.rejected, 0u);
+  const ServiceMetrics& m = service.metrics();
+  EXPECT_GT(m.evictions.load() + m.rejected_inserts.load(), 0u);
 }
 
 TEST(ServerStress, MixedPairsReconstructBitIdenticalUnderLoad) {

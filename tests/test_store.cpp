@@ -230,20 +230,19 @@ TEST_F(StoreTest, ChainPolicyBoundsChainLength) {
 
 TEST_F(StoreTest, StatsTextNamesEveryMetricExactlyOnce) {
   ArtifactStore::init(dir_);
-  ArtifactStore store(dir_);
+  auto artifacts = std::make_shared<ArtifactStore>(dir_);
+  StoreBackedVersionStore store(artifacts);
   for (const Bytes& body : make_history(3)) store.publish(body);
-  const std::string text = store.stats_text();
+  // The store's set reaches the process's one exposition through the
+  // service that runs on it.
+  const DeltaService service(store, {});
+  const std::string text = service.stats_text();
   // The prefix keeps verify_rejects and artifact_bytes apart from the
   // service's series of the same names.
-  store.metrics().for_each([&](const char* name, std::uint64_t) {
+  artifacts->metrics().visit([&](const char* name, const auto& metric) {
     EXPECT_TRUE(test::exposes_once(text, "ipdelta_store_" + std::string(name),
-                                   "counter"));
+                                   obs::metric_type(metric)));
   });
-  store.metrics().for_each_histogram(
-      [&](const char* name, const obs::Histogram&) {
-        EXPECT_TRUE(test::exposes_once(
-            text, "ipdelta_store_" + std::string(name), "summary"));
-      });
   EXPECT_EQ(test::count_occurrences(text, "\nipdelta_store_publishes 3\n"),
             1u);
 }
